@@ -6,7 +6,9 @@ and only if their normalized decomposition trees agree up to reordering
 P children.  The canonical code makes that decidable and totally
 ordered: a leaf encodes as "E", a series node concatenates its child
 codes in order, and a parallel node concatenates them sorted.  Token
-order is S < P < E < "(" < ")".
+order is S < P < E < "(" < ")".  Each node computes its code and its
+reversal code once, from its children's codes, and caches them (see
+`core`); nothing here re-walks a subtree to rebuild a code.
 
 On top of the codes this module extracts explicit leaf bijections
 (`iso_map`), partitions a P node's children into oriented isomorphism
@@ -19,42 +21,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Leaf, Node, OrientedSP, Parallel, Series
-
-_TOKEN_KEY = str.maketrans("SPE()", "ABCDE")
-
-
-def code_sort_key(code: str) -> str:
-    """Translate a code into a string whose natural order matches S < P < E < ( < )."""
-    return code.translate(_TOKEN_KEY)
-
-
-def _tree_of(g) -> Node:
-    return g.tree if isinstance(g, (OrientedSP,)) else g
+from .core import Leaf, Node, Parallel, Series, _tree_of, code_sort_key, iter_leaves
 
 
 def canonical_code(g) -> str:
     """Code identifying an oriented SP graph up to oriented isomorphism."""
-    node = _tree_of(g)
-    if isinstance(node, Leaf):
-        return "E"
-    parts = [canonical_code(c) for c in node.children]
-    if isinstance(node, Series):
-        return "S(" + "".join(parts) + ")"
-    parts.sort(key=code_sort_key)
-    return "P(" + "".join(parts) + ")"
+    return _tree_of(g)._code
 
 
 def reversal_code(g) -> str:
     """Canonical code of the same graph with source and sink exchanged."""
-    node = _tree_of(g)
-    if isinstance(node, Leaf):
-        return "E"
-    if isinstance(node, Series):
-        parts = [reversal_code(c) for c in reversed(node.children)]
-        return "S(" + "".join(parts) + ")"
-    parts = sorted((reversal_code(c) for c in node.children), key=code_sort_key)
-    return "P(" + "".join(parts) + ")"
+    return _tree_of(g)._rev_code
 
 
 def reverse_tree(node: Node) -> tuple[Node, dict[int, int]]:
@@ -90,7 +67,7 @@ def iso_map(a, b) -> dict[int, int] | None:
     terminals.
     """
     ta, tb = _tree_of(a), _tree_of(b)
-    if canonical_code(ta) != canonical_code(tb):
+    if ta._code != tb._code:
         return None
     mapping: dict[int, int] = {}
     _match(ta, tb, mapping)
@@ -109,9 +86,9 @@ def _match(a: Node, b: Node, mapping: dict[int, int]) -> None:
     groups_a: dict[str, list[Node]] = {}
     groups_b: dict[str, list[Node]] = {}
     for child in a.children:
-        groups_a.setdefault(canonical_code(child), []).append(child)
+        groups_a.setdefault(child._code, []).append(child)
     for child in b.children:
-        groups_b.setdefault(canonical_code(child), []).append(child)
+        groups_b.setdefault(child._code, []).append(child)
     for code, members_a in groups_a.items():
         for ca, cb in zip(members_a, groups_b[code]):
             _match(ca, cb, mapping)
@@ -119,27 +96,18 @@ def _match(a: Node, b: Node, mapping: dict[int, int]) -> None:
 
 def _verify_leaf_bijection(a: Node, b: Node, mapping: dict[int, int]) -> None:
     """Check that a leaf map is edge preserving and terminal fixing."""
-    leaves_b = {lf.index: lf for lf in _leaves(b)}
+    leaves_b = {lf.index: lf for lf in iter_leaves(b)}
     if sorted(mapping.values()) != sorted(leaves_b):
         raise RuntimeError("leaf map is not a bijection onto the target leaves")
     vmap: dict[str, str] = {}
     inverse: dict[str, str] = {}
-    for lf in _leaves(a):
+    for lf in iter_leaves(a):
         img = leaves_b[mapping[lf.index]]
         for x, y in ((lf.source, img.source), (lf.target, img.target)):
             if vmap.setdefault(x, y) != y or inverse.setdefault(y, x) != x:
                 raise RuntimeError("leaf map does not induce a vertex bijection")
     if vmap.get(a.source) != b.source or vmap.get(a.target) != b.target:
         raise RuntimeError("leaf map moves a terminal")
-
-
-def _leaves(node: Node) -> list[Leaf]:
-    if isinstance(node, Leaf):
-        return [node]
-    out: list[Leaf] = []
-    for child in node.children:
-        out.extend(_leaves(child))
-    return out
 
 
 def invert_map(mapping: dict[int, int]) -> dict[int, int]:
@@ -176,22 +144,24 @@ class IsoClassPartition:
 def partition_classes(p: Parallel) -> IsoClassPartition:
     """Group a P node's children into oriented isomorphism classes.
 
-    Children are bucketed by canonical code (linear in total child
-    size, no pairwise comparisons), classes are ordered by descending
-    code, and each member gets an explicit verified bijection onto the
-    class representative.
+    Children are bucketed by their cached canonical codes (no pairwise
+    comparisons), classes are ordered by descending code, and each
+    member gets an explicit verified bijection onto the class
+    representative.  The representative's own map is the identity on
+    its preorder leaf span, so no ancestor re-walks it.
     """
     if not isinstance(p, Parallel):
         raise TypeError("partition_classes expects a Parallel node")
     buckets: dict[str, list[int]] = {}
     for pos, child in enumerate(p.children):
-        buckets.setdefault(canonical_code(child), []).append(pos)
+        buckets.setdefault(child._code, []).append(pos)
     classes = []
     for code in sorted(buckets, key=code_sort_key, reverse=True):
         members = tuple(buckets[code])
         rep = p.children[members[0]]
-        to_rep = {}
-        for pos in members:
+        leaves = range(*rep.span)
+        to_rep = {members[0]: dict(zip(leaves, leaves))}
+        for pos in members[1:]:
             mapping = iso_map(p.children[pos], rep)
             assert mapping is not None
             to_rep[pos] = mapping
@@ -218,6 +188,8 @@ class MirrorPairing:
 
 def reversal_map(x: Node, y: Node) -> dict[int, int] | None:
     """Leaf bijection realizing x == reversed y, or None."""
+    if x._code != y._rev_code:
+        return None
     reversed_y, new_of_old = reverse_tree(y)
     phi = iso_map(x, reversed_y)
     if phi is None:
@@ -255,8 +227,7 @@ def mirror_pairing(node: Node) -> MirrorPairing | None:
     pairs: list[tuple[int, int, dict[int, int]]] = []
     for idx, cls in enumerate(part.classes):
         rep = node.children[cls.representative]
-        partner_code = reversal_code(rep)
-        other = by_code.get(partner_code)
+        other = by_code.get(rep._rev_code)
         if other is None or part.classes[other].size != cls.size:
             return None
         if other < idx:

@@ -3,7 +3,9 @@
 Subcommands: parse, count, enumerate, verify, random, code.  Input
 files hold one SP expression per line ('#' comments), or an edge list
 starting with a 'terminals s t' line.  Exit codes: 0 success, 1 usage
-error, 2 invalid input, 3 verification failure.
+error, 2 invalid input, 3 verification failure, 4 internal error (a
+broken internal invariant, or an input too deep for the recursion
+limit).
 """
 
 from __future__ import annotations
@@ -30,7 +32,13 @@ from .expr import (
     read_instances,
     serialize_sp,
 )
-from .generate import count_oriented, count_total, oriented_both, oriented_spanning
+from .generate import (
+    ImageNotFound,
+    count_oriented,
+    count_total,
+    oriented_both,
+    oriented_spanning,
+)
 from .oracle import (
     FixBoth,
     FixSet,
@@ -44,6 +52,9 @@ from .oracle import (
 )
 from .semi import count_semioriented, semioriented_spanning
 
+# RecursionError is a RuntimeError; ImageNotFound is a ValueError, so this
+# tuple is caught before _INPUT_ERRORS.
+_INTERNAL_ERRORS = (ImageNotFound, AssertionError, RuntimeError)
 _INPUT_ERRORS = (
     SpParseError,
     InvalidTreeError,
@@ -114,6 +125,9 @@ def run(argv=None) -> int:
     except LimitExceeded as exc:
         print(f"refusing oracle run: {exc}", file=sys.stderr)
         return 2
+    except _INTERNAL_ERRORS as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,6 +6,13 @@ subgraphs that share both terminals.  Every node has a source and a
 target label; leaves carry a global index assigned in depth-first
 preorder, so edge subsets can be stored as bitmasks over leaf indices.
 
+Every node also carries its canonical code and its reversal code (the
+code with source and sink exchanged), each built once from the
+children's codes and cached: a leaf is "E", a series node wraps its
+child codes in "S(...)" in chain order (reversed for the reversal
+code), and a parallel node wraps them in "P(...)" sorted by
+`code_sort_key`.  `canonical` reads them.
+
 All types here are immutable after construction and safe to share
 between threads.
 """
@@ -20,6 +27,12 @@ from typing import Iterator, Union
 _LABEL_CHARS = frozenset(
     "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_"
 )
+_TOKEN_KEY = str.maketrans("SPE()", "ABCDE")
+
+
+def code_sort_key(code: str) -> str:
+    """Translate a code into a string whose natural order matches S < P < E < ( < )."""
+    return code.translate(_TOKEN_KEY)
 
 
 def is_valid_label(text: str) -> bool:
@@ -34,6 +47,8 @@ class Leaf:
     source: str
     target: str
     index: int = 0
+    _code = "E"
+    _rev_code = "E"
 
     @property
     def children(self) -> tuple[Node, ...]:
@@ -62,6 +77,22 @@ class Series:
     def span(self) -> tuple[int, int]:
         return (self.children[0].span[0], self.children[-1].span[1])
 
+    # The code properties use plain loops: before Python 3.12 a comprehension
+    # adds a stack frame per tree level to every code computation.
+    @cached_property
+    def _code(self) -> str:
+        parts = []
+        for child in self.children:
+            parts.append(child._code)
+        return "S(" + "".join(parts) + ")"
+
+    @cached_property
+    def _rev_code(self) -> str:
+        parts = []
+        for child in reversed(self.children):
+            parts.append(child._rev_code)
+        return "S(" + "".join(parts) + ")"
+
 
 @dataclass(frozen=True)
 class Parallel:
@@ -80,6 +111,20 @@ class Parallel:
     @cached_property
     def span(self) -> tuple[int, int]:
         return (self.children[0].span[0], self.children[-1].span[1])
+
+    @cached_property
+    def _code(self) -> str:
+        parts = []
+        for child in self.children:
+            parts.append(child._code)
+        return "P(" + "".join(sorted(parts, key=code_sort_key)) + ")"
+
+    @cached_property
+    def _rev_code(self) -> str:
+        parts = []
+        for child in self.children:
+            parts.append(child._rev_code)
+        return "P(" + "".join(sorted(parts, key=code_sort_key)) + ")"
 
 
 Node = Union[Leaf, Series, Parallel]
@@ -106,27 +151,12 @@ def iter_leaves(node: Node) -> Iterator[Leaf]:
         yield from iter_leaves(child)
 
 
-def leaf_count(node: Node) -> int:
-    return sum(1 for _ in iter_leaves(node))
-
-
 def vertex_labels(node: Node) -> frozenset[str]:
     out: set[str] = set()
     for lf in iter_leaves(node):
         out.add(lf.source)
         out.add(lf.target)
     return frozenset(out)
-
-
-def vertex_count(node: Node) -> int:
-    """Number of vertices of the underlying graph of a valid tree."""
-    if isinstance(node, Leaf):
-        return 2
-    k = len(node.children)
-    total = sum(vertex_count(c) for c in node.children)
-    if isinstance(node, Series):
-        return total - (k - 1)
-    return total - 2 * (k - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,6 +212,11 @@ class SemiorientedSP:
 
     def __hash__(self) -> int:
         return hash(self._key())
+
+
+def _tree_of(g) -> Node:
+    """The decomposition tree of an OrientedSP or SemiorientedSP, or `g` itself."""
+    return g.tree if isinstance(g, (OrientedSP, SemiorientedSP)) else g
 
 
 @dataclass(frozen=True)
@@ -490,13 +525,3 @@ def classify_edge_set(graph: LabeledGraph, es: EdgeSet) -> Classification:
     if card == graph.n - 1:
         return Classification.SPANNING_TREE
     return Classification.NEAR_TREE
-
-
-def separates_terminals(graph: LabeledGraph, es: EdgeSet, s: str, t: str) -> bool:
-    """True if `es` leaves s and t in different components."""
-    uf = _UnionFind(graph.n)
-    vidx = graph.vertex_index
-    for i in es.indices():
-        u, v = graph.edges[i]
-        uf.union(vidx[u], vidx[v])
-    return uf.find(vidx[s]) != uf.find(vidx[t])

@@ -21,6 +21,7 @@ import random
 from dataclasses import dataclass
 
 from .core import (
+    _LABEL_CHARS,
     InvalidTreeError,
     Leaf,
     Node,
@@ -29,8 +30,6 @@ from .core import (
     is_valid_label,
     normalize,
 )
-
-_LABEL_CHARS = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_")
 
 
 class SpParseError(ValueError):

@@ -21,6 +21,21 @@ keeping the terminals connected would close a cycle when a sibling
 branch supplies the through path, and every subset brute force can
 build from these compositions separates the terminals at every level).
 
+`build_plan` is the single home of the counting arithmetic.  One
+bottom-up pass fills every plan node with its vertex count, the
+oriented counts (spanning, near), the counts with no automorphism
+reduction (tau, nu) and the semioriented counts (spanning, near up to
+terminal exchange), each from its child plans and class sizes; the
+`count_*` functions return fields of the root plan.  Every "sum over j
+of x_j times the product of the others" goes through `_offsets`, in a
+linear number of products.  The semioriented counts use the
+reversal-fixed terms: with a reversal symmetry the semioriented count
+is (oriented count + fixed candidates) / 2, and the number of
+reversal-fixed entries of a child's list is twice its semioriented
+count minus its oriented count, whichever reversal realizes the
+symmetry.  The filter that enumerates the semioriented trees lives in
+`semi`.
+
 The enumeration order is deterministic: classes descend by canonical
 code, assignment indices count near multisets first then spanning
 choices, and tuples advance lexicographically.  `spanning_tree_index`
@@ -38,8 +53,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .canonical import canonical_code, invert_map, partition_classes
-from .core import EdgeSet, Leaf, Node, OrientedSP, Series
+from .canonical import invert_map, partition_classes
+from .core import EdgeSet, Leaf, Node, OrientedSP, Series, _tree_of
 
 
 class ImageNotFound(ValueError):
@@ -94,7 +109,7 @@ def multiset_rank(seq: tuple[int, ...], m: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class _ClassPlan:
     """Per-class data at a parallel node."""
 
@@ -112,12 +127,26 @@ class _ClassPlan:
         return len(self.members)
 
 
-@dataclass
+@dataclass(slots=True)
 class _Plan:
+    """Counts and enumeration data of one node.
+
+    st, nt are the oriented spanning and near counts, tau, nu the counts
+    with no automorphism reduction, ss, sn the semioriented ones.
+    `offsets[j]` is where the trees whose distinguished part is j start:
+    the near trees breaking in child j of a series node, the spanning
+    trees carried by class j of a parallel node.
+    """
+
     node: Node
+    n: int
     st: int
     nt: int
-    n: int
+    tau: int
+    nu: int
+    ss: int
+    sn: int
+    offsets: list[int] | None = None
     children: tuple["_Plan", ...] = ()
     classes: tuple[_ClassPlan, ...] = ()
     sp_cache: list[EdgeSet] | None = None
@@ -132,25 +161,81 @@ class _Plan:
 
 def build_plan(g) -> _Plan:
     """Precompute classes, bijections, and counts for a normalized tree."""
-    node = g.tree if isinstance(g, OrientedSP) else g
-    return _build(node)
+    return _build(_tree_of(g))
+
+
+def _offsets(x: list[int], y: list[int]) -> list[int]:
+    """Running sums of x[j] * prod(y[i] for i != j), from prefix and suffix products.
+
+    Entry a sums the terms j < a, so the last entry is the whole sum.
+    """
+    suffix = [1] * (len(y) + 1)
+    for i in range(len(y) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] * y[i]
+    out, prefix = [0], 1
+    for j, xj in enumerate(x):
+        out.append(out[-1] + xj * prefix * suffix[j + 1])
+        prefix *= y[j]
+    return out
+
+
+def _half(x: int) -> int:
+    assert x % 2 == 0, "reversal pairs do not pair off"
+    return x // 2
+
+
+def _invariant_multisets(fixed: int, swapped_pairs: int, size: int) -> int:
+    """Size-`size` multisets invariant under an involution on the items.
+
+    The involution has `fixed` fixed items and `swapped_pairs` 2-cycles;
+    an invariant multiset gives both members of a 2-cycle the same
+    multiplicity, so pairs are drawn two at a time.
+    """
+    total = 0
+    for j in range(size // 2 + 1):
+        total += multiset_coefficient(swapped_pairs, j) * multiset_coefficient(
+            fixed, size - 2 * j
+        )
+    return total
 
 
 def _build(node: Node) -> _Plan:
+    """The bottom-up pass: every count of `node` from its child plans and class sizes."""
     if isinstance(node, Leaf):
-        return _Plan(node, st=1, nt=1, n=2)
+        return _Plan(node, n=2, st=1, nt=1, tau=1, nu=1, ss=1, sn=1)
     if isinstance(node, Series):
-        children = tuple(_build(c) for c in node.children)
-        st = math.prod(c.st for c in children)
-        nt = sum(
-            c.nt * math.prod(d.st for d in children if d is not c) for c in children
+        kids = list(map(_build, node.children))  # map adds no frame per level, see core
+        k = len(kids)
+        sts = [c.st for c in kids]
+        taus = [c.tau for c in kids]
+        offsets = _offsets([c.nt for c in kids], sts)
+        st, nt = math.prod(sts), offsets[-1]
+        plan = _Plan(
+            node,
+            n=sum(c.n for c in kids) - (k - 1),
+            st=st,
+            nt=nt,
+            tau=math.prod(taus),
+            nu=_offsets([c.nu for c in kids], taus)[-1],
+            ss=st,
+            sn=nt,
+            offsets=offsets,
+            children=tuple(kids),
         )
-        n = sum(c.n for c in children) - (len(children) - 1)
-        return _Plan(node, st=st, nt=nt, n=n, children=children)
+        # A reversal maps child i onto child k-1-i; the fixed candidates are
+        # palindromic tuples, with a reversal-fixed tree in an odd middle.
+        facing = zip(node.children, reversed(node.children))
+        if all(a._code == b._rev_code for a, b in facing):
+            half = math.prod(sts[: k // 2])
+            fix_sp, fix_nt = half, 0
+            if k % 2:
+                mid = kids[k // 2]
+                fix_sp, fix_nt = half * (2 * mid.ss - mid.st), half * (2 * mid.sn - mid.nt)
+            plan.ss, plan.sn = _half(st + fix_sp), _half(nt + fix_nt)
+        return plan
 
-    part = partition_classes(node)
     classes = []
-    for cls in part.classes:
+    for cls in partition_classes(node).classes:
         rep_plan = _build(node.children[cls.representative])
         to_rep = tuple(cls.to_rep[pos] for pos in cls.members)
         place = tuple(invert_map(m) for m in to_rep)
@@ -158,13 +243,49 @@ def _build(node: Node) -> _Plan:
         cp.nc = multiset_coefficient(rep_plan.nt, cp.size)
         cp.sc = rep_plan.st * multiset_coefficient(rep_plan.nt, cp.size - 1)
         classes.append(cp)
-    nt = math.prod(cp.nc for cp in classes)
-    st = sum(
-        cp.sc * math.prod(other.nc for other in classes if other is not cp)
-        for cp in classes
+    ncs = [cp.nc for cp in classes]
+    offsets = _offsets([cp.sc for cp in classes], ncs)
+    st, nt = offsets[-1], math.prod(ncs)
+    # Members of a class share the representative's total counts.
+    taus = [cp.rep_plan.tau for cp in classes for _ in cp.members]
+    nus = [cp.rep_plan.nu for cp in classes for _ in cp.members]
+    plan = _Plan(
+        node,
+        n=sum(cp.rep_plan.n * cp.size for cp in classes) - 2 * (len(node.children) - 1),
+        st=st,
+        nt=nt,
+        tau=_offsets(taus, nus)[-1],
+        nu=math.prod(nus),
+        ss=st,
+        sn=nt,
+        offsets=offsets,
+        classes=tuple(classes),
     )
-    n = sum(cp.rep_plan.n * cp.size for cp in classes) - 2 * (len(node.children) - 1)
-    return _Plan(node, st=st, nt=nt, n=n, classes=tuple(classes))
+    # A reversal maps each class onto an equal-size class; the fixed
+    # candidates take mirror assignments on paired classes (one choice
+    # per pair) and reversal-invariant ones on self-paired classes.
+    size_of = {cp.rep_plan.node._code: cp.size for cp in classes}
+    if any(size_of.get(cp.rep_plan.node._rev_code) != cp.size for cp in classes):
+        return plan
+    pair_nc, seen, fix_nc, fix_sc = 1, set(), [], []
+    for cp in classes:
+        rep = cp.rep_plan
+        code, rev = rep.node._code, rep.node._rev_code
+        if code == rev:
+            # The reversal fixes 2*sn - nt of the representative's near
+            # trees and swaps the other nt - sn in pairs.
+            fixed_near = 2 * rep.sn - rep.nt
+            swapped = rep.nt - rep.sn
+            fix_nc.append(_invariant_multisets(fixed_near, swapped, cp.size))
+            fix_sc.append(
+                (2 * rep.ss - rep.st) * _invariant_multisets(fixed_near, swapped, cp.size - 1)
+            )
+        elif code not in seen:
+            seen.add(rev)
+            pair_nc *= cp.nc
+    plan.ss = _half(st + pair_nc * _offsets(fix_sc, fix_nc)[-1])
+    plan.sn = _half(nt + pair_nc * math.prod(fix_nc))
+    return plan
 
 
 def _class_near_sets(cp: _ClassPlan) -> list[EdgeSet]:
@@ -295,64 +416,16 @@ def iter_oriented_near(g: OrientedSP):
 # ---------------------------------------------------------------------------
 
 
-def _count_pair(node: Node) -> tuple[int, int]:
-    if isinstance(node, Leaf):
-        return 1, 1
-    if isinstance(node, Series):
-        pairs = [_count_pair(c) for c in node.children]
-        st = math.prod(p[0] for p in pairs)
-        nt = 0
-        for j in range(len(pairs)):
-            nt += pairs[j][1] * math.prod(p[0] for i, p in enumerate(pairs) if i != j)
-        return st, nt
-    groups: dict[str, list[Node]] = {}
-    for child in node.children:
-        groups.setdefault(canonical_code(child), []).append(child)
-    stats = []
-    for members in groups.values():
-        rst, rnt = _count_pair(members[0])
-        c = len(members)
-        stats.append((rst, rnt, c))
-    nt = math.prod(multiset_coefficient(rnt, c) for _, rnt, c in stats)
-    st = 0
-    for i, (rst, rnt, c) in enumerate(stats):
-        term = rst * multiset_coefficient(rnt, c - 1)
-        for j, (_, ont, oc) in enumerate(stats):
-            if j != i:
-                term *= multiset_coefficient(ont, oc)
-        st += term
-    return st, nt
-
-
 def count_oriented(g: OrientedSP) -> CountPair:
     """Lengths of the oriented lists, computed by recurrence alone."""
-    node = g.tree if isinstance(g, OrientedSP) else g
-    st, nt = _count_pair(node)
-    return CountPair(st, nt)
-
-
-def _count_total(node: Node) -> tuple[int, int]:
-    if isinstance(node, Leaf):
-        return 1, 1
-    pairs = [_count_total(c) for c in node.children]
-    if isinstance(node, Series):
-        tau = math.prod(p[0] for p in pairs)
-        nu = 0
-        for j in range(len(pairs)):
-            nu += pairs[j][1] * math.prod(p[0] for i, p in enumerate(pairs) if i != j)
-        return tau, nu
-    nu = math.prod(p[1] for p in pairs)
-    tau = 0
-    for j in range(len(pairs)):
-        tau += pairs[j][0] * math.prod(p[1] for i, p in enumerate(pairs) if i != j)
-    return tau, nu
+    plan = build_plan(g)
+    return CountPair(plan.st, plan.nt)
 
 
 def count_total(g: OrientedSP) -> CountPair:
     """Spanning and near counts with no automorphism reduction."""
-    node = g.tree if isinstance(g, OrientedSP) else g
-    tau, nu = _count_total(node)
-    return CountPair(tau, nu)
+    plan = build_plan(g)
+    return CountPair(plan.tau, plan.nu)
 
 
 # ---------------------------------------------------------------------------
@@ -388,16 +461,11 @@ def _span_index(plan: _Plan, mask: int) -> int:
     digits, span_class = _parallel_digits(plan, mask)
     if span_class is None:
         raise ImageNotFound("no branch carries a spanning tree")
-    rank = 0
-    for a in range(span_class):
-        rank += plan.classes[a].sc * math.prod(
-            cp.nc for j, cp in enumerate(plan.classes) if j != a
-        )
     inner = 0
     for j, cp in enumerate(plan.classes):
         radix = cp.sc if j == span_class else cp.nc
         inner = inner * radix + digits[j]
-    return rank + inner
+    return plan.offsets[span_class] + inner
 
 
 def _near_index(plan: _Plan, mask: int) -> int:
@@ -418,18 +486,13 @@ def _near_index(plan: _Plan, mask: int) -> int:
                 raise ImageNotFound("branch edge count fits neither kind")
         if break_at is None:
             raise ImageNotFound("no branch carries the break")
-        rank = 0
-        for j in range(break_at):
-            rank += plan.children[j].nt * math.prod(
-                c.st for i, c in enumerate(plan.children) if i != j
-            )
         inner = 0
         for j, (child, part) in enumerate(zip(plan.children, parts)):
             if j == break_at:
                 inner = inner * child.nt + _near_index(child, part)
             else:
                 inner = inner * child.st + _span_index(child, part)
-        return rank + inner
+        return plan.offsets[break_at] + inner
     digits, span_class = _parallel_digits(plan, mask)
     if span_class is not None:
         raise ImageNotFound("a near tree cannot contain a spanning branch")

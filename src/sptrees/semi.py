@@ -12,28 +12,19 @@ and self-paired parallel classes, so a candidate whose outer positions
 are palindromic is still paired off through its middle entry.  All
 recursive calls below the top level stay oriented.
 
-Counting needs no enumeration: with a reversal the semioriented count
-is (oriented count + fixed candidates) / 2, and the fixed-candidate
-count reduces recursively to children's own semioriented counts (the
-number of reversal-fixed entries of a child's list is twice its
-semioriented count minus its oriented count, independent of which
-reversal realizes the symmetry).
+Counting needs no enumeration: `count_semioriented` reads the
+semioriented count that `generate.build_plan` computes in its single
+bottom-up pass, next to the oriented and total counts (the
+fixed-candidate arithmetic lives there too).
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 
-from .canonical import (
-    MirrorPairing,
-    canonical_code,
-    mirror_pairing,
-    reversal_code,
-)
-from .core import EdgeSet, Leaf, Node, OrientedSP, SemiorientedSP, Series
+from .canonical import MirrorPairing, mirror_pairing
+from .core import EdgeSet, SemiorientedSP, _tree_of
 from .generate import (
-    ImageNotFound,
     _class_near_sets,
     _class_span_sets,
     _near_index,
@@ -45,12 +36,6 @@ from .generate import (
     multiset_enumerate,
     multiset_rank,
 )
-
-
-def _tree_of(g) -> Node:
-    if isinstance(g, (SemiorientedSP, OrientedSP)):
-        return g.tree
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -68,24 +53,16 @@ def reversal_index_perm(
     enumeration covers every orbit; an unlocatable image raises
     ImageNotFound and means the index-stability contract is broken.
     """
-    child_plan = build_plan(_tree_of(child))
-    mirror_plan = build_plan(_tree_of(mirror))
-    if kind == "spanning":
-        source = _spanning_list(child_plan)
-        locate = _span_index
-    elif kind == "near":
-        source = _near_list(child_plan)
-        locate = _near_index
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    return tuple(locate(mirror_plan, es.mapped(r).mask) for es in source)
+    return tuple(_index_perm(build_plan(child), build_plan(mirror), r, kind))
 
 
 def _index_perm(src_plan, dst_plan, r: dict[int, int], kind: str) -> list[int]:
     if kind == "spanning":
         source, locate = _spanning_list(src_plan), _span_index
-    else:
+    elif kind == "near":
         source, locate = _near_list(src_plan), _near_index
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
     return [locate(dst_plan, es.mapped(r).mask) for es in source]
 
 
@@ -191,90 +168,6 @@ def _filtered_parallel(plan, pairing: MirrorPairing):
 # ---------------------------------------------------------------------------
 
 
-def _invariant_multisets(fixed: int, swapped_pairs: int, size: int) -> int:
-    """Size-`size` multisets invariant under an involution on the items.
-
-    The involution has `fixed` fixed items and `swapped_pairs` 2-cycles;
-    an invariant multiset gives both members of a 2-cycle the same
-    multiplicity, so pairs are drawn two at a time.
-    """
-    total = 0
-    for j in range(size // 2 + 1):
-        total += multiset_coefficient(swapped_pairs, j) * multiset_coefficient(
-            fixed, size - 2 * j
-        )
-    return total
-
-
-def _quad(node: Node) -> tuple[int, int, int, int]:
-    """(oriented spanning, oriented near, semi spanning, semi near) counts."""
-    if isinstance(node, Leaf):
-        return 1, 1, 1, 1
-    if isinstance(node, Series):
-        quads = [_quad(c) for c in node.children]
-        k = len(quads)
-        st = math.prod(q[0] for q in quads)
-        nt = sum(
-            quads[j][1] * math.prod(q[0] for i, q in enumerate(quads) if i != j)
-            for j in range(k)
-        )
-        codes = [canonical_code(c) for c in node.children]
-        rev_codes = [reversal_code(c) for c in node.children]
-        if any(codes[i] != rev_codes[k - 1 - i] for i in range(k)):
-            return st, nt, st, nt
-        fix_sp = math.prod(quads[i][0] for i in range(k // 2))
-        fix_nt = 0
-        if k % 2 == 1:
-            mid = quads[k // 2]
-            fix_nt = (2 * mid[3] - mid[1]) * math.prod(quads[i][0] for i in range(k // 2))
-            fix_sp *= 2 * mid[2] - mid[0]
-        assert (st + fix_sp) % 2 == 0 and (nt + fix_nt) % 2 == 0
-        return st, nt, (st + fix_sp) // 2, (nt + fix_nt) // 2
-
-    groups: dict[str, list[Node]] = {}
-    for child in node.children:
-        groups.setdefault(canonical_code(child), []).append(child)
-    stats = []
-    for code, members in groups.items():
-        q = _quad(members[0])
-        stats.append((code, reversal_code(members[0]), len(members), q))
-    nc = [multiset_coefficient(q[1], c) for _, _, c, q in stats]
-    sc = [q[0] * multiset_coefficient(q[1], c - 1) for _, _, c, q in stats]
-    nt = math.prod(nc)
-    st = sum(
-        sc[i] * math.prod(ncj for j, ncj in enumerate(nc) if j != i)
-        for i in range(len(stats))
-    )
-    size_of = {code: c for code, _, c, _ in stats}
-    paired = all(size_of.get(rev) == c for _, rev, c, _ in stats)
-    if not paired:
-        return st, nt, st, nt
-    self_paired = [i for i, (code, rev, _, _) in enumerate(stats) if code == rev]
-    pair_nc = 1
-    seen = set()
-    for i, (code, rev, _, _) in enumerate(stats):
-        if code == rev or code in seen:
-            continue
-        seen.add(rev)
-        pair_nc *= nc[i]
-    fix_nc = {}
-    fix_sc = {}
-    for i in self_paired:
-        _, _, c, (ost, ont, sst, snt) = stats[i]
-        f_nt = 2 * snt - ont
-        q_nt = (ont - f_nt) // 2
-        f_st = 2 * sst - ost
-        fix_nc[i] = _invariant_multisets(f_nt, q_nt, c)
-        fix_sc[i] = f_st * _invariant_multisets(f_nt, q_nt, c - 1)
-    fix_nt = pair_nc * math.prod(fix_nc[i] for i in self_paired)
-    fix_sp = sum(
-        fix_sc[i] * math.prod(fix_nc[j] for j in self_paired if j != i) * pair_nc
-        for i in self_paired
-    )
-    assert (st + fix_sp) % 2 == 0 and (nt + fix_nt) % 2 == 0
-    return st, nt, (st + fix_sp) // 2, (nt + fix_nt) // 2
-
-
 def count_semioriented(g: SemiorientedSP) -> int:
     """Length of the semioriented spanning list, by recurrence alone."""
-    return _quad(_tree_of(g))[2]
+    return build_plan(g).ss

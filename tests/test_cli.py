@@ -174,3 +174,13 @@ def test_edge_list_input(tmp_path, capsys):
     )
     assert run(["count", str(path), "--mode", "total"]) == 0
     assert capsys.readouterr().out.strip() == "8"
+
+
+def test_internal_error_exit_code(tmp_path, capsys):
+    path = tmp_path / "path800.edges"
+    lines = ["terminals v0 v800"] + [f"v{i} v{i + 1}" for i in range(800)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run(["count", str(path), "--mode", "total"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ")
+    assert "Traceback" not in err

@@ -8,6 +8,7 @@ from sptrees import (
     FixBoth,
     ImageNotFound,
     OrientedSP,
+    SemiorientedSP,
     all_near_trees,
     all_spanning_trees,
     automorphisms,
@@ -22,6 +23,7 @@ from sptrees import (
     orbit_partition,
     oriented_both,
     oriented_spanning,
+    count_semioriented,
     parse_sp,
     spanning_tree_index,
     underlying_graph,
@@ -170,6 +172,28 @@ def test_balanced_instance_counts_exceed_64_bits_and_match_kirchhoff():
     assert total.spanning == kirchhoff_count(g)
     oriented = count_oriented(OrientedSP(tree))
     assert 0 < oriented.spanning < total.spanning
+
+
+def _compose(kind: str, parts: list[str]) -> str:
+    return parts[0] if len(parts) == 1 else f"{kind}(" + ",".join(parts) + ")"
+
+
+@pytest.mark.parametrize("k", [1, 2, 199, 200, 401])
+def test_closed_form_counts_beyond_enumeration_range(k):
+    triangles = parse_sp(
+        _compose(
+            "S",
+            [f"P(e(v{i},v{i + 1}),S(e(v{i},w{i}),e(w{i},v{i + 1})))" for i in range(k)],
+        )
+    )
+    assert count_total(OrientedSP(triangles)).spanning == 3**k
+    assert count_oriented(OrientedSP(triangles)).spanning == 3**k
+    assert count_semioriented(SemiorientedSP(triangles)) == (3**k + 3 ** (k // 2)) // 2
+
+    chains = parse_sp(_compose("P", [f"S(e(s,a{i}),e(a{i},t))" for i in range(k)]))
+    assert count_total(OrientedSP(chains)).spanning == k * 2 ** (k - 1)
+    assert count_oriented(OrientedSP(chains)).spanning == k
+    assert count_semioriented(SemiorientedSP(chains)) == (k + 1) // 2
 
 
 @pytest.mark.parametrize("seed", range(40))
