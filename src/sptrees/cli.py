@@ -5,7 +5,8 @@ files hold one SP expression per line ('#' comments), or an edge list
 starting with a 'terminals s t' line.  Exit codes: 0 success, 1 usage
 error, 2 invalid input, 3 verification failure, 4 internal error (a
 broken internal invariant, or an input too deep for the recursion
-limit).
+limit).  The input path accepts any depth or width; only canonical
+codes, the plan, counts and enumeration still recurse.
 """
 
 from __future__ import annotations
@@ -36,8 +37,9 @@ from .generate import (
     ImageNotFound,
     count_oriented,
     count_total,
+    iter_oriented_near,
+    iter_oriented_spanning,
     oriented_both,
-    oriented_spanning,
 )
 from .oracle import (
     FixBoth,
@@ -50,7 +52,7 @@ from .oracle import (
     kirchhoff_count,
     orbit_partition,
 )
-from .semi import count_semioriented, semioriented_spanning
+from .semi import count_semioriented, iter_semioriented_spanning, semioriented_spanning
 
 # RecursionError is a RuntimeError; ImageNotFound is a ValueError, so this
 # tuple is caught before _INPUT_ERRORS.
@@ -166,38 +168,23 @@ def _cmd_count(args) -> int:
     return 0
 
 
-def edge_line(graph, es: EdgeSet) -> str:
-    tokens = sorted(f"{u}-{v}" for u, v in (graph.edges[i] for i in es.indices()))
-    return ",".join(tokens)
-
-
 def _cmd_enumerate(args) -> int:
+    kind = "near" if args.near else "spanning"
     for tree in _load(args.file):
         graph = underlying_graph(tree)
         if args.mode == "oriented":
-            if args.near:
-                trees = oriented_both(OrientedSP(tree))[1]
-                kind = "near"
-            else:
-                trees = oriented_spanning(OrientedSP(tree))
-                kind = "spanning"
+            enumerator = iter_oriented_near if args.near else iter_oriented_spanning
+            trees = enumerator(OrientedSP(tree))
+        elif args.near:
+            raise _UsageError("--near is not supported with --mode semioriented")
         else:
-            if args.near:
-                raise _UsageError("--near is not supported with --mode semioriented")
-            trees = semioriented_spanning(SemiorientedSP(tree))
-            kind = "spanning"
+            trees = iter_semioriented_spanning(SemiorientedSP(tree))
         for index, es in enumerate(trees):
+            tokens = sorted(f"{u}-{v}" for u, v in (graph.edges[i] for i in es.indices()))
             if args.format == "text":
-                print(edge_line(graph, es))
+                print(",".join(tokens))
             else:
-                record = {
-                    "index": index,
-                    "edges": sorted(
-                        f"{u}-{v}" for u, v in (graph.edges[i] for i in es.indices())
-                    ),
-                    "mode": args.mode,
-                    "kind": kind,
-                }
+                record = {"index": index, "edges": tokens, "mode": args.mode, "kind": kind}
                 print(json.dumps(record, sort_keys=True))
     return 0
 

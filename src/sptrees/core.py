@@ -144,19 +144,13 @@ def parallel(*children: Node) -> Parallel:
 
 def iter_leaves(node: Node) -> Iterator[Leaf]:
     """Yield the leaves of `node` in depth-first preorder."""
-    if isinstance(node, Leaf):
-        yield node
-        return
-    for child in node.children:
-        yield from iter_leaves(child)
-
-
-def vertex_labels(node: Node) -> frozenset[str]:
-    out: set[str] = set()
-    for lf in iter_leaves(node):
-        out.add(lf.source)
-        out.add(lf.target)
-    return frozenset(out)
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Leaf):
+            yield node
+        else:
+            stack.extend(reversed(node.children))
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,111 +318,17 @@ def validate(node: Node) -> list[Violation]:
     """Check every decomposition-tree invariant.
 
     Returns one entry per violation (empty list means valid).  Checks
-    label syntax, self-loops, series chaining, shared parallel
-    terminals, child arity, alternation of S and P levels, simplicity
-    (at most one bare edge per parallel node), disjointness of interior
-    vertices across sibling branches, and preorder leaf indices.
+    label syntax, self-loops, child arity, alternation of S and P levels
+    and preorder leaf indices; and, on each node's flattened child list
+    (same-kind children spliced in, as `normalize` does), series
+    chaining, shared parallel terminals, simplicity (at most one bare
+    edge per parallel node) and disjointness of interior vertices across
+    sibling branches.
     """
-    out = _structural_violations(node)
-    out.extend(_alternation_violations(node, "root"))
-    leaves = list(iter_leaves(node))
-    if [lf.index for lf in leaves] != list(range(len(leaves))):
+    _, broken, nested, indexed = _walk(node)
+    out = _violations(broken + nested)
+    if not indexed:
         out.append(Violation("root", "leaf indices are not preorder 0..m-1"))
-    return out
-
-
-def _structural_violations(node: Node) -> list[Violation]:
-    """All invariants except alternation and leaf indexing.
-
-    These are the checks that must hold even before `normalize` has
-    flattened the tree and reassigned indices.
-    """
-    out: list[Violation] = []
-    _walk_structural(node, "root", out)
-    return out
-
-
-def _walk_structural(node: Node, path: str, out: list[Violation]) -> None:
-    if isinstance(node, Leaf):
-        for label in (node.source, node.target):
-            if not is_valid_label(label):
-                out.append(Violation(path, f"bad vertex label {label!r}"))
-        if node.source == node.target:
-            out.append(Violation(path, "self-loop at leaf"))
-        return
-
-    kind = "series" if isinstance(node, Series) else "parallel"
-    kids = node.children
-    if len(kids) < 2:
-        out.append(Violation(path, f"{kind} node needs at least 2 children"))
-        for i, child in enumerate(kids):
-            _walk_structural(child, f"{path}[{i}]", out)
-        return
-
-    for i, child in enumerate(kids):
-        _walk_structural(child, f"{path}[{i}]", out)
-
-    vsets = [vertex_labels(c) for c in kids]
-
-    if isinstance(node, Series):
-        for i in range(len(kids) - 1):
-            if kids[i].target != kids[i + 1].source:
-                out.append(
-                    Violation(
-                        path,
-                        f"series chain mismatch {kids[i].target} != "
-                        f"{kids[i + 1].source} between children {i} and {i + 1}",
-                    )
-                )
-        if node.source == node.target:
-            out.append(Violation(path, "series terminals coincide"))
-        for i in range(len(kids)):
-            for j in range(i + 1, len(kids)):
-                allowed = {kids[i].target} if j == i + 1 else set()
-                extra = (vsets[i] & vsets[j]) - allowed
-                if extra:
-                    out.append(
-                        Violation(
-                            path,
-                            f"children {i} and {j} share vertices "
-                            f"{sorted(extra)} beyond the chain terminal",
-                        )
-                    )
-    else:
-        s, t = node.source, node.target
-        for i, child in enumerate(kids):
-            if (child.source, child.target) != (s, t):
-                out.append(
-                    Violation(
-                        path,
-                        f"parallel child {i} has terminals "
-                        f"({child.source},{child.target}), expected ({s},{t})",
-                    )
-                )
-        if sum(1 for c in kids if isinstance(c, Leaf)) > 1:
-            out.append(Violation(path, "parallel multi-edge"))
-        for i in range(len(kids)):
-            for j in range(i + 1, len(kids)):
-                extra = (vsets[i] & vsets[j]) - {s, t}
-                if extra:
-                    out.append(
-                        Violation(
-                            path,
-                            f"children {i} and {j} share interior vertices "
-                            f"{sorted(extra)}",
-                        )
-                    )
-
-
-def _alternation_violations(node: Node, path: str) -> list[Violation]:
-    out: list[Violation] = []
-    if isinstance(node, Leaf):
-        return out
-    for i, child in enumerate(node.children):
-        if type(child) is type(node):
-            kind = "series under series" if isinstance(node, Series) else "parallel under parallel"
-            out.append(Violation(f"{path}[{i}]", kind))
-        out.extend(_alternation_violations(child, f"{path}[{i}]"))
     return out
 
 
@@ -439,38 +339,132 @@ def normalize(node: Node) -> Node:
     is a fixed point of `normalize`.  Raises InvalidTreeError when the
     input breaks any invariant other than alternation or indexing.
     """
-    bad = _structural_violations(node)
-    if bad:
-        raise InvalidTreeError(bad)
-    flat = _flatten(node)
-    bad = _structural_violations(flat)
-    if bad:
-        raise InvalidTreeError(bad)
-    reindexed, _ = _reindex(flat, 0)
-    return reindexed
+    tree, broken, _, _ = _walk(node)
+    if broken:
+        raise InvalidTreeError(_violations(broken))
+    return tree
 
 
-def _flatten(node: Node) -> Node:
-    if isinstance(node, Leaf):
-        return node
-    kids = []
-    for child in node.children:
-        child = _flatten(child)
-        if type(child) is type(node):
-            kids.extend(child.children)
-        else:
-            kids.append(child)
-    return type(node)(tuple(kids))
+def _violations(found: list) -> list[Violation]:
+    return [Violation(_path(at), message) for at, message in found]
 
 
-def _reindex(node: Node, next_index: int) -> tuple[Node, int]:
-    if isinstance(node, Leaf):
-        return Leaf(node.source, node.target, next_index), next_index + 1
-    kids = []
-    for child in node.children:
-        child, next_index = _reindex(child, next_index)
-        kids.append(child)
-    return type(node)(tuple(kids)), next_index
+def _path(at) -> str:
+    """'root[i][j]...' for a position stored as (parent position, child index)."""
+    steps = []
+    while at is not None:
+        at, i = at
+        steps.append(f"[{i}]")
+    return "root" + "".join(reversed(steps))
+
+
+def _walk(root: Node) -> tuple[Node, list, list, bool]:
+    """The one pass behind `validate` and `normalize`: an explicit-stack post-order walk.
+
+    A run of same-kind nodes (S under S, P under P) is rebuilt and checked
+    once, at its top node, on the run's flattened child list; the nodes
+    below the top only check their own arity and are recorded as
+    nestings.  Leaves are renumbered in preorder, and every finished
+    subtree leaves (node, vertex set) on `done`.  Returns the normalized
+    tree, the broken invariants and the nestings, both as (position,
+    message) pairs whose path strings are built only when reported, and
+    whether the leaf indices already were preorder.
+    """
+    broken: list = []
+    nested: list = []
+    done: list = []
+    indexed = True
+    next_index = 0
+    stack = [(root, None, False, -1)]
+    while stack:
+        node, at, inner, start = stack.pop()
+        if isinstance(node, Leaf):
+            u, v = node.source, node.target
+            for label in (u, v):
+                if not is_valid_label(label):
+                    broken.append((at, f"bad vertex label {label!r}"))
+            if u == v:
+                broken.append((at, "self-loop at leaf"))
+            if node.index != next_index:
+                indexed = False
+                node = Leaf(u, v, next_index)
+            next_index += 1
+            done.append((node, {u, v}))
+            continue
+        kind = type(node)
+        if start < 0:
+            kids = node.children
+            name = "series" if kind is Series else "parallel"
+            if len(kids) < 2:
+                broken.append((at, f"{name} node needs at least 2 children"))
+            if inner:
+                nested.append((at, f"{name} under {name}"))
+            else:
+                stack.append((node, at, False, len(done)))
+            for i in range(len(kids) - 1, -1, -1):
+                stack.append((kids[i], (at, i), type(kids[i]) is kind, -1))
+            continue
+        entries = done[start:]
+        del done[start:]
+        node = kind(tuple(kid for kid, _ in entries))
+        sets = [vertices for _, vertices in entries]
+        done.append((node, _check_children(node, sets, at, broken) if len(sets) > 1 else set()))
+    return done[0][0], broken, nested, indexed
+
+
+def _check_children(node: Node, sets: list[set[str]], at, broken: list) -> set[str]:
+    """Check a flattened node's rules, given its children's vertex sets; return its own.
+
+    Reading every child's terminals here also fills their cached
+    `source`/`target` bottom-up, so no later read of them recurses.
+    Siblings are checked against one vertex -> child owner map plus the
+    largest child's vertex set, which becomes the node's own set
+    (small-to-large), so a whole walk costs O(m log m).
+    """
+    kids = node.children
+    if isinstance(node, Series):
+        for i in range(len(kids) - 1):
+            if kids[i].target != kids[i + 1].source:
+                broken.append((at, f"series chain mismatch {kids[i].target} != "
+                               f"{kids[i + 1].source} between children {i} and {i + 1}"))
+        if kids[0].source == kids[-1].target:
+            broken.append((at, "series terminals coincide"))
+        share = "children {} and {} share vertices {} beyond the chain terminal"
+
+        def allowed(v: str, i: int, j: int) -> bool:
+            return abs(i - j) == 1 and v == kids[min(i, j)].target
+    else:
+        s, t = kids[0].source, kids[0].target
+        for i, kid in enumerate(kids):
+            if (kid.source, kid.target) != (s, t):
+                broken.append((at, f"parallel child {i} has terminals "
+                               f"({kid.source},{kid.target}), expected ({s},{t})"))
+        if sum(isinstance(kid, Leaf) for kid in kids) > 1:
+            broken.append((at, "parallel multi-edge"))
+        share = "children {} and {} share interior vertices {}"
+
+        def allowed(v: str, i: int, j: int) -> bool:
+            return v == s or v == t
+
+    big = max(range(len(sets)), key=lambda i: len(sets[i]))
+    vertices = sets[big]
+    owner: dict[str, int] = {}
+    clashes: dict[tuple[int, int], set[str]] = {}
+    for j, mine in enumerate(sets):
+        if j == big:
+            continue
+        for v in mine:
+            if v in vertices and not allowed(v, big, j):
+                clashes.setdefault((min(big, j), max(big, j)), set()).add(v)
+            i = owner.setdefault(v, j)
+            if i != j and not allowed(v, i, j):
+                clashes.setdefault((i, j), set()).add(v)
+    for i, j in sorted(clashes):
+        broken.append((at, share.format(i, j, sorted(clashes[i, j]))))
+    for j, mine in enumerate(sets):
+        if j != big:
+            vertices |= mine
+    return vertices
 
 
 def underlying_graph(node: Node) -> LabeledGraph:

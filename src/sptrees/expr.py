@@ -17,6 +17,7 @@ deterministically from a seed, for fuzzing.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 
@@ -87,26 +88,35 @@ class _Scanner:
         return self.text[start:self.pos]
 
 
-def _parse_node(sc: _Scanner, counter: list[int]) -> Node:
-    head = sc.ident("'e', 'S', or 'P'")
-    if head not in ("e", "S", "P"):
-        raise SpSyntaxError(sc.pos - len(head) + 1, "'e', 'S', or 'P'", repr(head))
-    sc.expect("(")
-    if head == "e":
+def _parse_node(sc: _Scanner) -> Node:
+    """Parse one expression with an explicit stack of open S/P nodes."""
+    open_nodes: list[tuple[type, list[Node]]] = []
+    index = 0
+    while True:
+        head = sc.ident("'e', 'S', or 'P'")
+        if head not in ("e", "S", "P"):
+            raise SpSyntaxError(sc.pos - len(head) + 1, "'e', 'S', or 'P'", repr(head))
+        sc.expect("(")
+        if head != "e":
+            open_nodes.append((Series if head == "S" else Parallel, []))
+            continue
         source = sc.ident("vertex label")
         sc.expect(",")
         target = sc.ident("vertex label")
         sc.expect(")")
-        leaf = Leaf(source, target, counter[0])
-        counter[0] += 1
-        return leaf
-    children = [_parse_node(sc, counter)]
-    while sc.peek() == ",":
-        sc.expect(",")
-        children.append(_parse_node(sc, counter))
-    sc.expect(")")
-    kind = Series if head == "S" else Parallel
-    return kind(tuple(children))
+        node: Node = Leaf(source, target, index)
+        index += 1
+        while open_nodes:
+            kind, children = open_nodes[-1]
+            children.append(node)
+            if sc.peek() == ",":
+                sc.expect(",")
+                break
+            sc.expect(")")
+            open_nodes.pop()
+            node = kind(tuple(children))
+        if not open_nodes:
+            return node
 
 
 def parse_sp(text: str) -> Node:
@@ -118,7 +128,7 @@ def parse_sp(text: str) -> Node:
     SpSemanticError (with the violation list).
     """
     sc = _Scanner(text)
-    raw = _parse_node(sc, [0])
+    raw = _parse_node(sc)
     if sc.peek() != "":
         raise SpSyntaxError(sc.pos + 1, "end of input", sc.describe_here())
     try:
@@ -129,10 +139,23 @@ def parse_sp(text: str) -> Node:
 
 def serialize_sp(node: Node) -> str:
     """Canonical text for a valid normalized tree, no whitespace."""
-    if isinstance(node, Leaf):
-        return f"e({node.source},{node.target})"
-    head = "S" if isinstance(node, Series) else "P"
-    return head + "(" + ",".join(serialize_sp(c) for c in node.children) + ")"
+    out = []
+    stack: list = [node]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif isinstance(item, Leaf):
+            out.append(f"e({item.source},{item.target})")
+        else:
+            out.append("S(" if isinstance(item, Series) else "P(")
+            stack.append(")")
+            kids = item.children
+            for i in range(len(kids) - 1, 0, -1):
+                stack.append(kids[i])
+                stack.append(",")
+            stack.append(kids[0])
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -148,130 +171,102 @@ class DisconnectedInput(ValueError):
     pass
 
 
-def _flip(node: Node) -> Node:
-    """Reverse the orientation of a fragment (indices fixed up later)."""
-    if isinstance(node, Leaf):
-        return Leaf(node.target, node.source, node.index)
-    kids = tuple(_flip(c) for c in node.children)
-    if isinstance(node, Series):
-        return Series(tuple(reversed(kids)))
-    return Parallel(kids)
-
-
-@dataclass
-class _Fragment:
-    source: str
-    target: str
-    tree: Node
-
-    def oriented(self, source: str, target: str) -> Node:
-        if (self.source, self.target) == (source, target):
-            return self.tree
-        if (self.target, self.source) == (source, target):
-            return _flip(self.tree)
-        raise AssertionError("fragment endpoints do not match")
-
-
 def decompose_edge_list(edges, s: str, t: str) -> Node:
     """Build a decomposition tree for an edge list with terminals (s, t).
 
-    Repeatedly merges duplicate-endpoint fragments (parallel reduction)
-    and contracts degree-2 non-terminal vertices (series reduction);
-    the graph is series-parallel for (s, t) exactly when this ends with
-    a single fragment.  The returned tree's underlying graph equals the
-    input up to edge order.
+    A worklist reduction in the style of Valdes, Tarjan and Lawler
+    (1982).  A fragment is a subgraph between two vertices, kept as a
+    tuple (id, u, v, kind, parts) under both endpoints in a
+    vertex -> neighbour -> fragment map.  Non-terminal vertices of
+    degree 2 come off a heap, smallest label first, and are contracted
+    (series reduction, the older of the two fragments first); a
+    contraction that puts a second fragment on a vertex pair merges the
+    two at once (parallel reduction), the new fragment last.  The graph
+    is series-parallel for (s, t) exactly when this ends with a single
+    fragment, which is then read from s in one explicit-stack pass.  The
+    returned tree's underlying graph equals the input up to edge order.
     """
-    edge_pairs: list[tuple[str, str]] = []
-    seen: set[frozenset[str]] = set()
-    vertices: set[str] = set()
+    adj: dict[str, dict[str, tuple]] = {}
+    fragments = 0
     for u, v in edges:
         if not is_valid_label(u) or not is_valid_label(v):
             raise ValueError(f"bad vertex label in edge ({u!r}, {v!r})")
         if u == v:
             raise ValueError(f"self-loop at {u!r}")
-        key = frozenset((u, v))
-        if key in seen:
+        if v in adj.get(u, ()):
             raise ValueError(f"duplicate edge {u}-{v}")
-        seen.add(key)
-        edge_pairs.append((u, v))
-        vertices.update((u, v))
+        fragment = (fragments, u, v, Leaf, ())
+        adj.setdefault(u, {})[v] = adj.setdefault(v, {})[u] = fragment
+        fragments += 1
     if s == t:
         raise ValueError("terminals must be distinct")
-    if s not in vertices or t not in vertices:
+    if s not in adj or t not in adj:
         raise ValueError("terminals must appear in the edge list")
-    if not _connected(vertices, edge_pairs):
+    if not _connected(adj, s):
         raise DisconnectedInput("input edge list is not connected")
 
-    fragments: dict[int, _Fragment] = {
-        i: _Fragment(u, v, Leaf(u, v)) for i, (u, v) in enumerate(edge_pairs)
-    }
-    next_id = len(fragments)
-
-    def incidence() -> dict[str, list[int]]:
-        inc: dict[str, list[int]] = {}
-        for fid, frag in fragments.items():
-            inc.setdefault(frag.source, []).append(fid)
-            inc.setdefault(frag.target, []).append(fid)
-        return inc
-
-    while len(fragments) > 1:
-        progress = False
-
-        by_pair: dict[frozenset[str], list[int]] = {}
-        for fid, frag in sorted(fragments.items()):
-            by_pair.setdefault(frozenset((frag.source, frag.target)), []).append(fid)
-        for fids in by_pair.values():
-            if len(fids) < 2:
-                continue
-            first = fragments[fids[0]]
-            u, v = first.source, first.target
-            children = tuple(fragments[fid].oriented(u, v) for fid in fids)
-            for fid in fids:
-                del fragments[fid]
-            fragments[next_id] = _Fragment(u, v, Parallel(children))
-            next_id += 1
-            progress = True
-
-        inc = incidence()
-        for vertex in sorted(inc):
-            if vertex in (s, t) or len(inc[vertex]) != 2:
-                continue
-            fid1, fid2 = inc[vertex]
-            if fid1 == fid2:
-                continue
-            f1, f2 = fragments[fid1], fragments[fid2]
-            a = f1.source if f1.target == vertex else f1.target
-            b = f2.source if f2.target == vertex else f2.target
-            left = f1.oriented(a, vertex)
-            right = f2.oriented(vertex, b)
-            del fragments[fid1]
-            del fragments[fid2]
-            fragments[next_id] = _Fragment(a, b, Series((left, right)))
-            next_id += 1
-            progress = True
-            break
-
-        if not progress:
+    next_id = fragments
+    ready = [x for x, around in adj.items() if len(around) == 2 and x not in (s, t)]
+    heapq.heapify(ready)
+    while fragments > 1:
+        if not ready:
             raise NotSeriesParallel(
                 "reduction is stuck: graph is not series-parallel for these terminals"
             )
+        x = heapq.heappop(ready)
+        if len(adj[x]) != 2:
+            continue
+        (a, first), (b, second) = adj.pop(x).items()
+        if first[0] > second[0]:
+            (a, first), (b, second) = (b, second), (a, first)
+        del adj[a][x], adj[b][x]
+        merged = (next_id, a, b, Series, (first, second))
+        next_id += 1
+        fragments -= 1
+        old = adj[a].get(b)
+        if old is not None:
+            merged = (next_id, old[1], old[2], Parallel, (old, merged))
+            next_id += 1
+            fragments -= 1
+        adj[a][b] = adj[b][a] = merged
+        if old is not None:
+            for y in (a, b):
+                if len(adj[y]) == 2 and y not in (s, t):
+                    heapq.heappush(ready, y)
+    return normalize(_orient(adj[s][t], s))
 
-    (_, frag), = fragments.items()
-    if frozenset((frag.source, frag.target)) != frozenset((s, t)):
-        raise NotSeriesParallel(
-            "reduction finished but its endpoints are not the declared terminals"
-        )
-    return normalize(frag.oriented(s, t))
+
+def _orient(fragment: tuple, start: str) -> Node:
+    """The tree of `fragment` read from its endpoint `start`, by an explicit stack.
+
+    Series parts are chained from `start`, so a series read from its far
+    end lists its parts in reverse; parallel parts keep their order.
+    """
+    out: list[Node] = []
+    stack = [(fragment, start, False)]
+    while stack:
+        fragment, start, built = stack.pop()
+        _, u, v, kind, parts = fragment
+        if kind is Leaf:
+            out.append(Leaf(start, v if start == u else u))
+        elif built:
+            node = kind(tuple(out[-len(parts):]))
+            del out[-len(parts):]
+            out.append(node)
+        else:
+            stack.append((fragment, start, True))
+            if kind is Parallel:
+                reads = [(part, start, False) for part in parts]
+            else:
+                reads = []
+                for part in parts if start == u else parts[::-1]:
+                    reads.append((part, start, False))
+                    start = part[2] if start == part[1] else part[1]
+            stack.extend(reversed(reads))
+    return out[0]
 
 
-def _connected(vertices: set[str], edge_pairs: list[tuple[str, str]]) -> bool:
-    if not vertices:
-        return False
-    adj: dict[str, set[str]] = {v: set() for v in vertices}
-    for u, v in edge_pairs:
-        adj[u].add(v)
-        adj[v].add(u)
-    start = next(iter(vertices))
+def _connected(adj: dict[str, dict[str, tuple]], start: str) -> bool:
     stack = [start]
     seen = {start}
     while stack:
@@ -279,7 +274,7 @@ def _connected(vertices: set[str], edge_pairs: list[tuple[str, str]]) -> bool:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    return seen == vertices
+    return len(seen) == len(adj)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +365,7 @@ def read_edge_list(text: str) -> Node:
     """Parse the edge-list format: 'terminals s t', then one 'u v' per line."""
     lines = [strip_comment(l) for l in text.splitlines()]
     lines = [l for l in lines if l]
-    if not lines or not lines[0].startswith("terminals"):
+    if not lines or lines[0].split()[0] != "terminals":
         raise ValueError("edge-list input must start with 'terminals s t'")
     head = lines[0].split()
     if len(head) != 3:
@@ -391,7 +386,7 @@ def read_instances(text: str) -> list[Node]:
         line = strip_comment(raw_line)
         if not line:
             continue
-        if line.startswith("terminals"):
+        if line.split()[0] == "terminals":
             return [read_edge_list(text)]
         return read_expressions(text)
     return []

@@ -176,11 +176,23 @@ def test_edge_list_input(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "8"
 
 
-def test_internal_error_exit_code(tmp_path, capsys):
-    path = tmp_path / "path800.edges"
-    lines = ["terminals v0 v800"] + [f"v{i} v{i + 1}" for i in range(800)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    assert run(["count", str(path), "--mode", "total"]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("internal error: ")
-    assert "Traceback" not in err
+def test_long_path_edge_lists_are_accepted(tmp_path, capsys):
+    for k in (800, 10_000):
+        path = tmp_path / f"path{k}.edges"
+        lines = [f"terminals v0 v{k}"] + [f"v{i} v{i + 1}" for i in range(k)]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run(["count", str(path), "--mode", "total"]) == 0
+        assert capsys.readouterr().out == "1\n"
+
+
+def test_internal_error_exit_code(diamond_file, capsys, monkeypatch):
+    for error in (AssertionError, RecursionError):
+        def broken(*args, error=error):
+            raise error("broken invariant")
+
+        monkeypatch.setattr("sptrees.cli.count_total", broken)
+        assert run(["count", diamond_file, "--mode", "total"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: ")
+        assert "Traceback" not in err
+

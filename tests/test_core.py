@@ -29,6 +29,18 @@ def test_parallel_multi_edge_is_flagged():
     assert any("multi-edge" in v.message for v in report)
 
 
+def test_multi_edge_brought_together_by_flattening_is_flagged():
+    # The inner P holds one bare edge and the outer P another; only the
+    # flattened child list shows the two parallel edges.
+    tree = parallel(
+        parallel(edge("s", "t", 0), series(edge("s", "a", 1), edge("a", "t", 2))),
+        edge("s", "t", 3),
+    )
+    assert any("multi-edge" in v.message for v in validate(tree))
+    with pytest.raises(InvalidTreeError, match="multi-edge"):
+        normalize(tree)
+
+
 def test_diamond_expression_is_valid(diamond):
     assert validate(diamond) == []
 

@@ -8,6 +8,7 @@ from sptrees import (
     DisconnectedInput,
     NotSeriesParallel,
     RandomSpParams,
+    SpParseError,
     SpSemanticError,
     SpSyntaxError,
     canonical_code,
@@ -21,7 +22,7 @@ from sptrees import (
 from sptrees.core import Leaf, Parallel
 from sptrees.expr import read_edge_list, read_expressions, read_instances
 
-from conftest import DIAMOND_TEXT
+from conftest import DIAMOND_TEXT, chain
 
 
 def test_parse_single_edge():
@@ -55,6 +56,31 @@ def test_self_loop_is_semantic_error():
 def test_multi_edge_is_semantic_error():
     with pytest.raises(SpSemanticError, match="multi-edge"):
         parse_sp("P(e(s,t),e(s,t))")
+
+
+def deep_nest_text(depth: int) -> str:
+    """S(e(s,v0),P(e(v0,t),S(e(v0,v1),P(...)))), alternating S and P levels."""
+    heads, closers = [], []
+    source = "s"
+    for level in range(depth):
+        if level % 2 == 0:
+            heads.append(f"S(e({source},v{level}),")
+            source = f"v{level}"
+        else:
+            heads.append(f"P(e({source},t),")
+        closers.append(")")
+    heads.append(f"S(e({source},x),e(x,t))")
+    return "".join(heads) + "".join(closers)
+
+
+def test_deep_nest_round_trips_and_validates():
+    # Strings, not trees, are compared: dataclass ==, hash and repr recurse.
+    text = deep_nest_text(10_000)
+    tree = parse_sp(text)
+    assert serialize_sp(tree) == text
+    assert validate(tree) == []
+    graph = underlying_graph(tree)
+    assert (graph.n, graph.m) == (5_003, 10_002)
 
 
 @pytest.mark.parametrize(
@@ -119,6 +145,20 @@ def test_decompose_rejects_malformed_input():
         decompose_edge_list([("a", "b")], "a", "c")
 
 
+def test_decompose_long_path():
+    k = 10_000
+    tree = decompose_edge_list([(f"v{i}", f"v{i + 1}") for i in range(k)], "v0", f"v{k}")
+    assert serialize_sp(tree) == serialize_sp(chain(k))
+
+
+def test_decompose_wide_parallel_of_chains():
+    k = 1_000
+    edges = [pair for i in range(k) for pair in (("s", f"m{i}"), (f"m{i}", "t"))]
+    tree = decompose_edge_list(edges, "s", "t")
+    assert isinstance(tree, Parallel) and len(tree.children) == k
+    assert sorted(underlying_graph(tree).edges) == sorted(tuple(sorted(e)) for e in edges)
+
+
 def test_random_depth_zero_is_single_edge():
     assert random_sp(RandomSpParams(seed=1, max_depth=0)) == Leaf("v0", "v1", 0)
 
@@ -161,6 +201,13 @@ def test_read_edge_list_format():
     text = "# diamond\nterminals 2 3\n1 2\n1 3\n2 3\n2 4\n3 4\n"
     tree = read_edge_list(text)
     assert canonical_code(tree) == canonical_code(parse_sp(DIAMOND_TEXT))
+
+
+def test_edge_list_header_token_must_be_terminals():
+    with pytest.raises(ValueError, match="must start with 'terminals s t'"):
+        read_edge_list("terminalsX a b\na b\n")
+    with pytest.raises(SpParseError, match="found 'terminalsX'"):
+        read_instances("terminalsX a b\na b\n")
 
 
 def test_read_instances_autodetects():

@@ -1,30 +1,52 @@
-"""Pinned output for a fixed corpus: codes, counts and enumeration order.
+"""Pinned output for fixed corpora: trees, codes, counts and enumeration order.
 
-The digest covers the `code` line, the oriented, semioriented and total
-counts, and the oriented, near and semioriented enumeration lines of
-`random_sp` seeds 0-39 (default parameters) plus the diamond and the
-theta, all printed by the CLI.  It changes whenever the class order, a
-code, a count or the enumeration order moves.
+The expression digest covers the `code` line, the oriented, semioriented
+and total counts, and the oriented, near and semioriented enumeration
+lines of `random_sp` seeds 0-39 (default parameters) plus the diamond and
+the theta, all printed by the CLI.  It changes whenever the class order,
+a code, a count or the enumeration order moves.
+
+The edge-list digest covers the same outputs plus `parse` for edge-list
+files: the underlying graphs of `random_sp` seeds 0-39 with seeded line
+shuffles and endpoint swaps, the diamond, paths, and ladders of 5-20
+rungs with seeded labels.  `parse` prints the recognized tree node for
+node, so the digest also pins the order in which the edge-list reducer
+contracts and merges.  Ladders above 7 rungs (10 864 trees and more) are
+parsed, coded and counted but not enumerated.
 """
 
 import hashlib
+import random
 
-from sptrees import RandomSpParams, random_sp, serialize_sp
+from sptrees import RandomSpParams, random_sp, serialize_sp, underlying_graph
 from sptrees.cli import run
 
 from conftest import DIAMOND_TEXT, THETA_TEXT
 
 GOLDEN_SHA256 = "836ca2d5c23f3abab744a929cb35eb910187fa77de09d64140fe8ccdcf8e318e"
+EDGE_LIST_SHA256 = "563e60c2bb68c89ad4336d5c108083404f248bcb0beeb043cb03098224c8192f"
 
-COMMANDS = (
+COUNTS = (
     ["code"],
     ["count", "--mode", "oriented"],
     ["count", "--mode", "semioriented"],
     ["count", "--mode", "total"],
+)
+ENUMERATIONS = (
     ["enumerate", "--mode", "oriented"],
     ["enumerate", "--mode", "oriented", "--near"],
     ["enumerate", "--mode", "semioriented"],
 )
+COMMANDS = COUNTS + ENUMERATIONS
+
+
+def _output(commands, paths, capsys) -> bytes:
+    out = []
+    for command in commands:
+        for path in paths:
+            assert run([command[0], str(path), *command[1:]]) == 0
+            out.append(capsys.readouterr().out.encode("utf-8"))
+    return b"".join(out)
 
 
 def test_corpus_output_digest(tmp_path, capsys):
@@ -32,8 +54,49 @@ def test_corpus_output_digest(tmp_path, capsys):
     lines += [DIAMOND_TEXT, THETA_TEXT]
     path = tmp_path / "corpus.sp"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    digest = hashlib.sha256()
-    for command in COMMANDS:
-        assert run([command[0], str(path), *command[1:]]) == 0
-        digest.update(capsys.readouterr().out.encode("utf-8"))
-    assert digest.hexdigest() == GOLDEN_SHA256
+    output = _output(COMMANDS, [path], capsys)
+    assert hashlib.sha256(output).hexdigest() == GOLDEN_SHA256
+
+
+def _edge_list_text(rng, edges, s, t):
+    lines = [f"{u} {v}" if rng.random() < 0.5 else f"{v} {u}" for u, v in edges]
+    rng.shuffle(lines)
+    return f"terminals {s} {t}\n" + "\n".join(lines) + "\n"
+
+
+def _path(labels):
+    return [(labels[i], labels[i + 1]) for i in range(len(labels) - 1)]
+
+
+def _edge_list_corpus(rng):
+    """(name, edges, s, t, enumerate?) for every edge-list instance."""
+    out = []
+    for seed in range(40):
+        tree = random_sp(RandomSpParams(seed=seed))
+        edges = list(underlying_graph(tree).edges)
+        out.append((f"random{seed}", edges, tree.source, tree.target, True))
+    diamond = [("1", "2"), ("1", "3"), ("2", "3"), ("2", "4"), ("3", "4")]
+    out.append(("diamond", diamond, "2", "3", True))
+    for k in (1, 2, 3, 7, 40):
+        labels = [f"x{i}" for i in rng.sample(range(k + 1), k + 1)]
+        out.append((f"path{k}", _path(labels), labels[0], labels[-1], True))
+    for rungs in range(5, 21):
+        labels = [f"y{i}" for i in rng.sample(range(2 * rungs), 2 * rungs)]
+        a, b = labels[:rungs], labels[rungs:]
+        edges = list(zip(a, b)) + _path(a) + _path(b)
+        out.append((f"ladder{rungs}", edges, a[0], b[0], rungs <= 7))
+    return out
+
+
+def test_edge_list_output_digest(tmp_path, capsys):
+    rng = random.Random(20240)
+    everything, enumerable = [], []
+    for name, edges, s, t, small in _edge_list_corpus(rng):
+        path = tmp_path / f"{name}.edges"
+        path.write_text(_edge_list_text(rng, edges, s, t), encoding="utf-8")
+        everything.append(path)
+        if small:
+            enumerable.append(path)
+    output = _output((["parse"],) + COUNTS, everything, capsys)
+    output += _output(ENUMERATIONS, enumerable, capsys)
+    assert hashlib.sha256(output).hexdigest() == EDGE_LIST_SHA256
