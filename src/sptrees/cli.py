@@ -155,15 +155,13 @@ def _cmd_parse(args) -> int:
 
 def _cmd_count(args) -> int:
     for tree in _load(args.file):
-        if args.mode == "oriented":
-            pair = count_oriented(OrientedSP(tree))
+        if args.mode != "semioriented":
+            counter = count_oriented if args.mode == "oriented" else count_total
+            pair = counter(OrientedSP(tree))
             print(pair.near if args.near else pair.spanning)
-        elif args.mode == "total":
-            pair = count_total(OrientedSP(tree))
-            print(pair.near if args.near else pair.spanning)
+        elif args.near:
+            raise _UsageError("--near is not supported with --mode semioriented")
         else:
-            if args.near:
-                raise _UsageError("--near is not supported with --mode semioriented")
             print(count_semioriented(SemiorientedSP(tree)))
     return 0
 
@@ -305,3 +303,7 @@ def _cmd_verify(args) -> int:
         if not ok:
             any_fail = True
     return 3 if any_fail else 0
+
+
+if __name__ == "__main__":
+    main()

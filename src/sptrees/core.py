@@ -285,10 +285,17 @@ class EdgeSet:
 
     def mapped(self, leaf_map: dict[int, int]) -> EdgeSet:
         """Image under a leaf-index bijection."""
-        mask = 0
-        for i in self.indices():
-            mask |= 1 << leaf_map[i]
-        return EdgeSet(mask)
+        return EdgeSet(mask_image(self.mask, leaf_map))
+
+
+def mask_image(mask: int, leaf_map: dict[int, int]) -> int:
+    """Image of a leaf bitmask under a leaf-index map, bit by bit."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << leaf_map[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 class Classification(Enum):

@@ -42,9 +42,15 @@ choices, and tuples advance lexicographically.  `spanning_tree_index`
 and `near_tree_index` invert the order: they take any spanning or near
 tree edge set and return the position of its orbit's representative.
 
-Lists are materialized bottom-up; the `iter_*` variants stream the root
-composition from the same child lists so large outputs never have to be
-held in memory at once.
+Every plan list (a node's spanning and near trees, a class's near and
+spanning assignments) holds plain int leaf masks, materialized
+bottom-up on first use.  Each list entry combines masks on disjoint
+leaf spans, so `_sums` builds every product as a sum of masks.  A
+class's members get the representative's trees from per-member image
+tables, one leaf map per (tree, member).  Masks become `EdgeSet`s only
+where the public functions hand trees out; the `iter_*` variants stream
+the root composition from the same child lists so large outputs never
+have to be held in memory at once.
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ import math
 from dataclasses import dataclass
 
 from .canonical import invert_map, partition_classes
-from .core import EdgeSet, Leaf, Node, OrientedSP, Series, _tree_of
+from .core import EdgeSet, Leaf, Node, OrientedSP, Series, _tree_of, mask_image
 
 
 class ImageNotFound(ValueError):
@@ -119,8 +125,8 @@ class _ClassPlan:
     place: tuple[dict[int, int], ...]
     nc: int = 0
     sc: int = 0
-    near_sets: list[EdgeSet] | None = None
-    span_sets: list[EdgeSet] | None = None
+    near_sets: list[int] | None = None
+    span_sets: list[int] | None = None
 
     @property
     def size(self) -> int:
@@ -149,8 +155,8 @@ class _Plan:
     offsets: list[int] | None = None
     children: tuple["_Plan", ...] = ()
     classes: tuple[_ClassPlan, ...] = ()
-    sp_cache: list[EdgeSet] | None = None
-    nt_cache: list[EdgeSet] | None = None
+    sp_cache: list[int] | None = None
+    nt_cache: list[int] | None = None
 
     @property
     def kind(self) -> str:
@@ -288,102 +294,85 @@ def _build(node: Node) -> _Plan:
     return plan
 
 
-def _class_near_sets(cp: _ClassPlan) -> list[EdgeSet]:
-    """Edge sets of the class's near assignments, in multiset order."""
+def _sums(lists):
+    """Masks of the product of `lists`, in product order.
+
+    Every product combines masks on disjoint leaf spans (series
+    children, parallel members), so the union of a combination is its
+    sum.
+    """
+    return map(sum, itertools.product(*lists))
+
+
+def _placed_multisets(cp: _ClassPlan, first: int) -> list[int]:
+    """Masks of the near multisets on members `first`, `first`+1, ...
+
+    Table p holds the representative's near trees placed on member p
+    once; a multiset x_0 <= x_1 <= ... puts tree x_p on member p.
+    """
+    rep_near = _near_list(cp.rep_plan)
+    tables = [[mask_image(x, place) for x in rep_near] for place in cp.place[first:]]
+    multisets = itertools.combinations_with_replacement(range(len(rep_near)), len(tables))
+    return [sum(map(list.__getitem__, tables, mu)) for mu in multisets]
+
+
+def _class_near_sets(cp: _ClassPlan) -> list[int]:
+    """Masks of the class's near assignments, in multiset order."""
     if cp.near_sets is None:
-        rep_near = _near_list(cp.rep_plan)
-        out = []
-        for mu in itertools.combinations_with_replacement(range(len(rep_near)), cp.size):
-            mask = 0
-            for p, tree_idx in enumerate(mu):
-                mask |= rep_near[tree_idx].mapped(cp.place[p]).mask
-            out.append(EdgeSet(mask))
-        cp.near_sets = out
+        cp.near_sets = _placed_multisets(cp, 0)
     return cp.near_sets
 
 
-def _class_span_sets(cp: _ClassPlan) -> list[EdgeSet]:
-    """Edge sets of the class's spanning assignments, ordered by (tree, multiset).
+def _class_span_sets(cp: _ClassPlan) -> list[int]:
+    """Masks of the class's spanning assignments, ordered by (tree, multiset).
 
     The spanning tree goes on the first member, the near multiset on the
     rest; up to the swap automorphisms within the class the choice of
     carrier does not matter.
     """
     if cp.span_sets is None:
-        rep_span = _spanning_list(cp.rep_plan)
-        rep_near = _near_list(cp.rep_plan)
-        out = []
-        for s_idx in range(len(rep_span)):
-            head = rep_span[s_idx].mapped(cp.place[0]).mask
-            for mu in itertools.combinations_with_replacement(
-                range(len(rep_near)), cp.size - 1
-            ):
-                mask = head
-                for p, tree_idx in enumerate(mu):
-                    mask |= rep_near[tree_idx].mapped(cp.place[p + 1]).mask
-                out.append(EdgeSet(mask))
-        cp.span_sets = out
+        heads = [mask_image(x, cp.place[0]) for x in _spanning_list(cp.rep_plan)]
+        cp.span_sets = list(_sums([heads, _placed_multisets(cp, 1)]))
     return cp.span_sets
 
 
-def _spanning_list(plan: _Plan) -> list[EdgeSet]:
+def _spanning_list(plan: _Plan) -> list[int]:
     if plan.sp_cache is None:
         plan.sp_cache = list(_iter_spanning(plan))
     return plan.sp_cache
 
 
-def _near_list(plan: _Plan) -> list[EdgeSet]:
+def _near_list(plan: _Plan) -> list[int]:
     if plan.nt_cache is None:
         plan.nt_cache = list(_iter_near(plan))
     return plan.nt_cache
 
 
 def _iter_spanning(plan: _Plan):
-    """Stream the spanning-tree list; child lists are materialized once."""
+    """Stream the spanning-tree masks; child lists are materialized once."""
     if plan.kind == "leaf":
-        yield EdgeSet(1 << plan.node.index)
-        return
-    if plan.kind == "series":
-        lists = [_spanning_list(c) for c in plan.children]
-        for combo in itertools.product(*lists):
-            mask = 0
-            for es in combo:
-                mask |= es.mask
-            yield EdgeSet(mask)
-        return
-    for a in range(len(plan.classes)):
-        factor_lists = [
-            _class_span_sets(cp) if j == a else _class_near_sets(cp)
-            for j, cp in enumerate(plan.classes)
-        ]
-        for combo in itertools.product(*factor_lists):
-            mask = 0
-            for es in combo:
-                mask |= es.mask
-            yield EdgeSet(mask)
+        yield 1 << plan.node.index
+    elif plan.kind == "series":
+        yield from _sums([_spanning_list(c) for c in plan.children])
+    else:
+        for a in range(len(plan.classes)):
+            yield from _sums(
+                [
+                    _class_span_sets(cp) if j == a else _class_near_sets(cp)
+                    for j, cp in enumerate(plan.classes)
+                ]
+            )
 
 
 def _iter_near(plan: _Plan):
     if plan.kind == "leaf":
-        yield EdgeSet(0)
-        return
-    if plan.kind == "series":
-        span_lists = [_spanning_list(c) for c in plan.children]
+        yield 0
+    elif plan.kind == "series":
+        lists = [_spanning_list(c) for c in plan.children]
         for j, child in enumerate(plan.children):
-            factor_lists = list(span_lists)
-            factor_lists[j] = _near_list(child)
-            for combo in itertools.product(*factor_lists):
-                mask = 0
-                for es in combo:
-                    mask |= es.mask
-                yield EdgeSet(mask)
-        return
-    factor_lists = [_class_near_sets(cp) for cp in plan.classes]
-    for combo in itertools.product(*factor_lists):
-        mask = 0
-        for es in combo:
-            mask |= es.mask
-        yield EdgeSet(mask)
+            yield from _sums(lists[:j] + [_near_list(child)] + lists[j + 1 :])
+    else:
+        yield from _sums([_class_near_sets(cp) for cp in plan.classes])
 
 
 # ---------------------------------------------------------------------------
@@ -393,22 +382,22 @@ def _iter_near(plan: _Plan):
 
 def oriented_spanning(g: OrientedSP) -> list[EdgeSet]:
     """Nonequivalent spanning trees of (G, s, t), in enumeration order."""
-    return list(_spanning_list(build_plan(g)))
+    return list(map(EdgeSet, _spanning_list(build_plan(g))))
 
 
 def oriented_both(g: OrientedSP) -> tuple[list[EdgeSet], list[EdgeSet]]:
     """Spanning and near lists; the spanning part matches `oriented_spanning`."""
     plan = build_plan(g)
-    return list(_spanning_list(plan)), list(_near_list(plan))
+    return list(map(EdgeSet, _spanning_list(plan))), list(map(EdgeSet, _near_list(plan)))
 
 
 def iter_oriented_spanning(g: OrientedSP):
     """Pull-based variant of `oriented_spanning`, identical sequence."""
-    return _iter_spanning(build_plan(g))
+    return map(EdgeSet, _iter_spanning(build_plan(g)))
 
 
 def iter_oriented_near(g: OrientedSP):
-    return _iter_near(build_plan(g))
+    return map(EdgeSet, _iter_near(build_plan(g)))
 
 
 # ---------------------------------------------------------------------------
@@ -436,15 +425,6 @@ def count_total(g: OrientedSP) -> CountPair:
 def _span_mask(node: Node) -> int:
     lo, hi = node.span
     return ((1 << hi) - 1) ^ ((1 << lo) - 1)
-
-
-def _mapped_mask(mask: int, leaf_map: dict[int, int]) -> int:
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << leaf_map[low.bit_length() - 1]
-        mask ^= low
-    return out
 
 
 def _span_index(plan: _Plan, mask: int) -> int:
@@ -518,7 +498,7 @@ def _parallel_digits(plan: _Plan, mask: int) -> tuple[list[int], int | None]:
         for p, member_pos in enumerate(cp.members):
             child_node = plan.node.children[member_pos]
             part = mask & _span_mask(child_node)
-            rep_mask = _mapped_mask(part, cp.to_rep[p])
+            rep_mask = mask_image(part, cp.to_rep[p])
             bits = rep_mask.bit_count()
             if bits == rep.n - 1:
                 if span_tree_idx is not None or span_class is not None:

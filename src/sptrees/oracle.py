@@ -96,6 +96,19 @@ def all_spanning_trees(g: LabeledGraph, limit: int = DEFAULT_LIMIT) -> list[Edge
     return out
 
 
+def _acyclic_subsets(g: LabeledGraph):
+    """Each (n-2)-edge acyclic subset in combination order, with its union-find."""
+    vidx = g.vertex_index
+    endpoints = [(vidx[u], vidx[v]) for u, v in g.edges]
+    for combo in itertools.combinations(range(g.m), g.n - 2):
+        uf = _UnionFind(g.n)
+        for i in combo:
+            if not uf.union(*endpoints[i]):
+                break
+        else:
+            yield combo, uf
+
+
 def all_near_trees(
     g: LabeledGraph, s: str, t: str, limit: int = DEFAULT_LIMIT
 ) -> list[EdgeSet]:
@@ -107,38 +120,14 @@ def all_near_trees(
     and t are in different components.
     """
     _check_limit(g, limit)
-    out = []
-    vidx = g.vertex_index
-    si, ti = vidx[s], vidx[t]
-    for combo in itertools.combinations(range(g.m), g.n - 2):
-        uf = _UnionFind(g.n)
-        ok = True
-        for i in combo:
-            u, v = g.edges[i]
-            if not uf.union(vidx[u], vidx[v]):
-                ok = False
-                break
-        if ok and uf.find(si) != uf.find(ti):
-            out.append(EdgeSet.of(combo))
-    return out
+    si, ti = g.vertex_index[s], g.vertex_index[t]
+    return [EdgeSet.of(combo) for combo, uf in _acyclic_subsets(g) if uf.find(si) != uf.find(ti)]
 
 
 def all_acyclic_near_sets(g: LabeledGraph, limit: int = DEFAULT_LIMIT) -> list[EdgeSet]:
     """All (n-2)-edge acyclic sets, terminal-free (spanning tree minus an edge)."""
     _check_limit(g, limit)
-    out = []
-    vidx = g.vertex_index
-    for combo in itertools.combinations(range(g.m), g.n - 2):
-        uf = _UnionFind(g.n)
-        ok = True
-        for i in combo:
-            u, v = g.edges[i]
-            if not uf.union(vidx[u], vidx[v]):
-                ok = False
-                break
-        if ok:
-            out.append(EdgeSet.of(combo))
-    return out
+    return [EdgeSet.of(combo) for combo, _ in _acyclic_subsets(g)]
 
 
 def automorphisms(

@@ -3,14 +3,19 @@
 When no automorphism can exchange the terminals, the semioriented
 output is bit-identical to the oriented one.  Otherwise the oriented
 enumeration produces the surviving trees in pairs related by the
-reversal symmetry, and a top-level lexicographic filter keeps exactly
-one of each pair: a candidate (as its tuple of per-child tree indices,
-or per-class assignment indices) is emitted iff it compares >= its
-partner under the reversal-induced index permutations.  The comparison
-uses the full tuple, including the middle child of an odd series chain
-and self-paired parallel classes, so a candidate whose outer positions
-are palindromic is still paired off through its middle entry.  All
-recursive calls below the top level stay oriented.
+reversal symmetry, and one top-level lexicographic filter, `_filtered`,
+keeps exactly one of each pair.  It runs over slots: each slot has a
+list of items (leaf masks from `generate`'s plan lists), a target slot
+and an index permutation, both induced by the reversal.  A candidate
+(one item index per slot) is emitted iff it compares >= its partner.
+At a series root the slots are the children and their spanning trees;
+at a parallel root they are the classes and their assignments, near
+multisets first, then spanning choices, with one block of candidates
+per spanning class.  The comparison uses the full tuple, including the
+middle child of an odd series chain and self-paired parallel classes,
+so a candidate whose outer positions are palindromic is still paired
+off through its middle entry.  All lists below the top level stay
+oriented, and masks become `EdgeSet`s only on the way out.
 
 Counting needs no enumeration: `count_semioriented` reads the
 semioriented count that `generate.build_plan` computes in its single
@@ -23,7 +28,7 @@ from __future__ import annotations
 import itertools
 
 from .canonical import MirrorPairing, mirror_pairing
-from .core import EdgeSet, SemiorientedSP, _tree_of
+from .core import EdgeSet, SemiorientedSP, _tree_of, mask_image
 from .generate import (
     _class_near_sets,
     _class_span_sets,
@@ -63,7 +68,7 @@ def _index_perm(src_plan, dst_plan, r: dict[int, int], kind: str) -> list[int]:
         source, locate = _near_list(src_plan), _near_index
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    return [locate(dst_plan, es.mapped(r).mask) for es in source]
+    return [locate(dst_plan, mask_image(x, r)) for x in source]
 
 
 # ---------------------------------------------------------------------------
@@ -81,30 +86,40 @@ def iter_semioriented_spanning(g: SemiorientedSP):
     plan = build_plan(tree)
     pairing = mirror_pairing(tree)
     if pairing is None or pairing.kind == "leaf":
-        yield from _spanning_list(plan)
-        return
-    if pairing.kind == "series":
-        yield from _filtered_series(plan, pairing)
+        masks = _spanning_list(plan)
+    elif pairing.kind == "series":
+        masks = _filtered(*_series_slots(plan.children, pairing))
     else:
-        yield from _filtered_parallel(plan, pairing)
+        masks = _filtered(*_class_slots(plan.classes, pairing))
+    yield from map(EdgeSet, masks)
 
 
-def _filtered_series(plan, pairing: MirrorPairing):
-    children = plan.children
+def _filtered(items, target, perms, blocks):
+    """Masks of the candidates that compare >= their reversal partner.
+
+    A candidate picks index x_a into slot a's `items`, with each slot
+    ranging over its block's ranges; the reversal carries slot a to slot
+    `target[a]` and its index x_a to `perms[a][x_a]`.  The slots cover
+    disjoint leaf spans, so the candidate's mask is the sum of its items.
+    """
+    partner = [0] * len(items)
+    for ranges in blocks:
+        for tup in itertools.product(*ranges):
+            for a, x in enumerate(tup):
+                partner[target[a]] = perms[a][x]
+            if tup >= tuple(partner):
+                yield sum(map(list.__getitem__, items, tup))
+
+
+def _series_slots(children, pairing: MirrorPairing):
+    """Slots of the series filter: child i's spanning trees, reversed onto child k-1-i."""
     k = len(children)
-    lists = [_spanning_list(c) for c in children]
     perms = [
-        _index_perm(children[i], children[k - 1 - i], pairing.series_maps[i], "spanning")
-        for i in range(k)
+        _index_perm(c, children[k - 1 - i], pairing.series_maps[i], "spanning")
+        for i, c in enumerate(children)
     ]
-    ranges = [range(len(lst)) for lst in lists]
-    for tup in itertools.product(*ranges):
-        partner = tuple(perms[k - 1 - p][tup[k - 1 - p]] for p in range(k))
-        if tup >= partner:
-            mask = 0
-            for p, x in enumerate(tup):
-                mask |= lists[p][x].mask
-            yield EdgeSet(mask)
+    items = [_spanning_list(c) for c in children]
+    return items, range(k - 1, -1, -1), perms, [[range(len(lst)) for lst in items]]
 
 
 def _assignment_perm(cp_a, cp_b, r: dict[int, int]) -> list[int]:
@@ -129,38 +144,28 @@ def _assignment_perm(cp_a, cp_b, r: dict[int, int]) -> list[int]:
     return out
 
 
-def _filtered_parallel(plan, pairing: MirrorPairing):
-    classes = plan.classes
-    rho: list[list[int] | None] = [None] * len(classes)
-    target: list[int] = list(range(len(classes)))
+def _class_slots(classes, pairing: MirrorPairing):
+    """Slots of the parallel filter: a class's assignments, near then spanning.
+
+    Block a lets class a carry the spanning tree and the others a near
+    multiset, so the blocks run in the oriented order.
+    """
+    perms: list = [None] * len(classes)
+    target = list(range(len(classes)))
     for a, b, r in pairing.class_pairs:
-        rho[a] = _assignment_perm(classes[a], classes[b], r)
+        perms[a] = _assignment_perm(classes[a], classes[b], r)
         target[a] = b
         if b != a:
-            rho[b] = [0] * len(rho[a])
-            for src, dst in enumerate(rho[a]):
-                rho[b][dst] = src
+            perms[b] = [0] * len(perms[a])
+            for src, dst in enumerate(perms[a]):
+                perms[b][dst] = src
             target[b] = a
-    near_sets = [_class_near_sets(cp) for cp in classes]
-    span_sets = [_class_span_sets(cp) for cp in classes]
-    for span_class in range(len(classes)):
-        ranges = []
-        for j, cp in enumerate(classes):
-            if j == span_class:
-                ranges.append(range(cp.nc, cp.nc + cp.sc))
-            else:
-                ranges.append(range(cp.nc))
-        for tup in itertools.product(*ranges):
-            partner = [0] * len(classes)
-            for a in range(len(classes)):
-                partner[target[a]] = rho[a][tup[a]]
-            if tup >= tuple(partner):
-                mask = 0
-                for j, digit in enumerate(tup):
-                    cp = classes[j]
-                    es = near_sets[j][digit] if digit < cp.nc else span_sets[j][digit - cp.nc]
-                    mask |= es.mask
-                yield EdgeSet(mask)
+    items = [_class_near_sets(cp) + _class_span_sets(cp) for cp in classes]
+    blocks = [
+        [range(cp.nc, cp.nc + cp.sc) if j == a else range(cp.nc) for j, cp in enumerate(classes)]
+        for a in range(len(classes))
+    ]
+    return items, target, perms, blocks
 
 
 # ---------------------------------------------------------------------------

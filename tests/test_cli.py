@@ -1,6 +1,10 @@
 """End-to-end CLI behavior: subcommands, formats, exit codes, stability."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -196,3 +200,19 @@ def test_internal_error_exit_code(diamond_file, capsys, monkeypatch):
         assert err.startswith("internal error: ")
         assert "Traceback" not in err
 
+
+
+@pytest.mark.parametrize("module", ["sptrees", "sptrees.cli"])
+def test_module_entry_points(diamond_file, module):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    result = subprocess.run(
+        [sys.executable, "-m", module, "count", diamond_file, "--mode", "total"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert result.returncode == 0
+    assert result.stdout == "8\n"

@@ -11,10 +11,16 @@ from sptrees import (
     SpParseError,
     SpSemanticError,
     SpSyntaxError,
+    OrientedSP,
+    SemiorientedSP,
     canonical_code,
+    count_oriented,
+    count_semioriented,
+    count_total,
     decompose_edge_list,
     parse_sp,
     random_sp,
+    reversal_code,
     serialize_sp,
     underlying_graph,
     validate,
@@ -189,6 +195,31 @@ def test_decompose_reproduces_random_instances(seed):
     rebuilt = decompose_edge_list(list(g.edges), tree.source, tree.target)
     assert sorted(underlying_graph(rebuilt).edges) == sorted(g.edges)
     assert canonical_code(rebuilt) == canonical_code(tree)
+
+
+def _invariants(tree):
+    return (
+        canonical_code(tree),
+        reversal_code(tree),
+        count_oriented(OrientedSP(tree)),
+        count_semioriented(SemiorientedSP(tree)),
+        count_total(OrientedSP(tree)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), rng=st.randoms(use_true_random=False))
+def test_edge_list_recognition_is_invariant_under_relabeling(seed, rng):
+    tree = random_sp(RandomSpParams(seed=seed, max_depth=3))
+    g = underlying_graph(tree)
+    images = [f"w{i}" for i in range(g.n)]
+    rng.shuffle(images)
+    relabel = dict(zip(g.vertices, images))
+    edges = [(relabel[u], relabel[v]) for u, v in g.edges]
+    edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+    rng.shuffle(edges)
+    rebuilt = decompose_edge_list(edges, relabel[tree.source], relabel[tree.target])
+    assert _invariants(rebuilt) == _invariants(tree)
 
 
 def test_read_expressions_with_comments():
