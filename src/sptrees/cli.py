@@ -204,14 +204,6 @@ def _cmd_code(args) -> int:
     return 0
 
 
-def _orbit_lookup(report):
-    lookup = {}
-    for orbit_id, (_, members) in enumerate(report.orbits):
-        for member in members:
-            lookup[member] = orbit_id
-    return lookup
-
-
 def verify_instance(tree: Node, limit: int = 12) -> tuple[bool, str]:
     """Run every fast-versus-oracle agreement check on one instance.
 
@@ -279,7 +271,11 @@ def _orbit_agreement(label, fast: list[EdgeSet], report, expected_count: int):
             f"count={expected_count}"
         )
         return failures
-    lookup = _orbit_lookup(report)
+    lookup = {
+        member: orbit_id
+        for orbit_id, (_, members) in enumerate(report.orbits)
+        for member in members
+    }
     hit = set()
     for es in fast:
         orbit_id = lookup.get(es)

@@ -1,18 +1,19 @@
 """Brute-force ground truth for spanning trees, automorphisms, and orbits.
 
 Everything here works on labeled graphs only, never on decomposition
-trees, so agreement checks exercise the whole pipeline.  The default
-vertex limit keeps worst-case backtracking around a second; raise it
-explicitly for stress runs.
+trees, so agreement checks exercise the whole pipeline.  One
+backtracking forest generator yields the spanning trees and the near
+sets; orbits are keyed by each set's least image under the group's edge
+maps.  The default vertex limit keeps worst-case backtracking around a
+second; raise it explicitly for stress runs.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Union
 
-from .core import EdgeSet, LabeledGraph, _UnionFind
+from .core import EdgeSet, LabeledGraph, mask_image
 
 DEFAULT_LIMIT = 12
 
@@ -71,42 +72,36 @@ def _check_limit(g: LabeledGraph, limit: int) -> None:
         raise LimitExceeded(f"{g.n} vertices exceeds the limit {limit}")
 
 
+def _forests(g: LabeledGraph, k: int):
+    """Each acyclic k-edge subset as (mask, comp), in combination order.
+
+    Backtracking over the edges on an explicit stack: edge i is tried in
+    before out, and a branch ends once its edge closes a cycle or too few
+    edges remain, so the subsets come in `itertools.combinations` order.
+    comp[v] names the component of vertex v; an edge that joins two
+    components relabels one of them (quick-find, O(n) on small graphs).
+    """
+    vidx = g.vertex_index
+    endpoints = [(vidx[u], vidx[v]) for u, v in g.edges]
+    m = len(endpoints)
+    stack = [(0, 0, 0, list(range(g.n)))]
+    while stack:
+        pos, mask, size, comp = stack.pop()
+        if size == k:
+            yield mask, comp
+        elif m - pos >= k - size:
+            stack.append((pos + 1, mask, size, comp))
+            u, v = endpoints[pos]
+            a, b = comp[u], comp[v]
+            if a != b:
+                merged = [a if c == b else c for c in comp]
+                stack.append((pos + 1, mask | 1 << pos, size + 1, merged))
+
+
 def all_spanning_trees(g: LabeledGraph, limit: int = DEFAULT_LIMIT) -> list[EdgeSet]:
-    """Every spanning tree exactly once, by backtracking over edge inclusion."""
+    """Every spanning tree exactly once: the acyclic (n-1)-edge sets."""
     _check_limit(g, limit)
-    n, m = g.n, g.m
-    vidx = g.vertex_index
-    endpoints = [(vidx[u], vidx[v]) for u, v in g.edges]
-    out: list[EdgeSet] = []
-
-    def recurse(pos: int, parents: list[int], chosen: int, count: int) -> None:
-        if count == n - 1:
-            out.append(EdgeSet(chosen))
-            return
-        if m - pos < n - 1 - count:
-            return
-        u, v = endpoints[pos]
-        uf = _UnionFind(n)
-        uf.parent = parents[:]
-        if uf.union(u, v):
-            recurse(pos + 1, uf.parent, chosen | (1 << pos), count + 1)
-        recurse(pos + 1, parents, chosen, count)
-
-    recurse(0, list(range(n)), 0, 0)
-    return out
-
-
-def _acyclic_subsets(g: LabeledGraph):
-    """Each (n-2)-edge acyclic subset in combination order, with its union-find."""
-    vidx = g.vertex_index
-    endpoints = [(vidx[u], vidx[v]) for u, v in g.edges]
-    for combo in itertools.combinations(range(g.m), g.n - 2):
-        uf = _UnionFind(g.n)
-        for i in combo:
-            if not uf.union(*endpoints[i]):
-                break
-        else:
-            yield combo, uf
+    return [EdgeSet(mask) for mask, _ in _forests(g, g.n - 1)]
 
 
 def all_near_trees(
@@ -121,13 +116,15 @@ def all_near_trees(
     """
     _check_limit(g, limit)
     si, ti = g.vertex_index[s], g.vertex_index[t]
-    return [EdgeSet.of(combo) for combo, uf in _acyclic_subsets(g) if uf.find(si) != uf.find(ti)]
+    return [
+        EdgeSet(mask) for mask, comp in _forests(g, g.n - 2) if comp[si] != comp[ti]
+    ]
 
 
 def all_acyclic_near_sets(g: LabeledGraph, limit: int = DEFAULT_LIMIT) -> list[EdgeSet]:
     """All (n-2)-edge acyclic sets, terminal-free (spanning tree minus an edge)."""
     _check_limit(g, limit)
-    return [EdgeSet.of(combo) for combo, _ in _acyclic_subsets(g)]
+    return [EdgeSet(mask) for mask, _ in _forests(g, g.n - 2)]
 
 
 def automorphisms(
@@ -185,38 +182,33 @@ def automorphisms(
     return out
 
 
+def _edge_map(g: LabeledGraph, sigma: VertexPermutation) -> dict[int, int]:
+    """The edge-index map a vertex permutation induces."""
+    return {i: g.index_of(sigma[u], sigma[v]) for i, (u, v) in enumerate(g.edges)}
+
+
 def apply_permutation(g: LabeledGraph, sigma: VertexPermutation, es: EdgeSet) -> EdgeSet:
-    mask = 0
-    for i in es.indices():
-        u, v = g.edges[i]
-        mask |= 1 << g.index_of(sigma[u], sigma[v])
-    return EdgeSet(mask)
+    return EdgeSet(mask_image(es.mask, _edge_map(g, sigma)))
 
 
 def orbit_partition(
     trees: list[EdgeSet], autos: list[VertexPermutation], g: LabeledGraph
 ) -> OrbitReport:
-    """Partition edge sets into orbits by representative matching.
+    """Partition edge sets into orbits keyed by their least image.
 
-    For each tree, try every known representative and every group
-    element; the first match wins, otherwise the tree founds a new
-    orbit.  Representatives are therefore first-encountered members.
+    `autos` must be a group that contains the identity, as
+    `automorphisms` returns.  Two sets then share an orbit exactly when
+    their least images under the group agree, so each set is keyed once.
+    Orbits, and the members of each, keep first-seen order, and each
+    orbit's representative is its first member.
     """
-    orbits: list[tuple[EdgeSet, list[EdgeSet]]] = []
+    maps = [_edge_map(g, sigma) for sigma in autos]
+    orbits: dict[int, list[EdgeSet]] = {}
     for tree in trees:
-        matched = False
-        for rep, members in orbits:
-            if matched:
-                break
-            for sigma in autos:
-                if apply_permutation(g, sigma, tree) == rep:
-                    members.append(tree)
-                    matched = True
-                    break
-        if not matched:
-            orbits.append((tree, [tree]))
+        key = min(mask_image(tree.mask, f) for f in maps)
+        orbits.setdefault(key, []).append(tree)
     return OrbitReport(
-        tuple((rep, tuple(members)) for rep, members in orbits), len(autos)
+        tuple((members[0], tuple(members)) for members in orbits.values()), len(autos)
     )
 
 
@@ -224,10 +216,11 @@ def burnside_count(
     trees: list[EdgeSet], autos: list[VertexPermutation], g: LabeledGraph
 ) -> int:
     """Orbit count as (sum of fixed trees per group element) / group order."""
-    tree_set = set(trees)
+    masks = {es.mask for es in trees}
     total = 0
     for sigma in autos:
-        total += sum(1 for t in tree_set if apply_permutation(g, sigma, t) == t)
+        f = _edge_map(g, sigma)
+        total += sum(1 for mask in masks if mask_image(mask, f) == mask)
     if total % len(autos) != 0:
         raise NonIntegralResult(
             f"{total} fixed points not divisible by group order {len(autos)}"

@@ -147,6 +147,22 @@ def test_verify_refuses_large_instances(tmp_path, capsys):
     assert run(["verify", str(path), "--limit", "30"]) == 0
 
 
+def test_verify_above_default_limit_on_exchangeable_terminals(tmp_path, capsys):
+    # 13 vertices, and a mirror symmetry that exchanges s and t
+    path = tmp_path / "mirror13.sp"
+    path.write_text(
+        "S(P(S(e(s,a),e(a,b)),S(e(s,c),e(c,b)),e(s,b)),"
+        "P(S(e(b,d),e(d,m)),S(e(b,f),e(f,m))),"
+        "P(S(e(m,g),e(g,h)),S(e(m,i),e(i,h))),"
+        "P(S(e(h,j),e(j,t)),S(e(h,k),e(k,t)),e(h,t)))\n",
+        encoding="utf-8",
+    )
+    assert run(["verify", str(path), "--limit", "16"]) == 0
+    assert capsys.readouterr().out == (
+        "PASS (total=1024 oriented=100 near=420 semi=55 aut_or=16 aut_semi=32)\n"
+    )
+
+
 def test_random_emits_deterministic_expression(capsys):
     assert run(["random", "--seed", "5", "--depth", "2", "--children", "3"]) == 0
     first = capsys.readouterr().out

@@ -13,18 +13,43 @@ rungs with seeded labels.  `parse` prints the recognized tree node for
 node, so the digest also pins the order in which the edge-list reducer
 contracts and merges.  Ladders above 7 rungs (10 864 trees and more) are
 parsed, coded and counted but not enumerated.
+
+The oracle digest covers the brute-force oracle on `random_sp` seeds 0-59
+with at most 10 vertices plus the diamond and the theta: the masks, in
+order, of the spanning trees, the separating near trees and the acyclic
+near sets; each orbit partition (representative, members in order, group
+order) and Burnside count under the three fixing policies; and the CLI
+`verify` lines.  The separating near trees are invariant only under the
+groups that keep {s, t}, so they are partitioned under `FixBoth` and
+`FixSet` only.
 """
 
 import hashlib
 import random
 
-from sptrees import RandomSpParams, random_sp, serialize_sp, underlying_graph
+from sptrees import (
+    FixBoth,
+    FixNone,
+    FixSet,
+    RandomSpParams,
+    all_near_trees,
+    all_spanning_trees,
+    automorphisms,
+    burnside_count,
+    orbit_partition,
+    parse_sp,
+    random_sp,
+    serialize_sp,
+    underlying_graph,
+)
 from sptrees.cli import run
+from sptrees.oracle import all_acyclic_near_sets
 
 from conftest import DIAMOND_TEXT, THETA_TEXT
 
 GOLDEN_SHA256 = "836ca2d5c23f3abab744a929cb35eb910187fa77de09d64140fe8ccdcf8e318e"
 EDGE_LIST_SHA256 = "563e60c2bb68c89ad4336d5c108083404f248bcb0beeb043cb03098224c8192f"
+ORACLE_SHA256 = "4bc7206365c23dbc82bf4fa967cccb05fb39e051a461fb065fefc8db63cfb434"
 
 COUNTS = (
     ["code"],
@@ -100,3 +125,43 @@ def test_edge_list_output_digest(tmp_path, capsys):
     output = _output((["parse"],) + COUNTS, everything, capsys)
     output += _output(ENUMERATIONS, enumerable, capsys)
     assert hashlib.sha256(output).hexdigest() == EDGE_LIST_SHA256
+
+
+def _oracle_corpus():
+    trees = [random_sp(RandomSpParams(seed=s)) for s in range(60)]
+    trees = [t for t in trees if underlying_graph(t).n <= 10]
+    return trees + [parse_sp(DIAMOND_TEXT), parse_sp(THETA_TEXT)]
+
+
+def _masks(sets) -> str:
+    return ",".join(str(es.mask) for es in sets)
+
+
+def _oracle_lines(tree):
+    g = underlying_graph(tree)
+    s, t = tree.source, tree.target
+    spanning = all_spanning_trees(g)
+    near = all_near_trees(g, s, t)
+    acyclic = all_acyclic_near_sets(g)
+    yield _masks(spanning)
+    yield _masks(near)
+    yield _masks(acyclic)
+    for policy in (FixNone(), FixBoth(s, t), FixSet(s, t)):
+        autos = automorphisms(g, policy)
+        lists = [spanning, acyclic] + ([] if policy == FixNone() else [near])
+        for sets in lists:
+            report = orbit_partition(sets, autos, g)
+            yield f"{policy} {report.group_order}"
+            for rep, members in report.orbits:
+                yield f"{rep.mask}:{_masks(members)}"
+            yield str(burnside_count(sets, autos, g))
+
+
+def test_oracle_output_digest(tmp_path, capsys):
+    corpus = _oracle_corpus()
+    lines = [line for tree in corpus for line in _oracle_lines(tree)]
+    path = tmp_path / "oracle.sp"
+    path.write_text("\n".join(map(serialize_sp, corpus)) + "\n", encoding="utf-8")
+    assert run(["verify", str(path)]) == 0
+    output = "\n".join(lines).encode("utf-8") + capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(output).hexdigest() == ORACLE_SHA256

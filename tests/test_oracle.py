@@ -1,6 +1,8 @@
 """Brute-force oracle: spanning trees, automorphism groups, orbits, counts."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sptrees import (
     EdgeSet,
@@ -9,6 +11,7 @@ from sptrees import (
     FixSet,
     LimitExceeded,
     NonIntegralResult,
+    RandomSpParams,
     all_near_trees,
     all_spanning_trees,
     automorphisms,
@@ -16,6 +19,7 @@ from sptrees import (
     kirchhoff_count,
     orbit_partition,
     parse_sp,
+    random_sp,
     underlying_graph,
 )
 from sptrees.core import LabeledGraph
@@ -162,6 +166,25 @@ def test_orbit_members_reachable_from_representative(diamond):
     for rep, members in report.orbits:
         images = {apply_permutation(g, sigma, rep) for sigma in autos}
         assert set(members) <= images
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_orbits_are_exactly_the_images_of_their_representatives(seed):
+    tree = random_sp(RandomSpParams(seed=seed))
+    g = underlying_graph(tree)
+    assume(g.n <= 9)
+    s, t = tree.source, tree.target
+    trees = all_spanning_trees(g)
+    for policy in (FixNone(), FixBoth(s, t), FixSet(s, t)):
+        autos = automorphisms(g, policy)
+        report = orbit_partition(trees, autos, g)
+        reps = set(report.representatives)
+        for rep, members in report.orbits:
+            images = {apply_permutation(g, sigma, rep) for sigma in autos}
+            assert set(members) == images
+            assert images & reps == {rep}
+            assert report.group_order % len(members) == 0
 
 
 def test_kirchhoff_examples(diamond, theta):
