@@ -14,7 +14,8 @@ On top of the codes this module extracts explicit leaf bijections
 (`iso_map`), partitions a P node's children into oriented isomorphism
 classes (`partition_classes`), and detects the terminal-exchanging
 symmetry that distinguishes the semioriented automorphism group from
-the oriented one (`mirror_pairing`).
+the oriented one (`mirror_pairing`).  Classes come in `_class_order`,
+which also orders `generate`'s canonical leaf layout.
 """
 
 from __future__ import annotations
@@ -141,31 +142,33 @@ class IsoClassPartition:
     classes: tuple[IsoClass, ...]
 
 
-def partition_classes(p: Parallel) -> IsoClassPartition:
-    """Group a P node's children into oriented isomorphism classes.
-
-    Children are bucketed by their cached canonical codes (no pairwise
-    comparisons), classes are ordered by descending code, and each
-    member gets an explicit verified bijection onto the class
-    representative.  The representative's own map is the identity on
-    its preorder leaf span, so no ancestor re-walks it.
-    """
-    if not isinstance(p, Parallel):
-        raise TypeError("partition_classes expects a Parallel node")
+def _class_order(p: Parallel) -> list[tuple[str, list[int]]]:
+    """A P node's classes as (code, member positions in storage order), by descending code."""
     buckets: dict[str, list[int]] = {}
     for pos, child in enumerate(p.children):
         buckets.setdefault(child._code, []).append(pos)
+    return sorted(buckets.items(), key=lambda item: code_sort_key(item[0]), reverse=True)
+
+
+def partition_classes(p: Parallel) -> IsoClassPartition:
+    """Group a P node's children into oriented isomorphism classes.
+
+    Classes come in `_class_order`, and each member gets an explicit
+    verified bijection onto the class representative (the identity for
+    the representative itself).  `generate` needs none of these maps:
+    in its canonical leaf layout each one is a shift.
+    """
+    if not isinstance(p, Parallel):
+        raise TypeError("partition_classes expects a Parallel node")
     classes = []
-    for code in sorted(buckets, key=code_sort_key, reverse=True):
-        members = tuple(buckets[code])
+    for code, members in _class_order(p):
         rep = p.children[members[0]]
-        leaves = range(*rep.span)
-        to_rep = {members[0]: dict(zip(leaves, leaves))}
+        to_rep = {members[0]: {lf.index: lf.index for lf in iter_leaves(rep)}}
         for pos in members[1:]:
             mapping = iso_map(p.children[pos], rep)
             assert mapping is not None
             to_rep[pos] = mapping
-        classes.append(IsoClass(code, members, to_rep))
+        classes.append(IsoClass(code, tuple(members), to_rep))
     return IsoClassPartition(tuple(classes))
 
 
@@ -191,9 +194,7 @@ def reversal_map(x: Node, y: Node) -> dict[int, int] | None:
     if x._code != y._rev_code:
         return None
     reversed_y, new_of_old = reverse_tree(y)
-    phi = iso_map(x, reversed_y)
-    if phi is None:
-        return None
+    phi = iso_map(x, reversed_y)  # codes agree: the reversed copy's code is y's reversal code
     old_of_new = invert_map(new_of_old)
     return {leaf: old_of_new[img] for leaf, img in phi.items()}
 
@@ -203,37 +204,30 @@ def mirror_pairing(node: Node) -> MirrorPairing | None:
 
     Returns None exactly when no automorphism of the graph can exchange
     the terminals, in which case the semioriented automorphism group
-    equals the oriented one.  A leaf is trivially self-paired.
+    equals the oriented one: exactly when the code and the reversal code
+    differ (series codes decode uniquely; equal parallel codes pair
+    classes of equal size).  A leaf is trivially self-paired.
     """
+    if node._code != node._rev_code:
+        return None
     if isinstance(node, Leaf):
         return MirrorPairing(kind="leaf")
     if isinstance(node, Series):
         kids = node.children
         k = len(kids)
-        maps: list[dict[int, int] | None] = [None] * k
+        maps: list[dict[int, int]] = []
         for i in range(k):
             j = k - 1 - i
-            if i > j:
-                maps[i] = invert_map(maps[j])
-                continue
-            r = reversal_map(kids[i], kids[j])
-            if r is None:
-                return None
-            maps[i] = r
+            maps.append(invert_map(maps[j]) if i > j else reversal_map(kids[i], kids[j]))
         return MirrorPairing(kind="series", series_maps=tuple(maps))
 
-    part = partition_classes(node)
-    by_code = {cls.code: idx for idx, cls in enumerate(part.classes)}
+    classes = _class_order(node)
+    by_code = {code: idx for idx, (code, _) in enumerate(classes)}
     pairs: list[tuple[int, int, dict[int, int]]] = []
-    for idx, cls in enumerate(part.classes):
-        rep = node.children[cls.representative]
-        other = by_code.get(rep._rev_code)
-        if other is None or part.classes[other].size != cls.size:
-            return None
-        if other < idx:
-            continue
-        other_rep = node.children[part.classes[other].representative]
-        r = reversal_map(rep, other_rep)
-        assert r is not None
-        pairs.append((idx, other, r))
+    for idx, (_, members) in enumerate(classes):
+        rep = node.children[members[0]]
+        other = by_code[rep._rev_code]
+        if other >= idx:
+            r = reversal_map(rep, node.children[classes[other][1][0]])
+            pairs.append((idx, other, r))
     return MirrorPairing(kind="parallel", class_pairs=tuple(pairs))

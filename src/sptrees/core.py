@@ -54,10 +54,6 @@ class Leaf:
     def children(self) -> tuple[Node, ...]:
         return ()
 
-    @property
-    def span(self) -> tuple[int, int]:
-        return (self.index, self.index + 1)
-
 
 @dataclass(frozen=True)
 class Series:
@@ -72,10 +68,6 @@ class Series:
     @cached_property
     def target(self) -> str:
         return self.children[-1].target
-
-    @cached_property
-    def span(self) -> tuple[int, int]:
-        return (self.children[0].span[0], self.children[-1].span[1])
 
     # The code properties use plain loops: before Python 3.12 a comprehension
     # adds a stack frame per tree level to every code computation.
@@ -107,10 +99,6 @@ class Parallel:
     @cached_property
     def target(self) -> str:
         return self.children[0].target
-
-    @cached_property
-    def span(self) -> tuple[int, int]:
-        return (self.children[0].span[0], self.children[-1].span[1])
 
     @cached_property
     def _code(self) -> str:

@@ -9,8 +9,7 @@ graph.  The composition rules follow the decomposition tree:
   * parallel node, near: one near tree per child, where children in the
     same oriented isomorphism class are interchangeable, so a class of
     size c with r nonequivalent near trees contributes the C(r+c-1, c)
-    multisets of representative trees, placed on members through the
-    stored class bijections;
+    multisets of representative trees, one tree shifted onto each member;
   * parallel node, spanning: exactly one class carries a spanning tree
     on one member (the representative's trees, placed on the first
     member) plus a size c-1 near multiset on the rest.
@@ -44,11 +43,14 @@ tree edge set and return the position of its orbit's representative.
 
 Every plan list (a node's spanning and near trees, a class's near and
 spanning assignments) holds plain int leaf masks, materialized
-bottom-up on first use.  Each list entry combines masks on disjoint
-leaf spans, so `_sums` builds every product as a sum of masks.  A
-class's members get the representative's trees from per-member image
-tables, one leaf map per (tree, member).  Masks become `EdgeSet`s only
-where the public functions hand trees out; the `iter_*` variants stream
+bottom-up on first use.  Masks number the leaves in the canonical
+layout, the preorder with each P node's children in class order: every
+node covers one run of positions, and member p of a class sits p*w
+positions after its representative of w leaves, so placing a tree on a
+member is a shift and reading it back a shift and a mask.  List entries
+combine masks on disjoint runs, so `_sums` builds every product as a
+sum of masks.  Only the enumerations and the index operations meet
+input leaf indices, through `_segments`; the `iter_*` variants stream
 the root composition from the same child lists so large outputs never
 have to be held in memory at once.
 """
@@ -59,8 +61,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .canonical import invert_map, partition_classes
-from .core import EdgeSet, Leaf, Node, OrientedSP, Series, _tree_of, mask_image
+from .canonical import _class_order
+from .core import EdgeSet, Leaf, Node, OrientedSP, Series, _tree_of
 
 
 class ImageNotFound(ValueError):
@@ -117,26 +119,21 @@ def multiset_rank(seq: tuple[int, ...], m: int) -> int:
 
 @dataclass(slots=True)
 class _ClassPlan:
-    """Per-class data at a parallel node."""
+    """Per-class data at a parallel node: `size` members, the first planned."""
 
-    members: tuple[int, ...]
+    size: int
     rep_plan: "_Plan"
-    to_rep: tuple[dict[int, int], ...]
-    place: tuple[dict[int, int], ...]
     nc: int = 0
     sc: int = 0
     near_sets: list[int] | None = None
     span_sets: list[int] | None = None
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
 
 
 @dataclass(slots=True)
 class _Plan:
     """Counts and enumeration data of one node.
 
+    The node's m leaves start at position lo of the canonical layout.
     st, nt are the oriented spanning and near counts, tau, nu the counts
     with no automorphism reduction, ss, sn the semioriented ones.
     `offsets[j]` is where the trees whose distinguished part is j start:
@@ -145,6 +142,8 @@ class _Plan:
     """
 
     node: Node
+    lo: int
+    m: int
     n: int
     st: int
     nt: int
@@ -166,7 +165,7 @@ class _Plan:
 
 
 def build_plan(g) -> _Plan:
-    """Precompute classes, bijections, and counts for a normalized tree."""
+    """Precompute classes, canonical leaf runs and counts for a normalized tree."""
     return _build(_tree_of(g))
 
 
@@ -205,19 +204,23 @@ def _invariant_multisets(fixed: int, swapped_pairs: int, size: int) -> int:
     return total
 
 
-def _build(node: Node) -> _Plan:
-    """The bottom-up pass: every count of `node` from its child plans and class sizes."""
+def _build(node: Node, lo: int = 0) -> _Plan:
+    """The bottom-up pass: every count of `node`, whose leaves start at `lo`."""
     if isinstance(node, Leaf):
-        return _Plan(node, n=2, st=1, nt=1, tau=1, nu=1, ss=1, sn=1)
+        return _Plan(node, lo, 1, n=2, st=1, nt=1, tau=1, nu=1, ss=1, sn=1)
+    at = lo
     if isinstance(node, Series):
-        kids = list(map(_build, node.children))  # map adds no frame per level, see core
+        kids = []
+        for child in node.children:
+            kids.append(_build(child, at))
+            at += kids[-1].m
         k = len(kids)
         sts = [c.st for c in kids]
         taus = [c.tau for c in kids]
         offsets = _offsets([c.nt for c in kids], sts)
         st, nt = math.prod(sts), offsets[-1]
         plan = _Plan(
-            node,
+            node, lo, at - lo,
             n=sum(c.n for c in kids) - (k - 1),
             st=st,
             nt=nt,
@@ -230,8 +233,7 @@ def _build(node: Node) -> _Plan:
         )
         # A reversal maps child i onto child k-1-i; the fixed candidates are
         # palindromic tuples, with a reversal-fixed tree in an odd middle.
-        facing = zip(node.children, reversed(node.children))
-        if all(a._code == b._rev_code for a, b in facing):
+        if node._code == node._rev_code:
             half = math.prod(sts[: k // 2])
             fix_sp, fix_nt = half, 0
             if k % 2:
@@ -241,11 +243,10 @@ def _build(node: Node) -> _Plan:
         return plan
 
     classes = []
-    for cls in partition_classes(node).classes:
-        rep_plan = _build(node.children[cls.representative])
-        to_rep = tuple(cls.to_rep[pos] for pos in cls.members)
-        place = tuple(invert_map(m) for m in to_rep)
-        cp = _ClassPlan(cls.members, rep_plan, to_rep, place)
+    for _, members in _class_order(node):
+        rep_plan = _build(node.children[members[0]], at)
+        cp = _ClassPlan(len(members), rep_plan)
+        at += cp.size * rep_plan.m
         cp.nc = multiset_coefficient(rep_plan.nt, cp.size)
         cp.sc = rep_plan.st * multiset_coefficient(rep_plan.nt, cp.size - 1)
         classes.append(cp)
@@ -253,10 +254,10 @@ def _build(node: Node) -> _Plan:
     offsets = _offsets([cp.sc for cp in classes], ncs)
     st, nt = offsets[-1], math.prod(ncs)
     # Members of a class share the representative's total counts.
-    taus = [cp.rep_plan.tau for cp in classes for _ in cp.members]
-    nus = [cp.rep_plan.nu for cp in classes for _ in cp.members]
+    taus = [cp.rep_plan.tau for cp in classes for _ in range(cp.size)]
+    nus = [cp.rep_plan.nu for cp in classes for _ in range(cp.size)]
     plan = _Plan(
-        node,
+        node, lo, at - lo,
         n=sum(cp.rep_plan.n * cp.size for cp in classes) - 2 * (len(node.children) - 1),
         st=st,
         nt=nt,
@@ -270,8 +271,7 @@ def _build(node: Node) -> _Plan:
     # A reversal maps each class onto an equal-size class; the fixed
     # candidates take mirror assignments on paired classes (one choice
     # per pair) and reversal-invariant ones on self-paired classes.
-    size_of = {cp.rep_plan.node._code: cp.size for cp in classes}
-    if any(size_of.get(cp.rep_plan.node._rev_code) != cp.size for cp in classes):
+    if node._code != node._rev_code:
         return plan
     pair_nc, seen, fix_nc, fix_sc = 1, set(), [], []
     for cp in classes:
@@ -297,7 +297,7 @@ def _build(node: Node) -> _Plan:
 def _sums(lists):
     """Masks of the product of `lists`, in product order.
 
-    Every product combines masks on disjoint leaf spans (series
+    Every product combines masks on disjoint leaf runs (series
     children, parallel members), so the union of a combination is its
     sum.
     """
@@ -307,11 +307,11 @@ def _sums(lists):
 def _placed_multisets(cp: _ClassPlan, first: int) -> list[int]:
     """Masks of the near multisets on members `first`, `first`+1, ...
 
-    Table p holds the representative's near trees placed on member p
+    Table p holds the representative's near trees shifted onto member p
     once; a multiset x_0 <= x_1 <= ... puts tree x_p on member p.
     """
-    rep_near = _near_list(cp.rep_plan)
-    tables = [[mask_image(x, place) for x in rep_near] for place in cp.place[first:]]
+    rep_near, w = _near_list(cp.rep_plan), cp.rep_plan.m
+    tables = [[x << p * w for x in rep_near] for p in range(first, cp.size)]
     multisets = itertools.combinations_with_replacement(range(len(rep_near)), len(tables))
     return [sum(map(list.__getitem__, tables, mu)) for mu in multisets]
 
@@ -326,12 +326,12 @@ def _class_near_sets(cp: _ClassPlan) -> list[int]:
 def _class_span_sets(cp: _ClassPlan) -> list[int]:
     """Masks of the class's spanning assignments, ordered by (tree, multiset).
 
-    The spanning tree goes on the first member, the near multiset on the
-    rest; up to the swap automorphisms within the class the choice of
-    carrier does not matter.
+    The spanning tree goes on the first member, the representative
+    itself, the near multiset on the rest; up to the swap automorphisms
+    within the class the choice of carrier does not matter.
     """
     if cp.span_sets is None:
-        heads = [mask_image(x, cp.place[0]) for x in _spanning_list(cp.rep_plan)]
+        heads = _spanning_list(cp.rep_plan)
         cp.span_sets = list(_sums([heads, _placed_multisets(cp, 1)]))
     return cp.span_sets
 
@@ -351,7 +351,7 @@ def _near_list(plan: _Plan) -> list[int]:
 def _iter_spanning(plan: _Plan):
     """Stream the spanning-tree masks; child lists are materialized once."""
     if plan.kind == "leaf":
-        yield 1 << plan.node.index
+        yield 1 << plan.lo
     elif plan.kind == "series":
         yield from _sums([_spanning_list(c) for c in plan.children])
     else:
@@ -380,24 +380,63 @@ def _iter_near(plan: _Plan):
 # ---------------------------------------------------------------------------
 
 
+def _segments(tree: Node) -> list[tuple[int, int, int]]:
+    """(canonical start, width mask, input start) per run of leaves that is
+    contiguous in both numberings, from one walk in canonical order."""
+    segments: list[tuple[int, int, int]] = []
+    stack, k = [tree], 0
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Leaf):
+            if segments and node.index - k == segments[-1][2] - segments[-1][0]:
+                c, width, i = segments[-1]
+                segments[-1] = (c, 2 * width + 1, i)
+            else:
+                segments.append((k, 1, node.index))
+            k += 1
+        elif isinstance(node, Series):
+            stack.extend(reversed(node.children))
+        else:
+            for _, members in reversed(_class_order(node)):
+                stack.extend(node.children[pos] for pos in reversed(members))
+    return segments
+
+
+def _moved(mask: int, segments) -> int:
+    """`mask` with each segment's bits moved from its first start to its last."""
+    out = 0
+    for src, width, dst in segments:
+        out |= (mask >> src & width) << dst
+    return out
+
+
+def _edge_sets(plan: _Plan, masks):
+    """Masks in `plan`'s canonical layout as `EdgeSet`s of input leaf indices."""
+    segments = _segments(plan.node)
+    return (EdgeSet(_moved(x, segments)) for x in masks)
+
+
 def oriented_spanning(g: OrientedSP) -> list[EdgeSet]:
     """Nonequivalent spanning trees of (G, s, t), in enumeration order."""
-    return list(map(EdgeSet, _spanning_list(build_plan(g))))
+    plan = build_plan(g)
+    return list(_edge_sets(plan, _spanning_list(plan)))
 
 
 def oriented_both(g: OrientedSP) -> tuple[list[EdgeSet], list[EdgeSet]]:
     """Spanning and near lists; the spanning part matches `oriented_spanning`."""
     plan = build_plan(g)
-    return list(map(EdgeSet, _spanning_list(plan))), list(map(EdgeSet, _near_list(plan)))
+    return list(_edge_sets(plan, _spanning_list(plan))), list(_edge_sets(plan, _near_list(plan)))
 
 
 def iter_oriented_spanning(g: OrientedSP):
     """Pull-based variant of `oriented_spanning`, identical sequence."""
-    return map(EdgeSet, _iter_spanning(build_plan(g)))
+    plan = build_plan(g)
+    return _edge_sets(plan, _iter_spanning(plan))
 
 
 def iter_oriented_near(g: OrientedSP):
-    return map(EdgeSet, _iter_near(build_plan(g)))
+    plan = build_plan(g)
+    return _edge_sets(plan, _iter_near(plan))
 
 
 # ---------------------------------------------------------------------------
@@ -422,108 +461,74 @@ def count_total(g: OrientedSP) -> CountPair:
 # ---------------------------------------------------------------------------
 
 
-def _span_mask(node: Node) -> int:
-    lo, hi = node.span
-    return ((1 << hi) - 1) ^ ((1 << lo) - 1)
+def _span_mask(plan: _Plan) -> int:
+    return ((1 << plan.m) - 1) << plan.lo
 
 
-def _span_index(plan: _Plan, mask: int) -> int:
-    if plan.kind == "leaf":
-        if mask != 1 << plan.node.index:
-            raise ImageNotFound("not the leaf's spanning tree")
-        return 0
-    if plan.kind == "series":
-        rank = 0
-        for child in plan.children:
-            digit = _span_index(child, mask & _span_mask(child.node))
-            rank = rank * child.st + digit
-        return rank
-    digits, span_class = _parallel_digits(plan, mask)
-    if span_class is None:
-        raise ImageNotFound("no branch carries a spanning tree")
-    inner = 0
-    for j, cp in enumerate(plan.classes):
-        radix = cp.sc if j == span_class else cp.nc
-        inner = inner * radix + digits[j]
-    return plan.offsets[span_class] + inner
+def _is_near(plan: _Plan, part: int) -> bool:
+    """True for a near tree's edge count on `plan`'s node, False for a spanning tree's."""
+    bits = part.bit_count()
+    if bits != plan.n - 1 and bits != plan.n - 2:
+        raise ImageNotFound("branch edge count fits neither kind")
+    return bits == plan.n - 2
 
 
-def _near_index(plan: _Plan, mask: int) -> int:
-    if plan.kind == "leaf":
-        if mask != 0:
-            raise ImageNotFound("a leaf's near tree is empty")
-        return 0
-    if plan.kind == "series":
-        parts = [mask & _span_mask(c.node) for c in plan.children]
-        break_at = None
-        for j, (child, part) in enumerate(zip(plan.children, parts)):
-            bits = part.bit_count()
-            if bits == child.n - 2:
-                if break_at is not None:
-                    raise ImageNotFound("two branches carry the break")
-                break_at = j
-            elif bits != child.n - 1:
-                raise ImageNotFound("branch edge count fits neither kind")
-        if break_at is None:
-            raise ImageNotFound("no branch carries the break")
-        inner = 0
-        for j, (child, part) in enumerate(zip(plan.children, parts)):
-            if j == break_at:
-                inner = inner * child.nt + _near_index(child, part)
-            else:
-                inner = inner * child.st + _span_index(child, part)
-        return plan.offsets[break_at] + inner
-    digits, span_class = _parallel_digits(plan, mask)
-    if span_class is not None:
-        raise ImageNotFound("a near tree cannot contain a spanning branch")
-    rank = 0
-    for cp, digit in zip(plan.classes, digits):
-        rank = rank * cp.nc + digit
-    return rank
+def _index(plan: _Plan, mask: int, near: bool) -> int:
+    """Enumeration position of the orbit of a near (or spanning) tree `mask`.
 
-
-def _parallel_digits(plan: _Plan, mask: int) -> tuple[list[int], int | None]:
-    """Per-class assignment digits for an edge set at a parallel node.
-
-    Exactly one member over all classes may carry a spanning tree; the
-    returned digit for that class indexes its spanning assignments, all
-    other digits index near assignments.
+    Digits run over series children or parallel classes in order; the odd
+    part (the child with a near tree's break, the class with a spanning
+    tree's spanning member) picks the offset.  A class's digit ranks its
+    spanning tree, if any, then the multiset of its members' near trees.
     """
-    digits: list[int] = []
-    span_class: int | None = None
-    for idx, cp in enumerate(plan.classes):
-        rep = cp.rep_plan
-        span_tree_idx: int | None = None
-        near_indices: list[int] = []
-        for p, member_pos in enumerate(cp.members):
-            child_node = plan.node.children[member_pos]
-            part = mask & _span_mask(child_node)
-            rep_mask = mask_image(part, cp.to_rep[p])
-            bits = rep_mask.bit_count()
-            if bits == rep.n - 1:
-                if span_tree_idx is not None or span_class is not None:
-                    raise ImageNotFound("two branches carry spanning trees")
-                span_tree_idx = _span_index(rep, rep_mask)
-            elif bits == rep.n - 2:
-                near_indices.append(_near_index(rep, rep_mask))
+    if plan.kind == "leaf":
+        if mask != (0 if near else 1 << plan.lo):
+            raise ImageNotFound("not the leaf's near or spanning tree")
+        return 0
+    rank, odd = 0, None
+    if plan.kind == "series":
+        for j, child in enumerate(plan.children):
+            part = mask & _span_mask(child)
+            if _is_near(child, part):
+                if not near or odd is not None:
+                    raise ImageNotFound("the break is not in exactly one branch")
+                rank, odd = rank * child.nt + _index(child, part, True), j
             else:
-                raise ImageNotFound("branch edge count fits neither kind")
-        near_indices.sort()
-        if span_tree_idx is not None:
-            span_class = idx
-            digit = span_tree_idx * multiset_coefficient(rep.nt, cp.size - 1)
-            digit += multiset_rank(tuple(near_indices), rep.nt)
-        else:
-            digit = multiset_rank(tuple(near_indices), rep.nt)
-        digits.append(digit)
-    return digits, span_class
+                rank = rank * child.st + _index(child, part, False)
+    else:
+        for j, cp in enumerate(plan.classes):
+            rep = cp.rep_plan
+            window, nears, spans = _span_mask(rep), [], []
+            for p in range(cp.size):
+                part = mask >> p * rep.m & window
+                if _is_near(rep, part):
+                    nears.append(_index(rep, part, True))
+                else:
+                    spans.append(_index(rep, part, False))
+            digit = multiset_rank(tuple(sorted(nears)), rep.nt)
+            if not spans:
+                rank = rank * cp.nc + digit
+                continue
+            if near or odd is not None or len(spans) > 1:
+                raise ImageNotFound("a spanning branch where none or another fits")
+            rank = rank * cp.sc + spans[0] * multiset_coefficient(rep.nt, cp.size - 1) + digit
+            odd = j
+    if (odd is None) == (near == (plan.kind == "series")):
+        raise ImageNotFound("no branch carries the break or the spanning tree")
+    return rank if odd is None else plan.offsets[odd] + rank
+
+
+def _located(g, es: EdgeSet, near: bool) -> int:
+    """`_index` on the plan of `g`, with `es` moved into its canonical layout."""
+    plan = build_plan(g)
+    return _index(plan, _moved(es.mask, [(i, w, c) for c, w, i in _segments(plan.node)]), near)
 
 
 def spanning_tree_index(g: OrientedSP, es: EdgeSet) -> int:
     """Enumeration position of the orbit containing a spanning tree `es`."""
-    return _span_index(build_plan(g), es.mask)
+    return _located(g, es, False)
 
 
 def near_tree_index(g: OrientedSP, es: EdgeSet) -> int:
     """Enumeration position of the orbit containing a near tree `es`."""
-    return _near_index(build_plan(g), es.mask)
+    return _located(g, es, True)

@@ -15,7 +15,8 @@ per spanning class.  The comparison uses the full tuple, including the
 middle child of an odd series chain and self-paired parallel classes,
 so a candidate whose outer positions are palindromic is still paired
 off through its middle entry.  All lists below the top level stay
-oriented, and masks become `EdgeSet`s only on the way out.
+oriented.  The reversal maps are renumbered into `generate`'s canonical
+leaf layout once, at the root, and masks leave it only on the way out.
 
 Counting needs no enumeration: `count_semioriented` reads the
 semioriented count that `generate.build_plan` computes in its single
@@ -27,14 +28,15 @@ from __future__ import annotations
 
 import itertools
 
-from .canonical import MirrorPairing, mirror_pairing
+from .canonical import mirror_pairing
 from .core import EdgeSet, SemiorientedSP, _tree_of, mask_image
 from .generate import (
     _class_near_sets,
     _class_span_sets,
-    _near_index,
+    _edge_sets,
+    _index,
     _near_list,
-    _span_index,
+    _segments,
     _spanning_list,
     build_plan,
     multiset_coefficient,
@@ -58,17 +60,25 @@ def reversal_index_perm(
     enumeration covers every orbit; an unlocatable image raises
     ImageNotFound and means the index-stability contract is broken.
     """
-    return tuple(_index_perm(build_plan(child), build_plan(mirror), r, kind))
+    src, dst = build_plan(child), build_plan(mirror)
+    return tuple(_index_perm(src, dst, _renumbered(r, _position(src), _position(dst)), kind))
+
+
+def _position(plan) -> dict[int, int]:
+    """Canonical layout position of each input leaf index of the plan's tree."""
+    return {i + d: c + d for c, w, i in _segments(plan.node) for d in range(w.bit_length())}
+
+
+def _renumbered(r: dict[int, int], src: dict[int, int], dst: dict[int, int]) -> dict[int, int]:
+    return {src[a]: dst[b] for a, b in r.items()}
 
 
 def _index_perm(src_plan, dst_plan, r: dict[int, int], kind: str) -> list[int]:
-    if kind == "spanning":
-        source, locate = _spanning_list(src_plan), _span_index
-    elif kind == "near":
-        source, locate = _near_list(src_plan), _near_index
-    else:
+    """`reversal_index_perm` on plans, with `r` in their canonical layout."""
+    if kind not in ("spanning", "near"):
         raise ValueError(f"unknown kind {kind!r}")
-    return [locate(dst_plan, mask_image(x, r)) for x in source]
+    source = _near_list(src_plan) if kind == "near" else _spanning_list(src_plan)
+    return [_index(dst_plan, mask_image(x, r), kind == "near") for x in source]
 
 
 # ---------------------------------------------------------------------------
@@ -88,10 +98,14 @@ def iter_semioriented_spanning(g: SemiorientedSP):
     if pairing is None or pairing.kind == "leaf":
         masks = _spanning_list(plan)
     elif pairing.kind == "series":
-        masks = _filtered(*_series_slots(plan.children, pairing))
+        at = _position(plan)
+        maps = [_renumbered(r, at, at) for r in pairing.series_maps]
+        masks = _filtered(*_series_slots(plan.children, maps))
     else:
-        masks = _filtered(*_class_slots(plan.classes, pairing))
-    yield from map(EdgeSet, masks)
+        at = _position(plan)
+        pairs = [(a, b, _renumbered(r, at, at)) for a, b, r in pairing.class_pairs]
+        masks = _filtered(*_class_slots(plan.classes, pairs))
+    yield from _edge_sets(plan, masks)
 
 
 def _filtered(items, target, perms, blocks):
@@ -111,12 +125,11 @@ def _filtered(items, target, perms, blocks):
                 yield sum(map(list.__getitem__, items, tup))
 
 
-def _series_slots(children, pairing: MirrorPairing):
+def _series_slots(children, maps):
     """Slots of the series filter: child i's spanning trees, reversed onto child k-1-i."""
     k = len(children)
     perms = [
-        _index_perm(c, children[k - 1 - i], pairing.series_maps[i], "spanning")
-        for i, c in enumerate(children)
+        _index_perm(c, children[k - 1 - i], maps[i], "spanning") for i, c in enumerate(children)
     ]
     items = [_spanning_list(c) for c in children]
     return items, range(k - 1, -1, -1), perms, [[range(len(lst)) for lst in items]]
@@ -144,7 +157,7 @@ def _assignment_perm(cp_a, cp_b, r: dict[int, int]) -> list[int]:
     return out
 
 
-def _class_slots(classes, pairing: MirrorPairing):
+def _class_slots(classes, pairs):
     """Slots of the parallel filter: a class's assignments, near then spanning.
 
     Block a lets class a carry the spanning tree and the others a near
@@ -152,7 +165,7 @@ def _class_slots(classes, pairing: MirrorPairing):
     """
     perms: list = [None] * len(classes)
     target = list(range(len(classes)))
-    for a, b, r in pairing.class_pairs:
+    for a, b, r in pairs:
         perms[a] = _assignment_perm(classes[a], classes[b], r)
         target[a] = b
         if b != a:

@@ -198,7 +198,11 @@ def test_mirror_pairing_iff_exchange_automorphism(seed):
     g = underlying_graph(tree)
     n_or = len(automorphisms(g, FixBoth(tree.source, tree.target)))
     n_semi = len(automorphisms(g, FixSet(tree.source, tree.target)))
-    assert (mirror_pairing(tree) is not None) == (n_semi == 2 * n_or)
+    assert (
+        (mirror_pairing(tree) is not None)
+        == (n_semi == 2 * n_or)
+        == (canonical_code(tree) == reversal_code(tree))
+    )
     assert n_semi in (n_or, 2 * n_or)
 
 

@@ -31,7 +31,7 @@ from sptrees import (
 from sptrees.core import Leaf, Parallel, Series
 from sptrees.generate import multiset_coefficient, multiset_rank
 
-from conftest import chain, orbit_exactly_once, small_corpus
+from conftest import DIAMOND_TEXT, chain, orbit_exactly_once, small_corpus
 
 
 def test_multiset_enumerate_examples():
@@ -239,19 +239,61 @@ def test_orbit_index_inverts_enumeration(seed):
         assert near_tree_index(o, es) == i
 
 
-def test_orbit_index_locates_whole_orbit(diamond):
+# Two isomorphic branches whose inner P nodes store their children in
+# different orders, so the canonical leaf layout is not the input order.
+MIXED_TEXT = "P(S(e(s,a),P(e(a,t),S(e(a,b),e(b,t)))),S(e(s,c),P(S(e(c,d),e(d,t)),e(c,t))))"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [DIAMOND_TEXT, MIXED_TEXT, "P(S(e(s,a),e(a,t)),e(s,t))"],
+    ids=["diamond", "mixed", "edge-class-first"],
+)
+def test_orbit_index_locates_whole_orbit(text):
     """Any member of an orbit indexes to its representative's position."""
-    o = OrientedSP(diamond)
-    g = underlying_graph(diamond)
-    aut_or = automorphisms(g, FixBoth("2", "3"))
-    report = orbit_partition(all_spanning_trees(g), aut_or, g)
-    fast = oriented_spanning(o)
-    positions = {es: i for i, es in enumerate(fast)}
-    for rep, members in report.orbits:
-        expected = {positions[es] for es in fast if es in set(members)}
-        assert len(expected) == 1
-        for member in members:
-            assert spanning_tree_index(o, member) in expected
+    tree = parse_sp(text)
+    o = OrientedSP(tree)
+    g = underlying_graph(tree)
+    s, t = tree.source, tree.target
+    aut_or = automorphisms(g, FixBoth(s, t))
+    spanning, near = oriented_both(o)
+    for trees, fast, index in (
+        (all_spanning_trees(g), spanning, spanning_tree_index),
+        (all_near_trees(g, s, t), near, near_tree_index),
+    ):
+        positions = {es: i for i, es in enumerate(fast)}
+        for _, members in orbit_partition(trees, aut_or, g).orbits:
+            expected = {positions[es] for es in members if es in positions}
+            assert len(expected) == 1
+            for member in members:
+                assert index(o, member) in expected
+
+
+def test_oriented_path_builds_no_leaf_map(monkeypatch):
+    """Counting, enumerating and indexing oriented trees never call iso_map."""
+    o = OrientedSP(parse_sp(MIXED_TEXT))
+
+    def results():
+        spanning, near = oriented_both(o)
+        return (
+            count_oriented(o),
+            count_total(o),
+            spanning,
+            near,
+            list(iter_oriented_spanning(o)),
+            list(iter_oriented_near(o)),
+            [spanning_tree_index(o, es) for es in spanning],
+            [near_tree_index(o, es) for es in near],
+        )
+
+    expected = results()
+    assert expected[-2:] == (list(range(len(expected[2]))), list(range(len(expected[3]))))
+
+    def refuse(*_):
+        raise AssertionError("iso_map called on the oriented path")
+
+    monkeypatch.setattr("sptrees.canonical.iso_map", refuse)
+    assert results() == expected
 
 
 def test_orbit_index_rejects_garbage(diamond):
