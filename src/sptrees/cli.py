@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import compress
 
 from .canonical import canonical_code, mirror_pairing, reversal_code
 from .core import (
@@ -65,6 +66,8 @@ _INPUT_ERRORS = (
     ValueError,
     OSError,
 )
+# Binary digits of a mask as 0/1 bytes, for `itertools.compress`.
+_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 class _UsageError(Exception):
@@ -120,6 +123,8 @@ def run(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "near", False) and args.mode == "semioriented":
+            raise _UsageError("--near is not supported with --mode semioriented")
         return args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -155,35 +160,37 @@ def _cmd_parse(args) -> int:
 
 def _cmd_count(args) -> int:
     for tree in _load(args.file):
-        if args.mode != "semioriented":
+        if args.mode == "semioriented":
+            print(count_semioriented(SemiorientedSP(tree)))
+        else:
             counter = count_oriented if args.mode == "oriented" else count_total
             pair = counter(OrientedSP(tree))
             print(pair.near if args.near else pair.spanning)
-        elif args.near:
-            raise _UsageError("--near is not supported with --mode semioriented")
-        else:
-            print(count_semioriented(SemiorientedSP(tree)))
     return 0
 
 
 def _cmd_enumerate(args) -> int:
-    kind = "near" if args.near else "spanning"
+    """One line per tree; a record equals `json.dumps(record, sort_keys=True)`."""
+    write = sys.stdout.write
     for tree in _load(args.file):
-        graph = underlying_graph(tree)
-        if args.mode == "oriented":
+        if args.mode == "semioriented":
+            trees = iter_semioriented_spanning(SemiorientedSP(tree))
+        else:
             enumerator = iter_oriented_near if args.near else iter_oriented_spanning
             trees = enumerator(OrientedSP(tree))
-        elif args.near:
-            raise _UsageError("--near is not supported with --mode semioriented")
-        else:
-            trees = iter_semioriented_spanning(SemiorientedSP(tree))
+        # A mask's binary digits run from the last input leaf down to leaf 0.
+        tokens = [f"{u}-{v}" for u, v in reversed(underlying_graph(tree).edges)]
+        width = f"0{len(tokens)}b"
+        if args.format == "records":
+            # Labels and "-" sort after '"', so quoted tokens sort as the tokens do.
+            tokens = list(map(json.dumps, tokens))
+            tail = f', "kind": "{"near" if args.near else "spanning"}", "mode": "{args.mode}"}}\n'
         for index, es in enumerate(trees):
-            tokens = sorted(f"{u}-{v}" for u, v in (graph.edges[i] for i in es.indices()))
+            chosen = sorted(compress(tokens, format(es.mask, width).encode().translate(_BITS)))
             if args.format == "text":
-                print(",".join(tokens))
+                write(",".join(chosen) + "\n")
             else:
-                record = {"index": index, "edges": tokens, "mode": args.mode, "kind": kind}
-                print(json.dumps(record, sort_keys=True))
+                write('{"edges": [' + ", ".join(chosen) + f'], "index": {index}' + tail)
     return 0
 
 

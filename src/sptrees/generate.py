@@ -49,10 +49,11 @@ node covers one run of positions, and member p of a class sits p*w
 positions after its representative of w leaves, so placing a tree on a
 member is a shift and reading it back a shift and a mask.  List entries
 combine masks on disjoint runs, so `_sums` builds every product as a
-sum of masks.  Only the enumerations and the index operations meet
-input leaf indices, through `_segments`; the `iter_*` variants stream
-the root composition from the same child lists so large outputs never
-have to be held in memory at once.
+sum of masks.  The enumerations stream the root's trees from its part
+lists (`_blocks`), so large outputs are never held in memory at once.
+The root's part lists are built in input leaf numbering (`_placer`),
+so the emitted trees are plain sums and no mask is moved bit by bit;
+the index operations move a tree the other way.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from .canonical import _class_order
 from .core import EdgeSet, Leaf, Node, OrientedSP, Series, _tree_of
@@ -125,8 +127,6 @@ class _ClassPlan:
     rep_plan: "_Plan"
     nc: int = 0
     sc: int = 0
-    near_sets: list[int] | None = None
-    span_sets: list[int] | None = None
 
 
 @dataclass(slots=True)
@@ -154,8 +154,7 @@ class _Plan:
     offsets: list[int] | None = None
     children: tuple["_Plan", ...] = ()
     classes: tuple[_ClassPlan, ...] = ()
-    sp_cache: list[int] | None = None
-    nt_cache: list[int] | None = None
+    cache: dict[bool, list[int]] | None = None
 
     @property
     def kind(self) -> str:
@@ -294,85 +293,58 @@ def _build(node: Node, lo: int = 0) -> _Plan:
     return plan
 
 
-def _sums(lists):
-    """Masks of the product of `lists`, in product order.
+def _sums(blocks):
+    """Masks of the product of each block's lists, block by block, each
+    product in product order.
 
     Every product combines masks on disjoint leaf runs (series
     children, parallel members), so the union of a combination is its
     sum.
     """
-    return map(sum, itertools.product(*lists))
+    return itertools.chain.from_iterable(map(sum, itertools.product(*b)) for b in blocks)
 
 
-def _placed_multisets(cp: _ClassPlan, first: int) -> list[int]:
-    """Masks of the near multisets on members `first`, `first`+1, ...
-
-    Table p holds the representative's near trees shifted onto member p
-    once; a multiset x_0 <= x_1 <= ... puts tree x_p on member p.
-    """
-    rep_near, w = _near_list(cp.rep_plan), cp.rep_plan.m
-    tables = [[x << p * w for x in rep_near] for p in range(first, cp.size)]
-    multisets = itertools.combinations_with_replacement(range(len(rep_near)), len(tables))
-    return [sum(map(list.__getitem__, tables, mu)) for mu in multisets]
+def _list(plan: _Plan, near: bool, shift: int = 0) -> list[int]:
+    """The node's near (or spanning) trees, materialized once, on its copy `shift` up."""
+    cache = plan.cache = plan.cache or {}
+    if near not in cache:
+        cache[near] = list(_sums(_blocks(plan, near)))
+    return [x << shift for x in cache[near]] if shift else cache[near]
 
 
-def _class_near_sets(cp: _ClassPlan) -> list[int]:
-    """Masks of the class's near assignments, in multiset order."""
-    if cp.near_sets is None:
-        cp.near_sets = _placed_multisets(cp, 0)
-    return cp.near_sets
+def _assignments(cp: _ClassPlan, near: bool, shift: int = 0, lists=_list) -> list[int]:
+    """Masks of the class's near assignments, in multiset order, or of its
+    spanning assignments, ordered by (tree, multiset), with member p's trees
+    from `lists(cp.rep_plan, near, shift + p*w)`.
+
+    A multiset x_0 <= x_1 <= ... puts near tree x_p on member p.  A spanning
+    assignment puts the tree on the first member, the representative itself,
+    and a near multiset on the rest; up to swaps within the class the choice
+    of carrier does not matter."""
+    rep, first = cp.rep_plan, 0 if near else 1
+    if cp.size == 1:  # the representative's own trees
+        return lists(rep, near, shift)
+    tables = [lists(rep, True, shift + p * rep.m) for p in range(first, cp.size)]
+    multisets = itertools.combinations_with_replacement(range(rep.nt), len(tables))
+    sets = [sum(map(list.__getitem__, tables, mu)) for mu in multisets]
+    return sets if near else list(_sums([[lists(rep, False, shift), sets]]))
 
 
-def _class_span_sets(cp: _ClassPlan) -> list[int]:
-    """Masks of the class's spanning assignments, ordered by (tree, multiset).
-
-    The spanning tree goes on the first member, the representative
-    itself, the near multiset on the rest; up to the swap automorphisms
-    within the class the choice of carrier does not matter.
-    """
-    if cp.span_sets is None:
-        heads = _spanning_list(cp.rep_plan)
-        cp.span_sets = list(_sums([heads, _placed_multisets(cp, 1)]))
-    return cp.span_sets
-
-
-def _spanning_list(plan: _Plan) -> list[int]:
-    if plan.sp_cache is None:
-        plan.sp_cache = list(_iter_spanning(plan))
-    return plan.sp_cache
-
-
-def _near_list(plan: _Plan) -> list[int]:
-    if plan.nt_cache is None:
-        plan.nt_cache = list(_iter_near(plan))
-    return plan.nt_cache
-
-
-def _iter_spanning(plan: _Plan):
-    """Stream the spanning-tree masks; child lists are materialized once."""
+def _blocks(plan: _Plan, near: bool, shift: int = 0, lists=_list) -> list[list[list[int]]]:
+    """The part lists of the node's copy `shift` positions up, one per part
+    in each block, whose `_sums` are its trees: the series children's
+    spanning lists, with child j's near list in block j for near trees; the
+    class near assignments, with class a's spanning ones in block a for
+    spanning trees.  A part's trees come from `lists`, as in `_assignments`."""
     if plan.kind == "leaf":
-        yield 1 << plan.lo
-    elif plan.kind == "series":
-        yield from _sums([_spanning_list(c) for c in plan.children])
-    else:
-        for a in range(len(plan.classes)):
-            yield from _sums(
-                [
-                    _class_span_sets(cp) if j == a else _class_near_sets(cp)
-                    for j, cp in enumerate(plan.classes)
-                ]
-            )
-
-
-def _iter_near(plan: _Plan):
-    if plan.kind == "leaf":
-        yield 0
-    elif plan.kind == "series":
-        lists = [_spanning_list(c) for c in plan.children]
-        for j, child in enumerate(plan.children):
-            yield from _sums(lists[:j] + [_near_list(child)] + lists[j + 1 :])
-    else:
-        yield from _sums([_class_near_sets(cp) for cp in plan.classes])
+        return [[[0 if near else 1 << plan.lo]]]
+    series = plan.kind == "series"
+    parts = plan.children if series else plan.classes
+    get = lists if series else partial(_assignments, lists=lists)
+    if near != series:
+        return [[get(part, not series, shift) for part in parts]]
+    rest = [get(part, not series, shift) for part in parts] if len(parts) > 1 else []
+    return [rest[:j] + [get(part, series, shift)] + rest[j + 1 :] for j, part in enumerate(parts)]
 
 
 # ---------------------------------------------------------------------------
@@ -410,33 +382,55 @@ def _moved(mask: int, segments) -> int:
     return out
 
 
-def _edge_sets(plan: _Plan, masks):
-    """Masks in `plan`'s canonical layout as `EdgeSet`s of input leaf indices."""
-    segments = _segments(plan.node)
-    return (EdgeSet(_moved(x, segments)) for x in masks)
+def _placer(plan: _Plan):
+    """`placed(part, near, shift=0)`: the trees of `part`'s copy `shift` up in
+    `plan`'s canonical layout, in input numbering, each list built once: a copy
+    on one undisplaced segment has its canonical list, any other the `_sums` of
+    its placed parts, as a bit move commutes with sums on disjoint runs."""
+    segment, move = [], []  # per canonical position: segment, input minus canonical
+    for k, (c, width, i) in enumerate(_segments(plan.node)):
+        segment += [k] * width.bit_length()
+        move += [i - c] * width.bit_length()
+    memo: dict[tuple[int, bool, int], list[int]] = {}
+
+    def placed(part: _Plan, near: bool, shift: int = 0) -> list[int]:
+        key, lo = (id(part), near, shift), part.lo + shift
+        if key not in memo:
+            if part.kind == "leaf":
+                memo[key] = [0 if near else 1 << lo + move[lo]]
+            elif move[lo] == 0 and segment[lo] == segment[lo + part.m - 1]:
+                memo[key] = _list(part, near, shift)
+            else:
+                memo[key] = list(_sums(_blocks(part, near, shift, placed)))
+        return memo[key]
+
+    return placed
+
+
+def _streams(plan: _Plan, *nears: bool) -> list:
+    """Per flag in `nears`, the root's near (or spanning) `EdgeSet`s, from its placed parts."""
+    placed = _placer(plan)
+    blocks = [_blocks(plan, near, lists=placed) for near in nears]
+    return [map(EdgeSet, _sums(bs)) for bs in blocks]
 
 
 def oriented_spanning(g: OrientedSP) -> list[EdgeSet]:
     """Nonequivalent spanning trees of (G, s, t), in enumeration order."""
-    plan = build_plan(g)
-    return list(_edge_sets(plan, _spanning_list(plan)))
+    return list(iter_oriented_spanning(g))
 
 
 def oriented_both(g: OrientedSP) -> tuple[list[EdgeSet], list[EdgeSet]]:
     """Spanning and near lists; the spanning part matches `oriented_spanning`."""
-    plan = build_plan(g)
-    return list(_edge_sets(plan, _spanning_list(plan))), list(_edge_sets(plan, _near_list(plan)))
+    return tuple(map(list, _streams(build_plan(g), False, True)))
 
 
 def iter_oriented_spanning(g: OrientedSP):
     """Pull-based variant of `oriented_spanning`, identical sequence."""
-    plan = build_plan(g)
-    return _edge_sets(plan, _iter_spanning(plan))
+    return _streams(build_plan(g), False)[0]
 
 
 def iter_oriented_near(g: OrientedSP):
-    plan = build_plan(g)
-    return _edge_sets(plan, _iter_near(plan))
+    return _streams(build_plan(g), True)[0]
 
 
 # ---------------------------------------------------------------------------

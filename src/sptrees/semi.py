@@ -16,7 +16,9 @@ middle child of an odd series chain and self-paired parallel classes,
 so a candidate whose outer positions are palindromic is still paired
 off through its middle entry.  All lists below the top level stay
 oriented.  The reversal maps are renumbered into `generate`'s canonical
-leaf layout once, at the root, and masks leave it only on the way out.
+leaf layout once, at the root, where the index permutations read the
+canonical lists; each slot's items are built in input numbering
+(`generate._placer`), and the emitted trees are plain sums of them.
 
 Counting needs no enumeration: `count_semioriented` reads the
 semioriented count that `generate.build_plan` computes in its single
@@ -31,17 +33,14 @@ import itertools
 from .canonical import mirror_pairing
 from .core import EdgeSet, SemiorientedSP, _tree_of, mask_image
 from .generate import (
-    _class_near_sets,
-    _class_span_sets,
-    _edge_sets,
+    _assignments,
     _index,
-    _near_list,
+    _list,
+    _placer,
     _segments,
-    _spanning_list,
+    _streams,
     build_plan,
-    multiset_coefficient,
     multiset_enumerate,
-    multiset_rank,
 )
 
 
@@ -77,8 +76,8 @@ def _index_perm(src_plan, dst_plan, r: dict[int, int], kind: str) -> list[int]:
     """`reversal_index_perm` on plans, with `r` in their canonical layout."""
     if kind not in ("spanning", "near"):
         raise ValueError(f"unknown kind {kind!r}")
-    source = _near_list(src_plan) if kind == "near" else _spanning_list(src_plan)
-    return [_index(dst_plan, mask_image(x, r), kind == "near") for x in source]
+    near = kind == "near"
+    return [_index(dst_plan, mask_image(x, r), near) for x in _list(src_plan, near)]
 
 
 # ---------------------------------------------------------------------------
@@ -96,16 +95,15 @@ def iter_semioriented_spanning(g: SemiorientedSP):
     plan = build_plan(tree)
     pairing = mirror_pairing(tree)
     if pairing is None or pairing.kind == "leaf":
-        masks = _spanning_list(plan)
-    elif pairing.kind == "series":
-        at = _position(plan)
+        return _streams(plan, False)[0]
+    at, placed = _position(plan), _placer(plan)
+    if pairing.kind == "series":
         maps = [_renumbered(r, at, at) for r in pairing.series_maps]
-        masks = _filtered(*_series_slots(plan.children, maps))
+        slots = _series_slots(plan.children, maps, placed)
     else:
-        at = _position(plan)
         pairs = [(a, b, _renumbered(r, at, at)) for a, b, r in pairing.class_pairs]
-        masks = _filtered(*_class_slots(plan.classes, pairs))
-    yield from _edge_sets(plan, masks)
+        slots = _class_slots(plan.classes, pairs, placed)
+    return map(EdgeSet, _filtered(*slots))
 
 
 def _filtered(items, target, perms, blocks):
@@ -125,13 +123,13 @@ def _filtered(items, target, perms, blocks):
                 yield sum(map(list.__getitem__, items, tup))
 
 
-def _series_slots(children, maps):
+def _series_slots(children, maps, placed):
     """Slots of the series filter: child i's spanning trees, reversed onto child k-1-i."""
     k = len(children)
     perms = [
         _index_perm(c, children[k - 1 - i], maps[i], "spanning") for i, c in enumerate(children)
     ]
-    items = [_spanning_list(c) for c in children]
+    items = [placed(c, False) for c in children]
     return items, range(k - 1, -1, -1), perms, [[range(len(lst)) for lst in items]]
 
 
@@ -140,24 +138,23 @@ def _assignment_perm(cp_a, cp_b, r: dict[int, int]) -> list[int]:
 
     Assignment indices put the near multisets first, then the spanning
     choices ordered by (tree, multiset); paired classes have identical
-    shapes, so the image index is computed in class b's own space.
+    shapes, so the image index is computed in class b's own space; the
+    images of the near multisets beside a spanning tree do not depend on it.
     """
     near_perm = _index_perm(cp_a.rep_plan, cp_b.rep_plan, r, "near")
     span_perm = _index_perm(cp_a.rep_plan, cp_b.rep_plan, r, "spanning")
-    nt_b = cp_b.rep_plan.nt
-    out: list[int] = []
-    for mu in multiset_enumerate(cp_a.rep_plan.nt, cp_a.size):
-        image = tuple(sorted(near_perm[x] for x in mu))
-        out.append(multiset_rank(image, nt_b))
-    block = multiset_coefficient(nt_b, cp_b.size - 1)
-    for s in range(cp_a.rep_plan.st):
-        for mu in multiset_enumerate(cp_a.rep_plan.nt, cp_a.size - 1):
-            image = tuple(sorted(near_perm[x] for x in mu))
-            out.append(cp_b.nc + span_perm[s] * block + multiset_rank(image, nt_b))
+
+    def images(size: int) -> list[int]:
+        rank = {mu: i for i, mu in enumerate(multiset_enumerate(len(near_perm), size))}
+        return [rank[tuple(sorted(map(near_perm.__getitem__, mu)))] for mu in rank]
+
+    out, rest = images(cp_a.size), images(cp_a.size - 1)
+    for s in span_perm:
+        out.extend(cp_b.nc + s * len(rest) + i for i in rest)
     return out
 
 
-def _class_slots(classes, pairs):
+def _class_slots(classes, pairs, placed):
     """Slots of the parallel filter: a class's assignments, near then spanning.
 
     Block a lets class a carry the spanning tree and the others a near
@@ -173,7 +170,9 @@ def _class_slots(classes, pairs):
             for src, dst in enumerate(perms[a]):
                 perms[b][dst] = src
             target[b] = a
-    items = [_class_near_sets(cp) + _class_span_sets(cp) for cp in classes]
+    items = [
+        _assignments(cp, True, 0, placed) + _assignments(cp, False, 0, placed) for cp in classes
+    ]
     blocks = [
         [range(cp.nc, cp.nc + cp.sc) if j == a else range(cp.nc) for j, cp in enumerate(classes)]
         for a in range(len(classes))

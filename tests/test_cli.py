@@ -109,9 +109,13 @@ def test_enumerate_records(diamond_file, capsys):
     assert all(r["edges"] == sorted(r["edges"]) for r in records)
 
 
-def test_semioriented_near_is_usage_error(diamond_file, capsys):
-    assert run(["count", diamond_file, "--mode", "semioriented", "--near"]) == 1
-    assert run(["enumerate", diamond_file, "--mode", "semioriented", "--near"]) == 1
+def test_semioriented_near_is_usage_error(diamond_file, tmp_path, capsys):
+    # The flags are checked before the file is read, so a missing file
+    # does not turn the usage error into an input error.
+    for path in (diamond_file, str(tmp_path / "missing.sp")):
+        assert run(["count", path, "--mode", "semioriented", "--near"]) == 1
+        assert run(["enumerate", path, "--mode", "semioriented", "--near"]) == 1
+        assert capsys.readouterr().err.count("usage error: --near") == 2
 
 
 def test_usage_error_on_bad_flags(diamond_file):

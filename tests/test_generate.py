@@ -29,7 +29,15 @@ from sptrees import (
     underlying_graph,
 )
 from sptrees.core import Leaf, Parallel, Series
-from sptrees.generate import multiset_coefficient, multiset_rank
+from sptrees.generate import (
+    _list,
+    _moved,
+    _segments,
+    build_plan,
+    multiset_coefficient,
+    multiset_rank,
+)
+from sptrees.semi import iter_semioriented_spanning
 
 from conftest import DIAMOND_TEXT, chain, orbit_exactly_once, small_corpus
 
@@ -294,6 +302,42 @@ def test_oriented_path_builds_no_leaf_map(monkeypatch):
 
     monkeypatch.setattr("sptrees.canonical.iso_map", refuse)
     assert results() == expected
+
+
+# Roots whose P nodes store their children against the class order, so the
+# canonical layout has many segments.  The first two are reversal-symmetric;
+# in the third, the second P node's run starts on a leaf that keeps its place
+# and ends on displaced ones.
+MOVED_ROOTS = {
+    "series": "S(P(e(s,a),S(e(s,x),e(x,a))),P(S(e(a,y),e(y,b)),e(a,b)),e(b,c),"
+    "P(e(c,d),S(e(c,z),e(z,d))),P(S(e(d,w),e(w,t)),e(d,t)))",
+    "parallel": "P(S(e(s,a),e(a,b),e(b,t)),e(s,t),S(e(s,c),P(e(c,t),S(e(c,d),e(d,t)))),"
+    "S(e(s,f),e(f,g),e(g,t)),S(P(S(e(s,h),e(h,i)),e(s,i)),e(i,t)))",
+    "split-run": "S(P(e(s,a),S(e(s,b),e(b,c),e(c,a))),"
+    "P(e(a,d),S(e(a,f),e(f,g),e(g,d)),S(e(a,h),e(h,d))),e(d,t))",
+}
+
+
+@pytest.mark.parametrize("text", MOVED_ROOTS.values(), ids=MOVED_ROOTS.keys())
+def test_root_parts_are_moved_once_not_each_tree(text, monkeypatch):
+    """The root's part lists are built in input numbering, so no emitted
+    tree and no list entry is moved bit by bit, and the streams equal the
+    canonical lists with each tree moved on its own."""
+    tree = parse_sp(text)
+    segments = _segments(tree)
+    assert len(segments) > 2
+    plan = build_plan(tree)
+    expected = [
+        [EdgeSet(_moved(x, segments)) for x in _list(plan, near)] for near in (False, True)
+    ]
+    o = OrientedSP(tree)
+    calls = []
+    monkeypatch.setattr("sptrees.generate._moved", lambda *a: calls.append(1) or _moved(*a))
+    assert list(iter_oriented_spanning(o)) == expected[0]
+    assert list(iter_oriented_near(o)) == expected[1]
+    assert oriented_both(o) == tuple(expected)
+    assert len(list(iter_semioriented_spanning(SemiorientedSP(tree)))) > 0
+    assert not calls
 
 
 def test_orbit_index_rejects_garbage(diamond):

@@ -6,6 +6,11 @@ lines of `random_sp` seeds 0-39 (default parameters) plus the diamond and
 the theta, all printed by the CLI.  It changes whenever the class order,
 a code, a count or the enumeration order moves.
 
+The records digest covers the same expression corpus printed by
+`enumerate --format records` in the oriented, near and semioriented
+modes.  The records lines are built without `json.dumps`, so each must
+also equal its own `json.dumps(..., sort_keys=True)` re-encoding.
+
 The edge-list digest covers the same outputs plus `parse` for edge-list
 files: the underlying graphs of `random_sp` seeds 0-39 with seeded line
 shuffles and endpoint swaps, the diamond, paths, and ladders of 5-20
@@ -25,6 +30,7 @@ groups that keep {s, t}, so they are partitioned under `FixBoth` and
 """
 
 import hashlib
+import json
 import random
 
 from sptrees import (
@@ -49,6 +55,7 @@ from conftest import DIAMOND_TEXT, THETA_TEXT
 
 GOLDEN_SHA256 = "836ca2d5c23f3abab744a929cb35eb910187fa77de09d64140fe8ccdcf8e318e"
 EDGE_LIST_SHA256 = "563e60c2bb68c89ad4336d5c108083404f248bcb0beeb043cb03098224c8192f"
+RECORDS_SHA256 = "8a4ad7c916af3cac079263f581e4b514777ab7d011a9da9611b4a12d83bfe2ac"
 ORACLE_SHA256 = "4bc7206365c23dbc82bf4fa967cccb05fb39e051a461fb065fefc8db63cfb434"
 
 COUNTS = (
@@ -63,6 +70,7 @@ ENUMERATIONS = (
     ["enumerate", "--mode", "semioriented"],
 )
 COMMANDS = COUNTS + ENUMERATIONS
+RECORDS = tuple(command + ["--format", "records"] for command in ENUMERATIONS)
 
 
 def _output(commands, paths, capsys) -> bytes:
@@ -74,13 +82,30 @@ def _output(commands, paths, capsys) -> bytes:
     return b"".join(out)
 
 
-def test_corpus_output_digest(tmp_path, capsys):
+def _corpus_file(tmp_path, extra=()):
     lines = [serialize_sp(random_sp(RandomSpParams(seed=s))) for s in range(40)]
-    lines += [DIAMOND_TEXT, THETA_TEXT]
+    lines += [DIAMOND_TEXT, THETA_TEXT, *extra]
     path = tmp_path / "corpus.sp"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    output = _output(COMMANDS, [path], capsys)
+    return path
+
+
+def test_corpus_output_digest(tmp_path, capsys):
+    output = _output(COMMANDS, [_corpus_file(tmp_path)], capsys)
     assert hashlib.sha256(output).hexdigest() == GOLDEN_SHA256
+
+
+def test_records_output_digest(tmp_path, capsys):
+    output = _output(RECORDS, [_corpus_file(tmp_path)], capsys)
+    assert hashlib.sha256(output).hexdigest() == RECORDS_SHA256
+
+
+def test_records_lines_are_canonical_json(tmp_path, capsys):
+    # e(s,t) has one near tree, the empty forest: its record has "edges": [].
+    lines = _output(RECORDS, [_corpus_file(tmp_path, ["e(s,t)"])], capsys).decode().splitlines()
+    assert '{"edges": [], "index": 0, "kind": "near", "mode": "oriented"}' in lines
+    for line in lines:
+        assert line == json.dumps(json.loads(line), sort_keys=True)
 
 
 def _edge_list_text(rng, edges, s, t):
