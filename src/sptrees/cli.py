@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import compress
+from itertools import compress, count, islice, repeat
 
 from .canonical import canonical_code, mirror_pairing, reversal_code
 from .core import (
@@ -34,14 +34,8 @@ from .expr import (
     read_instances,
     serialize_sp,
 )
-from .generate import (
-    ImageNotFound,
-    count_oriented,
-    count_total,
-    iter_oriented_near,
-    iter_oriented_spanning,
-    oriented_both,
-)
+from .generate import ImageNotFound, _streams, build_plan, count_oriented, count_total
+from .generate import oriented_both
 from .oracle import (
     FixBoth,
     FixSet,
@@ -53,7 +47,7 @@ from .oracle import (
     kirchhoff_count,
     orbit_partition,
 )
-from .semi import count_semioriented, iter_semioriented_spanning, semioriented_spanning
+from .semi import _masks, count_semioriented, semioriented_spanning
 
 # RecursionError is a RuntimeError; ImageNotFound is a ValueError, so this
 # tuple is caught before _INPUT_ERRORS.
@@ -68,6 +62,8 @@ _INPUT_ERRORS = (
 )
 # Binary digits of a mask as 0/1 bytes, for `itertools.compress`.
 _BITS = bytes.maketrans(b"01", b"\0\1")
+# Most lines `enumerate` joins into one write.
+_CHUNK = 64
 
 
 class _UsageError(Exception):
@@ -170,27 +166,38 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    """One line per tree; a record equals `json.dumps(record, sort_keys=True)`."""
+    """One line per tree; a record equals `json.dumps(record, sort_keys=True)`.
+
+    The masks number the edges by descending token, so a mask's binary
+    digits, most significant first, select the printed tokens already
+    sorted, and each line is built by C-level maps with no Python step per
+    tree.  Lines go out in chunks of 1, 2, 4, ... up to `_CHUNK` lines, so
+    the first line is not held back."""
     write = sys.stdout.write
     for tree in _load(args.file):
-        if args.mode == "semioriented":
-            trees = iter_semioriented_spanning(SemiorientedSP(tree))
-        else:
-            enumerator = iter_oriented_near if args.near else iter_oriented_spanning
-            trees = enumerator(OrientedSP(tree))
-        # A mask's binary digits run from the last input leaf down to leaf 0.
-        tokens = [f"{u}-{v}" for u, v in reversed(underlying_graph(tree).edges)]
-        width = f"0{len(tokens)}b"
+        tokens = [f"{u}-{v}" for u, v in underlying_graph(tree).edges]
         if args.format == "records":
-            # Labels and "-" sort after '"', so quoted tokens sort as the tokens do.
             tokens = list(map(json.dumps, tokens))
-            tail = f', "kind": "{"near" if args.near else "spanning"}", "mode": "{args.mode}"}}\n'
-        for index, es in enumerate(trees):
-            chosen = sorted(compress(tokens, format(es.mask, width).encode().translate(_BITS)))
-            if args.format == "text":
-                write(",".join(chosen) + "\n")
-            else:
-                write('{"edges": [' + ", ".join(chosen) + f'], "index": {index}' + tail)
+        by_bit = sorted(range(len(tokens)), key=tokens.__getitem__, reverse=True)
+        numbering = sorted(range(len(tokens)), key=by_bit.__getitem__)
+        tokens.sort()
+        if args.mode == "semioriented":
+            masks = _masks(tree, numbering)
+        else:
+            masks = _streams(build_plan(tree), args.near, numbering=numbering)[0]
+        digits = map(str.encode, map(format, masks, repeat(f"0{len(tokens)}b")))
+        chosen = map(compress, repeat(tokens), map(bytes.translate, digits, repeat(_BITS)))
+        if args.format == "text":
+            lines = map(",".join, chosen)
+        else:
+            kind = "near" if args.near else "spanning"
+            record = f'{{"edges": [%s], "index": %d, "kind": "{kind}", "mode": "{args.mode}"}}'
+            lines = map(record.__mod__, zip(map(", ".join, chosen), count()))
+        size = 1
+        while chunk := list(islice(lines, size)):
+            chunk.append("")  # the last line's newline, with no copy of the chunk
+            write("\n".join(chunk))
+            size = min(2 * size, _CHUNK)
     return 0
 
 

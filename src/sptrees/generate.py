@@ -51,9 +51,11 @@ member is a shift and reading it back a shift and a mask.  List entries
 combine masks on disjoint runs, so `_sums` builds every product as a
 sum of masks.  The enumerations stream the root's trees from its part
 lists (`_blocks`), so large outputs are never held in memory at once.
-The root's part lists are built in input leaf numbering (`_placer`),
-so the emitted trees are plain sums and no mask is moved bit by bit;
-the index operations move a tree the other way.
+The root's part lists are built in a numbering the caller chooses
+(`_placer`): the input leaf numbering for the public enumerations, the
+print order for the CLI.  The emitted trees are plain sums of them, and
+no mask is moved bit by bit; the index operations move a tree the other
+way.
 """
 
 from __future__ import annotations
@@ -352,19 +354,21 @@ def _blocks(plan: _Plan, near: bool, shift: int = 0, lists=_list) -> list[list[l
 # ---------------------------------------------------------------------------
 
 
-def _segments(tree: Node) -> list[tuple[int, int, int]]:
-    """(canonical start, width mask, input start) per run of leaves that is
-    contiguous in both numberings, from one walk in canonical order."""
+def _segments(tree: Node, numbering=None) -> list[tuple[int, int, int]]:
+    """(canonical start, width mask, start in `numbering`) per run of leaves
+    that is contiguous in both numberings, from one walk in canonical order.
+    Input leaf i sits at `numbering[i]`, by default at i."""
     segments: list[tuple[int, int, int]] = []
     stack, k = [tree], 0
     while stack:
         node = stack.pop()
         if isinstance(node, Leaf):
-            if segments and node.index - k == segments[-1][2] - segments[-1][0]:
+            at = node.index if numbering is None else numbering[node.index]
+            if segments and at - k == segments[-1][2] - segments[-1][0]:
                 c, width, i = segments[-1]
                 segments[-1] = (c, 2 * width + 1, i)
             else:
-                segments.append((k, 1, node.index))
+                segments.append((k, 1, at))
             k += 1
         elif isinstance(node, Series):
             stack.extend(reversed(node.children))
@@ -382,13 +386,14 @@ def _moved(mask: int, segments) -> int:
     return out
 
 
-def _placer(plan: _Plan):
+def _placer(plan: _Plan, numbering=None):
     """`placed(part, near, shift=0)`: the trees of `part`'s copy `shift` up in
-    `plan`'s canonical layout, in input numbering, each list built once: a copy
-    on one undisplaced segment has its canonical list, any other the `_sums` of
-    its placed parts, as a bit move commutes with sums on disjoint runs."""
-    segment, move = [], []  # per canonical position: segment, input minus canonical
-    for k, (c, width, i) in enumerate(_segments(plan.node)):
+    `plan`'s canonical layout, in `numbering` (as in `_segments`), each list
+    built once: a copy on one undisplaced segment has its canonical list, any
+    other the `_sums` of its placed parts, as a bit move commutes with sums on
+    disjoint runs."""
+    segment, move = [], []  # per canonical position: segment, target minus canonical
+    for k, (c, width, i) in enumerate(_segments(plan.node, numbering)):
         segment += [k] * width.bit_length()
         move += [i - c] * width.bit_length()
     memo: dict[tuple[int, bool, int], list[int]] = {}
@@ -407,11 +412,12 @@ def _placer(plan: _Plan):
     return placed
 
 
-def _streams(plan: _Plan, *nears: bool) -> list:
-    """Per flag in `nears`, the root's near (or spanning) `EdgeSet`s, from its placed parts."""
-    placed = _placer(plan)
+def _streams(plan: _Plan, *nears: bool, numbering=None) -> list:
+    """Per flag in `nears`, the masks of the root's near (or spanning) trees
+    in `numbering` (as in `_segments`), from its placed parts."""
+    placed = _placer(plan, numbering)
     blocks = [_blocks(plan, near, lists=placed) for near in nears]
-    return [map(EdgeSet, _sums(bs)) for bs in blocks]
+    return [_sums(bs) for bs in blocks]
 
 
 def oriented_spanning(g: OrientedSP) -> list[EdgeSet]:
@@ -421,16 +427,17 @@ def oriented_spanning(g: OrientedSP) -> list[EdgeSet]:
 
 def oriented_both(g: OrientedSP) -> tuple[list[EdgeSet], list[EdgeSet]]:
     """Spanning and near lists; the spanning part matches `oriented_spanning`."""
-    return tuple(map(list, _streams(build_plan(g), False, True)))
+    return tuple(list(map(EdgeSet, s)) for s in _streams(build_plan(g), False, True))
 
 
 def iter_oriented_spanning(g: OrientedSP):
     """Pull-based variant of `oriented_spanning`, identical sequence."""
-    return _streams(build_plan(g), False)[0]
+    return map(EdgeSet, _streams(build_plan(g), False)[0])
 
 
 def iter_oriented_near(g: OrientedSP):
-    return _streams(build_plan(g), True)[0]
+    """Nonequivalent near trees of (G, s, t), streamed in enumeration order."""
+    return map(EdgeSet, _streams(build_plan(g), True)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,9 @@ so a candidate whose outer positions are palindromic is still paired
 off through its middle entry.  All lists below the top level stay
 oriented.  The reversal maps are renumbered into `generate`'s canonical
 leaf layout once, at the root, where the index permutations read the
-canonical lists; each slot's items are built in input numbering
-(`generate._placer`), and the emitted trees are plain sums of them.
+canonical lists; each slot's items are built in the caller's numbering
+(`generate._placer`: input order for the public functions, print order
+for the CLI), and the emitted masks are plain sums of them.
 
 Counting needs no enumeration: `count_semioriented` reads the
 semioriented count that `generate.build_plan` computes in its single
@@ -91,19 +92,24 @@ def semioriented_spanning(g: SemiorientedSP) -> list[EdgeSet]:
 
 
 def iter_semioriented_spanning(g: SemiorientedSP):
-    tree = _tree_of(g)
+    """Pull-based variant of `semioriented_spanning`, identical sequence."""
+    return map(EdgeSet, _masks(_tree_of(g)))
+
+
+def _masks(tree, numbering=None):
+    """Masks of the semioriented spanning trees in `numbering`, as in `generate._segments`."""
     plan = build_plan(tree)
     pairing = mirror_pairing(tree)
     if pairing is None or pairing.kind == "leaf":
-        return _streams(plan, False)[0]
-    at, placed = _position(plan), _placer(plan)
+        return _streams(plan, False, numbering=numbering)[0]
+    at, placed = _position(plan), _placer(plan, numbering)
     if pairing.kind == "series":
         maps = [_renumbered(r, at, at) for r in pairing.series_maps]
         slots = _series_slots(plan.children, maps, placed)
     else:
         pairs = [(a, b, _renumbered(r, at, at)) for a, b, r in pairing.class_pairs]
         slots = _class_slots(plan.classes, pairs, placed)
-    return map(EdgeSet, _filtered(*slots))
+    return _filtered(*slots)
 
 
 def _filtered(items, target, perms, blocks):

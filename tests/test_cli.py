@@ -8,6 +8,15 @@ from pathlib import Path
 
 import pytest
 
+from sptrees import (
+    OrientedSP,
+    SemiorientedSP,
+    iter_oriented_near,
+    iter_oriented_spanning,
+    iter_semioriented_spanning,
+    parse_sp,
+    underlying_graph,
+)
 from sptrees.cli import run
 
 from conftest import DIAMOND_TEXT, THETA_TEXT
@@ -107,6 +116,46 @@ def test_enumerate_records(diamond_file, capsys):
     assert [r["index"] for r in records] == [0, 1, 2]
     assert all(r["mode"] == "semioriented" and r["kind"] == "spanning" for r in records)
     assert all(r["edges"] == sorted(r["edges"]) for r in records)
+
+
+# Edge tokens that sort unlike the edges' input order: edge 8, "9-x7",
+# sorts before edge 7, "a1-c", which sorts before edge 4, "b-c".
+UNSORTED_TEXT = (
+    "P(S(e(9,10),e(10,a1)),e(9,a1),S(e(9,b),P(e(b,c),S(e(b,d),e(d,c))),e(c,a1)),"
+    "S(e(9,x7),e(x7,a1)))"
+)
+
+
+@pytest.mark.parametrize(
+    "args, records",
+    [
+        (["--mode", "oriented"], False),
+        (["--mode", "oriented", "--near"], False),
+        (["--mode", "semioriented"], False),
+        (["--mode", "oriented"], True),
+    ],
+)
+def test_enumerate_sorts_tokens_whose_labels_sort_unlike_leaf_order(
+    tmp_path, capsys, args, records
+):
+    path = tmp_path / "unsorted.sp"
+    path.write_text(UNSORTED_TEXT + "\n", encoding="utf-8")
+    tree = parse_sp(UNSORTED_TEXT)
+    if "semioriented" in args:
+        trees = iter_semioriented_spanning(SemiorientedSP(tree))
+    else:
+        trees = (iter_oriented_near if "--near" in args else iter_oriented_spanning)(OrientedSP(tree))
+    names = [f"{u}-{v}" for u, v in underlying_graph(tree).edges]
+    expected = [sorted(names[i] for i in es.indices()) for es in trees]
+    assert run(["enumerate", str(path), *args] + (["--format", "records"] if records else [])) == 0
+    lines = capsys.readouterr().out.splitlines()
+    if records:
+        lines = [",".join(json.loads(line)["edges"]) for line in lines]
+    tokens = [line.split(",") for line in lines]
+    assert tokens == expected
+    assert all(t == sorted(set(t)) for t in tokens)
+    assert run(["count", str(path), *args]) == 0
+    assert len(lines) == int(capsys.readouterr().out)
 
 
 def test_semioriented_near_is_usage_error(diamond_file, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Oriented enumeration, counting recurrences, streams, and orbit indexing."""
 
+import random
+
 import pytest
 
 from sptrees import (
@@ -25,21 +27,25 @@ from sptrees import (
     oriented_spanning,
     count_semioriented,
     parse_sp,
+    random_sp,
+    RandomSpParams,
     spanning_tree_index,
     underlying_graph,
 )
-from sptrees.core import Leaf, Parallel, Series
+from sptrees.cli import run
+from sptrees.core import Leaf, Parallel, Series, mask_image
 from sptrees.generate import (
     _list,
     _moved,
     _segments,
+    _streams,
     build_plan,
     multiset_coefficient,
     multiset_rank,
 )
-from sptrees.semi import iter_semioriented_spanning
+from sptrees.semi import _masks, iter_semioriented_spanning
 
-from conftest import DIAMOND_TEXT, chain, orbit_exactly_once, small_corpus
+from conftest import DIAMOND_TEXT, chain, mirror_symmetric, orbit_exactly_once, small_corpus
 
 
 def test_multiset_enumerate_examples():
@@ -319,10 +325,11 @@ MOVED_ROOTS = {
 
 
 @pytest.mark.parametrize("text", MOVED_ROOTS.values(), ids=MOVED_ROOTS.keys())
-def test_root_parts_are_moved_once_not_each_tree(text, monkeypatch):
-    """The root's part lists are built in input numbering, so no emitted
-    tree and no list entry is moved bit by bit, and the streams equal the
-    canonical lists with each tree moved on its own."""
+def test_root_parts_are_moved_once_not_each_tree(text, tmp_path, capsys, monkeypatch):
+    """The root's part lists are built in input numbering, or in print order
+    for CLI `enumerate`, so no emitted tree and no list entry is moved bit by
+    bit, and the streams equal the canonical lists with each tree moved on
+    its own."""
     tree = parse_sp(text)
     segments = _segments(tree)
     assert len(segments) > 2
@@ -337,7 +344,37 @@ def test_root_parts_are_moved_once_not_each_tree(text, monkeypatch):
     assert list(iter_oriented_near(o)) == expected[1]
     assert oriented_both(o) == tuple(expected)
     assert len(list(iter_semioriented_spanning(SemiorientedSP(tree)))) > 0
+    path = tmp_path / "root.sp"
+    path.write_text(text + "\n", encoding="utf-8")
+    for args in (
+        ["--mode", "oriented"],
+        ["--mode", "oriented", "--near"],
+        ["--mode", "semioriented"],
+        ["--mode", "oriented", "--format", "records"],
+    ):
+        assert run(["enumerate", str(path), *args]) == 0
+        assert capsys.readouterr().out
     assert not calls
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_streams_in_a_numbering_are_the_input_streams_permuted(seed):
+    """Input leaf i at bit `numbering[i]`: the spanning, near and semioriented
+    streams equal the input-numbered ones with each mask permuted bit by bit."""
+    rng = random.Random(seed)
+    draw = random_sp(RandomSpParams(seed=seed, max_depth=3 + seed % 2, max_children=3))
+    if count_oriented(OrientedSP(draw)).spanning > 5000:
+        draw = random_sp(RandomSpParams(seed=seed))
+    for tree in (draw, mirror_symmetric(seed, max_trees=500)):
+        m = underlying_graph(tree).m
+        numbering = rng.sample(range(m), m)
+        leaf_map = dict(enumerate(numbering))
+        for near in (False, True):
+            expected = [mask_image(x, leaf_map) for x in _streams(build_plan(tree), near)[0]]
+            placed = _streams(build_plan(tree), near, numbering=numbering)[0]
+            assert list(placed) == expected
+        expected = [mask_image(x, leaf_map) for x in _masks(tree)]
+        assert list(_masks(tree, numbering)) == expected
 
 
 def test_orbit_index_rejects_garbage(diamond):

@@ -10,6 +10,9 @@ The records digest covers the same expression corpus printed by
 `enumerate --format records` in the oriented, near and semioriented
 modes.  The records lines are built without `json.dumps`, so each must
 also equal its own `json.dumps(..., sort_keys=True)` re-encoding.
+A recording stdout checks that each `enumerate` run writes its first
+line on its own and at most `_CHUNK` lines at a time, and that the
+writes join to the bytes the expression and records digests pin.
 
 The edge-list digest covers the same outputs plus `parse` for edge-list
 files: the underlying graphs of `random_sp` seeds 0-39 with seeded line
@@ -32,6 +35,7 @@ groups that keep {s, t}, so they are partitioned under `FixBoth` and
 import hashlib
 import json
 import random
+import sys
 
 from sptrees import (
     FixBoth,
@@ -48,7 +52,7 @@ from sptrees import (
     serialize_sp,
     underlying_graph,
 )
-from sptrees.cli import run
+from sptrees.cli import _CHUNK, run
 from sptrees.oracle import all_acyclic_near_sets
 
 from conftest import DIAMOND_TEXT, THETA_TEXT
@@ -98,6 +102,42 @@ def test_corpus_output_digest(tmp_path, capsys):
 def test_records_output_digest(tmp_path, capsys):
     output = _output(RECORDS, [_corpus_file(tmp_path)], capsys)
     assert hashlib.sha256(output).hexdigest() == RECORDS_SHA256
+
+
+class _Recorder:
+    """A stdout that keeps every write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_enumerate_writes_its_first_line_alone_then_capped_chunks(tmp_path, monkeypatch):
+    """Each `enumerate` run writes its first line alone and no more than
+    `_CHUNK` lines at a time, and its writes join to the pinned bytes."""
+    path = _corpus_file(tmp_path)
+    output, largest = {}, 0
+    for command in COMMANDS + RECORDS:
+        recorder = _Recorder()
+        monkeypatch.setattr(sys, "stdout", recorder)
+        assert run([command[0], str(path), *command[1:]]) == 0
+        monkeypatch.undo()
+        output[tuple(command)] = "".join(recorder.writes).encode("utf-8")
+        if command[0] == "enumerate":
+            first = recorder.writes[0]
+            assert first.count("\n") == 1 and first.endswith("\n")
+            largest = max(largest, *(w.count("\n") for w in recorder.writes))
+    assert largest == _CHUNK
+    pinned = b"".join(output[tuple(c)] for c in COMMANDS)
+    assert hashlib.sha256(pinned).hexdigest() == GOLDEN_SHA256
+    pinned = b"".join(output[tuple(c)] for c in RECORDS)
+    assert hashlib.sha256(pinned).hexdigest() == RECORDS_SHA256
 
 
 def test_records_lines_are_canonical_json(tmp_path, capsys):
