@@ -34,8 +34,7 @@ from .expr import (
     read_instances,
     serialize_sp,
 )
-from .generate import ImageNotFound, _streams, build_plan, count_oriented, count_total
-from .generate import oriented_both
+from .generate import ImageNotFound, _streams, count_oriented, count_total, oriented_both
 from .oracle import (
     FixBoth,
     FixSet,
@@ -184,7 +183,7 @@ def _cmd_enumerate(args) -> int:
         if args.mode == "semioriented":
             masks = _masks(tree, numbering)
         else:
-            masks = _streams(build_plan(tree), args.near, numbering=numbering)[0]
+            masks = _streams(tree, args.near, numbering=numbering)[0]
         digits = map(str.encode, map(format, masks, repeat(f"0{len(tokens)}b")))
         chosen = map(compress, repeat(tokens), map(bytes.translate, digits, repeat(_BITS)))
         if args.format == "text":

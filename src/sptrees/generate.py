@@ -41,9 +41,12 @@ choices, and tuples advance lexicographically.  `spanning_tree_index`
 and `near_tree_index` invert the order: they take any spanning or near
 tree edge set and return the position of its orbit's representative.
 
-Every plan list (a node's spanning and near trees, a class's near and
-spanning assignments) holds plain int leaf masks, materialized
-bottom-up on first use.  Masks number the leaves in the canonical
+`build_plan` runs that pass once per tree object and keeps the root's
+plan on the root node; the plan holds counts and layout, never a list.
+Every enumeration list (a node's spanning and near trees, a class's
+near and spanning assignments) holds plain int leaf masks, built
+bottom-up on first use into a memo that belongs to one enumeration
+(`_placer`) and is freed with it.  Masks number the leaves in the canonical
 layout, the preorder with each P node's children in class order: every
 node covers one run of positions, and member p of a class sits p*w
 positions after its representative of w leaves, so placing a tree on a
@@ -133,9 +136,11 @@ class _ClassPlan:
 
 @dataclass(slots=True)
 class _Plan:
-    """Counts and enumeration data of one node.
+    """Counts and enumeration data of one node, of `kind` leaf, series or parallel.
 
-    The node's m leaves start at position lo of the canonical layout.
+    The plan holds no node, so a plan kept on its tree's root makes no
+    reference cycle.  The node's m leaves start at position lo of the
+    canonical layout.
     st, nt are the oriented spanning and near counts, tau, nu the counts
     with no automorphism reduction, ss, sn the semioriented ones.
     `offsets[j]` is where the trees whose distinguished part is j start:
@@ -143,7 +148,7 @@ class _Plan:
     trees carried by class j of a parallel node.
     """
 
-    node: Node
+    kind: str
     lo: int
     m: int
     n: int
@@ -156,18 +161,21 @@ class _Plan:
     offsets: list[int] | None = None
     children: tuple["_Plan", ...] = ()
     classes: tuple[_ClassPlan, ...] = ()
-    cache: dict[bool, list[int]] | None = None
-
-    @property
-    def kind(self) -> str:
-        if isinstance(self.node, Leaf):
-            return "leaf"
-        return "series" if isinstance(self.node, Series) else "parallel"
 
 
 def build_plan(g) -> _Plan:
-    """Precompute classes, canonical leaf runs and counts for a normalized tree."""
-    return _build(_tree_of(g))
+    """Classes, canonical leaf runs and counts of a normalized tree.
+
+    The plan is built once per tree object and kept on its root node, as
+    the codes are; it holds counts and layout only, never a tree list.
+    Only the root's plan is kept: a child's plan depends on where the
+    child sits in its parent's layout.
+    """
+    tree = _tree_of(g)
+    plan = tree.__dict__.get("_plan")
+    if plan is None:
+        plan = tree.__dict__["_plan"] = _build(tree)
+    return plan
 
 
 def _offsets(x: list[int], y: list[int]) -> list[int]:
@@ -208,7 +216,7 @@ def _invariant_multisets(fixed: int, swapped_pairs: int, size: int) -> int:
 def _build(node: Node, lo: int = 0) -> _Plan:
     """The bottom-up pass: every count of `node`, whose leaves start at `lo`."""
     if isinstance(node, Leaf):
-        return _Plan(node, lo, 1, n=2, st=1, nt=1, tau=1, nu=1, ss=1, sn=1)
+        return _Plan("leaf", lo, 1, n=2, st=1, nt=1, tau=1, nu=1, ss=1, sn=1)
     at = lo
     if isinstance(node, Series):
         kids = []
@@ -221,7 +229,7 @@ def _build(node: Node, lo: int = 0) -> _Plan:
         offsets = _offsets([c.nt for c in kids], sts)
         st, nt = math.prod(sts), offsets[-1]
         plan = _Plan(
-            node, lo, at - lo,
+            "series", lo, at - lo,
             n=sum(c.n for c in kids) - (k - 1),
             st=st,
             nt=nt,
@@ -243,8 +251,8 @@ def _build(node: Node, lo: int = 0) -> _Plan:
             plan.ss, plan.sn = _half(st + fix_sp), _half(nt + fix_nt)
         return plan
 
-    classes = []
-    for _, members in _class_order(node):
+    order, classes = _class_order(node), []
+    for _, members in order:
         rep_plan = _build(node.children[members[0]], at)
         cp = _ClassPlan(len(members), rep_plan)
         at += cp.size * rep_plan.m
@@ -258,7 +266,7 @@ def _build(node: Node, lo: int = 0) -> _Plan:
     taus = [cp.rep_plan.tau for cp in classes for _ in range(cp.size)]
     nus = [cp.rep_plan.nu for cp in classes for _ in range(cp.size)]
     plan = _Plan(
-        node, lo, at - lo,
+        "parallel", lo, at - lo,
         n=sum(cp.rep_plan.n * cp.size for cp in classes) - 2 * (len(node.children) - 1),
         st=st,
         nt=nt,
@@ -275,9 +283,9 @@ def _build(node: Node, lo: int = 0) -> _Plan:
     if node._code != node._rev_code:
         return plan
     pair_nc, seen, fix_nc, fix_sc = 1, set(), [], []
-    for cp in classes:
+    for (code, members), cp in zip(order, classes):
         rep = cp.rep_plan
-        code, rev = rep.node._code, rep.node._rev_code
+        rev = node.children[members[0]]._rev_code
         if code == rev:
             # The reversal fixes 2*sn - nt of the representative's near
             # trees and swaps the other nt - sn in pairs.
@@ -306,15 +314,16 @@ def _sums(blocks):
     return itertools.chain.from_iterable(map(sum, itertools.product(*b)) for b in blocks)
 
 
-def _list(plan: _Plan, near: bool, shift: int = 0) -> list[int]:
-    """The node's near (or spanning) trees, materialized once, on its copy `shift` up."""
-    cache = plan.cache = plan.cache or {}
-    if near not in cache:
-        cache[near] = list(_sums(_blocks(plan, near)))
-    return [x << shift for x in cache[near]] if shift else cache[near]
+def _list(memo: dict, plan: _Plan, near: bool, shift: int = 0) -> list[int]:
+    """The node's near (or spanning) trees in the canonical layout, built
+    once per `memo`, on its copy `shift` up."""
+    key = (id(plan), near)
+    if key not in memo:
+        memo[key] = list(_sums(_blocks(plan, near, 0, partial(_list, memo))))
+    return [x << shift for x in memo[key]] if shift else memo[key]
 
 
-def _assignments(cp: _ClassPlan, near: bool, shift: int = 0, lists=_list) -> list[int]:
+def _assignments(cp: _ClassPlan, near: bool, shift: int, lists) -> list[int]:
     """Masks of the class's near assignments, in multiset order, or of its
     spanning assignments, ordered by (tree, multiset), with member p's trees
     from `lists(cp.rep_plan, near, shift + p*w)`.
@@ -332,7 +341,7 @@ def _assignments(cp: _ClassPlan, near: bool, shift: int = 0, lists=_list) -> lis
     return sets if near else list(_sums([[lists(rep, False, shift), sets]]))
 
 
-def _blocks(plan: _Plan, near: bool, shift: int = 0, lists=_list) -> list[list[list[int]]]:
+def _blocks(plan: _Plan, near: bool, shift: int, lists) -> list[list[list[int]]]:
     """The part lists of the node's copy `shift` positions up, one per part
     in each block, whose `_sums` are its trees: the series children's
     spanning lists, with child j's near list in block j for near trees; the
@@ -386,37 +395,39 @@ def _moved(mask: int, segments) -> int:
     return out
 
 
-def _placer(plan: _Plan, numbering=None):
+def _placer(tree: Node, numbering=None):
     """`placed(part, near, shift=0)`: the trees of `part`'s copy `shift` up in
-    `plan`'s canonical layout, in `numbering` (as in `_segments`), each list
-    built once: a copy on one undisplaced segment has its canonical list, any
-    other the `_sums` of its placed parts, as a bit move commutes with sums on
-    disjoint runs."""
+    the canonical layout of `tree`'s plan, in `numbering` (as in `_segments`),
+    each list built once: a copy on one undisplaced segment has its canonical
+    list, any other the `_sums` of its placed parts, as a bit move commutes
+    with sums on disjoint runs.  Canonical lists (key: part, flag) and placed
+    copies (key: part, flag, shift) share one memo, freed with `placed`: no
+    closure refers to itself, so no reference cycle keeps it alive."""
     segment, move = [], []  # per canonical position: segment, target minus canonical
-    for k, (c, width, i) in enumerate(_segments(plan.node, numbering)):
+    for k, (c, width, i) in enumerate(_segments(tree, numbering)):
         segment += [k] * width.bit_length()
         move += [i - c] * width.bit_length()
-    memo: dict[tuple[int, bool, int], list[int]] = {}
-
-    def placed(part: _Plan, near: bool, shift: int = 0) -> list[int]:
-        key, lo = (id(part), near, shift), part.lo + shift
-        if key not in memo:
-            if part.kind == "leaf":
-                memo[key] = [0 if near else 1 << lo + move[lo]]
-            elif move[lo] == 0 and segment[lo] == segment[lo + part.m - 1]:
-                memo[key] = _list(part, near, shift)
-            else:
-                memo[key] = list(_sums(_blocks(part, near, shift, placed)))
-        return memo[key]
-
-    return placed
+    return partial(_placed, {}, segment, move)
 
 
-def _streams(plan: _Plan, *nears: bool, numbering=None) -> list:
-    """Per flag in `nears`, the masks of the root's near (or spanning) trees
-    in `numbering` (as in `_segments`), from its placed parts."""
-    placed = _placer(plan, numbering)
-    blocks = [_blocks(plan, near, lists=placed) for near in nears]
+def _placed(memo: dict, segment, move, part: _Plan, near: bool, shift: int = 0) -> list[int]:
+    key, lo = (id(part), near, shift), part.lo + shift
+    if key not in memo:
+        if part.kind == "leaf":
+            memo[key] = [0 if near else 1 << lo + move[lo]]
+        elif move[lo] == 0 and segment[lo] == segment[lo + part.m - 1]:
+            memo[key] = _list(memo, part, near, shift)
+        else:
+            placed = partial(_placed, memo, segment, move)
+            memo[key] = list(_sums(_blocks(part, near, shift, placed)))
+    return memo[key]
+
+
+def _streams(tree: Node, *nears: bool, numbering=None) -> list:
+    """Per flag in `nears`, the masks of the tree's near (or spanning) trees
+    in `numbering` (as in `_segments`), from its root's placed parts."""
+    plan, placed = build_plan(tree), _placer(tree, numbering)
+    blocks = [_blocks(plan, near, 0, placed) for near in nears]
     return [_sums(bs) for bs in blocks]
 
 
@@ -427,17 +438,17 @@ def oriented_spanning(g: OrientedSP) -> list[EdgeSet]:
 
 def oriented_both(g: OrientedSP) -> tuple[list[EdgeSet], list[EdgeSet]]:
     """Spanning and near lists; the spanning part matches `oriented_spanning`."""
-    return tuple(list(map(EdgeSet, s)) for s in _streams(build_plan(g), False, True))
+    return tuple(list(map(EdgeSet, s)) for s in _streams(_tree_of(g), False, True))
 
 
 def iter_oriented_spanning(g: OrientedSP):
     """Pull-based variant of `oriented_spanning`, identical sequence."""
-    return map(EdgeSet, _streams(build_plan(g), False)[0])
+    return map(EdgeSet, _streams(_tree_of(g), False)[0])
 
 
 def iter_oriented_near(g: OrientedSP):
     """Nonequivalent near trees of (G, s, t), streamed in enumeration order."""
-    return map(EdgeSet, _streams(build_plan(g), True)[0])
+    return map(EdgeSet, _streams(_tree_of(g), True)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +532,9 @@ def _index(plan: _Plan, mask: int, near: bool) -> int:
 
 def _located(g, es: EdgeSet, near: bool) -> int:
     """`_index` on the plan of `g`, with `es` moved into its canonical layout."""
-    plan = build_plan(g)
-    return _index(plan, _moved(es.mask, [(i, w, c) for c, w, i in _segments(plan.node)]), near)
+    tree = _tree_of(g)
+    segments = [(i, w, c) for c, w, i in _segments(tree)]
+    return _index(build_plan(tree), _moved(es.mask, segments), near)
 
 
 def spanning_tree_index(g: OrientedSP, es: EdgeSet) -> int:

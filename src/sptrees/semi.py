@@ -5,7 +5,7 @@ output is bit-identical to the oriented one.  Otherwise the oriented
 enumeration produces the surviving trees in pairs related by the
 reversal symmetry, and one top-level lexicographic filter, `_filtered`,
 keeps exactly one of each pair.  It runs over slots: each slot has a
-list of items (leaf masks from `generate`'s plan lists), a target slot
+list of items (leaf masks from `generate`'s lists), a target slot
 and an index permutation, both induced by the reversal.  A candidate
 (one item index per slot) is emitted iff it compares >= its partner.
 At a series root the slots are the children and their spanning trees;
@@ -15,11 +15,13 @@ per spanning class.  The comparison uses the full tuple, including the
 middle child of an odd series chain and self-paired parallel classes,
 so a candidate whose outer positions are palindromic is still paired
 off through its middle entry.  All lists below the top level stay
-oriented.  The reversal maps are renumbered into `generate`'s canonical
-leaf layout once, at the root, where the index permutations read the
-canonical lists; each slot's items are built in the caller's numbering
+oriented.  Each slot's items are built once, in the caller's numbering
 (`generate._placer`: input order for the public functions, print order
-for the CLI), and the emitted masks are plain sums of them.
+for the CLI), and the emitted masks are plain sums of them.  The index
+permutations read the same items: the reversal maps are renumbered
+once, at the root, from that numbering into `generate`'s canonical leaf
+layout, where `generate._index` locates each image.  The items live as
+long as the filter's stream; the cached plan holds none of them.
 
 Counting needs no enumeration: `count_semioriented` reads the
 semioriented count that `generate.build_plan` computes in its single
@@ -36,7 +38,6 @@ from .core import EdgeSet, SemiorientedSP, _tree_of, mask_image
 from .generate import (
     _assignments,
     _index,
-    _list,
     _placer,
     _segments,
     _streams,
@@ -60,25 +61,26 @@ def reversal_index_perm(
     enumeration covers every orbit; an unlocatable image raises
     ImageNotFound and means the index-stability contract is broken.
     """
-    src, dst = build_plan(child), build_plan(mirror)
-    return tuple(_index_perm(src, dst, _renumbered(r, _position(src), _position(dst)), kind))
-
-
-def _position(plan) -> dict[int, int]:
-    """Canonical layout position of each input leaf index of the plan's tree."""
-    return {i + d: c + d for c, w, i in _segments(plan.node) for d in range(w.bit_length())}
-
-
-def _renumbered(r: dict[int, int], src: dict[int, int], dst: dict[int, int]) -> dict[int, int]:
-    return {src[a]: dst[b] for a, b in r.items()}
-
-
-def _index_perm(src_plan, dst_plan, r: dict[int, int], kind: str) -> list[int]:
-    """`reversal_index_perm` on plans, with `r` in their canonical layout."""
     if kind not in ("spanning", "near"):
         raise ValueError(f"unknown kind {kind!r}")
-    near = kind == "near"
-    return [_index(dst_plan, mask_image(x, r), near) for x in _list(src_plan, near)]
+    trees = _placer(child)(build_plan(child), kind == "near")
+    dst = _renumbered(r, _position(mirror))
+    return tuple(_index_perm(trees, build_plan(mirror), dst, kind == "near"))
+
+
+def _position(tree) -> dict[int, int]:
+    """Canonical layout position of each input leaf index of the tree."""
+    return {i + d: c + d for c, w, i in _segments(tree) for d in range(w.bit_length())}
+
+
+def _renumbered(r: dict[int, int], dst: dict[int, int], numbering=None) -> dict[int, int]:
+    """`r` from `numbering` (as in `generate._segments`) into the canonical positions `dst`."""
+    return {a if numbering is None else numbering[a]: dst[b] for a, b in r.items()}
+
+
+def _index_perm(trees: list[int], dst_plan, r: dict[int, int], near: bool) -> list[int]:
+    """Enumeration position in `dst_plan` of the orbit of each tree's image under `r`."""
+    return [_index(dst_plan, mask_image(x, r), near) for x in trees]
 
 
 # ---------------------------------------------------------------------------
@@ -101,13 +103,13 @@ def _masks(tree, numbering=None):
     plan = build_plan(tree)
     pairing = mirror_pairing(tree)
     if pairing is None or pairing.kind == "leaf":
-        return _streams(plan, False, numbering=numbering)[0]
-    at, placed = _position(plan), _placer(plan, numbering)
+        return _streams(tree, False, numbering=numbering)[0]
+    at, placed = _position(tree), _placer(tree, numbering)
     if pairing.kind == "series":
-        maps = [_renumbered(r, at, at) for r in pairing.series_maps]
+        maps = [_renumbered(r, at, numbering) for r in pairing.series_maps]
         slots = _series_slots(plan.children, maps, placed)
     else:
-        pairs = [(a, b, _renumbered(r, at, at)) for a, b, r in pairing.class_pairs]
+        pairs = [(a, b, _renumbered(r, at, numbering)) for a, b, r in pairing.class_pairs]
         slots = _class_slots(plan.classes, pairs, placed)
     return _filtered(*slots)
 
@@ -132,14 +134,12 @@ def _filtered(items, target, perms, blocks):
 def _series_slots(children, maps, placed):
     """Slots of the series filter: child i's spanning trees, reversed onto child k-1-i."""
     k = len(children)
-    perms = [
-        _index_perm(c, children[k - 1 - i], maps[i], "spanning") for i, c in enumerate(children)
-    ]
     items = [placed(c, False) for c in children]
+    perms = [_index_perm(items[i], children[k - 1 - i], maps[i], False) for i in range(k)]
     return items, range(k - 1, -1, -1), perms, [[range(len(lst)) for lst in items]]
 
 
-def _assignment_perm(cp_a, cp_b, r: dict[int, int]) -> list[int]:
+def _assignment_perm(cp_a, cp_b, r: dict[int, int], placed) -> list[int]:
     """Map class a's assignment indices into class b's, through reversal `r`.
 
     Assignment indices put the near multisets first, then the spanning
@@ -147,8 +147,8 @@ def _assignment_perm(cp_a, cp_b, r: dict[int, int]) -> list[int]:
     shapes, so the image index is computed in class b's own space; the
     images of the near multisets beside a spanning tree do not depend on it.
     """
-    near_perm = _index_perm(cp_a.rep_plan, cp_b.rep_plan, r, "near")
-    span_perm = _index_perm(cp_a.rep_plan, cp_b.rep_plan, r, "spanning")
+    near_perm = _index_perm(placed(cp_a.rep_plan, True), cp_b.rep_plan, r, True)
+    span_perm = _index_perm(placed(cp_a.rep_plan, False), cp_b.rep_plan, r, False)
 
     def images(size: int) -> list[int]:
         rank = {mu: i for i, mu in enumerate(multiset_enumerate(len(near_perm), size))}
@@ -169,7 +169,7 @@ def _class_slots(classes, pairs, placed):
     perms: list = [None] * len(classes)
     target = list(range(len(classes)))
     for a, b, r in pairs:
-        perms[a] = _assignment_perm(classes[a], classes[b], r)
+        perms[a] = _assignment_perm(classes[a], classes[b], r, placed)
         target[a] = b
         if b != a:
             perms[b] = [0] * len(perms[a])

@@ -35,7 +35,7 @@ from sptrees import (
     underlying_graph,
 )
 from sptrees.core import normalize, parallel, series, edge
-from sptrees.generate import build_plan
+from sptrees.canonical import _class_order
 
 from conftest import (
     DIAMOND_TEXT,
@@ -236,10 +236,10 @@ def test_criterion_8_index_stability():
                 for x, fx in enumerate(forward):
                     assert backward[fx] == x
         else:
-            plan = build_plan(tree)
+            classes = _class_order(tree)
             for a, b, r in pairing.class_pairs:
-                rep_a = plan.classes[a].rep_plan.node
-                rep_b = plan.classes[b].rep_plan.node
+                rep_a = tree.children[classes[a][1][0]]
+                rep_b = tree.children[classes[b][1][0]]
                 inverse = {v: k for k, v in r.items()}
                 forward = reversal_index_perm(rep_a, rep_b, r)
                 backward = reversal_index_perm(rep_b, rep_a, inverse)

@@ -335,7 +335,7 @@ def test_root_parts_are_moved_once_not_each_tree(text, tmp_path, capsys, monkeyp
     assert len(segments) > 2
     plan = build_plan(tree)
     expected = [
-        [EdgeSet(_moved(x, segments)) for x in _list(plan, near)] for near in (False, True)
+        [EdgeSet(_moved(x, segments)) for x in _list({}, plan, near)] for near in (False, True)
     ]
     o = OrientedSP(tree)
     calls = []
@@ -370,8 +370,8 @@ def test_streams_in_a_numbering_are_the_input_streams_permuted(seed):
         numbering = rng.sample(range(m), m)
         leaf_map = dict(enumerate(numbering))
         for near in (False, True):
-            expected = [mask_image(x, leaf_map) for x in _streams(build_plan(tree), near)[0]]
-            placed = _streams(build_plan(tree), near, numbering=numbering)[0]
+            expected = [mask_image(x, leaf_map) for x in _streams(tree, near)[0]]
+            placed = _streams(tree, near, numbering=numbering)[0]
             assert list(placed) == expected
         expected = [mask_image(x, leaf_map) for x in _masks(tree)]
         assert list(_masks(tree, numbering)) == expected

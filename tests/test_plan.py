@@ -1,0 +1,226 @@
+"""One plan per tree: the root plan is built once, and it holds no tree list."""
+
+import contextlib
+import dataclasses
+import gc
+import tracemalloc
+import weakref
+
+import pytest
+
+from sptrees import (
+    OrientedSP,
+    SemiorientedSP,
+    count_oriented,
+    count_semioriented,
+    count_total,
+    iter_oriented_near,
+    iter_oriented_spanning,
+    iter_semioriented_spanning,
+    mirror_pairing,
+    near_tree_index,
+    oriented_both,
+    oriented_spanning,
+    parse_sp,
+    reversal_index_perm,
+    semioriented_spanning,
+    serialize_sp,
+    spanning_tree_index,
+)
+from sptrees import generate
+from sptrees.canonical import _class_order
+from sptrees.cli import run, verify_instance
+from sptrees.generate import _build, build_plan
+
+from conftest import DIAMOND_TEXT, THETA_TEXT, mirror_symmetric, small_corpus
+
+
+# Series and parallel roots, with and without a reversal symmetry; each test
+# parses its own tree, so no plan is cached before it starts.
+TEXTS = [DIAMOND_TEXT, THETA_TEXT, "e(s,t)"] + [
+    serialize_sp(tree)
+    for tree in [mirror_symmetric(seed, max_trees=300) for seed in range(6)]
+    + small_corpus(4, max_vertices=9)
+]
+
+
+def _results(tree):
+    """Every public count, list, stream and index on `tree`."""
+    o, s = OrientedSP(tree), SemiorientedSP(tree)
+    spanning, near = oriented_both(o)
+    return (
+        count_oriented(o),
+        count_total(o),
+        count_semioriented(s),
+        spanning,
+        near,
+        oriented_spanning(o),
+        list(iter_oriented_spanning(o)),
+        list(iter_oriented_near(o)),
+        semioriented_spanning(s),
+        list(iter_semioriented_spanning(s)),
+        [spanning_tree_index(o, es) for es in spanning],
+        [near_tree_index(o, es) for es in near],
+    )
+
+
+def _walk(plan):
+    """Every plan and class plan reachable from `plan`."""
+    stack = [plan]
+    while stack:
+        plan = stack.pop()
+        yield plan
+        yield from plan.classes
+        stack.extend(plan.children)
+        stack.extend(cp.rep_plan for cp in plan.classes)
+
+
+@pytest.mark.parametrize("text", TEXTS)
+def test_every_entry_point_builds_the_root_once(text, monkeypatch):
+    tree, roots = parse_sp(text), []
+
+    def counted(node, lo=0):
+        if node is tree:
+            roots.append(lo)
+        return _build(node, lo)
+
+    monkeypatch.setattr(generate, "_build", counted)
+    results = _results(tree)
+    ok, _ = verify_instance(tree, limit=13)
+    assert ok
+    assert roots == [0]
+    assert build_plan(tree) is build_plan(OrientedSP(tree)) is build_plan(SemiorientedSP(tree))
+    assert build_plan(tree) == _build(tree)
+    assert _results(tree) == results
+    assert roots == [0]
+
+
+@pytest.mark.parametrize("text", TEXTS)
+def test_equal_distinct_trees_get_their_own_plans(text):
+    tree, copy = parse_sp(text), parse_sp(text)
+    assert copy == tree and copy is not tree
+    results = _results(tree)
+    assert build_plan(copy) is not build_plan(tree)
+    assert build_plan(copy) == build_plan(tree) == _build(tree)
+    assert _results(copy) == results
+
+
+def _reversal_perms(tree):
+    """`reversal_index_perm` of every mirror pair of the root's children."""
+    pairing = mirror_pairing(tree)
+    if pairing.kind == "series":
+        kids = tree.children
+        pairs = [(kids[i], kids[-1 - i], r) for i, r in enumerate(pairing.series_maps)]
+    else:
+        reps = [tree.children[members[0]] for _, members in _class_order(tree)]
+        pairs = [(reps[a], reps[b], r) for a, b, r in pairing.class_pairs]
+    kinds = ("spanning", "near")
+    return [reversal_index_perm(a, b, r, kind) for a, b, r in pairs for kind in kinds]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_subtrees_planned_first_do_not_leak_into_the_parent(seed):
+    """A subtree's own plan starts its layout at 0; inside the parent it sits
+    elsewhere, so the parent must build it afresh."""
+    text = serialize_sp(mirror_symmetric(seed, max_trees=300))
+    tree, fresh = parse_sp(text), parse_sp(text)
+    perms = _reversal_perms(tree)  # children planned before their parent
+    for child in tree.children:
+        assert build_plan(child).lo == 0
+    expected = _results(fresh)  # the parent planned before its children
+    assert _reversal_perms(fresh) == perms
+    assert _results(tree) == expected
+    assert build_plan(tree) == build_plan(fresh) == _build(tree)
+
+
+@pytest.mark.parametrize("text", TEXTS)
+def test_no_tree_list_outlives_its_stream(text):
+    """After every public enumerator has run to its end, the kept plan holds
+    counts and layout only."""
+    tree = parse_sp(text)
+    plan = build_plan(tree)
+    _results(tree)
+    assert build_plan(tree) is plan
+    for part in _walk(plan):
+        for field in dataclasses.fields(part):
+            value = getattr(part, field.name)
+            if field.name == "offsets":
+                assert value is None or len(value) == len(part.children or part.classes) + 1
+            else:
+                assert not isinstance(value, (list, dict, set)), field.name
+
+
+@pytest.mark.parametrize("text", TEXTS)
+def test_a_tree_and_its_plan_are_freed_without_the_cycle_collector(text):
+    """The plan kept on a tree refers to no node, so dropping the tree frees
+    both at once, not at some later collection."""
+    tree = parse_sp(text)
+    _results(tree)
+    alive = weakref.ref(tree)
+    gc.disable()
+    try:
+        del tree
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+def _probe(m: int) -> str:
+    """P(X, e(s,t)), X a series of m blocks, each a P of chains of 1, 2, 3 and
+    4 edges: the root's part lists hold X's spanning and near trees."""
+    blocks = []
+    for i in range(m):
+        a, b = "s" if i == 0 else f"c{i}", "t" if i == m - 1 else f"c{i + 1}"
+        chains = []
+        for k in range(1, 5):
+            path = [a] + [f"v{i}_{k}_{j}" for j in range(k - 1)] + [b]
+            edges = [f"e({u},{v})" for u, v in zip(path, path[1:])]
+            chains.append(edges[0] if k == 1 else "S(" + ",".join(edges) + ")")
+        blocks.append("P(" + ",".join(chains) + ")")
+    return "P(S(" + ",".join(blocks) + "),e(s,t))"
+
+
+class _LineCounter:
+    """A stdout that keeps no output, so only the program's memory is traced."""
+
+    def __init__(self):
+        self.lines = 0
+
+    def write(self, text: str) -> int:
+        self.lines += text.count("\n")
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def _peak(argv: list[str]) -> tuple[int, int]:
+    """Traced peak bytes and output lines of one CLI run."""
+    out = _LineCounter()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out):
+            assert run(argv) == 0
+        return tracemalloc.get_traced_memory()[1], out.lines
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("near", [False, True])
+def test_enumerate_frees_each_instance_before_the_next(near, tmp_path):
+    """With two copies of an instance in one file, `enumerate` peaks close to
+    its one-copy peak: the first copy's lists are gone before the second's
+    are built.  Their size is what one-copy `enumerate` holds beyond `count`."""
+    text = _probe(2)
+    counts = count_oriented(OrientedSP(parse_sp(text)))
+    expected = counts.near if near else counts.spanning
+    mode = ["--mode", "oriented"] + (["--near"] if near else [])
+    one, two = tmp_path / "one.sp", tmp_path / "two.sp"
+    one.write_text(text + "\n", encoding="utf-8")
+    two.write_text((text + "\n") * 2, encoding="utf-8")
+    _peak(["enumerate", str(one), *mode])  # warms the imports and caches
+    base, _ = _peak(["count", str(one), *mode])
+    peak_one, lines_one = _peak(["enumerate", str(one), *mode])
+    peak_two, lines_two = _peak(["enumerate", str(two), *mode])
+    assert (lines_one, lines_two) == (expected, 2 * expected)
+    assert peak_two - peak_one < (peak_one - base) / 4, (base, peak_one, peak_two)

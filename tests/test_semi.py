@@ -20,8 +20,7 @@ from sptrees import (
     semioriented_spanning,
     underlying_graph,
 )
-from sptrees.canonical import reversal_map
-from sptrees.generate import build_plan
+from sptrees.canonical import _class_order, reversal_map
 from sptrees.oracle import apply_permutation
 
 from conftest import mirror_symmetric, orbit_exactly_once, small_corpus
@@ -125,10 +124,10 @@ def test_mirror_symmetric_perms_total_and_involutive(seed):
             for x, fx in enumerate(forward):
                 assert backward[fx] == x
     else:
-        plan = build_plan(tree)
+        classes = _class_order(tree)
         for a, b, r in pairing.class_pairs:
-            rep_a = plan.classes[a].rep_plan.node
-            rep_b = plan.classes[b].rep_plan.node
+            rep_a = tree.children[classes[a][1][0]]
+            rep_b = tree.children[classes[b][1][0]]
             inverse = {v: k for k, v in r.items()}
             for kind in ("spanning", "near"):
                 forward = reversal_index_perm(rep_a, rep_b, r, kind=kind)
