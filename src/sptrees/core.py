@@ -13,20 +13,24 @@ child codes in "S(...)" in chain order (reversed for the reversal
 code), and a parallel node wraps them in "P(...)" sorted by
 `code_sort_key`.  `canonical` reads them.
 
-All types here are immutable after construction and safe to share
-between threads.
+Every tree is built by one `TreeBuilder` from leaf, open and close
+events, in one pass with no raw tree built first.  Three sources drive
+it: `expr.parse_sp` as it reads the text, `expr.decompose_edge_list` as
+it reads its reduced graph, and `normalize`/`validate` over a tree built
+in code.  The tree and graph types are immutable after construction and
+safe to share between threads.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterator, Union
 
-_LABEL_CHARS = frozenset(
-    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_"
-)
+# A vertex label, the grammar's `label` token.
+LABEL = re.compile(r"[A-Za-z0-9_]+")
 _TOKEN_KEY = str.maketrans("SPE()", "ABCDE")
 
 
@@ -37,7 +41,7 @@ def code_sort_key(code: str) -> str:
 
 def is_valid_label(text: str) -> bool:
     """True if `text` is a nonempty token over [A-Za-z0-9_]."""
-    return bool(text) and set(text) <= _LABEL_CHARS
+    return LABEL.fullmatch(text) is not None
 
 
 @dataclass(frozen=True)
@@ -312,16 +316,16 @@ class InvalidTreeError(ValueError):
 def validate(node: Node) -> list[Violation]:
     """Check every decomposition-tree invariant.
 
-    Returns one entry per violation (empty list means valid).  Checks
-    label syntax, self-loops, child arity, alternation of S and P levels
-    and preorder leaf indices; and, on each node's flattened child list
-    (same-kind children spliced in, as `normalize` does), series
-    chaining, shared parallel terminals, simplicity (at most one bare
-    edge per parallel node) and disjointness of interior vertices across
-    sibling branches.
+    Returns one entry per violation (empty list means valid).  The
+    `TreeBuilder` the readers use checks self-loops and child arity and,
+    on each node's flattened child list, series chaining, shared parallel
+    terminals, simplicity (at most one bare edge per parallel node) and
+    disjointness of interior vertices across sibling branches.  A tree
+    built in code can also break label syntax, alternation of S and P
+    levels and preorder leaf indices, which are reported here too.
     """
-    _, broken, nested, indexed = _walk(node)
-    out = _violations(broken + nested)
+    build, indexed = _walk(node)
+    out = _violations(build.broken + build.nested)
     if not indexed:
         out.append(Violation("root", "leaf indices are not preorder 0..m-1"))
     return out
@@ -330,14 +334,12 @@ def validate(node: Node) -> list[Violation]:
 def normalize(node: Node) -> Node:
     """Flatten same-kind nestings and reassign preorder leaf indices.
 
-    The result represents the same graph, alternates S and P levels, and
-    is a fixed point of `normalize`.  Raises InvalidTreeError when the
-    input breaks any invariant other than alternation or indexing.
+    The tree is rebuilt by the `TreeBuilder` the readers use.  The result
+    represents the same graph, alternates S and P levels, and is a fixed
+    point of `normalize`.  Raises InvalidTreeError when the input breaks
+    any invariant other than alternation or indexing.
     """
-    tree, broken, _, _ = _walk(node)
-    if broken:
-        raise InvalidTreeError(_violations(broken))
-    return tree
+    return _walk(node)[0].finish()
 
 
 def _violations(found: list) -> list[Violation]:
@@ -353,58 +355,93 @@ def _path(at) -> str:
     return "root" + "".join(reversed(steps))
 
 
-def _walk(root: Node) -> tuple[Node, list, list, bool]:
-    """The one pass behind `validate` and `normalize`: an explicit-stack post-order walk.
-
-    A run of same-kind nodes (S under S, P under P) is rebuilt and checked
-    once, at its top node, on the run's flattened child list; the nodes
-    below the top only check their own arity and are recorded as
-    nestings.  Leaves are renumbered in preorder, and every finished
-    subtree leaves (node, vertex set) on `done`.  Returns the normalized
-    tree, the broken invariants and the nestings, both as (position,
-    message) pairs whose path strings are built only when reported, and
-    whether the leaf indices already were preorder.
-    """
-    broken: list = []
-    nested: list = []
-    done: list = []
+def _walk(root: Node) -> tuple[TreeBuilder, bool]:
+    """Feed a tree built in code to a `TreeBuilder` by an explicit stack,
+    adding bad labels; also return whether the leaf indices were preorder."""
+    build = TreeBuilder()
     indexed = True
-    next_index = 0
-    stack = [(root, None, False, -1)]
+    stack: list = [root]
     while stack:
-        node, at, inner, start = stack.pop()
-        if isinstance(node, Leaf):
+        node = stack.pop()
+        if node is None:
+            build.close()
+        elif isinstance(node, Leaf):
             u, v = node.source, node.target
-            for label in (u, v):
-                if not is_valid_label(label):
-                    broken.append((at, f"bad vertex label {label!r}"))
-            if u == v:
-                broken.append((at, "self-loop at leaf"))
-            if node.index != next_index:
-                indexed = False
-                node = Leaf(u, v, next_index)
-            next_index += 1
-            done.append((node, {u, v}))
-            continue
-        kind = type(node)
-        if start < 0:
-            kids = node.children
-            name = "series" if kind is Series else "parallel"
-            if len(kids) < 2:
-                broken.append((at, f"{name} node needs at least 2 children"))
-            if inner:
-                nested.append((at, f"{name} under {name}"))
-            else:
-                stack.append((node, at, False, len(done)))
-            for i in range(len(kids) - 1, -1, -1):
-                stack.append((kids[i], (at, i), type(kids[i]) is kind, -1))
-            continue
-        entries = done[start:]
-        del done[start:]
-        node = kind(tuple(kid for kid, _ in entries))
-        sets = [vertices for _, vertices in entries]
-        done.append((node, _check_children(node, sets, at, broken) if len(sets) > 1 else set()))
-    return done[0][0], broken, nested, indexed
+            indexed = indexed and node.index == build.leaves
+            mark = len(build.broken)
+            build.leaf(u, v)
+            if not (is_valid_label(u) and is_valid_label(v)):
+                build.broken[mark:mark] = [(build.last(), f"bad vertex label {label!r}")
+                                           for label in (u, v) if not is_valid_label(label)]
+        else:
+            build.open(type(node))
+            stack.append(None)
+            stack.extend(reversed(node.children))
+    return build, indexed
+
+
+class TreeBuilder:
+    """One post-order pass from reader events to a normalized, checked tree.
+
+    A source calls `leaf(u, v)` per edge and brackets each S or P node's
+    children with `open(kind)` and `close()`, in input order.  Leaves are
+    numbered in preorder.  An `open` of the enclosing node's kind joins
+    that node's child list, so a same-kind run is built and checked once,
+    at its top.  Every raw node's arity and every leaf's self-loop are
+    checked too.  Violations are (position, message) pairs in input order;
+    a position is (parent position, child index) in the raw input.
+    """
+
+    def __init__(self) -> None:
+        self.leaves = 0
+        self.broken: list = []
+        self.nested: list = []
+        # (node, vertex set) per finished subtree, run members side by side.
+        self.done: list = []
+        # Per open raw node: [kind, children begun, start in `done` (-1
+        # inside a run), len(broken) at its open, position].
+        self.frames: list[list] = []
+
+    def last(self):
+        """Position of the node begun last under the innermost open node."""
+        return (self.frames[-1][4], self.frames[-1][1] - 1) if self.frames else None
+
+    def leaf(self, u: str, v: str) -> None:
+        if self.frames:
+            self.frames[-1][1] += 1
+        if u == v:
+            self.broken.append((self.last(), "self-loop at leaf"))
+        self.done.append((Leaf(u, v, self.leaves), {u, v}))
+        self.leaves += 1
+
+    def open(self, kind: type) -> None:
+        frames = self.frames
+        start = len(self.done)
+        if frames:
+            frames[-1][1] += 1
+            if frames[-1][0] is kind:
+                start = -1
+                self.nested.append((self.last(), "{0} under {0}".format(kind.__name__.lower())))
+        frames.append([kind, 0, start, len(self.broken), self.last()])
+
+    def close(self) -> None:
+        kind, count, start, mark, at = self.frames.pop()
+        if count < 2:
+            message = f"{kind.__name__.lower()} node needs at least 2 children"
+            self.broken.insert(mark, (at, message))
+        if start >= 0:
+            entries = self.done[start:]
+            del self.done[start:]
+            node = kind(tuple(kid for kid, _ in entries))
+            sets = [vertices for _, vertices in entries]
+            vertices = _check_children(node, sets, at, self.broken) if len(sets) > 1 else set()
+            self.done.append((node, vertices))
+
+    def finish(self) -> Node:
+        """The built tree; raises InvalidTreeError if any invariant is broken."""
+        if self.broken:
+            raise InvalidTreeError(_violations(self.broken))
+        return self.done[0][0]
 
 
 def _check_children(node: Node, sets: list[set[str]], at, broken: list) -> set[str]:

@@ -8,7 +8,9 @@ Expression grammar (whitespace insignificant):
     parallel := "P(" expr {"," expr}+ ")"
     label    := [A-Za-z0-9_]+
 
-`parse_sp` returns a normalized, validated tree; `serialize_sp` is its
+`parse_sp` and `decompose_edge_list` each feed a `core.TreeBuilder` as
+they read, so both return a normalized, validated tree with no raw tree
+built first.  `parse_sp` tokenizes with one regex; `serialize_sp` is its
 inverse on normalized trees.  `decompose_edge_list` recognizes a
 two-terminal series-parallel graph from a raw edge list by repeated
 series and parallel reductions.  `random_sp` draws valid instances
@@ -18,16 +20,19 @@ deterministically from a seed, for fuzzing.
 from __future__ import annotations
 
 import heapq
+import itertools
 import random
+import re
 from dataclasses import dataclass
 
 from .core import (
-    _LABEL_CHARS,
+    LABEL,
     InvalidTreeError,
     Leaf,
     Node,
     Parallel,
     Series,
+    TreeBuilder,
     is_valid_label,
     normalize,
 )
@@ -54,87 +59,80 @@ class SpSemanticError(SpParseError):
         super().__init__(f"semantic error: {details}")
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            return ""
-        return self.text[self.pos]
-
-    def describe_here(self) -> str:
-        ch = self.peek()
-        return "end of input" if ch == "" else repr(ch)
-
-    def expect(self, char: str) -> None:
-        if self.peek() != char:
-            raise SpSyntaxError(self.pos + 1, repr(char), self.describe_here())
-        self.pos += 1
-
-    def ident(self, what: str) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in _LABEL_CHARS:
-            self.pos += 1
-        if self.pos == start:
-            raise SpSyntaxError(start + 1, what, self.describe_here())
-        return self.text[start:self.pos]
-
-
-def _parse_node(sc: _Scanner) -> Node:
-    """Parse one expression with an explicit stack of open S/P nodes."""
-    open_nodes: list[tuple[type, list[Node]]] = []
-    index = 0
-    while True:
-        head = sc.ident("'e', 'S', or 'P'")
-        if head not in ("e", "S", "P"):
-            raise SpSyntaxError(sc.pos - len(head) + 1, "'e', 'S', or 'P'", repr(head))
-        sc.expect("(")
-        if head != "e":
-            open_nodes.append((Series if head == "S" else Parallel, []))
-            continue
-        source = sc.ident("vertex label")
-        sc.expect(",")
-        target = sc.ident("vertex label")
-        sc.expect(")")
-        node: Node = Leaf(source, target, index)
-        index += 1
-        while open_nodes:
-            kind, children = open_nodes[-1]
-            children.append(node)
-            if sc.peek() == ",":
-                sc.expect(",")
-                break
-            sc.expect(")")
-            open_nodes.pop()
-            node = kind(tuple(children))
-        if not open_nodes:
-            return node
+# Tokens: a label, or any other single non-space character.
+_TOKEN = re.compile(LABEL.pattern + r"|\S")
+# A character that fits no token of a valid expression.
+_STRAY = re.compile(r"[^\sA-Za-z0-9_(),]")
+_HEAD = "'e', 'S', or 'P'"
+# The tokens after "e"; "" stands for a label.
+_EDGE = ("(", "", ",", "", ")")
 
 
 def parse_sp(text: str) -> Node:
     """Parse an SP expression into a normalized, validated tree.
 
-    Labels come only from the text; matching labels denote the same
-    vertex, so chaining and shared-terminal constraints are checked
-    literally.  Raises SpSyntaxError (with 1-based position) or
-    SpSemanticError (with the violation list).
+    The tokens feed a `TreeBuilder` as they are read.  Labels come only
+    from the text; matching labels denote the same vertex, so chaining
+    and shared-terminal constraints are checked literally.  Raises
+    SpSyntaxError (with 1-based position) or SpSemanticError (with the
+    violation list).
     """
-    sc = _Scanner(text)
-    raw = _parse_node(sc)
-    if sc.peek() != "":
-        raise SpSyntaxError(sc.pos + 1, "end of input", sc.describe_here())
+    tokens = _TOKEN.findall(text)
+    # The list stops at the first stray character, so a label is any token
+    # not in "(),", and the "" padding fails every check.
+    stray = _STRAY.search(text)
+    if stray:
+        del tokens[len(_TOKEN.findall(text, 0, stray.start())):]
+    tokens += [""] * 6
+    build = TreeBuilder()
+    leaf = build.leaf
+    depth = i = 0
+    while True:
+        head = tokens[i]
+        if head == "e":
+            u, v = tokens[i + 2], tokens[i + 4]
+            if (tokens[i + 1] != "(" or tokens[i + 3] != "," or tokens[i + 5] != ")"
+                    or u in "()," or v in "(),"):
+                for k, want in enumerate(_EDGE, i + 1):
+                    if tokens[k] != want if want else tokens[k] in "(),":
+                        raise _syntax_error(text, k, repr(want) if want else "vertex label")
+            leaf(u, v)
+            i += 6
+        elif head == "S" or head == "P":
+            if tokens[i + 1] != "(":
+                raise _syntax_error(text, i + 1, "'('")
+            build.open(Series if head == "S" else Parallel)
+            depth += 1
+            i += 2
+            continue
+        else:
+            raise _syntax_error(text, i, _HEAD)
+        # A finished node is followed by ")" or by "," and a sibling.
+        while depth and tokens[i] == ")":
+            build.close()
+            depth -= 1
+            i += 1
+        if not depth:
+            break
+        if tokens[i] != ",":
+            raise _syntax_error(text, i, "')'")
+        i += 1
+    if tokens[i] or stray:
+        raise _syntax_error(text, i, "end of input")
     try:
-        return normalize(raw)
+        return build.finish()
     except InvalidTreeError as exc:
         raise SpSemanticError(exc.violations) from None
+
+
+def _syntax_error(text: str, k: int, expected: str) -> SpSyntaxError:
+    """The error at token k of `text`, located by scanning the text again."""
+    match = next(itertools.islice(_TOKEN.finditer(text), k, None), None)
+    if match is None:
+        return SpSyntaxError(len(text) + 1, expected, "end of input")
+    token = match.group()
+    found = repr(token if expected == _HEAD else token[0])
+    return SpSyntaxError(match.start() + 1, expected, found)
 
 
 def serialize_sp(node: Node) -> str:
@@ -183,7 +181,8 @@ def decompose_edge_list(edges, s: str, t: str) -> Node:
     contraction that puts a second fragment on a vertex pair merges the
     two at once (parallel reduction), the new fragment last.  The graph
     is series-parallel for (s, t) exactly when this ends with a single
-    fragment, which is then read from s in one explicit-stack pass.  The
+    fragment, which `_orient` then reads from s into a `TreeBuilder`, so
+    the tree is numbered, flattened and checked as it is read.  The
     returned tree's underlying graph equals the input up to edge order.
     """
     adj: dict[str, dict[str, tuple]] = {}
@@ -233,27 +232,26 @@ def decompose_edge_list(edges, s: str, t: str) -> Node:
             for y in (a, b):
                 if len(adj[y]) == 2 and y not in (s, t):
                     heapq.heappush(ready, y)
-    return normalize(_orient(adj[s][t], s))
+    return _orient(adj[s][t], s)
 
 
 def _orient(fragment: tuple, start: str) -> Node:
-    """The tree of `fragment` read from its endpoint `start`, by an explicit stack.
+    """The tree of `fragment` read from its endpoint `start` into a `TreeBuilder`.
 
     Series parts are chained from `start`, so a series read from its far
     end lists its parts in reverse; parallel parts keep their order.
     """
-    out: list[Node] = []
+    build = TreeBuilder()
     stack = [(fragment, start, False)]
     while stack:
         fragment, start, built = stack.pop()
         _, u, v, kind, parts = fragment
         if kind is Leaf:
-            out.append(Leaf(start, v if start == u else u))
+            build.leaf(start, v if start == u else u)
         elif built:
-            node = kind(tuple(out[-len(parts):]))
-            del out[-len(parts):]
-            out.append(node)
+            build.close()
         else:
+            build.open(kind)
             stack.append((fragment, start, True))
             if kind is Parallel:
                 reads = [(part, start, False) for part in parts]
@@ -263,7 +261,7 @@ def _orient(fragment: tuple, start: str) -> Node:
                     reads.append((part, start, False))
                     start = part[2] if start == part[1] else part[1]
             stack.extend(reversed(reads))
-    return out[0]
+    return build.finish()
 
 
 def _connected(adj: dict[str, dict[str, tuple]], start: str) -> bool:

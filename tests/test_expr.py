@@ -18,6 +18,7 @@ from sptrees import (
     count_semioriented,
     count_total,
     decompose_edge_list,
+    normalize,
     parse_sp,
     random_sp,
     reversal_code,
@@ -25,7 +26,8 @@ from sptrees import (
     underlying_graph,
     validate,
 )
-from sptrees.core import Leaf, Parallel
+from sptrees import core, expr
+from sptrees.core import Leaf, Parallel, Series
 from sptrees.expr import read_edge_list, read_expressions, read_instances
 
 from conftest import DIAMOND_TEXT, chain
@@ -89,22 +91,74 @@ def test_deep_nest_round_trips_and_validates():
     assert (graph.n, graph.m) == (5_003, 10_002)
 
 
+# Each case pinned to the report of earlier releases, so that positions stay stable.
+SYNTAX_ERRORS = [
+    ("", 1, "'e', 'S', or 'P'", "end of input"),
+    ("Q(e(a,b))", 1, "'e', 'S', or 'P'", "'Q'"),
+    ("eX(a,b)", 1, "'e', 'S', or 'P'", "'eX'"),
+    ("e(a b)", 5, "','", "'b'"),
+    ("e(a,b", 6, "')'", "end of input"),
+    ("S(e(a,b))x", 10, "end of input", "'x'"),
+    ("e(,b)", 3, "vertex label", "','"),
+    ("  Q(e(a,b))", 3, "'e', 'S', or 'P'", "'Q'"),
+    ("S(e(a,b),P(e(b,c),S(e(b,d),e(d c))))", 32, "','", "'c'"),
+    ("e(\t,b)", 4, "vertex label", "','"),
+    ("e(\ta b)", 6, "','", "'b'"),
+    ("e(a, ", 6, "vertex label", "end of input"),
+    ("e(a,\u00e9)", 5, "vertex label", "'\u00e9'"),
+    ("e(a\u00e9,b)", 4, "','", "'\u00e9'"),
+    ("e(a,b),", 7, "end of input", "','"),
+    ("S(e(a,b) ", 10, "')'", "end of input"),
+    ("S(e(a,b);e(b,c))", 9, "')'", "';'"),
+    ("S e(a,b)", 3, "'('", "'e'"),
+]
+
+
 @pytest.mark.parametrize(
-    "text, expected",
-    [
-        ("", "'e', 'S', or 'P'"),
-        ("Q(e(a,b))", "'e', 'S', or 'P'"),
-        ("e(a b)", "','"),
-        ("e(a,b", "')'"),
-        ("S(e(a,b))x", "end of input"),
-        ("e(,b)", "vertex label"),
-    ],
+    "text, position, expected, found",
+    SYNTAX_ERRORS,
+    ids=[f"{text}-{expected}" for text, _, expected, _ in SYNTAX_ERRORS],
 )
-def test_syntax_errors_carry_position_and_expectation(text, expected):
+def test_syntax_errors_carry_position_and_expectation(text, position, expected, found):
     with pytest.raises(SpSyntaxError) as err:
         parse_sp(text)
-    assert err.value.expected == expected
-    assert err.value.position >= 1
+    assert (err.value.position, err.value.expected, err.value.found) == (
+        position, expected, found
+    )
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # A chain mismatch inside an S-under-S run, reported on the run's
+        # flattened child list at the run's top.
+        ("P(e(s,t),S(e(s,a),S(e(a,b),e(c,t))))",
+         "root[1]: series chain mismatch b != c between children 1 and 2"),
+        ("S(e(x,s),P(e(s,t),P(e(s,t),S(e(s,a),e(a,t)))))", "root[1]: parallel multi-edge"),
+        ("P(e(s,t),S(e(s,t)))", "root[1]: series node needs at least 2 children"),
+        ("S(S(e(a,b)),e(b,c))", "root[0]: series node needs at least 2 children"),
+        ("P(S(e(s,a),e(a,t)),S(e(s,a),e(a,t)))",
+         "root: children 0 and 1 share interior vertices ['a']"),
+        ("e(a,a)", "root: self-loop at leaf"),
+        ("S(S(e(a,b),e(b,b)),e(b,c))",
+         "root[0][1]: self-loop at leaf; "
+         "root: children 0 and 2 share vertices ['b'] beyond the chain terminal"),
+        ("S(e(a,b),e(b,a))",
+         "root: series terminals coincide; "
+         "root: children 0 and 1 share vertices ['a'] beyond the chain terminal"),
+        ("P(P(e(s,t),e(s,t)),e(t,s))",
+         "root: parallel child 2 has terminals (t,s), expected (s,t); root: parallel multi-edge"),
+        ("S(S(S(e(a,b))),e(b,a))",
+         "root[0]: series node needs at least 2 children; "
+         "root[0][0]: series node needs at least 2 children; root: series terminals coincide; "
+         "root: children 0 and 1 share vertices ['a'] beyond the chain terminal"),
+    ],
+)
+def test_semantic_errors_carry_paths_into_the_raw_input(text, message):
+    # Pinned to the reports of earlier releases; paths index the input as written.
+    with pytest.raises(SpSemanticError) as err:
+        parse_sp(text)
+    assert str(err.value) == "semantic error: " + message
 
 
 def test_serialize_round_trips_the_diamond():
@@ -220,6 +274,37 @@ def test_edge_list_recognition_is_invariant_under_relabeling(seed, rng):
     rng.shuffle(edges)
     rebuilt = decompose_edge_list(edges, relabel[tree.source], relabel[tree.target])
     assert _invariants(rebuilt) == _invariants(tree)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_reader_output_is_already_normal(seed):
+    tree = random_sp(RandomSpParams(seed=seed, max_depth=3))
+    g = underlying_graph(tree)
+    for read in (parse_sp(serialize_sp(tree)),
+                 decompose_edge_list(list(g.edges), tree.source, tree.target)):
+        assert validate(read) == []
+        assert normalize(read) == read
+
+
+def test_readers_do_not_call_normalize(monkeypatch):
+    def refuse(node):
+        raise AssertionError("a reader called normalize")
+
+    monkeypatch.setattr(core, "normalize", refuse)
+    monkeypatch.setattr(expr, "normalize", refuse)
+    assert serialize_sp(parse_sp(DIAMOND_TEXT)) == DIAMOND_TEXT
+    edges = read_instances("terminals 2 3\n1 2\n1 3\n2 3\n2 4\n3 4\n")[0]
+    assert canonical_code(edges) == canonical_code(parse_sp(DIAMOND_TEXT))
+
+
+def test_deep_same_kind_nest_parses_flat():
+    # S(S(S(...),e),e): each S opens inside an S, so the whole run is one node.
+    k = 10_000
+    text = "S(" * k + "e(v0,v1)," + ",".join(f"e(v{i},v{i + 1}))" for i in range(1, k + 1))
+    tree = parse_sp(text)
+    assert isinstance(tree, Series) and len(tree.children) == k + 1
+    assert serialize_sp(tree) == serialize_sp(chain(k + 1))
 
 
 def test_read_expressions_with_comments():
