@@ -14,7 +14,6 @@ from .canonical import (
     mirror_pairing,
     partition_classes,
     reversal_code,
-    reverse_tree,
 )
 from .core import (
     Classification,

@@ -35,28 +35,6 @@ def reversal_code(g) -> str:
     return _tree_of(g)._rev_code
 
 
-def reverse_tree(node: Node) -> tuple[Node, dict[int, int]]:
-    """Terminal-exchanged copy of a normalized tree.
-
-    Returns the reversed tree (freshly preorder-indexed) and the map
-    from old leaf indices to new ones.
-    """
-    leaf_map: dict[int, int] = {}
-    counter = [0]
-
-    def build(nd: Node) -> Node:
-        if isinstance(nd, Leaf):
-            out = Leaf(nd.target, nd.source, counter[0])
-            leaf_map[nd.index] = counter[0]
-            counter[0] += 1
-            return out
-        if isinstance(nd, Series):
-            return Series(tuple(build(c) for c in reversed(nd.children)))
-        return Parallel(tuple(build(c) for c in nd.children))
-
-    return build(node), leaf_map
-
-
 def iso_map(a, b) -> dict[int, int] | None:
     """Leaf bijection realizing an oriented isomorphism, or None.
 
@@ -109,10 +87,6 @@ def _verify_leaf_bijection(a: Node, b: Node, mapping: dict[int, int]) -> None:
                 raise RuntimeError("leaf map does not induce a vertex bijection")
     if vmap.get(a.source) != b.source or vmap.get(a.target) != b.target:
         raise RuntimeError("leaf map moves a terminal")
-
-
-def invert_map(mapping: dict[int, int]) -> dict[int, int]:
-    return {v: k for k, v in mapping.items()}
 
 
 @dataclass
@@ -176,27 +150,14 @@ def partition_classes(p: Parallel) -> IsoClassPartition:
 class MirrorPairing:
     """Witness that a terminal-exchanging symmetry of the node's shape exists.
 
-    For a series node, `series_maps[i]` reverses child i onto child
-    k-1-i (maps for the upper half are inverses of the lower half; an
-    odd middle child maps onto itself).  For a parallel node,
-    `class_pairs` lists (forward class, backward class, bijection from
-    the forward representative onto the backward one realizing the
-    reversal), each unordered pair once, self-pairs allowed.
+    A series node's reversal carries child i onto child k-1-i.  For a
+    parallel node, `class_pairs` lists (forward class, backward class),
+    the class holding the forward class's reversals, each unordered pair
+    once, self-pairs allowed.
     """
 
     kind: str
-    series_maps: tuple[dict[int, int], ...] | None = None
-    class_pairs: tuple[tuple[int, int, dict[int, int]], ...] | None = None
-
-
-def reversal_map(x: Node, y: Node) -> dict[int, int] | None:
-    """Leaf bijection realizing x == reversed y, or None."""
-    if x._code != y._rev_code:
-        return None
-    reversed_y, new_of_old = reverse_tree(y)
-    phi = iso_map(x, reversed_y)  # codes agree: the reversed copy's code is y's reversal code
-    old_of_new = invert_map(new_of_old)
-    return {leaf: old_of_new[img] for leaf, img in phi.items()}
+    class_pairs: tuple[tuple[int, int], ...] | None = None
 
 
 def mirror_pairing(node: Node) -> MirrorPairing | None:
@@ -213,21 +174,12 @@ def mirror_pairing(node: Node) -> MirrorPairing | None:
     if isinstance(node, Leaf):
         return MirrorPairing(kind="leaf")
     if isinstance(node, Series):
-        kids = node.children
-        k = len(kids)
-        maps: list[dict[int, int]] = []
-        for i in range(k):
-            j = k - 1 - i
-            maps.append(invert_map(maps[j]) if i > j else reversal_map(kids[i], kids[j]))
-        return MirrorPairing(kind="series", series_maps=tuple(maps))
-
+        return MirrorPairing(kind="series")
     classes = _class_order(node)
     by_code = {code: idx for idx, (code, _) in enumerate(classes)}
-    pairs: list[tuple[int, int, dict[int, int]]] = []
+    pairs: list[tuple[int, int]] = []
     for idx, (_, members) in enumerate(classes):
-        rep = node.children[members[0]]
-        other = by_code[rep._rev_code]
+        other = by_code[node.children[members[0]]._rev_code]
         if other >= idx:
-            r = reversal_map(rep, node.children[classes[other][1][0]])
-            pairs.append((idx, other, r))
+            pairs.append((idx, other))
     return MirrorPairing(kind="parallel", class_pairs=tuple(pairs))

@@ -4,9 +4,9 @@ Subcommands: parse, count, enumerate, verify, random, code.  Input
 files hold one SP expression per line ('#' comments), or an edge list
 starting with a 'terminals s t' line.  Exit codes: 0 success, 1 usage
 error, 2 invalid input, 3 verification failure, 4 internal error (a
-broken internal invariant, or an input too deep for the recursion
-limit).  The input path accepts any depth or width; only canonical
-codes, the plan, counts and enumeration still recurse.
+broken internal invariant, an input too deep for the recursion limit,
+or running out of memory).  The input path accepts any depth or width;
+only canonical codes, the plan, counts and enumeration still recurse.
 """
 
 from __future__ import annotations
@@ -129,6 +129,9 @@ def run(argv=None) -> int:
         return 2
     except _INTERNAL_ERRORS as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError:
+        print("internal error: out of memory", file=sys.stderr)
         return 4
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

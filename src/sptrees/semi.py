@@ -18,10 +18,12 @@ off through its middle entry.  All lists below the top level stay
 oriented.  Each slot's items are built once, in the caller's numbering
 (`generate._placer`: input order for the public functions, print order
 for the CLI), and the emitted masks are plain sums of them.  The index
-permutations read the same items: the reversal maps are renumbered
-once, at the root, from that numbering into `generate`'s canonical leaf
-layout, where `generate._index` locates each image.  The items live as
-long as the filter's stream; the cached plan holds none of them.
+permutations come from the plans alone, with no leaf and no numbering:
+where code(x) = rev_code(y), the reversal's action on list indices,
+from x's lists onto y's, composes bottom up from the children's actions
+(`_reversal_perms`), as the lists themselves do.  The items and the
+permutations live as long as the filter's stream; the cached plan holds
+none of them.
 
 Counting needs no enumeration: `count_semioriented` reads the
 semioriented count that `generate.build_plan` computes in its single
@@ -33,14 +35,13 @@ from __future__ import annotations
 
 import itertools
 
-from .canonical import mirror_pairing
-from .core import EdgeSet, SemiorientedSP, _tree_of, mask_image
+from .canonical import _class_order
+from .core import EdgeSet, SemiorientedSP, _tree_of
 from .generate import (
     _assignments,
-    _index,
     _placer,
-    _segments,
     _streams,
+    _sums,
     build_plan,
     multiset_enumerate,
 )
@@ -51,36 +52,106 @@ from .generate import (
 # ---------------------------------------------------------------------------
 
 
-def reversal_index_perm(
-    child, mirror, r: dict[int, int], kind: str = "spanning"
-) -> tuple[int, ...]:
-    """Index action of a reversal bijection between two tree lists.
+def reversal_index_perm(child, mirror, kind: str = "spanning") -> tuple[int, ...]:
+    """Index action of the reversal between two tree lists.
 
     Entry x is the position, in `mirror`'s list, of the orbit containing
-    the image under `r` of `child`'s x-th tree.  Total whenever the
-    enumeration covers every orbit; an unlocatable image raises
-    ImageNotFound and means the index-stability contract is broken.
+    the reversal of `child`'s x-th tree.  `mirror` must be a reversal of
+    `child` (code(child) = rev_code(mirror)); every reversal bijection
+    between them gives the same orbits.
     """
     if kind not in ("spanning", "near"):
         raise ValueError(f"unknown kind {kind!r}")
-    trees = _placer(child)(build_plan(child), kind == "near")
-    dst = _renumbered(r, _position(mirror))
-    return tuple(_index_perm(trees, build_plan(mirror), dst, kind == "near"))
+    x, y = _tree_of(child), _tree_of(mirror)
+    if x._code != y._rev_code:
+        raise ValueError("the mirror is not a reversal of the child")
+    near, spanning = _reversal_perms({}, x, build_plan(x), y, build_plan(y))
+    return tuple(near if kind == "near" else spanning)
 
 
-def _position(tree) -> dict[int, int]:
-    """Canonical layout position of each input leaf index of the tree."""
-    return {i + d: c + d for c, w, i in _segments(tree) for d in range(w.bit_length())}
+def _reversal_perms(memo: dict, x, xp, y, yp) -> tuple[list[int], list[int]]:
+    """The reversal's index action on x's near list and on its spanning list.
+
+    Entry i of each is the position, in y's list of the same kind, of the
+    reversal of x's i-th tree, where code(x) = rev_code(y) and `xp`, `yp`
+    are their plans.  Built once per `memo` and code of x.
+    """
+    if xp.kind == "leaf":
+        return [0], [0]
+    if x._code not in memo:
+        series = xp.kind == "series"
+        dest, perms = _parts(memo, x, xp, y, yp)
+        parts = yp.children if series else yp.classes
+        radices = [(p.nt, p.st) if series else (p.nc, p.sc) for p in parts]
+        # Digit kinds are 0 near, 1 spanning.  In the one-block list every
+        # part's digit has kind `even`; block j of the other list flips part j's.
+        even, n = int(series), len(dest)
+        one = list(_sums([_block(perms, dest, radices, [even] * n, 0)]))
+        per_part = list(
+            _sums(
+                _block(perms, dest, radices, [even ^ (i == j) for i in range(n)], yp.offsets[b])
+                for j, b in enumerate(dest)
+            )
+        )
+        memo[x._code] = (per_part, one) if series else (one, per_part)
+    return memo[x._code]
 
 
-def _renumbered(r: dict[int, int], dst: dict[int, int], numbering=None) -> dict[int, int]:
-    """`r` from `numbering` (as in `generate._segments`) into the canonical positions `dst`."""
-    return {a if numbering is None else numbering[a]: dst[b] for a, b in r.items()}
+def _parts(memo: dict, x, xp, y, yp) -> tuple[list[int], list]:
+    """Per part of x (series child, parallel class): the part of y that the
+    reversal carries it onto, and the part's (near, spanning) digit actions.
+
+    Child i goes onto child k-1-i.  Class a goes onto the class of y whose
+    representative's reversal code is class a's code.
+    """
+    perms = []
+    if xp.kind == "series":
+        for args in zip(x.children, xp.children, reversed(y.children), reversed(yp.children)):
+            perms.append(_reversal_perms(memo, *args))
+        return list(range(len(perms) - 1, -1, -1)), perms
+    order_y = zip(_class_order(y), yp.classes)
+    reps_y = [(y.children[members[0]], cp.rep_plan) for (_, members), cp in order_y]
+    at = {rep._rev_code: b for b, (rep, _) in enumerate(reps_y)}
+    dest = []
+    for cp, (code, members) in zip(xp.classes, _class_order(x)):
+        dest.append(at[code])
+        rho = _reversal_perms(memo, x.children[members[0]], cp.rep_plan, *reps_y[dest[-1]])
+        perms.append(_assignment_perm(cp.size, *rho))
+    return dest, perms
 
 
-def _index_perm(trees: list[int], dst_plan, r: dict[int, int], near: bool) -> list[int]:
-    """Enumeration position in `dst_plan` of the orbit of each tree's image under `r`."""
-    return [_index(dst_plan, mask_image(x, r), near) for x in trees]
+def _block(perms, dest, radices, kinds, offset: int) -> list[list[int]]:
+    """One block of x's list, moved into y's list: its `_sums` are the
+    positions, in y's list, of the reversals of the block's trees.
+
+    Part i of x, with its digit of kind kinds[i], lands on part dest[i] of
+    y, whose digit radices are radices[dest[i]]; y's digits run in its part
+    order, the last fastest, from `offset`.
+    """
+    width = [0] * len(dest)
+    for i, b in enumerate(dest):
+        width[b] = radices[b][kinds[i]]
+    place = [1] * len(dest)
+    for b in range(len(dest) - 1, 0, -1):
+        place[b - 1] = place[b] * width[b]
+    return [[offset]] + [[v * place[b] for v in perms[i][kinds[i]]] for i, b in enumerate(dest)]
+
+
+def _assignment_perm(size: int, near_perm: list[int], span_perm: list[int]):
+    """A class's near and spanning assignment indices, mapped into its
+    partner class's, from its representative's near and spanning actions.
+
+    Paired classes have identical shapes.  A near multiset goes to the
+    sorted images of its trees; a spanning choice, ordered by (tree,
+    multiset), goes to the image tree beside the image multiset.
+    """
+
+    def images(k: int) -> list[int]:
+        rank = {mu: i for i, mu in enumerate(multiset_enumerate(len(near_perm), k))}
+        return [rank[tuple(sorted(map(near_perm.__getitem__, mu)))] for mu in rank]
+
+    rest = images(size - 1)
+    return images(size), [s * len(rest) + i for s in span_perm for i in rest]
 
 
 # ---------------------------------------------------------------------------
@@ -101,17 +172,11 @@ def iter_semioriented_spanning(g: SemiorientedSP):
 def _masks(tree, numbering=None):
     """Masks of the semioriented spanning trees in `numbering`, as in `generate._segments`."""
     plan = build_plan(tree)
-    pairing = mirror_pairing(tree)
-    if pairing is None or pairing.kind == "leaf":
+    if plan.kind == "leaf" or tree._code != tree._rev_code:
         return _streams(tree, False, numbering=numbering)[0]
-    at, placed = _position(tree), _placer(tree, numbering)
-    if pairing.kind == "series":
-        maps = [_renumbered(r, at, numbering) for r in pairing.series_maps]
-        slots = _series_slots(plan.children, maps, placed)
-    else:
-        pairs = [(a, b, _renumbered(r, at, numbering)) for a, b, r in pairing.class_pairs]
-        slots = _class_slots(plan.classes, pairs, placed)
-    return _filtered(*slots)
+    target, perms = _parts({}, tree, plan, tree, plan)
+    slots = _series_slots if plan.kind == "series" else _class_slots
+    return _filtered(*slots(plan, target, perms, _placer(tree, numbering)))
 
 
 def _filtered(items, target, perms, blocks):
@@ -131,54 +196,24 @@ def _filtered(items, target, perms, blocks):
                 yield sum(map(list.__getitem__, items, tup))
 
 
-def _series_slots(children, maps, placed):
+def _series_slots(plan, target, perms, placed):
     """Slots of the series filter: child i's spanning trees, reversed onto child k-1-i."""
-    k = len(children)
-    items = [placed(c, False) for c in children]
-    perms = [_index_perm(items[i], children[k - 1 - i], maps[i], False) for i in range(k)]
-    return items, range(k - 1, -1, -1), perms, [[range(len(lst)) for lst in items]]
+    items = [placed(c, False) for c in plan.children]
+    spanning = [perm for _, perm in perms]
+    return items, target, spanning, [[range(len(lst)) for lst in items]]
 
 
-def _assignment_perm(cp_a, cp_b, r: dict[int, int], placed) -> list[int]:
-    """Map class a's assignment indices into class b's, through reversal `r`.
-
-    Assignment indices put the near multisets first, then the spanning
-    choices ordered by (tree, multiset); paired classes have identical
-    shapes, so the image index is computed in class b's own space; the
-    images of the near multisets beside a spanning tree do not depend on it.
-    """
-    near_perm = _index_perm(placed(cp_a.rep_plan, True), cp_b.rep_plan, r, True)
-    span_perm = _index_perm(placed(cp_a.rep_plan, False), cp_b.rep_plan, r, False)
-
-    def images(size: int) -> list[int]:
-        rank = {mu: i for i, mu in enumerate(multiset_enumerate(len(near_perm), size))}
-        return [rank[tuple(sorted(map(near_perm.__getitem__, mu)))] for mu in rank]
-
-    out, rest = images(cp_a.size), images(cp_a.size - 1)
-    for s in span_perm:
-        out.extend(cp_b.nc + s * len(rest) + i for i in rest)
-    return out
-
-
-def _class_slots(classes, pairs, placed):
+def _class_slots(plan, target, perms, placed):
     """Slots of the parallel filter: a class's assignments, near then spanning.
 
     Block a lets class a carry the spanning tree and the others a near
     multiset, so the blocks run in the oriented order.
     """
-    perms: list = [None] * len(classes)
-    target = list(range(len(classes)))
-    for a, b, r in pairs:
-        perms[a] = _assignment_perm(classes[a], classes[b], r, placed)
-        target[a] = b
-        if b != a:
-            perms[b] = [0] * len(perms[a])
-            for src, dst in enumerate(perms[a]):
-                perms[b][dst] = src
-            target[b] = a
-    items = [
-        _assignments(cp, True, 0, placed) + _assignments(cp, False, 0, placed) for cp in classes
-    ]
+    classes = plan.classes
+    perms = [near + [cp.nc + s for s in span] for cp, (near, span) in zip(classes, perms)]
+    items = []
+    for cp in classes:  # a loop, not a comprehension: one frame less below it
+        items.append(_assignments(cp, True, 0, placed) + _assignments(cp, False, 0, placed))
     blocks = [
         [range(cp.nc, cp.nc + cp.sc) if j == a else range(cp.nc) for j, cp in enumerate(classes)]
         for a in range(len(classes))

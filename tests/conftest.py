@@ -11,11 +11,14 @@ from sptrees import (
     OrientedSP,
     RandomSpParams,
     SemiorientedSP,
+    iso_map,
     parse_sp,
     random_sp,
     underlying_graph,
 )
-from sptrees.core import Leaf, Node, Parallel, Series, normalize
+from sptrees.canonical import _class_order
+from sptrees.core import Leaf, Node, Parallel, Series, mask_image, normalize
+from sptrees.generate import _index, _placer, _segments, build_plan
 
 DIAMOND_TEXT = "P(e(2,3),S(e(2,1),e(1,3)),S(e(2,4),e(4,3)))"
 THETA_TEXT = "P(e(s,t),S(e(s,a),e(a,b),e(b,t)),S(e(s,c),e(c,d),e(d,t)))"
@@ -200,3 +203,85 @@ def oriented(tree: Node) -> OrientedSP:
 
 def semioriented(tree: Node) -> SemiorientedSP:
     return SemiorientedSP(tree)
+
+
+# ---------------------------------------------------------------------------
+# Leaf-map reference for the reversal's index action
+# ---------------------------------------------------------------------------
+
+
+def reverse_tree(node: Node) -> tuple[Node, dict[int, int]]:
+    """Terminal-exchanged copy of a normalized tree.
+
+    Returns the reversed tree (freshly preorder-indexed) and the map
+    from old leaf indices to new ones.
+    """
+    leaf_map: dict[int, int] = {}
+    counter = [0]
+
+    def build(nd: Node) -> Node:
+        if isinstance(nd, Leaf):
+            out = Leaf(nd.target, nd.source, counter[0])
+            leaf_map[nd.index] = counter[0]
+            counter[0] += 1
+            return out
+        if isinstance(nd, Series):
+            return Series(tuple(build(c) for c in reversed(nd.children)))
+        return Parallel(tuple(build(c) for c in nd.children))
+
+    return build(node), leaf_map
+
+
+def reversal_map(x: Node, y: Node) -> dict[int, int] | None:
+    """Leaf bijection realizing x == reversed y, or None."""
+    if x._code != y._rev_code:
+        return None
+    reversed_y, new_of_old = reverse_tree(y)
+    phi = iso_map(x, reversed_y)  # codes agree: the reversed copy's code is y's reversal code
+    old_of_new = {new: old for old, new in new_of_old.items()}
+    return {leaf: old_of_new[img] for leaf, img in phi.items()}
+
+
+def series_maps(node: Series) -> tuple[dict[int, int], ...]:
+    """`reversal_map` of each series child i onto child k-1-i; the upper
+    half inverts the lower, and an odd middle child maps onto itself."""
+    kids = node.children
+    k = len(kids)
+    maps: list[dict[int, int]] = []
+    for i in range(k):
+        j = k - 1 - i
+        if i > j:
+            maps.append({b: a for a, b in maps[j].items()})
+        else:
+            maps.append(reversal_map(kids[i], kids[j]))
+    return tuple(maps)
+
+
+def reference_index_perm(child: Node, mirror: Node, kind: str = "spanning") -> tuple[int, ...]:
+    """`reversal_index_perm` by leaf maps: each of `child`'s trees is moved
+    through `reversal_map` bit by bit (`mask_image`) into `mirror`'s
+    canonical layout and ranked there by `generate._index`."""
+    near = kind == "near"
+    at = {i + d: c + d for c, w, i in _segments(mirror) for d in range(w.bit_length())}
+    r = {a: at[b] for a, b in reversal_map(child, mirror).items()}
+    trees = _placer(child)(build_plan(child), near)
+    return tuple(_index(build_plan(mirror), mask_image(x, r), near) for x in trees)
+
+
+def mirror_pairs(tree: Node) -> list[tuple[Node, Node]]:
+    """Every (x, y) with code(x) = rev_code(y) that a reversal pairs at some
+    node of `tree`: the node against itself, series children i and k-1-i,
+    and parallel class representatives."""
+    pairs, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        stack.extend(node.children)
+        if node._code == node._rev_code:
+            pairs.append((node, node))
+        if isinstance(node, Series):
+            kids = node.children
+            pairs += [(a, b) for a, b in zip(kids, reversed(kids)) if a._code == b._rev_code]
+        elif isinstance(node, Parallel):
+            reps = {code: node.children[members[0]] for code, members in _class_order(node)}
+            pairs += [(rep, reps[rep._rev_code]) for rep in reps.values() if rep._rev_code in reps]
+    return pairs

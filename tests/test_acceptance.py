@@ -230,19 +230,18 @@ def test_criterion_8_index_stability():
             k = len(kids)
             for i in range(k):
                 j = k - 1 - i
-                forward = reversal_index_perm(kids[i], kids[j], pairing.series_maps[i])
-                backward = reversal_index_perm(kids[j], kids[i], pairing.series_maps[j])
+                forward = reversal_index_perm(kids[i], kids[j])
+                backward = reversal_index_perm(kids[j], kids[i])
                 assert sorted(forward) == list(range(len(forward)))
                 for x, fx in enumerate(forward):
                     assert backward[fx] == x
         else:
             classes = _class_order(tree)
-            for a, b, r in pairing.class_pairs:
+            for a, b in pairing.class_pairs:
                 rep_a = tree.children[classes[a][1][0]]
                 rep_b = tree.children[classes[b][1][0]]
-                inverse = {v: k for k, v in r.items()}
-                forward = reversal_index_perm(rep_a, rep_b, r)
-                backward = reversal_index_perm(rep_b, rep_a, inverse)
+                forward = reversal_index_perm(rep_a, rep_b)
+                backward = reversal_index_perm(rep_b, rep_a)
                 assert sorted(forward) == list(range(len(forward)))
                 for x, fx in enumerate(forward):
                     assert backward[fx] == x

@@ -259,7 +259,7 @@ def test_long_path_edge_lists_are_accepted(tmp_path, capsys):
 
 
 def test_internal_error_exit_code(diamond_file, capsys, monkeypatch):
-    for error in (AssertionError, RecursionError):
+    for error in (AssertionError, RecursionError, MemoryError):
         def broken(*args, error=error):
             raise error("broken invariant")
 

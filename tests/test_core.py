@@ -165,7 +165,8 @@ def test_underlying_graph_invariant_under_normalize():
 
 def test_oriented_wrapper_equality():
     from sptrees import OrientedSP, SemiorientedSP, parse_sp
-    from sptrees.canonical import reverse_tree
+
+    from conftest import reverse_tree
 
     a = parse_sp("P(e(s,t),S(e(s,a),e(a,t)))")
     b = parse_sp("P(S(e(s,a),e(a,t)),e(s,t))")

@@ -110,12 +110,12 @@ def _reversal_perms(tree):
     pairing = mirror_pairing(tree)
     if pairing.kind == "series":
         kids = tree.children
-        pairs = [(kids[i], kids[-1 - i], r) for i, r in enumerate(pairing.series_maps)]
+        pairs = list(zip(kids, reversed(kids)))
     else:
         reps = [tree.children[members[0]] for _, members in _class_order(tree)]
-        pairs = [(reps[a], reps[b], r) for a, b, r in pairing.class_pairs]
+        pairs = [(reps[a], reps[b]) for a, b in pairing.class_pairs]
     kinds = ("spanning", "near")
-    return [reversal_index_perm(a, b, r, kind) for a, b, r in pairs for kind in kinds]
+    return [reversal_index_perm(a, b, kind) for a, b in pairs for kind in kinds]
 
 
 @pytest.mark.parametrize("seed", range(12))

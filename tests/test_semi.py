@@ -1,10 +1,15 @@
 """Semioriented enumeration, reversal index permutations, and counting."""
 
+import sys
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sptrees import (
     FixSet,
     OrientedSP,
+    RandomSpParams,
     SemiorientedSP,
     all_spanning_trees,
     automorphisms,
@@ -16,14 +21,25 @@ from sptrees import (
     orbit_partition,
     oriented_spanning,
     parse_sp,
+    random_sp,
     reversal_index_perm,
     semioriented_spanning,
+    serialize_sp,
     underlying_graph,
 )
-from sptrees.canonical import _class_order, reversal_map
+from sptrees import canonical, core, generate
+from sptrees.canonical import _class_order
+from sptrees.cli import run
 from sptrees.oracle import apply_permutation
 
-from conftest import mirror_symmetric, orbit_exactly_once, small_corpus
+from conftest import (
+    mirror_pairs,
+    mirror_symmetric,
+    orbit_exactly_once,
+    reference_index_perm,
+    reversal_map,
+    small_corpus,
+)
 
 
 def test_diamond_semioriented_count_is_three(diamond):
@@ -89,22 +105,86 @@ def test_no_pairing_output_is_bit_identical():
 
 def test_reversal_index_perm_single_edge():
     leaf = parse_sp("e(s,t)")
-    r = reversal_map(leaf, leaf)
-    assert reversal_index_perm(leaf, leaf, r) == (0,)
+    assert reversal_index_perm(leaf, leaf) == (0,)
 
 
 def test_reversal_index_perm_three_chain_near():
     chain3 = parse_sp("S(e(s,a),e(a,b),e(b,t))")
-    r = reversal_map(chain3, chain3)
-    assert reversal_index_perm(chain3, chain3, r, kind="near") == (2, 1, 0)
-    assert reversal_index_perm(chain3, chain3, r, kind="spanning") == (0,)
+    assert reversal_index_perm(chain3, chain3, kind="near") == (2, 1, 0)
+    assert reversal_index_perm(chain3, chain3, kind="spanning") == (0,)
 
 
 def test_reversal_index_perm_diamond_paths(diamond):
     path1, path2 = diamond.children[1], diamond.children[2]
     r = reversal_map(path1, path2)
     assert r is not None
-    assert reversal_index_perm(path1, path2, r) == (0,)
+    assert reversal_index_perm(path1, path2) == (0,)
+
+
+def test_reversal_index_perm_rejects_a_pair_that_is_no_mirror():
+    leaf, chain2 = parse_sp("e(s,t)"), parse_sp("S(e(s,a),e(a,t))")
+    tail = parse_sp("S(P(e(s,m),S(e(s,a),e(a,m))),e(m,t))")
+    for child, mirror in ((leaf, chain2), (chain2, leaf), (tail, tail)):
+        with pytest.raises(ValueError):
+            reversal_index_perm(child, mirror)
+    with pytest.raises(ValueError):
+        reversal_index_perm(leaf, leaf, kind="both")
+
+
+def _assert_perms_match_the_reference(tree):
+    for child, mirror in mirror_pairs(tree):
+        for kind in ("spanning", "near"):
+            assert reversal_index_perm(child, mirror, kind) == reference_index_perm(
+                child, mirror, kind
+            )
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_reversal_index_perm_matches_the_leaf_map_reference(seed):
+    """The index action composed from the plans equals ranking each tree's
+    leaf-mapped reversal, for both kinds and every mirror pair: the root
+    against itself, series children, parallel class representatives."""
+    tree = mirror_symmetric(seed)
+    assert (tree, tree) in mirror_pairs(tree)
+    _assert_perms_match_the_reference(tree)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_reversal_index_perm_matches_the_reference_on_random_draws(seed):
+    tree = random_sp(RandomSpParams(seed=seed, max_depth=3, max_children=3))
+    if count_oriented(OrientedSP(tree)).near > 5000:
+        tree = random_sp(RandomSpParams(seed=seed, max_depth=2, max_children=3))
+    _assert_perms_match_the_reference(tree)
+
+
+@pytest.mark.parametrize("kind", ["series", "parallel"])
+def test_semioriented_path_builds_no_leaf_map(kind, tmp_path, capsys, monkeypatch):
+    """Counting and enumerating semioriented trees, in the library and the
+    CLI, never build a leaf map, move a mask bit by bit or rank a tree."""
+    tree = next(t for t in map(mirror_symmetric, range(60)) if mirror_pairing(t).kind == kind)
+    path = tmp_path / "mirror.sp"
+    path.write_text(serialize_sp(tree) + "\n", encoding="utf-8")
+
+    def results():
+        s = SemiorientedSP(parse_sp(serialize_sp(tree)))
+        code = run(["enumerate", str(path), "--mode", "semioriented"])
+        listed = (semioriented_spanning(s), list(iter_semioriented_spanning(s)))
+        return code, capsys.readouterr(), count_semioriented(s), listed
+
+    expected = results()
+    assert expected[0] == 0 and expected[1].out
+
+    def refuse(*_):
+        raise AssertionError("a leaf-map step ran on the semioriented path")
+
+    banned = (canonical.iso_map, generate._index, core.mask_image)
+    for name, module in list(sys.modules.items()):
+        if name == "sptrees" or name.startswith("sptrees."):
+            for attr, value in list(vars(module).items()):
+                if any(value is f for f in banned):
+                    monkeypatch.setattr(module, attr, refuse)
+    assert results() == expected
 
 
 @pytest.mark.parametrize("seed", range(50))
@@ -118,20 +198,19 @@ def test_mirror_symmetric_perms_total_and_involutive(seed):
         k = len(kids)
         for i in range(k):
             j = k - 1 - i
-            forward = reversal_index_perm(kids[i], kids[j], pairing.series_maps[i])
-            backward = reversal_index_perm(kids[j], kids[i], pairing.series_maps[j])
+            forward = reversal_index_perm(kids[i], kids[j])
+            backward = reversal_index_perm(kids[j], kids[i])
             assert sorted(forward) == list(range(len(forward)))
             for x, fx in enumerate(forward):
                 assert backward[fx] == x
     else:
         classes = _class_order(tree)
-        for a, b, r in pairing.class_pairs:
+        for a, b in pairing.class_pairs:
             rep_a = tree.children[classes[a][1][0]]
             rep_b = tree.children[classes[b][1][0]]
-            inverse = {v: k for k, v in r.items()}
             for kind in ("spanning", "near"):
-                forward = reversal_index_perm(rep_a, rep_b, r, kind=kind)
-                backward = reversal_index_perm(rep_b, rep_a, inverse, kind=kind)
+                forward = reversal_index_perm(rep_a, rep_b, kind=kind)
+                backward = reversal_index_perm(rep_b, rep_a, kind=kind)
                 assert sorted(forward) == list(range(len(forward)))
                 for x, fx in enumerate(forward):
                     assert backward[fx] == x
