@@ -5,8 +5,8 @@ files hold one SP expression per line ('#' comments), or an edge list
 starting with a 'terminals s t' line.  Exit codes: 0 success, 1 usage
 error, 2 invalid input, 3 verification failure, 4 internal error (a
 broken internal invariant, an input too deep for the recursion limit,
-or running out of memory).  The input path accepts any depth or width;
-only canonical codes, the plan, counts and enumeration still recurse.
+or running out of memory).  Input and counts accept any depth or width;
+only the `code` subcommand, orbit indexing and enumeration still recurse.
 """
 
 from __future__ import annotations
@@ -156,14 +156,28 @@ def _cmd_parse(args) -> int:
     return 0
 
 
+def _decimal(n: int) -> str:
+    """`str(n)` in full, however many digits: Python 3.11 and later refuse
+    more than `sys.get_int_max_str_digits()` unless the limit is lifted,
+    here only for this one conversion."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if not limit:
+        return str(n)
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _cmd_count(args) -> int:
     for tree in _load(args.file):
         if args.mode == "semioriented":
-            print(count_semioriented(SemiorientedSP(tree)))
+            print(_decimal(count_semioriented(SemiorientedSP(tree))))
         else:
             counter = count_oriented if args.mode == "oriented" else count_total
             pair = counter(OrientedSP(tree))
-            print(pair.near if args.near else pair.spanning)
+            print(_decimal(pair.near if args.near else pair.spanning))
     return 0
 
 

@@ -432,9 +432,12 @@ class TreeBuilder:
         if start >= 0:
             entries = self.done[start:]
             del self.done[start:]
-            node = kind(tuple(kid for kid, _ in entries))
-            sets = [vertices for _, vertices in entries]
-            vertices = _check_children(node, sets, at, self.broken) if len(sets) > 1 else set()
+            kids = tuple(kid for kid, _ in entries)
+            node, vertices = kind(kids), set()
+            if len(kids) > 1:  # the terminals go where the lazy properties cache them
+                end = kids[-1 if kind is Series else 0]
+                node.__dict__.update(source=kids[0].source, target=end.target)
+                vertices = _check_children(node, [v for _, v in entries], at, self.broken)
             self.done.append((node, vertices))
 
     def finish(self) -> Node:
@@ -447,16 +450,25 @@ class TreeBuilder:
 def _check_children(node: Node, sets: list[set[str]], at, broken: list) -> set[str]:
     """Check a flattened node's rules, given its children's vertex sets; return its own.
 
-    Reading every child's terminals here also fills their cached
-    `source`/`target` bottom-up, so no later read of them recurses.
-    Siblings are checked against one vertex -> child owner map plus the
-    largest child's vertex set, which becomes the node's own set
-    (small-to-large), so a whole walk costs O(m log m).
+    The largest child's set becomes the node's own (small-to-large), so a
+    whole walk costs O(m log m).  Well-formed siblings share only their
+    terminals: 2(k-1) vertex slots at a P node, one per distinct chain
+    joint at an S node.  When the sets overlap otherwise, they are checked
+    against one vertex -> child owner map plus the largest set.
     """
     kids = node.children
+    lens = list(map(len, sets))
+    big = lens.index(max(lens))
+    vertices = sets[big]
+    rest = set().union(*sets[:big], *sets[big + 1 :])
+    overlap = sum(lens) - len(vertices) - len(rest) + len(rest & vertices)
+    # A set lacks its child's terminals only below a node of too few children.
+    held = all(kid.source in own and kid.target in own for kid, own in zip(kids, sets))
     if isinstance(node, Series):
+        expected = len({kid.target for kid in kids[:-1]}) if held else -1
         for i in range(len(kids) - 1):
             if kids[i].target != kids[i + 1].source:
+                expected = -1
                 broken.append((at, f"series chain mismatch {kids[i].target} != "
                                f"{kids[i + 1].source} between children {i} and {i + 1}"))
         if kids[0].source == kids[-1].target:
@@ -467,8 +479,10 @@ def _check_children(node: Node, sets: list[set[str]], at, broken: list) -> set[s
             return abs(i - j) == 1 and v == kids[min(i, j)].target
     else:
         s, t = kids[0].source, kids[0].target
+        expected = 2 * (len(kids) - 1) if held and s != t else -1
         for i, kid in enumerate(kids):
             if (kid.source, kid.target) != (s, t):
+                expected = -1
                 broken.append((at, f"parallel child {i} has terminals "
                                f"({kid.source},{kid.target}), expected ({s},{t})"))
         if sum(isinstance(kid, Leaf) for kid in kids) > 1:
@@ -478,24 +492,21 @@ def _check_children(node: Node, sets: list[set[str]], at, broken: list) -> set[s
         def allowed(v: str, i: int, j: int) -> bool:
             return v == s or v == t
 
-    big = max(range(len(sets)), key=lambda i: len(sets[i]))
-    vertices = sets[big]
-    owner: dict[str, int] = {}
-    clashes: dict[tuple[int, int], set[str]] = {}
-    for j, mine in enumerate(sets):
-        if j == big:
-            continue
-        for v in mine:
-            if v in vertices and not allowed(v, big, j):
-                clashes.setdefault((min(big, j), max(big, j)), set()).add(v)
-            i = owner.setdefault(v, j)
-            if i != j and not allowed(v, i, j):
-                clashes.setdefault((i, j), set()).add(v)
-    for i, j in sorted(clashes):
-        broken.append((at, share.format(i, j, sorted(clashes[i, j]))))
-    for j, mine in enumerate(sets):
-        if j != big:
-            vertices |= mine
+    if overlap != expected:
+        owner: dict[str, int] = {}
+        clashes: dict[tuple[int, int], set[str]] = {}
+        for j, mine in enumerate(sets):
+            if j == big:
+                continue
+            for v in mine:
+                if v in vertices and not allowed(v, big, j):
+                    clashes.setdefault((min(big, j), max(big, j)), set()).add(v)
+                i = owner.setdefault(v, j)
+                if i != j and not allowed(v, i, j):
+                    clashes.setdefault((i, j), set()).add(v)
+        for i, j in sorted(clashes):
+            broken.append((at, share.format(i, j, sorted(clashes[i, j]))))
+    vertices |= rest
     return vertices
 
 

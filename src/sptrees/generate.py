@@ -20,20 +20,22 @@ keeping the terminals connected would close a cycle when a sibling
 branch supplies the through path, and every subset brute force can
 build from these compositions separates the terminals at every level).
 
-`build_plan` is the single home of the counting arithmetic.  One
-bottom-up pass fills every plan node with its vertex count, the
-oriented counts (spanning, near), the counts with no automorphism
-reduction (tau, nu) and the semioriented counts (spanning, near up to
-terminal exchange), each from its child plans and class sizes; the
-`count_*` functions return fields of the root plan.  Every "sum over j
-of x_j times the product of the others" goes through `_offsets`, in a
-linear number of products.  The semioriented counts use the
-reversal-fixed terms: with a reversal symmetry the semioriented count
-is (oriented count + fixed candidates) / 2, and the number of
-reversal-fixed entries of a child's list is twice its semioriented
-count minus its oriented count, whichever reversal realizes the
-symmetry.  The filter that enumerates the semioriented trees lives in
-`semi`.
+`build_plan` is the single home of the counting arithmetic.  A plan
+describes an oriented shape, not a place: one post-order loop builds one
+plan per distinct canonical code, holding the vertex count, the oriented
+counts (spanning, near), the counts with no automorphism reduction (tau,
+nu) and the semioriented counts (spanning, near up to terminal
+exchange), each from its part plans and class sizes (a class, and for
+the totals a group of equal series children, in closed form).  The
+`count_*` functions return fields of the root plan.  Every
+"sum over j of x_j times the product of the others" goes through
+`_offsets`, which divides the whole product by each y_j.  The
+semioriented counts use the reversal-fixed terms: with a reversal
+symmetry the semioriented count is (oriented count + fixed candidates) /
+2, and the number of reversal-fixed entries of a child's list is twice
+its semioriented count minus its oriented count, whichever reversal
+realizes the symmetry.  The filter that enumerates the semioriented
+trees lives in `semi`.
 
 The enumeration order is deterministic: classes descend by canonical
 code, assignment indices count near multisets first then spanning
@@ -46,13 +48,14 @@ plan on the root node; the plan holds counts and layout, never a list.
 Every enumeration list (a node's spanning and near trees, a class's
 near and spanning assignments) holds plain int leaf masks, built
 bottom-up on first use into a memo that belongs to one enumeration
-(`_placer`) and is freed with it.  Masks number the leaves in the canonical
-layout, the preorder with each P node's children in class order: every
-node covers one run of positions, and member p of a class sits p*w
+(`_placer`) and is freed with it.  Masks number the leaves in the
+canonical layout, the preorder with each P node's children in class
+order: every node covers one run of positions, carried down from the
+root by the plans' relative `starts`, and member p of a class sits p*w
 positions after its representative of w leaves, so placing a tree on a
 member is a shift and reading it back a shift and a mask.  List entries
-combine masks on disjoint runs, so `_sums` builds every product as a
-sum of masks.  The enumerations stream the root's trees from its part
+combine masks on disjoint runs, so `_sums` builds every product as a sum
+of masks.  The enumerations stream the root's trees from its part
 lists (`_blocks`), so large outputs are never held in memory at once.
 The root's part lists are built in a numbering the caller chooses
 (`_placer`): the input leaf numbering for the public enumerations, the
@@ -65,6 +68,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 
@@ -130,17 +134,19 @@ class _ClassPlan:
 
     size: int
     rep_plan: "_Plan"
-    nc: int = 0
-    sc: int = 0
+    nc: int
+    sc: int
 
 
 @dataclass(slots=True)
 class _Plan:
-    """Counts and enumeration data of one node, of `kind` leaf, series or parallel.
+    """Counts and layout of one oriented shape, of `kind` leaf, series or parallel.
 
-    The plan holds no node, so a plan kept on its tree's root makes no
-    reference cycle.  The node's m leaves start at position lo of the
-    canonical layout.
+    The plan holds no node and no position, so every subtree of one shape
+    shares it, and a plan kept on its tree's root makes no reference
+    cycle.  Its m leaves take one run of the canonical layout, in which
+    `starts[j]` is where part j's run starts: series child j, or class j,
+    whose members sit side by side.
     st, nt are the oriented spanning and near counts, tau, nu the counts
     with no automorphism reduction, ss, sn the semioriented ones.
     `offsets[j]` is where the trees whose distinguished part is j start:
@@ -149,7 +155,6 @@ class _Plan:
     """
 
     kind: str
-    lo: int
     m: int
     n: int
     st: int
@@ -159,6 +164,7 @@ class _Plan:
     ss: int
     sn: int
     offsets: list[int] | None = None
+    starts: tuple[int, ...] = ()
     children: tuple["_Plan", ...] = ()
     classes: tuple[_ClassPlan, ...] = ()
 
@@ -168,8 +174,8 @@ def build_plan(g) -> _Plan:
 
     The plan is built once per tree object and kept on its root node, as
     the codes are; it holds counts and layout only, never a tree list.
-    Only the root's plan is kept: a child's plan depends on where the
-    child sits in its parent's layout.
+    Within one build, isomorphic subtrees share one plan wherever they
+    sit; only the root's plan is kept on a node.
     """
     tree = _tree_of(g)
     plan = tree.__dict__.get("_plan")
@@ -179,17 +185,18 @@ def build_plan(g) -> _Plan:
 
 
 def _offsets(x: list[int], y: list[int]) -> list[int]:
-    """Running sums of x[j] * prod(y[i] for i != j), from prefix and suffix products.
+    """Running sums of x[j] * prod(y[i] for i != j).
 
-    Entry a sums the terms j < a, so the last entry is the whole sum.
+    Entry a sums the terms j < a, so the last entry is the whole sum.  The
+    product of the others is that of all y over y[j].  Only reversal-fixed
+    class counts can be 0 (S(e,e) swaps its two near trees); with zeros in
+    y, it is the product of the nonzero y for a lone zero y[j], else 0.
     """
-    suffix = [1] * (len(y) + 1)
-    for i in range(len(y) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] * y[i]
-    out, prefix = [0], 1
-    for j, xj in enumerate(x):
-        out.append(out[-1] + xj * prefix * suffix[j + 1])
-        prefix *= y[j]
+    whole, zeros = math.prod(filter(None, y)), y.count(0)
+    out = [0]
+    for xj, yj in zip(x, y):
+        others = 0 if zeros > (yj == 0) else whole // yj if yj else whole
+        out.append(out[-1] + xj * others)
     return out
 
 
@@ -213,74 +220,78 @@ def _invariant_multisets(fixed: int, swapped_pairs: int, size: int) -> int:
     return total
 
 
-def _build(node: Node, lo: int = 0) -> _Plan:
-    """The bottom-up pass: every count of `node`, whose leaves start at `lo`."""
-    if isinstance(node, Leaf):
-        return _Plan("leaf", lo, 1, n=2, st=1, nt=1, tau=1, nu=1, ss=1, sn=1)
-    at = lo
-    if isinstance(node, Series):
-        kids = []
-        for child in node.children:
-            kids.append(_build(child, at))
-            at += kids[-1].m
-        k = len(kids)
-        sts = [c.st for c in kids]
-        taus = [c.tau for c in kids]
-        offsets = _offsets([c.nt for c in kids], sts)
-        st, nt = math.prod(sts), offsets[-1]
-        plan = _Plan(
-            "series", lo, at - lo,
-            n=sum(c.n for c in kids) - (k - 1),
-            st=st,
-            nt=nt,
-            tau=math.prod(taus),
-            nu=_offsets([c.nu for c in kids], taus)[-1],
-            ss=st,
-            sn=nt,
-            offsets=offsets,
-            children=tuple(kids),
-        )
-        # A reversal maps child i onto child k-1-i; the fixed candidates are
-        # palindromic tuples, with a reversal-fixed tree in an odd middle.
-        if node._code == node._rev_code:
-            half = math.prod(sts[: k // 2])
-            fix_sp, fix_nt = half, 0
-            if k % 2:
-                mid = kids[k // 2]
-                fix_sp, fix_nt = half * (2 * mid.ss - mid.st), half * (2 * mid.sn - mid.nt)
-            plan.ss, plan.sn = _half(st + fix_sp), _half(nt + fix_nt)
-        return plan
+def _build(tree: Node) -> _Plan:
+    """The bottom-up pass: one plan per canonical code of `tree`, in one loop
+    over its inner nodes, children first, so that no code recurses."""
+    inner, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, Leaf):
+            inner.append(node)
+            stack.extend(node.children)
+    plans = {"E": _Plan("leaf", 1, n=2, st=1, nt=1, tau=1, nu=1, ss=1, sn=1)}
+    for node in reversed(inner):
+        code = node._code
+        palindrome = code == node._rev_code
+        if code not in plans:
+            build = _series if isinstance(node, Series) else _parallel
+            plans[code] = build(node, plans, palindrome)
+    return plans[tree._code]
 
+
+def _series(node: Series, plans: dict, palindrome: bool) -> _Plan:
+    kids = [plans[child._code] for child in node.children]
+    k = len(kids)
+    sts = [c.st for c in kids]
+    offsets = _offsets([c.nt for c in kids], sts)
+    # g equal children of tau spanning trees and nu near forests each have
+    # tau^g spanning trees and g * nu * tau^(g-1) near forests.
+    groups = [(plans[code], g) for code, g in Counter(c._code for c in node.children).items()]
+    taus = [p.tau ** g for p, g in groups]
+    nus = [g * p.nu * p.tau ** (g - 1) for p, g in groups]
+    st, nt = math.prod(sts), offsets[-1]
+    ends = list(itertools.accumulate(c.m for c in kids))
+    plan = _Plan(
+        "series", ends[-1], n=sum(c.n for c in kids) - (k - 1), st=st, nt=nt,
+        tau=math.prod(taus), nu=_offsets(nus, taus)[-1], ss=st, sn=nt,
+        offsets=offsets, starts=(0, *ends[:-1]), children=tuple(kids),
+    )
+    # A reversal maps child i onto child k-1-i; the fixed candidates are
+    # palindromic tuples, with a reversal-fixed tree in an odd middle.
+    if palindrome:
+        half = math.prod(sts[: k // 2])
+        fix_sp, fix_nt = half, 0
+        if k % 2:
+            mid = kids[k // 2]
+            fix_sp, fix_nt = half * (2 * mid.ss - mid.st), half * (2 * mid.sn - mid.nt)
+        plan.ss, plan.sn = _half(st + fix_sp), _half(nt + fix_nt)
+    return plan
+
+
+def _parallel(node: Node, plans: dict, palindrome: bool) -> _Plan:
     order, classes = _class_order(node), []
-    for _, members in order:
-        rep_plan = _build(node.children[members[0]], at)
-        cp = _ClassPlan(len(members), rep_plan)
-        at += cp.size * rep_plan.m
-        cp.nc = multiset_coefficient(rep_plan.nt, cp.size)
-        cp.sc = rep_plan.st * multiset_coefficient(rep_plan.nt, cp.size - 1)
-        classes.append(cp)
+    for code, members in order:
+        rep, c = plans[code], len(members)
+        nc, sc = multiset_coefficient(rep.nt, c), rep.st * multiset_coefficient(rep.nt, c - 1)
+        classes.append(_ClassPlan(c, rep, nc, sc))
     ncs = [cp.nc for cp in classes]
     offsets = _offsets([cp.sc for cp in classes], ncs)
     st, nt = offsets[-1], math.prod(ncs)
-    # Members of a class share the representative's total counts.
-    taus = [cp.rep_plan.tau for cp in classes for _ in range(cp.size)]
-    nus = [cp.rep_plan.nu for cp in classes for _ in range(cp.size)]
+    # c members of tau spanning trees and nu near forests each have nu^c
+    # near forests and c * tau * nu^(c-1) forests with one spanning member.
+    nus = [cp.rep_plan.nu ** cp.size for cp in classes]
+    taus = [cp.size * cp.rep_plan.tau * cp.rep_plan.nu ** (cp.size - 1) for cp in classes]
+    ends = list(itertools.accumulate(cp.size * cp.rep_plan.m for cp in classes))
     plan = _Plan(
-        "parallel", lo, at - lo,
+        "parallel", ends[-1],
         n=sum(cp.rep_plan.n * cp.size for cp in classes) - 2 * (len(node.children) - 1),
-        st=st,
-        nt=nt,
-        tau=_offsets(taus, nus)[-1],
-        nu=math.prod(nus),
-        ss=st,
-        sn=nt,
-        offsets=offsets,
-        classes=tuple(classes),
+        st=st, nt=nt, tau=_offsets(taus, nus)[-1], nu=math.prod(nus), ss=st, sn=nt,
+        offsets=offsets, starts=(0, *ends[:-1]), classes=tuple(classes),
     )
     # A reversal maps each class onto an equal-size class; the fixed
     # candidates take mirror assignments on paired classes (one choice
     # per pair) and reversal-invariant ones on self-paired classes.
-    if node._code != node._rev_code:
+    if not palindrome:
         return plan
     pair_nc, seen, fix_nc, fix_sc = 1, set(), [], []
     for (code, members), cp in zip(order, classes):
@@ -314,19 +325,19 @@ def _sums(blocks):
     return itertools.chain.from_iterable(map(sum, itertools.product(*b)) for b in blocks)
 
 
-def _list(memo: dict, plan: _Plan, near: bool, shift: int = 0) -> list[int]:
-    """The node's near (or spanning) trees in the canonical layout, built
-    once per `memo`, on its copy `shift` up."""
-    key = (id(plan), near)
+def _list(memo: dict, plan: _Plan, near: bool, lo: int = 0, shift: int = 0) -> list[int]:
+    """The near (or spanning) trees of the node at `lo` in the canonical
+    layout, built once per `memo` and position, on its copy `shift` up."""
+    key = (id(plan), near, lo)
     if key not in memo:
-        memo[key] = list(_sums(_blocks(plan, near, 0, partial(_list, memo))))
+        memo[key] = list(_sums(_blocks(plan, near, lo, 0, partial(_list, memo))))
     return [x << shift for x in memo[key]] if shift else memo[key]
 
 
-def _assignments(cp: _ClassPlan, near: bool, shift: int, lists) -> list[int]:
+def _assignments(cp: _ClassPlan, near: bool, lo: int, shift: int, lists) -> list[int]:
     """Masks of the class's near assignments, in multiset order, or of its
     spanning assignments, ordered by (tree, multiset), with member p's trees
-    from `lists(cp.rep_plan, near, shift + p*w)`.
+    from `lists(cp.rep_plan, near, lo, shift + p*w)`, `lo` its first member's.
 
     A multiset x_0 <= x_1 <= ... puts near tree x_p on member p.  A spanning
     assignment puts the tree on the first member, the representative itself,
@@ -334,28 +345,31 @@ def _assignments(cp: _ClassPlan, near: bool, shift: int, lists) -> list[int]:
     of carrier does not matter."""
     rep, first = cp.rep_plan, 0 if near else 1
     if cp.size == 1:  # the representative's own trees
-        return lists(rep, near, shift)
-    tables = [lists(rep, True, shift + p * rep.m) for p in range(first, cp.size)]
+        return lists(rep, near, lo, shift)
+    tables = [lists(rep, True, lo, shift + p * rep.m) for p in range(first, cp.size)]
     multisets = itertools.combinations_with_replacement(range(rep.nt), len(tables))
     sets = [sum(map(list.__getitem__, tables, mu)) for mu in multisets]
-    return sets if near else list(_sums([[lists(rep, False, shift), sets]]))
+    return sets if near else list(_sums([[lists(rep, False, lo, shift), sets]]))
 
 
-def _blocks(plan: _Plan, near: bool, shift: int, lists) -> list[list[list[int]]]:
-    """The part lists of the node's copy `shift` positions up, one per part
+def _blocks(plan: _Plan, near: bool, lo: int, shift: int, lists) -> list[list[list[int]]]:
+    """The part lists of the node at `lo`, on its copy `shift` up, one per part
     in each block, whose `_sums` are its trees: the series children's
     spanning lists, with child j's near list in block j for near trees; the
     class near assignments, with class a's spanning ones in block a for
     spanning trees.  A part's trees come from `lists`, as in `_assignments`."""
     if plan.kind == "leaf":
-        return [[[0 if near else 1 << plan.lo]]]
+        return [[[0 if near else 1 << lo + shift]]]
     series = plan.kind == "series"
-    parts = plan.children if series else plan.classes
+    parts = [(part, lo + at) for part, at in zip(plan.children or plan.classes, plan.starts)]
     get = lists if series else partial(_assignments, lists=lists)
     if near != series:
-        return [[get(part, not series, shift) for part in parts]]
-    rest = [get(part, not series, shift) for part in parts] if len(parts) > 1 else []
-    return [rest[:j] + [get(part, series, shift)] + rest[j + 1 :] for j, part in enumerate(parts)]
+        return [[get(part, not series, at, shift) for part, at in parts]]
+    rest = [get(part, not series, at, shift) for part, at in parts] if len(parts) > 1 else []
+    return [
+        rest[:j] + [get(part, series, at, shift)] + rest[j + 1 :]
+        for j, (part, at) in enumerate(parts)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -396,13 +410,13 @@ def _moved(mask: int, segments) -> int:
 
 
 def _placer(tree: Node, numbering=None):
-    """`placed(part, near, shift=0)`: the trees of `part`'s copy `shift` up in
-    the canonical layout of `tree`'s plan, in `numbering` (as in `_segments`),
+    """`placed(part, near, lo=0, shift=0)`: the trees of the copy `shift` up of
+    `part` at `lo` in the canonical layout, in `numbering` (as in `_segments`),
     each list built once: a copy on one undisplaced segment has its canonical
     list, any other the `_sums` of its placed parts, as a bit move commutes
-    with sums on disjoint runs.  Canonical lists (key: part, flag) and placed
-    copies (key: part, flag, shift) share one memo, freed with `placed`: no
-    closure refers to itself, so no reference cycle keeps it alive."""
+    with sums on disjoint runs.  Canonical lists (key: part, flag, lo) and
+    placed copies (key: part, flag, lo, shift) share one memo, freed with
+    `placed`: no closure refers to itself, so no reference cycle keeps it."""
     segment, move = [], []  # per canonical position: segment, target minus canonical
     for k, (c, width, i) in enumerate(_segments(tree, numbering)):
         segment += [k] * width.bit_length()
@@ -410,16 +424,16 @@ def _placer(tree: Node, numbering=None):
     return partial(_placed, {}, segment, move)
 
 
-def _placed(memo: dict, segment, move, part: _Plan, near: bool, shift: int = 0) -> list[int]:
-    key, lo = (id(part), near, shift), part.lo + shift
+def _placed(memo, segment, move, part: _Plan, near: bool, lo: int = 0, shift: int = 0):
+    key, at = (id(part), near, lo, shift), lo + shift
     if key not in memo:
         if part.kind == "leaf":
-            memo[key] = [0 if near else 1 << lo + move[lo]]
-        elif move[lo] == 0 and segment[lo] == segment[lo + part.m - 1]:
-            memo[key] = _list(memo, part, near, shift)
+            memo[key] = [0 if near else 1 << at + move[at]]
+        elif move[at] == 0 and segment[at] == segment[at + part.m - 1]:
+            memo[key] = _list(memo, part, near, lo, shift)
         else:
             placed = partial(_placed, memo, segment, move)
-            memo[key] = list(_sums(_blocks(part, near, shift, placed)))
+            memo[key] = list(_sums(_blocks(part, near, lo, shift, placed)))
     return memo[key]
 
 
@@ -427,7 +441,7 @@ def _streams(tree: Node, *nears: bool, numbering=None) -> list:
     """Per flag in `nears`, the masks of the tree's near (or spanning) trees
     in `numbering` (as in `_segments`), from its root's placed parts."""
     plan, placed = build_plan(tree), _placer(tree, numbering)
-    blocks = [_blocks(plan, near, 0, placed) for near in nears]
+    blocks = [_blocks(plan, near, 0, 0, placed) for near in nears]
     return [_sums(bs) for bs in blocks]
 
 
@@ -473,8 +487,8 @@ def count_total(g: OrientedSP) -> CountPair:
 # ---------------------------------------------------------------------------
 
 
-def _span_mask(plan: _Plan) -> int:
-    return ((1 << plan.m) - 1) << plan.lo
+def _span_mask(plan: _Plan, lo: int) -> int:
+    return ((1 << plan.m) - 1) << lo
 
 
 def _is_near(plan: _Plan, part: int) -> bool:
@@ -485,8 +499,8 @@ def _is_near(plan: _Plan, part: int) -> bool:
     return bits == plan.n - 2
 
 
-def _index(plan: _Plan, mask: int, near: bool) -> int:
-    """Enumeration position of the orbit of a near (or spanning) tree `mask`.
+def _index(plan: _Plan, mask: int, near: bool, lo: int = 0) -> int:
+    """Enumeration position of the orbit of a near (or spanning) tree `mask`, on the node at `lo`.
 
     Digits run over series children or parallel classes in order; the odd
     part (the child with a near tree's break, the class with a spanning
@@ -494,29 +508,30 @@ def _index(plan: _Plan, mask: int, near: bool) -> int:
     spanning tree, if any, then the multiset of its members' near trees.
     """
     if plan.kind == "leaf":
-        if mask != (0 if near else 1 << plan.lo):
+        if mask != (0 if near else 1 << lo):
             raise ImageNotFound("not the leaf's near or spanning tree")
         return 0
     rank, odd = 0, None
     if plan.kind == "series":
-        for j, child in enumerate(plan.children):
-            part = mask & _span_mask(child)
+        for j, (child, at) in enumerate(zip(plan.children, plan.starts)):
+            at += lo
+            part = mask & _span_mask(child, at)
             if _is_near(child, part):
                 if not near or odd is not None:
                     raise ImageNotFound("the break is not in exactly one branch")
-                rank, odd = rank * child.nt + _index(child, part, True), j
+                rank, odd = rank * child.nt + _index(child, part, True, at), j
             else:
-                rank = rank * child.st + _index(child, part, False)
+                rank = rank * child.st + _index(child, part, False, at)
     else:
-        for j, cp in enumerate(plan.classes):
-            rep = cp.rep_plan
-            window, nears, spans = _span_mask(rep), [], []
+        for j, (cp, at) in enumerate(zip(plan.classes, plan.starts)):
+            rep, at = cp.rep_plan, lo + at
+            window, nears, spans = _span_mask(rep, at), [], []
             for p in range(cp.size):
                 part = mask >> p * rep.m & window
                 if _is_near(rep, part):
-                    nears.append(_index(rep, part, True))
+                    nears.append(_index(rep, part, True, at))
                 else:
-                    spans.append(_index(rep, part, False))
+                    spans.append(_index(rep, part, False, at))
             digit = multiset_rank(tuple(sorted(nears)), rep.nt)
             if not spans:
                 rank = rank * cp.nc + digit

@@ -34,6 +34,7 @@ fixed-candidate arithmetic lives there too).
 from __future__ import annotations
 
 import itertools
+from functools import partial
 
 from .canonical import _class_order
 from .core import EdgeSet, SemiorientedSP, _tree_of
@@ -143,8 +144,11 @@ def _assignment_perm(size: int, near_perm: list[int], span_perm: list[int]):
 
     Paired classes have identical shapes.  A near multiset goes to the
     sorted images of its trees; a spanning choice, ordered by (tree,
-    multiset), goes to the image tree beside the image multiset.
+    multiset), goes to the image tree beside the image multiset.  A
+    one-member class's assignments are its representative's trees.
     """
+    if size == 1:
+        return near_perm, span_perm
 
     def images(k: int) -> list[int]:
         rank = {mu: i for i, mu in enumerate(multiset_enumerate(len(near_perm), k))}
@@ -198,7 +202,7 @@ def _filtered(items, target, perms, blocks):
 
 def _series_slots(plan, target, perms, placed):
     """Slots of the series filter: child i's spanning trees, reversed onto child k-1-i."""
-    items = [placed(c, False) for c in plan.children]
+    items = [placed(c, False, at) for c, at in zip(plan.children, plan.starts)]
     spanning = [perm for _, perm in perms]
     return items, target, spanning, [[range(len(lst)) for lst in items]]
 
@@ -211,9 +215,9 @@ def _class_slots(plan, target, perms, placed):
     """
     classes = plan.classes
     perms = [near + [cp.nc + s for s in span] for cp, (near, span) in zip(classes, perms)]
-    items = []
-    for cp in classes:  # a loop, not a comprehension: one frame less below it
-        items.append(_assignments(cp, True, 0, placed) + _assignments(cp, False, 0, placed))
+    items, get = [], partial(_assignments, shift=0, lists=placed)
+    for cp, at in zip(classes, plan.starts):  # a loop: one frame less below it
+        items.append(get(cp, True, at) + get(cp, False, at))
     blocks = [
         [range(cp.nc, cp.nc + cp.sc) if j == a else range(cp.nc) for j, cp in enumerate(classes)]
         for a in range(len(classes))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -18,7 +19,16 @@ from sptrees import (
 )
 from sptrees.canonical import _class_order
 from sptrees.core import Leaf, Node, Parallel, Series, mask_image, normalize
-from sptrees.generate import _index, _placer, _segments, build_plan
+from sptrees.generate import (
+    _ClassPlan,
+    _Plan,
+    _index,
+    _invariant_multisets,
+    _placer,
+    _segments,
+    build_plan,
+    multiset_coefficient,
+)
 
 DIAMOND_TEXT = "P(e(2,3),S(e(2,1),e(1,3)),S(e(2,4),e(4,3)))"
 THETA_TEXT = "P(e(s,t),S(e(s,a),e(a,b),e(b,t)),S(e(s,c),e(c,d),e(d,t)))"
@@ -285,3 +295,87 @@ def mirror_pairs(tree: Node) -> list[tuple[Node, Node]]:
             reps = {code: node.children[members[0]] for code, members in _class_order(node)}
             pairs += [(rep, reps[rep._rev_code]) for rep in reps.values() if rep._rev_code in reps]
     return pairs
+
+
+# ---------------------------------------------------------------------------
+# Per-position reference for the plan
+# ---------------------------------------------------------------------------
+
+
+def reference_offsets(x: list[int], y: list[int]) -> list[int]:
+    """Running sums of x[j] * prod(y[i] for i != j), from prefix and suffix
+    products, which need no case for zeros in y: `generate._offsets` must
+    return the same list."""
+    suffix = [1] * (len(y) + 1)
+    for i in range(len(y) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] * y[i]
+    out, prefix = [0], 1
+    for j, xj in enumerate(x):
+        out.append(out[-1] + xj * prefix * suffix[j + 1])
+        prefix *= y[j]
+    return out
+
+
+def reference_plan(node: Node) -> _Plan:
+    """`generate.build_plan` as one fresh plan per node, recursively, with the
+    total counts summed member by member: every field, offset and class of
+    the shared plan must equal this one's.  Small trees only (it recurses)."""
+    if isinstance(node, Leaf):
+        return _Plan("leaf", 1, n=2, st=1, nt=1, tau=1, nu=1, ss=1, sn=1)
+    palindrome = node._code == node._rev_code
+    if isinstance(node, Series):
+        kids = [reference_plan(child) for child in node.children]
+        k = len(kids)
+        sts, taus = [c.st for c in kids], [c.tau for c in kids]
+        offsets = reference_offsets([c.nt for c in kids], sts)
+        st, nt = math.prod(sts), offsets[-1]
+        starts = [sum(c.m for c in kids[:j]) for j in range(k)]
+        plan = _Plan(
+            "series", sum(c.m for c in kids), n=sum(c.n for c in kids) - (k - 1),
+            st=st, nt=nt, tau=math.prod(taus),
+            nu=reference_offsets([c.nu for c in kids], taus)[-1], ss=st, sn=nt, offsets=offsets, starts=tuple(starts), children=tuple(kids),
+        )
+        if palindrome:
+            half = math.prod(sts[: k // 2])
+            fix_sp, fix_nt = half, 0
+            if k % 2:
+                mid = kids[k // 2]
+                fix_sp, fix_nt = half * (2 * mid.ss - mid.st), half * (2 * mid.sn - mid.nt)
+            plan.ss, plan.sn = (st + fix_sp) // 2, (nt + fix_nt) // 2
+        return plan
+    order, classes = _class_order(node), []
+    for _, members in order:
+        rep = reference_plan(node.children[members[0]])
+        size = len(members)
+        nc = multiset_coefficient(rep.nt, size)
+        classes.append(_ClassPlan(size, rep, nc, rep.st * multiset_coefficient(rep.nt, size - 1)))
+    ncs = [cp.nc for cp in classes]
+    offsets = reference_offsets([cp.sc for cp in classes], ncs)
+    st, nt = offsets[-1], math.prod(ncs)
+    taus = [cp.rep_plan.tau for cp in classes for _ in range(cp.size)]
+    nus = [cp.rep_plan.nu for cp in classes for _ in range(cp.size)]
+    starts = [sum(cp.size * cp.rep_plan.m for cp in classes[:a]) for a in range(len(classes))]
+    plan = _Plan(
+        "parallel", sum(cp.size * cp.rep_plan.m for cp in classes),
+        n=sum(cp.rep_plan.n * cp.size for cp in classes) - 2 * (len(node.children) - 1),
+        st=st, nt=nt, tau=reference_offsets(taus, nus)[-1], nu=math.prod(nus),
+        ss=st, sn=nt, offsets=offsets, starts=tuple(starts), classes=tuple(classes),
+    )
+    if not palindrome:
+        return plan
+    pair_nc, seen, fix_nc, fix_sc = 1, set(), [], []
+    for (code, members), cp in zip(order, classes):
+        rep = cp.rep_plan
+        rev = node.children[members[0]]._rev_code
+        if code == rev:
+            fixed_near, swapped = 2 * rep.sn - rep.nt, rep.nt - rep.sn
+            fix_nc.append(_invariant_multisets(fixed_near, swapped, cp.size))
+            fix_sc.append(
+                (2 * rep.ss - rep.st) * _invariant_multisets(fixed_near, swapped, cp.size - 1)
+            )
+        elif code not in seen:
+            seen.add(rev)
+            pair_nc *= cp.nc
+    plan.ss = (st + pair_nc * reference_offsets(fix_sc, fix_nc)[-1]) // 2
+    plan.sn = (nt + pair_nc * math.prod(fix_nc)) // 2
+    return plan

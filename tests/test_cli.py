@@ -258,6 +258,40 @@ def test_long_path_edge_lists_are_accepted(tmp_path, capsys):
         assert capsys.readouterr().out == "1\n"
 
 
+def test_counts_print_in_full_however_long(tmp_path, capsys):
+    """3^10000 has 4772 digits, past the default int-to-str limit of Python
+    3.11 and later; the limit is restored after the run."""
+    k = 10_000
+    triangles = [f"P(e(v{i},v{i + 1}),S(e(v{i},a{i}),e(a{i},v{i + 1})))" for i in range(k)]
+    path = tmp_path / "chain.sp"
+    path.write_text("S(" + ",".join(triangles) + ")\n", encoding="utf-8")
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        expected = f"{3**k}\n"
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    assert run(["count", str(path), "--mode", "total"]) == 0
+    assert capsys.readouterr().out == expected
+    if limit:
+        assert sys.get_int_max_str_digits() == limit
+
+
+def test_integer_options_keep_the_digit_limit(capsys):
+    """Only printed counts lift the int-to-str limit: an integer option of
+    more digits than the limit is a usage error, not a long parse."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("no int-to-str digit limit before Python 3.11")
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("the digit limit is off in this interpreter")
+    assert run(["random", "--seed", "1" * (limit + 1)]) == 1
+    assert "invalid int value" in capsys.readouterr().err
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_internal_error_exit_code(diamond_file, capsys, monkeypatch):
     for error in (AssertionError, RecursionError, MemoryError):
         def broken(*args, error=error):

@@ -1,5 +1,8 @@
 """Domain types, validation, normalization, and edge-set classification."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +18,7 @@ from sptrees import (
     underlying_graph,
     validate,
 )
-from sptrees.core import Parallel, Series, edge, parallel, series
+from sptrees.core import Leaf, Parallel, Series, edge, iter_leaves, parallel, series
 
 
 def test_leaf_self_loop_is_flagged():
@@ -185,3 +188,77 @@ def test_validate_reports_paths():
     )
     report = validate(tree)
     assert any(v.path.startswith("root[1]") for v in report)
+
+
+def test_sharing_under_coinciding_terminals_is_still_reported():
+    """Two (s, s) branches sharing v overlap by 2(k-1) vertex slots, as
+    disjoint (s, t) branches would; the clash on v is still found."""
+    loop = [series(edge("s", "v", 2 * i), edge("v", "s", 2 * i + 1)) for i in range(2)]
+    assert [str(v) for v in validate(parallel(*loop))] == [
+        "root[0]: series terminals coincide",
+        "root[0]: children 0 and 1 share vertices ['s'] beyond the chain terminal",
+        "root[1]: series terminals coincide",
+        "root[1]: children 0 and 1 share vertices ['s'] beyond the chain terminal",
+        "root: children 0 and 1 share interior vertices ['v']",
+    ]
+
+
+def test_sharing_beside_a_one_child_node_is_still_reported():
+    """A one-child node's vertices are not collected, so its siblings'
+    shared vertices can add up to the expected joints; the clash on a and f
+    is still found."""
+    tree = series(
+        edge("a", "f", 0),
+        parallel(edge("f", "b", 1)),
+        parallel(edge("b", "a", 2), series(edge("b", "f", 3), edge("f", "a", 4))),
+    )
+    assert [str(v) for v in validate(tree)] == [
+        "root[1]: parallel node needs at least 2 children",
+        "root: series terminals coincide",
+        "root: children 0 and 2 share vertices ['a', 'f'] beyond the chain terminal",
+    ]
+
+
+def _sharing_faults(tree) -> set[str]:
+    """Paths of the inner nodes where two children share a vertex the rules
+    do not allow, by brute force over every pair of children."""
+    faults, stack = set(), [(tree, "root")]
+    while stack:
+        node, path = stack.pop()
+        kids = node.children
+        sets = [{v for lf in iter_leaves(kid) for v in (lf.source, lf.target)} for kid in kids]
+        for i, j in itertools.combinations(range(len(kids)), 2):
+            for v in sets[i] & sets[j]:
+                if isinstance(node, Series):
+                    allowed = j == i + 1 and v == kids[i].target
+                else:
+                    allowed = v in (kids[0].source, kids[0].target)
+                if not allowed:
+                    faults.add(path)
+        stack.extend((kid, f"{path}[{i}]") for i, kid in enumerate(kids) if kid.children)
+    return faults
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10_000), depth=st.integers(2, 5), edits=st.integers(0, 2))
+def test_sibling_sharing_is_reported_where_brute_force_finds_it(seed, depth, edits):
+    """Valid trees with up to two leaf endpoints renamed: the nodes with a
+    sharing violation are those where some pair of children shares a vertex
+    beyond the rules, whether or not the vertex counts add up."""
+    tree = random_sp(RandomSpParams(seed=seed, max_depth=depth, max_children=4))
+    rng = random.Random(seed)
+    leaves = list(iter_leaves(tree))
+    labels = sorted({v for lf in leaves for v in (lf.source, lf.target)})
+    renamed = {(rng.randrange(len(leaves)), rng.randrange(2)): rng.choice(labels)
+               for _ in range(edits)}
+
+    def copy(node):
+        if isinstance(node, Leaf):
+            ends = [renamed.get((node.index, side), end)
+                    for side, end in enumerate((node.source, node.target))]
+            return Leaf(*ends, node.index)
+        return type(node)(tuple(map(copy, node.children)))
+
+    broken = copy(tree)
+    reported = {v.path for v in validate(broken) if "share" in v.message}
+    assert reported == _sharing_faults(broken)

@@ -1,4 +1,5 @@
-"""One plan per tree: the root plan is built once, and it holds no tree list."""
+"""One plan per tree: the root plan is built once, it holds no tree list, and
+isomorphic subtrees share one position-free plan."""
 
 import contextlib
 import dataclasses
@@ -7,9 +8,12 @@ import tracemalloc
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sptrees import (
     OrientedSP,
+    RandomSpParams,
     SemiorientedSP,
     count_oriented,
     count_semioriented,
@@ -22,6 +26,7 @@ from sptrees import (
     oriented_both,
     oriented_spanning,
     parse_sp,
+    random_sp,
     reversal_index_perm,
     semioriented_spanning,
     serialize_sp,
@@ -30,9 +35,16 @@ from sptrees import (
 from sptrees import generate
 from sptrees.canonical import _class_order
 from sptrees.cli import run, verify_instance
-from sptrees.generate import _build, build_plan
+from sptrees.generate import _build, _offsets, build_plan
 
-from conftest import DIAMOND_TEXT, THETA_TEXT, mirror_symmetric, small_corpus
+from conftest import (
+    DIAMOND_TEXT,
+    THETA_TEXT,
+    mirror_symmetric,
+    reference_offsets,
+    reference_plan,
+    small_corpus,
+)
 
 
 # Series and parallel roots, with and without a reversal symmetry; each test
@@ -79,10 +91,10 @@ def _walk(plan):
 def test_every_entry_point_builds_the_root_once(text, monkeypatch):
     tree, roots = parse_sp(text), []
 
-    def counted(node, lo=0):
+    def counted(node):
         if node is tree:
-            roots.append(lo)
-        return _build(node, lo)
+            roots.append(0)
+        return _build(node)
 
     monkeypatch.setattr(generate, "_build", counted)
     results = _results(tree)
@@ -105,6 +117,17 @@ def test_equal_distinct_trees_get_their_own_plans(text):
     assert _results(copy) == results
 
 
+def _part_plans(tree, plan):
+    """(child, the plan its parent's plan holds for it) per child of `tree`."""
+    if plan.kind == "series":
+        return list(zip(tree.children, plan.children))
+    return [
+        (tree.children[pos], cp.rep_plan)
+        for (_, members), cp in zip(_class_order(tree), plan.classes)
+        for pos in members
+    ]
+
+
 def _reversal_perms(tree):
     """`reversal_index_perm` of every mirror pair of the root's children."""
     pairing = mirror_pairing(tree)
@@ -120,13 +143,16 @@ def _reversal_perms(tree):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_subtrees_planned_first_do_not_leak_into_the_parent(seed):
-    """A subtree's own plan starts its layout at 0; inside the parent it sits
-    elsewhere, so the parent must build it afresh."""
+    """A subtree's own plan is kept on the subtree; the parent's build makes
+    its own plans, equal to those of the subtrees, since plans hold no
+    position."""
     text = serialize_sp(mirror_symmetric(seed, max_trees=300))
     tree, fresh = parse_sp(text), parse_sp(text)
     perms = _reversal_perms(tree)  # children planned before their parent
-    for child in tree.children:
-        assert build_plan(child).lo == 0
+    own = [build_plan(child) for child in tree.children]
+    inside = _part_plans(tree, build_plan(tree))
+    assert [build_plan(child) for child, _ in inside] == [part for _, part in inside]
+    assert not {id(plan) for plan in own} & {id(part) for _, part in inside}
     expected = _results(fresh)  # the parent planned before its children
     assert _reversal_perms(fresh) == perms
     assert _results(tree) == expected
@@ -224,3 +250,60 @@ def test_enumerate_frees_each_instance_before_the_next(near, tmp_path):
     peak_two, lines_two = _peak(["enumerate", str(two), *mode])
     assert (lines_one, lines_two) == (expected, 2 * expected)
     assert peak_two - peak_one < (peak_one - base) / 4, (base, peak_one, peak_two)
+
+
+def _plans(plan) -> dict[int, object]:
+    """Every distinct plan object reachable from `plan`, by id."""
+    return {id(part): part for part in _walk(plan) if isinstance(part, generate._Plan)}
+
+
+def _shapes(tree) -> set[str]:
+    """The canonical codes of `tree`'s subtrees."""
+    codes, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        codes.add(node._code)
+        stack.extend(node.children)
+    return codes
+
+
+def _check_shared(tree):
+    plan = build_plan(tree)
+    assert plan == reference_plan(tree)
+    assert len(_plans(plan)) == len(_shapes(tree))
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_shared_plans_equal_the_per_position_reference(seed):
+    """Every count field, offset and class of the shared plan equals the one
+    built afresh per node, and there is one plan per distinct shape."""
+    _check_shared(mirror_symmetric(seed))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), depth=st.integers(1, 5))
+def test_shared_plans_equal_the_reference_on_random_draws(seed, depth):
+    _check_shared(random_sp(RandomSpParams(seed=seed, max_depth=depth, max_children=4)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(st.tuples(st.integers(0, 10**30), st.integers(0, 40)), max_size=12))
+def test_offsets_equal_prefix_and_suffix_products(pairs):
+    """The division-based running sums, zeros in y included (a self-paired
+    class can have no reversal-fixed near multiset), equal the products of
+    the others taken from prefix and suffix products."""
+    x, y = [a for a, _ in pairs], [b for _, b in pairs]
+    assert _offsets(x, y) == reference_offsets(x, y)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 50, 400])
+def test_a_triangle_chain_shares_its_plans(k):
+    """An S-chain of k triangles has a handful of plans whatever k, and its
+    first and last triangles share one."""
+    triangles = [f"P(e(v{i},v{i + 1}),S(e(v{i},a{i}),e(a{i},v{i + 1})))" for i in range(k)]
+    tree = parse_sp(triangles[0] if k == 1 else "S(" + ",".join(triangles) + ")")
+    plan = build_plan(tree)
+    assert len(_plans(plan)) <= 6
+    if k > 1:
+        assert plan.children[0] is plan.children[-1]
+    assert count_total(OrientedSP(tree)).spanning == 3**k

@@ -30,7 +30,9 @@ from sptrees import (
 from sptrees import canonical, core, generate
 from sptrees.canonical import _class_order
 from sptrees.cli import run
+from sptrees.generate import multiset_enumerate
 from sptrees.oracle import apply_permutation
+from sptrees.semi import _assignment_perm
 
 from conftest import (
     mirror_pairs,
@@ -156,6 +158,33 @@ def test_reversal_index_perm_matches_the_reference_on_random_draws(seed):
     if count_oriented(OrientedSP(tree)).near > 5000:
         tree = random_sp(RandomSpParams(seed=seed, max_depth=2, max_children=3))
     _assert_perms_match_the_reference(tree)
+
+
+def _ranked_assignment_perm(size, near_perm, span_perm):
+    """`_assignment_perm` by ranking every image multiset, whatever the size."""
+
+    def images(k):
+        rank = {mu: i for i, mu in enumerate(multiset_enumerate(len(near_perm), k))}
+        return [rank[tuple(sorted(near_perm[x] for x in mu))] for mu in rank]
+
+    rest = images(size - 1)
+    return images(size), [s * len(rest) + i for s in span_perm for i in rest]
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_one_member_classes_keep_the_representative_actions(seed):
+    """A one-member class's assignment actions are its representative's own
+    actions, as ranking every multiset image gives, and larger classes still
+    rank them."""
+    for child, mirror in mirror_pairs(mirror_symmetric(seed)):
+        if count_oriented(OrientedSP(child)).near > 400:
+            continue
+        near = list(reversal_index_perm(child, mirror, "near"))
+        span = list(reversal_index_perm(child, mirror, "spanning"))
+        for size in (1, 2, 3) if len(near) <= 12 else (1,):
+            got = tuple(map(list, _assignment_perm(size, near, span)))
+            assert got == _ranked_assignment_perm(size, near, span)
+        assert _ranked_assignment_perm(1, near, span) == (near, span)
 
 
 @pytest.mark.parametrize("kind", ["series", "parallel"])
