@@ -22,17 +22,35 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Leaf, Node, Parallel, Series, _tree_of, code_sort_key, iter_leaves
+from .core import (
+    Leaf,
+    Node,
+    Parallel,
+    Series,
+    _tree_of,
+    code_sort_key,
+    inner_postorder,
+    iter_leaves,
+)
 
 
 def canonical_code(g) -> str:
     """Code identifying an oriented SP graph up to oriented isomorphism."""
-    return _tree_of(g)._code
+    return _coded(g)._code
 
 
 def reversal_code(g) -> str:
     """Canonical code of the same graph with source and sink exchanged."""
-    return _tree_of(g)._rev_code
+    return _coded(g)._rev_code
+
+
+def _coded(g) -> Node:
+    """The tree of `g`, with both codes of every node read children first,
+    so that reading the root's recurses no deeper than one level."""
+    tree = _tree_of(g)
+    for node in inner_postorder(tree):
+        node._code, node._rev_code  # cached on the node by the first read
+    return tree
 
 
 def iso_map(a, b) -> dict[int, int] | None:

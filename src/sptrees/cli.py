@@ -5,8 +5,8 @@ files hold one SP expression per line ('#' comments), or an edge list
 starting with a 'terminals s t' line.  Exit codes: 0 success, 1 usage
 error, 2 invalid input, 3 verification failure, 4 internal error (a
 broken internal invariant, an input too deep for the recursion limit,
-or running out of memory).  Input and counts accept any depth or width;
-only the `code` subcommand, orbit indexing and enumeration still recurse.
+or running out of memory).  Input, counts and codes accept any depth or
+width; only orbit indexing and enumeration still recurse.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import compress, count, islice, repeat
+from functools import cache
+from itertools import chain, count, cycle, islice, repeat
 
 from .canonical import canonical_code, mirror_pairing, reversal_code
 from .core import (
@@ -59,8 +60,6 @@ _INPUT_ERRORS = (
     ValueError,
     OSError,
 )
-# Binary digits of a mask as 0/1 bytes, for `itertools.compress`.
-_BITS = bytes.maketrans(b"01", b"\0\1")
 # Most lines `enumerate` joins into one write.
 _CHUNK = 64
 
@@ -74,6 +73,26 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+class _ByteTable(dict):
+    """The text each value of one byte of a mask selects.
+
+    `tokens` holds the byte's eight tokens, each with its leading
+    separator, the first for the most significant bit; entry b joins the
+    tokens of b's set bits in that order.  An entry is built on its first
+    lookup, so a table holds only the bytes that occur."""
+
+    __slots__ = ("tokens",)
+
+    def __init__(self, tokens: list[str]):
+        super().__init__()
+        self.tokens = tokens
+
+    def __missing__(self, byte: int) -> str:
+        entry = self[byte] = "".join([t for i, t in enumerate(self.tokens) if byte << i & 128])
+        return entry
+
+
+@cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="sptrees", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -115,9 +134,8 @@ def _build_parser() -> _Parser:
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         if getattr(args, "near", False) and args.mode == "semioriented":
             raise _UsageError("--near is not supported with --mode semioriented")
         return args.handler(args)
@@ -184,11 +202,11 @@ def _cmd_count(args) -> int:
 def _cmd_enumerate(args) -> int:
     """One line per tree; a record equals `json.dumps(record, sort_keys=True)`.
 
-    The masks number the edges by descending token, so a mask's binary
-    digits, most significant first, select the printed tokens already
-    sorted, and each line is built by C-level maps with no Python step per
-    tree.  Lines go out in chunks of 1, 2, 4, ... up to `_CHUNK` lines, so
-    the first line is not held back."""
+    The masks number the edges by descending token, so that `_lines` meets
+    the printed tokens already sorted as it reads each mask byte by byte
+    through per-position byte tables, each built as its bytes occur and
+    never above 256 entries.  Lines go out in chunks of 1, 2, 4, ... up to
+    `_CHUNK` lines, so the first line is not held back."""
     write = sys.stdout.write
     for tree in _load(args.file):
         tokens = [f"{u}-{v}" for u, v in underlying_graph(tree).edges]
@@ -201,20 +219,37 @@ def _cmd_enumerate(args) -> int:
             masks = _masks(tree, numbering)
         else:
             masks = _streams(tree, args.near, numbering=numbering)[0]
-        digits = map(str.encode, map(format, masks, repeat(f"0{len(tokens)}b")))
-        chosen = map(compress, repeat(tokens), map(bytes.translate, digits, repeat(_BITS)))
         if args.format == "text":
-            lines = map(",".join, chosen)
+            lines = _lines(tokens, masks, ",")
         else:
             kind = "near" if args.near else "spanning"
             record = f'{{"edges": [%s], "index": %d, "kind": "{kind}", "mode": "{args.mode}"}}'
-            lines = map(record.__mod__, zip(map(", ".join, chosen), count()))
+            lines = map(record.__mod__, zip(_lines(tokens, masks, ", "), count()))
         size = 1
         while chunk := list(islice(lines, size)):
             chunk.append("")  # the last line's newline, with no copy of the chunk
             write("\n".join(chunk))
             size = min(2 * size, _CHUNK)
     return 0
+
+
+def _lines(tokens: list[str], masks, sep: str):
+    """Per mask, `sep` joining the tokens its bits select, bit m-1-j
+    selecting tokens[j], first to last.
+
+    A mask's k = ceil(m/8) bytes, most significant first, are looked up
+    each in its position's `_ByteTable`, and a line is its k entries joined
+    with the one leading separator dropped: k lookups and the line's own
+    bytes, all by C-level maps with no Python step per tree.  A table
+    builds only the entries of bytes that occur, so at most 256 each."""
+    k = -(-len(tokens) // 8)
+    padded = [""] * (8 * k - len(tokens)) + [sep + t for t in tokens]
+    tables = [_ByteTable(padded[i : i + 8]) for i in range(0, 8 * k, 8)]
+    # The masks' bytes in one stream, looked up in the tables in turn and
+    # joined k entries at a time (k references to one iterator).
+    stream = chain.from_iterable(map(int.to_bytes, masks, repeat(k), repeat("big")))
+    entries = map(dict.__getitem__, cycle(tables), stream)
+    return map(str.removeprefix, map("".join, zip(*[entries] * k)), repeat(sep))
 
 
 def _cmd_random(args) -> int:

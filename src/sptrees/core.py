@@ -145,6 +145,20 @@ def iter_leaves(node: Node) -> Iterator[Leaf]:
             stack.extend(reversed(node.children))
 
 
+def inner_postorder(node: Node) -> list[Node]:
+    """The S and P nodes under `node`, each after all of its children,
+    found by an explicit stack.  Reading codes in this order caches every
+    child's before its parent's, so no code property recurses."""
+    inner, stack = [], [node]
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, Leaf):
+            inner.append(node)
+            stack.extend(node.children)
+    inner.reverse()
+    return inner
+
+
 @dataclass(frozen=True, eq=False)
 class OrientedSP:
     """A series-parallel graph with an ordered (source, sink) terminal pair.

@@ -73,7 +73,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .canonical import _class_order
-from .core import EdgeSet, Leaf, Node, OrientedSP, Series, _tree_of
+from .core import EdgeSet, Leaf, Node, OrientedSP, Series, _tree_of, inner_postorder
 
 
 class ImageNotFound(ValueError):
@@ -223,14 +223,8 @@ def _invariant_multisets(fixed: int, swapped_pairs: int, size: int) -> int:
 def _build(tree: Node) -> _Plan:
     """The bottom-up pass: one plan per canonical code of `tree`, in one loop
     over its inner nodes, children first, so that no code recurses."""
-    inner, stack = [], [tree]
-    while stack:
-        node = stack.pop()
-        if not isinstance(node, Leaf):
-            inner.append(node)
-            stack.extend(node.children)
     plans = {"E": _Plan("leaf", 1, n=2, st=1, nt=1, tau=1, nu=1, ss=1, sn=1)}
-    for node in reversed(inner):
+    for node in inner_postorder(tree):
         code = node._code
         palindrome = code == node._rev_code
         if code not in plans:

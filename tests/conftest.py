@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import compress, repeat
 
 import pytest
 
@@ -49,6 +50,47 @@ def chain(k: int) -> Node:
     if k == 1:
         return parse_sp("e(v0,v1)")
     return parse_sp("S(" + ",".join(f"e(v{i},v{i + 1})" for i in range(k)) + ")")
+
+
+def deep_nest_text(depth: int) -> str:
+    """S(e(s,v0),P(e(v0,t),S(e(v0,v1),P(...)))), alternating S and P levels."""
+    heads, closers = [], []
+    source = "s"
+    for level in range(depth):
+        if level % 2 == 0:
+            heads.append(f"S(e({source},v{level}),")
+            source = f"v{level}"
+        else:
+            heads.append(f"P(e({source},t),")
+        closers.append(")")
+    heads.append(f"S(e({source},x),e(x,t))")
+    return "".join(heads) + "".join(closers)
+
+
+def deep_nest_codes(depth: int) -> tuple[str, str]:
+    """Canonical and reversal code of `deep_nest_text(depth)` for an even
+    depth (an odd one ends in S(e,S(e,e)), which normalizes flat), built
+    innermost first.  A P level's S child sorts before its edge."""
+    assert depth % 2 == 0
+    code = rev = "S(EE)"
+    for level in reversed(range(depth)):
+        if level % 2 == 0:
+            code, rev = f"S(E{code})", f"S({rev}E)"
+        else:
+            code, rev = f"P({code}E)", f"P({rev}E)"
+    return code, rev
+
+
+# Binary digits of a mask as 0/1 bytes, for `itertools.compress`.
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def reference_lines(tokens: list[str], masks, sep: str):
+    """`cli._lines` by one selector byte per edge: a mask's binary digits,
+    most significant first, select `tokens` in order."""
+    digits = map(str.encode, map(format, masks, repeat(f"0{len(tokens)}b")))
+    chosen = map(compress, repeat(tokens), map(bytes.translate, digits, repeat(_BITS)))
+    return map(sep.join, chosen)
 
 
 def small_corpus(count: int, max_vertices: int = 10, start_seed: int = 0):

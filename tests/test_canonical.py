@@ -1,5 +1,7 @@
 """Canonical codes, isomorphism maps, class partitions, mirror pairings."""
 
+import sys
+
 import pytest
 
 from sptrees import (
@@ -19,6 +21,8 @@ from sptrees import (
 from sptrees.canonical import code_sort_key
 
 from conftest import (
+    deep_nest_codes,
+    deep_nest_text,
     mirror_symmetric,
     relabeled_shuffled_copy,
     reversal_map,
@@ -52,6 +56,14 @@ def test_parallel_children_codes_are_sorted():
     assert canonical_code(a) == canonical_code(b)
     # token order S < P < E puts the series child first
     assert canonical_code(a) == "P(S(EE)E)"
+
+
+def test_codes_of_a_deep_nest_do_not_recurse():
+    # Depth 2000 is twice the default recursion limit: a root code read
+    # through one cached property per level would overflow the stack.
+    assert sys.getrecursionlimit() <= 2000
+    tree = parse_sp(deep_nest_text(2000))
+    assert (canonical_code(tree), reversal_code(tree)) == deep_nest_codes(2000)
 
 
 def test_code_sort_key_orders_tokens():

@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sptrees import (
     OrientedSP,
@@ -17,9 +19,10 @@ from sptrees import (
     parse_sp,
     underlying_graph,
 )
-from sptrees.cli import run
+from sptrees import cli
+from sptrees.cli import _build_parser, _lines, run
 
-from conftest import DIAMOND_TEXT, THETA_TEXT
+from conftest import DIAMOND_TEXT, THETA_TEXT, deep_nest_codes, deep_nest_text, reference_lines
 
 
 @pytest.fixture
@@ -116,6 +119,91 @@ def test_enumerate_records(diamond_file, capsys):
     assert [r["index"] for r in records] == [0, 1, 2]
     assert all(r["mode"] == "semioriented" and r["kind"] == "spanning" for r in records)
     assert all(r["edges"] == sorted(r["edges"]) for r in records)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40), st.data())
+@example(7, None)
+@example(8, None)
+@example(9, None)
+@example(16, None)
+@example(17, None)
+def test_byte_table_lines_match_the_selector_reference(m, data):
+    """The byte tables give the same text and records lines as one
+    selector byte per edge, at every width around a byte boundary."""
+    if data is None:  # an explicit width: a fixed mix of masks
+        masks = [0, 1, 2**m - 1, 0x5A5A5A5A5A & (2**m - 1), 1 << (m - 1)]
+    else:
+        masks = data.draw(st.lists(st.integers(0, 2**m - 1), max_size=20))
+    tokens = sorted(f"{i}-{i + 1}" for i in range(m))
+    for toks, sep in ((tokens, ","), (list(map(json.dumps, tokens)), ", ")):
+        assert list(_lines(toks, masks, sep)) == list(reference_lines(toks, masks, sep))
+
+
+def test_single_edge_near_prints_one_empty_line(tmp_path, capsys):
+    path = tmp_path / "edge.sp"
+    path.write_text("e(s,t)\n", encoding="utf-8")
+    assert run(["enumerate", str(path), "--mode", "oriented", "--near"]) == 0
+    assert capsys.readouterr().out == "\n"
+    assert run(["enumerate", str(path), "--mode", "oriented", "--near", "--format", "records"]) == 0
+    assert capsys.readouterr().out == '{"edges": [], "index": 0, "kind": "near", "mode": "oriented"}\n'
+
+
+def test_byte_tables_hold_only_the_bytes_that_occur(tmp_path, capsys, monkeypatch):
+    """A path's one tree sets every edge: each of its k tables builds one
+    entry, not 256, and none is built before a lookup."""
+    m, k = 2000, 250
+    path = tmp_path / "path.sp"
+    path.write_text("S(" + ",".join(f"e(v{i},v{i + 1})" for i in range(m)) + ")\n", encoding="utf-8")
+    made = []
+
+    class Recording(cli._ByteTable):
+        __slots__ = ()
+
+        def __init__(self, tokens):
+            super().__init__(tokens)
+            assert not self
+            made.append(self)
+
+    monkeypatch.setattr(cli, "_ByteTable", Recording)
+    assert run(["enumerate", str(path), "--mode", "oriented"]) == 0
+    assert len(capsys.readouterr().out.split(",")) == m
+    assert len(made) == k
+    assert sum(map(len, made)) <= k
+
+
+def test_one_parser_carries_no_flag_from_call_to_call(diamond_file, capsys):
+    """The parser is built once per process; each call still gives the
+    stdout and exit code of a fresh process."""
+    calls = [
+        ["count", diamond_file, "--mode", "oriented", "--bogus"],
+        ["count", diamond_file, "--mode", "oriented", "--near"],
+        ["count", diamond_file, "--mode", "oriented"],
+        ["enumerate", diamond_file, "--mode", "oriented"],
+    ]
+    fresh = list(map(_fresh_run, calls))
+    warm = []
+    for argv in calls:
+        code = run(argv)
+        warm.append((code, capsys.readouterr().out))
+    assert warm == fresh
+    assert [code for code, _ in warm] == [1, 0, 0, 0]
+    assert warm[1][1] != warm[2][1]
+    assert _build_parser() is _build_parser()
+
+
+def _fresh_run(argv, module="sptrees"):
+    """(exit code, stdout) of `python -m module` in a new interpreter."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", module, *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    return result.returncode, result.stdout
 
 
 # Edge tokens that sort unlike the edges' input order: edge 8, "9-x7",
@@ -240,6 +328,13 @@ def test_code_subcommand(diamond_file, capsys):
     assert code == reversal == "P(S(EE)S(EE)E)"
 
 
+def test_code_subcommand_on_a_deep_nest(tmp_path, capsys):
+    path = tmp_path / "nest.sp"
+    path.write_text(deep_nest_text(2000) + "\n", encoding="utf-8")
+    assert run(["code", str(path)]) == 0
+    assert capsys.readouterr().out == " ".join(deep_nest_codes(2000)) + "\n"
+
+
 def test_edge_list_input(tmp_path, capsys):
     path = tmp_path / "diamond.edges"
     path.write_text(
@@ -307,15 +402,4 @@ def test_internal_error_exit_code(diamond_file, capsys, monkeypatch):
 
 @pytest.mark.parametrize("module", ["sptrees", "sptrees.cli"])
 def test_module_entry_points(diamond_file, module):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    result = subprocess.run(
-        [sys.executable, "-m", module, "count", diamond_file, "--mode", "total"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
-    )
-    assert result.returncode == 0
-    assert result.stdout == "8\n"
+    assert _fresh_run(["count", diamond_file, "--mode", "total"], module) == (0, "8\n")

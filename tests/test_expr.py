@@ -30,7 +30,7 @@ from sptrees import core, expr
 from sptrees.core import Leaf, Parallel, Series
 from sptrees.expr import read_edge_list, read_expressions, read_instances
 
-from conftest import DIAMOND_TEXT, chain
+from conftest import DIAMOND_TEXT, chain, deep_nest_text
 
 
 def test_parse_single_edge():
@@ -64,21 +64,6 @@ def test_self_loop_is_semantic_error():
 def test_multi_edge_is_semantic_error():
     with pytest.raises(SpSemanticError, match="multi-edge"):
         parse_sp("P(e(s,t),e(s,t))")
-
-
-def deep_nest_text(depth: int) -> str:
-    """S(e(s,v0),P(e(v0,t),S(e(v0,v1),P(...)))), alternating S and P levels."""
-    heads, closers = [], []
-    source = "s"
-    for level in range(depth):
-        if level % 2 == 0:
-            heads.append(f"S(e({source},v{level}),")
-            source = f"v{level}"
-        else:
-            heads.append(f"P(e({source},t),")
-        closers.append(")")
-    heads.append(f"S(e({source},x),e(x,t))")
-    return "".join(heads) + "".join(closers)
 
 
 def test_deep_nest_round_trips_and_validates():
