@@ -15,7 +15,7 @@ On top of the codes this module extracts explicit leaf bijections
 classes (`partition_classes`), and detects the terminal-exchanging
 symmetry that distinguishes the semioriented automorphism group from
 the oriented one (`mirror_pairing`).  Classes come in `_class_order`,
-which also orders `generate`'s canonical leaf layout.
+which also orders `generate`'s enumeration.
 """
 
 from __future__ import annotations
@@ -148,7 +148,7 @@ def partition_classes(p: Parallel) -> IsoClassPartition:
     Classes come in `_class_order`, and each member gets an explicit
     verified bijection onto the class representative (the identity for
     the representative itself).  `generate` needs none of these maps:
-    in its canonical leaf layout each one is a shift.
+    it builds each member's lists from the member's own nodes.
     """
     if not isinstance(p, Parallel):
         raise TypeError("partition_classes expects a Parallel node")

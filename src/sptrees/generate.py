@@ -9,10 +9,10 @@ graph.  The composition rules follow the decomposition tree:
   * parallel node, near: one near tree per child, where children in the
     same oriented isomorphism class are interchangeable, so a class of
     size c with r nonequivalent near trees contributes the C(r+c-1, c)
-    multisets of representative trees, one tree shifted onto each member;
+    multisets of representative trees, one tree on each member;
   * parallel node, spanning: exactly one class carries a spanning tree
-    on one member (the representative's trees, placed on the first
-    member) plus a size c-1 near multiset on the rest.
+    on one member (the first in storage order) plus a size c-1 near
+    multiset on the rest.
 
 "Near tree" throughout means a two-component spanning forest that
 separates the terminals; those are the objects that compose (a forest
@@ -44,24 +44,22 @@ and `near_tree_index` invert the order: they take any spanning or near
 tree edge set and return the position of its orbit's representative.
 
 `build_plan` runs that pass once per tree object and keeps the root's
-plan on the root node; the plan holds counts and layout, never a list.
+plan on the root node; the plan holds counts and parts, never a list.
 Every enumeration list (a node's spanning and near trees, a class's
 near and spanning assignments) holds plain int leaf masks, built
-bottom-up on first use into a memo that belongs to one enumeration
-(`_placer`) and is freed with it.  Masks number the leaves in the
-canonical layout, the preorder with each P node's children in class
-order: every node covers one run of positions, carried down from the
-root by the plans' relative `starts`, and member p of a class sits p*w
-positions after its representative of w leaves, so placing a tree on a
-member is a shift and reading it back a shift and a mask.  List entries
-combine masks on disjoint runs, so `_sums` builds every product as a sum
-of masks.  The enumerations stream the root's trees from its part
-lists (`_blocks`), so large outputs are never held in memory at once.
-The root's part lists are built in a numbering the caller chooses
-(`_placer`): the input leaf numbering for the public enumerations, the
-print order for the CLI.  The emitted trees are plain sums of them, and
-no mask is moved bit by bit; the index operations move a tree the other
-way.
+bottom-up on first use into a memo that belongs to one enumeration and
+is freed with it.  The lists belong to the tree's own nodes (`_placed`):
+a leaf's list holds its bit in a numbering the caller chooses (the
+input leaf numbering for the public enumerations, the print order for
+the CLI), and a P node's class members are its actual children.  Each
+member's list is built from its own structure, which is the
+representative's up to the class's isomorphism, so entry i of every
+member's list is the same tree up to that map.  List entries combine
+masks on disjoint leaf sets, so `_sums` builds every product as a sum
+of masks, and no mask is moved bit by bit.  The enumerations stream the
+root's trees from its part lists (`_blocks`), so large outputs are never
+held in memory at once.  The index operations walk the same nodes in
+input numbering, where each node's leaves are one run of positions.
 """
 
 from __future__ import annotations
@@ -73,7 +71,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .canonical import _class_order
-from .core import EdgeSet, Leaf, Node, OrientedSP, Series, _tree_of, inner_postorder
+from .core import EdgeSet, Node, OrientedSP, Series, _tree_of, inner_postorder
 
 
 class ImageNotFound(ValueError):
@@ -140,13 +138,12 @@ class _ClassPlan:
 
 @dataclass(slots=True)
 class _Plan:
-    """Counts and layout of one oriented shape, of `kind` leaf, series or parallel.
+    """Counts and parts of one oriented shape, of `kind` leaf, series or parallel.
 
     The plan holds no node and no position, so every subtree of one shape
     shares it, and a plan kept on its tree's root makes no reference
-    cycle.  Its m leaves take one run of the canonical layout, in which
-    `starts[j]` is where part j's run starts: series child j, or class j,
-    whose members sit side by side.
+    cycle.  Its parts are the series children's plans, in order, or the
+    parallel classes, in class order; m counts its leaves.
     st, nt are the oriented spanning and near counts, tau, nu the counts
     with no automorphism reduction, ss, sn the semioriented ones.
     `offsets[j]` is where the trees whose distinguished part is j start:
@@ -164,16 +161,15 @@ class _Plan:
     ss: int
     sn: int
     offsets: list[int] | None = None
-    starts: tuple[int, ...] = ()
     children: tuple["_Plan", ...] = ()
     classes: tuple[_ClassPlan, ...] = ()
 
 
 def build_plan(g) -> _Plan:
-    """Classes, canonical leaf runs and counts of a normalized tree.
+    """Classes and counts of a normalized tree.
 
     The plan is built once per tree object and kept on its root node, as
-    the codes are; it holds counts and layout only, never a tree list.
+    the codes are; it holds counts and parts only, never a tree list.
     Within one build, isomorphic subtrees share one plan wherever they
     sit; only the root's plan is kept on a node.
     """
@@ -244,11 +240,10 @@ def _series(node: Series, plans: dict, palindrome: bool) -> _Plan:
     taus = [p.tau ** g for p, g in groups]
     nus = [g * p.nu * p.tau ** (g - 1) for p, g in groups]
     st, nt = math.prod(sts), offsets[-1]
-    ends = list(itertools.accumulate(c.m for c in kids))
     plan = _Plan(
-        "series", ends[-1], n=sum(c.n for c in kids) - (k - 1), st=st, nt=nt,
+        "series", sum(c.m for c in kids), n=sum(c.n for c in kids) - (k - 1), st=st, nt=nt,
         tau=math.prod(taus), nu=_offsets(nus, taus)[-1], ss=st, sn=nt,
-        offsets=offsets, starts=(0, *ends[:-1]), children=tuple(kids),
+        offsets=offsets, children=tuple(kids),
     )
     # A reversal maps child i onto child k-1-i; the fixed candidates are
     # palindromic tuples, with a reversal-fixed tree in an odd middle.
@@ -275,12 +270,11 @@ def _parallel(node: Node, plans: dict, palindrome: bool) -> _Plan:
     # near forests and c * tau * nu^(c-1) forests with one spanning member.
     nus = [cp.rep_plan.nu ** cp.size for cp in classes]
     taus = [cp.size * cp.rep_plan.tau * cp.rep_plan.nu ** (cp.size - 1) for cp in classes]
-    ends = list(itertools.accumulate(cp.size * cp.rep_plan.m for cp in classes))
     plan = _Plan(
-        "parallel", ends[-1],
+        "parallel", sum(cp.size * cp.rep_plan.m for cp in classes),
         n=sum(cp.rep_plan.n * cp.size for cp in classes) - 2 * (len(node.children) - 1),
         st=st, nt=nt, tau=_offsets(taus, nus)[-1], nu=math.prod(nus), ss=st, sn=nt,
-        offsets=offsets, starts=(0, *ends[:-1]), classes=tuple(classes),
+        offsets=offsets, classes=tuple(classes),
     )
     # A reversal maps each class onto an equal-size class; the fixed
     # candidates take mirror assignments on paired classes (one choice
@@ -312,57 +306,55 @@ def _sums(blocks):
     """Masks of the product of each block's lists, block by block, each
     product in product order.
 
-    Every product combines masks on disjoint leaf runs (series
+    Every product combines masks on disjoint leaf sets (series
     children, parallel members), so the union of a combination is its
     sum.
     """
     return itertools.chain.from_iterable(map(sum, itertools.product(*b)) for b in blocks)
 
 
-def _list(memo: dict, plan: _Plan, near: bool, lo: int = 0, shift: int = 0) -> list[int]:
-    """The near (or spanning) trees of the node at `lo` in the canonical
-    layout, built once per `memo` and position, on its copy `shift` up."""
-    key = (id(plan), near, lo)
-    if key not in memo:
-        memo[key] = list(_sums(_blocks(plan, near, lo, 0, partial(_list, memo))))
-    return [x << shift for x in memo[key]] if shift else memo[key]
+def _classes(node: Node, plan: _Plan) -> list[tuple[list[Node], _ClassPlan]]:
+    """A P node's classes as (member nodes in storage order, class plan)."""
+    kids = node.children
+    return [([kids[i] for i in ms], cp) for (_, ms), cp in zip(_class_order(node), plan.classes)]
 
 
-def _assignments(cp: _ClassPlan, near: bool, lo: int, shift: int, lists) -> list[int]:
+def _assignments(members: list[Node], cp: _ClassPlan, near: bool, lists) -> list[int]:
     """Masks of the class's near assignments, in multiset order, or of its
-    spanning assignments, ordered by (tree, multiset), with member p's trees
-    from `lists(cp.rep_plan, near, lo, shift + p*w)`, `lo` its first member's.
+    spanning assignments, ordered by (tree, multiset), with each member's
+    trees from `lists(member, cp.rep_plan, near)`.
 
     A multiset x_0 <= x_1 <= ... puts near tree x_p on member p.  A spanning
-    assignment puts the tree on the first member, the representative itself,
-    and a near multiset on the rest; up to swaps within the class the choice
-    of carrier does not matter."""
+    assignment puts the tree on the first member and a near multiset on the
+    rest; up to swaps within the class the choice of carrier does not
+    matter."""
     rep, first = cp.rep_plan, 0 if near else 1
-    if cp.size == 1:  # the representative's own trees
-        return lists(rep, near, lo, shift)
-    tables = [lists(rep, True, lo, shift + p * rep.m) for p in range(first, cp.size)]
+    if cp.size == 1:  # the member's own trees
+        return lists(members[0], rep, near)
+    tables = [lists(x, rep, True) for x in members[first:]]
     multisets = itertools.combinations_with_replacement(range(rep.nt), len(tables))
     sets = [sum(map(list.__getitem__, tables, mu)) for mu in multisets]
-    return sets if near else list(_sums([[lists(rep, False, lo, shift), sets]]))
+    return sets if near else list(_sums([[lists(members[0], rep, False), sets]]))
 
 
-def _blocks(plan: _Plan, near: bool, lo: int, shift: int, lists) -> list[list[list[int]]]:
-    """The part lists of the node at `lo`, on its copy `shift` up, one per part
-    in each block, whose `_sums` are its trees: the series children's
-    spanning lists, with child j's near list in block j for near trees; the
-    class near assignments, with class a's spanning ones in block a for
-    spanning trees.  A part's trees come from `lists`, as in `_assignments`."""
+def _blocks(node: Node, plan: _Plan, near: bool, lists) -> list[list[list[int]]]:
+    """The part lists of `node`, one per part in each block, whose `_sums` are
+    its trees: the series children's spanning lists, with child j's near list
+    in block j for near trees; the class near assignments, with class a's
+    spanning ones in block a for spanning trees.  A part's trees come from
+    `lists`, as in `_assignments`; a leaf's one part is its own list."""
     if plan.kind == "leaf":
-        return [[[0 if near else 1 << lo + shift]]]
+        return [[lists(node, plan, near)]]
     series = plan.kind == "series"
-    parts = [(part, lo + at) for part, at in zip(plan.children or plan.classes, plan.starts)]
-    get = lists if series else partial(_assignments, lists=lists)
+    if series:
+        parts, get = list(zip(node.children, plan.children)), lists
+    else:
+        parts, get = _classes(node, plan), partial(_assignments, lists=lists)
     if near != series:
-        return [[get(part, not series, at, shift) for part, at in parts]]
-    rest = [get(part, not series, at, shift) for part, at in parts] if len(parts) > 1 else []
+        return [[get(x, part, not series) for x, part in parts]]
+    rest = [get(x, part, not series) for x, part in parts] if len(parts) > 1 else []
     return [
-        rest[:j] + [get(part, series, at, shift)] + rest[j + 1 :]
-        for j, (part, at) in enumerate(parts)
+        rest[:j] + [get(x, part, series)] + rest[j + 1 :] for j, (x, part) in enumerate(parts)
     ]
 
 
@@ -371,71 +363,27 @@ def _blocks(plan: _Plan, near: bool, lo: int, shift: int, lists) -> list[list[li
 # ---------------------------------------------------------------------------
 
 
-def _segments(tree: Node, numbering=None) -> list[tuple[int, int, int]]:
-    """(canonical start, width mask, start in `numbering`) per run of leaves
-    that is contiguous in both numberings, from one walk in canonical order.
-    Input leaf i sits at `numbering[i]`, by default at i."""
-    segments: list[tuple[int, int, int]] = []
-    stack, k = [tree], 0
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Leaf):
-            at = node.index if numbering is None else numbering[node.index]
-            if segments and at - k == segments[-1][2] - segments[-1][0]:
-                c, width, i = segments[-1]
-                segments[-1] = (c, 2 * width + 1, i)
-            else:
-                segments.append((k, 1, at))
-            k += 1
-        elif isinstance(node, Series):
-            stack.extend(reversed(node.children))
-        else:
-            for _, members in reversed(_class_order(node)):
-                stack.extend(node.children[pos] for pos in reversed(members))
-    return segments
+def _placed(memo: dict, numbering, node: Node, plan: _Plan, near: bool) -> list[int]:
+    """The near (or spanning) trees of `node`, whose plan is `plan`, with input
+    leaf i at bit `numbering[i]` (at bit i by default), built once per `memo`.
 
-
-def _moved(mask: int, segments) -> int:
-    """`mask` with each segment's bits moved from its first start to its last."""
-    out = 0
-    for src, width, dst in segments:
-        out |= (mask >> src & width) << dst
-    return out
-
-
-def _placer(tree: Node, numbering=None):
-    """`placed(part, near, lo=0, shift=0)`: the trees of the copy `shift` up of
-    `part` at `lo` in the canonical layout, in `numbering` (as in `_segments`),
-    each list built once: a copy on one undisplaced segment has its canonical
-    list, any other the `_sums` of its placed parts, as a bit move commutes
-    with sums on disjoint runs.  Canonical lists (key: part, flag, lo) and
-    placed copies (key: part, flag, lo, shift) share one memo, freed with
-    `placed`: no closure refers to itself, so no reference cycle keeps it."""
-    segment, move = [], []  # per canonical position: segment, target minus canonical
-    for k, (c, width, i) in enumerate(_segments(tree, numbering)):
-        segment += [k] * width.bit_length()
-        move += [i - c] * width.bit_length()
-    return partial(_placed, {}, segment, move)
-
-
-def _placed(memo, segment, move, part: _Plan, near: bool, lo: int = 0, shift: int = 0):
-    key, at = (id(part), near, lo, shift), lo + shift
+    Bind the memo and numbering with `partial` for one enumeration: no
+    closure refers to itself, so no reference cycle keeps the memo."""
+    key = (id(node), near)
     if key not in memo:
-        if part.kind == "leaf":
-            memo[key] = [0 if near else 1 << at + move[at]]
-        elif move[at] == 0 and segment[at] == segment[at + part.m - 1]:
-            memo[key] = _list(memo, part, near, lo, shift)
+        if plan.kind == "leaf":
+            bit = node.index if numbering is None else numbering[node.index]
+            memo[key] = [0 if near else 1 << bit]
         else:
-            placed = partial(_placed, memo, segment, move)
-            memo[key] = list(_sums(_blocks(part, near, lo, shift, placed)))
+            memo[key] = list(_sums(_blocks(node, plan, near, partial(_placed, memo, numbering))))
     return memo[key]
 
 
 def _streams(tree: Node, *nears: bool, numbering=None) -> list:
     """Per flag in `nears`, the masks of the tree's near (or spanning) trees
-    in `numbering` (as in `_segments`), from its root's placed parts."""
-    plan, placed = build_plan(tree), _placer(tree, numbering)
-    blocks = [_blocks(plan, near, 0, 0, placed) for near in nears]
+    in `numbering` (as in `_placed`), from its root's part lists."""
+    plan, placed = build_plan(tree), partial(_placed, {}, numbering)
+    blocks = [_blocks(tree, plan, near, placed) for near in nears]
     return [_sums(bs) for bs in blocks]
 
 
@@ -481,10 +429,6 @@ def count_total(g: OrientedSP) -> CountPair:
 # ---------------------------------------------------------------------------
 
 
-def _span_mask(plan: _Plan, lo: int) -> int:
-    return ((1 << plan.m) - 1) << lo
-
-
 def _is_near(plan: _Plan, part: int) -> bool:
     """True for a near tree's edge count on `plan`'s node, False for a spanning tree's."""
     bits = part.bit_count()
@@ -493,8 +437,9 @@ def _is_near(plan: _Plan, part: int) -> bool:
     return bits == plan.n - 2
 
 
-def _index(plan: _Plan, mask: int, near: bool, lo: int = 0) -> int:
-    """Enumeration position of the orbit of a near (or spanning) tree `mask`, on the node at `lo`.
+def _index(node: Node, plan: _Plan, mask: int, near: bool, lo: int = 0) -> int:
+    """Enumeration position of the orbit of a near (or spanning) tree `mask`
+    on `node`, whose leaves are the input positions lo, ..., lo + m - 1.
 
     Digits run over series children or parallel classes in order; the odd
     part (the child with a near tree's break, the class with a spanning
@@ -507,32 +452,35 @@ def _index(plan: _Plan, mask: int, near: bool, lo: int = 0) -> int:
         return 0
     rank, odd = 0, None
     if plan.kind == "series":
-        for j, (child, at) in enumerate(zip(plan.children, plan.starts)):
-            at += lo
-            part = mask & _span_mask(child, at)
-            if _is_near(child, part):
+        for j, (child, part_plan) in enumerate(zip(node.children, plan.children)):
+            part = mask & ((1 << part_plan.m) - 1) << lo
+            if _is_near(part_plan, part):
                 if not near or odd is not None:
                     raise ImageNotFound("the break is not in exactly one branch")
-                rank, odd = rank * child.nt + _index(child, part, True, at), j
+                rank, odd = rank * part_plan.nt + _index(child, part_plan, part, True, lo), j
             else:
-                rank = rank * child.st + _index(child, part, False, at)
+                rank = rank * part_plan.st + _index(child, part_plan, part, False, lo)
+            lo += part_plan.m
     else:
-        for j, (cp, at) in enumerate(zip(plan.classes, plan.starts)):
-            rep, at = cp.rep_plan, lo + at
-            window, nears, spans = _span_mask(rep, at), [], []
-            for p in range(cp.size):
-                part = mask >> p * rep.m & window
-                if _is_near(rep, part):
-                    nears.append(_index(rep, part, True, at))
-                else:
-                    spans.append(_index(rep, part, False, at))
-            digit = multiset_rank(tuple(sorted(nears)), rep.nt)
-            if not spans:
+        # The children run in storage order, each ranked on its class's plan.
+        class_of = {code: j for j, (code, _) in enumerate(_class_order(node))}
+        nears, spans = [[] for _ in class_of], [[] for _ in class_of]
+        for child in node.children:
+            j = class_of[child._code]
+            rep = plan.classes[j].rep_plan
+            part = mask & ((1 << rep.m) - 1) << lo
+            is_near = _is_near(rep, part)
+            (nears if is_near else spans)[j].append(_index(child, rep, part, is_near, lo))
+            lo += rep.m
+        for j, cp in enumerate(plan.classes):
+            rep = cp.rep_plan
+            digit = multiset_rank(tuple(sorted(nears[j])), rep.nt)
+            if not spans[j]:
                 rank = rank * cp.nc + digit
                 continue
-            if near or odd is not None or len(spans) > 1:
+            if near or odd is not None or len(spans[j]) > 1:
                 raise ImageNotFound("a spanning branch where none or another fits")
-            rank = rank * cp.sc + spans[0] * multiset_coefficient(rep.nt, cp.size - 1) + digit
+            rank = rank * cp.sc + spans[j][0] * multiset_coefficient(rep.nt, cp.size - 1) + digit
             odd = j
     if (odd is None) == (near == (plan.kind == "series")):
         raise ImageNotFound("no branch carries the break or the spanning tree")
@@ -540,10 +488,12 @@ def _index(plan: _Plan, mask: int, near: bool, lo: int = 0) -> int:
 
 
 def _located(g, es: EdgeSet, near: bool) -> int:
-    """`_index` on the plan of `g`, with `es` moved into its canonical layout."""
+    """`_index` on the root of `g`, whose leaves are the input positions."""
     tree = _tree_of(g)
-    segments = [(i, w, c) for c, w, i in _segments(tree)]
-    return _index(build_plan(tree), _moved(es.mask, segments), near)
+    plan = build_plan(tree)
+    if es.mask >> plan.m:
+        raise ImageNotFound("an edge outside the graph")
+    return _index(tree, plan, es.mask, near)
 
 
 def spanning_tree_index(g: OrientedSP, es: EdgeSet) -> int:

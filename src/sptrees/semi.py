@@ -15,15 +15,15 @@ per spanning class.  The comparison uses the full tuple, including the
 middle child of an odd series chain and self-paired parallel classes,
 so a candidate whose outer positions are palindromic is still paired
 off through its middle entry.  All lists below the top level stay
-oriented.  Each slot's items are built once, in the caller's numbering
-(`generate._placer`: input order for the public functions, print order
-for the CLI), and the emitted masks are plain sums of them.  The index
-permutations come from the plans alone, with no leaf and no numbering:
-where code(x) = rev_code(y), the reversal's action on list indices,
-from x's lists onto y's, composes bottom up from the children's actions
-(`_reversal_perms`), as the lists themselves do.  The items and the
-permutations live as long as the filter's stream; the cached plan holds
-none of them.
+oriented.  Each slot's items are built once from the root's own children
+(`generate._placed`), in the caller's numbering (input order for the
+public functions, print order for the CLI), and the emitted masks are
+plain sums of them.  The index permutations come from the plans alone,
+with no leaf and no numbering: where code(x) = rev_code(y), the
+reversal's action on list indices, from x's lists onto y's, composes
+bottom up from the children's actions (`_reversal_perms`), as the lists
+themselves do.  The items and the permutations live as long as the
+filter's stream; the cached plan holds none of them.
 
 Counting needs no enumeration: `count_semioriented` reads the
 semioriented count that `generate.build_plan` computes in its single
@@ -40,7 +40,8 @@ from .canonical import _class_order
 from .core import EdgeSet, SemiorientedSP, _tree_of
 from .generate import (
     _assignments,
-    _placer,
+    _classes,
+    _placed,
     _streams,
     _sums,
     build_plan,
@@ -174,13 +175,13 @@ def iter_semioriented_spanning(g: SemiorientedSP):
 
 
 def _masks(tree, numbering=None):
-    """Masks of the semioriented spanning trees in `numbering`, as in `generate._segments`."""
+    """Masks of the semioriented spanning trees in `numbering`, as in `generate._placed`."""
     plan = build_plan(tree)
     if plan.kind == "leaf" or tree._code != tree._rev_code:
         return _streams(tree, False, numbering=numbering)[0]
     target, perms = _parts({}, tree, plan, tree, plan)
     slots = _series_slots if plan.kind == "series" else _class_slots
-    return _filtered(*slots(plan, target, perms, _placer(tree, numbering)))
+    return _filtered(*slots(tree, plan, target, perms, partial(_placed, {}, numbering)))
 
 
 def _filtered(items, target, perms, blocks):
@@ -200,14 +201,14 @@ def _filtered(items, target, perms, blocks):
                 yield sum(map(list.__getitem__, items, tup))
 
 
-def _series_slots(plan, target, perms, placed):
+def _series_slots(tree, plan, target, perms, placed):
     """Slots of the series filter: child i's spanning trees, reversed onto child k-1-i."""
-    items = [placed(c, False, at) for c, at in zip(plan.children, plan.starts)]
+    items = [placed(x, part, False) for x, part in zip(tree.children, plan.children)]
     spanning = [perm for _, perm in perms]
     return items, target, spanning, [[range(len(lst)) for lst in items]]
 
 
-def _class_slots(plan, target, perms, placed):
+def _class_slots(tree, plan, target, perms, placed):
     """Slots of the parallel filter: a class's assignments, near then spanning.
 
     Block a lets class a carry the spanning tree and the others a near
@@ -215,9 +216,9 @@ def _class_slots(plan, target, perms, placed):
     """
     classes = plan.classes
     perms = [near + [cp.nc + s for s in span] for cp, (near, span) in zip(classes, perms)]
-    items, get = [], partial(_assignments, shift=0, lists=placed)
-    for cp, at in zip(classes, plan.starts):  # a loop: one frame less below it
-        items.append(get(cp, True, at) + get(cp, False, at))
+    items, get = [], partial(_assignments, lists=placed)
+    for members, cp in _classes(tree, plan):  # a loop: one frame less below it
+        items.append(get(members, cp, True) + get(members, cp, False))
     blocks = [
         [range(cp.nc, cp.nc + cp.sc) if j == a else range(cp.nc) for j, cp in enumerate(classes)]
         for a in range(len(classes))

@@ -25,8 +25,7 @@ from sptrees.generate import (
     _Plan,
     _index,
     _invariant_multisets,
-    _placer,
-    _segments,
+    _placed,
     build_plan,
     multiset_coefficient,
 )
@@ -311,13 +310,13 @@ def series_maps(node: Series) -> tuple[dict[int, int], ...]:
 
 def reference_index_perm(child: Node, mirror: Node, kind: str = "spanning") -> tuple[int, ...]:
     """`reversal_index_perm` by leaf maps: each of `child`'s trees is moved
-    through `reversal_map` bit by bit (`mask_image`) into `mirror`'s
-    canonical layout and ranked there by `generate._index`."""
+    through `reversal_map` bit by bit (`mask_image`) onto `mirror`'s leaves
+    and ranked there by `generate._index`."""
     near = kind == "near"
-    at = {i + d: c + d for c, w, i in _segments(mirror) for d in range(w.bit_length())}
-    r = {a: at[b] for a, b in reversal_map(child, mirror).items()}
-    trees = _placer(child)(build_plan(child), near)
-    return tuple(_index(build_plan(mirror), mask_image(x, r), near) for x in trees)
+    r = reversal_map(child, mirror)
+    lo = min(r.values())  # `mirror`'s leaves are the input positions lo, lo + 1, ...
+    trees = _placed({}, None, child, build_plan(child), near)
+    return tuple(_index(mirror, build_plan(mirror), mask_image(x, r), near, lo) for x in trees)
 
 
 def mirror_pairs(tree: Node) -> list[tuple[Node, Node]]:
@@ -371,11 +370,10 @@ def reference_plan(node: Node) -> _Plan:
         sts, taus = [c.st for c in kids], [c.tau for c in kids]
         offsets = reference_offsets([c.nt for c in kids], sts)
         st, nt = math.prod(sts), offsets[-1]
-        starts = [sum(c.m for c in kids[:j]) for j in range(k)]
         plan = _Plan(
             "series", sum(c.m for c in kids), n=sum(c.n for c in kids) - (k - 1),
             st=st, nt=nt, tau=math.prod(taus),
-            nu=reference_offsets([c.nu for c in kids], taus)[-1], ss=st, sn=nt, offsets=offsets, starts=tuple(starts), children=tuple(kids),
+            nu=reference_offsets([c.nu for c in kids], taus)[-1], ss=st, sn=nt, offsets=offsets, children=tuple(kids),
         )
         if palindrome:
             half = math.prod(sts[: k // 2])
@@ -396,12 +394,11 @@ def reference_plan(node: Node) -> _Plan:
     st, nt = offsets[-1], math.prod(ncs)
     taus = [cp.rep_plan.tau for cp in classes for _ in range(cp.size)]
     nus = [cp.rep_plan.nu for cp in classes for _ in range(cp.size)]
-    starts = [sum(cp.size * cp.rep_plan.m for cp in classes[:a]) for a in range(len(classes))]
     plan = _Plan(
         "parallel", sum(cp.size * cp.rep_plan.m for cp in classes),
         n=sum(cp.rep_plan.n * cp.size for cp in classes) - 2 * (len(node.children) - 1),
         st=st, nt=nt, tau=reference_offsets(taus, nus)[-1], nu=math.prod(nus),
-        ss=st, sn=nt, offsets=offsets, starts=tuple(starts), classes=tuple(classes),
+        ss=st, sn=nt, offsets=offsets, classes=tuple(classes),
     )
     if not palindrome:
         return plan

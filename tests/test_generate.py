@@ -32,18 +32,10 @@ from sptrees import (
     spanning_tree_index,
     underlying_graph,
 )
-from sptrees.cli import run
+from sptrees.cli import verify_instance
 from sptrees.core import Leaf, Parallel, Series, mask_image
-from sptrees.generate import (
-    _list,
-    _moved,
-    _segments,
-    _streams,
-    build_plan,
-    multiset_coefficient,
-    multiset_rank,
-)
-from sptrees.semi import _masks, iter_semioriented_spanning
+from sptrees.generate import _streams, multiset_coefficient, multiset_rank
+from sptrees.semi import _masks
 
 from conftest import DIAMOND_TEXT, chain, mirror_symmetric, orbit_exactly_once, small_corpus
 
@@ -310,10 +302,10 @@ def test_oriented_path_builds_no_leaf_map(monkeypatch):
     assert results() == expected
 
 
-# Roots whose P nodes store their children against the class order, so the
-# canonical layout has many segments.  The first two are reversal-symmetric;
-# in the third, the second P node's run starts on a leaf that keeps its place
-# and ends on displaced ones.
+# Roots whose P nodes store their children against the class order.  The
+# first two are reversal-symmetric, and the second's root class has two
+# members apart; in the third, one P node keeps its first child first and
+# swaps the other two.
 MOVED_ROOTS = {
     "series": "S(P(e(s,a),S(e(s,x),e(x,a))),P(S(e(a,y),e(y,b)),e(a,b)),e(b,c),"
     "P(e(c,d),S(e(c,z),e(z,d))),P(S(e(d,w),e(w,t)),e(d,t)))",
@@ -324,48 +316,21 @@ MOVED_ROOTS = {
 }
 
 
-@pytest.mark.parametrize("text", MOVED_ROOTS.values(), ids=MOVED_ROOTS.keys())
-def test_root_parts_are_moved_once_not_each_tree(text, tmp_path, capsys, monkeypatch):
-    """The root's part lists are built in input numbering, or in print order
-    for CLI `enumerate`, so no emitted tree and no list entry is moved bit by
-    bit, and the streams equal the canonical lists with each tree moved on
-    its own."""
-    tree = parse_sp(text)
-    segments = _segments(tree)
-    assert len(segments) > 2
-    plan = build_plan(tree)
-    expected = [
-        [EdgeSet(_moved(x, segments)) for x in _list({}, plan, near)] for near in (False, True)
-    ]
-    o = OrientedSP(tree)
-    calls = []
-    monkeypatch.setattr("sptrees.generate._moved", lambda *a: calls.append(1) or _moved(*a))
-    assert list(iter_oriented_spanning(o)) == expected[0]
-    assert list(iter_oriented_near(o)) == expected[1]
-    assert oriented_both(o) == tuple(expected)
-    assert len(list(iter_semioriented_spanning(SemiorientedSP(tree)))) > 0
-    path = tmp_path / "root.sp"
-    path.write_text(text + "\n", encoding="utf-8")
-    for args in (
-        ["--mode", "oriented"],
-        ["--mode", "oriented", "--near"],
-        ["--mode", "semioriented"],
-        ["--mode", "oriented", "--format", "records"],
-    ):
-        assert run(["enumerate", str(path), *args]) == 0
-        assert capsys.readouterr().out
-    assert not calls
-
-
-@pytest.mark.parametrize("seed", range(24))
+@pytest.mark.parametrize("seed", [*range(24), *MOVED_ROOTS])
 def test_streams_in_a_numbering_are_the_input_streams_permuted(seed):
     """Input leaf i at bit `numbering[i]`: the spanning, near and semioriented
-    streams equal the input-numbered ones with each mask permuted bit by bit."""
+    streams equal the input-numbered ones with each mask permuted bit by bit.
+    On the `MOVED_ROOTS`, the index operations also invert the streams and
+    the oracle check passes."""
     rng = random.Random(seed)
-    draw = random_sp(RandomSpParams(seed=seed, max_depth=3 + seed % 2, max_children=3))
-    if count_oriented(OrientedSP(draw)).spanning > 5000:
-        draw = random_sp(RandomSpParams(seed=seed))
-    for tree in (draw, mirror_symmetric(seed, max_trees=500)):
+    if seed in MOVED_ROOTS:
+        trees = [parse_sp(MOVED_ROOTS[seed])]
+    else:
+        draw = random_sp(RandomSpParams(seed=seed, max_depth=3 + seed % 2, max_children=3))
+        if count_oriented(OrientedSP(draw)).spanning > 5000:
+            draw = random_sp(RandomSpParams(seed=seed))
+        trees = [draw, mirror_symmetric(seed, max_trees=500)]
+    for tree in trees:
         m = underlying_graph(tree).m
         numbering = rng.sample(range(m), m)
         leaf_map = dict(enumerate(numbering))
@@ -375,6 +340,12 @@ def test_streams_in_a_numbering_are_the_input_streams_permuted(seed):
             assert list(placed) == expected
         expected = [mask_image(x, leaf_map) for x in _masks(tree)]
         assert list(_masks(tree, numbering)) == expected
+    if seed in MOVED_ROOTS:
+        o = OrientedSP(tree)
+        for stream, index in zip(oriented_both(o), (spanning_tree_index, near_tree_index)):
+            assert [index(o, es) for es in stream] == list(range(len(stream)))
+        ok, summary = verify_instance(tree)
+        assert ok, summary
 
 
 def test_orbit_index_rejects_garbage(diamond):
@@ -383,3 +354,8 @@ def test_orbit_index_rejects_garbage(diamond):
         spanning_tree_index(o, EdgeSet.of([0, 1, 2]))  # contains a cycle
     with pytest.raises(ImageNotFound):
         near_tree_index(o, EdgeSet.of([0, 1]))  # does not separate terminals
+    spanning, near = oriented_both(o)
+    with pytest.raises(ImageNotFound):
+        spanning_tree_index(o, EdgeSet(spanning[0].mask | 1 << 40))  # an edge outside the graph
+    with pytest.raises(ImageNotFound):
+        near_tree_index(o, EdgeSet(near[0].mask | 1 << 5))  # edge 5 of a 5-edge graph
