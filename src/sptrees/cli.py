@@ -37,7 +37,6 @@ from .expr import (
 )
 from .generate import ImageNotFound, _streams, count_oriented, count_total, oriented_both
 from .oracle import (
-    FixBoth,
     FixSet,
     LimitExceeded,
     all_near_trees,
@@ -288,8 +287,9 @@ def verify_instance(tree: Node, limit: int = 12) -> tuple[bool, str]:
             f"brute={len(spanning)}"
         )
 
-    aut_or = automorphisms(graph, FixBoth(s, t), limit=limit)
+    # A symmetry that keeps {s, t} and fixes s also fixes t.
     aut_semi = automorphisms(graph, FixSet(s, t), limit=limit)
+    aut_or = [sigma for sigma in aut_semi if sigma[s] == s]
 
     counts = count_oriented(OrientedSP(tree))
     fast_sp, fast_nt = oriented_both(OrientedSP(tree))

@@ -1,11 +1,20 @@
 """Brute-force ground truth for spanning trees, automorphisms, and orbits.
 
 Everything here works on labeled graphs only, never on decomposition
-trees, so agreement checks exercise the whole pipeline.  One
-backtracking forest generator yields the spanning trees and the near
-sets; orbits are keyed by each set's least image under the group's edge
-maps.  The default vertex limit keeps worst-case backtracking around a
-second; raise it explicitly for stress runs.
+trees, so agreement checks exercise the whole pipeline.  Each step does
+its inner work in C-level operations on ints and strings:
+
+- one backtracking forest generator yields the spanning trees and the
+  near sets, with component labels held one character per vertex in a
+  `str` and merged by `str.replace`;
+- the automorphism search holds adjacency as vertex bitmasks and
+  accepts a candidate image with one AND and compare;
+- orbits are keyed by each set's least image under the group, and
+  Burnside counts the sets each element fixes.  Both map all sets under
+  one group element at a time through per-byte tables of its edge map.
+
+The default vertex limit keeps worst-case backtracking around a second;
+raise it explicitly for stress runs.
 """
 
 from __future__ import annotations
@@ -78,13 +87,15 @@ def _forests(g: LabeledGraph, k: int):
     Backtracking over the edges on an explicit stack: edge i is tried in
     before out, and a branch ends once its edge closes a cycle or too few
     edges remain, so the subsets come in `itertools.combinations` order.
-    comp[v] names the component of vertex v; an edge that joins two
-    components relabels one of them (quick-find, O(n) on small graphs).
+    comp is a `str` with one character per vertex naming its component;
+    an edge that joins two components relabels one with `str.replace`
+    (quick-find in one C-level pass).  A `str` holds a label for every
+    vertex at any n.
     """
     vidx = g.vertex_index
     endpoints = [(vidx[u], vidx[v]) for u, v in g.edges]
     m = len(endpoints)
-    stack = [(0, 0, 0, list(range(g.n)))]
+    stack = [(0, 0, 0, "".join(map(chr, range(g.n))))]
     while stack:
         pos, mask, size, comp = stack.pop()
         if size == k:
@@ -94,8 +105,7 @@ def _forests(g: LabeledGraph, k: int):
             u, v = endpoints[pos]
             a, b = comp[u], comp[v]
             if a != b:
-                merged = [a if c == b else c for c in comp]
-                stack.append((pos + 1, mask | 1 << pos, size + 1, merged))
+                stack.append((pos + 1, mask | 1 << pos, size + 1, comp.replace(b, a)))
 
 
 def all_spanning_trees(g: LabeledGraph, limit: int = DEFAULT_LIMIT) -> list[EdgeSet]:
@@ -132,63 +142,81 @@ def automorphisms(
 ) -> list[VertexPermutation]:
     """The full automorphism group satisfying the fixing policy.
 
-    Backtracking extension over vertices in sorted order, pruned by
-    degree and by adjacency against already-assigned vertices; the
-    identity is always included and the result is closed under
-    composition (a group).
+    Backtracking extension over the vertices in `g.vertices` order.
+    Vertex i may map to any unused vertex of equal degree in the same
+    policy class (FixBoth pins s and t, FixSet keeps {s, t}), tried in
+    the same order.  Adjacency is held as vertex bitmasks, so candidate
+    j is checked against every vertex already assigned with one AND and
+    compare: the assigned images adjacent to j must be exactly the
+    images of i's assigned neighbours.  The identity is always included,
+    the permutations come in lexicographic order of their images, and
+    the result is closed under composition (a group).
     """
     _check_limit(g, limit)
-    verts = list(g.vertices)
-    adj = g.adjacency
-    degree = {v: len(adj[v]) for v in verts}
+    verts = g.vertices
+    n = len(verts)
+    vidx = g.vertex_index
+    nbrs = [0] * n
+    for u, v in g.edges:
+        nbrs[vidx[u]] |= 1 << vidx[v]
+        nbrs[vidx[v]] |= 1 << vidx[u]
+    if isinstance(policy, FixBoth):
+        pinned = {policy.s: 1, policy.t: 2}
+    elif isinstance(policy, FixSet):
+        pinned = {policy.s: 1, policy.t: 1}
+    else:
+        pinned = {}
+    kind = [(nb.bit_count(), pinned.get(v, 0)) for nb, v in zip(nbrs, verts)]
+    candidates = [[j for j in range(n) if kind[j] == kind[i]] for i in range(n)]
+    earlier = [[w for w in range(i) if nbrs[i] >> w & 1] for i in range(n)]
+    image = [0] * n
     out: list[VertexPermutation] = []
 
-    def allowed(v: str, image: str, partial: dict[str, str]) -> bool:
-        if degree[v] != degree[image]:
-            return False
-        if isinstance(policy, FixBoth):
-            if v == policy.s and image != policy.s:
-                return False
-            if v == policy.t and image != policy.t:
-                return False
-            if image == policy.s and v != policy.s:
-                return False
-            if image == policy.t and v != policy.t:
-                return False
-        elif isinstance(policy, FixSet):
-            pair = {policy.s, policy.t}
-            if (v in pair) != (image in pair):
-                return False
-        for w, wimg in partial.items():
-            if (w in adj[v]) != (wimg in adj[image]):
-                return False
-        return True
-
-    def recurse(i: int, partial: dict[str, str], used: set[str]) -> None:
-        if i == len(verts):
-            out.append(dict(partial))
+    def extend(i: int, used: int) -> None:
+        if i == n:
+            out.append(dict(zip(verts, [verts[j] for j in image])))
             return
-        v = verts[i]
-        for image in verts:
-            if image in used or not allowed(v, image, partial):
-                continue
-            partial[v] = image
-            used.add(image)
-            recurse(i + 1, partial, used)
-            del partial[v]
-            used.discard(image)
+        want = sum([1 << image[w] for w in earlier[i]])
+        for j in candidates[i]:
+            if not used >> j & 1 and nbrs[j] & used == want:
+                image[i] = j
+                extend(i + 1, used | 1 << j)
 
-    recurse(0, {}, set())
+    extend(0, 0)
     return out
 
 
-def _edge_map(g: LabeledGraph, sigma: VertexPermutation) -> dict[int, int]:
-    """The edge-index map a vertex permutation induces."""
-    return {i: g.index_of(sigma[u], sigma[v]) for i, (u, v) in enumerate(g.edges)}
+def _edge_map(g: LabeledGraph, sigma: VertexPermutation) -> list[int]:
+    """The edge-index map a vertex permutation induces: edge i maps to entry i."""
+    return [g.index_of(sigma[u], sigma[v]) for u, v in g.edges]
 
 
 def apply_permutation(g: LabeledGraph, sigma: VertexPermutation, es: EdgeSet) -> EdgeSet:
     return EdgeSet(mask_image(es.mask, _edge_map(g, sigma)))
+
+
+def _mask_bytes(masks, m: int) -> list[bytes]:
+    """Each mask of an m-edge graph as the little-endian bytes `_images` reads."""
+    width = (m + 7) // 8
+    return [mask.to_bytes(width, "little") for mask in masks]
+
+
+def _images(edge_map: list[int], rows: list[bytes]) -> list[int]:
+    """Image under an edge permutation of each mask, given as its
+    `_mask_bytes` row.
+
+    Table k covers edges 8k … 8k+7: entry b is the OR of the images of
+    b's set bits, built by doubling.  A mask's image is the sum of one
+    entry per byte; the entries of distinct bytes have disjoint bits, as
+    the map is a bijection, so the sum is their OR."""
+    tables = []
+    for lo in range(0, len(edge_map), 8):
+        table = [0]
+        for i in edge_map[lo : lo + 8]:
+            bit = 1 << i
+            table += [entry | bit for entry in table]
+        tables.append(table)
+    return [sum(map(list.__getitem__, tables, row)) for row in rows]
 
 
 def orbit_partition(
@@ -199,13 +227,18 @@ def orbit_partition(
     `autos` must be a group that contains the identity, as
     `automorphisms` returns.  Two sets then share an orbit exactly when
     their least images under the group agree, so each set is keyed once.
-    Orbits, and the members of each, keep first-seen order, and each
-    orbit's representative is its first member.
+    The sets are mapped one group element at a time through its byte
+    tables (`_images`), and each set keeps a running least image, so
+    memory stays at one key per set plus one element's tables.  Orbits,
+    and the members of each, keep first-seen order, and each orbit's
+    representative is its first member.
     """
-    maps = [_edge_map(g, sigma) for sigma in autos]
+    keys = [tree.mask for tree in trees]
+    rows = _mask_bytes(keys, g.m)
+    for sigma in autos:
+        keys = list(map(min, keys, _images(_edge_map(g, sigma), rows)))
     orbits: dict[int, list[EdgeSet]] = {}
-    for tree in trees:
-        key = min(mask_image(tree.mask, f) for f in maps)
+    for key, tree in zip(keys, trees):
         orbits.setdefault(key, []).append(tree)
     return OrbitReport(
         tuple((members[0], tuple(members)) for members in orbits.values()), len(autos)
@@ -215,12 +248,15 @@ def orbit_partition(
 def burnside_count(
     trees: list[EdgeSet], autos: list[VertexPermutation], g: LabeledGraph
 ) -> int:
-    """Orbit count as (sum of fixed trees per group element) / group order."""
-    masks = {es.mask for es in trees}
+    """Orbit count as (sum of fixed trees per group element) / group order.
+
+    Each group element maps the distinct masks through its byte tables
+    (`_images`) and counts the masks equal to their image."""
+    masks = list({es.mask for es in trees})
+    rows = _mask_bytes(masks, g.m)
     total = 0
     for sigma in autos:
-        f = _edge_map(g, sigma)
-        total += sum(1 for mask in masks if mask_image(mask, f) == mask)
+        total += sum(map(int.__eq__, _images(_edge_map(g, sigma), rows), masks))
     if total % len(autos) != 0:
         raise NonIntegralResult(
             f"{total} fixed points not divisible by group order {len(autos)}"

@@ -29,6 +29,7 @@ from sptrees.generate import (
     build_plan,
     multiset_coefficient,
 )
+from sptrees.oracle import FixBoth, FixSet, NonIntegralResult, OrbitReport
 
 DIAMOND_TEXT = "P(e(2,3),S(e(2,1),e(1,3)),S(e(2,4),e(4,3)))"
 THETA_TEXT = "P(e(s,t),S(e(s,a),e(a,b),e(b,t)),S(e(s,c),e(c,d),e(d,t)))"
@@ -336,6 +337,104 @@ def mirror_pairs(tree: Node) -> list[tuple[Node, Node]]:
             reps = {code: node.children[members[0]] for code, members in _class_order(node)}
             pairs += [(rep, reps[rep._rev_code]) for rep in reps.values() if rep._rev_code in reps]
     return pairs
+
+
+# ---------------------------------------------------------------------------
+# List-based references for the oracle kernels
+# ---------------------------------------------------------------------------
+
+
+def reference_forests(g, k: int):
+    """`oracle._forests` with components as a list of ints: comp[v] is
+    the index of the vertex that names v's component, and each accepted
+    edge relabels one component by a list comprehension.  The walk must
+    yield the same masks in the same order, with comp equal to the
+    code points of the walk's `str` labels."""
+    vidx = g.vertex_index
+    endpoints = [(vidx[u], vidx[v]) for u, v in g.edges]
+    m = len(endpoints)
+    stack = [(0, 0, 0, list(range(g.n)))]
+    while stack:
+        pos, mask, size, comp = stack.pop()
+        if size == k:
+            yield mask, comp
+        elif m - pos >= k - size:
+            stack.append((pos + 1, mask, size, comp))
+            u, v = endpoints[pos]
+            a, b = comp[u], comp[v]
+            if a != b:
+                merged = [a if c == b else c for c in comp]
+                stack.append((pos + 1, mask | 1 << pos, size + 1, merged))
+
+
+def reference_automorphisms(g, policy) -> list[dict]:
+    """`oracle.automorphisms` by testing each candidate against the
+    partial map one assigned vertex at a time, with adjacency as label
+    sets: the same permutations in the same order."""
+    verts = list(g.vertices)
+    adj = g.adjacency
+    degree = {v: len(adj[v]) for v in verts}
+    out: list[dict] = []
+
+    def allowed(v: str, image: str, partial: dict[str, str]) -> bool:
+        if degree[v] != degree[image]:
+            return False
+        if isinstance(policy, FixBoth):
+            if (v == policy.s) != (image == policy.s) or (v == policy.t) != (image == policy.t):
+                return False
+        elif isinstance(policy, FixSet):
+            pair = {policy.s, policy.t}
+            if (v in pair) != (image in pair):
+                return False
+        return all((w in adj[v]) == (wimg in adj[image]) for w, wimg in partial.items())
+
+    def recurse(i: int, partial: dict[str, str], used: set[str]) -> None:
+        if i == len(verts):
+            out.append(dict(partial))
+            return
+        v = verts[i]
+        for image in verts:
+            if image in used or not allowed(v, image, partial):
+                continue
+            partial[v] = image
+            used.add(image)
+            recurse(i + 1, partial, used)
+            del partial[v]
+            used.discard(image)
+
+    recurse(0, {}, set())
+    return out
+
+
+def _reference_edge_maps(g, autos) -> list[dict[int, int]]:
+    return [
+        {i: g.index_of(sigma[u], sigma[v]) for i, (u, v) in enumerate(g.edges)}
+        for sigma in autos
+    ]
+
+
+def reference_orbit_partition(trees: list[EdgeSet], autos, g) -> OrbitReport:
+    """`oracle.orbit_partition` with every image taken bit by bit
+    (`mask_image`) and each tree's key the least of all its images."""
+    maps = _reference_edge_maps(g, autos)
+    orbits: dict[int, list[EdgeSet]] = {}
+    for tree in trees:
+        key = min(mask_image(tree.mask, f) for f in maps)
+        orbits.setdefault(key, []).append(tree)
+    return OrbitReport(
+        tuple((members[0], tuple(members)) for members in orbits.values()), len(autos)
+    )
+
+
+def reference_burnside_count(trees: list[EdgeSet], autos, g) -> int:
+    """`oracle.burnside_count` with fixed points found bit by bit (`mask_image`)."""
+    masks = {es.mask for es in trees}
+    total = sum(
+        mask_image(mask, f) == mask for f in _reference_edge_maps(g, autos) for mask in masks
+    )
+    if total % len(autos) != 0:
+        raise NonIntegralResult(f"{total} fixed points over group order {len(autos)}")
+    return total // len(autos)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Brute-force oracle: spanning trees, automorphism groups, orbits, counts."""
 
+import random
+
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sptrees import (
@@ -22,10 +24,23 @@ from sptrees import (
     random_sp,
     underlying_graph,
 )
-from sptrees.core import LabeledGraph
-from sptrees.oracle import all_acyclic_near_sets, apply_permutation
+from sptrees.core import LabeledGraph, mask_image
+from sptrees.oracle import (
+    _forests,
+    _images,
+    _mask_bytes,
+    all_acyclic_near_sets,
+    apply_permutation,
+)
 
-from conftest import small_corpus
+from conftest import (
+    mirror_symmetric,
+    reference_automorphisms,
+    reference_burnside_count,
+    reference_forests,
+    reference_orbit_partition,
+    small_corpus,
+)
 
 # Spanning trees of the diamond as edge index sets over
 # (1,2) (1,3) (2,3) (2,4) (3,4): the catalog of all eight.
@@ -51,6 +66,7 @@ def _diamond_graph(diamond) -> LabeledGraph:
 def test_single_edge_spanning_trees():
     g = underlying_graph(parse_sp("e(s,t)"))
     assert all_spanning_trees(g) == [EdgeSet.of([0])]
+    assert all_near_trees(g, "s", "t") == [EdgeSet(0)]
 
 
 def test_diamond_catalog(diamond):
@@ -251,3 +267,84 @@ def test_orbit_count_equals_burnside_on_corpus():
                 orbit_partition(trees, autos, g).orbit_count
                 == burnside_count(trees, autos, g)
             )
+
+
+# ---------------------------------------------------------------------------
+# The kernels against their list-based references (conftest)
+# ---------------------------------------------------------------------------
+
+# The single edge, whose only near tree is the empty set, random draws and
+# mirror-symmetric draws with up to 14 vertices.
+KERNEL_CASES = {
+    "edge": parse_sp("e(s,t)"),
+    **{f"random{i}": tree for i, tree in enumerate(small_corpus(10, max_vertices=10))},
+    **{f"mirror{seed}": mirror_symmetric(seed, max_trees=300) for seed in range(8)},
+}
+KERNEL_LIMIT = 16
+kernel_cases = pytest.mark.parametrize(
+    "tree", list(KERNEL_CASES.values()), ids=list(KERNEL_CASES)
+)
+
+
+@kernel_cases
+def test_forests_match_the_list_walk(tree):
+    g = underlying_graph(tree)
+    for k in (g.n - 1, g.n - 2):
+        walk = [(mask, list(map(ord, comp))) for mask, comp in _forests(g, k)]
+        assert walk == list(reference_forests(g, k))
+
+
+@kernel_cases
+def test_kernels_match_references(tree):
+    g = underlying_graph(tree)
+    s, t = tree.source, tree.target
+    spanning = all_spanning_trees(g, limit=KERNEL_LIMIT)
+    near = all_near_trees(g, s, t, limit=KERNEL_LIMIT)
+    for policy in (FixNone(), FixBoth(s, t), FixSet(s, t)):
+        autos = automorphisms(g, policy, limit=KERNEL_LIMIT)
+        assert autos == reference_automorphisms(g, policy)
+        for trees in (spanning, near):
+            assert orbit_partition(trees, autos, g) == reference_orbit_partition(trees, autos, g)
+        # The near trees are closed under the groups that keep {s, t}.
+        closed = [spanning] if policy == FixNone() else [spanning, near]
+        for trees in closed:
+            assert burnside_count(trees, autos, g) == reference_burnside_count(trees, autos, g)
+
+
+@kernel_cases
+def test_oriented_group_is_the_set_group_fixing_s(tree):
+    g = underlying_graph(tree)
+    s, t = tree.source, tree.target
+    aut_semi = automorphisms(g, FixSet(s, t), limit=KERNEL_LIMIT)
+    aut_or = [sigma for sigma in aut_semi if sigma[s] == s]
+    assert aut_or == automorphisms(g, FixBoth(s, t), limit=KERNEL_LIMIT)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    m=st.integers(1, 40),
+    seed=st.integers(0, 2**16),
+    masks=st.lists(st.integers(0, 2**40 - 1), max_size=12),
+)
+@example(m=1, seed=0, masks=[])
+@example(m=7, seed=1, masks=[0b1010101])
+@example(m=8, seed=2, masks=[0x80, 0x7F])
+@example(m=9, seed=3, masks=[0x100, 0xFF])
+@example(m=16, seed=4, masks=[0x8001, 0x00FF])
+@example(m=17, seed=5, masks=[0x10000, 0xFFFF])
+def test_byte_table_images_match_mask_image(m, seed, masks):
+    perm = random.Random(seed).sample(range(m), m)
+    full = (1 << m) - 1
+    masks = [0, full] + [x & full for x in masks]
+    expected = [mask_image(x, dict(enumerate(perm))) for x in masks]
+    assert _images(perm, _mask_bytes(masks, m)) == expected
+
+
+def test_component_labels_have_no_vertex_cap():
+    # A 300-edge path: n = 301 vertices, one spanning tree, and each of the
+    # 300 edges left out gives a near tree separating the ends.
+    path = parse_sp("S(" + ",".join(f"e(v{i},v{i + 1})" for i in range(300)) + ")")
+    g = underlying_graph(path)
+    assert g.n == 301
+    assert len(all_spanning_trees(g, limit=400)) == 1
+    assert len(all_near_trees(g, path.source, path.target, limit=400)) == 300
