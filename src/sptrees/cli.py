@@ -39,12 +39,11 @@ from .generate import ImageNotFound, _streams, count_oriented, count_total, orie
 from .oracle import (
     FixSet,
     LimitExceeded,
+    _least_images,
     all_near_trees,
     all_spanning_trees,
     automorphisms,
-    burnside_count,
     kirchhoff_count,
-    orbit_partition,
 )
 from .semi import _masks, count_semioriented, semioriented_spanning
 
@@ -291,24 +290,31 @@ def verify_instance(tree: Node, limit: int = 12) -> tuple[bool, str]:
     aut_semi = automorphisms(graph, FixSet(s, t), limit=limit)
     aut_or = [sigma for sigma in aut_semi if sigma[s] == s]
 
+    # One image pass per group element: the spanning trees under Aut_semi
+    # (with Aut_or as its members fixing s), then the near trees under Aut_or.
+    masks = [es.mask for es in spanning]
+    keys_semi, keys_or, fixed = _least_images(graph, masks, aut_semi, s)
+    near = all_near_trees(graph, s, t, limit=limit)
+    near_masks = [es.mask for es in near]
+    near_keys = _least_images(graph, near_masks, aut_or)[0]
+
     counts = count_oriented(OrientedSP(tree))
     fast_sp, fast_nt = oriented_both(OrientedSP(tree))
-    report_sp = orbit_partition(spanning, aut_or, graph)
     failures.extend(
-        _orbit_agreement("oriented spanning", fast_sp, report_sp, counts.spanning)
+        _orbit_agreement("oriented spanning", fast_sp, masks, keys_or, counts.spanning)
     )
-
-    near = all_near_trees(graph, s, t, limit=limit)
-    report_nt = orbit_partition(near, aut_or, graph)
-    failures.extend(_orbit_agreement("oriented near", fast_nt, report_nt, counts.near))
+    failures.extend(
+        _orbit_agreement("oriented near", fast_nt, near_masks, near_keys, counts.near)
+    )
 
     fast_semi = semioriented_spanning(SemiorientedSP(tree))
     semi_count = count_semioriented(SemiorientedSP(tree))
-    report_semi = orbit_partition(spanning, aut_semi, graph)
     failures.extend(
-        _orbit_agreement("semioriented spanning", fast_semi, report_semi, semi_count)
+        _orbit_agreement("semioriented spanning", fast_semi, masks, keys_semi, semi_count)
     )
-    if burnside_count(spanning, aut_semi, graph) != report_semi.orbit_count:
+    # Burnside: the fixed points number |Aut_semi| per orbit.  A total the
+    # group order does not divide means `automorphisms` gave no group.
+    if fixed != len(aut_semi) * len(set(keys_semi)):
         failures.append("Burnside count disagrees with the orbit partition")
 
     exchange_exists = len(aut_semi) == 2 * len(aut_or)
@@ -328,32 +334,24 @@ def verify_instance(tree: Node, limit: int = 12) -> tuple[bool, str]:
     return True, summary
 
 
-def _orbit_agreement(label, fast: list[EdgeSet], report, expected_count: int):
-    failures = []
-    if not len(fast) == report.orbit_count == expected_count:
-        failures.append(
-            f"{label}: fast={len(fast)} orbits={report.orbit_count} "
-            f"count={expected_count}"
-        )
-        return failures
-    lookup = {
-        member: orbit_id
-        for orbit_id, (_, members) in enumerate(report.orbits)
-        for member in members
-    }
+def _orbit_agreement(
+    label: str, fast: list[EdgeSet], masks: list[int], keys: list[int], expected_count: int
+) -> list[str]:
+    """Failures unless `fast` holds exactly one tree of each orbit, where
+    the oracle trees `masks` share an orbit when their `keys` agree."""
+    orbit_count = len(set(keys))
+    if not len(fast) == orbit_count == expected_count:
+        return [f"{label}: fast={len(fast)} orbits={orbit_count} count={expected_count}"]
+    key_of = dict(zip(masks, keys))
     hit = set()
     for es in fast:
-        orbit_id = lookup.get(es)
-        if orbit_id is None:
-            failures.append(f"{label}: emitted set is not a valid oracle tree")
-            return failures
-        if orbit_id in hit:
-            failures.append(f"{label}: two emitted trees share an orbit")
-            return failures
-        hit.add(orbit_id)
-    if len(hit) != report.orbit_count:
-        failures.append(f"{label}: some orbit was never hit")
-    return failures
+        key = key_of.get(es.mask)
+        if key is None:
+            return [f"{label}: emitted set is not a valid oracle tree"]
+        if key in hit:
+            return [f"{label}: two emitted trees share an orbit"]
+        hit.add(key)
+    return []
 
 
 def _cmd_verify(args) -> int:

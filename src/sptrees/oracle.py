@@ -6,12 +6,16 @@ its inner work in C-level operations on ints and strings:
 
 - one backtracking forest generator yields the spanning trees and the
   near sets, with component labels held one character per vertex in a
-  `str` and merged by `str.replace`;
-- the automorphism search holds adjacency as vertex bitmasks and
-  accepts a candidate image with one AND and compare;
+  `str` and merged by `str.replace`; the near trees are walked on G with
+  s and t sharing one label, so only the sets separating them are met;
+- the automorphism search extends vertices in breadth-first order from
+  s, holds adjacency as vertex bitmasks and accepts a candidate image
+  with one AND and compare;
 - orbits are keyed by each set's least image under the group, and
-  Burnside counts the sets each element fixes.  Both map all sets under
-  one group element at a time through per-byte tables of its edge map.
+  Burnside counts the sets each element fixes.  One image pass
+  (`_least_images`) maps all sets under one group element at a time
+  through per-byte tables of its edge map and gives both, for the group
+  and for its members that fix s.
 
 The default vertex limit keeps worst-case backtracking around a second;
 raise it explicitly for stress runs.
@@ -81,30 +85,42 @@ def _check_limit(g: LabeledGraph, limit: int) -> None:
         raise LimitExceeded(f"{g.n} vertices exceeds the limit {limit}")
 
 
-def _forests(g: LabeledGraph, k: int):
+def _forests(g: LabeledGraph, k: int, merged: tuple[str, ...] = ()):
     """Each acyclic k-edge subset as (mask, comp), in combination order.
 
     Backtracking over the edges on an explicit stack: edge i is tried in
-    before out, and a branch ends once its edge closes a cycle or too few
-    edges remain, so the subsets come in `itertools.combinations` order.
-    comp is a `str` with one character per vertex naming its component;
-    an edge that joins two components relabels one with `str.replace`
-    (quick-find in one C-level pass).  A `str` holds a label for every
-    vertex at any n.
+    before out, and a branch is pushed only if it can still reach k
+    edges, and only while its edges close no cycle, so the subsets come
+    in `itertools.combinations` order.  comp is a `str` with one
+    character per vertex naming its component; an edge that joins two
+    components relabels one with `str.replace` (quick-find in one
+    C-level pass).  A `str` holds a label for every vertex at any n.
+
+    The vertices in `merged` start in one component, so the walk runs on
+    G with them identified: a set is acyclic there exactly when it is
+    acyclic in G and joins no two of them, and an edge between two of
+    them is a self-loop that is never taken.
     """
     vidx = g.vertex_index
     endpoints = [(vidx[u], vidx[v]) for u, v in g.edges]
     m = len(endpoints)
-    stack = [(0, 0, 0, "".join(map(chr, range(g.n))))]
+    comp = "".join(map(chr, range(g.n)))
+    for v in merged[1:]:
+        comp = comp.replace(comp[vidx[v]], comp[vidx[merged[0]]])
+    if k == 0:
+        yield 0, comp
+        return
+    stack = [(0, 0, 0, comp)] if m >= k else []
     while stack:
         pos, mask, size, comp = stack.pop()
-        if size == k:
-            yield mask, comp
-        elif m - pos >= k - size:
+        if m - pos > k - size:
             stack.append((pos + 1, mask, size, comp))
-            u, v = endpoints[pos]
-            a, b = comp[u], comp[v]
-            if a != b:
+        u, v = endpoints[pos]
+        a, b = comp[u], comp[v]
+        if a != b:
+            if size + 1 == k:
+                yield mask | 1 << pos, comp.replace(b, a)
+            else:
                 stack.append((pos + 1, mask | 1 << pos, size + 1, comp.replace(b, a)))
 
 
@@ -122,13 +138,12 @@ def all_near_trees(
     These are the near trees the series-parallel composition consumes:
     every (n-2)-edge acyclic set has exactly two components, and it can
     sit under a sibling branch that connects the terminals only if s
-    and t are in different components.
+    and t are in different components.  They are exactly the spanning
+    trees of G with s and t merged, so one walk with s and t starting in
+    one component lists them, in combination order.
     """
     _check_limit(g, limit)
-    si, ti = g.vertex_index[s], g.vertex_index[t]
-    return [
-        EdgeSet(mask) for mask, comp in _forests(g, g.n - 2) if comp[si] != comp[ti]
-    ]
+    return [EdgeSet(mask) for mask, _ in _forests(g, g.n - 2, (s, t))]
 
 
 def all_acyclic_near_sets(g: LabeledGraph, limit: int = DEFAULT_LIMIT) -> list[EdgeSet]:
@@ -142,15 +157,18 @@ def automorphisms(
 ) -> list[VertexPermutation]:
     """The full automorphism group satisfying the fixing policy.
 
-    Backtracking extension over the vertices in `g.vertices` order.
-    Vertex i may map to any unused vertex of equal degree in the same
-    policy class (FixBoth pins s and t, FixSet keeps {s, t}), tried in
-    the same order.  Adjacency is held as vertex bitmasks, so candidate
-    j is checked against every vertex already assigned with one AND and
-    compare: the assigned images adjacent to j must be exactly the
-    images of i's assigned neighbours.  The identity is always included,
-    the permutations come in lexicographic order of their images, and
-    the result is closed under composition (a group).
+    Backtracking extension over the vertices in breadth-first order from
+    s (from the first vertex under FixNone), so every vertex but a root
+    comes after an assigned neighbour and its candidates are pruned by
+    adjacency.  A vertex may map to any unused vertex of equal degree in
+    the same policy class (FixBoth pins s and t, FixSet keeps {s, t}).
+    Adjacency is held as vertex bitmasks, so candidate j is checked
+    against every vertex already assigned with one AND and compare: the
+    assigned images adjacent to j must be exactly the images of the
+    vertex's assigned neighbours.  The identity is always included, the
+    permutations come in lexicographic order of their images in
+    `g.vertices` order, and the result is closed under composition (a
+    group).
     """
     _check_limit(g, limit)
     verts = g.vertices
@@ -167,23 +185,44 @@ def automorphisms(
     else:
         pinned = {}
     kind = [(nb.bit_count(), pinned.get(v, 0)) for nb, v in zip(nbrs, verts)]
-    candidates = [[j for j in range(n) if kind[j] == kind[i]] for i in range(n)]
-    earlier = [[w for w in range(i) if nbrs[i] >> w & 1] for i in range(n)]
+    # Breadth-first from s; further roots matter only if g is disconnected.
+    roots = [vidx[policy.s]] if pinned else []
+    order: list[int] = []
+    seen = 0
+    for root in roots + list(range(n)):
+        if seen >> root & 1:
+            continue
+        seen |= 1 << root
+        head = len(order)
+        order.append(root)
+        while head < len(order):
+            fresh = nbrs[order[head]] & ~seen
+            seen |= fresh
+            order += [w for w in range(n) if fresh >> w & 1]
+            head += 1
+    candidates = [[j for j in range(n) if kind[j] == kind[v]] for v in order]
+    earlier = []
+    assigned = 0
+    for v in order:
+        before = nbrs[v] & assigned
+        earlier.append([w for w in range(n) if before >> w & 1])
+        assigned |= 1 << v
     image = [0] * n
-    out: list[VertexPermutation] = []
+    found: list[tuple[int, ...]] = []
 
-    def extend(i: int, used: int) -> None:
-        if i == n:
-            out.append(dict(zip(verts, [verts[j] for j in image])))
+    def extend(p: int, used: int) -> None:
+        if p == n:
+            found.append(tuple(image))
             return
-        want = sum([1 << image[w] for w in earlier[i]])
-        for j in candidates[i]:
+        want = sum([1 << image[w] for w in earlier[p]])
+        for j in candidates[p]:
             if not used >> j & 1 and nbrs[j] & used == want:
-                image[i] = j
-                extend(i + 1, used | 1 << j)
+                image[order[p]] = j
+                extend(p + 1, used | 1 << j)
 
     extend(0, 0)
-    return out
+    found.sort()
+    return [dict(zip(verts, [verts[j] for j in images])) for images in found]
 
 
 def _edge_map(g: LabeledGraph, sigma: VertexPermutation) -> list[int]:
@@ -219,6 +258,33 @@ def _images(edge_map: list[int], rows: list[bytes]) -> list[int]:
     return [sum(map(list.__getitem__, tables, row)) for row in rows]
 
 
+def _least_images(
+    g: LabeledGraph,
+    masks: list[int],
+    autos: list[VertexPermutation],
+    fixing: str | None = None,
+) -> tuple[list[int], list[int], int]:
+    """One image pass over `autos`: each mask's least image under all of
+    them, its least image under those that fix the vertex `fixing`, and
+    the number of (mask, element) pairs where the element fixes the mask.
+
+    Each element maps all masks at once through the byte tables of its
+    edge map (`_images`), and each mask keeps a running least image, so
+    memory stays at two keys per mask plus one element's tables.  Both
+    least images start at the mask itself, which is its image under the
+    identity."""
+    rows = _mask_bytes(masks, g.m)
+    least = fixed_least = masks
+    fixed = 0
+    for sigma in autos:
+        images = _images(_edge_map(g, sigma), rows)
+        least = list(map(min, least, images))
+        if fixing is not None and sigma[fixing] == fixing:
+            fixed_least = list(map(min, fixed_least, images))
+        fixed += sum(map(int.__eq__, images, masks))
+    return least, fixed_least, fixed
+
+
 def orbit_partition(
     trees: list[EdgeSet], autos: list[VertexPermutation], g: LabeledGraph
 ) -> OrbitReport:
@@ -226,17 +292,11 @@ def orbit_partition(
 
     `autos` must be a group that contains the identity, as
     `automorphisms` returns.  Two sets then share an orbit exactly when
-    their least images under the group agree, so each set is keyed once.
-    The sets are mapped one group element at a time through its byte
-    tables (`_images`), and each set keeps a running least image, so
-    memory stays at one key per set plus one element's tables.  Orbits,
-    and the members of each, keep first-seen order, and each orbit's
-    representative is its first member.
+    their least images under the group (`_least_images`) agree, so each
+    set is keyed once.  Orbits, and the members of each, keep first-seen
+    order, and each orbit's representative is its first member.
     """
-    keys = [tree.mask for tree in trees]
-    rows = _mask_bytes(keys, g.m)
-    for sigma in autos:
-        keys = list(map(min, keys, _images(_edge_map(g, sigma), rows)))
+    keys = _least_images(g, [tree.mask for tree in trees], autos)[0]
     orbits: dict[int, list[EdgeSet]] = {}
     for key, tree in zip(keys, trees):
         orbits.setdefault(key, []).append(tree)
@@ -248,15 +308,9 @@ def orbit_partition(
 def burnside_count(
     trees: list[EdgeSet], autos: list[VertexPermutation], g: LabeledGraph
 ) -> int:
-    """Orbit count as (sum of fixed trees per group element) / group order.
-
-    Each group element maps the distinct masks through its byte tables
-    (`_images`) and counts the masks equal to their image."""
-    masks = list({es.mask for es in trees})
-    rows = _mask_bytes(masks, g.m)
-    total = 0
-    for sigma in autos:
-        total += sum(map(int.__eq__, _images(_edge_map(g, sigma), rows), masks))
+    """Orbit count as (sum of fixed trees per group element) / group order,
+    over the distinct masks, with the fixed points from `_least_images`."""
+    total = _least_images(g, list({es.mask for es in trees}), autos)[2]
     if total % len(autos) != 0:
         raise NonIntegralResult(
             f"{total} fixed points not divisible by group order {len(autos)}"

@@ -11,8 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sptrees import (
+    EdgeSet,
+    FixSet,
     OrientedSP,
     SemiorientedSP,
+    automorphisms,
     iter_oriented_near,
     iter_oriented_spanning,
     iter_semioriented_spanning,
@@ -302,6 +305,99 @@ def test_verify_above_default_limit_on_exchangeable_terminals(tmp_path, capsys):
     assert capsys.readouterr().out == (
         "PASS (total=1024 oriented=100 near=420 semi=55 aut_or=16 aut_semi=32)\n"
     )
+
+
+def _one_too_few(trees, group, g):
+    return trees[:-1]
+
+
+def _not_a_tree(trees, group, g):
+    return [EdgeSet((1 << g.m) - 1)] + trees[1:]
+
+
+def _two_of_one_orbit(trees, group, g):
+    """`trees` with one member replaced by the image of another under the group."""
+    images = (
+        (i, EdgeSet.of(g.index_of(*map(sigma.get, g.edges[k])) for k in tree.indices()))
+        for i, tree in enumerate(trees)
+        for sigma in group
+    )
+    i, image = next((i, image) for i, image in images if image != trees[i])
+    j = 1 if i == 0 else 0
+    return [image if k == j else tree for k, tree in enumerate(trees)]
+
+
+_DIAMOND_SUMMARY = {"oriented": 5, "near": 3, "semi": 3}
+
+
+@pytest.mark.parametrize(
+    "fault, failure",
+    [
+        (_one_too_few, "fast={n} orbits={n1} count={n1}"),
+        (_not_a_tree, "emitted set is not a valid oracle tree"),
+        (_two_of_one_orbit, "two emitted trees share an orbit"),
+    ],
+    ids=["one-too-few", "not-a-tree", "two-of-one-orbit"],
+)
+@pytest.mark.parametrize(
+    "label, key",
+    [
+        ("oriented spanning", "oriented"),
+        ("oriented near", "near"),
+        ("semioriented spanning", "semi"),
+    ],
+)
+def test_verify_reports_a_faulty_fast_list(
+    diamond_file, monkeypatch, capsys, fault, failure, label, key
+):
+    tree = parse_sp(DIAMOND_TEXT)
+    g = underlying_graph(tree)
+    aut_semi = automorphisms(g, FixSet(tree.source, tree.target))
+    aut_or = [sigma for sigma in aut_semi if sigma[tree.source] == tree.source]
+    real_both, real_semi = cli.oriented_both, cli.semioriented_spanning
+    if key == "semi":
+        monkeypatch.setattr(
+            cli, "semioriented_spanning", lambda sp: fault(real_semi(sp), aut_semi, g)
+        )
+    else:
+        which = 0 if key == "oriented" else 1
+
+        def both(sp):
+            lists = list(real_both(sp))
+            lists[which] = fault(lists[which], aut_or, g)
+            return tuple(lists)
+
+        monkeypatch.setattr(cli, "oriented_both", both)
+    sizes = dict(_DIAMOND_SUMMARY)
+    if fault is _one_too_few:
+        sizes[key] -= 1
+    summary = (
+        f"total=8 oriented={sizes['oriented']} near={sizes['near']} "
+        f"semi={sizes['semi']} aut_or=2 aut_semi=4"
+    )
+    reason = failure.format(n=sizes[key], n1=sizes[key] + 1)
+    assert run(["verify", diamond_file]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == f"FAIL ({summary}; {label}: {reason})\n"
+    assert captured.err == ""
+
+
+def test_verify_reports_a_non_group_as_a_failure(diamond_file, monkeypatch, capsys):
+    # {e, h, v} is not closed (hv is missing): 8 + 2 + 0 fixed spanning
+    # trees, not divisible by 3.  This is an internal fault, not bad input.
+    identity = {"1": "1", "2": "2", "3": "3", "4": "4"}
+    h = {"1": "4", "2": "2", "3": "3", "4": "1"}
+    v = {"1": "1", "2": "3", "3": "2", "4": "4"}
+    monkeypatch.setattr(cli, "automorphisms", lambda g, policy, limit: [identity, h, v])
+    assert run(["verify", diamond_file]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "FAIL (total=8 oriented=5 near=3 semi=3 aut_or=2 aut_semi=3; "
+        "semioriented spanning: fast=3 orbits=4 count=3; "
+        "Burnside count disagrees with the orbit partition; "
+        "mirror pairing found but |Aut_semi|=3, |Aut_or|=2)\n"
+    )
+    assert "error:" not in captured.err
 
 
 def test_random_emits_deterministic_expression(capsys):

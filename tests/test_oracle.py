@@ -34,6 +34,7 @@ from sptrees.oracle import (
 )
 
 from conftest import (
+    THETA_TEXT,
     mirror_symmetric,
     reference_automorphisms,
     reference_burnside_count,
@@ -292,6 +293,60 @@ def test_forests_match_the_list_walk(tree):
     for k in (g.n - 1, g.n - 2):
         walk = [(mask, list(map(ord, comp))) for mask, comp in _forests(g, k)]
         assert walk == list(reference_forests(g, k))
+
+
+def _separating_forests(g, s: str, t: str) -> list[EdgeSet]:
+    """The near trees by the unmerged walk: every acyclic (n-2)-edge set,
+    kept when s and t end in different components."""
+    si, ti = g.vertex_index[s], g.vertex_index[t]
+    return [EdgeSet(mask) for mask, comp in reference_forests(g, g.n - 2) if comp[si] != comp[ti]]
+
+
+@kernel_cases
+def test_merged_near_walk_matches_the_filtered_walk(tree):
+    g = underlying_graph(tree)
+    s, t = tree.source, tree.target
+    assert all_near_trees(g, s, t, limit=KERNEL_LIMIT) == _separating_forests(g, s, t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_merged_near_walk_matches_the_filtered_walk_on_random_draws(seed):
+    tree = random_sp(RandomSpParams(seed=seed))
+    g = underlying_graph(tree)
+    assume(g.n <= 12)
+    assert all_near_trees(g, tree.source, tree.target) == _separating_forests(
+        g, tree.source, tree.target
+    )
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "e(s,t)",
+        THETA_TEXT,
+        "P(e(s,t),S(e(s,a),P(e(a,t),S(e(a,b),e(b,t)))),S(e(s,c),e(c,t)))",
+    ],
+    ids=["edge", "theta", "nested"],
+)
+def test_merged_near_walk_with_a_bare_terminal_edge(text):
+    # The s-t edge is a self-loop of the merged graph: no near tree holds it.
+    tree = parse_sp(text)
+    g = underlying_graph(tree)
+    s, t = tree.source, tree.target
+    near = all_near_trees(g, s, t)
+    assert near == _separating_forests(g, s, t)
+    assert not any(es.contains(g.index_of(s, t)) for es in near)
+
+
+@pytest.mark.parametrize("seed", [11, 17, 20])
+def test_breadth_first_search_matches_reference_on_large_mirror_draws(seed):
+    tree = mirror_symmetric(seed)
+    g = underlying_graph(tree)
+    assert g.n >= 14
+    s, t = tree.source, tree.target
+    for policy in (FixNone(), FixBoth(s, t), FixSet(s, t)):
+        assert automorphisms(g, policy, limit=20) == reference_automorphisms(g, policy)
 
 
 @kernel_cases
