@@ -15,7 +15,9 @@ On top of the codes this module extracts explicit leaf bijections
 classes (`partition_classes`), and detects the terminal-exchanging
 symmetry that distinguishes the semioriented automorphism group from
 the oriented one (`mirror_pairing`).  Classes come in `_class_order`,
-which also orders `generate`'s enumeration.
+which also orders `generate`'s enumeration, and `_partners` is the one
+place that says which class holds a class's reversals, for the pairing,
+the semioriented counts and the reversal filter alike.
 """
 
 from __future__ import annotations
@@ -193,11 +195,14 @@ def mirror_pairing(node: Node) -> MirrorPairing | None:
         return MirrorPairing(kind="leaf")
     if isinstance(node, Series):
         return MirrorPairing(kind="series")
-    classes = _class_order(node)
-    by_code = {code: idx for idx, (code, _) in enumerate(classes)}
-    pairs: list[tuple[int, int]] = []
-    for idx, (_, members) in enumerate(classes):
-        other = by_code[node.children[members[0]]._rev_code]
-        if other >= idx:
-            pairs.append((idx, other))
-    return MirrorPairing(kind="parallel", class_pairs=tuple(pairs))
+    pairs = tuple((a, b) for a, b in enumerate(_partners(node, node)) if b >= a)
+    return MirrorPairing(kind="parallel", class_pairs=pairs)
+
+
+def _partners(x: Parallel, y: Parallel) -> list[int]:
+    """Per class of x, in `_class_order`, the class of y that holds its
+    reversals: the one whose representative's reversal code is the class's
+    code.  Needs code(x) = rev_code(y); the map is then a bijection onto y's
+    classes that keeps each class's size, and `_partners(y, x)` inverts it."""
+    at = {y.children[ms[0]]._rev_code: b for b, (_, ms) in enumerate(_class_order(y))}
+    return [at[code] for code, _ in _class_order(x)]

@@ -5,14 +5,17 @@ files hold one SP expression per line ('#' comments), or an edge list
 starting with a 'terminals s t' line.  Exit codes: 0 success, 1 usage
 error, 2 invalid input, 3 verification failure, 4 internal error (a
 broken internal invariant, an input too deep for the recursion limit,
-or running out of memory).  Input, counts and codes accept any depth or
-width; only orbit indexing and enumeration still recurse.
+or running out of memory).  A reader that closes the output early, as
+`| head` does, ends the run quietly with exit 0.  Input, counts and codes
+accept any depth or width; only orbit indexing and enumeration still
+recurse.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 from itertools import chain, count, cycle, islice, repeat
@@ -149,13 +152,21 @@ def run(argv=None) -> int:
     except MemoryError:
         print("internal error: out of memory", file=sys.stderr)
         return 4
+    except BrokenPipeError:
+        raise  # an OSError, but no input error: `main` ends the run quietly
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        status = run()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout; the flush at exit must not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 0
+    sys.exit(status)
 
 
 def _load(path: str) -> list[Node]:

@@ -46,9 +46,10 @@ tree edge set and return the position of its orbit's representative.
 `build_plan` runs that pass once per tree object and keeps the root's
 plan on the root node; the plan holds counts and parts, never a list.
 Every enumeration list (a node's spanning and near trees, a class's
-near and spanning assignments) holds plain int leaf masks, built
-bottom-up on first use into a memo that belongs to one enumeration and
-is freed with it.  The lists belong to the tree's own nodes (`_placed`):
+near and spanning assignments) is a tuple of plain int leaf masks, so
+that `itertools.product` takes it without a copy, built bottom-up on
+first use into a memo that belongs to one enumeration and is freed with
+it.  The lists belong to the tree's own nodes (`_placed`):
 a leaf's list holds its bit in a numbering the caller chooses (the
 input leaf numbering for the public enumerations, the print order for
 the CLI), and a P node's class members are its actual children.  Each
@@ -66,11 +67,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 
-from .canonical import _class_order
+from .canonical import _class_order, _partners
 from .core import EdgeSet, Node, OrientedSP, Series, _tree_of, inner_postorder
 
 
@@ -258,8 +260,8 @@ def _series(node: Series, plans: dict, palindrome: bool) -> _Plan:
 
 
 def _parallel(node: Node, plans: dict, palindrome: bool) -> _Plan:
-    order, classes = _class_order(node), []
-    for code, members in order:
+    classes = []
+    for code, members in _class_order(node):
         rep, c = plans[code], len(members)
         nc, sc = multiset_coefficient(rep.nt, c), rep.st * multiset_coefficient(rep.nt, c - 1)
         classes.append(_ClassPlan(c, rep, nc, sc))
@@ -276,16 +278,15 @@ def _parallel(node: Node, plans: dict, palindrome: bool) -> _Plan:
         st=st, nt=nt, tau=_offsets(taus, nus)[-1], nu=math.prod(nus), ss=st, sn=nt,
         offsets=offsets, classes=tuple(classes),
     )
-    # A reversal maps each class onto an equal-size class; the fixed
-    # candidates take mirror assignments on paired classes (one choice
+    # A reversal maps each class onto an equal-size class (`_partners`); the
+    # fixed candidates take mirror assignments on paired classes (one choice
     # per pair) and reversal-invariant ones on self-paired classes.
     if not palindrome:
         return plan
-    pair_nc, seen, fix_nc, fix_sc = 1, set(), [], []
-    for (code, members), cp in zip(order, classes):
+    pair_nc, fix_nc, fix_sc = 1, [], []
+    for a, (b, cp) in enumerate(zip(_partners(node, node), classes)):
         rep = cp.rep_plan
-        rev = node.children[members[0]]._rev_code
-        if code == rev:
+        if a == b:
             # The reversal fixes 2*sn - nt of the representative's near
             # trees and swaps the other nt - sn in pairs.
             fixed_near = 2 * rep.sn - rep.nt
@@ -294,8 +295,7 @@ def _parallel(node: Node, plans: dict, palindrome: bool) -> _Plan:
             fix_sc.append(
                 (2 * rep.ss - rep.st) * _invariant_multisets(fixed_near, swapped, cp.size - 1)
             )
-        elif code not in seen:
-            seen.add(rev)
+        elif a < b:
             pair_nc *= cp.nc
     plan.ss = _half(st + pair_nc * _offsets(fix_sc, fix_nc)[-1])
     plan.sn = _half(nt + pair_nc * math.prod(fix_nc))
@@ -319,7 +319,7 @@ def _classes(node: Node, plan: _Plan) -> list[tuple[list[Node], _ClassPlan]]:
     return [([kids[i] for i in ms], cp) for (_, ms), cp in zip(_class_order(node), plan.classes)]
 
 
-def _assignments(members: list[Node], cp: _ClassPlan, near: bool, lists) -> list[int]:
+def _assignments(members: list[Node], cp: _ClassPlan, near: bool, lists) -> tuple[int, ...]:
     """Masks of the class's near assignments, in multiset order, or of its
     spanning assignments, ordered by (tree, multiset), with each member's
     trees from `lists(member, cp.rep_plan, near)`.
@@ -333,11 +333,11 @@ def _assignments(members: list[Node], cp: _ClassPlan, near: bool, lists) -> list
         return lists(members[0], rep, near)
     tables = [lists(x, rep, True) for x in members[first:]]
     multisets = itertools.combinations_with_replacement(range(rep.nt), len(tables))
-    sets = [sum(map(list.__getitem__, tables, mu)) for mu in multisets]
-    return sets if near else list(_sums([[lists(members[0], rep, False), sets]]))
+    sets = tuple([sum(map(operator.getitem, tables, mu)) for mu in multisets])
+    return sets if near else tuple(_sums([[lists(members[0], rep, False), sets]]))
 
 
-def _blocks(node: Node, plan: _Plan, near: bool, lists) -> list[list[list[int]]]:
+def _blocks(node: Node, plan: _Plan, near: bool, lists) -> list[list[tuple[int, ...]]]:
     """The part lists of `node`, one per part in each block, whose `_sums` are
     its trees: the series children's spanning lists, with child j's near list
     in block j for near trees; the class near assignments, with class a's
@@ -363,7 +363,7 @@ def _blocks(node: Node, plan: _Plan, near: bool, lists) -> list[list[list[int]]]
 # ---------------------------------------------------------------------------
 
 
-def _placed(memo: dict, numbering, node: Node, plan: _Plan, near: bool) -> list[int]:
+def _placed(memo: dict, numbering, node: Node, plan: _Plan, near: bool) -> tuple[int, ...]:
     """The near (or spanning) trees of `node`, whose plan is `plan`, with input
     leaf i at bit `numbering[i]` (at bit i by default), built once per `memo`.
 
@@ -373,9 +373,9 @@ def _placed(memo: dict, numbering, node: Node, plan: _Plan, near: bool) -> list[
     if key not in memo:
         if plan.kind == "leaf":
             bit = node.index if numbering is None else numbering[node.index]
-            memo[key] = [0 if near else 1 << bit]
+            memo[key] = (0 if near else 1 << bit,)
         else:
-            memo[key] = list(_sums(_blocks(node, plan, near, partial(_placed, memo, numbering))))
+            memo[key] = tuple(_sums(_blocks(node, plan, near, partial(_placed, memo, numbering))))
     return memo[key]
 
 

@@ -3,27 +3,25 @@
 When no automorphism can exchange the terminals, the semioriented
 output is bit-identical to the oriented one.  Otherwise the oriented
 enumeration produces the surviving trees in pairs related by the
-reversal symmetry, and one top-level lexicographic filter, `_filtered`,
-keeps exactly one of each pair.  It runs over slots: each slot has a
-list of items (leaf masks from `generate`'s lists), a target slot
-and an index permutation, both induced by the reversal.  A candidate
-(one item index per slot) is emitted iff it compares >= its partner.
-At a series root the slots are the children and their spanning trees;
-at a parallel root they are the classes and their assignments, near
-multisets first, then spanning choices, with one block of candidates
-per spanning class.  The comparison uses the full tuple, including the
-middle child of an odd series chain and self-paired parallel classes,
-so a candidate whose outer positions are palindromic is still paired
-off through its middle entry.  All lists below the top level stay
-oriented.  Each slot's items are built once from the root's own children
-(`generate._placed`), in the caller's numbering (input order for the
-public functions, print order for the CLI), and the emitted masks are
-plain sums of them.  The index permutations come from the plans alone,
-with no leaf and no numbering: where code(x) = rev_code(y), the
-reversal's action on list indices, from x's lists onto y's, composes
-bottom up from the children's actions (`_reversal_perms`), as the lists
-themselves do.  The items and the permutations live as long as the
-filter's stream; the cached plan holds none of them.
+reversal symmetry, and `_masks` keeps one of each pair: it passes the
+oriented root stream through `itertools.compress`.  A root tree's key is
+its tuple of indices into the root's part lists (`generate._blocks`, a
+class's spanning assignments numbered after its near ones).  The
+reversal carries part i onto part dest[i] and its index through the
+part's index action, which gives the partner's key; a tree is kept iff
+its key compares >= its partner's.  Keys and partners are
+`itertools.product`s over each block's index ranges and actions, so no
+Python code runs per tree.  The comparison uses the full tuple, including
+the middle child of an odd series chain and self-paired parallel classes,
+so a tree whose outer positions are palindromic is still paired off
+through its middle entry.  All lists below the top level stay oriented.
+
+The index actions come from the plans alone, with no leaf and no
+numbering: where code(x) = rev_code(y), the reversal's action on list
+indices, from x's lists onto y's, composes bottom up from the children's
+actions (`_reversal_perms`), as the lists themselves do, and
+`canonical._partners` pairs the classes.  The actions live as long as
+the filter's stream; the cached plan holds none of them.
 
 Counting needs no enumeration: `count_semioriented` reads the
 semioriented count that `generate.build_plan` computes in its single
@@ -33,20 +31,12 @@ fixed-candidate arithmetic lives there too).
 
 from __future__ import annotations
 
-import itertools
-from functools import partial
+import operator
+from itertools import chain, compress, product
 
-from .canonical import _class_order
+from .canonical import _class_order, _partners
 from .core import EdgeSet, SemiorientedSP, _tree_of
-from .generate import (
-    _assignments,
-    _classes,
-    _placed,
-    _streams,
-    _sums,
-    build_plan,
-    multiset_enumerate,
-)
+from .generate import _streams, _sums, build_plan, multiset_enumerate
 
 
 # ---------------------------------------------------------------------------
@@ -68,10 +58,10 @@ def reversal_index_perm(child, mirror, kind: str = "spanning") -> tuple[int, ...
     if x._code != y._rev_code:
         raise ValueError("the mirror is not a reversal of the child")
     near, spanning = _reversal_perms({}, x, build_plan(x), y, build_plan(y))
-    return tuple(near if kind == "near" else spanning)
+    return near if kind == "near" else spanning
 
 
-def _reversal_perms(memo: dict, x, xp, y, yp) -> tuple[list[int], list[int]]:
+def _reversal_perms(memo: dict, x, xp, y, yp) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The reversal's index action on x's near list and on its spanning list.
 
     Entry i of each is the position, in y's list of the same kind, of the
@@ -79,7 +69,7 @@ def _reversal_perms(memo: dict, x, xp, y, yp) -> tuple[list[int], list[int]]:
     are their plans.  Built once per `memo` and code of x.
     """
     if xp.kind == "leaf":
-        return [0], [0]
+        return (0,), (0,)
     if x._code not in memo:
         series = xp.kind == "series"
         dest, perms = _parts(memo, x, xp, y, yp)
@@ -88,8 +78,8 @@ def _reversal_perms(memo: dict, x, xp, y, yp) -> tuple[list[int], list[int]]:
         # Digit kinds are 0 near, 1 spanning.  In the one-block list every
         # part's digit has kind `even`; block j of the other list flips part j's.
         even, n = int(series), len(dest)
-        one = list(_sums([_block(perms, dest, radices, [even] * n, 0)]))
-        per_part = list(
+        one = tuple(_sums([_block(perms, dest, radices, [even] * n, 0)]))
+        per_part = tuple(
             _sums(
                 _block(perms, dest, radices, [even ^ (i == j) for i in range(n)], yp.offsets[b])
                 for j, b in enumerate(dest)
@@ -103,8 +93,7 @@ def _parts(memo: dict, x, xp, y, yp) -> tuple[list[int], list]:
     """Per part of x (series child, parallel class): the part of y that the
     reversal carries it onto, and the part's (near, spanning) digit actions.
 
-    Child i goes onto child k-1-i.  Class a goes onto the class of y whose
-    representative's reversal code is class a's code.
+    Child i goes onto child k-1-i, class a onto class `_partners(x, y)[a]`.
     """
     perms = []
     if xp.kind == "series":
@@ -113,11 +102,9 @@ def _parts(memo: dict, x, xp, y, yp) -> tuple[list[int], list]:
         return list(range(len(perms) - 1, -1, -1)), perms
     order_y = zip(_class_order(y), yp.classes)
     reps_y = [(y.children[members[0]], cp.rep_plan) for (_, members), cp in order_y]
-    at = {rep._rev_code: b for b, (rep, _) in enumerate(reps_y)}
-    dest = []
-    for cp, (code, members) in zip(xp.classes, _class_order(x)):
-        dest.append(at[code])
-        rho = _reversal_perms(memo, x.children[members[0]], cp.rep_plan, *reps_y[dest[-1]])
+    dest = _partners(x, y)
+    for cp, (_, members), b in zip(xp.classes, _class_order(x), dest):
+        rho = _reversal_perms(memo, x.children[members[0]], cp.rep_plan, *reps_y[b])
         perms.append(_assignment_perm(cp.size, *rho))
     return dest, perms
 
@@ -139,7 +126,7 @@ def _block(perms, dest, radices, kinds, offset: int) -> list[list[int]]:
     return [[offset]] + [[v * place[b] for v in perms[i][kinds[i]]] for i, b in enumerate(dest)]
 
 
-def _assignment_perm(size: int, near_perm: list[int], span_perm: list[int]):
+def _assignment_perm(size: int, near_perm: tuple[int, ...], span_perm: tuple[int, ...]):
     """A class's near and spanning assignment indices, mapped into its
     partner class's, from its representative's near and spanning actions.
 
@@ -151,12 +138,12 @@ def _assignment_perm(size: int, near_perm: list[int], span_perm: list[int]):
     if size == 1:
         return near_perm, span_perm
 
-    def images(k: int) -> list[int]:
+    def images(k: int) -> tuple[int, ...]:
         rank = {mu: i for i, mu in enumerate(multiset_enumerate(len(near_perm), k))}
-        return [rank[tuple(sorted(map(near_perm.__getitem__, mu)))] for mu in rank]
+        return tuple([rank[tuple(sorted(map(near_perm.__getitem__, mu)))] for mu in rank])
 
     rest = images(size - 1)
-    return images(size), [s * len(rest) + i for s in span_perm for i in rest]
+    return images(size), tuple([s * len(rest) + i for s in span_perm for i in rest])
 
 
 # ---------------------------------------------------------------------------
@@ -175,55 +162,30 @@ def iter_semioriented_spanning(g: SemiorientedSP):
 
 
 def _masks(tree, numbering=None):
-    """Masks of the semioriented spanning trees in `numbering`, as in `generate._placed`."""
+    """Masks of the semioriented spanning trees in `numbering`, as in `generate._placed`:
+    the oriented stream, less each tree whose key is below its partner's."""
     plan = build_plan(tree)
     if plan.kind == "leaf" or tree._code != tree._rev_code:
         return _streams(tree, False, numbering=numbering)[0]
-    target, perms = _parts({}, tree, plan, tree, plan)
-    slots = _series_slots if plan.kind == "series" else _class_slots
-    return _filtered(*slots(tree, plan, target, perms, partial(_placed, {}, numbering)))
-
-
-def _filtered(items, target, perms, blocks):
-    """Masks of the candidates that compare >= their reversal partner.
-
-    A candidate picks index x_a into slot a's `items`, with each slot
-    ranging over its block's ranges; the reversal carries slot a to slot
-    `target[a]` and its index x_a to `perms[a][x_a]`.  The slots cover
-    disjoint leaf spans, so the candidate's mask is the sum of its items.
-    """
-    partner = [0] * len(items)
-    for ranges in blocks:
-        for tup in itertools.product(*ranges):
-            for a, x in enumerate(tup):
-                partner[target[a]] = perms[a][x]
-            if tup >= tuple(partner):
-                yield sum(map(list.__getitem__, items, tup))
-
-
-def _series_slots(tree, plan, target, perms, placed):
-    """Slots of the series filter: child i's spanning trees, reversed onto child k-1-i."""
-    items = [placed(x, part, False) for x, part in zip(tree.children, plan.children)]
-    spanning = [perm for _, perm in perms]
-    return items, target, spanning, [[range(len(lst)) for lst in items]]
-
-
-def _class_slots(tree, plan, target, perms, placed):
-    """Slots of the parallel filter: a class's assignments, near then spanning.
-
-    Block a lets class a carry the spanning tree and the others a near
-    multiset, so the blocks run in the oriented order.
-    """
-    classes = plan.classes
-    perms = [near + [cp.nc + s for s in span] for cp, (near, span) in zip(classes, perms)]
-    items, get = [], partial(_assignments, lists=placed)
-    for members, cp in _classes(tree, plan):  # a loop: one frame less below it
-        items.append(get(members, cp, True) + get(members, cp, False))
-    blocks = [
-        [range(cp.nc, cp.nc + cp.sc) if j == a else range(cp.nc) for j, cp in enumerate(classes)]
-        for a in range(len(classes))
-    ]
-    return items, target, perms, blocks
+    # The actions before the lists: built while the lists are alive, they raise the peak.
+    dest, perms = _parts({}, tree, plan, tree, plan)
+    # Per block, each part's (index range, action on those indices).
+    if plan.kind == "series":
+        blocks = [[(range(c.st), span) for c, (_, span) in zip(plan.children, perms)]]
+    else:
+        near = [(range(cp.nc), nr) for cp, (nr, _) in zip(plan.classes, perms)]
+        blocks = []
+        for a, (cp, (_, span)) in enumerate(zip(plan.classes, perms)):
+            spanning = (range(cp.nc, cp.nc + cp.sc), tuple(map(cp.nc.__add__, span)))
+            blocks.append(near[:a] + [spanning] + near[a + 1 :])
+    keys = chain.from_iterable(product(*[r for r, _ in b]) for b in blocks)
+    partners = chain.from_iterable(product(*[p for _, p in b]) for b in blocks)
+    # Part a's image goes to part dest[a]; dest is an involution, so partner
+    # entry b is image dest[b].  One index would give a bare int, not a tuple.
+    if len(dest) > 1:
+        partners = map(operator.itemgetter(*dest), partners)
+    stream = _streams(tree, False, numbering=numbering)[0]
+    return compress(stream, map(operator.ge, keys, partners))
 
 
 # ---------------------------------------------------------------------------

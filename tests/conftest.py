@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import math
+import operator
 import random
-from itertools import compress, repeat
+from functools import partial
+from itertools import compress, product, repeat
 
 import pytest
 
@@ -23,13 +25,17 @@ from sptrees.core import Leaf, Node, Parallel, Series, mask_image, normalize
 from sptrees.generate import (
     _ClassPlan,
     _Plan,
+    _assignments,
+    _classes,
     _index,
     _invariant_multisets,
     _placed,
+    _streams,
     build_plan,
     multiset_coefficient,
 )
 from sptrees.oracle import FixBoth, FixSet, NonIntegralResult, OrbitReport
+from sptrees.semi import _parts
 
 DIAMOND_TEXT = "P(e(2,3),S(e(2,1),e(1,3)),S(e(2,4),e(4,3)))"
 THETA_TEXT = "P(e(s,t),S(e(s,a),e(a,b),e(b,t)),S(e(s,c),e(c,d),e(d,t)))"
@@ -337,6 +343,48 @@ def mirror_pairs(tree: Node) -> list[tuple[Node, Node]]:
             reps = {code: node.children[members[0]] for code, members in _class_order(node)}
             pairs += [(rep, reps[rep._rev_code]) for rep in reps.values() if rep._rev_code in reps]
     return pairs
+
+
+def reference_semioriented_masks(tree: Node, numbering=None) -> list[int]:
+    """`semi._masks` candidate by candidate, as a list.
+
+    Each slot (series child, parallel class) has a list of items, a target
+    slot and an index action; a parallel class's items are its near
+    assignments followed by its spanning ones.  A candidate picks one item
+    index per slot, within its block's ranges, and is kept iff it compares
+    >= its partner, filled in slot by slot.  A kept candidate's mask is the
+    sum of its items."""
+    plan = build_plan(tree)
+    if plan.kind == "leaf" or tree._code != tree._rev_code:
+        return list(_streams(tree, False, numbering=numbering)[0])
+    target, perms = _parts({}, tree, plan, tree, plan)
+    placed = partial(_placed, {}, numbering)
+    if plan.kind == "series":
+        items = [placed(x, part, False) for x, part in zip(tree.children, plan.children)]
+        perms = [span for _, span in perms]
+        blocks = [[range(len(lst)) for lst in items]]
+    else:
+        classes = plan.classes
+        perms = [
+            tuple(near) + tuple(cp.nc + s for s in span)
+            for cp, (near, span) in zip(classes, perms)
+        ]
+        items = [
+            _assignments(members, cp, True, placed) + _assignments(members, cp, False, placed)
+            for members, cp in _classes(tree, plan)
+        ]
+        blocks = [
+            [range(cp.nc, cp.nc + cp.sc) if j == a else range(cp.nc) for j, cp in enumerate(classes)]
+            for a in range(len(classes))
+        ]
+    out, partner = [], [0] * len(items)
+    for ranges in blocks:
+        for tup in product(*ranges):
+            for a, x in enumerate(tup):
+                partner[target[a]] = perms[a][x]
+            if tup >= tuple(partner):
+                out.append(sum(map(operator.getitem, items, tup)))
+    return out
 
 
 # ---------------------------------------------------------------------------

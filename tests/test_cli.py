@@ -195,15 +195,20 @@ def test_one_parser_carries_no_flag_from_call_to_call(diamond_file, capsys):
     assert _build_parser() is _build_parser()
 
 
-def _fresh_run(argv, module="sptrees"):
-    """(exit code, stdout) of `python -m module` in a new interpreter."""
+def _fresh_env() -> dict[str, str]:
+    """The environment of a new interpreter that imports this checkout's package."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def _fresh_run(argv, module="sptrees"):
+    """(exit code, stdout) of `python -m module` in a new interpreter."""
     result = subprocess.run(
         [sys.executable, "-m", module, *argv],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=_fresh_env(),
         timeout=60,
     )
     return result.returncode, result.stdout
@@ -499,3 +504,33 @@ def test_internal_error_exit_code(diamond_file, capsys, monkeypatch):
 @pytest.mark.parametrize("module", ["sptrees", "sptrees.cli"])
 def test_module_entry_points(diamond_file, module):
     assert _fresh_run(["count", diamond_file, "--mode", "total"], module) == (0, "8\n")
+
+
+@pytest.mark.parametrize("mode", ["oriented", "semioriented"])
+def test_a_reader_that_stops_early_is_no_error(tmp_path, capsys, mode):
+    """`enumerate ... | head -1`: once the reader closes the pipe, the run
+    ends with exit 0 and nothing on stderr, not as invalid input (exit 2,
+    "Broken pipe") and with no "Exception ignored" at interpreter exit.
+    The 40-chain bundle prints far more than a pipe buffer holds."""
+    path = tmp_path / "bundle.sp"
+    chains = (f"S(e(s,a{i}),e(a{i},b{i}),e(b{i},t))" for i in range(40))
+    path.write_text("P(" + ",".join(chains) + ")\n", encoding="utf-8")
+    argv = ["enumerate", str(path), "--mode", mode]
+    assert run(argv) == 0
+    first = capsys.readouterr().out.splitlines(keepends=True)[0]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sptrees", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=_fresh_env(),
+    )
+    try:
+        assert proc.stdout.readline() == first
+        proc.stdout.close()
+        assert proc.stderr.read() == ""
+        assert proc.wait(timeout=60) == 0
+    finally:
+        proc.kill()
+        proc.stderr.close()
+        proc.wait()

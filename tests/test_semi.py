@@ -1,5 +1,6 @@
 """Semioriented enumeration, reversal index permutations, and counting."""
 
+import random
 import sys
 
 import pytest
@@ -28,17 +29,20 @@ from sptrees import (
     underlying_graph,
 )
 from sptrees import canonical, core, generate
-from sptrees.canonical import _class_order
+from sptrees.canonical import _class_order, _partners
 from sptrees.cli import run
-from sptrees.generate import multiset_enumerate
+from sptrees.core import Parallel
+from sptrees.generate import _streams, build_plan, multiset_enumerate
 from sptrees.oracle import apply_permutation
-from sptrees.semi import _assignment_perm
+from sptrees.semi import _assignment_perm, _masks
 
 from conftest import (
     mirror_pairs,
     mirror_symmetric,
     orbit_exactly_once,
     reference_index_perm,
+    reference_semioriented_masks,
+    relabeled_shuffled_copy,
     reversal_map,
     small_corpus,
 )
@@ -285,3 +289,75 @@ def test_semi_output_is_subsequence_of_oriented(seed):
     mapped = [positions[es] for es in semi]
     assert mapped == sorted(mapped)
     assert len(set(mapped)) == len(mapped)
+
+
+def _assert_filter_matches_the_reference(tree):
+    """`_masks` in the input numbering and in a permuted one: the per-candidate
+    reference's masks, a subsequence of the oriented stream, as many as the
+    semioriented count."""
+    shuffled = list(range(build_plan(tree).m))
+    random.Random(len(shuffled)).shuffle(shuffled)
+    for numbering in (None, shuffled):
+        kept = list(_masks(tree, numbering))
+        assert kept == reference_semioriented_masks(tree, numbering)
+        oriented_stream = _streams(tree, False, numbering=numbering)[0]
+        assert all(mask in oriented_stream for mask in kept)  # in order: one pass
+        assert len(kept) == count_semioriented(SemiorientedSP(tree))
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_filter_matches_the_per_candidate_reference(seed):
+    tree = mirror_symmetric(seed)
+    _assert_filter_matches_the_reference(tree)
+    _assert_filter_matches_the_reference(relabeled_shuffled_copy(tree, seed))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # A P root whose children form one self-paired class: one slot.
+        "P(" + ",".join(f"S(e(s,a{i}),e(a{i},b{i}),e(b{i},t))" for i in range(5)) + ")",
+        # An odd series palindrome whose middle child has its own reversal.
+        "S(P(e(s,a),S(e(s,x),e(x,a))),P(S(e(a,p),e(p,q),e(q,b)),S(e(a,r),e(r,b))),"
+        "P(e(b,t),S(e(b,y),e(y,t))))",
+        # A P root stored against the class order, one class's members apart.
+        "P(S(e(s,a),e(a,b),e(b,t)),e(s,t),S(e(s,c),P(e(c,t),S(e(c,d),e(d,t)))),"
+        "S(e(s,f),e(f,g),e(g,t)),S(P(S(e(s,h),e(h,i)),e(s,i)),e(i,t)))",
+    ],
+    ids=["one-class-parallel", "odd-series-palindrome", "stored-against-class-order"],
+)
+def test_filter_matches_the_reference_on_named_roots(text):
+    tree = parse_sp(text)
+    assert mirror_pairing(tree) is not None
+    _assert_filter_matches_the_reference(tree)
+
+
+def _parent_class_pairs(node):
+    """`mirror_pairing(node).class_pairs` class by class, each class looking
+    up its representative's reversal code among the class codes."""
+    classes = _class_order(node)
+    by_code = {code: idx for idx, (code, _) in enumerate(classes)}
+    pairs = []
+    for idx, (_, members) in enumerate(classes):
+        other = by_code[node.children[members[0]]._rev_code]
+        if other >= idx:
+            pairs.append((idx, other))
+    return tuple(pairs)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_partners_pair_classes_of_equal_size_both_ways(seed):
+    """On every parallel pair, `_partners` is a size-keeping bijection onto
+    the other node's classes, each class onto the one of its reversal code,
+    and the pair read the other way inverts it."""
+    for x, y in mirror_pairs(mirror_symmetric(seed)):
+        if not isinstance(x, Parallel):
+            continue
+        forward, backward = _partners(x, y), _partners(y, x)
+        cx, cy = _class_order(x), _class_order(y)
+        assert sorted(forward) == list(range(len(cy)))
+        assert [len(cy[b][1]) for b in forward] == [len(members) for _, members in cx]
+        assert [cy[b][0] for b in forward] == [x.children[ms[0]]._rev_code for _, ms in cx]
+        assert [backward[b] for b in forward] == list(range(len(cx)))
+        if x is y:
+            assert mirror_pairing(x).class_pairs == _parent_class_pairs(x)
