@@ -16,8 +16,9 @@ classes (`partition_classes`), and detects the terminal-exchanging
 symmetry that distinguishes the semioriented automorphism group from
 the oriented one (`mirror_pairing`).  Classes come in `_class_order`,
 which also orders `generate`'s enumeration, and `_partners` is the one
-place that says which class holds a class's reversals, for the pairing,
-the semioriented counts and the reversal filter alike.
+place that says which part (series child or class) holds a part's
+reversals, for the pairing, the semioriented counts and the reversal
+filter alike.
 """
 
 from __future__ import annotations
@@ -199,10 +200,13 @@ def mirror_pairing(node: Node) -> MirrorPairing | None:
     return MirrorPairing(kind="parallel", class_pairs=pairs)
 
 
-def _partners(x: Parallel, y: Parallel) -> list[int]:
-    """Per class of x, in `_class_order`, the class of y that holds its
-    reversals: the one whose representative's reversal code is the class's
-    code.  Needs code(x) = rev_code(y); the map is then a bijection onto y's
-    classes that keeps each class's size, and `_partners(y, x)` inverts it."""
+def _partners(x: Node, y: Node) -> list[int]:
+    """Per part of x, the part of y that holds its reversals: series child
+    i's are in child k-1-i, and a class's (in `_class_order`) in the class
+    whose representative's reversal code is the class's code.  Needs code(x)
+    = rev_code(y); the map is then a bijection onto y's parts that keeps each
+    class's size, and `_partners(y, x)` inverts it."""
+    if isinstance(x, Series):
+        return list(range(len(x.children) - 1, -1, -1))
     at = {y.children[ms[0]]._rev_code: b for b, (_, ms) in enumerate(_class_order(y))}
     return [at[code] for code, _ in _class_order(x)]

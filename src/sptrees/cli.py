@@ -6,9 +6,9 @@ starting with a 'terminals s t' line.  Exit codes: 0 success, 1 usage
 error, 2 invalid input, 3 verification failure, 4 internal error (a
 broken internal invariant, an input too deep for the recursion limit,
 or running out of memory).  A reader that closes the output early, as
-`| head` does, ends the run quietly with exit 0.  Input, counts and codes
-accept any depth or width; only orbit indexing and enumeration still
-recurse.
+`| head` does, ends the run quietly with exit 0.  Input, counts, codes
+and orbit indexing accept any depth or width; only enumeration lists and
+reversal actions still recurse.
 """
 
 from __future__ import annotations

@@ -1,18 +1,24 @@
 """Oriented enumeration and counting of nonequivalent spanning trees.
 
 Everything here works up to the terminal-fixing automorphisms of the
-graph.  The composition rules follow the decomposition tree:
+graph.  Series and parallel composition are dual, so one rule composes
+both.  A node's parts are its series children, or its parallel classes
+(children in one oriented isomorphism class).  Every part gives the
+node's base kind of tree, or exactly one part gives the other, flip kind:
 
-  * series node, spanning: one spanning tree per child, all unions;
-  * series node, near: pick the child that carries the break, a near
-    tree there, spanning trees elsewhere;
-  * parallel node, near: one near tree per child, where children in the
-    same oriented isomorphism class are interchangeable, so a class of
-    size c with r nonequivalent near trees contributes the C(r+c-1, c)
-    multisets of representative trees, one tree on each member;
-  * parallel node, spanning: exactly one class carries a spanning tree
-    on one member (the first in storage order) plus a size c-1 near
-    multiset on the rest.
+  * series node: a spanning tree is a spanning tree on every child (base);
+    a near tree breaks in one child, with a near tree there (flip);
+  * parallel node: a near tree is a near assignment on every class (base);
+    a spanning tree takes one class's spanning assignment (flip).
+
+A class of size c with r nonequivalent near trees has the C(r+c-1, c)
+multisets of representative trees as its near assignments, one tree on
+each member, since its members are interchangeable; a spanning
+assignment puts a spanning tree on one member (the first in storage
+order) and a size c-1 near multiset on the rest.  So a node has prod
+base_i trees of its base kind and sum_j flip_j prod_{i != j} base_i of
+its flip kind, the latter one block per part, part j flipped in block j
+(`_layout`).
 
 "Near tree" throughout means a two-component spanning forest that
 separates the terminals; those are the objects that compose (a forest
@@ -21,21 +27,22 @@ branch supplies the through path, and every subset brute force can
 build from these compositions separates the terminals at every level).
 
 `build_plan` is the single home of the counting arithmetic.  A plan
-describes an oriented shape, not a place: one post-order loop builds one
-plan per distinct canonical code, holding the vertex count, the oriented
-counts (spanning, near), the counts with no automorphism reduction (tau,
-nu) and the semioriented counts (spanning, near up to terminal
-exchange), each from its part plans and class sizes (a class, and for
-the totals a group of equal series children, in closed form).  The
-`count_*` functions return fields of the root plan.  Every
+describes an oriented shape, not a place, and holds counts only: one
+post-order loop builds one plan per distinct canonical code, holding the
+vertex count, the oriented counts (spanning, near), the counts with no
+automorphism reduction (tau, nu) and the semioriented counts (spanning,
+near up to terminal exchange), composed by `_compose` from its parts'
+counts (a class, and for the totals a group of equal members, in closed
+form).  The `count_*` functions return fields of the root plan.  Every
 "sum over j of x_j times the product of the others" goes through
-`_offsets`, which divides the whole product by each y_j.  The
-semioriented counts use the reversal-fixed terms: with a reversal
+`_offsets`, which divides the whole product by each y_j; a list's block
+starts are such sums, computed only where they are read (`_starts`).
+The semioriented counts use the reversal-fixed terms: with a reversal
 symmetry the semioriented count is (oriented count + fixed candidates) /
-2, and the number of reversal-fixed entries of a child's list is twice
+2, and the number of reversal-fixed entries of a part's list is twice
 its semioriented count minus its oriented count, whichever reversal
-realizes the symmetry.  The filter that enumerates the semioriented
-trees lives in `semi`.
+realizes the symmetry (for a class, the multisets the reversal fixes).
+The filter that enumerates the semioriented trees lives in `semi`.
 
 The enumeration order is deterministic: classes descend by canonical
 code, assignment indices count near multisets first then spanning
@@ -44,23 +51,23 @@ and `near_tree_index` invert the order: they take any spanning or near
 tree edge set and return the position of its orbit's representative.
 
 `build_plan` runs that pass once per tree object and keeps the root's
-plan on the root node; the plan holds counts and parts, never a list.
-Every enumeration list (a node's spanning and near trees, a class's
-near and spanning assignments) is a tuple of plain int leaf masks, so
-that `itertools.product` takes it without a copy, built bottom-up on
-first use into a memo that belongs to one enumeration and is freed with
-it.  The lists belong to the tree's own nodes (`_placed`):
-a leaf's list holds its bit in a numbering the caller chooses (the
-input leaf numbering for the public enumerations, the print order for
-the CLI), and a P node's class members are its actual children.  Each
-member's list is built from its own structure, which is the
-representative's up to the class's isomorphism, so entry i of every
+plan on the root node.  Every enumeration list (a node's spanning and
+near trees, a class's near and spanning assignments) is a tuple of plain
+int leaf masks, so that `itertools.product` takes it without a copy,
+built bottom-up on first use into a memo that belongs to one enumeration
+and is freed with it.  The lists belong to the tree's own nodes
+(`_placed`): a leaf's list holds its bit in a numbering the caller
+chooses (the input leaf numbering for the public enumerations, the print
+order for the CLI), and a P node's class members are its actual
+children.  Each member's list is built from its own structure, which is
+the representative's up to the class's isomorphism, so entry i of every
 member's list is the same tree up to that map.  List entries combine
 masks on disjoint leaf sets, so `_sums` builds every product as a sum
 of masks, and no mask is moved bit by bit.  The enumerations stream the
 root's trees from its part lists (`_blocks`), so large outputs are never
-held in memory at once.  The index operations walk the same nodes in
-input numbering, where each node's leaves are one run of positions.
+held in memory at once.  The index operations rank a tree in one loop
+over the same nodes, children first, each leaf reading its own bit in
+the input numbering.
 """
 
 from __future__ import annotations
@@ -130,27 +137,36 @@ def multiset_rank(seq: tuple[int, ...], m: int) -> int:
 
 @dataclass(slots=True)
 class _ClassPlan:
-    """Per-class data at a parallel node: `size` members, the first planned."""
+    """One class of a parallel node as a part: `size` members, all planned by
+    `rep_plan`, with nt near and st spanning assignments, under the names a
+    child plan gives its near and spanning trees."""
 
     size: int
     rep_plan: "_Plan"
-    nc: int
-    sc: int
+    nt: int
+    st: int
+
+    def fixed(self) -> tuple[int, int]:
+        """Spanning and near assignments a reversal of the class onto itself
+        fixes: it fixes 2*sn - nt of the representative's near trees and
+        swaps the other nt - sn in pairs (`_invariant_multisets`)."""
+        rep = self.rep_plan
+        fixed, swapped = 2 * rep.sn - rep.nt, rep.nt - rep.sn
+        span = (2 * rep.ss - rep.st) * _invariant_multisets(fixed, swapped, self.size - 1)
+        return span, _invariant_multisets(fixed, swapped, self.size)
 
 
 @dataclass(slots=True)
 class _Plan:
     """Counts and parts of one oriented shape, of `kind` leaf, series or parallel.
 
-    The plan holds no node and no position, so every subtree of one shape
-    shares it, and a plan kept on its tree's root makes no reference
-    cycle.  Its parts are the series children's plans, in order, or the
-    parallel classes, in class order; m counts its leaves.
-    st, nt are the oriented spanning and near counts, tau, nu the counts
-    with no automorphism reduction, ss, sn the semioriented ones.
-    `offsets[j]` is where the trees whose distinguished part is j start:
-    the near trees breaking in child j of a series node, the spanning
-    trees carried by class j of a parallel node.
+    The plan holds counts only: no node, no position and no tree list, so
+    every subtree of one shape shares it, and a plan kept on its tree's root
+    makes no reference cycle.  Its parts are the series children's plans, in
+    order, or the parallel classes (`_ClassPlan`), in class order; m counts
+    its leaves and n its vertices.  st, nt are the oriented spanning and near
+    counts, tau, nu the counts with no automorphism reduction, ss, sn the
+    semioriented ones.
     """
 
     kind: str
@@ -162,9 +178,12 @@ class _Plan:
     nu: int
     ss: int
     sn: int
-    offsets: list[int] | None = None
-    children: tuple["_Plan", ...] = ()
-    classes: tuple[_ClassPlan, ...] = ()
+    parts: tuple = ()
+
+    def fixed(self) -> tuple[int, int]:
+        """Spanning and near trees a reversal of the shape onto itself fixes:
+        twice the semioriented count less the oriented one."""
+        return 2 * self.ss - self.st, 2 * self.sn - self.nt
 
 
 def build_plan(g) -> _Plan:
@@ -224,82 +243,99 @@ def _build(tree: Node) -> _Plan:
     plans = {"E": _Plan("leaf", 1, n=2, st=1, nt=1, tau=1, nu=1, ss=1, sn=1)}
     for node in inner_postorder(tree):
         code = node._code
-        palindrome = code == node._rev_code
         if code not in plans:
-            build = _series if isinstance(node, Series) else _parallel
-            plans[code] = build(node, plans, palindrome)
+            plans[code] = _compose(node, plans, code == node._rev_code)
     return plans[tree._code]
 
 
-def _series(node: Series, plans: dict, palindrome: bool) -> _Plan:
-    kids = [plans[child._code] for child in node.children]
-    k = len(kids)
-    sts = [c.st for c in kids]
-    offsets = _offsets([c.nt for c in kids], sts)
-    # g equal children of tau spanning trees and nu near forests each have
-    # tau^g spanning trees and g * nu * tau^(g-1) near forests.
-    groups = [(plans[code], g) for code, g in Counter(c._code for c in node.children).items()]
-    taus = [p.tau ** g for p, g in groups]
-    nus = [g * p.nu * p.tau ** (g - 1) for p, g in groups]
-    st, nt = math.prod(sts), offsets[-1]
-    plan = _Plan(
-        "series", sum(c.m for c in kids), n=sum(c.n for c in kids) - (k - 1), st=st, nt=nt,
-        tau=math.prod(taus), nu=_offsets(nus, taus)[-1], ss=st, sn=nt,
-        offsets=offsets, children=tuple(kids),
-    )
-    # A reversal maps child i onto child k-1-i; the fixed candidates are
-    # palindromic tuples, with a reversal-fixed tree in an odd middle.
-    if palindrome:
-        half = math.prod(sts[: k // 2])
-        fix_sp, fix_nt = half, 0
-        if k % 2:
-            mid = kids[k // 2]
-            fix_sp, fix_nt = half * (2 * mid.ss - mid.st), half * (2 * mid.sn - mid.nt)
-        plan.ss, plan.sn = _half(st + fix_sp), _half(nt + fix_nt)
-    return plan
+def _dual(series: bool, pair: tuple[int, int]) -> tuple[int, int]:
+    """(spanning, near) as (base, flip) on a node of that kind, and back."""
+    return pair if series else pair[::-1]
 
 
-def _parallel(node: Node, plans: dict, palindrome: bool) -> _Plan:
-    classes = []
-    for code, members in _class_order(node):
-        rep, c = plans[code], len(members)
-        nc, sc = multiset_coefficient(rep.nt, c), rep.st * multiset_coefficient(rep.nt, c - 1)
-        classes.append(_ClassPlan(c, rep, nc, sc))
-    ncs = [cp.nc for cp in classes]
-    offsets = _offsets([cp.sc for cp in classes], ncs)
-    st, nt = offsets[-1], math.prod(ncs)
-    # c members of tau spanning trees and nu near forests each have nu^c
-    # near forests and c * tau * nu^(c-1) forests with one spanning member.
-    nus = [cp.rep_plan.nu ** cp.size for cp in classes]
-    taus = [cp.size * cp.rep_plan.tau * cp.rep_plan.nu ** (cp.size - 1) for cp in classes]
+def _compose(node: Node, plans: dict, palindrome: bool) -> _Plan:
+    """The plan of an inner node from its parts' plans, by the rule the two
+    kinds share: base = prod base_i and flip = sum_j flip_j prod_{i != j}
+    base_i, with (base, flip) the (spanning, near) counts of a series node
+    and the (near, spanning) counts of a parallel one (`_dual`)."""
+    series = isinstance(node, Series)
+    # The members grouped by code (g equal members of one plan), and the
+    # vertices each member after the first shares with those before it.
+    if series:
+        groups = [(plans[code], g) for code, g in Counter(c._code for c in node.children).items()]
+        parts, shared = [plans[child._code] for child in node.children], 1
+    else:
+        groups = [(plans[code], len(members)) for code, members in _class_order(node)]
+        parts, shared = [_class(rep, g) for rep, g in groups], 2
+    bases, flips = _dual(series, ([p.st for p in parts], [p.nt for p in parts]))
+    base, flip = math.prod(bases), _offsets(flips, bases)[-1]
+    st, nt = _dual(series, (base, flip))
+    # With no automorphism reduction, g equal members of x base and y flip
+    # trees each have x^g base trees and g * y * x^(g-1) flip trees.
+    gs = [g for _, g in groups]
+    xs, ys = _dual(series, ([r.tau for r, _ in groups], [r.nu for r, _ in groups]))
+    xs, ys = list(map(pow, xs, gs)), [g * y * x ** (g - 1) for x, y, g in zip(xs, ys, gs)]
+    tau, nu = _dual(series, (math.prod(xs), _offsets(ys, xs)[-1]))
     plan = _Plan(
-        "parallel", sum(cp.size * cp.rep_plan.m for cp in classes),
-        n=sum(cp.rep_plan.n * cp.size for cp in classes) - 2 * (len(node.children) - 1),
-        st=st, nt=nt, tau=_offsets(taus, nus)[-1], nu=math.prod(nus), ss=st, sn=nt,
-        offsets=offsets, classes=tuple(classes),
+        "series" if series else "parallel", sum(r.m * g for r, g in groups),
+        n=sum(r.n * g for r, g in groups) - shared * (len(node.children) - 1),
+        st=st, nt=nt, tau=tau, nu=nu, ss=st, sn=nt, parts=tuple(parts),
     )
-    # A reversal maps each class onto an equal-size class (`_partners`); the
-    # fixed candidates take mirror assignments on paired classes (one choice
-    # per pair) and reversal-invariant ones on self-paired classes.
     if not palindrome:
         return plan
-    pair_nc, fix_nc, fix_sc = 1, [], []
-    for a, (b, cp) in enumerate(zip(_partners(node, node), classes)):
-        rep = cp.rep_plan
-        if a == b:
-            # The reversal fixes 2*sn - nt of the representative's near
-            # trees and swaps the other nt - sn in pairs.
-            fixed_near = 2 * rep.sn - rep.nt
-            swapped = rep.nt - rep.sn
-            fix_nc.append(_invariant_multisets(fixed_near, swapped, cp.size))
-            fix_sc.append(
-                (2 * rep.ss - rep.st) * _invariant_multisets(fixed_near, swapped, cp.size - 1)
-            )
-        elif a < b:
-            pair_nc *= cp.nc
-    plan.ss = _half(st + pair_nc * _offsets(fix_sc, fix_nc)[-1])
-    plan.sn = _half(nt + pair_nc * math.prod(fix_nc))
+    # The reversal carries part i onto part dest[i] (`_partners`).  A fixed
+    # candidate takes mirror trees on a pair of parts (one choice per pair)
+    # and reversal-fixed ones on a self-paired part, which alone can flip.
+    dest = _partners(node, node)
+    paired = math.prod(b for i, (j, b) in enumerate(zip(dest, bases)) if i < j)
+    fixed = [parts[i].fixed() for i, j in enumerate(dest) if i == j]
+    fixed_bases, fixed_flips = _dual(series, ([s for s, _ in fixed], [n for _, n in fixed]))
+    plan.ss, plan.sn = _dual(series, (
+        _half(base + paired * math.prod(fixed_bases)),
+        _half(flip + paired * _offsets(fixed_flips, fixed_bases)[-1]),
+    ))
     return plan
+
+
+def _class(rep: _Plan, size: int) -> _ClassPlan:
+    """A class of `size` members planned by `rep`: its near assignments are
+    the size-`size` multisets of rep's near trees; a spanning one is a
+    spanning tree on one member beside a multiset on the rest."""
+    nt = multiset_coefficient(rep.nt, size)
+    return _ClassPlan(size, rep, nt, rep.st * multiset_coefficient(rep.nt, size - 1))
+
+
+def _count(part, near: bool) -> int:
+    """A part's number of near (or spanning) trees or assignments."""
+    return part.nt if near else part.st
+
+
+def _layout(plan: _Plan, near: bool, item) -> list[list]:
+    """The blocks of the node's near (or spanning) list, each as `item(i,
+    kind)` per part i, kind True for near.  Every part gives the node's base
+    kind of tree (a series child a spanning tree, a class a near
+    assignment); those trees are one block.  The other kind is one block per
+    part j, in which part j alone gives it (`_block_of`).  Each item is made
+    once, and a lone part's base item only if a block uses it."""
+    base, k = plan.kind == "parallel", len(plan.parts)
+    if near == base:
+        return [[item(i, base) for i in range(k)]]
+    rest = [item(i, base) for i in range(k)] if k > 1 else []
+    return [rest[:j] + [item(j, near)] + rest[j + 1 :] for j in range(k)]
+
+
+def _block_of(kinds, near: bool) -> int:
+    """The block of a near (or spanning) list whose parts give `kinds`, as
+    `_starts` indexes it: the part that alone gives the list's kind, or 0
+    for the one block in which every part does."""
+    return kinds.index(near) if kinds.count(near) == 1 else 0
+
+
+def _starts(parts, near: bool) -> list[int]:
+    """Where each block of a node's near (or spanning) list starts, by
+    `_block_of`: the sizes of the blocks before it, each the product of its
+    parts' counts.  The one block of the base kind starts at entry 0, 0."""
+    return _offsets([_count(p, near) for p in parts], [_count(p, not near) for p in parts])
 
 
 def _sums(blocks):
@@ -313,23 +349,30 @@ def _sums(blocks):
     return itertools.chain.from_iterable(map(sum, itertools.product(*b)) for b in blocks)
 
 
-def _classes(node: Node, plan: _Plan) -> list[tuple[list[Node], _ClassPlan]]:
-    """A P node's classes as (member nodes in storage order, class plan)."""
-    kids = node.children
-    return [([kids[i] for i in ms], cp) for (_, ms), cp in zip(_class_order(node), plan.classes)]
+def _members(node: Node, plan: _Plan) -> list[tuple[tuple[Node, ...], object, _Plan]]:
+    """A node's parts as (member nodes, part plan, member plan): a series
+    child is a part of one member, planned by its own plan; a P class's
+    members, in storage order, are all planned by its representative's."""
+    if plan.kind == "parallel":
+        kids = node.children
+        return [
+            (tuple([kids[i] for i in members]), cp, cp.rep_plan)
+            for (_, members), cp in zip(_class_order(node), plan.parts)
+        ]
+    return list(zip(zip(node.children), plan.parts, plan.parts))
 
 
-def _assignments(members: list[Node], cp: _ClassPlan, near: bool, lists) -> tuple[int, ...]:
-    """Masks of the class's near assignments, in multiset order, or of its
+def _assignments(members: tuple[Node, ...], rep: _Plan, near: bool, lists) -> tuple[int, ...]:
+    """Masks of a part's near assignments, in multiset order, or of its
     spanning assignments, ordered by (tree, multiset), with each member's
-    trees from `lists(member, cp.rep_plan, near)`.
+    trees from `lists(member, rep, near)`.
 
     A multiset x_0 <= x_1 <= ... puts near tree x_p on member p.  A spanning
     assignment puts the tree on the first member and a near multiset on the
     rest; up to swaps within the class the choice of carrier does not
-    matter."""
-    rep, first = cp.rep_plan, 0 if near else 1
-    if cp.size == 1:  # the member's own trees
+    matter.  A lone member's assignments are its own trees."""
+    first = 0 if near else 1
+    if len(members) == 1:
         return lists(members[0], rep, near)
     tables = [lists(x, rep, True) for x in members[first:]]
     multisets = itertools.combinations_with_replacement(range(rep.nt), len(tables))
@@ -338,24 +381,13 @@ def _assignments(members: list[Node], cp: _ClassPlan, near: bool, lists) -> tupl
 
 
 def _blocks(node: Node, plan: _Plan, near: bool, lists) -> list[list[tuple[int, ...]]]:
-    """The part lists of `node`, one per part in each block, whose `_sums` are
-    its trees: the series children's spanning lists, with child j's near list
-    in block j for near trees; the class near assignments, with class a's
-    spanning ones in block a for spanning trees.  A part's trees come from
-    `lists`, as in `_assignments`; a leaf's one part is its own list."""
+    """The part lists of `node`, one per part in each block of `_layout`,
+    whose `_sums` are its trees.  A part's trees come from `lists`, as in
+    `_assignments`; a leaf's one part is its own list."""
     if plan.kind == "leaf":
         return [[lists(node, plan, near)]]
-    series = plan.kind == "series"
-    if series:
-        parts, get = list(zip(node.children, plan.children)), lists
-    else:
-        parts, get = _classes(node, plan), partial(_assignments, lists=lists)
-    if near != series:
-        return [[get(x, part, not series) for x, part in parts]]
-    rest = [get(x, part, not series) for x, part in parts] if len(parts) > 1 else []
-    return [
-        rest[:j] + [get(x, part, series)] + rest[j + 1 :] for j, (x, part) in enumerate(parts)
-    ]
+    parts = _members(node, plan)
+    return _layout(plan, near, lambda i, kind: _assignments(parts[i][0], parts[i][2], kind, lists))
 
 
 # ---------------------------------------------------------------------------
@@ -429,62 +461,69 @@ def count_total(g: OrientedSP) -> CountPair:
 # ---------------------------------------------------------------------------
 
 
-def _is_near(plan: _Plan, part: int) -> bool:
-    """True for a near tree's edge count on `plan`'s node, False for a spanning tree's."""
-    bits = part.bit_count()
-    if bits != plan.n - 1 and bits != plan.n - 2:
-        raise ImageNotFound("branch edge count fits neither kind")
-    return bits == plan.n - 2
-
-
-def _index(node: Node, plan: _Plan, mask: int, near: bool, lo: int = 0) -> int:
+def _index(tree: Node, plan: _Plan, mask: int, near: bool) -> int:
     """Enumeration position of the orbit of a near (or spanning) tree `mask`
-    on `node`, whose leaves are the input positions lo, ..., lo + m - 1.
+    on `tree`, in one loop over its inner (node, plan) pairs, children first.
 
-    Digits run over series children or parallel classes in order; the odd
-    part (the child with a near tree's break, the class with a spanning
-    tree's spanning member) picks the offset.  A class's digit ranks its
-    spanning tree, if any, then the multiset of its members' near trees.
+    A node's kind comes from the bits of `mask` on its leaves: n - 1 for a
+    spanning tree, n - 2 for a near one, and no other count is a tree.  Its
+    parts' digits run in part order, the last fastest, each counted by the
+    part's kind, from the start of their block (`_block_of`, `_starts`,
+    built once per shape and kind).
     """
-    if plan.kind == "leaf":
-        if mask != (0 if near else 1 << lo):
-            raise ImageNotFound("not the leaf's near or spanning tree")
-        return 0
-    rank, odd = 0, None
-    if plan.kind == "series":
-        for j, (child, part_plan) in enumerate(zip(node.children, plan.children)):
-            part = mask & ((1 << part_plan.m) - 1) << lo
-            if _is_near(part_plan, part):
-                if not near or odd is not None:
-                    raise ImageNotFound("the break is not in exactly one branch")
-                rank, odd = rank * part_plan.nt + _index(child, part_plan, part, True, lo), j
-            else:
-                rank = rank * part_plan.st + _index(child, part_plan, part, False, lo)
-            lo += part_plan.m
-    else:
-        # The children run in storage order, each ranked on its class's plan.
-        class_of = {code: j for j, (code, _) in enumerate(_class_order(node))}
-        nears, spans = [[] for _ in class_of], [[] for _ in class_of]
-        for child in node.children:
-            j = class_of[child._code]
-            rep = plan.classes[j].rep_plan
-            part = mask & ((1 << rep.m) - 1) << lo
-            is_near = _is_near(rep, part)
-            (nears if is_near else spans)[j].append(_index(child, rep, part, is_near, lo))
-            lo += rep.m
-        for j, cp in enumerate(plan.classes):
-            rep = cp.rep_plan
-            digit = multiset_rank(tuple(sorted(nears[j])), rep.nt)
-            if not spans[j]:
-                rank = rank * cp.nc + digit
+    done, starts = {}, {}  # id(node): (bits, near, rank), until its parent reads it
+    # Each inner node comes off the stack twice: first to push its members,
+    # then, with its parts, once they are done.
+    stack = [(tree, plan, None)]
+    while stack:
+        node, p, parts = stack.pop()
+        if parts is None:
+            parts = _members(node, p)
+            stack.append((node, p, parts))
+            for members, _, rep in parts:
+                if rep.kind != "leaf":
+                    stack += zip(members, itertools.repeat(rep), itertools.repeat(None))
+            continue
+        bits = 0 if parts else mask >> node.index & 1  # a lone edge counts its own
+        rank, kinds = 0, []
+        for members, part, rep in parts:
+            if rep.kind == "leaf":
+                # An edge (no class holds two): one tree of each kind, digit 0.
+                b = mask >> members[0].index & 1
+                bits += b
+                kinds.append(not b)
                 continue
-            if near or odd is not None or len(spans[j]) > 1:
-                raise ImageNotFound("a spanning branch where none or another fits")
-            rank = rank * cp.sc + spans[j][0] * multiset_coefficient(rep.nt, cp.size - 1) + digit
-            odd = j
-    if (odd is None) == (near == (plan.kind == "series")):
-        raise ImageNotFound("no branch carries the break or the spanning tree")
-    return rank if odd is None else plan.offsets[odd] + rank
+            if len(members) == 1:
+                b, part_kind, digit = done.pop(id(members[0]))
+            else:
+                b, part_kind, digit = _digit([done.pop(id(x)) for x in members], rep)
+            bits += b
+            kinds.append(part_kind)
+            rank = rank * _count(part, part_kind) + digit
+        if bits != p.n - 1 and bits != p.n - 2:
+            raise ImageNotFound("a branch's edge count fits neither kind")
+        kind = bits == p.n - 2
+        block = _block_of(kinds, kind)
+        if block:
+            if (id(p), kind) not in starts:
+                starts[id(p), kind] = _starts(p.parts, kind)
+            rank += starts[id(p), kind][block]
+        done[id(node)] = bits, kind, rank
+    if done[id(tree)][1] != near:
+        raise ImageNotFound("a spanning tree where a near tree is asked for, or the reverse")
+    return done[id(tree)][2]
+
+
+def _digit(ranked: list, rep: _Plan) -> tuple[int, bool, int]:
+    """A class's bits, kind (True for near) and digit from its members'
+    (bits, near, rank): the rank of its spanning member's tree, if any,
+    then of the multiset of its members' near trees."""
+    spans = [rank for _, near, rank in ranked if not near]
+    nears = tuple(sorted(rank for _, near, rank in ranked if near))
+    digit = multiset_rank(nears, rep.nt)
+    if spans:
+        digit += spans[0] * multiset_coefficient(rep.nt, len(nears))
+    return sum(bits for bits, _, _ in ranked), not spans, digit
 
 
 def _located(g, es: EdgeSet, near: bool) -> int:

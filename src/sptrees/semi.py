@@ -6,7 +6,7 @@ enumeration produces the surviving trees in pairs related by the
 reversal symmetry, and `_masks` keeps one of each pair: it passes the
 oriented root stream through `itertools.compress`.  A root tree's key is
 its tuple of indices into the root's part lists (`generate._blocks`, a
-class's spanning assignments numbered after its near ones).  The
+part's spanning trees or assignments numbered after its near ones).  The
 reversal carries part i onto part dest[i] and its index through the
 part's index action, which gives the partner's key; a tree is kept iff
 its key compares >= its partner's.  Keys and partners are
@@ -18,10 +18,11 @@ through its middle entry.  All lists below the top level stay oriented.
 
 The index actions come from the plans alone, with no leaf and no
 numbering: where code(x) = rev_code(y), the reversal's action on list
-indices, from x's lists onto y's, composes bottom up from the children's
-actions (`_reversal_perms`), as the lists themselves do, and
-`canonical._partners` pairs the classes.  The actions live as long as
-the filter's stream; the cached plan holds none of them.
+indices, from x's lists onto y's, composes bottom up from the parts'
+actions (`_reversal_perms`) over the same block layout as the lists
+(`generate._layout`), and `canonical._partners` pairs the parts.  The
+actions live as long as the filter's stream; the cached plan holds none
+of them.
 
 Counting needs no enumeration: `count_semioriented` reads the
 semioriented count that `generate.build_plan` computes in its single
@@ -34,9 +35,19 @@ from __future__ import annotations
 import operator
 from itertools import chain, compress, product
 
-from .canonical import _class_order, _partners
+from .canonical import _partners
 from .core import EdgeSet, SemiorientedSP, _tree_of
-from .generate import _streams, _sums, build_plan, multiset_enumerate
+from .generate import (
+    _block_of,
+    _count,
+    _layout,
+    _members,
+    _starts,
+    _streams,
+    _sums,
+    build_plan,
+    multiset_enumerate,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -71,59 +82,42 @@ def _reversal_perms(memo: dict, x, xp, y, yp) -> tuple[tuple[int, ...], tuple[in
     if xp.kind == "leaf":
         return (0,), (0,)
     if x._code not in memo:
-        series = xp.kind == "series"
         dest, perms = _parts(memo, x, xp, y, yp)
-        parts = yp.children if series else yp.classes
-        radices = [(p.nt, p.st) if series else (p.nc, p.sc) for p in parts]
-        # Digit kinds are 0 near, 1 spanning.  In the one-block list every
-        # part's digit has kind `even`; block j of the other list flips part j's.
-        even, n = int(series), len(dest)
-        one = tuple(_sums([_block(perms, dest, radices, [even] * n, 0)]))
-        per_part = tuple(
-            _sums(
-                _block(perms, dest, radices, [even ^ (i == j) for i in range(n)], yp.offsets[b])
-                for j, b in enumerate(dest)
-            )
-        )
-        memo[x._code] = (per_part, one) if series else (one, per_part)
+        memo[x._code] = tuple(_moved(perms, dest, yp, near) for near in (True, False))
     return memo[x._code]
 
 
 def _parts(memo: dict, x, xp, y, yp) -> tuple[list[int], list]:
     """Per part of x (series child, parallel class): the part of y that the
-    reversal carries it onto, and the part's (near, spanning) digit actions.
-
-    Child i goes onto child k-1-i, class a onto class `_partners(x, y)[a]`.
-    """
-    perms = []
-    if xp.kind == "series":
-        for args in zip(x.children, xp.children, reversed(y.children), reversed(yp.children)):
-            perms.append(_reversal_perms(memo, *args))
-        return list(range(len(perms) - 1, -1, -1)), perms
-    order_y = zip(_class_order(y), yp.classes)
-    reps_y = [(y.children[members[0]], cp.rep_plan) for (_, members), cp in order_y]
-    dest = _partners(x, y)
-    for cp, (_, members), b in zip(xp.classes, _class_order(x), dest):
-        rho = _reversal_perms(memo, x.children[members[0]], cp.rep_plan, *reps_y[b])
-        perms.append(_assignment_perm(cp.size, *rho))
+    reversal carries it onto (`_partners`), and the part's (near, spanning)
+    digit actions, from its members' (`_assignment_perm`)."""
+    dest, mirrors, perms = _partners(x, y), _members(y, yp), []
+    for (members, _, rep), b in zip(_members(x, xp), dest):
+        mirror, _, mirror_rep = mirrors[b]
+        rho = _reversal_perms(memo, members[0], rep, mirror[0], mirror_rep)
+        perms.append(_assignment_perm(len(members), *rho))
     return dest, perms
 
 
-def _block(perms, dest, radices, kinds, offset: int) -> list[list[int]]:
-    """One block of x's list, moved into y's list: its `_sums` are the
-    positions, in y's list, of the reversals of the block's trees.
+def _moved(perms, dest, yp, near: bool) -> tuple[int, ...]:
+    """The reversal's action on x's near (or spanning) list, onto y's.
 
-    Part i of x, with its digit of kind kinds[i], lands on part dest[i] of
-    y, whose digit radices are radices[dest[i]]; y's digits run in its part
-    order, the last fastest, from `offset`.
+    Per block of x's list (`_layout`, which x and y share), part i of x
+    lands on part dest[i] of y with its kind, which picks y's block; y's
+    digits run in its part order, the last fastest, from that block's start.
     """
-    width = [0] * len(dest)
-    for i, b in enumerate(dest):
-        width[b] = radices[b][kinds[i]]
-    place = [1] * len(dest)
-    for b in range(len(dest) - 1, 0, -1):
-        place[b - 1] = place[b] * width[b]
-    return [[offset]] + [[v * place[b] for v in perms[i][kinds[i]]] for i, b in enumerate(dest)]
+    parts, k, starts, blocks = yp.parts, len(dest), _starts(yp.parts, near), []
+    for kinds in _layout(yp, near, lambda i, kind: kind):  # each part's kind, per block
+        image = [False] * k
+        for i, b in enumerate(dest):
+            image[b] = kinds[i]
+        place = [1] * k
+        for b in range(k - 1, 0, -1):
+            place[b - 1] = place[b] * _count(parts[b], image[b])
+        # perms[i] holds part i's (near, spanning) actions.
+        moved = [[v * place[b] for v in perms[i][not kinds[i]]] for i, b in enumerate(dest)]
+        blocks.append([[starts[_block_of(image, near)]]] + moved)
+    return tuple(_sums(blocks))
 
 
 def _assignment_perm(size: int, near_perm: tuple[int, ...], span_perm: tuple[int, ...]):
@@ -169,15 +163,16 @@ def _masks(tree, numbering=None):
         return _streams(tree, False, numbering=numbering)[0]
     # The actions before the lists: built while the lists are alive, they raise the peak.
     dest, perms = _parts({}, tree, plan, tree, plan)
-    # Per block, each part's (index range, action on those indices).
-    if plan.kind == "series":
-        blocks = [[(range(c.st), span) for c, (_, span) in zip(plan.children, perms)]]
-    else:
-        near = [(range(cp.nc), nr) for cp, (nr, _) in zip(plan.classes, perms)]
-        blocks = []
-        for a, (cp, (_, span)) in enumerate(zip(plan.classes, perms)):
-            spanning = (range(cp.nc, cp.nc + cp.sc), tuple(map(cp.nc.__add__, span)))
-            blocks.append(near[:a] + [spanning] + near[a + 1 :])
+
+    def digits(i: int, near: bool):
+        """Part i's index range and the action on it, its spanning trees (or
+        assignments) numbered after its near ones."""
+        p, (near_perm, span_perm) = plan.parts[i], perms[i]
+        if near:
+            return range(p.nt), near_perm
+        return range(p.nt, p.nt + p.st), tuple(map(p.nt.__add__, span_perm))
+
+    blocks = _layout(plan, False, digits)
     keys = chain.from_iterable(product(*[r for r, _ in b]) for b in blocks)
     partners = chain.from_iterable(product(*[p for _, p in b]) for b in blocks)
     # Part a's image goes to part dest[a]; dest is an involution, so partner

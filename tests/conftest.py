@@ -23,16 +23,17 @@ from sptrees import (
 from sptrees.canonical import _class_order
 from sptrees.core import Leaf, Node, Parallel, Series, mask_image, normalize
 from sptrees.generate import (
+    ImageNotFound,
     _ClassPlan,
     _Plan,
     _assignments,
-    _classes,
-    _index,
     _invariant_multisets,
+    _members,
     _placed,
     _streams,
     build_plan,
     multiset_coefficient,
+    multiset_rank,
 )
 from sptrees.oracle import FixBoth, FixSet, NonIntegralResult, OrbitReport
 from sptrees.semi import _parts
@@ -318,12 +319,76 @@ def series_maps(node: Series) -> tuple[dict[int, int], ...]:
 def reference_index_perm(child: Node, mirror: Node, kind: str = "spanning") -> tuple[int, ...]:
     """`reversal_index_perm` by leaf maps: each of `child`'s trees is moved
     through `reversal_map` bit by bit (`mask_image`) onto `mirror`'s leaves
-    and ranked there by `generate._index`."""
+    and ranked there by `reference_index`."""
     near = kind == "near"
     r = reversal_map(child, mirror)
     lo = min(r.values())  # `mirror`'s leaves are the input positions lo, lo + 1, ...
     trees = _placed({}, None, child, build_plan(child), near)
-    return tuple(_index(mirror, build_plan(mirror), mask_image(x, r), near, lo) for x in trees)
+    plan = build_plan(mirror)
+    return tuple(reference_index(mirror, plan, mask_image(x, r), near, lo) for x in trees)
+
+
+def _is_near(plan: _Plan, part: int) -> bool:
+    """True for a near tree's edge count on `plan`'s node, False for a spanning tree's."""
+    bits = part.bit_count()
+    if bits != plan.n - 1 and bits != plan.n - 2:
+        raise ImageNotFound("branch edge count fits neither kind")
+    return bits == plan.n - 2
+
+
+def reference_index(node: Node, plan: _Plan, mask: int, near: bool, lo: int = 0) -> int:
+    """`generate._index` by recursion, on `node`, whose leaves are the input
+    positions lo, ..., lo + m - 1, with each kind's rule written out.
+
+    Digits run over series children or parallel classes in order; the odd
+    part (the child with a near tree's break, the class with a spanning
+    tree's spanning member) picks the offset.  A class's digit ranks its
+    spanning tree, if any, then the multiset of its members' near trees.
+    Small trees only (it recurses).
+    """
+    if plan.kind == "leaf":
+        if mask != (0 if near else 1 << lo):
+            raise ImageNotFound("not the leaf's near or spanning tree")
+        return 0
+    rank, odd = 0, None
+    if plan.kind == "series":
+        for j, (child, part_plan) in enumerate(zip(node.children, plan.parts)):
+            part = mask & ((1 << part_plan.m) - 1) << lo
+            if _is_near(part_plan, part):
+                if not near or odd is not None:
+                    raise ImageNotFound("the break is not in exactly one branch")
+                digit = reference_index(child, part_plan, part, True, lo)
+                rank, odd = rank * part_plan.nt + digit, j
+            else:
+                rank = rank * part_plan.st + reference_index(child, part_plan, part, False, lo)
+            lo += part_plan.m
+        offsets = reference_offsets([c.nt for c in plan.parts], [c.st for c in plan.parts])
+    else:
+        # The children run in storage order, each ranked on its class's plan.
+        class_of = {code: j for j, (code, _) in enumerate(_class_order(node))}
+        nears, spans = [[] for _ in class_of], [[] for _ in class_of]
+        for child in node.children:
+            j = class_of[child._code]
+            rep = plan.parts[j].rep_plan
+            part = mask & ((1 << rep.m) - 1) << lo
+            is_near = _is_near(rep, part)
+            digit = reference_index(child, rep, part, is_near, lo)
+            (nears if is_near else spans)[j].append(digit)
+            lo += rep.m
+        for j, cp in enumerate(plan.parts):
+            rep = cp.rep_plan
+            digit = multiset_rank(tuple(sorted(nears[j])), rep.nt)
+            if not spans[j]:
+                rank = rank * cp.nt + digit
+                continue
+            if near or odd is not None or len(spans[j]) > 1:
+                raise ImageNotFound("a spanning branch where none or another fits")
+            rank = rank * cp.st + spans[j][0] * multiset_coefficient(rep.nt, cp.size - 1) + digit
+            odd = j
+        offsets = reference_offsets([cp.st for cp in plan.parts], [cp.nt for cp in plan.parts])
+    if (odd is None) == (near == (plan.kind == "series")):
+        raise ImageNotFound("no branch carries the break or the spanning tree")
+    return rank if odd is None else offsets[odd] + rank
 
 
 def mirror_pairs(tree: Node) -> list[tuple[Node, Node]]:
@@ -360,21 +425,21 @@ def reference_semioriented_masks(tree: Node, numbering=None) -> list[int]:
     target, perms = _parts({}, tree, plan, tree, plan)
     placed = partial(_placed, {}, numbering)
     if plan.kind == "series":
-        items = [placed(x, part, False) for x, part in zip(tree.children, plan.children)]
+        items = [placed(x, part, False) for x, part in zip(tree.children, plan.parts)]
         perms = [span for _, span in perms]
         blocks = [[range(len(lst)) for lst in items]]
     else:
-        classes = plan.classes
+        classes = plan.parts
         perms = [
-            tuple(near) + tuple(cp.nc + s for s in span)
+            tuple(near) + tuple(cp.nt + s for s in span)
             for cp, (near, span) in zip(classes, perms)
         ]
         items = [
-            _assignments(members, cp, True, placed) + _assignments(members, cp, False, placed)
-            for members, cp in _classes(tree, plan)
+            _assignments(members, rep, True, placed) + _assignments(members, rep, False, placed)
+            for members, _, rep in _members(tree, plan)
         ]
         blocks = [
-            [range(cp.nc, cp.nc + cp.sc) if j == a else range(cp.nc) for j, cp in enumerate(classes)]
+            [range(cp.nt, cp.nt + cp.st) if j == a else range(cp.nt) for j, cp in enumerate(classes)]
             for a in range(len(classes))
         ]
     out, partner = [], [0] * len(items)
@@ -506,8 +571,8 @@ def reference_offsets(x: list[int], y: list[int]) -> list[int]:
 
 def reference_plan(node: Node) -> _Plan:
     """`generate.build_plan` as one fresh plan per node, recursively, with the
-    total counts summed member by member: every field, offset and class of
-    the shared plan must equal this one's.  Small trees only (it recurses)."""
+    total counts summed member by member: every field and part of the
+    shared plan must equal this one's.  Small trees only (it recurses)."""
     if isinstance(node, Leaf):
         return _Plan("leaf", 1, n=2, st=1, nt=1, tau=1, nu=1, ss=1, sn=1)
     palindrome = node._code == node._rev_code
@@ -520,7 +585,7 @@ def reference_plan(node: Node) -> _Plan:
         plan = _Plan(
             "series", sum(c.m for c in kids), n=sum(c.n for c in kids) - (k - 1),
             st=st, nt=nt, tau=math.prod(taus),
-            nu=reference_offsets([c.nu for c in kids], taus)[-1], ss=st, sn=nt, offsets=offsets, children=tuple(kids),
+            nu=reference_offsets([c.nu for c in kids], taus)[-1], ss=st, sn=nt, parts=tuple(kids),
         )
         if palindrome:
             half = math.prod(sts[: k // 2])
@@ -536,8 +601,8 @@ def reference_plan(node: Node) -> _Plan:
         size = len(members)
         nc = multiset_coefficient(rep.nt, size)
         classes.append(_ClassPlan(size, rep, nc, rep.st * multiset_coefficient(rep.nt, size - 1)))
-    ncs = [cp.nc for cp in classes]
-    offsets = reference_offsets([cp.sc for cp in classes], ncs)
+    ncs = [cp.nt for cp in classes]
+    offsets = reference_offsets([cp.st for cp in classes], ncs)
     st, nt = offsets[-1], math.prod(ncs)
     taus = [cp.rep_plan.tau for cp in classes for _ in range(cp.size)]
     nus = [cp.rep_plan.nu for cp in classes for _ in range(cp.size)]
@@ -545,7 +610,7 @@ def reference_plan(node: Node) -> _Plan:
         "parallel", sum(cp.size * cp.rep_plan.m for cp in classes),
         n=sum(cp.rep_plan.n * cp.size for cp in classes) - 2 * (len(node.children) - 1),
         st=st, nt=nt, tau=reference_offsets(taus, nus)[-1], nu=math.prod(nus),
-        ss=st, sn=nt, offsets=offsets, classes=tuple(classes),
+        ss=st, sn=nt, parts=tuple(classes),
     )
     if not palindrome:
         return plan
@@ -561,7 +626,7 @@ def reference_plan(node: Node) -> _Plan:
             )
         elif code not in seen:
             seen.add(rev)
-            pair_nc *= cp.nc
+            pair_nc *= cp.nt
     plan.ss = (st + pair_nc * reference_offsets(fix_sc, fix_nc)[-1]) // 2
     plan.sn = (nt + pair_nc * math.prod(fix_nc)) // 2
     return plan

@@ -34,10 +34,18 @@ from sptrees import (
 )
 from sptrees.cli import verify_instance
 from sptrees.core import Leaf, Parallel, Series, mask_image
-from sptrees.generate import _streams, multiset_coefficient, multiset_rank
+from sptrees.generate import _index, _streams, build_plan, multiset_coefficient, multiset_rank
 from sptrees.semi import _masks
 
-from conftest import DIAMOND_TEXT, chain, mirror_symmetric, orbit_exactly_once, small_corpus
+from conftest import (
+    DIAMOND_TEXT,
+    chain,
+    deep_nest_text,
+    mirror_symmetric,
+    orbit_exactly_once,
+    reference_index,
+    small_corpus,
+)
 
 
 def test_multiset_enumerate_examples():
@@ -359,3 +367,59 @@ def test_orbit_index_rejects_garbage(diamond):
         spanning_tree_index(o, EdgeSet(spanning[0].mask | 1 << 40))  # an edge outside the graph
     with pytest.raises(ImageNotFound):
         near_tree_index(o, EdgeSet(near[0].mask | 1 << 5))  # edge 5 of a 5-edge graph
+
+
+def _rank_or_none(index, *args):
+    try:
+        return index(*args)
+    except ImageNotFound:
+        return None
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [small_corpus(1, max_vertices=10, start_seed=seed * 503)[0] for seed in range(30)]
+    + [parse_sp(text) for text in (DIAMOND_TEXT, MIXED_TEXT, "P(S(e(s,a),e(a,t)),e(s,t))")],
+)
+def test_index_equals_the_recursive_reference(tree):
+    """The one-loop `_index` ranks every spanning and near tree of each orbit
+    as the recursive reference does, and rejects every edge set the
+    reference rejects: seeded sets of both sizes and each tree asked for as
+    the other kind."""
+    plan, g = build_plan(tree), underlying_graph(tree)
+    rng = random.Random(g.m)
+    masks = [es.mask for es in all_spanning_trees(g) + all_near_trees(g, tree.source, tree.target)]
+    for size in (g.n - 1, g.n - 2):
+        masks += [EdgeSet.of(rng.sample(range(g.m), size)).mask for _ in range(100)]
+    for mask in masks:
+        for near in (False, True):
+            expected = _rank_or_none(reference_index, tree, plan, mask, near)
+            assert _rank_or_none(_index, tree, plan, mask, near) == expected
+
+
+def _kruskal(g) -> EdgeSet:
+    """The first spanning tree in edge order, by union-find."""
+    parent = {v: v for v in g.vertices}
+
+    def root(v):
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    chosen = []
+    for i, (u, v) in enumerate(g.edges):
+        a, b = root(u), root(v)
+        if a != b:
+            parent[a] = b
+            chosen.append(i)
+    return EdgeSet.of(chosen)
+
+
+@pytest.mark.parametrize("depth", [2000, 10_000])
+def test_index_of_a_deep_nest_returns(depth):
+    """`spanning_tree_index` ranks a tree of the alternating nest at depths
+    past the recursion limit: it loops over the nodes and does not recurse."""
+    tree = parse_sp(deep_nest_text(depth))
+    o = OrientedSP(tree)
+    rank = spanning_tree_index(o, _kruskal(underlying_graph(tree)))
+    assert 0 <= rank < count_oriented(o).spanning
