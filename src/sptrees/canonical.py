@@ -14,27 +14,19 @@ On top of the codes this module extracts explicit leaf bijections
 (`iso_map`), partitions a P node's children into oriented isomorphism
 classes (`partition_classes`), and detects the terminal-exchanging
 symmetry that distinguishes the semioriented automorphism group from
-the oriented one (`mirror_pairing`).  Classes come in `_class_order`,
-which also orders `generate`'s enumeration, and `_partners` is the one
-place that says which part (series child or class) holds a part's
-reversals, for the pairing, the semioriented counts and the reversal
-filter alike.
+the oriented one (`mirror_pairing`).  Classes come in `core._class_order`,
+the order `generate.build_plan` keeps in each P shape's plan, and the
+pairing reads the plans: `generate._partners` is the one place that
+says which part (series child or class) holds a part's reversals, for
+the pairing, the semioriented counts and the reversal filter alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (
-    Leaf,
-    Node,
-    Parallel,
-    Series,
-    _tree_of,
-    code_sort_key,
-    inner_postorder,
-    iter_leaves,
-)
+from .core import Leaf, Node, Parallel, Series, _class_order, _tree_of, inner_postorder, iter_leaves
+from .generate import _partners, build_plan
 
 
 def canonical_code(g) -> str:
@@ -137,14 +129,6 @@ class IsoClassPartition:
     classes: tuple[IsoClass, ...]
 
 
-def _class_order(p: Parallel) -> list[tuple[str, list[int]]]:
-    """A P node's classes as (code, member positions in storage order), by descending code."""
-    buckets: dict[str, list[int]] = {}
-    for pos, child in enumerate(p.children):
-        buckets.setdefault(child._code, []).append(pos)
-    return sorted(buckets.items(), key=lambda item: code_sort_key(item[0]), reverse=True)
-
-
 def partition_classes(p: Parallel) -> IsoClassPartition:
     """Group a P node's children into oriented isomorphism classes.
 
@@ -188,25 +172,13 @@ def mirror_pairing(node: Node) -> MirrorPairing | None:
     the terminals, in which case the semioriented automorphism group
     equals the oriented one: exactly when the code and the reversal code
     differ (series codes decode uniquely; equal parallel codes pair
-    classes of equal size).  A leaf is trivially self-paired.
+    classes of equal size).  A leaf is trivially self-paired.  It reads
+    the node's plans (`generate.build_plan`), so no code read recurses.
     """
-    if node._code != node._rev_code:
+    plan = build_plan(node)
+    if plan.code != plan.rev:
         return None
-    if isinstance(node, Leaf):
-        return MirrorPairing(kind="leaf")
-    if isinstance(node, Series):
-        return MirrorPairing(kind="series")
-    pairs = tuple((a, b) for a, b in enumerate(_partners(node, node)) if b >= a)
+    if plan.kind != "parallel":
+        return MirrorPairing(kind=plan.kind)
+    pairs = tuple((a, b) for a, b in enumerate(_partners(plan, plan)) if b >= a)
     return MirrorPairing(kind="parallel", class_pairs=pairs)
-
-
-def _partners(x: Node, y: Node) -> list[int]:
-    """Per part of x, the part of y that holds its reversals: series child
-    i's are in child k-1-i, and a class's (in `_class_order`) in the class
-    whose representative's reversal code is the class's code.  Needs code(x)
-    = rev_code(y); the map is then a bijection onto y's parts that keeps each
-    class's size, and `_partners(y, x)` inverts it."""
-    if isinstance(x, Series):
-        return list(range(len(x.children) - 1, -1, -1))
-    at = {y.children[ms[0]]._rev_code: b for b, (_, ms) in enumerate(_class_order(y))}
-    return [at[code] for code, _ in _class_order(x)]

@@ -6,9 +6,9 @@ starting with a 'terminals s t' line.  Exit codes: 0 success, 1 usage
 error, 2 invalid input, 3 verification failure, 4 internal error (a
 broken internal invariant, an input too deep for the recursion limit,
 or running out of memory).  A reader that closes the output early, as
-`| head` does, ends the run quietly with exit 0.  Input, counts, codes
-and orbit indexing accept any depth or width; only enumeration lists and
-reversal actions still recurse.
+`| head` does, ends the run quietly with exit 0.  Input, counts, codes,
+orbit indexing and the reversal actions accept any depth or width; only
+enumeration lists still recurse.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .expr import (
 )
 from .generate import ImageNotFound, _streams, count_oriented, count_total, oriented_both
 from .oracle import (
+    DEFAULT_LIMIT,
     FixSet,
     LimitExceeded,
     _least_images,
@@ -117,7 +118,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="compare fast paths against the oracle")
     p.add_argument("file")
-    p.add_argument("--limit", type=int, default=12)
+    p.add_argument("--limit", type=int, default=DEFAULT_LIMIT)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("random", help="emit a random instance")
@@ -278,7 +279,7 @@ def _cmd_code(args) -> int:
     return 0
 
 
-def verify_instance(tree: Node, limit: int = 12) -> tuple[bool, str]:
+def verify_instance(tree: Node, limit: int = DEFAULT_LIMIT) -> tuple[bool, str]:
     """Run every fast-versus-oracle agreement check on one instance.
 
     Returns (ok, summary); raises LimitExceeded instead of degrading

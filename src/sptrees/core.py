@@ -11,7 +11,8 @@ code with source and sink exchanged), each built once from the
 children's codes and cached: a leaf is "E", a series node wraps its
 child codes in "S(...)" in chain order (reversed for the reversal
 code), and a parallel node wraps them in "P(...)" sorted by
-`code_sort_key`.  `canonical` reads them.
+`code_sort_key`.  `canonical` reads them.  The same order, descending,
+orders a P node's classes (`_class_order`), and so the enumeration.
 
 Every tree is built by one `TreeBuilder` from leaf, open and close
 events, in one pass with no raw tree built first.  Three sources drive
@@ -37,6 +38,17 @@ _TOKEN_KEY = str.maketrans("SPE()", "ABCDE")
 def code_sort_key(code: str) -> str:
     """Translate a code into a string whose natural order matches S < P < E < ( < )."""
     return code.translate(_TOKEN_KEY)
+
+
+def _class_order(p: Parallel) -> list[tuple[str, list[int]]]:
+    """A P node's classes (children of one code) as (code, member positions
+    in storage order), by descending code: the class order that fixes the
+    enumeration order.  `generate.build_plan` sorts once per P shape and
+    keeps the order in the plan."""
+    buckets: dict[str, list[int]] = {}
+    for pos, child in enumerate(p.children):
+        buckets.setdefault(child._code, []).append(pos)
+    return sorted(buckets.items(), key=lambda item: code_sort_key(item[0]), reverse=True)
 
 
 def is_valid_label(text: str) -> bool:

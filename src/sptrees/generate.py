@@ -26,14 +26,17 @@ keeping the terminals connected would close a cycle when a sibling
 branch supplies the through path, and every subset brute force can
 build from these compositions separates the terminals at every level).
 
-`build_plan` is the single home of the counting arithmetic.  A plan
-describes an oriented shape, not a place, and holds counts only: one
-post-order loop builds one plan per distinct canonical code, holding the
+`build_plan` is the single home of the counting arithmetic and of every
+shape fact.  A plan describes an oriented shape, not a place, and holds
+counts, codes and parts only: one post-order loop builds one plan per
+distinct canonical code, holding its code and reversal code, its parts
+(a P shape's classes in `core._class_order`, sorted once here), the
 vertex count, the oriented counts (spanning, near), the counts with no
 automorphism reduction (tau, nu) and the semioriented counts (spanning,
 near up to terminal exchange), composed by `_compose` from its parts'
 counts (a class, and for the totals a group of equal members, in closed
-form).  The `count_*` functions return fields of the root plan.  Every
+form).  `_partners` reads two plans and says which part holds a part's
+reversals.  The `count_*` functions return fields of the root plan.  Every
 "sum over j of x_j times the product of the others" goes through
 `_offsets`, which divides the whole product by each y_j; a list's block
 starts are such sums, computed only where they are read (`_starts`).
@@ -42,7 +45,9 @@ symmetry the semioriented count is (oriented count + fixed candidates) /
 2, and the number of reversal-fixed entries of a part's list is twice
 its semioriented count minus its oriented count, whichever reversal
 realizes the symmetry (for a class, the multisets the reversal fixes).
-The filter that enumerates the semioriented trees lives in `semi`.
+The filter that enumerates the semioriented trees lives in `semi`,
+which builds its reversal actions from the plans alone, in the order
+this pass made them.
 
 The enumeration order is deterministic: classes descend by canonical
 code, assignment indices count near multisets first then spanning
@@ -50,12 +55,12 @@ choices, and tuples advance lexicographically.  `spanning_tree_index`
 and `near_tree_index` invert the order: they take any spanning or near
 tree edge set and return the position of its orbit's representative.
 
-`build_plan` runs that pass once per tree object and keeps the root's
-plan on the root node.  Every enumeration list (a node's spanning and
-near trees, a class's near and spanning assignments) is a tuple of plain
-int leaf masks, so that `itertools.product` takes it without a copy,
-built bottom-up on first use into a memo that belongs to one enumeration
-and is freed with it.  The lists belong to the tree's own nodes
+The pass runs once per tree object, and its plans, by code and each
+after its parts, are kept on the root node (`_plans`).  Every
+enumeration list (a node's spanning and near trees, a class's near and
+spanning assignments) is a tuple of plain int leaf masks, so that
+`itertools.product` takes it without a copy, built bottom-up on first
+use into a memo that belongs to one enumeration and is freed with it.  The lists belong to the tree's own nodes
 (`_placed`): a leaf's list holds its bit in a numbering the caller
 chooses (the input leaf numbering for the public enumerations, the print
 order for the CLI), and a P node's class members are its actual
@@ -66,8 +71,8 @@ masks on disjoint leaf sets, so `_sums` builds every product as a sum
 of masks, and no mask is moved bit by bit.  The enumerations stream the
 root's trees from its part lists (`_blocks`), so large outputs are never
 held in memory at once.  The index operations rank a tree in one loop
-over the same nodes, children first, each leaf reading its own bit in
-the input numbering.
+over the same nodes, children first, each reading its plan by code and
+each leaf its own bit in the input numbering.
 """
 
 from __future__ import annotations
@@ -79,8 +84,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 
-from .canonical import _class_order, _partners
-from .core import EdgeSet, Node, OrientedSP, Series, _tree_of, inner_postorder
+from .core import EdgeSet, Node, OrientedSP, Series, _class_order, _tree_of, inner_postorder
 
 
 class ImageNotFound(ValueError):
@@ -158,18 +162,23 @@ class _ClassPlan:
 
 @dataclass(slots=True)
 class _Plan:
-    """Counts and parts of one oriented shape, of `kind` leaf, series or parallel.
+    """Counts, codes and parts of one oriented shape, of `kind` leaf, series
+    or parallel.
 
-    The plan holds counts only: no node, no position and no tree list, so
-    every subtree of one shape shares it, and a plan kept on its tree's root
-    makes no reference cycle.  Its parts are the series children's plans, in
-    order, or the parallel classes (`_ClassPlan`), in class order; m counts
-    its leaves and n its vertices.  st, nt are the oriented spanning and near
-    counts, tau, nu the counts with no automorphism reduction, ss, sn the
-    semioriented ones.
+    The plan holds no node, no position and no tree list, so every subtree
+    of one shape shares it, and a plan kept on its tree's root makes no
+    reference cycle.  `code` and `rev` are the shape's canonical and
+    reversal codes.  Its parts are the series children's plans, in order,
+    or the parallel classes (`_ClassPlan`), in class order
+    (`core._class_order`, sorted once per shape, here); m counts its
+    leaves and n its vertices.
+    st, nt are the oriented spanning and near counts, tau, nu the counts
+    with no automorphism reduction, ss, sn the semioriented ones.
     """
 
     kind: str
+    code: str
+    rev: str
     m: int
     n: int
     st: int
@@ -187,18 +196,22 @@ class _Plan:
 
 
 def build_plan(g) -> _Plan:
-    """Classes and counts of a normalized tree.
-
-    The plan is built once per tree object and kept on its root node, as
-    the codes are; it holds counts and parts only, never a tree list.
-    Within one build, isomorphic subtrees share one plan wherever they
-    sit; only the root's plan is kept on a node.
-    """
+    """Classes and counts of a normalized tree: its root's plan (`_plans`)."""
     tree = _tree_of(g)
-    plan = tree.__dict__.get("_plan")
-    if plan is None:
-        plan = tree.__dict__["_plan"] = _build(tree)
-    return plan
+    return _plans(tree)[tree._code]
+
+
+def _plans(tree: Node) -> dict[str, _Plan]:
+    """The plan of every shape in `tree` by code, each after its parts' plans.
+
+    They are built once per tree object and kept on its root node, as the
+    codes are; they hold counts, codes and parts only, never a tree list.
+    Within one build, isomorphic subtrees share one plan wherever they sit.
+    """
+    plans = tree.__dict__.get("_plans")
+    if plans is None:
+        plans = tree.__dict__["_plans"] = _build(tree)
+    return plans
 
 
 def _offsets(x: list[int], y: list[int]) -> list[int]:
@@ -237,15 +250,18 @@ def _invariant_multisets(fixed: int, swapped_pairs: int, size: int) -> int:
     return total
 
 
-def _build(tree: Node) -> _Plan:
+def _build(tree: Node) -> dict[str, _Plan]:
     """The bottom-up pass: one plan per canonical code of `tree`, in one loop
-    over its inner nodes, children first, so that no code recurses."""
-    plans = {"E": _Plan("leaf", 1, n=2, st=1, nt=1, tau=1, nu=1, ss=1, sn=1)}
+    over its inner nodes, children first, so that no code recurses.  Every
+    node's two codes are read here, also where its shape has a plan already:
+    a later code read (a P node's reversal code over a copy of a shape seen
+    before) then finds its children's codes cached."""
+    plans = {"E": _Plan("leaf", "E", "E", 1, n=2, st=1, nt=1, tau=1, nu=1, ss=1, sn=1)}
     for node in inner_postorder(tree):
-        code = node._code
-        if code not in plans:
-            plans[code] = _compose(node, plans, code == node._rev_code)
-    return plans[tree._code]
+        node._rev_code  # cached on the node by the first read
+        if node._code not in plans:
+            plans[node._code] = _compose(node, plans)
+    return plans
 
 
 def _dual(series: bool, pair: tuple[int, int]) -> tuple[int, int]:
@@ -253,7 +269,7 @@ def _dual(series: bool, pair: tuple[int, int]) -> tuple[int, int]:
     return pair if series else pair[::-1]
 
 
-def _compose(node: Node, plans: dict, palindrome: bool) -> _Plan:
+def _compose(node: Node, plans: dict) -> _Plan:
     """The plan of an inner node from its parts' plans, by the rule the two
     kinds share: base = prod base_i and flip = sum_j flip_j prod_{i != j}
     base_i, with (base, flip) the (spanning, near) counts of a series node
@@ -277,16 +293,17 @@ def _compose(node: Node, plans: dict, palindrome: bool) -> _Plan:
     xs, ys = list(map(pow, xs, gs)), [g * y * x ** (g - 1) for x, y, g in zip(xs, ys, gs)]
     tau, nu = _dual(series, (math.prod(xs), _offsets(ys, xs)[-1]))
     plan = _Plan(
-        "series" if series else "parallel", sum(r.m * g for r, g in groups),
+        "series" if series else "parallel", node._code, node._rev_code,
+        m=sum(r.m * g for r, g in groups),
         n=sum(r.n * g for r, g in groups) - shared * (len(node.children) - 1),
         st=st, nt=nt, tau=tau, nu=nu, ss=st, sn=nt, parts=tuple(parts),
     )
-    if not palindrome:
+    if plan.code != plan.rev:
         return plan
     # The reversal carries part i onto part dest[i] (`_partners`).  A fixed
     # candidate takes mirror trees on a pair of parts (one choice per pair)
     # and reversal-fixed ones on a self-paired part, which alone can flip.
-    dest = _partners(node, node)
+    dest = _partners(plan, plan)
     paired = math.prod(b for i, (j, b) in enumerate(zip(dest, bases)) if i < j)
     fixed = [parts[i].fixed() for i, j in enumerate(dest) if i == j]
     fixed_bases, fixed_flips = _dual(series, ([s for s, _ in fixed], [n for _, n in fixed]))
@@ -295,6 +312,18 @@ def _compose(node: Node, plans: dict, palindrome: bool) -> _Plan:
         _half(flip + paired * _offsets(fixed_flips, fixed_bases)[-1]),
     ))
     return plan
+
+
+def _partners(xp: _Plan, yp: _Plan) -> list[int]:
+    """Per part of the plan xp, the part of yp that holds its reversals,
+    where xp.code = yp.rev: series child i's are in child k-1-i, and a
+    class's in the class whose representative's reversal code is the
+    class's code.  The map is a bijection onto yp's parts that keeps each
+    class's size, and `_partners(yp, xp)` inverts it."""
+    if xp.kind == "series":
+        return list(range(len(xp.parts) - 1, -1, -1))
+    at = {cp.rep_plan.rev: b for b, cp in enumerate(yp.parts)}
+    return [at[cp.rep_plan.code] for cp in xp.parts]
 
 
 def _class(rep: _Plan, size: int) -> _ClassPlan:
@@ -352,13 +381,13 @@ def _sums(blocks):
 def _members(node: Node, plan: _Plan) -> list[tuple[tuple[Node, ...], object, _Plan]]:
     """A node's parts as (member nodes, part plan, member plan): a series
     child is a part of one member, planned by its own plan; a P class's
-    members, in storage order, are all planned by its representative's."""
+    members, in storage order, are the children of its representative's
+    code, all planned by the representative's plan."""
     if plan.kind == "parallel":
-        kids = node.children
-        return [
-            (tuple([kids[i] for i in members]), cp, cp.rep_plan)
-            for (_, members), cp in zip(_class_order(node), plan.parts)
-        ]
+        classes = {cp.rep_plan.code: [] for cp in plan.parts}
+        for child in node.children:
+            classes[child._code].append(child)
+        return [(tuple(ms), cp, cp.rep_plan) for ms, cp in zip(classes.values(), plan.parts)]
     return list(zip(zip(node.children), plan.parts, plan.parts))
 
 
@@ -461,9 +490,10 @@ def count_total(g: OrientedSP) -> CountPair:
 # ---------------------------------------------------------------------------
 
 
-def _index(tree: Node, plan: _Plan, mask: int, near: bool) -> int:
+def _index(tree: Node, plans: dict, mask: int, near: bool) -> int:
     """Enumeration position of the orbit of a near (or spanning) tree `mask`
-    on `tree`, in one loop over its inner (node, plan) pairs, children first.
+    on `tree`, whose plans by code are `plans`, in one loop over its inner
+    nodes, children first.
 
     A node's kind comes from the bits of `mask` on its leaves: n - 1 for a
     spanning tree, n - 2 for a near one, and no other count is a tree.  Its
@@ -471,22 +501,13 @@ def _index(tree: Node, plan: _Plan, mask: int, near: bool) -> int:
     part's kind, from the start of their block (`_block_of`, `_starts`,
     built once per shape and kind).
     """
-    done, starts = {}, {}  # id(node): (bits, near, rank), until its parent reads it
-    # Each inner node comes off the stack twice: first to push its members,
-    # then, with its parts, once they are done.
-    stack = [(tree, plan, None)]
-    while stack:
-        node, p, parts = stack.pop()
-        if parts is None:
-            parts = _members(node, p)
-            stack.append((node, p, parts))
-            for members, _, rep in parts:
-                if rep.kind != "leaf":
-                    stack += zip(members, itertools.repeat(rep), itertools.repeat(None))
-            continue
-        bits = 0 if parts else mask >> node.index & 1  # a lone edge counts its own
-        rank, kinds = 0, []
-        for members, part, rep in parts:
+    # id(node): (bits, near, rank), until its parent reads it.  A lone edge
+    # has one tree of each kind, the spanning one holding its bit.
+    done, starts = {id(tree): (mask, not mask, 0)}, {}
+    for node in inner_postorder(tree):
+        p = plans[node._code]
+        bits, rank, kinds = 0, 0, []
+        for members, part, rep in _members(node, p):
             if rep.kind == "leaf":
                 # An edge (no class holds two): one tree of each kind, digit 0.
                 b = mask >> members[0].index & 1
@@ -529,10 +550,9 @@ def _digit(ranked: list, rep: _Plan) -> tuple[int, bool, int]:
 def _located(g, es: EdgeSet, near: bool) -> int:
     """`_index` on the root of `g`, whose leaves are the input positions."""
     tree = _tree_of(g)
-    plan = build_plan(tree)
-    if es.mask >> plan.m:
+    if es.mask >> build_plan(tree).m:
         raise ImageNotFound("an edge outside the graph")
-    return _index(tree, plan, es.mask, near)
+    return _index(tree, _plans(tree), es.mask, near)
 
 
 def spanning_tree_index(g: OrientedSP, es: EdgeSet) -> int:

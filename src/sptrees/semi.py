@@ -16,13 +16,15 @@ the middle child of an odd series chain and self-paired parallel classes,
 so a tree whose outer positions are palindromic is still paired off
 through its middle entry.  All lists below the top level stay oriented.
 
-The index actions come from the plans alone, with no leaf and no
+The index actions come from the plans alone (counts, codes and parts, a
+P shape's classes in `core._class_order`), with no node, no leaf and no
 numbering: where code(x) = rev_code(y), the reversal's action on list
-indices, from x's lists onto y's, composes bottom up from the parts'
-actions (`_reversal_perms`) over the same block layout as the lists
-(`generate._layout`), and `canonical._partners` pairs the parts.  The
-actions live as long as the filter's stream; the cached plan holds none
-of them.
+indices, from x's lists onto y's, composes from the parts' actions over
+the same block layout as the lists (`generate._layout`), and
+`generate._partners` pairs the parts.  `_reversal_perms` builds them in
+one loop over the plans in the plan pass's order, each shape after its
+parts, so nothing recurses.  The actions live as long as the filter's
+stream; the cached plans hold none of them.
 
 Counting needs no enumeration: `count_semioriented` reads the
 semioriented count that `generate.build_plan` computes in its single
@@ -33,15 +35,15 @@ fixed-candidate arithmetic lives there too).
 from __future__ import annotations
 
 import operator
-from itertools import chain, compress, product
+from itertools import chain, compress, islice, product
 
-from .canonical import _partners
 from .core import EdgeSet, SemiorientedSP, _tree_of
 from .generate import (
     _block_of,
     _count,
     _layout,
-    _members,
+    _partners,
+    _plans,
     _starts,
     _streams,
     _sums,
@@ -66,37 +68,39 @@ def reversal_index_perm(child, mirror, kind: str = "spanning") -> tuple[int, ...
     if kind not in ("spanning", "near"):
         raise ValueError(f"unknown kind {kind!r}")
     x, y = _tree_of(child), _tree_of(mirror)
-    if x._code != y._rev_code:
+    xp, yp = build_plan(x), build_plan(y)
+    if xp.code != yp.rev:
         raise ValueError("the mirror is not a reversal of the child")
-    near, spanning = _reversal_perms({}, x, build_plan(x), y, build_plan(y))
+    near, spanning = _reversal_perms(_plans(x).values(), _plans(y))[xp.code]
     return near if kind == "near" else spanning
 
 
-def _reversal_perms(memo: dict, x, xp, y, yp) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The reversal's index action on x's near list and on its spanning list.
+def _reversal_perms(xplans, mirrors: dict) -> dict:
+    """The reversal's index actions, as code: (on the near list, on the
+    spanning list), of every plan x in `xplans`, each after its parts.
 
-    Entry i of each is the position, in y's list of the same kind, of the
-    reversal of x's i-th tree, where code(x) = rev_code(y) and `xp`, `yp`
-    are their plans.  Built once per `memo` and code of x.
+    Entry i of each is the position, in the list of the same kind of y =
+    `mirrors[x.rev]`, of the reversal of x's i-th tree.  One loop, in the
+    plan pass's order, composes each action from its parts' (`_parts`).
     """
-    if xp.kind == "leaf":
-        return (0,), (0,)
-    if x._code not in memo:
-        dest, perms = _parts(memo, x, xp, y, yp)
-        memo[x._code] = tuple(_moved(perms, dest, yp, near) for near in (True, False))
-    return memo[x._code]
+    actions = {"E": ((0,), (0,))}
+    for xp in xplans:
+        if xp.kind != "leaf":
+            yp = mirrors[xp.rev]
+            dest, perms = _parts(actions, xp, yp)
+            actions[xp.code] = tuple(_moved(perms, dest, yp, near) for near in (True, False))
+    return actions
 
 
-def _parts(memo: dict, x, xp, y, yp) -> tuple[list[int], list]:
-    """Per part of x (series child, parallel class): the part of y that the
+def _parts(actions: dict, xp, yp) -> tuple[list[int], list]:
+    """Per part of xp (series child, parallel class): the part of yp that the
     reversal carries it onto (`_partners`), and the part's (near, spanning)
-    digit actions, from its members' (`_assignment_perm`)."""
-    dest, mirrors, perms = _partners(x, y), _members(y, yp), []
-    for (members, _, rep), b in zip(_members(x, xp), dest):
-        mirror, _, mirror_rep = mirrors[b]
-        rho = _reversal_perms(memo, members[0], rep, mirror[0], mirror_rep)
-        perms.append(_assignment_perm(len(members), *rho))
-    return dest, perms
+    digit actions, from its member plan's `actions` (`_assignment_perm`)."""
+    perms = []
+    for part in xp.parts:
+        size, rep = (part.size, part.rep_plan) if xp.kind == "parallel" else (1, part)
+        perms.append(_assignment_perm(size, *actions[rep.code]))
+    return _partners(xp, yp), perms
 
 
 def _moved(perms, dest, yp, near: bool) -> tuple[int, ...]:
@@ -159,10 +163,14 @@ def _masks(tree, numbering=None):
     """Masks of the semioriented spanning trees in `numbering`, as in `generate._placed`:
     the oriented stream, less each tree whose key is below its partner's."""
     plan = build_plan(tree)
-    if plan.kind == "leaf" or tree._code != tree._rev_code:
+    if plan.kind == "leaf" or plan.code != plan.rev:
         return _streams(tree, False, numbering=numbering)[0]
-    # The actions before the lists: built while the lists are alive, they raise the peak.
-    dest, perms = _parts({}, tree, plan, tree, plan)
+    # The actions before the lists: built while the lists are alive, they
+    # raise the peak.  Every plan but the last, the root's, gets its action:
+    # the root's parts read theirs, and nothing reads the root's own.
+    plans = _plans(tree)
+    actions = _reversal_perms(islice(plans.values(), len(plans) - 1), plans)
+    dest, perms = _parts(actions, plan, plan)
 
     def digits(i: int, near: bool):
         """Part i's index range and the action on it, its spanning trees (or

@@ -20,8 +20,7 @@ from sptrees import (
     random_sp,
     underlying_graph,
 )
-from sptrees.canonical import _class_order
-from sptrees.core import Leaf, Node, Parallel, Series, mask_image, normalize
+from sptrees.core import Leaf, Node, Parallel, Series, _class_order, mask_image, normalize
 from sptrees.generate import (
     ImageNotFound,
     _ClassPlan,
@@ -30,13 +29,14 @@ from sptrees.generate import (
     _invariant_multisets,
     _members,
     _placed,
+    _plans,
     _streams,
     build_plan,
     multiset_coefficient,
     multiset_rank,
 )
 from sptrees.oracle import FixBoth, FixSet, NonIntegralResult, OrbitReport
-from sptrees.semi import _parts
+from sptrees.semi import _parts, _reversal_perms
 
 DIAMOND_TEXT = "P(e(2,3),S(e(2,1),e(1,3)),S(e(2,4),e(4,3)))"
 THETA_TEXT = "P(e(s,t),S(e(s,a),e(a,b),e(b,t)),S(e(s,c),e(c,d),e(d,t)))"
@@ -72,6 +72,13 @@ def deep_nest_text(depth: int) -> str:
         closers.append(")")
     heads.append(f"S(e({source},x),e(x,t))")
     return "".join(heads) + "".join(closers)
+
+
+def twin_nest_text(depth: int) -> str:
+    """P(A, A'): A the `deep_nest_text(depth)` nest, A' a copy of it with
+    every inner vertex renamed, so the two branches share a shape."""
+    nest = deep_nest_text(depth)
+    return f"P({nest},{nest.replace('v', 'w').replace('x', 'y')})"
 
 
 def deep_nest_codes(depth: int) -> tuple[str, str]:
@@ -422,7 +429,7 @@ def reference_semioriented_masks(tree: Node, numbering=None) -> list[int]:
     plan = build_plan(tree)
     if plan.kind == "leaf" or tree._code != tree._rev_code:
         return list(_streams(tree, False, numbering=numbering)[0])
-    target, perms = _parts({}, tree, plan, tree, plan)
+    target, perms = _parts(_reversal_perms(_plans(tree).values(), _plans(tree)), plan, plan)
     placed = partial(_placed, {}, numbering)
     if plan.kind == "series":
         items = [placed(x, part, False) for x, part in zip(tree.children, plan.parts)]
@@ -574,7 +581,7 @@ def reference_plan(node: Node) -> _Plan:
     total counts summed member by member: every field and part of the
     shared plan must equal this one's.  Small trees only (it recurses)."""
     if isinstance(node, Leaf):
-        return _Plan("leaf", 1, n=2, st=1, nt=1, tau=1, nu=1, ss=1, sn=1)
+        return _Plan("leaf", "E", "E", 1, n=2, st=1, nt=1, tau=1, nu=1, ss=1, sn=1)
     palindrome = node._code == node._rev_code
     if isinstance(node, Series):
         kids = [reference_plan(child) for child in node.children]
@@ -583,7 +590,7 @@ def reference_plan(node: Node) -> _Plan:
         offsets = reference_offsets([c.nt for c in kids], sts)
         st, nt = math.prod(sts), offsets[-1]
         plan = _Plan(
-            "series", sum(c.m for c in kids), n=sum(c.n for c in kids) - (k - 1),
+            "series", node._code, node._rev_code, sum(c.m for c in kids), n=sum(c.n for c in kids) - (k - 1),
             st=st, nt=nt, tau=math.prod(taus),
             nu=reference_offsets([c.nu for c in kids], taus)[-1], ss=st, sn=nt, parts=tuple(kids),
         )
@@ -607,7 +614,7 @@ def reference_plan(node: Node) -> _Plan:
     taus = [cp.rep_plan.tau for cp in classes for _ in range(cp.size)]
     nus = [cp.rep_plan.nu for cp in classes for _ in range(cp.size)]
     plan = _Plan(
-        "parallel", sum(cp.size * cp.rep_plan.m for cp in classes),
+        "parallel", node._code, node._rev_code, sum(cp.size * cp.rep_plan.m for cp in classes),
         n=sum(cp.rep_plan.n * cp.size for cp in classes) - 2 * (len(node.children) - 1),
         st=st, nt=nt, tau=reference_offsets(taus, nus)[-1], nu=math.prod(nus),
         ss=st, sn=nt, parts=tuple(classes),

@@ -35,7 +35,7 @@ from sptrees import (
     underlying_graph,
 )
 from sptrees.core import normalize, parallel, series, edge
-from sptrees.canonical import _class_order
+from sptrees.core import _class_order
 
 from conftest import (
     DIAMOND_TEXT,

@@ -18,7 +18,7 @@ from sptrees import (
     reversal_code,
     underlying_graph,
 )
-from sptrees.canonical import code_sort_key
+from sptrees.core import code_sort_key
 
 from conftest import (
     deep_nest_codes,

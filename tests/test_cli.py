@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: subcommands, formats, exit codes, stability."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -24,8 +25,16 @@ from sptrees import (
 )
 from sptrees import cli
 from sptrees.cli import _build_parser, _lines, run
+from sptrees.oracle import DEFAULT_LIMIT
 
-from conftest import DIAMOND_TEXT, THETA_TEXT, deep_nest_codes, deep_nest_text, reference_lines
+from conftest import (
+    DIAMOND_TEXT,
+    THETA_TEXT,
+    deep_nest_codes,
+    deep_nest_text,
+    reference_lines,
+    twin_nest_text,
+)
 
 
 @pytest.fixture
@@ -434,6 +443,27 @@ def test_code_subcommand_on_a_deep_nest(tmp_path, capsys):
     path.write_text(deep_nest_text(2000) + "\n", encoding="utf-8")
     assert run(["code", str(path)]) == 0
     assert capsys.readouterr().out == " ".join(deep_nest_codes(2000)) + "\n"
+
+
+def test_count_of_twin_deep_nests(tmp_path, capsys):
+    """P(A, A'), A' a relabelled copy of the 2000-deep nest A, counts in every
+    mode: each node's codes are read children first, also in the copy, whose
+    shapes all have plans already.  No reversal maps the graph onto itself,
+    and swapping the copies is its one nontrivial automorphism."""
+    path = tmp_path / "twins.sp"
+    path.write_text(twin_nest_text(2000) + "\n", encoding="utf-8")
+    counts = {}
+    for mode in ("oriented", "semioriented", "total"):
+        assert run(["count", str(path), "--mode", mode]) == 0
+        counts[mode] = int(capsys.readouterr().out)
+    assert counts["semioriented"] == counts["oriented"]
+    assert counts["total"] == 2 * counts["oriented"]
+
+
+def test_verify_limit_defaults_to_the_oracle_limit():
+    args = _build_parser().parse_args(["verify", "instances.sp"])
+    assert args.limit == DEFAULT_LIMIT
+    assert inspect.signature(cli.verify_instance).parameters["limit"].default == DEFAULT_LIMIT
 
 
 def test_edge_list_input(tmp_path, capsys):

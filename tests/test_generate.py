@@ -34,7 +34,7 @@ from sptrees import (
 )
 from sptrees.cli import verify_instance
 from sptrees.core import Leaf, Parallel, Series, mask_image
-from sptrees.generate import _index, _streams, build_plan, multiset_coefficient, multiset_rank
+from sptrees.generate import _index, _plans, _streams, build_plan, multiset_coefficient, multiset_rank
 from sptrees.semi import _masks
 
 from conftest import (
@@ -394,7 +394,7 @@ def test_index_equals_the_recursive_reference(tree):
     for mask in masks:
         for near in (False, True):
             expected = _rank_or_none(reference_index, tree, plan, mask, near)
-            assert _rank_or_none(_index, tree, plan, mask, near) == expected
+            assert _rank_or_none(_index, tree, _plans(tree), mask, near) == expected
 
 
 def _kruskal(g) -> EdgeSet:

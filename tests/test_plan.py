@@ -4,6 +4,7 @@ isomorphic subtrees share one position-free plan."""
 import contextlib
 import dataclasses
 import gc
+import sys
 import tracemalloc
 import weakref
 
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sptrees import (
+    EdgeSet,
     OrientedSP,
     RandomSpParams,
     SemiorientedSP,
@@ -33,9 +35,10 @@ from sptrees import (
     spanning_tree_index,
 )
 from sptrees import generate
-from sptrees.canonical import _class_order
+from sptrees.core import _class_order
 from sptrees.cli import run, verify_instance
-from sptrees.generate import _build, _offsets, build_plan
+from sptrees.generate import _build, _offsets, _streams, build_plan
+from sptrees.semi import _masks
 
 from conftest import (
     DIAMOND_TEXT,
@@ -104,7 +107,7 @@ def test_every_entry_point_builds_the_root_once(text, monkeypatch):
     assert ok
     assert roots == [0]
     assert build_plan(tree) is build_plan(OrientedSP(tree)) is build_plan(SemiorientedSP(tree))
-    assert build_plan(tree) == _build(tree)
+    assert build_plan(tree) == _build(tree)[tree._code]
     assert _results(tree) == results
     assert roots == [0]
 
@@ -115,7 +118,7 @@ def test_equal_distinct_trees_get_their_own_plans(text):
     assert copy == tree and copy is not tree
     results = _results(tree)
     assert build_plan(copy) is not build_plan(tree)
-    assert build_plan(copy) == build_plan(tree) == _build(tree)
+    assert build_plan(copy) == build_plan(tree) == _build(tree)[tree._code]
     assert _results(copy) == results
 
 
@@ -158,7 +161,33 @@ def test_subtrees_planned_first_do_not_leak_into_the_parent(seed):
     expected = _results(fresh)  # the parent planned before its children
     assert _reversal_perms(fresh) == perms
     assert _results(tree) == expected
-    assert build_plan(tree) == build_plan(fresh) == _build(tree)
+    assert build_plan(tree) == build_plan(fresh) == _build(tree)[tree._code]
+
+
+@pytest.mark.parametrize("text", TEXTS)
+def test_classes_are_sorted_once_per_parallel_shape(text, monkeypatch):
+    """`build_plan` sorts the classes of each P shape once and keeps the
+    order in the plan; indexing, the streams and the semioriented filter of
+    a planned tree read it there and sort nothing."""
+    tree, calls = parse_sp(text), []
+
+    def counted(node):
+        calls.append(node._code)
+        return _class_order(node)
+
+    for name, module in list(sys.modules.items()):
+        if name == "sptrees" or name.startswith("sptrees."):
+            if getattr(module, "_class_order", None) is _class_order:
+                monkeypatch.setattr(module, "_class_order", counted)
+    plan = build_plan(tree)
+    assert sorted(calls) == sorted(code for code in _shapes(tree) if code[0] == "P")
+    calls.clear()
+    o = OrientedSP(tree)
+    spanning, near = (list(stream) for stream in _streams(tree, False, True))
+    assert [spanning_tree_index(o, EdgeSet(mask)) for mask in spanning] == list(range(plan.st))
+    assert [near_tree_index(o, EdgeSet(mask)) for mask in near] == list(range(plan.nt))
+    assert len(list(_masks(tree))) == plan.ss
+    assert calls == []
 
 
 @pytest.mark.parametrize("text", TEXTS)
@@ -270,6 +299,13 @@ def _check_shared(tree):
     plan = build_plan(tree)
     assert plan == reference_plan(tree)
     assert len(_plans(plan)) == len(_shapes(tree))
+    # The kept plans: one per shape, by code, each after its parts, the root last.
+    plans, seen = generate._plans(tree), set()
+    assert set(plans) == _shapes(tree) and list(plans.values())[-1] is plan
+    for code, shape in plans.items():
+        assert shape.code == code
+        assert all(id(getattr(part, "rep_plan", part)) in seen for part in shape.parts)
+        seen.add(id(shape))
 
 
 @pytest.mark.parametrize("seed", range(60))

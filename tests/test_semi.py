@@ -29,14 +29,14 @@ from sptrees import (
     underlying_graph,
 )
 from sptrees import canonical, core, generate
-from sptrees.canonical import _class_order, _partners
 from sptrees.cli import run
-from sptrees.core import Parallel
-from sptrees.generate import _streams, build_plan, multiset_enumerate
+from sptrees.core import Parallel, _class_order
+from sptrees.generate import _partners, _streams, build_plan, multiset_enumerate
 from sptrees.oracle import apply_permutation
 from sptrees.semi import _assignment_perm, _masks
 
 from conftest import (
+    deep_nest_text,
     mirror_pairs,
     mirror_symmetric,
     orbit_exactly_once,
@@ -347,17 +347,31 @@ def _parent_class_pairs(node):
 
 @pytest.mark.parametrize("seed", range(60))
 def test_partners_pair_classes_of_equal_size_both_ways(seed):
-    """On every parallel pair, `_partners` is a size-keeping bijection onto
-    the other node's classes, each class onto the one of its reversal code,
-    and the pair read the other way inverts it."""
+    """On every parallel pair, `_partners` reads the two plans alone: a
+    size-keeping bijection onto the other plan's classes, each class onto
+    the one of its reversal code, and the pair read the other way inverts
+    it.  The plans keep the classes in `_class_order`."""
     for x, y in mirror_pairs(mirror_symmetric(seed)):
         if not isinstance(x, Parallel):
             continue
-        forward, backward = _partners(x, y), _partners(y, x)
-        cx, cy = _class_order(x), _class_order(y)
-        assert sorted(forward) == list(range(len(cy)))
-        assert [len(cy[b][1]) for b in forward] == [len(members) for _, members in cx]
-        assert [cy[b][0] for b in forward] == [x.children[ms[0]]._rev_code for _, ms in cx]
-        assert [backward[b] for b in forward] == list(range(len(cx)))
+        xp, yp = build_plan(x), build_plan(y)
+        assert [(cp.rep_plan.code, cp.rep_plan.rev, cp.size) for cp in xp.parts] == [
+            (code, x.children[ms[0]]._rev_code, len(ms)) for code, ms in _class_order(x)
+        ]
+        forward, backward = _partners(xp, yp), _partners(yp, xp)
+        assert sorted(forward) == list(range(len(yp.parts)))
+        assert [yp.parts[b].size for b in forward] == [cp.size for cp in xp.parts]
+        assert [yp.parts[b].rep_plan.code for b in forward] == [cp.rep_plan.rev for cp in xp.parts]
+        assert [backward[b] for b in forward] == list(range(len(xp.parts)))
         if x is y:
             assert mirror_pairing(x).class_pairs == _parent_class_pairs(x)
+
+
+def test_reversal_checks_on_a_fresh_deep_nest():
+    """The pairing and the index action compare the plans' codes, read
+    children first, so a freshly parsed 2000-deep nest, which no reversal
+    maps onto itself, raises no RecursionError."""
+    assert mirror_pairing(parse_sp(deep_nest_text(2000))) is None
+    tree = parse_sp(deep_nest_text(2000))
+    with pytest.raises(ValueError, match="not a reversal"):
+        reversal_index_perm(tree, tree)
