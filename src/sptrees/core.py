@@ -14,12 +14,17 @@ code), and a parallel node wraps them in "P(...)" sorted by
 `code_sort_key`.  `canonical` reads them.  The same order, descending,
 orders a P node's classes (`_class_order`), and so the enumeration.
 
-Every tree is built by one `TreeBuilder` from leaf, open and close
-events, in one pass with no raw tree built first.  Three sources drive
-it: `expr.parse_sp` as it reads the text, `expr.decompose_edge_list` as
-it reads its reduced graph, and `normalize`/`validate` over a tree built
-in code.  The tree and graph types are immutable after construction and
-safe to share between threads.
+Every tree is built from leaf, open and close events, in one pass with
+no raw tree built first.  The readers, `expr.parse_sp` as it reads the
+text and `expr.decompose_edge_list` as it reads its reduced graph, feed
+a `TreeAcceptor`.  It checks each node's local rules and then one count:
+a valid tree has 2 + Σ over S nodes of (k - 1) distinct labels, the
+terminals and each k-child S node's joints.  It builds no vertex set and
+no message.  Only when it rejects does `parse_sp` read the text again
+into a `TreeBuilder`, which keeps a vertex set per node and lists every
+violation with its position; `normalize` and `validate` drive that
+builder over a tree built in code.  The tree and graph types are
+immutable after construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterator, Union
 
 # A vertex label, the grammar's `label` token.
@@ -342,13 +348,14 @@ class InvalidTreeError(ValueError):
 def validate(node: Node) -> list[Violation]:
     """Check every decomposition-tree invariant.
 
-    Returns one entry per violation (empty list means valid).  The
-    `TreeBuilder` the readers use checks self-loops and child arity and,
-    on each node's flattened child list, series chaining, shared parallel
-    terminals, simplicity (at most one bare edge per parallel node) and
-    disjointness of interior vertices across sibling branches.  A tree
-    built in code can also break label syntax, alternation of S and P
-    levels and preorder leaf indices, which are reported here too.
+    Returns one entry per violation (empty list means valid).  The tree
+    is fed to a `TreeBuilder`, the builder that names the violations of
+    text `expr.parse_sp` rejects.  It checks self-loops and child arity
+    and, on each node's flattened child list, series chaining, shared
+    parallel terminals, simplicity (at most one bare edge per parallel
+    node) and disjointness of interior vertices across sibling branches.
+    A tree built in code can also break label syntax, alternation of S
+    and P levels and preorder leaf indices, which are reported here too.
     """
     build, indexed = _walk(node)
     out = _violations(build.broken + build.nested)
@@ -360,10 +367,10 @@ def validate(node: Node) -> list[Violation]:
 def normalize(node: Node) -> Node:
     """Flatten same-kind nestings and reassign preorder leaf indices.
 
-    The tree is rebuilt by the `TreeBuilder` the readers use.  The result
-    represents the same graph, alternates S and P levels, and is a fixed
-    point of `normalize`.  Raises InvalidTreeError when the input breaks
-    any invariant other than alternation or indexing.
+    The tree is rebuilt by a `TreeBuilder`, as `validate` checks it.  The
+    result represents the same graph, alternates S and P levels, and is a
+    fixed point of `normalize`.  Raises InvalidTreeError when the input
+    breaks any invariant other than alternation or indexing.
     """
     return _walk(node)[0].finish()
 
@@ -473,28 +480,100 @@ class TreeBuilder:
         return self.done[0][0]
 
 
+_source = attrgetter("source")
+_target = attrgetter("target")
+
+
+class TreeAcceptor:
+    """The `TreeBuilder` events with no diagnosis: `finish` returns the same
+    tree from valid input and None from any other.
+
+    Same-kind runs are joined, leaves numbered in preorder and terminals
+    set as `TreeBuilder` does.  Per node only the local rules are checked:
+    raw arity at least 2, no self-loop, series chaining, distinct series
+    terminals, one (source, target) pair for all parallel children and at
+    most one bare edge per P.  Sharing across branches is left to one count
+    at `finish`.  A valid tree has 2 + Σ over S nodes of (k - 1) vertices:
+    the two terminals and the k - 1 joints of each S node of k children.
+    Once the local rules hold, each of those vertices has one label, and
+    two of them share a label exactly where `TreeBuilder` would find
+    siblings sharing a vertex beyond the rules; a shortfall at a node stays
+    in every node above it.  So the input is valid exactly when the
+    distinct labels number 2 + Σ (k - 1).  No vertex set, position or
+    message is built per node.
+    """
+
+    def __init__(self) -> None:
+        self.leaves = 0
+        self.ok = True
+        self.joints = 0
+        self.labels: set[str] = set()
+        self.done: list[Node] = []
+        # Per open raw node: [kind, its first entry in `done`, whether it
+        # tops its run, entries past one that its run members added].
+        self.frames: list[list] = []
+
+    def leaf(self, u: str, v: str) -> None:
+        if u == v:
+            self.ok = False
+        self.labels.update((u, v))
+        self.done.append(Leaf(u, v, self.leaves))
+        self.leaves += 1
+
+    def open(self, kind: type) -> None:
+        frames = self.frames
+        top = not frames or frames[-1][0] is not kind
+        frames.append([kind, len(self.done), top, 0])
+
+    def close(self) -> None:
+        kind, start, top, extra = self.frames.pop()
+        done = self.done
+        added = len(done) - start
+        if added - extra < 2:
+            self.ok = False
+        if not top:  # to the run's top, a run member is one child
+            self.frames[-1][3] += added - 1
+            return
+        kids = tuple(done[start:])
+        del done[start:]
+        node = kind(kids)
+        source = kids[0].source
+        if kind is Series:
+            target = kids[-1].target
+            self.joints += len(kids) - 1
+            if source == target or list(map(_target, kids[:-1])) != list(map(_source, kids[1:])):
+                self.ok = False
+        else:
+            target = kids[0].target
+            k = len(kids)
+            if (list(map(_source, kids)).count(source) != k
+                    or list(map(_target, kids)).count(target) != k
+                    or list(map(type, kids)).count(Leaf) > 1):
+                self.ok = False
+        node.__dict__.update(source=source, target=target)
+        done.append(node)
+
+    def finish(self) -> Node | None:
+        """The built tree, or None if any invariant is broken."""
+        if self.ok and len(self.labels) == 2 + self.joints:
+            return self.done[0]
+        return None
+
+
 def _check_children(node: Node, sets: list[set[str]], at, broken: list) -> set[str]:
     """Check a flattened node's rules, given its children's vertex sets; return its own.
 
-    The largest child's set becomes the node's own (small-to-large), so a
-    whole walk costs O(m log m).  Well-formed siblings share only their
-    terminals: 2(k-1) vertex slots at a P node, one per distinct chain
-    joint at an S node.  When the sets overlap otherwise, they are checked
-    against one vertex -> child owner map plus the largest set.
+    The other sets are checked against one vertex -> child owner map plus
+    the largest set, which becomes the node's own (small-to-large), so a
+    whole walk costs O(m log m).
     """
     kids = node.children
     lens = list(map(len, sets))
     big = lens.index(max(lens))
     vertices = sets[big]
-    rest = set().union(*sets[:big], *sets[big + 1 :])
-    overlap = sum(lens) - len(vertices) - len(rest) + len(rest & vertices)
-    # A set lacks its child's terminals only below a node of too few children.
-    held = all(kid.source in own and kid.target in own for kid, own in zip(kids, sets))
     if isinstance(node, Series):
-        expected = len({kid.target for kid in kids[:-1]}) if held else -1
         for i in range(len(kids) - 1):
             if kids[i].target != kids[i + 1].source:
-                expected = -1
                 broken.append((at, f"series chain mismatch {kids[i].target} != "
                                f"{kids[i + 1].source} between children {i} and {i + 1}"))
         if kids[0].source == kids[-1].target:
@@ -505,10 +584,8 @@ def _check_children(node: Node, sets: list[set[str]], at, broken: list) -> set[s
             return abs(i - j) == 1 and v == kids[min(i, j)].target
     else:
         s, t = kids[0].source, kids[0].target
-        expected = 2 * (len(kids) - 1) if held and s != t else -1
         for i, kid in enumerate(kids):
             if (kid.source, kid.target) != (s, t):
-                expected = -1
                 broken.append((at, f"parallel child {i} has terminals "
                                f"({kid.source},{kid.target}), expected ({s},{t})"))
         if sum(isinstance(kid, Leaf) for kid in kids) > 1:
@@ -518,21 +595,20 @@ def _check_children(node: Node, sets: list[set[str]], at, broken: list) -> set[s
         def allowed(v: str, i: int, j: int) -> bool:
             return v == s or v == t
 
-    if overlap != expected:
-        owner: dict[str, int] = {}
-        clashes: dict[tuple[int, int], set[str]] = {}
-        for j, mine in enumerate(sets):
-            if j == big:
-                continue
-            for v in mine:
-                if v in vertices and not allowed(v, big, j):
-                    clashes.setdefault((min(big, j), max(big, j)), set()).add(v)
-                i = owner.setdefault(v, j)
-                if i != j and not allowed(v, i, j):
-                    clashes.setdefault((i, j), set()).add(v)
-        for i, j in sorted(clashes):
-            broken.append((at, share.format(i, j, sorted(clashes[i, j]))))
-    vertices |= rest
+    owner: dict[str, int] = {}
+    clashes: dict[tuple[int, int], set[str]] = {}
+    for j, mine in enumerate(sets):
+        if j == big:
+            continue
+        for v in mine:
+            if v in vertices and not allowed(v, big, j):
+                clashes.setdefault((min(big, j), max(big, j)), set()).add(v)
+            i = owner.setdefault(v, j)
+            if i != j and not allowed(v, i, j):
+                clashes.setdefault((i, j), set()).add(v)
+    for i, j in sorted(clashes):
+        broken.append((at, share.format(i, j, sorted(clashes[i, j]))))
+    vertices.update(owner)
     return vertices
 
 

@@ -8,12 +8,13 @@ Expression grammar (whitespace insignificant):
     parallel := "P(" expr {"," expr}+ ")"
     label    := [A-Za-z0-9_]+
 
-`parse_sp` and `decompose_edge_list` each feed a `core.TreeBuilder` as
+`parse_sp` and `decompose_edge_list` each feed a `core.TreeAcceptor` as
 they read, so both return a normalized, validated tree with no raw tree
-built first.  `parse_sp` tokenizes with one regex; `serialize_sp` is its
-inverse on normalized trees.  `decompose_edge_list` recognizes a
-two-terminal series-parallel graph from a raw edge list by repeated
-series and parallel reductions.  `random_sp` draws valid instances
+built first; `parse_sp` reads rejected text again into a
+`core.TreeBuilder` to name every violation.  `parse_sp` tokenizes with
+one regex; `serialize_sp` is its inverse on normalized trees.
+`decompose_edge_list` recognizes a two-terminal series-parallel graph
+from a raw edge list by repeated series and parallel reductions.  `random_sp` draws valid instances
 deterministically from a seed, for fuzzing.
 """
 
@@ -32,6 +33,7 @@ from .core import (
     Node,
     Parallel,
     Series,
+    TreeAcceptor,
     TreeBuilder,
     is_valid_label,
     normalize,
@@ -71,12 +73,27 @@ _EDGE = ("(", "", ",", "", ")")
 def parse_sp(text: str) -> Node:
     """Parse an SP expression into a normalized, validated tree.
 
-    The tokens feed a `TreeBuilder` as they are read.  Labels come only
-    from the text; matching labels denote the same vertex, so chaining
-    and shared-terminal constraints are checked literally.  Raises
-    SpSyntaxError (with 1-based position) or SpSemanticError (with the
-    violation list).
+    The tokens feed a `core.TreeAcceptor` as they are read: it checks
+    each node's local rules and, at the end, that the distinct labels
+    number 2 + Σ over S nodes of (k - 1), as in every valid tree.  Only
+    when it rejects is the text read again, into a `TreeBuilder` that
+    lists every violation.  Labels come only from the text; matching
+    labels denote the same vertex, so chaining and shared-terminal
+    constraints are checked literally.  Raises SpSyntaxError (with
+    1-based position) or SpSemanticError (with the violation list).
     """
+    tree = _feed(text, TreeAcceptor()).finish()
+    if tree is not None:
+        return tree
+    try:
+        return _feed(text, TreeBuilder()).finish()
+    except InvalidTreeError as exc:
+        raise SpSemanticError(exc.violations) from None
+
+
+def _feed(text: str, build):
+    """Read the tokens of `text` into `build` and return it; raise
+    SpSyntaxError at the first token that breaks the grammar."""
     tokens = _TOKEN.findall(text)
     # The list stops at the first stray character, so a label is any token
     # not in "(),", and the "" padding fails every check.
@@ -84,7 +101,6 @@ def parse_sp(text: str) -> Node:
     if stray:
         del tokens[len(_TOKEN.findall(text, 0, stray.start())):]
     tokens += [""] * 6
-    build = TreeBuilder()
     leaf = build.leaf
     depth = i = 0
     while True:
@@ -119,10 +135,7 @@ def parse_sp(text: str) -> Node:
         i += 1
     if tokens[i] or stray:
         raise _syntax_error(text, i, "end of input")
-    try:
-        return build.finish()
-    except InvalidTreeError as exc:
-        raise SpSemanticError(exc.violations) from None
+    return build
 
 
 def _syntax_error(text: str, k: int, expected: str) -> SpSyntaxError:
@@ -181,7 +194,7 @@ def decompose_edge_list(edges, s: str, t: str) -> Node:
     contraction that puts a second fragment on a vertex pair merges the
     two at once (parallel reduction), the new fragment last.  The graph
     is series-parallel for (s, t) exactly when this ends with a single
-    fragment, which `_orient` then reads from s into a `TreeBuilder`, so
+    fragment, which `_orient` then reads from s into a `TreeAcceptor`, so
     the tree is numbered, flattened and checked as it is read.  The
     returned tree's underlying graph equals the input up to edge order.
     """
@@ -236,18 +249,25 @@ def decompose_edge_list(edges, s: str, t: str) -> Node:
 
 
 def _orient(fragment: tuple, start: str) -> Node:
-    """The tree of `fragment` read from its endpoint `start` into a `TreeBuilder`.
+    """The tree of `fragment` read from its endpoint `start` into a `TreeAcceptor`.
 
     Series parts are chained from `start`, so a series read from its far
-    end lists its parts in reverse; parallel parts keep their order.
+    end lists its parts in reverse; parallel parts keep their order.  A
+    part is read from its first endpoint when `start` is that endpoint and
+    from its second otherwise, so a fragment whose parts do not meet is
+    read as it is and rejected.  A finished reduction always yields a
+    valid tree, so a rejection is a broken invariant: RuntimeError.
     """
-    build = TreeBuilder()
+    build = TreeAcceptor()
     stack = [(fragment, start, False)]
     while stack:
         fragment, start, built = stack.pop()
         _, u, v, kind, parts = fragment
         if kind is Leaf:
-            build.leaf(start, v if start == u else u)
+            if start == u:
+                build.leaf(u, v)
+            else:
+                build.leaf(v, u)
         elif built:
             build.close()
         else:
@@ -261,7 +281,10 @@ def _orient(fragment: tuple, start: str) -> Node:
                     reads.append((part, start, False))
                     start = part[2] if start == part[1] else part[1]
             stack.extend(reversed(reads))
-    return build.finish()
+    tree = build.finish()
+    if tree is None:
+        raise RuntimeError("the edge-list reduction built an invalid decomposition tree")
+    return tree
 
 
 def _connected(adj: dict[str, dict[str, tuple]], start: str) -> bool:

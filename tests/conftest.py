@@ -20,7 +20,18 @@ from sptrees import (
     random_sp,
     underlying_graph,
 )
-from sptrees.core import Leaf, Node, Parallel, Series, _class_order, mask_image, normalize
+from sptrees.core import (
+    Leaf,
+    Node,
+    Parallel,
+    Series,
+    TreeAcceptor,
+    TreeBuilder,
+    _class_order,
+    iter_leaves,
+    mask_image,
+    normalize,
+)
 from sptrees.generate import (
     ImageNotFound,
     _ClassPlan,
@@ -93,6 +104,61 @@ def deep_nest_codes(depth: int) -> tuple[str, str]:
         else:
             code, rev = f"P({code}E)", f"P({rev}E)"
     return code, rev
+
+
+def raw_tree(node: Node) -> list:
+    """A mutable copy of a tree built in code: ["e", u, v] per leaf and
+    [kind, children, source, target] per S or P node."""
+    if isinstance(node, Leaf):
+        return ["e", node.source, node.target]
+    return [type(node), [raw_tree(kid) for kid in node.children], node.source, node.target]
+
+
+def feed_raw(raw: list, build):
+    """`build` after the leaf, open and close events of a `raw_tree`."""
+    stack = [raw]
+    while stack:
+        item = stack.pop()
+        if item is None:
+            build.close()
+        elif item[0] == "e":
+            build.leaf(item[1], item[2])
+        else:
+            build.open(item[0])
+            stack.append(None)
+            stack.extend(reversed(item[1]))
+    return build
+
+
+def _preorder(node: Node) -> list[Node]:
+    out, stack = [], [node]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack.extend(reversed(node.children))
+    return out
+
+
+def assert_acceptor_agrees(feed) -> bool:
+    """`feed(build)` drives one event stream into `build` and returns it.
+    A `TreeAcceptor` accepts the stream exactly when a `TreeBuilder`
+    records no violation, and then returns an equal tree: the same leaf
+    indices and the same terminals, set at construction, on every node.
+    Returns whether the stream was accepted."""
+    builder = feed(TreeBuilder())
+    got = feed(TreeAcceptor()).finish()
+    if builder.broken:
+        assert got is None, [message for _, message in builder.broken]
+        return False
+    assert got is not None, "the acceptor rejected a tree the builder accepts"
+    want = builder.finish()
+    assert got == want
+    ends = ("source", "target", "index")
+    for a, b in zip(_preorder(got), _preorder(want), strict=True):
+        assert type(a) is type(b)
+        assert [vars(a).get(k) for k in ends] == [vars(b).get(k) for k in ends]
+    assert [lf.index for lf in iter_leaves(got)] == list(range(builder.leaves))
+    return True
 
 
 # Binary digits of a mask as 0/1 bytes, for `itertools.compress`.

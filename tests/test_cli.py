@@ -23,7 +23,8 @@ from sptrees import (
     parse_sp,
     underlying_graph,
 )
-from sptrees import cli
+from sptrees import cli, expr
+from sptrees.core import Leaf, Series
 from sptrees.cli import _build_parser, _lines, run
 from sptrees.oracle import DEFAULT_LIMIT
 
@@ -528,6 +529,21 @@ def test_internal_error_exit_code(diamond_file, capsys, monkeypatch):
         err = capsys.readouterr().err
         assert err.startswith("internal error: ")
         assert "Traceback" not in err
+
+
+def test_an_invalid_tree_from_the_reduction_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    """A finished reduction always yields a valid tree, so a fragment whose
+    series parts do not chain is a broken invariant: exit 4, not 2."""
+    fragment = (2, "s", "t", Series, ((0, "s", "a", Leaf, ()), (1, "b", "t", Leaf, ())))
+    with pytest.raises(RuntimeError):
+        expr._orient(fragment, "s")
+    monkeypatch.setattr(expr, "decompose_edge_list", lambda edges, s, t: expr._orient(fragment, s))
+    path = tmp_path / "path.el"
+    path.write_text("terminals s t\ns a\na t\n", encoding="utf-8")
+    assert run(["parse", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ")
+    assert "Traceback" not in err
 
 
 

@@ -20,6 +20,8 @@ from sptrees import (
 )
 from sptrees.core import Leaf, Parallel, Series, edge, iter_leaves, parallel, series
 
+from conftest import assert_acceptor_agrees, feed_raw, raw_tree
+
 
 def test_leaf_self_loop_is_flagged():
     report = validate(edge("a", "a"))
@@ -262,3 +264,86 @@ def test_sibling_sharing_is_reported_where_brute_force_finds_it(seed, depth, edi
     broken = copy(tree)
     reported = {v.path for v in validate(broken) if "share" in v.message}
     assert reported == _sharing_faults(broken)
+
+
+def _nodes(raw: list) -> tuple[list[list], list[list]]:
+    """The S and P nodes and the leaves of a `raw_tree`."""
+    inner, leaves, stack = [], [], [raw]
+    while stack:
+        item = stack.pop()
+        if item[0] == "e":
+            leaves.append(item)
+        else:
+            inner.append(item)
+            stack.extend(item[1])
+    return inner, leaves
+
+
+def _ends(raw: list) -> tuple[str, str]:
+    return (raw[1], raw[2]) if raw[0] == "e" else (raw[2], raw[3])
+
+
+def _rename(raw: list, names: dict) -> None:
+    """Rename leaf endpoints under `raw` in place."""
+    for leaf in _nodes(raw)[1]:
+        leaf[1:] = [names.get(v, v) for v in leaf[1:]]
+
+
+def _corrupt(raw: list, kind: str, rng: random.Random) -> None:
+    """Apply one seeded corruption to a `raw_tree` in place."""
+    inner, leaves = _nodes(raw)
+    ss = [node for node in inner if node[0] is Series]
+    ps = [node for node in inner if node[0] is Parallel]
+    if kind == "rename interior":
+        labels = sorted({v for leaf in leaves for v in leaf[1:]})
+        interior = [v for v in labels if v not in _ends(raw)]
+        if interior:
+            x = rng.choice(interior)
+            _rename(raw, {x: rng.choice([v for v in labels if v != x])})
+    elif kind == "swap parallel child" and ps:
+        p = rng.choice(ps)
+        _rename(rng.choice(p[1]), {p[2]: p[3], p[3]: p[2]})
+    elif kind == "series terminals meet" and ss:
+        s = rng.choice(ss)
+        _rename(s, {s[3]: s[2]})
+    elif kind == "second bare edge" and ps:
+        p = rng.choice(ps)
+        while sum(kid[0] == "e" for kid in p[1]) < 2:
+            p[1].insert(rng.randrange(len(p[1]) + 1), ["e", p[2], p[3]])
+    elif kind == "one-child node":
+        parent = rng.choice([[None, [raw]]] + inner)
+        i = rng.randrange(len(parent[1]))
+        child = list(parent[1][i])  # a copy, so the root can wrap itself
+        parent[1][i] = [rng.choice((Series, Parallel)), [child], *_ends(child)]
+        if parent[0] is None:
+            raw[:] = parent[1][0]
+    elif kind == "nested under own kind" and any(len(node[1]) > 1 for node in inner):
+        node = rng.choice([node for node in inner if len(node[1]) > 1])
+        i = rng.randrange(len(node[1]) - 1)
+        j = rng.randrange(i + 2, len(node[1]) + 1)
+        run = node[1][i:j]
+        ends = (_ends(run[0])[0], _ends(run[-1])[1]) if node[0] is Series else node[2:]
+        node[1][i:j] = [[node[0], run, *ends]]
+    elif kind == "self-loop":
+        leaf = rng.choice(leaves)
+        leaf[2] = leaf[1]
+
+
+CORRUPTIONS = ("rename interior", "swap parallel child", "series terminals meet",
+               "second bare edge", "one-child node", "nested under own kind", "self-loop")
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 10_000), depth=st.integers(0, 5), edits=st.integers(0, 2))
+def test_acceptor_agrees_with_the_builder(seed, depth, edits):
+    """A valid draw, each corruption alone and `edits` corruptions at once:
+    the acceptor accepts exactly what the builder accepts, and builds the
+    same tree."""
+    tree = random_sp(RandomSpParams(seed=seed, max_depth=depth, max_children=4))
+    rng = random.Random(seed)
+    assert assert_acceptor_agrees(lambda build: feed_raw(raw_tree(tree), build))
+    for kinds in [[kind] for kind in CORRUPTIONS] + [rng.choices(CORRUPTIONS, k=edits)]:
+        raw = raw_tree(tree)
+        for kind in kinds:
+            _corrupt(raw, kind, rng)
+        assert_acceptor_agrees(lambda build: feed_raw(raw, build))

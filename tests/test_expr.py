@@ -30,7 +30,7 @@ from sptrees import core, expr
 from sptrees.core import Leaf, Parallel, Series
 from sptrees.expr import read_edge_list, read_expressions, read_instances
 
-from conftest import DIAMOND_TEXT, chain, deep_nest_text
+from conftest import DIAMOND_TEXT, THETA_TEXT, assert_acceptor_agrees, chain, deep_nest_text
 
 
 def test_parse_single_edge():
@@ -112,38 +112,77 @@ def test_syntax_errors_carry_position_and_expectation(text, position, expected, 
     )
 
 
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        # A chain mismatch inside an S-under-S run, reported on the run's
-        # flattened child list at the run's top.
-        ("P(e(s,t),S(e(s,a),S(e(a,b),e(c,t))))",
-         "root[1]: series chain mismatch b != c between children 1 and 2"),
-        ("S(e(x,s),P(e(s,t),P(e(s,t),S(e(s,a),e(a,t)))))", "root[1]: parallel multi-edge"),
-        ("P(e(s,t),S(e(s,t)))", "root[1]: series node needs at least 2 children"),
-        ("S(S(e(a,b)),e(b,c))", "root[0]: series node needs at least 2 children"),
-        ("P(S(e(s,a),e(a,t)),S(e(s,a),e(a,t)))",
-         "root: children 0 and 1 share interior vertices ['a']"),
-        ("e(a,a)", "root: self-loop at leaf"),
-        ("S(S(e(a,b),e(b,b)),e(b,c))",
-         "root[0][1]: self-loop at leaf; "
-         "root: children 0 and 2 share vertices ['b'] beyond the chain terminal"),
-        ("S(e(a,b),e(b,a))",
-         "root: series terminals coincide; "
-         "root: children 0 and 1 share vertices ['a'] beyond the chain terminal"),
-        ("P(P(e(s,t),e(s,t)),e(t,s))",
-         "root: parallel child 2 has terminals (t,s), expected (s,t); root: parallel multi-edge"),
-        ("S(S(S(e(a,b))),e(b,a))",
-         "root[0]: series node needs at least 2 children; "
-         "root[0][0]: series node needs at least 2 children; root: series terminals coincide; "
-         "root: children 0 and 1 share vertices ['a'] beyond the chain terminal"),
-    ],
-)
+SEMANTIC_ERRORS = [
+    # A chain mismatch inside an S-under-S run, reported on the run's
+    # flattened child list at the run's top.
+    ("P(e(s,t),S(e(s,a),S(e(a,b),e(c,t))))",
+     "root[1]: series chain mismatch b != c between children 1 and 2"),
+    ("S(e(x,s),P(e(s,t),P(e(s,t),S(e(s,a),e(a,t)))))", "root[1]: parallel multi-edge"),
+    ("P(e(s,t),S(e(s,t)))", "root[1]: series node needs at least 2 children"),
+    ("S(S(e(a,b)),e(b,c))", "root[0]: series node needs at least 2 children"),
+    ("P(S(e(s,a),e(a,t)),S(e(s,a),e(a,t)))",
+     "root: children 0 and 1 share interior vertices ['a']"),
+    ("e(a,a)", "root: self-loop at leaf"),
+    ("S(S(e(a,b),e(b,b)),e(b,c))",
+     "root[0][1]: self-loop at leaf; "
+     "root: children 0 and 2 share vertices ['b'] beyond the chain terminal"),
+    ("S(e(a,b),e(b,a))",
+     "root: series terminals coincide; "
+     "root: children 0 and 1 share vertices ['a'] beyond the chain terminal"),
+    ("P(P(e(s,t),e(s,t)),e(t,s))",
+     "root: parallel child 2 has terminals (t,s), expected (s,t); root: parallel multi-edge"),
+    ("S(S(S(e(a,b))),e(b,a))",
+     "root[0]: series node needs at least 2 children; "
+     "root[0][0]: series node needs at least 2 children; root: series terminals coincide; "
+     "root: children 0 and 1 share vertices ['a'] beyond the chain terminal"),
+]
+
+
+@pytest.mark.parametrize("text, message", SEMANTIC_ERRORS)
 def test_semantic_errors_carry_paths_into_the_raw_input(text, message):
     # Pinned to the reports of earlier releases; paths index the input as written.
     with pytest.raises(SpSemanticError) as err:
         parse_sp(text)
     assert str(err.value) == "semantic error: " + message
+
+
+@pytest.mark.parametrize("text", [text for text, _ in SEMANTIC_ERRORS])
+def test_acceptor_rejects_what_the_builder_rejects(text):
+    assert not assert_acceptor_agrees(lambda build: expr._feed(text, build))
+
+
+def test_only_rejected_text_is_read_into_a_tree_builder(monkeypatch):
+    """Valid expressions and edge lists are read by the acceptor alone; each
+    semantically invalid expression is read once more, into one builder; a
+    syntax error stops the first reading."""
+    built = []
+
+    class Counted(core.TreeBuilder):
+        def __init__(self):
+            built.append(self)
+            super().__init__()
+
+    monkeypatch.setattr(expr, "TreeBuilder", Counted)
+    draws = [random_sp(RandomSpParams(seed=seed, max_depth=4)) for seed in range(20)]
+    texts = [DIAMOND_TEXT, THETA_TEXT, deep_nest_text(300), "S(" * 50 + "e(v0,v1),"
+             + ",".join(f"e(v{i},v{i + 1}))" for i in range(1, 51))]
+    texts += [serialize_sp(tree) for tree in draws]
+    for tree in draws:
+        edges = underlying_graph(tree).edges
+        texts.append(f"terminals {tree.source} {tree.target}\n"
+                     + "".join(f"{u} {v}\n" for u, v in reversed(edges)))
+    for text in texts:
+        read_instances(text)
+    assert built == []
+    for text, _ in SEMANTIC_ERRORS:
+        with pytest.raises(SpParseError, match="semantic error"):
+            read_instances(text)
+        assert len(built) == 1
+        built.clear()
+    for text, *_ in SYNTAX_ERRORS:
+        with pytest.raises(SpSyntaxError):
+            parse_sp(text)
+    assert built == []
 
 
 def test_serialize_round_trips_the_diamond():
