@@ -6,46 +6,39 @@ and only if their normalized decomposition trees agree up to reordering
 P children.  The canonical code makes that decidable and totally
 ordered: a leaf encodes as "E", a series node concatenates its child
 codes in order, and a parallel node concatenates them sorted.  Token
-order is S < P < E < "(" < ")".  Each node computes its code and its
-reversal code once, from its children's codes, and caches them (see
-`core`); nothing here re-walks a subtree to rebuild a code.
+order is S < P < E < "(" < ")".  The codes are plan facts: the plan pass
+(`generate.build_plan`) builds each distinct shape's code and reversal
+code once, from its parts' codes, and nothing here builds a code.
 
-On top of the codes this module extracts explicit leaf bijections
+On top of the plans this module extracts explicit leaf bijections
 (`iso_map`), partitions a P node's children into oriented isomorphism
 classes (`partition_classes`), and detects the terminal-exchanging
 symmetry that distinguishes the semioriented automorphism group from
-the oriented one (`mirror_pairing`).  Classes come in `core._class_order`,
-the order `generate.build_plan` keeps in each P shape's plan, and the
-pairing reads the plans: `generate._partners` is the one place that
-says which part (series child or class) holds a part's reversals, for
-the pairing, the semioriented counts and the reversal filter alike.
+the oriented one (`mirror_pairing`).  All three read the plan pass's
+result on their input (`generate._plans`): the plan of each node, by id,
+and the classes of each P shape, by descending code, and they walk the
+tree by explicit stacks.  The pairing reads the plans alone:
+`generate._partners` is the one place that says which part (series
+child or class) holds a part's reversals, for the pairing, the
+semioriented counts and the reversal filter alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Leaf, Node, Parallel, Series, _class_order, _tree_of, inner_postorder, iter_leaves
-from .generate import _partners, build_plan
+from .core import Leaf, Node, Parallel, _tree_of, iter_leaves
+from .generate import _members, _partners, _Plans, _plans, build_plan
 
 
 def canonical_code(g) -> str:
     """Code identifying an oriented SP graph up to oriented isomorphism."""
-    return _coded(g)._code
+    return build_plan(g).code
 
 
 def reversal_code(g) -> str:
     """Canonical code of the same graph with source and sink exchanged."""
-    return _coded(g)._rev_code
-
-
-def _coded(g) -> Node:
-    """The tree of `g`, with both codes of every node read children first,
-    so that reading the root's recurses no deeper than one level."""
-    tree = _tree_of(g)
-    for node in inner_postorder(tree):
-        node._code, node._rev_code  # cached on the node by the first read
-    return tree
+    return build_plan(g).rev
 
 
 def iso_map(a, b) -> dict[int, int] | None:
@@ -59,31 +52,27 @@ def iso_map(a, b) -> dict[int, int] | None:
     terminals.
     """
     ta, tb = _tree_of(a), _tree_of(b)
-    if ta._code != tb._code:
+    pa, pb = _plans(ta), _plans(tb)
+    if pa.of(ta).code != pb.of(tb).code:
         return None
-    mapping: dict[int, int] = {}
-    _match(ta, tb, mapping)
-    _verify_leaf_bijection(ta, tb, mapping)
+    return _match(pa, ta, pb, tb)
+
+
+def _match(pa: _Plans, a: Node, pb: _Plans, b: Node) -> dict[int, int]:
+    """The verified leaf map of `a` onto `b`, two nodes of one code, where
+    `pa` and `pb` are the plan pass's results on trees holding them.
+    Member pairs come off an explicit stack: series children in order, and
+    the members of each P class (`generate._members`) in storage order."""
+    mapping, stack = {}, [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if isinstance(x, Leaf):
+            mapping[x.index] = y.index
+            continue
+        for (xs, _, _), (ys, _, _) in zip(_members(pa, x, pa.of(x)), _members(pb, y, pb.of(y))):
+            stack.extend(zip(xs, ys))
+    _verify_leaf_bijection(a, b, mapping)
     return mapping
-
-
-def _match(a: Node, b: Node, mapping: dict[int, int]) -> None:
-    if isinstance(a, Leaf):
-        mapping[a.index] = b.index
-        return
-    if isinstance(a, Series):
-        for ca, cb in zip(a.children, b.children):
-            _match(ca, cb, mapping)
-        return
-    groups_a: dict[str, list[Node]] = {}
-    groups_b: dict[str, list[Node]] = {}
-    for child in a.children:
-        groups_a.setdefault(child._code, []).append(child)
-    for child in b.children:
-        groups_b.setdefault(child._code, []).append(child)
-    for code, members_a in groups_a.items():
-        for ca, cb in zip(members_a, groups_b[code]):
-            _match(ca, cb, mapping)
 
 
 def _verify_leaf_bijection(a: Node, b: Node, mapping: dict[int, int]) -> None:
@@ -132,22 +121,22 @@ class IsoClassPartition:
 def partition_classes(p: Parallel) -> IsoClassPartition:
     """Group a P node's children into oriented isomorphism classes.
 
-    Classes come in `_class_order`, and each member gets an explicit
-    verified bijection onto the class representative (the identity for
-    the representative itself).  `generate` needs none of these maps:
-    it builds each member's lists from the member's own nodes.
+    Classes come in the plan's class order (descending code), and each
+    member gets an explicit verified bijection onto the class
+    representative (the identity for the representative itself).
+    `generate` needs none of these maps: it builds each member's lists
+    from the member's own nodes.
     """
     if not isinstance(p, Parallel):
         raise TypeError("partition_classes expects a Parallel node")
-    classes = []
-    for code, members in _class_order(p):
-        rep = p.children[members[0]]
-        to_rep = {members[0]: {lf.index: lf.index for lf in iter_leaves(rep)}}
-        for pos in members[1:]:
-            mapping = iso_map(p.children[pos], rep)
-            assert mapping is not None
-            to_rep[pos] = mapping
-        classes.append(IsoClass(code, tuple(members), to_rep))
+    plans, classes = _plans(p), []
+    position = {id(child): pos for pos, child in enumerate(p.children)}
+    for members, _, rep_plan in _members(plans, p, plans.of(p)):
+        rep = members[0]
+        to_rep = {position[id(rep)]: {lf.index: lf.index for lf in iter_leaves(rep)}}
+        for member in members[1:]:
+            to_rep[position[id(member)]] = _match(plans, member, plans, rep)
+        classes.append(IsoClass(rep_plan.code, tuple(to_rep), to_rep))
     return IsoClassPartition(tuple(classes))
 
 
@@ -173,7 +162,7 @@ def mirror_pairing(node: Node) -> MirrorPairing | None:
     equals the oriented one: exactly when the code and the reversal code
     differ (series codes decode uniquely; equal parallel codes pair
     classes of equal size).  A leaf is trivially self-paired.  It reads
-    the node's plans (`generate.build_plan`), so no code read recurses.
+    the node's plans (`generate.build_plan`) alone.
     """
     plan = build_plan(node)
     if plan.code != plan.rev:

@@ -6,13 +6,10 @@ subgraphs that share both terminals.  Every node has a source and a
 target label; leaves carry a global index assigned in depth-first
 preorder, so edge subsets can be stored as bitmasks over leaf indices.
 
-Every node also carries its canonical code and its reversal code (the
-code with source and sink exchanged), each built once from the
-children's codes and cached: a leaf is "E", a series node wraps its
-child codes in "S(...)" in chain order (reversed for the reversal
-code), and a parallel node wraps them in "P(...)" sorted by
-`code_sort_key`.  `canonical` reads them.  The same order, descending,
-orders a P node's classes (`_class_order`), and so the enumeration.
+Nodes carry no shape facts: the canonical and reversal codes, the
+classes of a P node and the counts are built once per distinct shape by
+the plan pass (`generate.build_plan`), which keeps them beside the tree,
+not on its nodes.
 
 Every tree is built from leaf, open and close events, in one pass with
 no raw tree built first.  The readers, `expr.parse_sp` as it reads the
@@ -38,23 +35,6 @@ from typing import Iterator, Union
 
 # A vertex label, the grammar's `label` token.
 LABEL = re.compile(r"[A-Za-z0-9_]+")
-_TOKEN_KEY = str.maketrans("SPE()", "ABCDE")
-
-
-def code_sort_key(code: str) -> str:
-    """Translate a code into a string whose natural order matches S < P < E < ( < )."""
-    return code.translate(_TOKEN_KEY)
-
-
-def _class_order(p: Parallel) -> list[tuple[str, list[int]]]:
-    """A P node's classes (children of one code) as (code, member positions
-    in storage order), by descending code: the class order that fixes the
-    enumeration order.  `generate.build_plan` sorts once per P shape and
-    keeps the order in the plan."""
-    buckets: dict[str, list[int]] = {}
-    for pos, child in enumerate(p.children):
-        buckets.setdefault(child._code, []).append(pos)
-    return sorted(buckets.items(), key=lambda item: code_sort_key(item[0]), reverse=True)
 
 
 def is_valid_label(text: str) -> bool:
@@ -69,8 +49,6 @@ class Leaf:
     source: str
     target: str
     index: int = 0
-    _code = "E"
-    _rev_code = "E"
 
     @property
     def children(self) -> tuple[Node, ...]:
@@ -91,22 +69,6 @@ class Series:
     def target(self) -> str:
         return self.children[-1].target
 
-    # The code properties use plain loops: before Python 3.12 a comprehension
-    # adds a stack frame per tree level to every code computation.
-    @cached_property
-    def _code(self) -> str:
-        parts = []
-        for child in self.children:
-            parts.append(child._code)
-        return "S(" + "".join(parts) + ")"
-
-    @cached_property
-    def _rev_code(self) -> str:
-        parts = []
-        for child in reversed(self.children):
-            parts.append(child._rev_code)
-        return "S(" + "".join(parts) + ")"
-
 
 @dataclass(frozen=True)
 class Parallel:
@@ -121,20 +83,6 @@ class Parallel:
     @cached_property
     def target(self) -> str:
         return self.children[0].target
-
-    @cached_property
-    def _code(self) -> str:
-        parts = []
-        for child in self.children:
-            parts.append(child._code)
-        return "P(" + "".join(sorted(parts, key=code_sort_key)) + ")"
-
-    @cached_property
-    def _rev_code(self) -> str:
-        parts = []
-        for child in self.children:
-            parts.append(child._rev_code)
-        return "P(" + "".join(sorted(parts, key=code_sort_key)) + ")"
 
 
 Node = Union[Leaf, Series, Parallel]
@@ -165,8 +113,9 @@ def iter_leaves(node: Node) -> Iterator[Leaf]:
 
 def inner_postorder(node: Node) -> list[Node]:
     """The S and P nodes under `node`, each after all of its children,
-    found by an explicit stack.  Reading codes in this order caches every
-    child's before its parent's, so no code property recurses."""
+    found by an explicit stack: the order in which the plan pass
+    (`generate._build`) and the index (`generate._index`) read a node after
+    its parts, with no recursion at any depth."""
     inner, stack = [], [node]
     while stack:
         node = stack.pop()

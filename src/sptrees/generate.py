@@ -27,16 +27,22 @@ branch supplies the through path, and every subset brute force can
 build from these compositions separates the terminals at every level).
 
 `build_plan` is the single home of the counting arithmetic and of every
-shape fact.  A plan describes an oriented shape, not a place, and holds
-counts, codes and parts only: one post-order loop builds one plan per
-distinct canonical code, holding its code and reversal code, its parts
-(a P shape's classes in `core._class_order`, sorted once here), the
-vertex count, the oriented counts (spanning, near), the counts with no
-automorphism reduction (tau, nu) and the semioriented counts (spanning,
-near up to terminal exchange), composed by `_compose` from its parts'
-counts (a class, and for the totals a group of equal members, in closed
-form).  `_partners` reads two plans and says which part holds a part's
-reversals.  The `count_*` functions return fields of the root plan.  Every
+shape fact, the canonical codes included.  A plan describes an oriented
+shape, not a place, and holds counts, codes and parts only.  One loop
+over the inner nodes, children first, looks each node up by its parts'
+plans (a series node by its children's in order, a P node by their
+multiset), and only for a shape not seen before does `_compose` build
+a plan: its canonical and reversal codes from the parts' codes (a leaf
+is "E", a series node wraps its children's codes in "S(...)" in chain
+order, reversed for the reversal code, and a P node wraps them in
+"P(...)" sorted by `code_sort_key`), its parts (a P shape's classes, by
+descending code, sorted once here), the vertex count, the oriented
+counts (spanning, near), the counts with no automorphism reduction (tau,
+nu) and the semioriented counts (spanning, near up to terminal
+exchange), composed from its parts' counts (a class, and for the totals
+a group of equal members, in closed form).  `_partners` reads two plans
+and says which part holds a part's reversals.  The `count_*` functions
+return fields of the root plan.  Every
 "sum over j of x_j times the product of the others" goes through
 `_offsets`, which divides the whole product by each y_j; a list's block
 starts are such sums, computed only where they are read (`_starts`).
@@ -55,24 +61,25 @@ choices, and tuples advance lexicographically.  `spanning_tree_index`
 and `near_tree_index` invert the order: they take any spanning or near
 tree edge set and return the position of its orbit's representative.
 
-The pass runs once per tree object, and its plans, by code and each
-after its parts, are kept on the root node (`_plans`).  Every
-enumeration list (a node's spanning and near trees, a class's near and
-spanning assignments) is a tuple of plain int leaf masks, so that
-`itertools.product` takes it without a copy, built bottom-up on first
-use into a memo that belongs to one enumeration and is freed with it.  The lists belong to the tree's own nodes
-(`_placed`): a leaf's list holds its bit in a numbering the caller
-chooses (the input leaf numbering for the public enumerations, the print
-order for the CLI), and a P node's class members are its actual
-children.  Each member's list is built from its own structure, which is
-the representative's up to the class's isomorphism, so entry i of every
-member's list is the same tree up to that map.  List entries combine
-masks on disjoint leaf sets, so `_sums` builds every product as a sum
-of masks, and no mask is moved bit by bit.  The enumerations stream the
-root's trees from its part lists (`_blocks`), so large outputs are never
-held in memory at once.  The index operations rank a tree in one loop
-over the same nodes, children first, each reading its plan by code and
-each leaf its own bit in the input numbering.
+The pass runs once per tree object and keeps on the root node, never on
+the other nodes, its plans by code, each after its parts, and the plan
+of every inner node by id(node) (`_plans`).  Every enumeration list (a
+node's spanning and near trees, a class's near and spanning assignments)
+is a tuple of plain int leaf masks, so that `itertools.product` takes it
+without a copy, built bottom-up on first use into a memo that belongs to
+one enumeration and is freed with it.  The lists belong to the tree's
+own nodes (`_placed`): a leaf's list holds its bit in a numbering the
+caller chooses (the input leaf numbering for the public enumerations,
+the print order for the CLI), and a P node's class members are its
+actual children.  Each member's list is built from its own structure,
+which is the representative's up to the class's isomorphism, so entry i
+of every member's list is the same tree up to that map.  List entries
+combine masks on disjoint leaf sets, so `_sums` builds every product as
+a sum of masks, and no mask is moved bit by bit.  The enumerations
+stream the root's trees from its part lists (`_blocks`), so large
+outputs are never held in memory at once.  The index operations rank a
+tree in one loop over the same nodes, children first, each reading its
+plan by id and each leaf its own bit in the input numbering.
 """
 
 from __future__ import annotations
@@ -83,8 +90,16 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
-from .core import EdgeSet, Node, OrientedSP, Series, _class_order, _tree_of, inner_postorder
+from .core import EdgeSet, Node, OrientedSP, Series, _tree_of, inner_postorder
+
+_TOKEN_KEY = str.maketrans("SPE()", "ABCDE")
+
+
+def code_sort_key(code: str) -> str:
+    """Translate a code into a string whose natural order matches S < P < E < ( < )."""
+    return code.translate(_TOKEN_KEY)
 
 
 class ImageNotFound(ValueError):
@@ -169,9 +184,8 @@ class _Plan:
     of one shape shares it, and a plan kept on its tree's root makes no
     reference cycle.  `code` and `rev` are the shape's canonical and
     reversal codes.  Its parts are the series children's plans, in order,
-    or the parallel classes (`_ClassPlan`), in class order
-    (`core._class_order`, sorted once per shape, here); m counts its
-    leaves and n its vertices.
+    or the parallel classes (`_ClassPlan`), by descending code (sorted
+    once per shape, in `_compose`); m counts its leaves and n its vertices.
     st, nt are the oriented spanning and near counts, tau, nu the counts
     with no automorphism reduction, ss, sn the semioriented ones.
     """
@@ -195,18 +209,30 @@ class _Plan:
         return 2 * self.ss - self.st, 2 * self.sn - self.nt
 
 
+class _Plans(NamedTuple):
+    """What the plan pass keeps on a tree's root: the plan of every shape in
+    the tree by code, each after its parts' plans, the root's last, and the
+    plan of every inner node by id(node)."""
+
+    by_code: dict[str, _Plan]
+    at: dict[int, _Plan]
+
+    def of(self, node: Node) -> _Plan:
+        """The plan of a node of the tree, a leaf's the shared "E" plan."""
+        return self.at.get(id(node), self.by_code["E"])
+
+
 def build_plan(g) -> _Plan:
-    """Classes and counts of a normalized tree: its root's plan (`_plans`)."""
+    """Codes, classes and counts of a normalized tree: its root's plan (`_plans`)."""
     tree = _tree_of(g)
-    return _plans(tree)[tree._code]
+    return _plans(tree).of(tree)
 
 
-def _plans(tree: Node) -> dict[str, _Plan]:
-    """The plan of every shape in `tree` by code, each after its parts' plans.
-
-    They are built once per tree object and kept on its root node, as the
-    codes are; they hold counts, codes and parts only, never a tree list.
-    Within one build, isomorphic subtrees share one plan wherever they sit.
+def _plans(tree: Node) -> _Plans:
+    """The plan pass's result on `tree`, built once per tree object and kept
+    on its root node alone.  The plans hold counts, codes and parts only,
+    never a node or a tree list.  Within one build, isomorphic subtrees
+    share one plan wherever they sit.
     """
     plans = tree.__dict__.get("_plans")
     if plans is None:
@@ -250,18 +276,24 @@ def _invariant_multisets(fixed: int, swapped_pairs: int, size: int) -> int:
     return total
 
 
-def _build(tree: Node) -> dict[str, _Plan]:
-    """The bottom-up pass: one plan per canonical code of `tree`, in one loop
-    over its inner nodes, children first, so that no code recurses.  Every
-    node's two codes are read here, also where its shape has a plan already:
-    a later code read (a P node's reversal code over a copy of a shape seen
-    before) then finds its children's codes cached."""
-    plans = {"E": _Plan("leaf", "E", "E", 1, n=2, st=1, nt=1, tau=1, nu=1, ss=1, sn=1)}
+def _build(tree: Node) -> _Plans:
+    """The bottom-up pass: one plan per shape of `tree`, in one loop over its
+    inner nodes, children first, so that nothing recurses.  A node's shape
+    is its kind and its children's plans, in order for a series node and
+    as a multiset for a P node; only a new shape is composed."""
+    leaf = _Plan("leaf", "E", "E", 1, n=2, st=1, nt=1, tau=1, nu=1, ss=1, sn=1)
+    by_code, at, shapes = {"E": leaf}, {}, {}
     for node in inner_postorder(tree):
-        node._rev_code  # cached on the node by the first read
-        if node._code not in plans:
-            plans[node._code] = _compose(node, plans)
-    return plans
+        kids = [at.get(id(child), leaf) for child in node.children]
+        series = isinstance(node, Series)
+        ids = tuple(map(id, kids))
+        key = (series, ids if series else tuple(sorted(ids)))
+        plan = shapes.get(key)
+        if plan is None:
+            plan = shapes[key] = _compose(series, kids)
+            by_code[plan.code] = plan
+        at[id(node)] = plan
+    return _Plans(by_code, at)
 
 
 def _dual(series: bool, pair: tuple[int, int]) -> tuple[int, int]:
@@ -269,20 +301,26 @@ def _dual(series: bool, pair: tuple[int, int]) -> tuple[int, int]:
     return pair if series else pair[::-1]
 
 
-def _compose(node: Node, plans: dict) -> _Plan:
-    """The plan of an inner node from its parts' plans, by the rule the two
-    kinds share: base = prod base_i and flip = sum_j flip_j prod_{i != j}
-    base_i, with (base, flip) the (spanning, near) counts of a series node
-    and the (near, spanning) counts of a parallel one (`_dual`)."""
-    series = isinstance(node, Series)
-    # The members grouped by code (g equal members of one plan), and the
+def _compose(series: bool, kids: list[_Plan]) -> _Plan:
+    """The plan of a series (or parallel) node whose children have the plans
+    `kids`, in storage order.  Its codes wrap the children's, and its counts
+    follow the rule the two kinds share: base = prod base_i and flip =
+    sum_j flip_j prod_{i != j} base_i, with (base, flip) the (spanning,
+    near) counts of a series node and the (near, spanning) counts of a
+    parallel one (`_dual`)."""
+    # The members grouped by plan (g equal members of one plan), and the
     # vertices each member after the first shares with those before it.
+    groups = _groups(kids)
     if series:
-        groups = [(plans[code], g) for code, g in Counter(c._code for c in node.children).items()]
-        parts, shared = [plans[child._code] for child in node.children], 1
+        parts, shared = kids, 1
+        code = "S(" + "".join([p.code for p in kids]) + ")"
+        rev = "S(" + "".join([p.rev for p in reversed(kids)]) + ")"
     else:
-        groups = [(plans[code], len(members)) for code, members in _class_order(node)]
+        groups = _classes(groups)
         parts, shared = [_class(rep, g) for rep, g in groups], 2
+        code = "P(" + "".join([rep.code * g for rep, g in reversed(groups)]) + ")"
+        revs = sorted(groups, key=lambda group: code_sort_key(group[0].rev))
+        rev = "P(" + "".join([rep.rev * g for rep, g in revs]) + ")"
     bases, flips = _dual(series, ([p.st for p in parts], [p.nt for p in parts]))
     base, flip = math.prod(bases), _offsets(flips, bases)[-1]
     st, nt = _dual(series, (base, flip))
@@ -293,9 +331,9 @@ def _compose(node: Node, plans: dict) -> _Plan:
     xs, ys = list(map(pow, xs, gs)), [g * y * x ** (g - 1) for x, y, g in zip(xs, ys, gs)]
     tau, nu = _dual(series, (math.prod(xs), _offsets(ys, xs)[-1]))
     plan = _Plan(
-        "series" if series else "parallel", node._code, node._rev_code,
+        "series" if series else "parallel", code, rev,
         m=sum(r.m * g for r, g in groups),
-        n=sum(r.n * g for r, g in groups) - shared * (len(node.children) - 1),
+        n=sum(r.n * g for r, g in groups) - shared * (len(kids) - 1),
         st=st, nt=nt, tau=tau, nu=nu, ss=st, sn=nt, parts=tuple(parts),
     )
     if plan.code != plan.rev:
@@ -312,6 +350,19 @@ def _compose(node: Node, plans: dict) -> _Plan:
         _half(flip + paired * _offsets(fixed_flips, fixed_bases)[-1]),
     ))
     return plan
+
+
+def _groups(kids: list[_Plan]) -> list[tuple[_Plan, int]]:
+    """The distinct plans among `kids`, each with its multiplicity, in order
+    of first appearance."""
+    first = {id(p): p for p in kids}
+    return [(first[i], g) for i, g in Counter(map(id, kids)).items()]
+
+
+def _classes(groups: list[tuple[_Plan, int]]) -> list[tuple[_Plan, int]]:
+    """A P shape's classes, (member plan, size), by descending code: the
+    class order that fixes the enumeration order, sorted once per shape."""
+    return sorted(groups, key=lambda group: code_sort_key(group[0].code), reverse=True)
 
 
 def _partners(xp: _Plan, yp: _Plan) -> list[int]:
@@ -378,15 +429,19 @@ def _sums(blocks):
     return itertools.chain.from_iterable(map(sum, itertools.product(*b)) for b in blocks)
 
 
-def _members(node: Node, plan: _Plan) -> list[tuple[tuple[Node, ...], object, _Plan]]:
-    """A node's parts as (member nodes, part plan, member plan): a series
-    child is a part of one member, planned by its own plan; a P class's
-    members, in storage order, are the children of its representative's
-    code, all planned by the representative's plan."""
+def _members(
+    plans: _Plans, node: Node, plan: _Plan
+) -> list[tuple[tuple[Node, ...], object, _Plan]]:
+    """A node's parts as (member nodes, part plan, member plan), with `plans`
+    the plan pass's result on a tree that holds the node: a series child is
+    a part of one member, planned by its own plan; a P class's members, in
+    storage order, are the children that `plans` gives its representative's
+    plan."""
     if plan.kind == "parallel":
-        classes = {cp.rep_plan.code: [] for cp in plan.parts}
+        classes = {id(cp.rep_plan): [] for cp in plan.parts}
+        at, leaf = plans.at, plans.by_code["E"]
         for child in node.children:
-            classes[child._code].append(child)
+            classes[id(at.get(id(child), leaf))].append(child)
         return [(tuple(ms), cp, cp.rep_plan) for ms, cp in zip(classes.values(), plan.parts)]
     return list(zip(zip(node.children), plan.parts, plan.parts))
 
@@ -409,13 +464,15 @@ def _assignments(members: tuple[Node, ...], rep: _Plan, near: bool, lists) -> tu
     return sets if near else tuple(_sums([[lists(members[0], rep, False), sets]]))
 
 
-def _blocks(node: Node, plan: _Plan, near: bool, lists) -> list[list[tuple[int, ...]]]:
+def _blocks(
+    plans: _Plans, node: Node, plan: _Plan, near: bool, lists
+) -> list[list[tuple[int, ...]]]:
     """The part lists of `node`, one per part in each block of `_layout`,
     whose `_sums` are its trees.  A part's trees come from `lists`, as in
     `_assignments`; a leaf's one part is its own list."""
     if plan.kind == "leaf":
         return [[lists(node, plan, near)]]
-    parts = _members(node, plan)
+    parts = _members(plans, node, plan)
     return _layout(plan, near, lambda i, kind: _assignments(parts[i][0], parts[i][2], kind, lists))
 
 
@@ -424,27 +481,32 @@ def _blocks(node: Node, plan: _Plan, near: bool, lists) -> list[list[tuple[int, 
 # ---------------------------------------------------------------------------
 
 
-def _placed(memo: dict, numbering, node: Node, plan: _Plan, near: bool) -> tuple[int, ...]:
+def _placed(
+    memo: dict, numbering, plans: _Plans, node: Node, plan: _Plan, near: bool
+) -> tuple[int, ...]:
     """The near (or spanning) trees of `node`, whose plan is `plan`, with input
-    leaf i at bit `numbering[i]` (at bit i by default), built once per `memo`.
+    leaf i at bit `numbering[i]` (at bit i by default), built once per `memo`;
+    `plans` is the plan pass's result on a tree that holds the node.
 
-    Bind the memo and numbering with `partial` for one enumeration: no
-    closure refers to itself, so no reference cycle keeps the memo."""
+    Bind the memo, numbering and plans with `partial` for one enumeration:
+    no closure refers to itself, so no reference cycle keeps the memo."""
     key = (id(node), near)
     if key not in memo:
         if plan.kind == "leaf":
             bit = node.index if numbering is None else numbering[node.index]
             memo[key] = (0 if near else 1 << bit,)
         else:
-            memo[key] = tuple(_sums(_blocks(node, plan, near, partial(_placed, memo, numbering))))
+            lists = partial(_placed, memo, numbering, plans)
+            memo[key] = tuple(_sums(_blocks(plans, node, plan, near, lists)))
     return memo[key]
 
 
 def _streams(tree: Node, *nears: bool, numbering=None) -> list:
     """Per flag in `nears`, the masks of the tree's near (or spanning) trees
     in `numbering` (as in `_placed`), from its root's part lists."""
-    plan, placed = build_plan(tree), partial(_placed, {}, numbering)
-    blocks = [_blocks(tree, plan, near, placed) for near in nears]
+    plans = _plans(tree)
+    plan, placed = plans.of(tree), partial(_placed, {}, numbering, plans)
+    blocks = [_blocks(plans, tree, plan, near, placed) for near in nears]
     return [_sums(bs) for bs in blocks]
 
 
@@ -490,9 +552,9 @@ def count_total(g: OrientedSP) -> CountPair:
 # ---------------------------------------------------------------------------
 
 
-def _index(tree: Node, plans: dict, mask: int, near: bool) -> int:
+def _index(tree: Node, plans: _Plans, mask: int, near: bool) -> int:
     """Enumeration position of the orbit of a near (or spanning) tree `mask`
-    on `tree`, whose plans by code are `plans`, in one loop over its inner
+    on `tree`, whose plan pass gave `plans`, in one loop over its inner
     nodes, children first.
 
     A node's kind comes from the bits of `mask` on its leaves: n - 1 for a
@@ -503,11 +565,11 @@ def _index(tree: Node, plans: dict, mask: int, near: bool) -> int:
     """
     # id(node): (bits, near, rank), until its parent reads it.  A lone edge
     # has one tree of each kind, the spanning one holding its bit.
-    done, starts = {id(tree): (mask, not mask, 0)}, {}
+    done, starts, at = {id(tree): (mask, not mask, 0)}, {}, plans.at
     for node in inner_postorder(tree):
-        p = plans[node._code]
+        p = at[id(node)]
         bits, rank, kinds = 0, 0, []
-        for members, part, rep in _members(node, p):
+        for members, part, rep in _members(plans, node, p):
             if rep.kind == "leaf":
                 # An edge (no class holds two): one tree of each kind, digit 0.
                 b = mask >> members[0].index & 1

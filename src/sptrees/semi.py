@@ -17,7 +17,7 @@ so a tree whose outer positions are palindromic is still paired off
 through its middle entry.  All lists below the top level stay oriented.
 
 The index actions come from the plans alone (counts, codes and parts, a
-P shape's classes in `core._class_order`), with no node, no leaf and no
+P shape's classes by descending code), with no node, no leaf and no
 numbering: where code(x) = rev_code(y), the reversal's action on list
 indices, from x's lists onto y's, composes from the parts' actions over
 the same block layout as the lists (`generate._layout`), and
@@ -71,7 +71,7 @@ def reversal_index_perm(child, mirror, kind: str = "spanning") -> tuple[int, ...
     xp, yp = build_plan(x), build_plan(y)
     if xp.code != yp.rev:
         raise ValueError("the mirror is not a reversal of the child")
-    near, spanning = _reversal_perms(_plans(x).values(), _plans(y))[xp.code]
+    near, spanning = _reversal_perms(_plans(x).by_code.values(), _plans(y).by_code)[xp.code]
     return near if kind == "near" else spanning
 
 
@@ -168,7 +168,7 @@ def _masks(tree, numbering=None):
     # The actions before the lists: built while the lists are alive, they
     # raise the peak.  Every plan but the last, the root's, gets its action:
     # the root's parts read theirs, and nothing reads the root's own.
-    plans = _plans(tree)
+    plans = _plans(tree).by_code
     actions = _reversal_perms(islice(plans.values(), len(plans) - 1), plans)
     dest, perms = _parts(actions, plan, plan)
 

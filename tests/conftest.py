@@ -27,7 +27,6 @@ from sptrees.core import (
     Series,
     TreeAcceptor,
     TreeBuilder,
-    _class_order,
     iter_leaves,
     mask_image,
     normalize,
@@ -106,6 +105,57 @@ def deep_nest_codes(depth: int) -> tuple[str, str]:
     return code, rev
 
 
+# Token order S < P < E < ( < ) as the natural order of translated strings.
+_TOKEN_ORDER = str.maketrans("SPE()", "ABCDE")
+
+
+def _by_tokens(code: str) -> str:
+    return code.translate(_TOKEN_ORDER)
+
+
+def reference_codes(tree: Node) -> dict[int, tuple[str, str]]:
+    """(canonical code, reversal code) of every node of `tree` by id(node),
+    by the string rule written out, children first off an explicit stack:
+    a leaf is "E", a series node wraps its children's codes in "S(...)" in
+    chain order (reversed for the reversal code), and a P node wraps them
+    in "P(...)" sorted by token order.  The plan pass must build the same
+    strings."""
+    codes, stack = {}, [(tree, False)]
+    while stack:
+        node, ready = stack.pop()
+        if isinstance(node, Leaf):
+            codes[id(node)] = ("E", "E")
+        elif not ready:
+            stack.append((node, True))
+            stack.extend((child, False) for child in node.children)
+        else:
+            kids = [codes[id(child)] for child in node.children]
+            if isinstance(node, Series):
+                code = "S(" + "".join(c for c, _ in kids) + ")"
+                rev = "S(" + "".join(r for _, r in reversed(kids)) + ")"
+            else:
+                sides = (sorted(side, key=_by_tokens) for side in zip(*kids))
+                code, rev = ("P(" + "".join(side) + ")" for side in sides)
+            codes[id(node)] = (code, rev)
+    return codes
+
+
+def reference_code(node: Node) -> tuple[str, str]:
+    """`reference_codes` of `node` itself."""
+    return reference_codes(node)[id(node)]
+
+
+def reference_classes(node: Node, codes: dict | None = None) -> list[tuple[str, list[int]]]:
+    """A P node's classes (children of one code, by `codes`, by default
+    `reference_codes(node)`) as (code, member positions in storage order),
+    by descending code: the class order of the plans."""
+    codes = codes or reference_codes(node)
+    buckets: dict[str, list[int]] = {}
+    for pos, child in enumerate(node.children):
+        buckets.setdefault(codes[id(child)][0], []).append(pos)
+    return sorted(buckets.items(), key=lambda item: _by_tokens(item[0]), reverse=True)
+
+
 def raw_tree(node: Node) -> list:
     """A mutable copy of a tree built in code: ["e", u, v] per leaf and
     [kind, children, source, target] per S or P node."""
@@ -130,7 +180,8 @@ def feed_raw(raw: list, build):
     return build
 
 
-def _preorder(node: Node) -> list[Node]:
+def preorder(node: Node) -> list[Node]:
+    """Every node under `node`, leaves included, in preorder, by an explicit stack."""
     out, stack = [], [node]
     while stack:
         node = stack.pop()
@@ -154,7 +205,7 @@ def assert_acceptor_agrees(feed) -> bool:
     want = builder.finish()
     assert got == want
     ends = ("source", "target", "index")
-    for a, b in zip(_preorder(got), _preorder(want), strict=True):
+    for a, b in zip(preorder(got), preorder(want), strict=True):
         assert type(a) is type(b)
         assert [vars(a).get(k) for k in ends] == [vars(b).get(k) for k in ends]
     assert [lf.index for lf in iter_leaves(got)] == list(range(builder.leaves))
@@ -366,7 +417,7 @@ def reverse_tree(node: Node) -> tuple[Node, dict[int, int]]:
 
 def reversal_map(x: Node, y: Node) -> dict[int, int] | None:
     """Leaf bijection realizing x == reversed y, or None."""
-    if x._code != y._rev_code:
+    if reference_code(x)[0] != reference_code(y)[1]:
         return None
     reversed_y, new_of_old = reverse_tree(y)
     phi = iso_map(x, reversed_y)  # codes agree: the reversed copy's code is y's reversal code
@@ -396,9 +447,10 @@ def reference_index_perm(child: Node, mirror: Node, kind: str = "spanning") -> t
     near = kind == "near"
     r = reversal_map(child, mirror)
     lo = min(r.values())  # `mirror`'s leaves are the input positions lo, lo + 1, ...
-    trees = _placed({}, None, child, build_plan(child), near)
+    trees = _placed({}, None, _plans(child), child, build_plan(child), near)
     plan = build_plan(mirror)
-    return tuple(reference_index(mirror, plan, mask_image(x, r), near, lo) for x in trees)
+    codes = reference_codes(mirror)
+    return tuple(reference_index(mirror, plan, mask_image(x, r), near, lo, codes) for x in trees)
 
 
 def _is_near(plan: _Plan, part: int) -> bool:
@@ -409,7 +461,9 @@ def _is_near(plan: _Plan, part: int) -> bool:
     return bits == plan.n - 2
 
 
-def reference_index(node: Node, plan: _Plan, mask: int, near: bool, lo: int = 0) -> int:
+def reference_index(
+    node: Node, plan: _Plan, mask: int, near: bool, lo: int = 0, codes: dict | None = None
+) -> int:
     """`generate._index` by recursion, on `node`, whose leaves are the input
     positions lo, ..., lo + m - 1, with each kind's rule written out.
 
@@ -417,7 +471,8 @@ def reference_index(node: Node, plan: _Plan, mask: int, near: bool, lo: int = 0)
     part (the child with a near tree's break, the class with a spanning
     tree's spanning member) picks the offset.  A class's digit ranks its
     spanning tree, if any, then the multiset of its members' near trees.
-    Small trees only (it recurses).
+    Classes are read from `codes`, the `reference_codes` of a tree holding
+    `node` (by default of `node`).  Small trees only (it recurses).
     """
     if plan.kind == "leaf":
         if mask != (0 if near else 1 << lo):
@@ -430,22 +485,24 @@ def reference_index(node: Node, plan: _Plan, mask: int, near: bool, lo: int = 0)
             if _is_near(part_plan, part):
                 if not near or odd is not None:
                     raise ImageNotFound("the break is not in exactly one branch")
-                digit = reference_index(child, part_plan, part, True, lo)
+                digit = reference_index(child, part_plan, part, True, lo, codes)
                 rank, odd = rank * part_plan.nt + digit, j
             else:
-                rank = rank * part_plan.st + reference_index(child, part_plan, part, False, lo)
+                digit = reference_index(child, part_plan, part, False, lo, codes)
+                rank = rank * part_plan.st + digit
             lo += part_plan.m
         offsets = reference_offsets([c.nt for c in plan.parts], [c.st for c in plan.parts])
     else:
         # The children run in storage order, each ranked on its class's plan.
-        class_of = {code: j for j, (code, _) in enumerate(_class_order(node))}
+        codes = codes or reference_codes(node)
+        class_of = {code: j for j, (code, _) in enumerate(reference_classes(node, codes))}
         nears, spans = [[] for _ in class_of], [[] for _ in class_of]
         for child in node.children:
-            j = class_of[child._code]
+            j = class_of[codes[id(child)][0]]
             rep = plan.parts[j].rep_plan
             part = mask & ((1 << rep.m) - 1) << lo
             is_near = _is_near(rep, part)
-            digit = reference_index(child, rep, part, is_near, lo)
+            digit = reference_index(child, rep, part, is_near, lo, codes)
             (nears if is_near else spans)[j].append(digit)
             lo += rep.m
         for j, cp in enumerate(plan.parts):
@@ -468,18 +525,20 @@ def mirror_pairs(tree: Node) -> list[tuple[Node, Node]]:
     """Every (x, y) with code(x) = rev_code(y) that a reversal pairs at some
     node of `tree`: the node against itself, series children i and k-1-i,
     and parallel class representatives."""
-    pairs, stack = [], [tree]
+    codes, pairs, stack = reference_codes(tree), [], [tree]
+    code, rev = (lambda x: codes[id(x)][0]), (lambda x: codes[id(x)][1])
     while stack:
         node = stack.pop()
         stack.extend(node.children)
-        if node._code == node._rev_code:
+        if code(node) == rev(node):
             pairs.append((node, node))
         if isinstance(node, Series):
             kids = node.children
-            pairs += [(a, b) for a, b in zip(kids, reversed(kids)) if a._code == b._rev_code]
+            pairs += [(a, b) for a, b in zip(kids, reversed(kids)) if code(a) == rev(b)]
         elif isinstance(node, Parallel):
-            reps = {code: node.children[members[0]] for code, members in _class_order(node)}
-            pairs += [(rep, reps[rep._rev_code]) for rep in reps.values() if rep._rev_code in reps]
+            classes = reference_classes(node, codes)
+            reps = {c: node.children[members[0]] for c, members in classes}
+            pairs += [(rep, reps[rev(rep)]) for rep in reps.values() if rev(rep) in reps]
     return pairs
 
 
@@ -493,10 +552,12 @@ def reference_semioriented_masks(tree: Node, numbering=None) -> list[int]:
     >= its partner, filled in slot by slot.  A kept candidate's mask is the
     sum of its items."""
     plan = build_plan(tree)
-    if plan.kind == "leaf" or tree._code != tree._rev_code:
+    code, rev = reference_code(tree)
+    if plan.kind == "leaf" or code != rev:
         return list(_streams(tree, False, numbering=numbering)[0])
-    target, perms = _parts(_reversal_perms(_plans(tree).values(), _plans(tree)), plan, plan)
-    placed = partial(_placed, {}, numbering)
+    plans = _plans(tree)
+    target, perms = _parts(_reversal_perms(plans.by_code.values(), plans.by_code), plan, plan)
+    placed = partial(_placed, {}, numbering, plans)
     if plan.kind == "series":
         items = [placed(x, part, False) for x, part in zip(tree.children, plan.parts)]
         perms = [span for _, span in perms]
@@ -509,7 +570,7 @@ def reference_semioriented_masks(tree: Node, numbering=None) -> list[int]:
         ]
         items = [
             _assignments(members, rep, True, placed) + _assignments(members, rep, False, placed)
-            for members, _, rep in _members(tree, plan)
+            for members, _, rep in _members(plans, tree, plan)
         ]
         blocks = [
             [range(cp.nt, cp.nt + cp.st) if j == a else range(cp.nt) for j, cp in enumerate(classes)]
@@ -642,21 +703,24 @@ def reference_offsets(x: list[int], y: list[int]) -> list[int]:
     return out
 
 
-def reference_plan(node: Node) -> _Plan:
+def reference_plan(node: Node, codes: dict | None = None) -> _Plan:
     """`generate.build_plan` as one fresh plan per node, recursively, with the
-    total counts summed member by member: every field and part of the
-    shared plan must equal this one's.  Small trees only (it recurses)."""
+    total counts summed member by member and the codes of `reference_codes`
+    (passed down as `codes`): every field and part of the shared plan must
+    equal this one's.  Small trees only (it recurses)."""
     if isinstance(node, Leaf):
         return _Plan("leaf", "E", "E", 1, n=2, st=1, nt=1, tau=1, nu=1, ss=1, sn=1)
-    palindrome = node._code == node._rev_code
+    codes = codes or reference_codes(node)
+    code, rev = codes[id(node)]
+    palindrome = code == rev
     if isinstance(node, Series):
-        kids = [reference_plan(child) for child in node.children]
+        kids = [reference_plan(child, codes) for child in node.children]
         k = len(kids)
         sts, taus = [c.st for c in kids], [c.tau for c in kids]
         offsets = reference_offsets([c.nt for c in kids], sts)
         st, nt = math.prod(sts), offsets[-1]
         plan = _Plan(
-            "series", node._code, node._rev_code, sum(c.m for c in kids), n=sum(c.n for c in kids) - (k - 1),
+            "series", code, rev, sum(c.m for c in kids), n=sum(c.n for c in kids) - (k - 1),
             st=st, nt=nt, tau=math.prod(taus),
             nu=reference_offsets([c.nu for c in kids], taus)[-1], ss=st, sn=nt, parts=tuple(kids),
         )
@@ -668,9 +732,9 @@ def reference_plan(node: Node) -> _Plan:
                 fix_sp, fix_nt = half * (2 * mid.ss - mid.st), half * (2 * mid.sn - mid.nt)
             plan.ss, plan.sn = (st + fix_sp) // 2, (nt + fix_nt) // 2
         return plan
-    order, classes = _class_order(node), []
+    order, classes = reference_classes(node, codes), []
     for _, members in order:
-        rep = reference_plan(node.children[members[0]])
+        rep = reference_plan(node.children[members[0]], codes)
         size = len(members)
         nc = multiset_coefficient(rep.nt, size)
         classes.append(_ClassPlan(size, rep, nc, rep.st * multiset_coefficient(rep.nt, size - 1)))
@@ -680,7 +744,7 @@ def reference_plan(node: Node) -> _Plan:
     taus = [cp.rep_plan.tau for cp in classes for _ in range(cp.size)]
     nus = [cp.rep_plan.nu for cp in classes for _ in range(cp.size)]
     plan = _Plan(
-        "parallel", node._code, node._rev_code, sum(cp.size * cp.rep_plan.m for cp in classes),
+        "parallel", code, rev, sum(cp.size * cp.rep_plan.m for cp in classes),
         n=sum(cp.rep_plan.n * cp.size for cp in classes) - 2 * (len(node.children) - 1),
         st=st, nt=nt, tau=reference_offsets(taus, nus)[-1], nu=math.prod(nus),
         ss=st, sn=nt, parts=tuple(classes),
@@ -690,7 +754,7 @@ def reference_plan(node: Node) -> _Plan:
     pair_nc, seen, fix_nc, fix_sc = 1, set(), [], []
     for (code, members), cp in zip(order, classes):
         rep = cp.rep_plan
-        rev = node.children[members[0]]._rev_code
+        rev = codes[id(node.children[members[0]])][1]
         if code == rev:
             fixed_near, swapped = 2 * rep.sn - rep.nt, rep.nt - rep.sn
             fix_nc.append(_invariant_multisets(fixed_near, swapped, cp.size))

@@ -35,7 +35,6 @@ from sptrees import (
     underlying_graph,
 )
 from sptrees.core import normalize, parallel, series, edge
-from sptrees.core import _class_order
 
 from conftest import (
     DIAMOND_TEXT,
@@ -43,6 +42,7 @@ from conftest import (
     chain,
     mirror_symmetric,
     orbit_exactly_once,
+    reference_classes,
     small_corpus,
 )
 from test_generate import _balanced_instance
@@ -236,7 +236,7 @@ def test_criterion_8_index_stability():
                 for x, fx in enumerate(forward):
                     assert backward[fx] == x
         else:
-            classes = _class_order(tree)
+            classes = reference_classes(tree)
             for a, b in pairing.class_pairs:
                 rep_a = tree.children[classes[a][1][0]]
                 rep_b = tree.children[classes[b][1][0]]

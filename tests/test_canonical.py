@@ -3,6 +3,8 @@
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sptrees import (
     FixBoth,
@@ -18,17 +20,20 @@ from sptrees import (
     reversal_code,
     underlying_graph,
 )
-from sptrees.core import code_sort_key
+from sptrees.generate import _plans, code_sort_key
 
 from conftest import (
     deep_nest_codes,
     deep_nest_text,
     mirror_symmetric,
+    preorder,
+    reference_codes,
     relabeled_shuffled_copy,
     reversal_map,
     reverse_tree,
     series_maps,
     small_corpus,
+    twin_nest_text,
 )
 
 TRIANGLE_TAIL = "S(P(e(s,m),S(e(s,a),e(a,m))),e(m,t))"
@@ -64,6 +69,61 @@ def test_codes_of_a_deep_nest_do_not_recurse():
     assert sys.getrecursionlimit() <= 2000
     tree = parse_sp(deep_nest_text(2000))
     assert (canonical_code(tree), reversal_code(tree)) == deep_nest_codes(2000)
+
+
+def copies_text(k: int) -> str:
+    """A P of k copies of S(e,P(e,S(e,e))), all of one shape."""
+    return "P(" + ",".join(
+        f"S(e(s,a{i}),P(e(a{i},t),S(e(a{i},b{i}),e(b{i},t))))" for i in range(k)
+    ) + ")"
+
+
+def _assert_plan_codes_are_the_reference(tree):
+    """Every node's plan carries the codes that the string rule gives it,
+    and the plans by code are one per shape."""
+    plans, codes = _plans(tree), reference_codes(tree)
+    for node in preorder(tree):
+        plan = plans.of(node)
+        assert (plan.code, plan.rev) == codes[id(node)]
+    assert set(plans.by_code) == {code for code, _ in codes.values()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), depth=st.integers(1, 5))
+def test_plan_codes_equal_the_reference_on_random_draws(seed, depth):
+    _assert_plan_codes_are_the_reference(
+        random_sp(RandomSpParams(seed=seed, max_depth=depth, max_children=4))
+    )
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_plan_codes_equal_the_reference_on_mirror_symmetric_draws(seed):
+    _assert_plan_codes_are_the_reference(mirror_symmetric(seed))
+
+
+def test_plan_codes_equal_the_reference_on_a_twin_nest():
+    _assert_plan_codes_are_the_reference(parse_sp(twin_nest_text(2000)))
+
+
+def test_plan_codes_equal_the_reference_on_a_p_of_copies():
+    tree = parse_sp(copies_text(1000))
+    _assert_plan_codes_are_the_reference(tree)
+    assert canonical_code(tree) == "P(" + "S(EP(S(EE)E))" * 1000 + ")"
+    assert reversal_code(tree) == "P(" + "S(P(S(EE)E)E)" * 1000 + ")"
+
+
+def test_iso_map_and_partition_classes_on_a_twin_nest():
+    """The two halves of a 2000-deep twin nest, twice the default recursion
+    limit, are matched member pair by member pair off an explicit stack."""
+    assert sys.getrecursionlimit() <= 2000
+    tree = parse_sp(twin_nest_text(2000))
+    a, b = tree.children
+    mapping = iso_map(a, b)
+    m = len(mapping)
+    assert mapping == {i: m + i for i in range(m)}
+    part = partition_classes(parse_sp(twin_nest_text(2000)))
+    assert [(cls.code, cls.members) for cls in part.classes] == [(canonical_code(a), (0, 1))]
+    assert part.classes[0].to_rep[1] == iso_map(b, a) == {m + i: i for i in range(m)}
 
 
 def test_code_sort_key_orders_tokens():

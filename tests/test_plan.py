@@ -4,7 +4,6 @@ isomorphic subtrees share one position-free plan."""
 import contextlib
 import dataclasses
 import gc
-import sys
 import tracemalloc
 import weakref
 
@@ -17,6 +16,7 @@ from sptrees import (
     OrientedSP,
     RandomSpParams,
     SemiorientedSP,
+    canonical_code,
     count_oriented,
     count_semioriented,
     count_total,
@@ -29,13 +29,13 @@ from sptrees import (
     oriented_spanning,
     parse_sp,
     random_sp,
+    reversal_code,
     reversal_index_perm,
     semioriented_spanning,
     serialize_sp,
     spanning_tree_index,
 )
 from sptrees import generate
-from sptrees.core import _class_order
 from sptrees.cli import run, verify_instance
 from sptrees.generate import _build, _offsets, _streams, build_plan
 from sptrees.semi import _masks
@@ -44,6 +44,9 @@ from conftest import (
     DIAMOND_TEXT,
     THETA_TEXT,
     mirror_symmetric,
+    preorder,
+    reference_classes,
+    reference_codes,
     reference_offsets,
     reference_plan,
     small_corpus,
@@ -107,7 +110,7 @@ def test_every_entry_point_builds_the_root_once(text, monkeypatch):
     assert ok
     assert roots == [0]
     assert build_plan(tree) is build_plan(OrientedSP(tree)) is build_plan(SemiorientedSP(tree))
-    assert build_plan(tree) == _build(tree)[tree._code]
+    assert build_plan(tree) == _build(tree).of(tree)
     assert _results(tree) == results
     assert roots == [0]
 
@@ -118,7 +121,7 @@ def test_equal_distinct_trees_get_their_own_plans(text):
     assert copy == tree and copy is not tree
     results = _results(tree)
     assert build_plan(copy) is not build_plan(tree)
-    assert build_plan(copy) == build_plan(tree) == _build(tree)[tree._code]
+    assert build_plan(copy) == build_plan(tree) == _build(tree).of(tree)
     assert _results(copy) == results
 
 
@@ -128,7 +131,7 @@ def _part_plans(tree, plan):
         return list(zip(tree.children, plan.parts))
     return [
         (tree.children[pos], cp.rep_plan)
-        for (_, members), cp in zip(_class_order(tree), plan.parts)
+        for (_, members), cp in zip(reference_classes(tree), plan.parts)
         for pos in members
     ]
 
@@ -140,7 +143,7 @@ def _reversal_perms(tree):
         kids = tree.children
         pairs = list(zip(kids, reversed(kids)))
     else:
-        reps = [tree.children[members[0]] for _, members in _class_order(tree)]
+        reps = [tree.children[members[0]] for _, members in reference_classes(tree)]
         pairs = [(reps[a], reps[b]) for a, b in pairing.class_pairs]
     kinds = ("spanning", "near")
     return [reversal_index_perm(a, b, kind) for a, b in pairs for kind in kinds]
@@ -161,33 +164,41 @@ def test_subtrees_planned_first_do_not_leak_into_the_parent(seed):
     expected = _results(fresh)  # the parent planned before its children
     assert _reversal_perms(fresh) == perms
     assert _results(tree) == expected
-    assert build_plan(tree) == build_plan(fresh) == _build(tree)[tree._code]
+    assert build_plan(tree) == build_plan(fresh) == _build(tree).of(tree)
 
 
 @pytest.mark.parametrize("text", TEXTS)
 def test_classes_are_sorted_once_per_parallel_shape(text, monkeypatch):
-    """`build_plan` sorts the classes of each P shape once and keeps the
-    order in the plan; indexing, the streams and the semioriented filter of
-    a planned tree read it there and sort nothing."""
-    tree, calls = parse_sp(text), []
+    """The plan pass composes each shape once, its code strings with it, and
+    sorts the classes of each P shape once, inside the pass; it keeps both
+    in the plan, and indexing, the streams and the semioriented filter of a
+    planned tree read them there and build or sort nothing."""
+    tree, built, sorts = parse_sp(text), [], []
+    compose, sort = generate._compose, generate._classes
 
-    def counted(node):
-        calls.append(node._code)
-        return _class_order(node)
+    def composed(series, kids):
+        plan = compose(series, kids)
+        built.append(plan.code)
+        return plan
 
-    for name, module in list(sys.modules.items()):
-        if name == "sptrees" or name.startswith("sptrees."):
-            if getattr(module, "_class_order", None) is _class_order:
-                monkeypatch.setattr(module, "_class_order", counted)
+    def counted(groups):
+        sorts.append(frozenset((rep.code, size) for rep, size in groups))
+        return sort(groups)
+
+    monkeypatch.setattr(generate, "_compose", composed)
+    monkeypatch.setattr(generate, "_classes", counted)
     plan = build_plan(tree)
-    assert sorted(calls) == sorted(code for code in _shapes(tree) if code[0] == "P")
-    calls.clear()
+    assert sorted(built) == sorted(_shapes(tree) - {"E"})
+    assert len(sorts) == len(set(sorts)) == len([code for code in built if code[0] == "P"])
+    built.clear()
+    sorts.clear()
     o = OrientedSP(tree)
     spanning, near = (list(stream) for stream in _streams(tree, False, True))
     assert [spanning_tree_index(o, EdgeSet(mask)) for mask in spanning] == list(range(plan.st))
     assert [near_tree_index(o, EdgeSet(mask)) for mask in near] == list(range(plan.nt))
     assert len(list(_masks(tree))) == plan.ss
-    assert calls == []
+    assert (canonical_code(tree), reversal_code(tree)) == (plan.code, plan.rev)
+    assert built == sorts == []
 
 
 @pytest.mark.parametrize("text", TEXTS)
@@ -202,6 +213,21 @@ def test_no_tree_list_outlives_its_stream(text):
         for field in dataclasses.fields(part):
             value = getattr(part, field.name)
             assert not isinstance(value, (list, dict, set)), field.name
+
+
+@pytest.mark.parametrize("text", TEXTS)
+def test_no_node_holds_a_code_or_a_plan(text):
+    """After the counts, the enumerations, the indices and the codes, every
+    node's `__dict__` holds its fields and terminals alone; the plan pass's
+    result is kept on the root, beside them."""
+    tree = parse_sp(text)
+    _results(tree)
+    plan = build_plan(tree)
+    assert (canonical_code(tree), reversal_code(tree)) == (plan.code, plan.rev)
+    for node in preorder(tree):
+        held = set(vars(node)) - {"children", "index", "source", "target"}
+        assert held == ({"_plans"} if node is tree else set())
+        assert not any(isinstance(value, generate._Plan) for value in vars(node).values())
 
 
 @pytest.mark.parametrize("text", TEXTS)
@@ -287,12 +313,7 @@ def _plans(plan) -> dict[int, object]:
 
 def _shapes(tree) -> set[str]:
     """The canonical codes of `tree`'s subtrees."""
-    codes, stack = set(), [tree]
-    while stack:
-        node = stack.pop()
-        codes.add(node._code)
-        stack.extend(node.children)
-    return codes
+    return {code for code, _ in reference_codes(tree).values()}
 
 
 def _check_shared(tree):
@@ -300,7 +321,7 @@ def _check_shared(tree):
     assert plan == reference_plan(tree)
     assert len(_plans(plan)) == len(_shapes(tree))
     # The kept plans: one per shape, by code, each after its parts, the root last.
-    plans, seen = generate._plans(tree), set()
+    plans, seen = generate._plans(tree).by_code, set()
     assert set(plans) == _shapes(tree) and list(plans.values())[-1] is plan
     for code, shape in plans.items():
         assert shape.code == code

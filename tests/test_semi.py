@@ -30,7 +30,7 @@ from sptrees import (
 )
 from sptrees import canonical, core, generate
 from sptrees.cli import run
-from sptrees.core import Parallel, _class_order
+from sptrees.core import Parallel
 from sptrees.generate import _partners, _streams, build_plan, multiset_enumerate
 from sptrees.oracle import apply_permutation
 from sptrees.semi import _assignment_perm, _masks
@@ -40,6 +40,9 @@ from conftest import (
     mirror_pairs,
     mirror_symmetric,
     orbit_exactly_once,
+    reference_classes,
+    reference_code,
+    reference_codes,
     reference_index_perm,
     reference_semioriented_masks,
     relabeled_shuffled_copy,
@@ -237,7 +240,7 @@ def test_mirror_symmetric_perms_total_and_involutive(seed):
             for x, fx in enumerate(forward):
                 assert backward[fx] == x
     else:
-        classes = _class_order(tree)
+        classes = reference_classes(tree)
         for a, b in pairing.class_pairs:
             rep_a = tree.children[classes[a][1][0]]
             rep_b = tree.children[classes[b][1][0]]
@@ -335,11 +338,12 @@ def test_filter_matches_the_reference_on_named_roots(text):
 def _parent_class_pairs(node):
     """`mirror_pairing(node).class_pairs` class by class, each class looking
     up its representative's reversal code among the class codes."""
-    classes = _class_order(node)
+    codes = reference_codes(node)
+    classes = reference_classes(node, codes)
     by_code = {code: idx for idx, (code, _) in enumerate(classes)}
     pairs = []
     for idx, (_, members) in enumerate(classes):
-        other = by_code[node.children[members[0]]._rev_code]
+        other = by_code[codes[id(node.children[members[0]])][1]]
         if other >= idx:
             pairs.append((idx, other))
     return tuple(pairs)
@@ -350,13 +354,13 @@ def test_partners_pair_classes_of_equal_size_both_ways(seed):
     """On every parallel pair, `_partners` reads the two plans alone: a
     size-keeping bijection onto the other plan's classes, each class onto
     the one of its reversal code, and the pair read the other way inverts
-    it.  The plans keep the classes in `_class_order`."""
+    it.  The plans keep the classes by descending code."""
     for x, y in mirror_pairs(mirror_symmetric(seed)):
         if not isinstance(x, Parallel):
             continue
         xp, yp = build_plan(x), build_plan(y)
         assert [(cp.rep_plan.code, cp.rep_plan.rev, cp.size) for cp in xp.parts] == [
-            (code, x.children[ms[0]]._rev_code, len(ms)) for code, ms in _class_order(x)
+            (code, reference_code(x.children[ms[0]])[1], len(ms)) for code, ms in reference_classes(x)
         ]
         forward, backward = _partners(xp, yp), _partners(yp, xp)
         assert sorted(forward) == list(range(len(yp.parts)))
