@@ -5,16 +5,21 @@ are single edges, S nodes chain subgraphs end to end, P nodes merge
 subgraphs that share both terminals.  Every node has a source and a
 target label; leaves carry a global index assigned in depth-first
 preorder, so edge subsets can be stored as bitmasks over leaf indices.
+`Leaf`, `Series` and `Parallel` are slotted classes: a constructor sets
+each field once (an inner node's terminals from its children), no field
+can be assigned afterwards, and no node has a `__dict__`.  Their `==`,
+`hash` and `repr` are those of frozen dataclasses over the same fields.
 
 Nodes carry no shape facts: the canonical and reversal codes, the
 classes of a P node and the counts are built once per distinct shape by
 the plan pass (`generate.build_plan`), which keeps them beside the tree,
-not on its nodes.
+in the one slot that it fills on the root (`_plans`).
 
 Every tree is built from leaf, open and close events, in one pass with
 no raw tree built first.  The readers, `expr.parse_sp` as it reads the
-text and `expr.decompose_edge_list` as it reads its reduced graph, feed
-a `TreeAcceptor`.  It checks each node's local rules and then one count:
+text and `expr.decompose_edge_list` as it reads its reduced graph (one
+open/close pair per node, its fragments being n-ary already), feed a
+`TreeAcceptor`.  It checks each node's local rules and then one count:
 a valid tree has 2 + Σ over S nodes of (k - 1) distinct labels, the
 terminals and each k-child S node's joints.  It builds no vertex set and
 no message.  Only when it rejects does `parse_sp` read the text again
@@ -27,10 +32,9 @@ immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from functools import cached_property
-from operator import attrgetter
 from typing import Iterator, Union
 
 # A vertex label, the grammar's `label` token.
@@ -42,49 +46,85 @@ def is_valid_label(text: str) -> bool:
     return LABEL.fullmatch(text) is not None
 
 
-@dataclass(frozen=True)
-class Leaf:
+def _frozen(self, name: str, *value) -> None:
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+class _Node:
+    """What every tree node has: terminals set when it is built, and a slot
+    that only the plan pass (`generate._plans`) fills, on a root.
+
+    Nodes are slotted, and no field can be assigned after construction.
+    They compare, hash and print by their fields (`_fields`), as frozen
+    dataclasses do, so `==`, `hash` and `repr` recurse into the children.
+    """
+
+    __slots__ = ("source", "target", "_plans", "__weakref__")
+    __setattr__ = __delattr__ = _frozen
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self._key()))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        """Pickle and copy through the constructor, since no field can be
+        set after it."""
+        return type(self), self._key()
+
+
+class Leaf(_Node):
     """A single edge, oriented source -> target by the ambient terminals."""
 
-    source: str
-    target: str
-    index: int = 0
+    __slots__ = ("index",)
+    _fields = ("source", "target", "index")
+    children: tuple = ()
 
-    @property
-    def children(self) -> tuple[Node, ...]:
-        return ()
+    def __init__(self, source: str, target: str, index: int = 0) -> None:
+        _set_source(self, source)
+        _set_target(self, target)
+        _set_index(self, index)
 
 
-@dataclass(frozen=True)
-class Series:
+class _Inner(_Node):
+    """An S or P node; its terminals are read off its children when it is built."""
+
+    __slots__ = ("children",)
+    _fields = ("children",)
+
+    def __init__(self, children: tuple[Node, ...]) -> None:
+        _set_children(self, children)
+        if children:
+            _set_source(self, children[0].source)
+            _set_target(self, children[self._last].target)
+
+
+class Series(_Inner):
     """Chain of subgraphs; child i's target is child i+1's source."""
 
-    children: tuple[Node, ...]
-
-    @cached_property
-    def source(self) -> str:
-        return self.children[0].source
-
-    @cached_property
-    def target(self) -> str:
-        return self.children[-1].target
+    __slots__ = ()
+    _last = -1
 
 
-@dataclass(frozen=True)
-class Parallel:
+class Parallel(_Inner):
     """Bundle of subgraphs sharing both terminals."""
 
-    children: tuple[Node, ...]
-
-    @cached_property
-    def source(self) -> str:
-        return self.children[0].source
-
-    @cached_property
-    def target(self) -> str:
-        return self.children[0].target
+    __slots__ = ()
+    _last = 0
 
 
+_set_source, _set_target = _Node.source.__set__, _Node.target.__set__
+_set_index, _set_children = Leaf.index.__set__, _Inner.children.__set__
 Node = Union[Leaf, Series, Parallel]
 
 
@@ -416,9 +456,7 @@ class TreeBuilder:
             del self.done[start:]
             kids = tuple(kid for kid, _ in entries)
             node, vertices = kind(kids), set()
-            if len(kids) > 1:  # the terminals go where the lazy properties cache them
-                end = kids[-1 if kind is Series else 0]
-                node.__dict__.update(source=kids[0].source, target=end.target)
+            if len(kids) > 1:
                 vertices = _check_children(node, [v for _, v in entries], at, self.broken)
             self.done.append((node, vertices))
 
@@ -427,10 +465,6 @@ class TreeBuilder:
         if self.broken:
             raise InvalidTreeError(_violations(self.broken))
         return self.done[0][0]
-
-
-_source = attrgetter("source")
-_target = attrgetter("target")
 
 
 class TreeAcceptor:
@@ -486,20 +520,26 @@ class TreeAcceptor:
         kids = tuple(done[start:])
         del done[start:]
         node = kind(kids)
-        source = kids[0].source
+        source, target = node.source, node.target
+        # Plain loops: most nodes have two or three children, where they
+        # cost a third of building and comparing lists.
         if kind is Series:
-            target = kids[-1].target
             self.joints += len(kids) - 1
-            if source == target or list(map(_target, kids[:-1])) != list(map(_source, kids[1:])):
+            if source == target:
                 self.ok = False
+            joint = source
+            for kid in kids:
+                if kid.source != joint:
+                    self.ok = False
+                joint = kid.target
         else:
-            target = kids[0].target
-            k = len(kids)
-            if (list(map(_source, kids)).count(source) != k
-                    or list(map(_target, kids)).count(target) != k
-                    or list(map(type, kids)).count(Leaf) > 1):
+            bare = 0
+            for kid in kids:
+                if kid.source != source or kid.target != target:
+                    self.ok = False
+                bare += kid.__class__ is Leaf
+            if bare > 1:
                 self.ok = False
-        node.__dict__.update(source=source, target=target)
         done.append(node)
 
     def finish(self) -> Node | None:

@@ -14,8 +14,10 @@ built first; `parse_sp` reads rejected text again into a
 `core.TreeBuilder` to name every violation.  `parse_sp` tokenizes with
 one regex; `serialize_sp` is its inverse on normalized trees.
 `decompose_edge_list` recognizes a two-terminal series-parallel graph
-from a raw edge list by repeated series and parallel reductions.  `random_sp` draws valid instances
-deterministically from a seed, for fuzzing.
+from a raw edge list by repeated series and parallel reductions, which
+grow n-ary series runs and P bundles in place, so a path of m edges is
+one run of m parts, read into the acceptor as one S node.  `random_sp`
+draws valid instances deterministically from a seed, for fuzzing.
 """
 
 from __future__ import annotations
@@ -186,29 +188,32 @@ def decompose_edge_list(edges, s: str, t: str) -> Node:
     """Build a decomposition tree for an edge list with terminals (s, t).
 
     A worklist reduction in the style of Valdes, Tarjan and Lawler
-    (1982).  A fragment is a subgraph between two vertices, kept as a
-    tuple (id, u, v, kind, parts) under both endpoints in a
-    vertex -> neighbour -> fragment map.  Non-terminal vertices of
-    degree 2 come off a heap, smallest label first, and are contracted
-    (series reduction, the older of the two fragments first); a
-    contraction that puts a second fragment on a vertex pair merges the
-    two at once (parallel reduction), the new fragment last.  The graph
-    is series-parallel for (s, t) exactly when this ends with a single
+    (1982).  A fragment is a subgraph between two vertices u and v, kept
+    as (u, v, kind, parts) under both endpoints in a vertex -> neighbour
+    -> fragment map: an edge, a series run or a P bundle.  Non-terminal
+    vertices of degree 2 come off a heap, smallest label first, and are
+    contracted (series reduction, `_chain`): a run beside the contracted
+    vertex takes the other fragment's parts in place, the shorter run into
+    the longer.  A contraction that puts a second fragment on a vertex
+    pair merges the two at once (parallel reduction), the new fragment
+    appended to the bundle.  So runs hold no run and bundles no bundle,
+    and each fragment is a node of the normalized tree.  The graph is
+    series-parallel for (s, t) exactly when this ends with a single
     fragment, which `_orient` then reads from s into a `TreeAcceptor`, so
-    the tree is numbered, flattened and checked as it is read.  The
-    returned tree's underlying graph equals the input up to edge order.
+    the tree is numbered and checked as it is read.  The returned tree's
+    underlying graph equals the input up to edge order.
     """
     adj: dict[str, dict[str, tuple]] = {}
     fragments = 0
     for u, v in edges:
-        if not is_valid_label(u) or not is_valid_label(v):
+        # A label already in the map was checked when it came in.
+        if (u not in adj and not is_valid_label(u)) or (v not in adj and not is_valid_label(v)):
             raise ValueError(f"bad vertex label in edge ({u!r}, {v!r})")
         if u == v:
             raise ValueError(f"self-loop at {u!r}")
         if v in adj.get(u, ()):
             raise ValueError(f"duplicate edge {u}-{v}")
-        fragment = (fragments, u, v, Leaf, ())
-        adj.setdefault(u, {})[v] = adj.setdefault(v, {})[u] = fragment
+        adj.setdefault(u, {})[v] = adj.setdefault(v, {})[u] = (u, v, Leaf, ())
         fragments += 1
     if s == t:
         raise ValueError("terminals must be distinct")
@@ -217,7 +222,6 @@ def decompose_edge_list(edges, s: str, t: str) -> Node:
     if not _connected(adj, s):
         raise DisconnectedInput("input edge list is not connected")
 
-    next_id = fragments
     ready = [x for x, around in adj.items() if len(around) == 2 and x not in (s, t)]
     heapq.heapify(ready)
     while fragments > 1:
@@ -228,41 +232,67 @@ def decompose_edge_list(edges, s: str, t: str) -> Node:
         x = heapq.heappop(ready)
         if len(adj[x]) != 2:
             continue
-        (a, first), (b, second) = adj.pop(x).items()
-        if first[0] > second[0]:
-            (a, first), (b, second) = (b, second), (a, first)
+        (a, one), (b, two) = adj.pop(x).items()
         del adj[a][x], adj[b][x]
-        merged = (next_id, a, b, Series, (first, second))
-        next_id += 1
+        merged = _chain(a, one, x, two, b)
         fragments -= 1
         old = adj[a].get(b)
-        if old is not None:
-            merged = (next_id, old[1], old[2], Parallel, (old, merged))
-            next_id += 1
-            fragments -= 1
-        adj[a][b] = adj[b][a] = merged
-        if old is not None:
-            for y in (a, b):
-                if len(adj[y]) == 2 and y not in (s, t):
-                    heapq.heappush(ready, y)
+        if old is None:
+            adj[a][b] = adj[b][a] = merged
+            continue
+        if old[2] is Parallel:
+            old[3].append(merged)
+        else:
+            adj[a][b] = adj[b][a] = (old[0], old[1], Parallel, [old, merged])
+        fragments -= 1
+        for y in (a, b):
+            if len(adj[y]) == 2 and y not in (s, t):
+                heapq.heappush(ready, y)
     return _orient(adj[s][t], s)
 
 
-def _orient(fragment: tuple, start: str) -> Node:
+def _items(fragment, end: str):
+    """The parts of a series run in order from its endpoint `end`, or the
+    fragment alone if it is no run.  A run [u, v, Series, (left, right)]
+    holds reversed(left) + right from u to v, so it grows at either end by
+    an append."""
+    u, _, kind, parts = fragment
+    if kind is not Series:
+        return (fragment,)
+    first, last = parts if end == u else parts[::-1]
+    return itertools.chain(reversed(first), last)
+
+
+def _chain(a: str, one, x: str, two, b: str) -> list:
+    """The series run from a to b of `one` (from a to x) and `two` (from x to
+    b): the longer, if it is a run, with the other's parts added at x in
+    place, or a new run of the two."""
+    sizes = [sum(map(len, f[3])) if f[2] is Series else 1 for f in (one, two)]
+    if sizes[0] < sizes[1]:
+        a, one, two, b = b, two, one, a
+    if one[2] is not Series:
+        return [a, b, Series, ([], [one, two])]
+    end = 1 if one[1] == x else 0  # (left, right) grow at (u, v)
+    one[3][end].extend(_items(two, x))
+    one[end] = b
+    return one
+
+
+def _orient(fragment, start: str) -> Node:
     """The tree of `fragment` read from its endpoint `start` into a `TreeAcceptor`.
 
-    Series parts are chained from `start`, so a series read from its far
-    end lists its parts in reverse; parallel parts keep their order.  A
-    part is read from its first endpoint when `start` is that endpoint and
-    from its second otherwise, so a fragment whose parts do not meet is
-    read as it is and rejected.  A finished reduction always yields a
-    valid tree, so a rejection is a broken invariant: RuntimeError.
+    A run's parts are chained from `start` (`_items`); a bundle's parts
+    keep their order.  A part is read from its first endpoint when `start`
+    is that endpoint and from its second otherwise, so a fragment whose
+    parts do not meet is read as it is and rejected.  A finished reduction
+    always yields a valid tree, so a rejection is a broken invariant:
+    RuntimeError.
     """
     build = TreeAcceptor()
     stack = [(fragment, start, False)]
     while stack:
         fragment, start, built = stack.pop()
-        _, u, v, kind, parts = fragment
+        u, v, kind, parts = fragment
         if kind is Leaf:
             if start == u:
                 build.leaf(u, v)
@@ -277,9 +307,9 @@ def _orient(fragment: tuple, start: str) -> Node:
                 reads = [(part, start, False) for part in parts]
             else:
                 reads = []
-                for part in parts if start == u else parts[::-1]:
+                for part in _items(fragment, start):
                     reads.append((part, start, False))
-                    start = part[2] if start == part[1] else part[1]
+                    start = part[1] if start == part[0] else part[0]
             stack.extend(reversed(reads))
     tree = build.finish()
     if tree is None:

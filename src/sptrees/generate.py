@@ -62,8 +62,10 @@ and `near_tree_index` invert the order: they take any spanning or near
 tree edge set and return the position of its orbit's representative.
 
 The pass runs once per tree object and keeps on the root node, never on
-the other nodes, its plans by code, each after its parts, and the plan
-of every inner node by id(node) (`_plans`).  Every enumeration list (a
+the other nodes, its plans by code, each after its parts, the plan of
+every inner node by id(node), and per P shape of two or more classes a
+table from member plan to class, which places a P node's children in
+their classes (`_plans`, `_members`).  Every enumeration list (a
 node's spanning and near trees, a class's near and spanning assignments)
 is a tuple of plain int leaf masks, so that `itertools.product` takes it
 without a copy, built bottom-up on first use into a memo that belongs to
@@ -175,7 +177,7 @@ class _ClassPlan:
         return span, _invariant_multisets(fixed, swapped, self.size)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False, repr=False)
 class _Plan:
     """Counts, codes and parts of one oriented shape, of `kind` leaf, series
     or parallel.
@@ -208,14 +210,41 @@ class _Plan:
         twice the semioriented count less the oriented one."""
         return 2 * self.ss - self.st, 2 * self.sn - self.nt
 
+    def _flat(self) -> list[tuple]:
+        """The fields of the plan and of every part below it, in preorder, a
+        class as (size, nt, st) before its representative's plan, each plan
+        with its number of parts: what `==` compares and `repr` shows, read
+        by an explicit stack, so that neither recurses on a deep plan."""
+        out, stack = [], [self]
+        while stack:
+            p = stack.pop()
+            if isinstance(p, _ClassPlan):
+                out.append((p.size, p.nt, p.st))
+                stack.append(p.rep_plan)
+            else:
+                out.append((p.kind, p.code, p.rev, p.m, p.n, p.st, p.nt, p.tau, p.nu,
+                            p.ss, p.sn, len(p.parts)))
+                stack.extend(reversed(p.parts))
+        return out
+
+    def __eq__(self, other: object):
+        if not isinstance(other, _Plan):
+            return NotImplemented
+        return self is other or self._flat() == other._flat()
+
+    def __repr__(self) -> str:
+        return f"_Plan({self._flat()})"
+
 
 class _Plans(NamedTuple):
     """What the plan pass keeps on a tree's root: the plan of every shape in
-    the tree by code, each after its parts' plans, the root's last, and the
-    plan of every inner node by id(node)."""
+    the tree by code, each after its parts' plans, the root's last, the
+    plan of every inner node by id(node), and per P shape of two or more
+    classes, by id(plan), the class of each member plan, by id (`_members`)."""
 
     by_code: dict[str, _Plan]
     at: dict[int, _Plan]
+    classes: dict[int, dict[int, int]]
 
     def of(self, node: Node) -> _Plan:
         """The plan of a node of the tree, a leaf's the shared "E" plan."""
@@ -230,13 +259,14 @@ def build_plan(g) -> _Plan:
 
 def _plans(tree: Node) -> _Plans:
     """The plan pass's result on `tree`, built once per tree object and kept
-    on its root node alone.  The plans hold counts, codes and parts only,
+    on its root node alone, in the `_plans` slot that every node has and
+    that nothing else writes.  The plans hold counts, codes and parts only,
     never a node or a tree list.  Within one build, isomorphic subtrees
     share one plan wherever they sit.
     """
-    plans = tree.__dict__.get("_plans")
-    if plans is None:
-        plans = tree.__dict__["_plans"] = _build(tree)
+    plans = getattr(tree, "_plans", None)
+    if plans is None:  # the one write to a built node's slot
+        object.__setattr__(tree, "_plans", plans := _build(tree))
     return plans
 
 
@@ -282,7 +312,7 @@ def _build(tree: Node) -> _Plans:
     is its kind and its children's plans, in order for a series node and
     as a multiset for a P node; only a new shape is composed."""
     leaf = _Plan("leaf", "E", "E", 1, n=2, st=1, nt=1, tau=1, nu=1, ss=1, sn=1)
-    by_code, at, shapes = {"E": leaf}, {}, {}
+    by_code, at, shapes, classes = {"E": leaf}, {}, {}, {}
     for node in inner_postorder(tree):
         kids = [at.get(id(child), leaf) for child in node.children]
         series = isinstance(node, Series)
@@ -292,8 +322,10 @@ def _build(tree: Node) -> _Plans:
         if plan is None:
             plan = shapes[key] = _compose(series, kids)
             by_code[plan.code] = plan
+            if len(plan.parts) > 1 and not series:
+                classes[id(plan)] = {id(cp.rep_plan): i for i, cp in enumerate(plan.parts)}
         at[id(node)] = plan
-    return _Plans(by_code, at)
+    return _Plans(by_code, at, classes)
 
 
 def _dual(series: bool, pair: tuple[int, int]) -> tuple[int, int]:
@@ -436,14 +468,17 @@ def _members(
     the plan pass's result on a tree that holds the node: a series child is
     a part of one member, planned by its own plan; a P class's members, in
     storage order, are the children that `plans` gives its representative's
-    plan."""
-    if plan.kind == "parallel":
-        classes = {id(cp.rep_plan): [] for cp in plan.parts}
-        at, leaf = plans.at, plans.by_code["E"]
-        for child in node.children:
-            classes[id(at.get(id(child), leaf))].append(child)
-        return [(tuple(ms), cp, cp.rep_plan) for ms, cp in zip(classes.values(), plan.parts)]
-    return list(zip(zip(node.children), plan.parts, plan.parts))
+    plan, placed by the shape's table of classes; a P shape's one class
+    holds all of its children."""
+    if plan.kind == "series":
+        return list(zip(zip(node.children), plan.parts, plan.parts))
+    if len(plan.parts) == 1:
+        return [(node.children, plan.parts[0], plan.parts[0].rep_plan)]
+    members = [[] for _ in plan.parts]
+    at, leaf, slot = plans.at, plans.by_code["E"], plans.classes[id(plan)]
+    for child in node.children:
+        members[slot[id(at.get(id(child), leaf))]].append(child)
+    return [(tuple(ms), cp, cp.rep_plan) for ms, cp in zip(members, plan.parts)]
 
 
 def _assignments(members: tuple[Node, ...], rep: _Plan, near: bool, lists) -> tuple[int, ...]:

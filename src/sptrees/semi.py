@@ -35,7 +35,7 @@ fixed-candidate arithmetic lives there too).
 from __future__ import annotations
 
 import operator
-from itertools import chain, compress, islice, product
+from itertools import accumulate, chain, combinations, compress, islice, product
 
 from .core import EdgeSet, SemiorientedSP, _tree_of
 from .generate import (
@@ -48,6 +48,7 @@ from .generate import (
     _streams,
     _sums,
     build_plan,
+    multiset_coefficient,
     multiset_enumerate,
 )
 
@@ -129,19 +130,43 @@ def _assignment_perm(size: int, near_perm: tuple[int, ...], span_perm: tuple[int
     partner class's, from its representative's near and spanning actions.
 
     Paired classes have identical shapes.  A near multiset goes to the
-    sorted images of its trees; a spanning choice, ordered by (tree,
-    multiset), goes to the image tree beside the image multiset.  A
-    one-member class's assignments are its representative's trees.
+    rank of its trees' images (`_images`); a spanning choice, ordered by
+    (tree, multiset), goes to the image tree beside the image multiset.
+    A one-member class's assignments are its representative's trees.
     """
     if size == 1:
         return near_perm, span_perm
+    rest = _images(near_perm, size - 1)
+    return _images(near_perm, size), tuple([s * len(rest) + i for s in span_perm for i in rest])
 
-    def images(k: int) -> tuple[int, ...]:
-        rank = {mu: i for i, mu in enumerate(multiset_enumerate(len(near_perm), k))}
-        return tuple([rank[tuple(sorted(map(near_perm.__getitem__, mu)))] for mu in rank])
 
-    rest = images(size - 1)
-    return images(size), tuple([s * len(rest) + i for s in span_perm for i in rest])
+def _images(perm: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """Per size-k multiset over range(r), r = len(perm), in
+    `multiset_enumerate` order, the rank of its image under `perm`.
+
+    Where k > 2r, each multiset is read as its count vector, in O(r): the
+    multisets come in that order as the stars-and-bars bar positions in
+    reverse, whose gaps are the counts plus one.  The rank of the image
+    counts the multisets before it.  Each first differs from it at the
+    place S_w of the image's first member above some value w (S_w its
+    members <= w), where it holds w, so the rank sums, over the w with
+    S_w < k, the C(r - w + k - S_w - 2, k - S_w - 1) nondecreasing
+    completions from w on (`multiset_rank`, by values, not places).
+    Where k <= 2r, sorting and looking up the k images costs less (as
+    measured), and is done instead.
+    """
+    r = len(perm)
+    if k <= 2 * r:
+        rank = {mu: i for i, mu in enumerate(multiset_enumerate(r, k))}
+        return tuple([rank[tuple(sorted(map(perm.__getitem__, mu)))] for mu in rank])
+    # terms[w][S_w + w + 1], the sum of the first w + 1 gaps: the term of value w.
+    terms = [[0] * (w + 1) + [multiset_coefficient(r - w, k - i - 1) for i in range(k + 1)]
+             for w in range(r)]
+    inverse = sorted(range(r), key=perm.__getitem__)  # inverse[w]: the item mapped to w
+    bars = reversed(list(combinations(range(k + r - 1), r - 1)))
+    gaps = (list(map(operator.sub, (*b, k + r - 1), (-1, *b))) for b in bars)
+    return tuple([sum(map(list.__getitem__, terms, accumulate(map(g.__getitem__, inverse))))
+                  for g in gaps])
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 import operator
 import random
@@ -43,6 +45,7 @@ from sptrees.generate import (
     _streams,
     build_plan,
     multiset_coefficient,
+    multiset_enumerate,
     multiset_rank,
 )
 from sptrees.oracle import FixBoth, FixSet, NonIntegralResult, OrbitReport
@@ -190,6 +193,84 @@ def preorder(node: Node) -> list[Node]:
     return out
 
 
+def reference_decompose_edge_list(edges, s: str, t: str) -> Node:
+    """The edge-list reducer with binary fragments, the reference for
+    `expr.decompose_edge_list`: each contraction makes a two-part S
+    fragment (id, a, b, Series, (first, second)), the older fragment
+    first, and each merge a two-part P fragment (id, u, v, Parallel, (old,
+    new)).  The nested same-kind fragments are read from s into a
+    `TreeBuilder`, which joins each run into one node.  It raises what the
+    reducer raises, with the same messages."""
+    from sptrees.expr import DisconnectedInput, NotSeriesParallel
+    from sptrees.core import is_valid_label
+
+    adj, ids = {}, itertools.count()
+    for u, v in edges:
+        if not is_valid_label(u) or not is_valid_label(v):
+            raise ValueError(f"bad vertex label in edge ({u!r}, {v!r})")
+        if u == v:
+            raise ValueError(f"self-loop at {u!r}")
+        if v in adj.get(u, ()):
+            raise ValueError(f"duplicate edge {u}-{v}")
+        adj.setdefault(u, {})[v] = adj.setdefault(v, {})[u] = (next(ids), u, v, Leaf, ())
+    if s == t:
+        raise ValueError("terminals must be distinct")
+    if s not in adj or t not in adj:
+        raise ValueError("terminals must appear in the edge list")
+    seen, stack = {s}, [s]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    if len(seen) != len(adj):
+        raise DisconnectedInput("input edge list is not connected")
+    fragments = sum(map(len, adj.values())) // 2
+    ready = sorted(x for x, around in adj.items() if len(around) == 2 and x not in (s, t))
+    while fragments > 1:
+        if not ready:
+            raise NotSeriesParallel(
+                "reduction is stuck: graph is not series-parallel for these terminals"
+            )
+        x = heapq.heappop(ready)
+        if len(adj[x]) != 2:
+            continue
+        (a, first), (b, second) = adj.pop(x).items()
+        if first[0] > second[0]:
+            (a, first), (b, second) = (b, second), (a, first)
+        del adj[a][x], adj[b][x]
+        merged = (next(ids), a, b, Series, (first, second))
+        fragments -= 1
+        old = adj[a].get(b)
+        if old is not None:
+            merged = (next(ids), old[1], old[2], Parallel, (old, merged))
+            fragments -= 1
+        adj[a][b] = adj[b][a] = merged
+        if old is not None:
+            for y in (a, b):
+                if len(adj[y]) == 2 and y not in (s, t):
+                    heapq.heappush(ready, y)
+    build, stack = TreeBuilder(), [(adj[s][t], s)]
+    while stack:
+        item = stack.pop()
+        if item is None:
+            build.close()
+            continue
+        (_, u, v, kind, parts), start = item
+        if kind is Leaf:
+            build.leaf(*((u, v) if start == u else (v, u)))
+            continue
+        build.open(kind)
+        stack.append(None)
+        reads = []
+        for part in parts if kind is Parallel or start == u else parts[::-1]:
+            reads.append((part, start))
+            if kind is Series:
+                start = part[2] if start == part[1] else part[1]
+        stack.extend(reversed(reads))
+    return build.finish()
+
+
 def assert_acceptor_agrees(feed) -> bool:
     """`feed(build)` drives one event stream into `build` and returns it.
     A `TreeAcceptor` accepts the stream exactly when a `TreeBuilder`
@@ -207,7 +288,7 @@ def assert_acceptor_agrees(feed) -> bool:
     ends = ("source", "target", "index")
     for a, b in zip(preorder(got), preorder(want), strict=True):
         assert type(a) is type(b)
-        assert [vars(a).get(k) for k in ends] == [vars(b).get(k) for k in ends]
+        assert [getattr(a, k, None) for k in ends] == [getattr(b, k, None) for k in ends]
     assert [lf.index for lf in iter_leaves(got)] == list(range(builder.leaves))
     return True
 
@@ -687,6 +768,19 @@ def reference_burnside_count(trees: list[EdgeSet], autos, g) -> int:
 # ---------------------------------------------------------------------------
 # Per-position reference for the plan
 # ---------------------------------------------------------------------------
+
+
+def reference_assignment_perm(size: int, near_perm, span_perm) -> tuple[list, list]:
+    """`semi._assignment_perm` by ranking every image multiset, sorted,
+    whatever the size: the rule that count vectors replace for large
+    classes."""
+
+    def images(k):
+        rank = {mu: i for i, mu in enumerate(multiset_enumerate(len(near_perm), k))}
+        return [rank[tuple(sorted(near_perm[x] for x in mu))] for mu in rank]
+
+    rest = images(size - 1)
+    return images(size), [s * len(rest) + i for s in span_perm for i in rest]
 
 
 def reference_offsets(x: list[int], y: list[int]) -> list[int]:

@@ -534,7 +534,7 @@ def test_internal_error_exit_code(diamond_file, capsys, monkeypatch):
 def test_an_invalid_tree_from_the_reduction_is_an_internal_error(tmp_path, capsys, monkeypatch):
     """A finished reduction always yields a valid tree, so a fragment whose
     series parts do not chain is a broken invariant: exit 4, not 2."""
-    fragment = (2, "s", "t", Series, ((0, "s", "a", Leaf, ()), (1, "b", "t", Leaf, ())))
+    fragment = ["s", "t", Series, ([], [("s", "a", Leaf, ()), ("b", "t", Leaf, ())])]
     with pytest.raises(RuntimeError):
         expr._orient(fragment, "s")
     monkeypatch.setattr(expr, "decompose_edge_list", lambda edges, s, t: expr._orient(fragment, s))

@@ -1,7 +1,10 @@
 """Domain types, validation, normalization, and edge-set classification."""
 
+import copy
 import itertools
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -347,3 +350,30 @@ def test_acceptor_agrees_with_the_builder(seed, depth, edits):
         for kind in kinds:
             _corrupt(raw, kind, rng)
         assert_acceptor_agrees(lambda build: feed_raw(raw, build))
+
+
+def test_nodes_are_slotted_frozen_and_compare_by_their_fields():
+    """Leaves and S and P nodes are slotted, with no `__dict__`; no field
+    can be assigned or deleted; `==`, `hash`, `repr`, pickling and copying
+    behave as they did for frozen dataclasses; an inner node's terminals
+    are set when it is built."""
+    kids = (Leaf("s", "a", 0), Leaf("a", "t", 1))
+    s = Series(kids)
+    p = Parallel((Leaf("s", "t", 2), s))
+    for node in (kids[0], s, p):
+        assert not hasattr(node, "__dict__")
+        for name in ("source", "target", "children", "_plans"):
+            with pytest.raises(FrozenInstanceError, match="cannot assign to field"):
+                setattr(node, name, "x")
+        with pytest.raises(FrozenInstanceError, match="cannot delete field"):
+            del node.source
+        assert pickle.loads(pickle.dumps(node)) == copy.deepcopy(node) == node
+    assert (s.source, s.target, p.source, p.target) == ("s", "t", "s", "t")
+    assert repr(s) == (
+        "Series(children=(Leaf(source='s', target='a', index=0), "
+        "Leaf(source='a', target='t', index=1)))"
+    )
+    assert hash(kids[0]) == hash(("s", "a", 0)) and hash(s) == hash((kids,))
+    assert s == Series(kids) and s != Parallel(kids) and Leaf("s", "t") == Leaf("s", "t", 0)
+    assert Leaf("s", "t", 0) != Leaf("s", "t", 1) and kids[0].children == ()
+    assert Series(()).children == ()

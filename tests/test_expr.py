@@ -1,5 +1,7 @@
 """Expression parsing, serialization, edge-list recognition, random instances."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,7 +32,16 @@ from sptrees import core, expr
 from sptrees.core import Leaf, Parallel, Series
 from sptrees.expr import read_edge_list, read_expressions, read_instances
 
-from conftest import DIAMOND_TEXT, THETA_TEXT, assert_acceptor_agrees, chain, deep_nest_text
+from conftest import (
+    DIAMOND_TEXT,
+    THETA_TEXT,
+    assert_acceptor_agrees,
+    chain,
+    deep_nest_text,
+    preorder,
+    reference_decompose_edge_list,
+    small_corpus,
+)
 
 
 def test_parse_single_edge():
@@ -241,6 +252,111 @@ def test_decompose_wide_parallel_of_chains():
     tree = decompose_edge_list(edges, "s", "t")
     assert isinstance(tree, Parallel) and len(tree.children) == k
     assert sorted(underlying_graph(tree).edges) == sorted(tuple(sorted(e)) for e in edges)
+
+
+def _edge_list_text(tree, seed: int) -> str:
+    """The edge-list file of `tree`'s graph, lines shuffled and endpoints
+    swapped by a seeded draw."""
+    rng = random.Random(seed)
+    edges = underlying_graph(tree).edges
+    lines = [f"{u} {v}" if rng.random() < 0.5 else f"{v} {u}" for u, v in edges]
+    rng.shuffle(lines)
+    return f"terminals {tree.source} {tree.target}\n" + "\n".join(lines) + "\n"
+
+
+def _path_text(k: int, seed: int) -> str:
+    """A k-edge path through v0, ..., vk as an edge-list file, like the
+    benchmark's path800.el: labels along the path, lines in seeded order."""
+    return _edge_list_text(chain(k), seed)
+
+
+def _copies_text(k: int) -> str:
+    """CI's P of k copies of S(e,P(e,S(e,e))), 4k edges."""
+    copy = "S(e(s,a{0}),P(e(a{0},t),S(e(a{0},b{0}),e(b{0},t))))"
+    return "P(" + ",".join(copy.format(i) for i in range(k)) + ")"
+
+
+def _reads(monkeypatch):
+    """Counters of `Leaf` constructions and of the acceptor's opens and closes."""
+    calls = {"leaf": 0, "open": 0, "close": 0}
+
+    def counted(name, method):
+        def call(*args):
+            calls[name] += 1
+            return method(*args)
+        return call
+
+    monkeypatch.setattr(Leaf, "__init__", counted("leaf", Leaf.__init__))
+    monkeypatch.setattr(core.TreeAcceptor, "open", counted("open", core.TreeAcceptor.open))
+    monkeypatch.setattr(core.TreeAcceptor, "close", counted("close", core.TreeAcceptor.close))
+    return calls
+
+
+@pytest.mark.parametrize("k", [800, 10_000])
+def test_a_path_reaches_the_acceptor_as_one_series_node(k, monkeypatch):
+    """The reducer extends one series run along the path, so the acceptor
+    sees one open and one close, not k - 1 nested binary fragments."""
+    text = _path_text(k, seed=k)
+    calls = _reads(monkeypatch)
+    (tree,) = read_instances(text)
+    assert calls == {"leaf": k, "open": 1, "close": 1}
+    assert serialize_sp(tree) == serialize_sp(chain(k))
+
+
+def _corpus_texts():
+    """Each corpus tree as an expression and as an edge list, with test ids."""
+    named = [(f"draw{i}", tree) for i, tree in enumerate(small_corpus(12, max_vertices=12))] + [
+        ("diamond", parse_sp(DIAMOND_TEXT)), ("theta", parse_sp(THETA_TEXT)),
+        ("nest300", parse_sp(deep_nest_text(300))), ("copies200", parse_sp(_copies_text(200))),
+        ("path800", chain(800)),
+    ]
+    return [pytest.param(serialize_sp(tree), id=f"{name}.sp") for name, tree in named] + [
+        pytest.param(_edge_list_text(tree, seed), id=f"{name}.el")
+        for seed, (name, tree) in enumerate(named)
+    ]
+
+
+@pytest.mark.parametrize("text", _corpus_texts())
+def test_reading_builds_m_leaves_and_one_open_per_inner_node(text, monkeypatch):
+    """Either reader constructs exactly one `Leaf` per edge.  The edge-list
+    reducer hands the acceptor one open/close pair per inner node of the
+    tree it returns: its fragments are already the normalized nodes."""
+    calls = _reads(monkeypatch)
+    (tree,) = read_instances(text)
+    nodes = preorder(tree)
+    inner = sum(not isinstance(node, Leaf) for node in nodes)
+    assert calls["leaf"] == len(nodes) - inner == underlying_graph(tree).m
+    if text.startswith("terminals"):
+        assert calls["open"] == calls["close"] == inner
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10_000), depth=st.integers(1, 4), line_seed=st.integers(0, 99))
+def test_the_reducer_builds_the_binary_reference_tree(seed, depth, line_seed):
+    """The n-ary runs and bundles give the tree the binary reducer gives,
+    node for node, leaf indices included, so `.el` output numbering stays."""
+    tree = random_sp(RandomSpParams(seed=seed, max_depth=depth, max_children=4))
+    lines = _edge_list_text(tree, line_seed).splitlines()
+    _, s, t = lines[0].split()
+    edges = [tuple(line.split()) for line in lines[1:]]
+    got = decompose_edge_list(edges, s, t)
+    assert got == reference_decompose_edge_list(edges, s, t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(edges=st.lists(st.tuples(*[st.sampled_from(["s", "t", "a", "b", "c", "d", "x-y"])] * 2),
+                      min_size=1, max_size=10))
+def test_the_reducer_fails_as_the_binary_reference_does(edges):
+    """On any small edge list, the reducer and its binary reference return
+    equal trees or raise the same error with the same message; a bad label
+    is named at its first edge, as when every edge checked both labels."""
+    def outcome(reduce):
+        try:
+            return reduce(edges, "s", "t")
+        except ValueError as exc:
+            return type(exc), str(exc)
+
+    assert outcome(decompose_edge_list) == outcome(reference_decompose_edge_list)
 
 
 def test_random_depth_zero_is_single_edge():

@@ -43,6 +43,7 @@ from sptrees.semi import _masks
 from conftest import (
     DIAMOND_TEXT,
     THETA_TEXT,
+    deep_nest_text,
     mirror_symmetric,
     preorder,
     reference_classes,
@@ -218,16 +219,21 @@ def test_no_tree_list_outlives_its_stream(text):
 @pytest.mark.parametrize("text", TEXTS)
 def test_no_node_holds_a_code_or_a_plan(text):
     """After the counts, the enumerations, the indices and the codes, every
-    node's `__dict__` holds its fields and terminals alone; the plan pass's
-    result is kept on the root, beside them."""
+    node holds its fields and terminals alone; the plan pass's result is
+    kept on the root, beside them.  Nodes are slotted, with no `__dict__`,
+    so their filled slots are all they hold."""
     tree = parse_sp(text)
     _results(tree)
     plan = build_plan(tree)
     assert (canonical_code(tree), reversal_code(tree)) == (plan.code, plan.rev)
     for node in preorder(tree):
-        held = set(vars(node)) - {"children", "index", "source", "target"}
-        assert held == ({"_plans"} if node is tree else set())
-        assert not any(isinstance(value, generate._Plan) for value in vars(node).values())
+        assert not hasattr(node, "__dict__")
+        slots = {name for cls in type(node).__mro__ for name in getattr(cls, "__slots__", ())}
+        held = {name for name in slots - {"__weakref__"} if hasattr(node, name)}
+        assert held - {"children", "index", "source", "target"} == (
+            {"_plans"} if node is tree else set()
+        )
+        assert not any(isinstance(getattr(node, name), generate._Plan) for name in held)
 
 
 @pytest.mark.parametrize("text", TEXTS)
@@ -363,3 +369,24 @@ def test_a_triangle_chain_shares_its_plans(k):
     if k > 1:
         assert plan.parts[0] is plan.parts[-1]
     assert count_total(OrientedSP(tree)).spanning == 3**k
+
+
+def test_plans_compare_and_print_without_recursion():
+    """A plan's `==` and `repr` read its parts by an explicit stack, so the
+    plans of a 2000-level nest compare and print; small plans compare as
+    their fields do, parts included, as dataclass `==` compared them."""
+    deep, again = (build_plan(parse_sp(deep_nest_text(2000))) for _ in range(2))
+    other = build_plan(parse_sp(deep_nest_text(2001)))
+    assert deep is not again and deep == again and deep != other
+    assert repr(deep).startswith("_Plan([('series', ") and len(repr(deep)) > 2000
+    plans = [build_plan(parse_sp(text)) for text in TEXTS for _ in range(2)]
+    # Each plan with parts also comes with its last part's spanning count off
+    # by one, a plan equal to it but for a field below the root.
+    plans += [
+        dataclasses.replace(plan, parts=plan.parts[:-1] + (
+            dataclasses.replace(plan.parts[-1], st=plan.parts[-1].st + 1),))
+        for plan in plans if plan.parts
+    ]
+    for a in plans:
+        for b in plans:
+            assert (a == b) == (dataclasses.astuple(a) == dataclasses.astuple(b))

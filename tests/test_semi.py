@@ -31,7 +31,7 @@ from sptrees import (
 from sptrees import canonical, core, generate
 from sptrees.cli import run
 from sptrees.core import Parallel
-from sptrees.generate import _partners, _streams, build_plan, multiset_enumerate
+from sptrees.generate import _partners, _streams, build_plan, multiset_coefficient
 from sptrees.oracle import apply_permutation
 from sptrees.semi import _assignment_perm, _masks
 
@@ -40,6 +40,7 @@ from conftest import (
     mirror_pairs,
     mirror_symmetric,
     orbit_exactly_once,
+    reference_assignment_perm,
     reference_classes,
     reference_code,
     reference_codes,
@@ -167,17 +168,6 @@ def test_reversal_index_perm_matches_the_reference_on_random_draws(seed):
     _assert_perms_match_the_reference(tree)
 
 
-def _ranked_assignment_perm(size, near_perm, span_perm):
-    """`_assignment_perm` by ranking every image multiset, whatever the size."""
-
-    def images(k):
-        rank = {mu: i for i, mu in enumerate(multiset_enumerate(len(near_perm), k))}
-        return [rank[tuple(sorted(near_perm[x] for x in mu))] for mu in rank]
-
-    rest = images(size - 1)
-    return images(size), [s * len(rest) + i for s in span_perm for i in rest]
-
-
 @pytest.mark.parametrize("seed", range(60))
 def test_one_member_classes_keep_the_representative_actions(seed):
     """A one-member class's assignment actions are its representative's own
@@ -190,8 +180,22 @@ def test_one_member_classes_keep_the_representative_actions(seed):
         span = list(reversal_index_perm(child, mirror, "spanning"))
         for size in (1, 2, 3) if len(near) <= 12 else (1,):
             got = tuple(map(list, _assignment_perm(size, near, span)))
-            assert got == _ranked_assignment_perm(size, near, span)
-        assert _ranked_assignment_perm(1, near, span) == (near, span)
+            assert got == reference_assignment_perm(size, near, span)
+        assert reference_assignment_perm(1, near, span) == (near, span)
+
+
+@settings(max_examples=200, deadline=None)
+@given(r=st.integers(1, 7), size=st.integers(1, 30), data=st.data())
+def test_assignment_actions_equal_the_sorted_rank_rule(r, size, data):
+    """Under any permutation of a representative's near trees, and for any
+    class size, the class's actions equal those of ranking each sorted
+    image multiset, on both sides of the count-vector cut (k > 2r)."""
+    if multiset_coefficient(r, size) > 20_000:
+        size = 2
+    near = data.draw(st.permutations(range(r)))
+    span = data.draw(st.permutations(range(data.draw(st.integers(1, 4)))))
+    got = tuple(map(list, _assignment_perm(size, tuple(near), tuple(span))))
+    assert got == reference_assignment_perm(size, near, span)
 
 
 @pytest.mark.parametrize("kind", ["series", "parallel"])
