@@ -233,8 +233,10 @@ def _cmd_enumerate(args) -> int:
             lines = _lines(tokens, masks, ",")
         else:
             kind = "near" if args.near else "spanning"
-            record = f'{{"edges": [%s], "index": %d, "kind": "{kind}", "mode": "{args.mode}"}}'
-            lines = map(record.__mod__, zip(_lines(tokens, masks, ", "), count()))
+            tail = f', "kind": "{kind}", "mode": "{args.mode}"}}'
+            parts = zip(repeat('{"edges": ['), _lines(tokens, masks, ", "),
+                        repeat('], "index": '), map(str, count()), repeat(tail))
+            lines = map("".join, parts)
         size = 1
         while chunk := list(islice(lines, size)):
             chunk.append("")  # the last line's newline, with no copy of the chunk

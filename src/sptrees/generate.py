@@ -76,8 +76,13 @@ the print order for the CLI), and a P node's class members are its
 actual children.  Each member's list is built from its own structure,
 which is the representative's up to the class's isomorphism, so entry i
 of every member's list is the same tree up to that map.  List entries
-combine masks on disjoint leaf sets, so `_sums` builds every product as
-a sum of masks, and no mask is moved bit by bit.  The enumerations
+combine masks on disjoint leaf sets, so every entry is a sum of masks,
+and no mask is moved bit by bit: `_sums` sums each product of part
+lists, and a class's multiset sums its members' masks, except where the
+class is wide, its c members many against its representative's r near
+trees (`_wide`).  There each multiset is read as its count vector, whose
+mask is r - 1 lookups in differences of the members' prefix sums, summed
+(`_assignments`), so an entry costs O(r) and not O(c).  The enumerations
 stream the root's trees from its part lists (`_blocks`), so large
 outputs are never held in memory at once.  The index operations rank a
 tree in one loop over the same nodes, children first, each reading its
@@ -481,6 +486,22 @@ def _members(
     return [(tuple(ms), cp, cp.rep_plan) for ms, cp in zip(members, plan.parts)]
 
 
+def _wide(r: int, c: int) -> bool:
+    """Whether size-c multisets over r items are read as count vectors
+    (`_cumulative`): r - 1 terms an entry in place of c, which pays, as
+    measured, only where c is well above r."""
+    return c > 2 * r
+
+
+def _cumulative(r: int, c: int):
+    """The size-c multisets over range(r), in reverse `multiset_enumerate`
+    order, each as its cumulative counts (e_0, ..., e_{r-2}), e_w the number
+    of its members <= w: the nondecreasing vectors over range(c + 1) in
+    lexicographic order, streamed, so that a caller reverses its results
+    and holds no list of vectors."""
+    return itertools.combinations_with_replacement(range(c + 1), r - 1)
+
+
 def _assignments(members: tuple[Node, ...], rep: _Plan, near: bool, lists) -> tuple[int, ...]:
     """Masks of a part's near assignments, in multiset order, or of its
     spanning assignments, ordered by (tree, multiset), with each member's
@@ -489,13 +510,29 @@ def _assignments(members: tuple[Node, ...], rep: _Plan, near: bool, lists) -> tu
     A multiset x_0 <= x_1 <= ... puts near tree x_p on member p.  A spanning
     assignment puts the tree on the first member and a near multiset on the
     rest; up to swaps within the class the choice of carrier does not
-    matter.  A lone member's assignments are its own trees."""
+    matter.  A lone member's assignments are its own trees.
+
+    Where the c members are many against the r near trees (`_wide`), a
+    multiset is read as its cumulative counts e_w (`_cumulative`, which
+    streams them in reverse order, so the entries are reversed once built):
+    members e_{w-1} to e_w - 1 hold tree w.  With P_w[p] the sum of the first p
+    members' tree-w masks, its mask telescopes to P_{r-1}[c] + sum over w <
+    r - 1 of (P_w - P_{w+1})[e_w]: r - 1 lookups and one `sum` an entry, by
+    C-level maps.  Elsewhere each entry sums its c members' masks."""
     first = 0 if near else 1
     if len(members) == 1:
         return lists(members[0], rep, near)
     tables = [lists(x, rep, True) for x in members[first:]]
-    multisets = itertools.combinations_with_replacement(range(rep.nt), len(tables))
-    sets = tuple([sum(map(operator.getitem, tables, mu)) for mu in multisets])
+    r, c = rep.nt, len(tables)
+    if _wide(r, c):
+        prefix = [list(itertools.accumulate(col, initial=0)) for col in zip(*tables)]
+        diffs = [list(map(operator.sub, a, b)) for a, b in zip(prefix, prefix[1:])]
+        lookups = itertools.repeat(list.__getitem__)
+        terms = map(map, lookups, itertools.repeat(diffs), _cumulative(r, c))
+        sets = tuple(reversed(list(map(sum, terms, itertools.repeat(prefix[-1][c])))))
+    else:
+        multisets = itertools.combinations_with_replacement(range(r), c)
+        sets = tuple([sum(map(operator.getitem, tables, mu)) for mu in multisets])
     return sets if near else tuple(_sums([[lists(members[0], rep, False), sets]]))
 
 

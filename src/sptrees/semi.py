@@ -35,18 +35,20 @@ fixed-candidate arithmetic lives there too).
 from __future__ import annotations
 
 import operator
-from itertools import accumulate, chain, combinations, compress, islice, product
+from itertools import accumulate, chain, compress, islice, product, repeat, tee
 
 from .core import EdgeSet, SemiorientedSP, _tree_of
 from .generate import (
     _block_of,
     _count,
+    _cumulative,
     _layout,
     _partners,
     _plans,
     _starts,
     _streams,
     _sums,
+    _wide,
     build_plan,
     multiset_coefficient,
     multiset_enumerate,
@@ -144,29 +146,32 @@ def _images(perm: tuple[int, ...], k: int) -> tuple[int, ...]:
     """Per size-k multiset over range(r), r = len(perm), in
     `multiset_enumerate` order, the rank of its image under `perm`.
 
-    Where k > 2r, each multiset is read as its count vector, in O(r): the
-    multisets come in that order as the stars-and-bars bar positions in
-    reverse, whose gaps are the counts plus one.  The rank of the image
-    counts the multisets before it.  Each first differs from it at the
-    place S_w of the image's first member above some value w (S_w its
-    members <= w), where it holds w, so the rank sums, over the w with
-    S_w < k, the C(r - w + k - S_w - 2, k - S_w - 1) nondecreasing
-    completions from w on (`multiset_rank`, by values, not places).
-    Where k <= 2r, sorting and looking up the k images costs less (as
-    measured), and is done instead.
+    Where k is large against r (`generate._wide`), each multiset is read as
+    its count vector, in O(r) by C-level maps: the counts are the gaps of
+    its cumulative counts (`generate._cumulative`), which come in reverse
+    order, and the image's counts, by value, are those of the items that
+    `perm` maps to each value.  The rank of the image counts the multisets
+    before it.  Each first differs from it at the place S_w of the image's
+    first member above some value w (S_w its members <= w), where it holds
+    w, so the rank sums, over the w with S_w < k, the C(r - w + k - S_w - 2,
+    k - S_w - 1) nondecreasing completions from w on (`multiset_rank`, by
+    values, not places); S_{r-1} is k.  Elsewhere sorting and looking up
+    the k images costs less (as measured), and is done instead.
     """
     r = len(perm)
-    if k <= 2 * r:
+    if not _wide(r, k):
         rank = {mu: i for i, mu in enumerate(multiset_enumerate(r, k))}
         return tuple([rank[tuple(sorted(map(perm.__getitem__, mu)))] for mu in rank])
-    # terms[w][S_w + w + 1], the sum of the first w + 1 gaps: the term of value w.
-    terms = [[0] * (w + 1) + [multiset_coefficient(r - w, k - i - 1) for i in range(k + 1)]
-             for w in range(r)]
-    inverse = sorted(range(r), key=perm.__getitem__)  # inverse[w]: the item mapped to w
-    bars = reversed(list(combinations(range(k + r - 1), r - 1)))
-    gaps = (list(map(operator.sub, (*b, k + r - 1), (-1, *b))) for b in bars)
-    return tuple([sum(map(list.__getitem__, terms, accumulate(map(g.__getitem__, inverse))))
-                  for g in gaps])
+    if r == 1:  # one multiset; an itemgetter of one index would give a bare int
+        return (0,)
+    terms = [[multiset_coefficient(r - w, k - i - 1) for i in range(k + 1)] for w in range(r - 1)]
+    ends, starts = tee(_cumulative(r, k))
+    ends, starts = map(operator.add, ends, repeat((k,))), map(operator.add, repeat((0,)), starts)
+    counts = map(tuple, map(map, repeat(operator.sub), ends, starts))
+    # Value w of the image counts the members of the item mapped to w.
+    inverse = sorted(range(r), key=perm.__getitem__)
+    sums = map(accumulate, map(operator.itemgetter(*inverse), counts))
+    return tuple(reversed(list(map(sum, map(map, repeat(list.__getitem__), repeat(terms), sums)))))
 
 
 # ---------------------------------------------------------------------------

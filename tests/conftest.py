@@ -37,7 +37,6 @@ from sptrees.generate import (
     ImageNotFound,
     _ClassPlan,
     _Plan,
-    _assignments,
     _invariant_multisets,
     _members,
     _placed,
@@ -650,7 +649,8 @@ def reference_semioriented_masks(tree: Node, numbering=None) -> list[int]:
             for cp, (near, span) in zip(classes, perms)
         ]
         items = [
-            _assignments(members, rep, True, placed) + _assignments(members, rep, False, placed)
+            reference_assignments(members, rep, True, placed)
+            + reference_assignments(members, rep, False, placed)
             for members, _, rep in _members(plans, tree, plan)
         ]
         blocks = [
@@ -768,6 +768,21 @@ def reference_burnside_count(trees: list[EdgeSet], autos, g) -> int:
 # ---------------------------------------------------------------------------
 # Per-position reference for the plan
 # ---------------------------------------------------------------------------
+
+
+def reference_assignments(members, rep, near: bool, lists) -> tuple[int, ...]:
+    """`generate._assignments` by summing each multiset's member masks,
+    whatever the class size: multiset x_0 <= x_1 <= ... puts near tree x_p
+    on member p, and a spanning assignment is a spanning tree on the first
+    member beside a near multiset on the rest.  Prefix sums over count
+    vectors replace this rule for wide classes."""
+    first = 0 if near else 1
+    if len(members) == 1:
+        return lists(members[0], rep, near)
+    tables = [lists(x, rep, True) for x in members[first:]]
+    multisets = itertools.combinations_with_replacement(range(rep.nt), len(tables))
+    sets = tuple([sum(map(operator.getitem, tables, mu)) for mu in multisets])
+    return sets if near else tuple(a + b for a in lists(members[0], rep, False) for b in sets)
 
 
 def reference_assignment_perm(size: int, near_perm, span_perm) -> tuple[list, list]:

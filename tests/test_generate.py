@@ -1,8 +1,13 @@
 """Oriented enumeration, counting recurrences, streams, and orbit indexing."""
 
 import random
+from collections import Counter
+from functools import partial
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sptrees import (
     Classification,
@@ -34,7 +39,18 @@ from sptrees import (
 )
 from sptrees.cli import verify_instance
 from sptrees.core import Leaf, Parallel, Series, mask_image
-from sptrees.generate import _index, _plans, _streams, build_plan, multiset_coefficient, multiset_rank
+from sptrees import generate
+from sptrees.generate import (
+    _assignments,
+    _index,
+    _members,
+    _placed,
+    _plans,
+    _streams,
+    build_plan,
+    multiset_coefficient,
+    multiset_rank,
+)
 from sptrees.semi import _masks
 
 from conftest import (
@@ -43,6 +59,7 @@ from conftest import (
     deep_nest_text,
     mirror_symmetric,
     orbit_exactly_once,
+    reference_assignments,
     reference_index,
     small_corpus,
 )
@@ -423,3 +440,61 @@ def test_index_of_a_deep_nest_returns(depth):
     o = OrientedSP(tree)
     rank = spanning_tree_index(o, _kruskal(underlying_graph(tree)))
     assert 0 <= rank < count_oriented(o).spanning
+
+
+@pytest.mark.parametrize("near", [True, False])
+@pytest.mark.parametrize("r", [1, 2, 3, 5])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_assignments_equal_the_member_sum_rule(r, near, data):
+    """A class's near (or spanning) assignment masks equal those of summing
+    each multiset's member masks, on both sides of the count-vector cut
+    (`generate._wide`): one member, and 2r, 2r + 1 and 2r + 2 members, so
+    that a spanning assignment's rest of c - 1 lies on each side too.  Each
+    member's masks are distinct and lie on its own bits, as a P node's
+    members' do, so that every assignment has its own mask."""
+    width, spans = 2 * r + 2, data.draw(st.integers(1, 3))
+    for c in (1, 2, 2 * r, 2 * r + 1, 2 * r + 2):
+        masks = st.lists(st.integers(0, 2**width - 1), min_size=r + spans, max_size=r + spans,
+                         unique=True)
+        trees = [[x << p * width for x in data.draw(masks)] for p in range(c)]
+
+        def lists(member, rep, kind):
+            return tuple(trees[member][: rep.nt] if kind else trees[member][rep.nt :])
+
+        rep, members = SimpleNamespace(nt=r), tuple(range(c))
+        got = _assignments(members, rep, near, lists)
+        assert got == reference_assignments(members, rep, near, lists)
+
+
+@pytest.mark.parametrize("c", [40, 80])
+def test_wide_classes_sum_r_minus_1_terms_per_multiset(c, monkeypatch):
+    """A P of c three-edge chains (r = 3 near trees each) builds its
+    assignments from count vectors: every multiset's mask is one `sum` of
+    r - 1 = 2 terms, never one of c, for the near assignments and for the
+    c - 1 members beside a spanning tree (each then adds 2 terms)."""
+    text = "P(" + ",".join(f"S(e(s,a{i}),e(a{i},b{i}),e(b{i},t))" for i in range(c)) + ")"
+    tree = parse_sp(text)
+    plans = _plans(tree)
+    [(members, part, rep)] = _members(plans, tree, plans.of(tree))
+    lists = partial(_placed, {}, None, plans)
+    for x in members:  # the members' own lists first: their sums are not counted
+        lists(x, rep, True), lists(x, rep, False)
+    terms, builtin_sum = [], sum
+
+    def counted(items, start=0):
+        items = list(items)
+        terms.append(len(items))
+        return builtin_sum(items, start)
+
+    monkeypatch.setattr(generate, "sum", counted, raising=False)
+    near = _assignments(members, rep, True, lists)
+    assert Counter(terms) == {rep.nt - 1: part.nt} and len(near) == part.nt
+    terms.clear()
+    spanning = _assignments(members, rep, False, lists)
+    rest = multiset_coefficient(rep.nt, c - 1)
+    assert Counter(terms) == {rep.nt - 1: rest + rep.st * rest} and len(spanning) == part.st
+    monkeypatch.undo()
+    assert (near, spanning) == tuple(
+        reference_assignments(members, rep, kind, lists) for kind in (True, False)
+    )
