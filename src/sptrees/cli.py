@@ -3,12 +3,16 @@
 Subcommands: parse, count, enumerate, verify, random, code.  Input
 files hold one SP expression per line ('#' comments), or an edge list
 starting with a 'terminals s t' line.  Exit codes: 0 success, 1 usage
-error, 2 invalid input, 3 verification failure, 4 internal error (a
-broken internal invariant, an input too deep for the recursion limit,
-or running out of memory).  A reader that closes the output early, as
-`| head` does, ends the run quietly with exit 0.  Input, counts, codes,
-orbit indexing and the reversal actions accept any depth or width; only
-enumeration lists still recurse.
+error, 2 invalid input (any ValueError or OSError, and an instance above
+the oracle's limit), 3 verification failure, 4 internal error: any other
+exception, such as a broken internal invariant (`ImageNotFound` too,
+though a ValueError), an input too deep for the recursion limit, or
+running out of memory, reported in one line with no traceback.  A reader
+that closes the output early, as `| head` does, ends the run quietly
+with exit 0.  The commands pass each parsed tree to the library as it
+is; each library function reads it as the kind of graph it names.
+Input, counts, codes, orbit indexing and the reversal actions accept any
+depth or width; only enumeration lists still recurse.
 """
 
 from __future__ import annotations
@@ -21,23 +25,8 @@ from functools import cache
 from itertools import chain, count, cycle, islice, repeat
 
 from .canonical import canonical_code, mirror_pairing, reversal_code
-from .core import (
-    EdgeSet,
-    InvalidTreeError,
-    Node,
-    OrientedSP,
-    SemiorientedSP,
-    underlying_graph,
-)
-from .expr import (
-    DisconnectedInput,
-    NotSeriesParallel,
-    RandomSpParams,
-    SpParseError,
-    random_sp,
-    read_instances,
-    serialize_sp,
-)
+from .core import EdgeSet, Node, underlying_graph
+from .expr import RandomSpParams, random_sp, read_instances, serialize_sp
 from .generate import ImageNotFound, _streams, count_oriented, count_total, oriented_both
 from .oracle import (
     DEFAULT_LIMIT,
@@ -51,17 +40,6 @@ from .oracle import (
 )
 from .semi import _masks, count_semioriented, semioriented_spanning
 
-# RecursionError is a RuntimeError; ImageNotFound is a ValueError, so this
-# tuple is caught before _INPUT_ERRORS.
-_INTERNAL_ERRORS = (ImageNotFound, AssertionError, RuntimeError)
-_INPUT_ERRORS = (
-    SpParseError,
-    InvalidTreeError,
-    NotSeriesParallel,
-    DisconnectedInput,
-    ValueError,
-    OSError,
-)
 # Most lines `enumerate` joins into one write.
 _CHUNK = 64
 
@@ -147,17 +125,20 @@ def run(argv=None) -> int:
     except LimitExceeded as exc:
         print(f"refusing oracle run: {exc}", file=sys.stderr)
         return 2
-    except _INTERNAL_ERRORS as exc:
+    except BrokenPipeError:
+        raise  # an OSError, but no input error: `main` ends the run quietly
+    except ImageNotFound as exc:  # a ValueError, but a broken invariant
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except MemoryError:
         print("internal error: out of memory", file=sys.stderr)
         return 4
-    except BrokenPipeError:
-        raise  # an OSError, but no input error: `main` ends the run quietly
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:  # RecursionError and every other broken invariant
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 def main() -> None:
@@ -201,10 +182,10 @@ def _decimal(n: int) -> str:
 def _cmd_count(args) -> int:
     for tree in _load(args.file):
         if args.mode == "semioriented":
-            print(_decimal(count_semioriented(SemiorientedSP(tree))))
+            print(_decimal(count_semioriented(tree)))
         else:
             counter = count_oriented if args.mode == "oriented" else count_total
-            pair = counter(OrientedSP(tree))
+            pair = counter(tree)
             print(_decimal(pair.near if args.near else pair.spanning))
     return 0
 
@@ -291,7 +272,7 @@ def verify_instance(tree: Node, limit: int = DEFAULT_LIMIT) -> tuple[bool, str]:
     s, t = tree.source, tree.target
     failures = []
 
-    tau = count_total(OrientedSP(tree)).spanning
+    tau = count_total(tree).spanning
     spanning = all_spanning_trees(graph, limit=limit)
     kirchhoff = kirchhoff_count(graph)
     if not tau == kirchhoff == len(spanning):
@@ -312,8 +293,8 @@ def verify_instance(tree: Node, limit: int = DEFAULT_LIMIT) -> tuple[bool, str]:
     near_masks = [es.mask for es in near]
     near_keys = _least_images(graph, near_masks, aut_or)[0]
 
-    counts = count_oriented(OrientedSP(tree))
-    fast_sp, fast_nt = oriented_both(OrientedSP(tree))
+    counts = count_oriented(tree)
+    fast_sp, fast_nt = oriented_both(tree)
     failures.extend(
         _orbit_agreement("oriented spanning", fast_sp, masks, keys_or, counts.spanning)
     )
@@ -321,8 +302,8 @@ def verify_instance(tree: Node, limit: int = DEFAULT_LIMIT) -> tuple[bool, str]:
         _orbit_agreement("oriented near", fast_nt, near_masks, near_keys, counts.near)
     )
 
-    fast_semi = semioriented_spanning(SemiorientedSP(tree))
-    semi_count = count_semioriented(SemiorientedSP(tree))
+    fast_semi = semioriented_spanning(tree)
+    semi_count = count_semioriented(tree)
     failures.extend(
         _orbit_agreement("semioriented spanning", fast_semi, masks, keys_semi, semi_count)
     )

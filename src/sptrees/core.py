@@ -50,13 +50,22 @@ def _frozen(self, name: str, *value) -> None:
     raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
 
 
+class _Hash(int):
+    """A hash value that hashes to itself, where an int would be reduced."""
+
+    __slots__ = ()
+    __hash__ = int.__int__
+
+
 class _Node:
     """What every tree node has: terminals set when it is built, and a slot
     that only the plan pass (`generate._plans`) fills, on a root.
 
     Nodes are slotted, and no field can be assigned after construction.
     They compare, hash and print by their fields (`_fields`), as frozen
-    dataclasses do, so `==`, `hash` and `repr` recurse into the children.
+    dataclasses do.  `==` and `hash` read the subtrees by explicit stacks,
+    so they take any depth; `repr` and pickling recurse into the children.
+    A node is its own copy, shallow or deep, as any immutable value is.
     """
 
     __slots__ = ("source", "target", "_plans", "__weakref__")
@@ -66,12 +75,33 @@ class _Node:
         return tuple(map(self.__getattribute__, self._fields))
 
     def __eq__(self, other: object):
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a.__class__ is not b.__class__ or len(a.children) != len(b.children):
+                return False
+            if a.__class__ is Leaf and a._key() != b._key():
+                return False
+            stack.extend(zip(a.children, b.children))
+        return True
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        """The frozen dataclass's hash, children first: an inner node's is
+        that of the tuple of its children's hashes, each as a `_Hash`."""
+        if self.__class__ is Leaf:
+            return hash(self._key())
+        hashes = {}
+        for node in inner_postorder(self):
+            kids = [hashes[id(k)] if k.__class__ is not Leaf else hash(k) for k in node.children]
+            hashes[id(node)] = hash((tuple(map(_Hash, kids)),))
+        return hashes[id(self)]
+
+    def __copy__(self, memo=None):
+        return self
+
+    __deepcopy__ = __copy__
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self._key()))
@@ -167,15 +197,38 @@ def inner_postorder(node: Node) -> list[Node]:
 
 
 @dataclass(frozen=True, eq=False)
-class OrientedSP:
-    """A series-parallel graph with an ordered (source, sink) terminal pair.
+class _RootedSP:
+    """A series-parallel graph with two terminals, given by its tree.
 
-    Two oriented graphs are equal when their underlying labeled graphs
-    coincide and their terminals match in order.  Swapping the terminals
-    yields a different oriented graph in general.
+    The one graph type: `OrientedSP` reads its terminals as an ordered
+    (source, sink) pair and `SemiorientedSP` as an unordered set, each by
+    its `_terminal_key`.  Two graphs are equal when they are of the same
+    kind, their underlying labeled graphs coincide and their terminal keys
+    are equal; a pair never equals a set, so the two kinds never compare
+    equal.
     """
 
     tree: Node
+
+    def _key(self) -> tuple:
+        g = underlying_graph(self.tree)
+        return (g.vertices, frozenset(g.edges), self._terminal_key())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _RootedSP):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+@dataclass(frozen=True, eq=False)
+class OrientedSP(_RootedSP):
+    """A series-parallel graph with an ordered (source, sink) terminal pair.
+
+    Swapping the terminals yields a different oriented graph in general.
+    """
 
     @property
     def source(self) -> str:
@@ -185,45 +238,24 @@ class OrientedSP:
     def target(self) -> str:
         return self.tree.target
 
-    def _key(self) -> tuple:
-        g = underlying_graph(self.tree)
-        return (g.vertices, frozenset(g.edges), self.source, self.target)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OrientedSP):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+    def _terminal_key(self) -> tuple[str, str]:
+        return (self.tree.source, self.tree.target)
 
 
 @dataclass(frozen=True, eq=False)
-class SemiorientedSP:
+class SemiorientedSP(_RootedSP):
     """A series-parallel graph with an unordered terminal set {s, t}."""
-
-    tree: Node
 
     @property
     def terminals(self) -> frozenset[str]:
         return frozenset((self.tree.source, self.tree.target))
 
-    def _key(self) -> tuple:
-        g = underlying_graph(self.tree)
-        return (g.vertices, frozenset(g.edges), self.terminals)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SemiorientedSP):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+    _terminal_key = terminals.fget
 
 
 def _tree_of(g) -> Node:
     """The decomposition tree of an OrientedSP or SemiorientedSP, or `g` itself."""
-    return g.tree if isinstance(g, (OrientedSP, SemiorientedSP)) else g
+    return g.tree if isinstance(g, _RootedSP) else g
 
 
 @dataclass(frozen=True)

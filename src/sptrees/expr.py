@@ -82,15 +82,18 @@ def parse_sp(text: str) -> Node:
     lists every violation.  Labels come only from the text; matching
     labels denote the same vertex, so chaining and shared-terminal
     constraints are checked literally.  Raises SpSyntaxError (with
-    1-based position) or SpSemanticError (with the violation list).
+    1-based position) or SpSemanticError (with the violation list).  If the
+    acceptor rejects a text in which the builder finds no violation, an
+    invariant is broken: RuntimeError.
     """
     tree = _feed(text, TreeAcceptor()).finish()
     if tree is not None:
         return tree
     try:
-        return _feed(text, TreeBuilder()).finish()
+        _feed(text, TreeBuilder()).finish()
     except InvalidTreeError as exc:
         raise SpSemanticError(exc.violations) from None
+    raise RuntimeError("the acceptor rejected an expression that has no violation")
 
 
 def _feed(text: str, build):

@@ -191,9 +191,11 @@ def iter_semioriented_spanning(g: SemiorientedSP):
 
 def _masks(tree, numbering=None):
     """Masks of the semioriented spanning trees in `numbering`, as in `generate._placed`:
-    the oriented stream, less each tree whose key is below its partner's."""
+    the oriented stream, less each tree whose key is below its partner's.
+    A lone edge (code = reversal code = E) has no parts, so its one tree
+    has the empty key and the empty partner, and is kept."""
     plan = build_plan(tree)
-    if plan.kind == "leaf" or plan.code != plan.rev:
+    if plan.code != plan.rev:
         return _streams(tree, False, numbering=numbering)[0]
     # The actions before the lists: built while the lists are alive, they
     # raise the peak.  Every plan but the last, the root's, gets its action:

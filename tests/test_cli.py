@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from sptrees import (
     EdgeSet,
     FixSet,
+    ImageNotFound,
     OrientedSP,
     SemiorientedSP,
     automorphisms,
@@ -279,12 +280,30 @@ def test_usage_error_on_bad_flags(diamond_file):
     assert run(["count"]) == 1
 
 
-def test_validation_error_exit_code(tmp_path, capsys):
-    bad = tmp_path / "bad.sp"
-    bad.write_text("S(e(a,b),e(c,d))\n", encoding="utf-8")
-    assert run(["parse", str(bad)]) == 2
-    assert "chain mismatch" in capsys.readouterr().err
-    assert run(["parse", str(tmp_path / "missing.sp")]) == 2
+@pytest.mark.parametrize(
+    "name, content, reason",
+    [
+        pytest.param("bad.sp", b"S(e(a,b),e(b c))\n", "syntax error at position", id="syntax"),
+        pytest.param("bad.sp", b"S(e(a,b),e(c,d))\n", "semantic error: root: series chain mismatch",
+                     id="semantic"),
+        pytest.param("k4.el", b"terminals 1 2\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n",
+                     "not series-parallel", id="not-series-parallel"),
+        pytest.param("apart.el", b"terminals s t\ns t\na b\n", "not connected", id="disconnected"),
+        pytest.param("head.el", b"terminals s\ns t\n", "terminals line must be", id="header"),
+        pytest.param("missing.sp", None, "No such file", id="missing"),
+        pytest.param("latin1.sp", "e(s,\xe9)\n".encode("latin-1"), "utf-8", id="non-utf-8"),
+    ],
+)
+def test_each_input_error_exits_2(tmp_path, capsys, name, content, reason):
+    """Every input error is a ValueError or an OSError: one line on stderr
+    after `error: `, exit 2, whichever subclass the reader raises."""
+    path = tmp_path / name
+    if content is not None:
+        path.write_bytes(content)
+    assert run(["parse", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and reason in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_verify_diamond_and_theta(diamond_file, theta_file, capsys):
@@ -520,7 +539,7 @@ def test_integer_options_keep_the_digit_limit(capsys):
 
 
 def test_internal_error_exit_code(diamond_file, capsys, monkeypatch):
-    for error in (AssertionError, RecursionError, MemoryError):
+    for error in (AssertionError, RecursionError, MemoryError, KeyError, TypeError, ImageNotFound):
         def broken(*args, error=error):
             raise error("broken invariant")
 
@@ -545,6 +564,19 @@ def test_an_invalid_tree_from_the_reduction_is_an_internal_error(tmp_path, capsy
     assert err.startswith("internal error: ")
     assert "Traceback" not in err
 
+
+def test_a_rejection_the_builder_finds_no_violation_in_is_an_internal_error(
+    diamond_file, capsys, monkeypatch
+):
+    """If the acceptor rejects text in which the builder finds no
+    violation, the two disagree: a broken invariant, exit 4, never the
+    builder's tree."""
+    monkeypatch.setattr(expr.TreeAcceptor, "finish", lambda self: None)
+    with pytest.raises(RuntimeError):
+        parse_sp(DIAMOND_TEXT)
+    assert run(["parse", diamond_file]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("internal error: ")
 
 
 @pytest.mark.parametrize("module", ["sptrees", "sptrees.cli"])

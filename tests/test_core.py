@@ -17,13 +17,14 @@ from sptrees import (
     RandomSpParams,
     classify_edge_set,
     normalize,
+    parse_sp,
     random_sp,
     underlying_graph,
     validate,
 )
 from sptrees.core import Leaf, Parallel, Series, edge, iter_leaves, parallel, series
 
-from conftest import assert_acceptor_agrees, feed_raw, raw_tree
+from conftest import assert_acceptor_agrees, deep_nest_text, feed_raw, raw_tree
 
 
 def test_leaf_self_loop_is_flagged():
@@ -184,6 +185,13 @@ def test_oriented_wrapper_equality():
     reversed_a, _ = reverse_tree(a)
     assert OrientedSP(a) != OrientedSP(reversed_a)
     assert SemiorientedSP(a) == SemiorientedSP(reversed_a)
+    # One graph type read by two terminal keys: the kinds never compare
+    # equal, either way round, and print and pickle as before.
+    for x, y in ((OrientedSP(a), SemiorientedSP(a)), (SemiorientedSP(a), OrientedSP(a))):
+        assert x != y and not x == y
+        assert pickle.loads(pickle.dumps(x)) == x
+    assert repr(OrientedSP(a)) == f"OrientedSP(tree={a!r})"
+    assert repr(SemiorientedSP(a)) == f"SemiorientedSP(tree={a!r})"
 
 
 def test_validate_reports_paths():
@@ -377,3 +385,16 @@ def test_nodes_are_slotted_frozen_and_compare_by_their_fields():
     assert s == Series(kids) and s != Parallel(kids) and Leaf("s", "t") == Leaf("s", "t", 0)
     assert Leaf("s", "t", 0) != Leaf("s", "t", 1) and kids[0].children == ()
     assert Series(()).children == ()
+
+
+def test_deep_trees_compare_hash_and_copy_at_any_depth():
+    """A 3000-level nest, past the default recursion limit: `==` reads node
+    pairs off a stack, `hash` builds children first with the values a
+    frozen dataclass gives, and a copy, shallow or deep, is the tree itself."""
+    text = deep_nest_text(3000)
+    a, b, renamed = parse_sp(text), parse_sp(text), parse_sp(text.replace("x", "y"))
+    assert a is not b and a == b and not a != b
+    assert a != renamed and not a == renamed
+    assert hash(a) == hash(b) == hash((a.children,))
+    assert len({a, b}) == 1
+    assert copy.deepcopy(a) is a and copy.copy(a) is a
