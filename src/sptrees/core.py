@@ -16,16 +16,17 @@ the plan pass (`generate.build_plan`), which keeps them beside the tree,
 in the one slot that it fills on the root (`_plans`).
 
 Every tree is built from leaf, open and close events, in one pass with
-no raw tree built first.  The readers, `expr.parse_sp` as it reads the
-text and `expr.decompose_edge_list` as it reads its reduced graph (one
-open/close pair per node, its fragments being n-ary already), feed a
-`TreeAcceptor`.  It checks each node's local rules and then one count:
-a valid tree has 2 + Σ over S nodes of (k - 1) distinct labels, the
+no raw tree built first, by one class, `TreeAcceptor`.  The readers,
+`expr.parse_sp` as it reads the text and `expr.decompose_edge_list` as
+it reads its reduced graph (one open/close pair per node, its fragments
+being n-ary already), feed it, and `normalize` replays a tree built in
+code into it.  It checks each node's local rules and then one count: a
+valid tree has 2 + Σ over S nodes of (k - 1) distinct labels, the
 terminals and each k-child S node's joints.  It builds no vertex set and
-no message.  Only when it rejects does `parse_sp` read the text again
-into a `TreeBuilder`, which keeps a vertex set per node and lists every
-violation with its position; `normalize` and `validate` drive that
-builder over a tree built in code.  The tree and graph types are
+no message.  Only when it rejects are the same events fed again, into a
+`TreeChecker`, which builds no node: it keeps terminals and a vertex set
+per finished subtree and lists every violation with its position.
+`validate` drives the checker alone.  The tree and graph types are
 immutable after construction and safe to share between threads.
 """
 
@@ -35,7 +36,7 @@ import re
 from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterator, Union
+from typing import Iterator, NoReturn, Union
 
 # A vertex label, the grammar's `label` token.
 LABEL = re.compile(r"[A-Za-z0-9_]+")
@@ -62,17 +63,15 @@ class _Node:
     that only the plan pass (`generate._plans`) fills, on a root.
 
     Nodes are slotted, and no field can be assigned after construction.
-    They compare, hash and print by their fields (`_fields`), as frozen
-    dataclasses do.  `==` and `hash` read the subtrees by explicit stacks,
-    so they take any depth; `repr` and pickling recurse into the children.
-    A node is its own copy, shallow or deep, as any immutable value is.
+    They compare, hash and print by their fields, as frozen dataclasses
+    do.  `==` reads node pairs off an explicit stack, and an inner node's
+    `hash`, `repr` and pickling fold its subtree children first (`_fold`),
+    so all of them take any depth.  A node is its own copy, shallow or
+    deep, as any immutable value is.
     """
 
     __slots__ = ("source", "target", "_plans", "__weakref__")
     __setattr__ = __delattr__ = _frozen
-
-    def _key(self) -> tuple:
-        return tuple(map(self.__getattribute__, self._fields))
 
     def __eq__(self, other: object):
         if other.__class__ is not self.__class__:
@@ -87,37 +86,16 @@ class _Node:
             stack.extend(zip(a.children, b.children))
         return True
 
-    def __hash__(self) -> int:
-        """The frozen dataclass's hash, children first: an inner node's is
-        that of the tuple of its children's hashes, each as a `_Hash`."""
-        if self.__class__ is Leaf:
-            return hash(self._key())
-        hashes = {}
-        for node in inner_postorder(self):
-            kids = [hashes[id(k)] if k.__class__ is not Leaf else hash(k) for k in node.children]
-            hashes[id(node)] = hash((tuple(map(_Hash, kids)),))
-        return hashes[id(self)]
-
     def __copy__(self, memo=None):
         return self
 
     __deepcopy__ = __copy__
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self._key()))
-        return f"{type(self).__name__}({fields})"
-
-    def __reduce__(self):
-        """Pickle and copy through the constructor, since no field can be
-        set after it."""
-        return type(self), self._key()
 
 
 class Leaf(_Node):
     """A single edge, oriented source -> target by the ambient terminals."""
 
     __slots__ = ("index",)
-    _fields = ("source", "target", "index")
     children: tuple = ()
 
     def __init__(self, source: str, target: str, index: int = 0) -> None:
@@ -125,18 +103,51 @@ class Leaf(_Node):
         _set_target(self, target)
         _set_index(self, index)
 
+    def _key(self) -> tuple:
+        return self.source, self.target, self.index
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}(source={self.source!r}, "
+                f"target={self.target!r}, index={self.index!r})")
+
+    def __reduce__(self):
+        return type(self), self._key()
+
 
 class _Inner(_Node):
-    """An S or P node; its terminals are read off its children when it is built."""
+    """An S or P node; its terminals are read off its children when it is
+    built, and are None if it has none."""
 
     __slots__ = ("children",)
-    _fields = ("children",)
 
     def __init__(self, children: tuple[Node, ...]) -> None:
         _set_children(self, children)
-        if children:
-            _set_source(self, children[0].source)
-            _set_target(self, children[self._last].target)
+        _set_source(self, children[0].source if children else None)
+        _set_target(self, children[self._last].target if children else None)
+
+    def __hash__(self) -> int:
+        """The frozen dataclass's hash: that of the tuple of the children's
+        hashes, each as a `_Hash`."""
+        return _fold(self, hash, lambda node, kids: hash((tuple(map(_Hash, kids)),)))
+
+    def __repr__(self) -> str:
+        return _fold(self, repr, lambda node, kids: f"{type(node).__name__}(children=("
+                     f"{', '.join(kids)}{',' * (len(kids) == 1)}))")
+
+    def __reduce__(self):
+        """Pickle through the constructors, since no field can be set after
+        them: as rows (kind, children), children first, each child a leaf
+        or the index of an earlier row."""
+        rows: list[tuple] = []
+
+        def row(node: Node, kids: list) -> int:
+            rows.append((type(node), tuple(kids)))
+            return len(rows) - 1
+        _fold(self, lambda leaf: leaf, row)
+        return _unpickle, (rows,)
 
 
 class Series(_Inner):
@@ -181,6 +192,14 @@ def iter_leaves(node: Node) -> Iterator[Leaf]:
             stack.extend(reversed(node.children))
 
 
+def _unpickle(rows: list[tuple]) -> Node:
+    """The tree that `_Inner.__reduce__` wrote as rows, built children first."""
+    built: list[Node] = []
+    for kind, kids in rows:
+        built.append(kind(tuple(built[k] if isinstance(k, int) else k for k in kids)))
+    return built[-1]
+
+
 def inner_postorder(node: Node) -> list[Node]:
     """The S and P nodes under `node`, each after all of its children,
     found by an explicit stack: the order in which the plan pass
@@ -194,6 +213,17 @@ def inner_postorder(node: Node) -> list[Node]:
             stack.extend(node.children)
     inner.reverse()
     return inner
+
+
+def _fold(root: Node, leaf, inner):
+    """An S or P node folded children first, with no recursion at any
+    depth: a leaf's value is `leaf(lf)`, an inner node's `inner(node,
+    values)`, `values` being its children's in order."""
+    folds: dict[int, object] = {}
+    for node in inner_postorder(root):
+        folds[id(node)] = inner(node, [leaf(kid) if isinstance(kid, Leaf) else folds[id(kid)]
+                                       for kid in node.children])
+    return folds[id(root)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,14 +311,6 @@ class LabeledGraph:
     def vertex_index(self) -> dict[str, int]:
         return {v: i for i, v in enumerate(self.vertices)}
 
-    @cached_property
-    def adjacency(self) -> dict[str, frozenset[str]]:
-        adj: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return {v: frozenset(nb) for v, nb in adj.items()}
-
     def index_of(self, u: str, v: str) -> int:
         return self.edge_index[(u, v) if u <= v else (v, u)]
 
@@ -370,17 +392,17 @@ def validate(node: Node) -> list[Violation]:
     """Check every decomposition-tree invariant.
 
     Returns one entry per violation (empty list means valid).  The tree
-    is fed to a `TreeBuilder`, the builder that names the violations of
-    text `expr.parse_sp` rejects.  It checks self-loops and child arity
-    and, on each node's flattened child list, series chaining, shared
-    parallel terminals, simplicity (at most one bare edge per parallel
-    node) and disjointness of interior vertices across sibling branches.
-    A tree built in code can also break label syntax, alternation of S
-    and P levels and preorder leaf indices, which are reported here too.
+    is replayed into a `TreeChecker`, which names the violations of text
+    `expr.parse_sp` rejects.  It checks label syntax, self-loops and child
+    arity and, on each node's flattened child list, series chaining,
+    shared parallel terminals, simplicity (at most one bare edge per
+    parallel node) and disjointness of interior vertices across sibling
+    branches.  A tree built in code can also break alternation of S and P
+    levels and preorder leaf indices, which are reported here too.
     """
-    build, indexed = _walk(node)
-    out = _violations(build.broken + build.nested)
-    if not indexed:
+    check = _replay(node, TreeChecker())
+    out = _violations(check.broken + check.nested)
+    if any(lf.index != i for i, lf in enumerate(iter_leaves(node))):
         out.append(Violation("root", "leaf indices are not preorder 0..m-1"))
     return out
 
@@ -388,12 +410,28 @@ def validate(node: Node) -> list[Violation]:
 def normalize(node: Node) -> Node:
     """Flatten same-kind nestings and reassign preorder leaf indices.
 
-    The tree is rebuilt by a `TreeBuilder`, as `validate` checks it.  The
-    result represents the same graph, alternates S and P levels, and is a
-    fixed point of `normalize`.  Raises InvalidTreeError when the input
-    breaks any invariant other than alternation or indexing.
+    The tree is replayed into a `TreeAcceptor`, which builds the result.
+    It represents the same graph, alternates S and P levels, and is a
+    fixed point of `normalize`.  Raises InvalidTreeError, with the
+    violations a `TreeChecker` names, when the input breaks any invariant
+    other than alternation or indexing.  If the acceptor rejects a tree
+    in which the checker finds no violation, an invariant is broken:
+    RuntimeError.
     """
-    return _walk(node)[0].finish()
+    accept = _replay(node, TreeAcceptor())
+    tree = accept.finish()
+    if tree is None or not all(map(is_valid_label, accept.labels)):
+        _reject(_replay(node, TreeChecker()).broken, InvalidTreeError)
+    return tree
+
+
+def _reject(broken: list, error: type) -> NoReturn:
+    """Raise `error` with the violations a `TreeChecker` found in input the
+    acceptor rejected.  If it found none, the two disagree, and an
+    invariant is broken: RuntimeError."""
+    if broken:
+        raise error(_violations(broken))
+    raise RuntimeError("the acceptor rejected input that has no violation")
 
 
 def _violations(found: list) -> list[Violation]:
@@ -409,49 +447,43 @@ def _path(at) -> str:
     return "root" + "".join(reversed(steps))
 
 
-def _walk(root: Node) -> tuple[TreeBuilder, bool]:
-    """Feed a tree built in code to a `TreeBuilder` by an explicit stack,
-    adding bad labels; also return whether the leaf indices were preorder."""
-    build = TreeBuilder()
-    indexed = True
+def _replay(root: Node, sink):
+    """Feed a tree built in code to `sink` as leaf, open and close events,
+    by an explicit stack; return `sink`."""
     stack: list = [root]
     while stack:
         node = stack.pop()
         if node is None:
-            build.close()
+            sink.close()
         elif isinstance(node, Leaf):
-            u, v = node.source, node.target
-            indexed = indexed and node.index == build.leaves
-            mark = len(build.broken)
-            build.leaf(u, v)
-            if not (is_valid_label(u) and is_valid_label(v)):
-                build.broken[mark:mark] = [(build.last(), f"bad vertex label {label!r}")
-                                           for label in (u, v) if not is_valid_label(label)]
+            sink.leaf(node.source, node.target)
         else:
-            build.open(type(node))
+            sink.open(type(node))
             stack.append(None)
             stack.extend(reversed(node.children))
-    return build, indexed
+    return sink
 
 
-class TreeBuilder:
-    """One post-order pass from reader events to a normalized, checked tree.
+class TreeChecker:
+    """One post-order pass from reader events to the list of violations;
+    it builds no node.
 
     A source calls `leaf(u, v)` per edge and brackets each S or P node's
-    children with `open(kind)` and `close()`, in input order.  Leaves are
-    numbered in preorder.  An `open` of the enclosing node's kind joins
-    that node's child list, so a same-kind run is built and checked once,
-    at its top.  Every raw node's arity and every leaf's self-loop are
-    checked too.  Violations are (position, message) pairs in input order;
-    a position is (parent position, child index) in the raw input.
+    children with `open(kind)` and `close()`, in input order.  An `open` of
+    the enclosing node's kind joins that node's child list, so a same-kind
+    run is checked once, at its top, and is listed in `nested`.  Every
+    leaf's labels and self-loop and every raw node's arity are checked
+    too.  Violations are (position, message) pairs in input order in
+    `broken`; a position is (parent position, child index) in the raw
+    input.
     """
 
     def __init__(self) -> None:
-        self.leaves = 0
         self.broken: list = []
         self.nested: list = []
-        # (node, vertex set) per finished subtree, run members side by side.
-        self.done: list = []
+        # (source, target, bare edge, vertex set) per finished subtree, run
+        # members side by side.
+        self.done: list[tuple] = []
         # Per open raw node: [kind, children begun, start in `done` (-1
         # inside a run), len(broken) at its open, position].
         self.frames: list[list] = []
@@ -463,10 +495,12 @@ class TreeBuilder:
     def leaf(self, u: str, v: str) -> None:
         if self.frames:
             self.frames[-1][1] += 1
+        if not (is_valid_label(u) and is_valid_label(v)):
+            self.broken += [(self.last(), f"bad vertex label {label!r}")
+                            for label in (u, v) if not is_valid_label(label)]
         if u == v:
             self.broken.append((self.last(), "self-loop at leaf"))
-        self.done.append((Leaf(u, v, self.leaves), {u, v}))
-        self.leaves += 1
+        self.done.append((u, v, True, {u, v}))
 
     def open(self, kind: type) -> None:
         frames = self.frames
@@ -484,38 +518,33 @@ class TreeBuilder:
             message = f"{kind.__name__.lower()} node needs at least 2 children"
             self.broken.insert(mark, (at, message))
         if start >= 0:
-            entries = self.done[start:]
+            kids = self.done[start:]
             del self.done[start:]
-            kids = tuple(kid for kid, _ in entries)
-            node, vertices = kind(kids), set()
-            if len(kids) > 1:
-                vertices = _check_children(node, [v for _, v in entries], at, self.broken)
-            self.done.append((node, vertices))
-
-    def finish(self) -> Node:
-        """The built tree; raises InvalidTreeError if any invariant is broken."""
-        if self.broken:
-            raise InvalidTreeError(_violations(self.broken))
-        return self.done[0][0]
+            ends = (kids[0][0], kids[kind._last][1]) if kids else (None, None)
+            vertices = _check_children(kind, kids, at, self.broken) if len(kids) > 1 else set()
+            self.done.append((*ends, False, vertices))
 
 
 class TreeAcceptor:
-    """The `TreeBuilder` events with no diagnosis: `finish` returns the same
-    tree from valid input and None from any other.
+    """The one tree builder: the `TreeChecker` events in, a normalized tree
+    out.  `finish` returns the tree from valid input and None from any
+    other, with no diagnosis.
 
-    Same-kind runs are joined, leaves numbered in preorder and terminals
-    set as `TreeBuilder` does.  Per node only the local rules are checked:
-    raw arity at least 2, no self-loop, series chaining, distinct series
-    terminals, one (source, target) pair for all parallel children and at
-    most one bare edge per P.  Sharing across branches is left to one count
-    at `finish`.  A valid tree has 2 + Σ over S nodes of (k - 1) vertices:
-    the two terminals and the k - 1 joints of each S node of k children.
-    Once the local rules hold, each of those vertices has one label, and
-    two of them share a label exactly where `TreeBuilder` would find
-    siblings sharing a vertex beyond the rules; a shortfall at a node stays
-    in every node above it.  So the input is valid exactly when the
-    distinct labels number 2 + Σ (k - 1).  No vertex set, position or
-    message is built per node.
+    Same-kind runs are joined into one node, leaves numbered in preorder,
+    and each node's terminals set by its constructor (None on a node with
+    no children).  Per node only the local rules are checked: raw arity at
+    least 2, no self-loop, series chaining, distinct series terminals, one
+    (source, target) pair for all parallel children and at most one bare
+    edge per P.  Sharing across branches is left to one count at `finish`.
+    A valid tree has 2 + Σ over S nodes of (k - 1) vertices: the two
+    terminals and the k - 1 joints of each S node of k children.  Once the
+    local rules hold, each of those vertices has one label, and two of them
+    share a label exactly where `TreeChecker` finds siblings sharing a
+    vertex beyond the rules; a shortfall at a node stays in every node
+    above it.  So the input is valid exactly when the distinct labels
+    number 2 + Σ (k - 1).  No vertex set, position or message is built per
+    node.  Labels are not checked: the text reader admits only valid ones,
+    and `normalize` checks `labels` for a tree built in code.
     """
 
     def __init__(self) -> None:
@@ -581,35 +610,36 @@ class TreeAcceptor:
         return None
 
 
-def _check_children(node: Node, sets: list[set[str]], at, broken: list) -> set[str]:
-    """Check a flattened node's rules, given its children's vertex sets; return its own.
+def _check_children(kind: type, kids: list[tuple], at, broken: list) -> set[str]:
+    """Check a flattened node's rules, given its children's (source,
+    target, bare edge, vertex set) entries; return its own vertex set.
 
     The other sets are checked against one vertex -> child owner map plus
     the largest set, which becomes the node's own (small-to-large), so a
     whole walk costs O(m log m).
     """
-    kids = node.children
+    sets = [kid[3] for kid in kids]
     lens = list(map(len, sets))
     big = lens.index(max(lens))
     vertices = sets[big]
-    if isinstance(node, Series):
+    if kind is Series:
         for i in range(len(kids) - 1):
-            if kids[i].target != kids[i + 1].source:
-                broken.append((at, f"series chain mismatch {kids[i].target} != "
-                               f"{kids[i + 1].source} between children {i} and {i + 1}"))
-        if kids[0].source == kids[-1].target:
+            if kids[i][1] != kids[i + 1][0]:
+                broken.append((at, f"series chain mismatch {kids[i][1]} != "
+                               f"{kids[i + 1][0]} between children {i} and {i + 1}"))
+        if kids[0][0] == kids[-1][1]:
             broken.append((at, "series terminals coincide"))
         share = "children {} and {} share vertices {} beyond the chain terminal"
 
         def allowed(v: str, i: int, j: int) -> bool:
-            return abs(i - j) == 1 and v == kids[min(i, j)].target
+            return abs(i - j) == 1 and v == kids[min(i, j)][1]
     else:
-        s, t = kids[0].source, kids[0].target
+        s, t = kids[0][:2]
         for i, kid in enumerate(kids):
-            if (kid.source, kid.target) != (s, t):
+            if kid[0] != s or kid[1] != t:
                 broken.append((at, f"parallel child {i} has terminals "
-                               f"({kid.source},{kid.target}), expected ({s},{t})"))
-        if sum(isinstance(kid, Leaf) for kid in kids) > 1:
+                               f"({kid[0]},{kid[1]}), expected ({s},{t})"))
+        if sum(kid[2] for kid in kids) > 1:
             broken.append((at, "parallel multi-edge"))
         share = "children {} and {} share interior vertices {}"
 

@@ -8,11 +8,12 @@ Expression grammar (whitespace insignificant):
     parallel := "P(" expr {"," expr}+ ")"
     label    := [A-Za-z0-9_]+
 
-`parse_sp` and `decompose_edge_list` each feed a `core.TreeAcceptor` as
-they read, so both return a normalized, validated tree with no raw tree
-built first; `parse_sp` reads rejected text again into a
-`core.TreeBuilder` to name every violation.  `parse_sp` tokenizes with
-one regex; `serialize_sp` is its inverse on normalized trees.
+`parse_sp` and `decompose_edge_list` each feed a `core.TreeAcceptor`,
+the one tree builder, as they read, so both return a normalized,
+validated tree with no raw tree built first; `parse_sp` reads rejected
+text again into a `core.TreeChecker`, which builds no node, to name
+every violation.  `parse_sp` tokenizes with one regex; `serialize_sp`
+is its inverse on normalized trees.
 `decompose_edge_list` recognizes a two-terminal series-parallel graph
 from a raw edge list by repeated series and parallel reductions, which
 grow n-ary series runs and P bundles in place, so a path of m edges is
@@ -30,13 +31,13 @@ from dataclasses import dataclass
 
 from .core import (
     LABEL,
-    InvalidTreeError,
     Leaf,
     Node,
     Parallel,
     Series,
     TreeAcceptor,
-    TreeBuilder,
+    TreeChecker,
+    _reject,
     is_valid_label,
     normalize,
 )
@@ -78,22 +79,18 @@ def parse_sp(text: str) -> Node:
     The tokens feed a `core.TreeAcceptor` as they are read: it checks
     each node's local rules and, at the end, that the distinct labels
     number 2 + Σ over S nodes of (k - 1), as in every valid tree.  Only
-    when it rejects is the text read again, into a `TreeBuilder` that
+    when it rejects is the text read again, into a `TreeChecker` that
     lists every violation.  Labels come only from the text; matching
     labels denote the same vertex, so chaining and shared-terminal
     constraints are checked literally.  Raises SpSyntaxError (with
     1-based position) or SpSemanticError (with the violation list).  If the
-    acceptor rejects a text in which the builder finds no violation, an
+    acceptor rejects a text in which the checker finds no violation, an
     invariant is broken: RuntimeError.
     """
     tree = _feed(text, TreeAcceptor()).finish()
-    if tree is not None:
-        return tree
-    try:
-        _feed(text, TreeBuilder()).finish()
-    except InvalidTreeError as exc:
-        raise SpSemanticError(exc.violations) from None
-    raise RuntimeError("the acceptor rejected an expression that has no violation")
+    if tree is None:
+        _reject(_feed(text, TreeChecker()).broken, SpSemanticError)
+    return tree
 
 
 def _feed(text: str, build):

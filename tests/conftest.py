@@ -28,10 +28,11 @@ from sptrees.core import (
     Parallel,
     Series,
     TreeAcceptor,
-    TreeBuilder,
+    TreeChecker,
     iter_leaves,
     mask_image,
     normalize,
+    validate,
 )
 from sptrees.generate import (
     ImageNotFound,
@@ -198,8 +199,9 @@ def reference_decompose_edge_list(edges, s: str, t: str) -> Node:
     fragment (id, a, b, Series, (first, second)), the older fragment
     first, and each merge a two-part P fragment (id, u, v, Parallel, (old,
     new)).  The nested same-kind fragments are read from s into a
-    `TreeBuilder`, which joins each run into one node.  It raises what the
-    reducer raises, with the same messages."""
+    `ReferenceTree`, which joins each run into one node, and the tree is
+    checked valid.  It raises what the reducer raises, with the same
+    messages."""
     from sptrees.expr import DisconnectedInput, NotSeriesParallel
     from sptrees.core import is_valid_label
 
@@ -249,7 +251,7 @@ def reference_decompose_edge_list(edges, s: str, t: str) -> Node:
             for y in (a, b):
                 if len(adj[y]) == 2 and y not in (s, t):
                     heapq.heappush(ready, y)
-    build, stack = TreeBuilder(), [(adj[s][t], s)]
+    build, stack = ReferenceTree(), [(adj[s][t], s)]
     while stack:
         item = stack.pop()
         if item is None:
@@ -267,28 +269,60 @@ def reference_decompose_edge_list(edges, s: str, t: str) -> Node:
             if kind is Series:
                 start = part[2] if start == part[1] else part[1]
         stack.extend(reversed(reads))
-    return build.finish()
+    tree = build.tree
+    assert validate(tree) == []
+    return tree
+
+
+class ReferenceTree:
+    """The tree of a leaf/open/close event stream, built with no check:
+    an `open` of the enclosing node's kind shares that node's child list,
+    so a same-kind run becomes one node, and leaves are numbered in
+    preorder.  The reference for the trees `TreeAcceptor` builds."""
+
+    def __init__(self) -> None:
+        self.leaves = 0
+        # Per open node, the root's holder first: [kind, child list].
+        self.frames: list[list] = [[None, []]]
+
+    def leaf(self, u: str, v: str) -> None:
+        self.frames[-1][1].append(Leaf(u, v, self.leaves))
+        self.leaves += 1
+
+    def open(self, kind: type) -> None:
+        kind_above, kids = self.frames[-1]
+        self.frames.append([kind, kids if kind is kind_above else []])
+
+    def close(self) -> None:
+        kind, kids = self.frames.pop()
+        if kids is not self.frames[-1][1]:
+            self.frames[-1][1].append(kind(tuple(kids)))
+
+    @property
+    def tree(self) -> Node:
+        return self.frames[0][1][0]
 
 
 def assert_acceptor_agrees(feed) -> bool:
     """`feed(build)` drives one event stream into `build` and returns it.
-    A `TreeAcceptor` accepts the stream exactly when a `TreeBuilder`
-    records no violation, and then returns an equal tree: the same leaf
-    indices and the same terminals, set at construction, on every node.
-    Returns whether the stream was accepted."""
-    builder = feed(TreeBuilder())
+    A `TreeAcceptor` accepts the stream exactly when a `TreeChecker`
+    records no violation, and then returns the `ReferenceTree`: the same
+    leaf indices and the same terminals, set at construction, on every
+    node.  Returns whether the stream was accepted."""
+    broken = feed(TreeChecker()).broken
     got = feed(TreeAcceptor()).finish()
-    if builder.broken:
-        assert got is None, [message for _, message in builder.broken]
+    if broken:
+        assert got is None, [message for _, message in broken]
         return False
-    assert got is not None, "the acceptor rejected a tree the builder accepts"
-    want = builder.finish()
+    assert got is not None, "the acceptor rejected a tree the checker accepts"
+    reference = feed(ReferenceTree())
+    want = reference.tree
     assert got == want
     ends = ("source", "target", "index")
     for a, b in zip(preorder(got), preorder(want), strict=True):
         assert type(a) is type(b)
         assert [getattr(a, k, None) for k in ends] == [getattr(b, k, None) for k in ends]
-    assert [lf.index for lf in iter_leaves(got)] == list(range(builder.leaves))
+    assert [lf.index for lf in iter_leaves(got)] == list(range(reference.leaves))
     return True
 
 
@@ -700,7 +734,10 @@ def reference_automorphisms(g, policy) -> list[dict]:
     partial map one assigned vertex at a time, with adjacency as label
     sets: the same permutations in the same order."""
     verts = list(g.vertices)
-    adj = g.adjacency
+    adj: dict[str, set[str]] = {v: set() for v in verts}
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
     degree = {v: len(adj[v]) for v in verts}
     out: list[dict] = []
 

@@ -568,9 +568,8 @@ def test_an_invalid_tree_from_the_reduction_is_an_internal_error(tmp_path, capsy
 def test_a_rejection_the_builder_finds_no_violation_in_is_an_internal_error(
     diamond_file, capsys, monkeypatch
 ):
-    """If the acceptor rejects text in which the builder finds no
-    violation, the two disagree: a broken invariant, exit 4, never the
-    builder's tree."""
+    """If the acceptor rejects text in which the checker finds no
+    violation, the two disagree: a broken invariant, exit 4, and no tree."""
     monkeypatch.setattr(expr.TreeAcceptor, "finish", lambda self: None)
     with pytest.raises(RuntimeError):
         parse_sp(DIAMOND_TEXT)

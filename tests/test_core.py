@@ -22,6 +22,7 @@ from sptrees import (
     underlying_graph,
     validate,
 )
+from sptrees import core
 from sptrees.core import Leaf, Parallel, Series, edge, iter_leaves, parallel, series
 
 from conftest import assert_acceptor_agrees, deep_nest_text, feed_raw, raw_tree
@@ -348,8 +349,8 @@ CORRUPTIONS = ("rename interior", "swap parallel child", "series terminals meet"
 @given(seed=st.integers(0, 10_000), depth=st.integers(0, 5), edits=st.integers(0, 2))
 def test_acceptor_agrees_with_the_builder(seed, depth, edits):
     """A valid draw, each corruption alone and `edits` corruptions at once:
-    the acceptor accepts exactly what the builder accepts, and builds the
-    same tree."""
+    the acceptor accepts exactly what the checker finds no violation in,
+    and builds the reference tree."""
     tree = random_sp(RandomSpParams(seed=seed, max_depth=depth, max_children=4))
     rng = random.Random(seed)
     assert assert_acceptor_agrees(lambda build: feed_raw(raw_tree(tree), build))
@@ -398,3 +399,57 @@ def test_deep_trees_compare_hash_and_copy_at_any_depth():
     assert hash(a) == hash(b) == hash((a.children,))
     assert len({a, b}) == 1
     assert copy.deepcopy(a) is a and copy.copy(a) is a
+
+
+def _reference_repr(tree) -> str:
+    """The frozen dataclasses' text of a tree, by an explicit stack."""
+    out, stack = [], [tree]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif isinstance(item, Leaf):
+            out.append(f"Leaf(source={item.source!r}, target={item.target!r}, index={item.index!r})")
+        else:
+            kids = item.children
+            out.append(f"{type(item).__name__}(children=(")
+            stack.append(",))" if len(kids) == 1 else "))")
+            for i in range(len(kids) - 1, -1, -1):
+                stack.append(kids[i])
+                if i:
+                    stack.append(", ")
+    return "".join(out)
+
+
+def test_deep_trees_print_and_pickle_at_any_depth():
+    """A 3000-level nest: `repr` gives the frozen dataclasses' text and a
+    pickle round trip gives an equal tree, with no recursion at any depth."""
+    tree = parse_sp(deep_nest_text(3000))
+    assert repr(tree) == _reference_repr(tree)
+    assert pickle.loads(pickle.dumps(tree)) == tree
+    small = (Series((Leaf("s", "t", 0),)), Parallel(()), Leaf("s", "t", 4))
+    for node in small:
+        assert repr(node) == _reference_repr(node)
+        assert pickle.loads(pickle.dumps(node)) == node
+
+
+def test_an_inner_node_with_no_children_is_reported():
+    """A node with no children, which only code can build, has None
+    terminals, so both the checker and the acceptor read it as any other
+    node: its arity is reported among the violations."""
+    tree = Series((Leaf("a", "b", 0), Parallel(()), Leaf("b", "c", 1)))
+    arity = "root[1]: parallel node needs at least 2 children"
+    assert (tree.children[1].source, tree.children[1].target) == (None, None)
+    assert arity in map(str, validate(tree))
+    with pytest.raises(InvalidTreeError) as err:
+        normalize(tree)
+    assert arity in map(str, err.value.violations)
+
+
+def test_a_rejection_the_checker_finds_no_violation_in_is_an_internal_error(monkeypatch):
+    """`normalize` returns the acceptor's tree; if the acceptor rejects a
+    tree in which the checker finds no violation, the two disagree."""
+    tree = series(edge("a", "b"), edge("b", "c"))
+    monkeypatch.setattr(core.TreeAcceptor, "finish", lambda self: None)
+    with pytest.raises(RuntimeError, match="no violation"):
+        normalize(tree)

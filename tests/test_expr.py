@@ -29,7 +29,7 @@ from sptrees import (
     validate,
 )
 from sptrees import core, expr
-from sptrees.core import Leaf, Parallel, Series
+from sptrees.core import Leaf, Parallel, Series, edge, parallel, series
 from sptrees.expr import read_edge_list, read_expressions, read_instances
 
 from conftest import (
@@ -162,18 +162,21 @@ def test_acceptor_rejects_what_the_builder_rejects(text):
     assert not assert_acceptor_agrees(lambda build: expr._feed(text, build))
 
 
-def test_only_rejected_text_is_read_into_a_tree_builder(monkeypatch):
-    """Valid expressions and edge lists are read by the acceptor alone; each
-    semantically invalid expression is read once more, into one builder; a
+def test_only_rejected_input_is_read_into_a_tree_checker(monkeypatch):
+    """Valid expressions and edge lists are read by the acceptor alone, and
+    valid trees built in code, `random_sp`'s among them, are normalized by
+    it alone; each semantically invalid expression is read once more, and
+    each invalid tree built in code replayed once more, into one checker; a
     syntax error stops the first reading."""
     built = []
 
-    class Counted(core.TreeBuilder):
+    class Counted(core.TreeChecker):
         def __init__(self):
             built.append(self)
             super().__init__()
 
-    monkeypatch.setattr(expr, "TreeBuilder", Counted)
+    monkeypatch.setattr(expr, "TreeChecker", Counted)
+    monkeypatch.setattr(core, "TreeChecker", Counted)
     draws = [random_sp(RandomSpParams(seed=seed, max_depth=4)) for seed in range(20)]
     texts = [DIAMOND_TEXT, THETA_TEXT, deep_nest_text(300), "S(" * 50 + "e(v0,v1),"
              + ",".join(f"e(v{i},v{i + 1}))" for i in range(1, 51))]
@@ -184,12 +187,20 @@ def test_only_rejected_text_is_read_into_a_tree_builder(monkeypatch):
                      + "".join(f"{u} {v}\n" for u, v in reversed(edges)))
     for text in texts:
         read_instances(text)
+    nested = series(series(edge("a", "b"), edge("b", "c")), parallel(edge("c", "d"), parallel(
+        series(edge("c", "x"), edge("x", "d")), series(edge("c", "y"), edge("y", "d")))))
+    assert serialize_sp(normalize(nested)) == (
+        "S(e(a,b),e(b,c),P(e(c,d),S(e(c,x),e(x,d)),S(e(c,y),e(y,d))))")
     assert built == []
     for text, _ in SEMANTIC_ERRORS:
         with pytest.raises(SpParseError, match="semantic error"):
             read_instances(text)
         assert len(built) == 1
         built.clear()
+    with pytest.raises(core.InvalidTreeError, match="chain mismatch"):
+        normalize(series(edge("a", "b"), edge("c", "d")))
+    assert len(built) == 1
+    built.clear()
     for text, *_ in SYNTAX_ERRORS:
         with pytest.raises(SpSyntaxError):
             parse_sp(text)
