@@ -42,10 +42,13 @@ nu) and the semioriented counts (spanning, near up to terminal
 exchange), composed from its parts' counts (a class, and for the totals
 a group of equal members, in closed form).  `_partners` reads two plans
 and says which part holds a part's reversals.  The `count_*` functions
-return fields of the root plan.  Every
-"sum over j of x_j times the product of the others" goes through
-`_offsets`, which divides the whole product by each y_j; a list's block
-starts are such sums, computed only where they are read (`_starts`).
+return fields of the root plan.  Every "product of x_j, and sum over j
+of y_j times the product of the others" pair is one product-rule fold
+(`_fold`): (B, F) <- (B x, F x + B y) per factor, or (B x^g, F x^g + B g
+y x^(g-1)) for g equal factors, which multiplies and never divides, so a
+zero count needs no case of its own.  A list's block starts are the
+fold's prefix flip terms times the products of the factors after them,
+computed only where they are read (`_starts`).
 The semioriented counts use the reversal-fixed terms: with a reversal
 symmetry the semioriented count is (oriented count + fixed candidates) /
 2, and the number of reversal-fixed entries of a part's list is twice
@@ -94,7 +97,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
@@ -275,22 +277,6 @@ def _plans(tree: Node) -> _Plans:
     return plans
 
 
-def _offsets(x: list[int], y: list[int]) -> list[int]:
-    """Running sums of x[j] * prod(y[i] for i != j).
-
-    Entry a sums the terms j < a, so the last entry is the whole sum.  The
-    product of the others is that of all y over y[j].  Only reversal-fixed
-    class counts can be 0 (S(e,e) swaps its two near trees); with zeros in
-    y, it is the product of the nonzero y for a lone zero y[j], else 0.
-    """
-    whole, zeros = math.prod(filter(None, y)), y.count(0)
-    out = [0]
-    for xj, yj in zip(x, y):
-        others = 0 if zeros > (yj == 0) else whole // yj if yj else whole
-        out.append(out[-1] + xj * others)
-    return out
-
-
 def _half(x: int) -> int:
     assert x % 2 == 0, "reversal pairs do not pair off"
     return x // 2
@@ -301,14 +287,16 @@ def _invariant_multisets(fixed: int, swapped_pairs: int, size: int) -> int:
 
     The involution has `fixed` fixed items and `swapped_pairs` 2-cycles;
     an invariant multiset gives both members of a 2-cycle the same
-    multiplicity, so pairs are drawn two at a time.
+    multiplicity, so pairs are drawn two at a time: it sums, over j, the
+    size-j multisets of pairs times the size-(size - 2j) multisets of fixed
+    items.  Both factors come by ratio updates, j up from 0 and size - 2j
+    up from size % 2, so no term is a fresh binomial.
     """
-    total = 0
-    for j in range(size // 2 + 1):
-        total += multiset_coefficient(swapped_pairs, j) * multiset_coefficient(
-            fixed, size - 2 * j
-        )
-    return total
+    pairs, singles = [1], [fixed if size % 2 else 1]
+    for j, k in enumerate(range(size % 2, size - 1, 2)):
+        pairs.append(pairs[-1] * (swapped_pairs + j) // (j + 1))
+        singles.append(singles[-1] * (fixed + k) * (fixed + k + 1) // ((k + 1) * (k + 2)))
+    return sum(map(operator.mul, pairs, reversed(singles)))
 
 
 def _build(tree: Node) -> _Plans:
@@ -333,9 +321,18 @@ def _build(tree: Node) -> _Plans:
     return _Plans(by_code, at, classes)
 
 
-def _dual(series: bool, pair: tuple[int, int]) -> tuple[int, int]:
-    """(spanning, near) as (base, flip) on a node of that kind, and back."""
-    return pair if series else pair[::-1]
+def _fold(terms) -> list[tuple[int, int]]:
+    """The product rule over `terms` (x, y, g), g equal factors of x base and
+    y flip trees each, as its prefix pairs (base, flip): each extends (B, F)
+    to (B x^g, F x^g + B g y x^(g-1)), so the last pair is (prod x^g, sum
+    of each factor's flip trees times the others' base trees), by
+    multiplications alone, zero counts included."""
+    out = [(1, 0)]
+    for x, y, g in terms:
+        base, flip = out[-1]
+        power = x ** (g - 1)
+        out.append((base * power * x, (flip * x + base * g * y) * power))
+    return out
 
 
 def _compose(series: bool, kids: list[_Plan]) -> _Plan:
@@ -344,60 +341,59 @@ def _compose(series: bool, kids: list[_Plan]) -> _Plan:
     follow the rule the two kinds share: base = prod base_i and flip =
     sum_j flip_j prod_{i != j} base_i, with (base, flip) the (spanning,
     near) counts of a series node and the (near, spanning) counts of a
-    parallel one (`_dual`)."""
-    # The members grouped by plan (g equal members of one plan), and the
-    # vertices each member after the first shares with those before it.
-    groups = _groups(kids)
+    parallel one.  One product-rule fold (`_fold`) gives each pair: over
+    the groups of equal series children, over the P classes, over the
+    groups of equal children for the counts with no automorphism reduction
+    (g members of x base and y flip trees have x^g base trees and g y
+    x^(g-1) flip trees), and over the self-paired parts for the
+    reversal-fixed terms."""
+    # The members grouped by plan, [plan, g] for g equal members of one plan.
+    groups = {}
+    for p in kids:
+        group = groups.get(id(p))
+        if group:
+            group[1] += 1
+        else:
+            groups[id(p)] = [p, 1]
+    groups = list(groups.values())
     if series:
-        parts, shared = kids, 1
+        kind, parts, shared = "series", kids, 1
         code = "S(" + "".join([p.code for p in kids]) + ")"
         rev = "S(" + "".join([p.rev for p in reversed(kids)]) + ")"
+        st, nt = _fold([(p.st, p.nt, g) for p, g in groups])[-1]
+        tau, nu = _fold([(p.tau, p.nu, g) for p, g in groups])[-1]
     else:
         groups = _classes(groups)
-        parts, shared = [_class(rep, g) for rep, g in groups], 2
+        kind, parts, shared = "parallel", [_class(rep, g) for rep, g in groups], 2
         code = "P(" + "".join([rep.code * g for rep, g in reversed(groups)]) + ")"
         revs = sorted(groups, key=lambda group: code_sort_key(group[0].rev))
         rev = "P(" + "".join([rep.rev * g for rep, g in revs]) + ")"
-    bases, flips = _dual(series, ([p.st for p in parts], [p.nt for p in parts]))
-    base, flip = math.prod(bases), _offsets(flips, bases)[-1]
-    st, nt = _dual(series, (base, flip))
-    # With no automorphism reduction, g equal members of x base and y flip
-    # trees each have x^g base trees and g * y * x^(g-1) flip trees.
-    gs = [g for _, g in groups]
-    xs, ys = _dual(series, ([r.tau for r, _ in groups], [r.nu for r, _ in groups]))
-    xs, ys = list(map(pow, xs, gs)), [g * y * x ** (g - 1) for x, y, g in zip(xs, ys, gs)]
-    tau, nu = _dual(series, (math.prod(xs), _offsets(ys, xs)[-1]))
-    plan = _Plan(
-        "series" if series else "parallel", code, rev,
-        m=sum(r.m * g for r, g in groups),
-        n=sum(r.n * g for r, g in groups) - shared * (len(kids) - 1),
-        st=st, nt=nt, tau=tau, nu=nu, ss=st, sn=nt, parts=tuple(parts),
-    )
-    if plan.code != plan.rev:
+        nt, st = _fold([(cp.nt, cp.st, 1) for cp in parts])[-1]
+        nu, tau = _fold([(p.nu, p.tau, g) for p, g in groups])[-1]
+    m = sum([p.m * g for p, g in groups])
+    # Each member after the first shares `shared` vertices with those before it.
+    n = sum([p.n * g for p, g in groups]) - shared * (len(kids) - 1)
+    plan = _Plan(kind, code, rev, m, n, st, nt, tau, nu, st, nt, tuple(parts))
+    if code != rev:
         return plan
     # The reversal carries part i onto part dest[i] (`_partners`).  A fixed
     # candidate takes mirror trees on a pair of parts (one choice per pair)
-    # and reversal-fixed ones on a self-paired part, which alone can flip.
+    # and reversal-fixed ones, (spanning, near), on a self-paired part,
+    # which alone can flip.
     dest = _partners(plan, plan)
-    paired = math.prod(b for i, (j, b) in enumerate(zip(dest, bases)) if i < j)
     fixed = [parts[i].fixed() for i, j in enumerate(dest) if i == j]
-    fixed_bases, fixed_flips = _dual(series, ([s for s, _ in fixed], [n for _, n in fixed]))
-    plan.ss, plan.sn = _dual(series, (
-        _half(base + paired * math.prod(fixed_bases)),
-        _half(flip + paired * _offsets(fixed_flips, fixed_bases)[-1]),
-    ))
+    if series:
+        paired = math.prod([parts[i].st for i, j in enumerate(dest) if i < j])
+        fixed_st, fixed_nt = _fold([(span, near, 1) for span, near in fixed])[-1]
+    else:
+        paired = math.prod([parts[i].nt for i, j in enumerate(dest) if i < j])
+        fixed_nt, fixed_st = _fold([(near, span, 1) for span, near in fixed])[-1]
+    plan.ss, plan.sn = _half(st + paired * fixed_st), _half(nt + paired * fixed_nt)
     return plan
 
 
-def _groups(kids: list[_Plan]) -> list[tuple[_Plan, int]]:
-    """The distinct plans among `kids`, each with its multiplicity, in order
-    of first appearance."""
-    first = {id(p): p for p in kids}
-    return [(first[i], g) for i, g in Counter(map(id, kids)).items()]
-
-
-def _classes(groups: list[tuple[_Plan, int]]) -> list[tuple[_Plan, int]]:
-    """A P shape's classes, (member plan, size), by descending code: the
+def _classes(groups: list[list]) -> list[list]:
+    """A P shape's classes, [member plan, size], by descending code: the
     class order that fixes the enumeration order, sorted once per shape."""
     return sorted(groups, key=lambda group: code_sort_key(group[0].code), reverse=True)
 
@@ -451,8 +447,15 @@ def _block_of(kinds, near: bool) -> int:
 def _starts(parts, near: bool) -> list[int]:
     """Where each block of a node's near (or spanning) list starts, by
     `_block_of`: the sizes of the blocks before it, each the product of its
-    parts' counts.  The one block of the base kind starts at entry 0, 0."""
-    return _offsets([_count(p, near) for p in parts], [_count(p, not near) for p in parts])
+    parts' counts.  The one block of the base kind starts at entry 0, 0.
+    Block a of the other kind starts at the fold's flip term over the parts
+    before a (`_fold`) times the product of the base counts from a on."""
+    terms = [(_count(p, not near), _count(p, near), 1) for p in parts]
+    starts, after = [flip for _, flip in _fold(terms)], 1
+    for a in range(len(terms) - 1, -1, -1):
+        after *= terms[a][0]
+        starts[a] *= after
+    return starts
 
 
 def _sums(blocks):
@@ -489,8 +492,10 @@ def _members(
 def _wide(r: int, c: int) -> bool:
     """Whether size-c multisets over r items are read as count vectors
     (`_cumulative`): r - 1 terms an entry in place of c, which pays, as
-    measured, only where c is well above r."""
-    return c > 2 * r
+    measured, only where c is well above r.  At r = 2 the prefix lists'
+    fixed cost outweighs the one lookup an entry up to c = 8 (`_assignments`
+    and `semi._images` summed, measured in process)."""
+    return c > (8 if r == 2 else 2 * r)
 
 
 def _cumulative(r: int, c: int):

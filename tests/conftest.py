@@ -38,7 +38,6 @@ from sptrees.generate import (
     ImageNotFound,
     _ClassPlan,
     _Plan,
-    _invariant_multisets,
     _members,
     _placed,
     _plans,
@@ -837,8 +836,9 @@ def reference_assignment_perm(size: int, near_perm, span_perm) -> tuple[list, li
 
 def reference_offsets(x: list[int], y: list[int]) -> list[int]:
     """Running sums of x[j] * prod(y[i] for i != j), from prefix and suffix
-    products, which need no case for zeros in y: `generate._offsets` must
-    return the same list."""
+    products, which need no case for zeros in y: a node's block starts
+    (`generate._starts`), x the parts' counts of the list's kind and y those
+    of the other kind."""
     suffix = [1] * (len(y) + 1)
     for i in range(len(y) - 1, -1, -1):
         suffix[i] = suffix[i + 1] * y[i]
@@ -847,6 +847,16 @@ def reference_offsets(x: list[int], y: list[int]) -> list[int]:
         out.append(out[-1] + xj * prefix * suffix[j + 1])
         prefix *= y[j]
     return out
+
+
+def reference_invariant_multisets(fixed: int, swapped_pairs: int, size: int) -> int:
+    """`generate._invariant_multisets` with a fresh binomial per term: over
+    j, the size-j multisets of the 2-cycles times the size-(size - 2j)
+    multisets of the fixed items."""
+    return sum(
+        multiset_coefficient(swapped_pairs, j) * multiset_coefficient(fixed, size - 2 * j)
+        for j in range(size // 2 + 1)
+    )
 
 
 def reference_plan(node: Node, codes: dict | None = None) -> _Plan:
@@ -902,11 +912,9 @@ def reference_plan(node: Node, codes: dict | None = None) -> _Plan:
         rep = cp.rep_plan
         rev = codes[id(node.children[members[0]])][1]
         if code == rev:
-            fixed_near, swapped = 2 * rep.sn - rep.nt, rep.nt - rep.sn
-            fix_nc.append(_invariant_multisets(fixed_near, swapped, cp.size))
-            fix_sc.append(
-                (2 * rep.ss - rep.st) * _invariant_multisets(fixed_near, swapped, cp.size - 1)
-            )
+            invariant = partial(reference_invariant_multisets, 2 * rep.sn - rep.nt, rep.nt - rep.sn)
+            fix_nc.append(invariant(cp.size))
+            fix_sc.append((2 * rep.ss - rep.st) * invariant(cp.size - 1))
         elif code not in seen:
             seen.add(rev)
             pair_nc *= cp.nt

@@ -1,5 +1,6 @@
 """Oriented enumeration, counting recurrences, streams, and orbit indexing."""
 
+import itertools
 import random
 from collections import Counter
 from functools import partial
@@ -34,12 +35,13 @@ from sptrees import (
     parse_sp,
     random_sp,
     RandomSpParams,
+    serialize_sp,
     spanning_tree_index,
     underlying_graph,
 )
 from sptrees.cli import verify_instance
 from sptrees.core import Leaf, Parallel, Series, mask_image
-from sptrees import generate
+from sptrees import generate, semi
 from sptrees.generate import (
     _assignments,
     _index,
@@ -47,6 +49,7 @@ from sptrees.generate import (
     _placed,
     _plans,
     _streams,
+    _wide,
     build_plan,
     multiset_coefficient,
     multiset_rank,
@@ -449,12 +452,14 @@ def test_index_of_a_deep_nest_returns(depth):
 def test_assignments_equal_the_member_sum_rule(r, near, data):
     """A class's near (or spanning) assignment masks equal those of summing
     each multiset's member masks, on both sides of the count-vector cut
-    (`generate._wide`): one member, and 2r, 2r + 1 and 2r + 2 members, so
-    that a spanning assignment's rest of c - 1 lies on each side too.  Each
-    member's masks are distinct and lie on its own bits, as a P node's
-    members' do, so that every assignment has its own mask."""
+    (`generate._wide`): one and two members, the most members below the
+    cut and the fewest two above it, so that a spanning assignment's rest
+    of c - 1 lies on each side too.  Each member's masks are distinct and
+    lie on its own bits, as a P node's members' do, so that every
+    assignment has its own mask."""
     width, spans = 2 * r + 2, data.draw(st.integers(1, 3))
-    for c in (1, 2, 2 * r, 2 * r + 1, 2 * r + 2):
+    wide = next(c for c in itertools.count(1) if _wide(r, c))
+    for c in (1, 2, wide - 1, wide, wide + 1):
         masks = st.lists(st.integers(0, 2**width - 1), min_size=r + spans, max_size=r + spans,
                          unique=True)
         trees = [[x << p * width for x in data.draw(masks)] for p in range(c)]
@@ -465,6 +470,25 @@ def test_assignments_equal_the_member_sum_rule(r, near, data):
         rep, members = SimpleNamespace(nt=r), tuple(range(c))
         got = _assignments(members, rep, near, lists)
         assert got == reference_assignments(members, rep, near, lists)
+
+
+@pytest.mark.parametrize("wide", [True, False])
+@pytest.mark.parametrize("text", [
+    "P(" + ",".join(f"S(e(s,m{i}),e(m{i},t))" for i in range(6)) + ")",
+    "P(" + ",".join(f"S(e(s,a{i}),e(a{i},b{i}),e(b{i},t))" for i in range(4)) + ")",
+    "P(S(e(s,a),e(a,b),e(b,t)),e(s,t),S(e(s,c),P(e(c,t),S(e(c,d),e(d,t)))),"
+    "S(e(s,f),e(f,g),e(g,t)),S(P(S(e(s,h),e(h,i)),e(s,i)),e(i,t)))",
+] + [serialize_sp(mirror_symmetric(seed, max_trees=300)) for seed in range(4)])
+def test_either_multiset_path_passes_the_oracle(text, wide, monkeypatch):
+    """With every class of two or more members read as count vectors, or
+    none, the oriented lists and the semioriented filter pass the oracle.
+    A class wide enough for the count-vector path by default is soon out of
+    the oracle's reach (it lists Aut, of order c!), so the path is checked
+    end to end here, on small classes."""
+    for module in (generate, semi):
+        monkeypatch.setattr(module, "_wide", lambda r, c: wide)
+    ok, summary = verify_instance(parse_sp(text), limit=13)
+    assert ok, summary
 
 
 @pytest.mark.parametrize("c", [40, 80])

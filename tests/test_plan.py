@@ -4,11 +4,14 @@ isomorphic subtrees share one position-free plan."""
 import contextlib
 import dataclasses
 import gc
+import itertools
+import math
 import tracemalloc
 import weakref
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sptrees import (
@@ -37,7 +40,16 @@ from sptrees import (
 )
 from sptrees import generate
 from sptrees.cli import run, verify_instance
-from sptrees.generate import _build, _offsets, _streams, build_plan
+from sptrees.expr import read_edge_list
+from sptrees.generate import (
+    _build,
+    _count,
+    _invariant_multisets,
+    _layout,
+    _starts,
+    _streams,
+    build_plan,
+)
 from sptrees.semi import _masks
 
 from conftest import (
@@ -48,7 +60,7 @@ from conftest import (
     preorder,
     reference_classes,
     reference_codes,
-    reference_offsets,
+    reference_invariant_multisets,
     reference_plan,
     small_corpus,
 )
@@ -348,14 +360,77 @@ def test_shared_plans_equal_the_reference_on_random_draws(seed, depth):
     _check_shared(random_sp(RandomSpParams(seed=seed, max_depth=depth, max_children=4)))
 
 
+_COUNTS = st.one_of(st.just(0), st.integers(1, 40), st.integers(0, 10**30))
+
+
 @settings(max_examples=200, deadline=None)
-@given(pairs=st.lists(st.tuples(st.integers(0, 10**30), st.integers(0, 40)), max_size=12))
-def test_offsets_equal_prefix_and_suffix_products(pairs):
-    """The division-based running sums, zeros in y included (a self-paired
-    class can have no reversal-fixed near multiset), equal the products of
-    the others taken from prefix and suffix products."""
-    x, y = [a for a, _ in pairs], [b for _, b in pairs]
-    assert _offsets(x, y) == reference_offsets(x, y)
+@given(counts=st.lists(st.tuples(_COUNTS, _COUNTS), min_size=1, max_size=12), near=st.booleans())
+def test_starts_are_the_running_sizes_of_the_blocks(counts, near):
+    """Block j of a node's list of its flip kind (near for a series node,
+    spanning for a parallel one) starts where the blocks before it end: each
+    block's size is the product of its parts' counts, read through
+    `_layout`, zero counts included (a self-paired class can have no
+    reversal-fixed near multiset), and the last start is the list's length."""
+    parts = [SimpleNamespace(st=a, nt=b) for a, b in counts]
+    plan = SimpleNamespace(kind="series" if near else "parallel", parts=parts)
+    blocks = _layout(plan, near, lambda i, kind: _count(parts[i], kind))
+    assert _starts(parts, near) == list(itertools.accumulate(map(math.prod, blocks), initial=0))
+
+
+@pytest.mark.parametrize("text", [
+    # S(e,e) swaps its two near trees: a self-paired class with no fixed one,
+    # alone, beside a class that has one, and beside another with none.
+    "P(e(s,t),S(e(s,a),e(a,t)))",
+    "P(e(s,t),S(e(s,a),e(a,t)),S(e(s,b),e(b,c),e(c,t)))",
+    "P(S(e(s,a),e(a,t)),S(e(s,b),e(b,c),e(c,d),e(d,t)))",
+    # Two members of it: the one fixed near multiset, and no fixed spanning one.
+    "P(e(s,t),S(e(s,a),e(a,t)),S(e(s,b),e(b,t)))",
+    # A series middle with no fixed spanning tree.
+    "S(e(s,x),P(S(e(x,a),e(a,y)),S(e(x,b),e(b,c),e(c,d),e(d,y))),e(y,t))",
+])
+def test_self_paired_parts_with_no_fixed_near_tree(text):
+    """The reversal-fixed terms where a self-paired part fixes no near tree
+    (or no spanning one): the plan equals the reference and the oracle."""
+    tree = parse_sp(text)
+    _check_shared(tree)
+    assert verify_instance(tree, limit=13)[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(fixed=st.integers(0, 30), swapped=st.integers(0, 30), size=st.integers(0, 40))
+@example(fixed=0, swapped=3, size=6)
+@example(fixed=0, swapped=3, size=7)
+@example(fixed=4, swapped=0, size=9)
+@example(fixed=0, swapped=0, size=0)
+def test_invariant_multisets_equal_the_binomial_sum(fixed, swapped, size):
+    """The ratio-updated terms equal fresh binomials, with no fixed item,
+    no swapped pair, or neither."""
+    assert _invariant_multisets(fixed, swapped, size) == reference_invariant_multisets(
+        fixed, swapped, size
+    )
+
+
+def _ladder(rungs: int):
+    """The 2 x L ladder a_i b_i as an edge list, terminals a0 b0."""
+    a, b = [f"a{i}" for i in range(rungs)], [f"b{i}" for i in range(rungs)]
+    edges = list(zip(a, b)) + list(zip(a, a[1:])) + list(zip(b, b[1:]))
+    return read_edge_list("terminals a0 b0\n" + "\n".join(f"{u} {v}" for u, v in edges))
+
+
+@pytest.mark.parametrize("rungs", range(2, 41))
+def test_ladders_count_in_closed_form(rungs):
+    """A ladder of L rungs has t_L spanning trees (t_L = 4 t_{L-1} - t_{L-2},
+    t_1 = 1, t_2 = 4), all nonequivalent, and (t_L + L) / 2 up to the row
+    swap, which fixes exactly L of them.  Every inner node is a new
+    reversal-symmetric shape, so the fixed terms compose at every level."""
+    before, t = 1, 4
+    for _ in range(rungs - 2):
+        before, t = t, 4 * t - before
+    tree = _ladder(rungs)
+    assert count_total(OrientedSP(tree)).spanning == count_oriented(OrientedSP(tree)).spanning == t
+    assert count_semioriented(SemiorientedSP(tree)) == (t + rungs) // 2
+    if rungs <= 6:
+        assert verify_instance(tree, limit=13)[0]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 50, 400])

@@ -189,7 +189,7 @@ def test_one_member_classes_keep_the_representative_actions(seed):
 def test_assignment_actions_equal_the_sorted_rank_rule(r, size, data):
     """Under any permutation of a representative's near trees, and for any
     class size, the class's actions equal those of ranking each sorted
-    image multiset, on both sides of the count-vector cut (k > 2r)."""
+    image multiset, on both sides of the count-vector cut (`generate._wide`)."""
     if multiset_coefficient(r, size) > 20_000:
         size = 2
     near = data.draw(st.permutations(range(r)))
