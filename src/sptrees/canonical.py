@@ -25,9 +25,7 @@ semioriented counts and the reversal filter alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import Leaf, Node, Parallel, _tree_of, iter_leaves
+from .core import Leaf, Node, Parallel, _Mutable, _tree_of, iter_leaves
 from .generate import _members, _partners, _Plans, _plans, build_plan
 
 
@@ -91,8 +89,7 @@ def _verify_leaf_bijection(a: Node, b: Node, mapping: dict[int, int]) -> None:
         raise RuntimeError("leaf map moves a terminal")
 
 
-@dataclass
-class IsoClass:
+class IsoClass(_Mutable):
     """One oriented isomorphism class of a P node's children.
 
     `members` holds child positions in storage order; the first member
@@ -100,9 +97,11 @@ class IsoClass:
     indices onto the representative's.
     """
 
-    code: str
-    members: tuple[int, ...]
-    to_rep: dict[int, dict[int, int]]
+    __slots__ = ("code", "members", "to_rep")
+
+    def __init__(self, code: str, members: tuple[int, ...],
+                 to_rep: dict[int, dict[int, int]]) -> None:
+        _Mutable.__init__(self, code, members, to_rep)
 
     @property
     def representative(self) -> int:
@@ -113,9 +112,11 @@ class IsoClass:
         return len(self.members)
 
 
-@dataclass
-class IsoClassPartition:
-    classes: tuple[IsoClass, ...]
+class IsoClassPartition(_Mutable):
+    __slots__ = ("classes",)
+
+    def __init__(self, classes: tuple[IsoClass, ...]) -> None:
+        _Mutable.__init__(self, classes)
 
 
 def partition_classes(p: Parallel) -> IsoClassPartition:
@@ -140,8 +141,7 @@ def partition_classes(p: Parallel) -> IsoClassPartition:
     return IsoClassPartition(tuple(classes))
 
 
-@dataclass
-class MirrorPairing:
+class MirrorPairing(_Mutable):
     """Witness that a terminal-exchanging symmetry of the node's shape exists.
 
     A series node's reversal carries child i onto child k-1-i.  For a
@@ -150,8 +150,10 @@ class MirrorPairing:
     once, self-pairs allowed.
     """
 
-    kind: str
-    class_pairs: tuple[tuple[int, int], ...] | None = None
+    __slots__ = ("kind", "class_pairs")
+
+    def __init__(self, kind: str, class_pairs: tuple[tuple[int, int], ...] | None = None) -> None:
+        _Mutable.__init__(self, kind, class_pairs)
 
 
 def mirror_pairing(node: Node) -> MirrorPairing | None:

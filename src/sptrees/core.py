@@ -9,6 +9,16 @@ preorder, so edge subsets can be stored as bitmasks over leaf indices.
 each field once (an inner node's terminals from its children), no field
 can be assigned afterwards, and no node has a `__dict__`.  Their `==`,
 `hash` and `repr` are those of frozen dataclasses over the same fields.
+The value types of the package (`EdgeSet`, `LabeledGraph`, the rooted
+graphs, `Violation` here, and the counts, plans, oracle policies and
+reports, random parameters and class records of the other modules) are
+slotted classes in the same way, over one base, `_Record`: each keeps
+the constructor, `==`, `hash`, `repr` and immutability of the dataclass
+it was, and the hot ones set each slot once through its descriptor.  A
+`LabeledGraph` keeps a `__dict__` for its lazy indexes.  No dataclass
+is built, and `dataclasses`, whose import and decorators took three
+quarters of the package's import time, is imported only by `_frozen`,
+to raise its `FrozenInstanceError`.
 
 Nodes carry no shape facts: the canonical and reversal codes, the
 classes of a P node and the counts are built once per distinct shape by
@@ -33,7 +43,6 @@ immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 import re
-from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterator, NoReturn, Union
@@ -48,7 +57,61 @@ def is_valid_label(text: str) -> bool:
 
 
 def _frozen(self, name: str, *value) -> None:
+    from dataclasses import FrozenInstanceError
+
     raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+class _Record:
+    """A value over the fields its class lists in `__slots__`, kept in
+    order as `__match_args__` (a subclass that lists none keeps its base's).
+
+    It is what a frozen dataclass over the same fields was: no field can be
+    assigned or deleted, it equals a value of its own class with equal
+    fields, and it hashes and prints by its fields.  It pickles and copies
+    through its constructor.  `_Mutable` is the dataclass that is not
+    frozen.  The base `__init__` sets the fields by position; a subclass
+    gives the signature.
+    """
+
+    __slots__ = ()
+    __setattr__ = __delattr__ = _frozen
+    __match_args__ = ()
+
+    def __init_subclass__(cls) -> None:
+        fields = tuple(name for name in cls.__dict__.get("__slots__", ()) if name != "__dict__")
+        if fields:
+            cls.__match_args__ = fields
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__match_args__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other: object):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = [f"{name}={getattr(self, name)!r}" for name in self.__match_args__]
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class _Mutable(_Record):
+    """A `_Record` whose fields can be assigned and deleted, and which so
+    has no hash."""
+
+    __slots__ = ()
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
 
 class _Hash(int):
@@ -226,8 +289,7 @@ def _fold(root: Node, leaf, inner):
     return folds[id(root)]
 
 
-@dataclass(frozen=True, eq=False)
-class _RootedSP:
+class _RootedSP(_Record):
     """A series-parallel graph with two terminals, given by its tree.
 
     The one graph type: `OrientedSP` reads its terminals as an ordered
@@ -238,7 +300,10 @@ class _RootedSP:
     equal.
     """
 
-    tree: Node
+    __slots__ = ("tree",)
+
+    def __init__(self, tree: Node) -> None:
+        _Record.__init__(self, tree)
 
     def _key(self) -> tuple:
         g = underlying_graph(self.tree)
@@ -253,12 +318,13 @@ class _RootedSP:
         return hash(self._key())
 
 
-@dataclass(frozen=True, eq=False)
 class OrientedSP(_RootedSP):
     """A series-parallel graph with an ordered (source, sink) terminal pair.
 
     Swapping the terminals yields a different oriented graph in general.
     """
+
+    __slots__ = ()
 
     @property
     def source(self) -> str:
@@ -272,9 +338,10 @@ class OrientedSP(_RootedSP):
         return (self.tree.source, self.tree.target)
 
 
-@dataclass(frozen=True, eq=False)
 class SemiorientedSP(_RootedSP):
     """A series-parallel graph with an unordered terminal set {s, t}."""
+
+    __slots__ = ()
 
     @property
     def terminals(self) -> frozenset[str]:
@@ -288,12 +355,14 @@ def _tree_of(g) -> Node:
     return g.tree if isinstance(g, _RootedSP) else g
 
 
-@dataclass(frozen=True)
-class LabeledGraph:
-    """Simple labeled graph; edge i is the leaf with preorder index i."""
+class LabeledGraph(_Record):
+    """Simple labeled graph; edge i is the leaf with preorder index i.  Its
+    indexes are built on first use and kept in its `__dict__`."""
 
-    vertices: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
+    __slots__ = ("vertices", "edges", "__dict__")
+
+    def __init__(self, vertices: tuple[str, ...], edges: tuple[tuple[str, str], ...]) -> None:
+        _Record.__init__(self, vertices, edges)
 
     @property
     def n(self) -> int:
@@ -315,11 +384,21 @@ class LabeledGraph:
         return self.edge_index[(u, v) if u <= v else (v, u)]
 
 
-@dataclass(frozen=True)
-class EdgeSet:
+class EdgeSet(_Record):
     """Subset of global leaf indices stored as a bitmask."""
 
-    mask: int = 0
+    __slots__ = ("mask",)
+
+    def __init__(self, mask: int = 0) -> None:
+        _set_mask(self, mask)
+
+    # The base's `==` and `hash`, written out for the one value built per
+    # tree: the generic ones, over a field list, cost three to six times more.
+    def __eq__(self, other: object):
+        return self.mask == other.mask if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.mask,))
 
     @classmethod
     def of(cls, indices) -> EdgeSet:
@@ -328,7 +407,7 @@ class EdgeSet:
             mask |= 1 << i
         return cls(mask)
 
-    @cached_property
+    @property
     def cardinality(self) -> int:
         return self.mask.bit_count()
 
@@ -355,6 +434,9 @@ class EdgeSet:
         return EdgeSet(mask_image(self.mask, leaf_map))
 
 
+_set_mask = EdgeSet.mask.__set__
+
+
 def mask_image(mask: int, leaf_map: dict[int, int]) -> int:
     """Image of a leaf bitmask under a leaf-index map, bit by bit."""
     out = 0
@@ -371,12 +453,13 @@ class Classification(Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Record):
     """One broken invariant, with a path to the offending node."""
 
-    path: str
-    message: str
+    __slots__ = ("path", "message")
+
+    def __init__(self, path: str, message: str) -> None:
+        _Record.__init__(self, path, message)
 
     def __str__(self) -> str:
         return f"{self.path}: {self.message}"

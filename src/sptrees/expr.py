@@ -27,7 +27,6 @@ import heapq
 import itertools
 import random
 import re
-from dataclasses import dataclass
 
 from .core import (
     LABEL,
@@ -37,6 +36,7 @@ from .core import (
     Series,
     TreeAcceptor,
     TreeChecker,
+    _Record,
     _reject,
     is_valid_label,
     normalize,
@@ -333,12 +333,12 @@ def _connected(adj: dict[str, dict[str, tuple]], start: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RandomSpParams:
-    seed: int
-    max_depth: int = 3
-    max_children: int = 3
-    leaf_bias: float = 0.4
+class RandomSpParams(_Record):
+    __slots__ = ("seed", "max_depth", "max_children", "leaf_bias")
+
+    def __init__(self, seed: int, max_depth: int = 3, max_children: int = 3,
+                 leaf_bias: float = 0.4) -> None:
+        _Record.__init__(self, seed, max_depth, max_children, leaf_bias)
 
 
 def random_sp(params: RandomSpParams) -> Node:

@@ -97,11 +97,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
 
-from .core import EdgeSet, Node, OrientedSP, Series, _tree_of, inner_postorder
+from .core import EdgeSet, Node, OrientedSP, Series, _Mutable, _Record, _tree_of, inner_postorder
 
 _TOKEN_KEY = str.maketrans("SPE()", "ABCDE")
 
@@ -120,10 +119,15 @@ class ImageNotFound(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class CountPair:
-    spanning: int
-    near: int
+class CountPair(_Record):
+    __slots__ = ("spanning", "near")
+
+    def __init__(self, spanning: int, near: int) -> None:
+        _set_spanning(self, spanning)
+        _set_near(self, near)
+
+
+_set_spanning, _set_near = CountPair.spanning.__set__, CountPair.near.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -163,16 +167,18 @@ def multiset_rank(seq: tuple[int, ...], m: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(slots=True)
-class _ClassPlan:
+class _ClassPlan(_Mutable):
     """One class of a parallel node as a part: `size` members, all planned by
     `rep_plan`, with nt near and st spanning assignments, under the names a
     child plan gives its near and spanning trees."""
 
-    size: int
-    rep_plan: "_Plan"
-    nt: int
-    st: int
+    __slots__ = ("size", "rep_plan", "nt", "st")
+
+    def __init__(self, size: int, rep_plan: _Plan, nt: int, st: int) -> None:
+        self.size = size
+        self.rep_plan = rep_plan
+        self.nt = nt
+        self.st = st
 
     def fixed(self) -> tuple[int, int]:
         """Spanning and near assignments a reversal of the class onto itself
@@ -184,7 +190,6 @@ class _ClassPlan:
         return span, _invariant_multisets(fixed, swapped, self.size)
 
 
-@dataclass(slots=True, eq=False, repr=False)
 class _Plan:
     """Counts, codes and parts of one oriented shape, of `kind` leaf, series
     or parallel.
@@ -199,18 +204,23 @@ class _Plan:
     with no automorphism reduction, ss, sn the semioriented ones.
     """
 
-    kind: str
-    code: str
-    rev: str
-    m: int
-    n: int
-    st: int
-    nt: int
-    tau: int
-    nu: int
-    ss: int
-    sn: int
-    parts: tuple = ()
+    __slots__ = ("kind", "code", "rev", "m", "n", "st", "nt", "tau", "nu", "ss", "sn", "parts")
+
+    def __init__(self, kind: str, code: str, rev: str, m: int, n: int, st: int, nt: int,
+                 tau: int, nu: int, ss: int, sn: int, parts: tuple = ()) -> None:
+        # One statement per slot: an unpacked tuple costs a third more.
+        self.kind = kind
+        self.code = code
+        self.rev = rev
+        self.m = m
+        self.n = n
+        self.st = st
+        self.nt = nt
+        self.tau = tau
+        self.nu = nu
+        self.ss = ss
+        self.sn = sn
+        self.parts = parts
 
     def fixed(self) -> tuple[int, int]:
         """Spanning and near trees a reversal of the shape onto itself fixes:
@@ -290,8 +300,11 @@ def _invariant_multisets(fixed: int, swapped_pairs: int, size: int) -> int:
     multiplicity, so pairs are drawn two at a time: it sums, over j, the
     size-j multisets of pairs times the size-(size - 2j) multisets of fixed
     items.  Both factors come by ratio updates, j up from 0 and size - 2j
-    up from size % 2, so no term is a fresh binomial.
+    up from size % 2, so no term is a fresh binomial.  Sizes 0 and 1, which
+    most calls ask for, have one term each: 1, and the fixed items.
     """
+    if size < 2:
+        return fixed if size else 1
     pairs, singles = [1], [fixed if size % 2 else 1]
     for j, k in enumerate(range(size % 2, size - 1, 2)):
         pairs.append(pairs[-1] * (swapped_pairs + j) // (j + 1))

@@ -23,10 +23,9 @@ raise it explicitly for stress runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
-from .core import EdgeSet, LabeledGraph, mask_image
+from .core import EdgeSet, LabeledGraph, _Record, mask_image
 
 DEFAULT_LIMIT = 12
 
@@ -39,21 +38,22 @@ class NonIntegralResult(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FixBoth:
-    s: str
-    t: str
+class FixBoth(_Record):
+    __slots__ = ("s", "t")
+
+    def __init__(self, s: str, t: str) -> None:
+        _Record.__init__(self, s, t)
 
 
-@dataclass(frozen=True)
-class FixSet:
-    s: str
-    t: str
+class FixSet(_Record):
+    __slots__ = ("s", "t")
+
+    def __init__(self, s: str, t: str) -> None:
+        _Record.__init__(self, s, t)
 
 
-@dataclass(frozen=True)
-class FixNone:
-    pass
+class FixNone(_Record):
+    __slots__ = ()
 
 
 FixPolicy = Union[FixBoth, FixSet, FixNone]
@@ -61,12 +61,14 @@ FixPolicy = Union[FixBoth, FixSet, FixNone]
 VertexPermutation = dict  # vertex label -> vertex label
 
 
-@dataclass(frozen=True)
-class OrbitReport:
+class OrbitReport(_Record):
     """Orbit partition of a collection of edge sets under a group."""
 
-    orbits: tuple[tuple[EdgeSet, tuple[EdgeSet, ...]], ...]
-    group_order: int
+    __slots__ = ("orbits", "group_order")
+
+    def __init__(self, orbits: tuple[tuple[EdgeSet, tuple[EdgeSet, ...]], ...],
+                 group_order: int) -> None:
+        _Record.__init__(self, orbits, group_order)
 
     @property
     def orbit_count(self) -> int:

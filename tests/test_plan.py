@@ -2,7 +2,6 @@
 isomorphic subtrees share one position-free plan."""
 
 import contextlib
-import dataclasses
 import gc
 import itertools
 import math
@@ -43,9 +42,11 @@ from sptrees.cli import run, verify_instance
 from sptrees.expr import read_edge_list
 from sptrees.generate import (
     _build,
+    _ClassPlan,
     _count,
     _invariant_multisets,
     _layout,
+    _Plan,
     _starts,
     _streams,
     build_plan,
@@ -106,6 +107,20 @@ def _walk(plan):
             stack.extend(cp.rep_plan for cp in plan.parts)
         else:
             stack.extend(plan.parts)
+
+
+def _replace(plan, **changes):
+    """A plan or class plan built with its fields, some of them changed."""
+    return type(plan)(*[changes.get(name, getattr(plan, name)) for name in plan.__slots__])
+
+
+def _astuple(value):
+    """A plan or class plan as the nested tuple of its fields, parts too."""
+    if isinstance(value, tuple):
+        return tuple(map(_astuple, value))
+    if isinstance(value, (_Plan, _ClassPlan)):
+        return tuple(_astuple(getattr(value, name)) for name in value.__slots__)
+    return value
 
 
 @pytest.mark.parametrize("text", TEXTS)
@@ -223,9 +238,9 @@ def test_no_tree_list_outlives_its_stream(text):
     _results(tree)
     assert build_plan(tree) is plan
     for part in _walk(plan):
-        for field in dataclasses.fields(part):
-            value = getattr(part, field.name)
-            assert not isinstance(value, (list, dict, set)), field.name
+        for name in part.__slots__:
+            value = getattr(part, name)
+            assert not isinstance(value, (list, dict, set)), name
 
 
 @pytest.mark.parametrize("text", TEXTS)
@@ -410,6 +425,15 @@ def test_invariant_multisets_equal_the_binomial_sum(fixed, swapped, size):
     )
 
 
+@pytest.mark.parametrize("size", [0, 1])
+def test_invariant_multisets_of_size_0_and_1_are_direct(size):
+    """Sizes 0 and 1, which most calls ask for, are answered with no loop:
+    1, and the fixed items, as the binomial sum gives."""
+    for fixed, swapped in itertools.product(range(8), repeat=2):
+        expected = reference_invariant_multisets(fixed, swapped, size)
+        assert _invariant_multisets(fixed, swapped, size) == expected == (fixed if size else 1)
+
+
 def _ladder(rungs: int):
     """The 2 x L ladder a_i b_i as an edge list, terminals a0 b0."""
     a, b = [f"a{i}" for i in range(rungs)], [f"b{i}" for i in range(rungs)]
@@ -458,10 +482,10 @@ def test_plans_compare_and_print_without_recursion():
     # Each plan with parts also comes with its last part's spanning count off
     # by one, a plan equal to it but for a field below the root.
     plans += [
-        dataclasses.replace(plan, parts=plan.parts[:-1] + (
-            dataclasses.replace(plan.parts[-1], st=plan.parts[-1].st + 1),))
+        _replace(plan, parts=plan.parts[:-1] + (
+            _replace(plan.parts[-1], st=plan.parts[-1].st + 1),))
         for plan in plans if plan.parts
     ]
     for a in plans:
         for b in plans:
-            assert (a == b) == (dataclasses.astuple(a) == dataclasses.astuple(b))
+            assert (a == b) == (_astuple(a) == _astuple(b))
