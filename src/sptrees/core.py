@@ -45,6 +45,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterator, NoReturn, Union
 
 # A vertex label, the grammar's `label` token.
@@ -68,7 +69,8 @@ class _Record:
 
     It is what a frozen dataclass over the same fields was: no field can be
     assigned or deleted, it equals a value of its own class with equal
-    fields, and it hashes and prints by its fields.  It pickles and copies
+    fields, and it hashes and prints by its fields, read as one tuple,
+    `_values`, by a getter built once per class.  It pickles and copies
     through its constructor.  `_Mutable` is the dataclass that is not
     frozen.  The base `__init__` sets the fields by position; a subclass
     gives the signature.
@@ -76,34 +78,33 @@ class _Record:
 
     __slots__ = ()
     __setattr__ = __delattr__ = _frozen
-    __match_args__ = ()
+    __match_args__ = _values = ()
 
     def __init_subclass__(cls) -> None:
         fields = tuple(name for name in cls.__dict__.get("__slots__", ()) if name != "__dict__")
         if fields:
             cls.__match_args__ = fields
+            get = attrgetter(*fields)
+            cls._values = property(get if len(fields) > 1 else lambda self: (get(self),))
 
     def __init__(self, *values) -> None:
         for name, value in zip(self.__match_args__, values):
             object.__setattr__(self, name, value)
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__match_args__])
-
     def __eq__(self, other: object):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return self._values == other._values
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._values)
 
     def __repr__(self) -> str:
         fields = [f"{name}={getattr(self, name)!r}" for name in self.__match_args__]
         return f"{type(self).__qualname__}({', '.join(fields)})"
 
     def __reduce__(self):
-        return type(self), self._values()
+        return type(self), self._values
 
 
 class _Mutable(_Record):
@@ -391,14 +392,6 @@ class EdgeSet(_Record):
 
     def __init__(self, mask: int = 0) -> None:
         _set_mask(self, mask)
-
-    # The base's `==` and `hash`, written out for the one value built per
-    # tree: the generic ones, over a field list, cost three to six times more.
-    def __eq__(self, other: object):
-        return self.mask == other.mask if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.mask,))
 
     @classmethod
     def of(cls, indices) -> EdgeSet:
