@@ -22,23 +22,23 @@ import json
 import os
 import sys
 from functools import cache
-from itertools import chain, count, cycle, islice, repeat
+from itertools import chain, compress, count, cycle, islice, repeat
 
 from .canonical import canonical_code, mirror_pairing, reversal_code
-from .core import EdgeSet, Node, underlying_graph
+from .core import Node, underlying_graph
 from .expr import RandomSpParams, random_sp, read_instances, serialize_sp
-from .generate import ImageNotFound, _streams, count_oriented, count_total, oriented_both
+from .generate import ImageNotFound, _streams, count_oriented, count_total
 from .oracle import (
     DEFAULT_LIMIT,
     FixSet,
     LimitExceeded,
+    _check_limit,
+    _forests,
     _least_images,
-    all_near_trees,
-    all_spanning_trees,
     automorphisms,
     kirchhoff_count,
 )
-from .semi import _masks, count_semioriented, semioriented_spanning
+from .semi import _masks, _selectors, count_semioriented
 
 # Most lines `enumerate` joins into one write.
 _CHUNK = 64
@@ -266,19 +266,23 @@ def verify_instance(tree: Node, limit: int = DEFAULT_LIMIT) -> tuple[bool, str]:
     """Run every fast-versus-oracle agreement check on one instance.
 
     Returns (ok, summary); raises LimitExceeded instead of degrading
-    when the instance is too large for the oracle.
+    when the instance is too large for the oracle.  Every list is a list
+    of int masks, each built once: the oracle's spanning and near trees
+    straight from its forest walk (`oracle._forests`), the fast ones from
+    `_fast_masks`.
     """
     graph = underlying_graph(tree)
     s, t = tree.source, tree.target
     failures = []
 
     tau = count_total(tree).spanning
-    spanning = all_spanning_trees(graph, limit=limit)
+    _check_limit(graph, limit)
+    masks = [mask for mask, _ in _forests(graph, graph.n - 1)]
     kirchhoff = kirchhoff_count(graph)
-    if not tau == kirchhoff == len(spanning):
+    if not tau == kirchhoff == len(masks):
         failures.append(
             f"total mismatch: recurrence={tau} kirchhoff={kirchhoff} "
-            f"brute={len(spanning)}"
+            f"brute={len(masks)}"
         )
 
     # A symmetry that keeps {s, t} and fixes s also fixes t.
@@ -287,14 +291,13 @@ def verify_instance(tree: Node, limit: int = DEFAULT_LIMIT) -> tuple[bool, str]:
 
     # One image pass per group element: the spanning trees under Aut_semi
     # (with Aut_or as its members fixing s), then the near trees under Aut_or.
-    masks = [es.mask for es in spanning]
+    # The near trees are the spanning trees of G with s and t merged.
     keys_semi, keys_or, fixed = _least_images(graph, masks, aut_semi, s)
-    near = all_near_trees(graph, s, t, limit=limit)
-    near_masks = [es.mask for es in near]
+    near_masks = [mask for mask, _ in _forests(graph, graph.n - 2, (s, t))]
     near_keys = _least_images(graph, near_masks, aut_or)[0]
 
     counts = count_oriented(tree)
-    fast_sp, fast_nt = oriented_both(tree)
+    fast_sp, fast_nt, fast_semi = _fast_masks(tree)
     failures.extend(
         _orbit_agreement("oriented spanning", fast_sp, masks, keys_or, counts.spanning)
     )
@@ -302,7 +305,6 @@ def verify_instance(tree: Node, limit: int = DEFAULT_LIMIT) -> tuple[bool, str]:
         _orbit_agreement("oriented near", fast_nt, near_masks, near_keys, counts.near)
     )
 
-    fast_semi = semioriented_spanning(tree)
     semi_count = count_semioriented(tree)
     failures.extend(
         _orbit_agreement("semioriented spanning", fast_semi, masks, keys_semi, semi_count)
@@ -329,18 +331,28 @@ def verify_instance(tree: Node, limit: int = DEFAULT_LIMIT) -> tuple[bool, str]:
     return True, summary
 
 
+def _fast_masks(tree: Node) -> tuple[list[int], list[int], list[int]]:
+    """The fast oriented spanning, oriented near and semioriented spanning
+    masks, each list built once: the first two from one pass over the root's
+    part lists, the third the first through the reversal filter's selectors
+    (`semi._selectors`), so that no oriented list is built twice."""
+    keep = _selectors(tree)
+    spanning, near = map(list, _streams(tree, False, True))
+    return spanning, near, spanning if keep is None else list(compress(spanning, keep))
+
+
 def _orbit_agreement(
-    label: str, fast: list[EdgeSet], masks: list[int], keys: list[int], expected_count: int
+    label: str, fast: list[int], masks: list[int], keys: list[int], expected_count: int
 ) -> list[str]:
-    """Failures unless `fast` holds exactly one tree of each orbit, where
-    the oracle trees `masks` share an orbit when their `keys` agree."""
+    """Failures unless the masks `fast` hold exactly one tree of each orbit,
+    where the oracle trees `masks` share an orbit when their `keys` agree."""
     orbit_count = len(set(keys))
     if not len(fast) == orbit_count == expected_count:
         return [f"{label}: fast={len(fast)} orbits={orbit_count} count={expected_count}"]
     key_of = dict(zip(masks, keys))
     hit = set()
-    for es in fast:
-        key = key_of.get(es.mask)
+    for mask in fast:
+        key = key_of.get(mask)
         if key is None:
             return [f"{label}: emitted set is not a valid oracle tree"]
         if key in hit:

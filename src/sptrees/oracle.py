@@ -14,8 +14,8 @@ its inner work in C-level operations on ints and strings:
 - orbits are keyed by each set's least image under the group, and
   Burnside counts the sets each element fixes.  One image pass
   (`_least_images`) maps all sets under one group element at a time
-  through per-byte tables of its edge map and gives both, for the group
-  and for its members that fix s.
+  through per-byte tables of its edge map, and under the identity maps
+  nothing, and gives both, for the group and for its members that fix s.
 
 The default vertex limit keeps worst-case backtracking around a second;
 raise it explicitly for stress runs.
@@ -274,12 +274,19 @@ def _least_images(
     edge map (`_images`), and each mask keeps a running least image, so
     memory stays at two keys per mask plus one element's tables.  Both
     least images start at the mask itself, which is its image under the
-    identity."""
+    identity; so an element whose edge map is the identity, wherever it
+    stands in `autos`, fixes every mask, lowers no least image and maps
+    nothing."""
     rows = _mask_bytes(masks, g.m)
     least = fixed_least = masks
     fixed = 0
+    identity = list(range(g.m))
     for sigma in autos:
-        images = _images(_edge_map(g, sigma), rows)
+        edge_map = _edge_map(g, sigma)
+        if edge_map == identity:
+            fixed += len(masks)
+            continue
+        images = _images(edge_map, rows)
         least = list(map(min, least, images))
         if fixing is not None and sigma[fixing] == fixing:
             fixed_least = list(map(min, fixed_least, images))

@@ -3,8 +3,11 @@
 When no automorphism can exchange the terminals, the semioriented
 output is bit-identical to the oriented one.  Otherwise the oriented
 enumeration produces the surviving trees in pairs related by the
-reversal symmetry, and `_masks` keeps one of each pair: it passes the
-oriented root stream through `itertools.compress`.  A root tree's key is
+reversal symmetry, and the filter keeps one of each pair: `_selectors`
+gives one keep flag per oriented root tree, which `_masks` applies to
+the oriented root stream, and `cli.verify_instance` to the oriented
+spanning list it has already built, each by `itertools.compress`, so
+verify builds no oriented list twice.  A root tree's key is
 its tuple of indices into the root's part lists (`generate._blocks`, a
 part's spanning trees or assignments numbered after its near ones).  The
 reversal carries part i onto part dest[i] and its index through the
@@ -191,15 +194,26 @@ def iter_semioriented_spanning(g: SemiorientedSP):
 
 def _masks(tree, numbering=None):
     """Masks of the semioriented spanning trees in `numbering`, as in `generate._placed`:
-    the oriented stream, less each tree whose key is below its partner's.
-    A lone edge (code = reversal code = E) has no parts, so its one tree
-    has the empty key and the empty partner, and is kept."""
+    the oriented stream through the reversal filter's `_selectors`."""
+    # The actions before the lists: built while the lists are alive, they
+    # raise the peak.
+    keep = _selectors(tree)
+    stream = _streams(tree, False, numbering=numbering)[0]
+    return stream if keep is None else compress(stream, keep)
+
+
+def _selectors(tree):
+    """Per oriented spanning tree of `tree`, in stream order, whether the
+    filter keeps it: its key compares >= its partner's.  None when the root
+    is not reversal-symmetric, where every tree is kept.  The actions are
+    built here, the selectors themselves lazily, so they read a list or a
+    stream alike.  A lone edge (code = reversal code = E) has no parts, so
+    its one tree has the empty key and the empty partner, and is kept."""
     plan = build_plan(tree)
     if plan.code != plan.rev:
-        return _streams(tree, False, numbering=numbering)[0]
-    # The actions before the lists: built while the lists are alive, they
-    # raise the peak.  Every plan but the last, the root's, gets its action:
-    # the root's parts read theirs, and nothing reads the root's own.
+        return None
+    # Every plan but the last, the root's, gets its action: the root's parts
+    # read theirs, and nothing reads the root's own.
     plans = _plans(tree).by_code
     actions = _reversal_perms(islice(plans.values(), len(plans) - 1), plans)
     dest, perms = _parts(actions, plan, plan)
@@ -219,8 +233,7 @@ def _masks(tree, numbering=None):
     # entry b is image dest[b].  One index would give a bare int, not a tuple.
     if len(dest) > 1:
         partners = map(operator.itemgetter(*dest), partners)
-    stream = _streams(tree, False, numbering=numbering)[0]
-    return compress(stream, map(operator.ge, keys, partners))
+    return map(operator.ge, keys, partners)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import itertools
 import math
 import operator
 import random
-from functools import partial
+from functools import cache, partial
 from itertools import compress, product, repeat
 
 import pytest
@@ -22,6 +22,7 @@ from sptrees import (
     random_sp,
     underlying_graph,
 )
+from sptrees.cli import verify_instance
 from sptrees.core import (
     Leaf,
     Node,
@@ -364,6 +365,91 @@ def orbit_exactly_once(fast: list[EdgeSet], report) -> bool:
             return False
         hit.add(orbit_id)
     return len(hit) == report.orbit_count
+
+
+# ---------------------------------------------------------------------------
+# Every simple oriented SP shape with m edges
+# ---------------------------------------------------------------------------
+
+
+@cache
+def _rooted(m: int, kind: str) -> tuple:
+    """Every shape with m >= 2 edges whose root is a `kind` node, up to
+    isomorphism, as (kind, parts); a part is "E" for an edge or such a pair.
+    An S shape is an ordered sequence of at least two non-S shapes; a P shape
+    is a multiset of at least two non-P shapes with at most one bare edge."""
+    parts = _runs(m) if kind == "S" else _bags(m, 0, _pool(m))
+    return tuple((kind, p) for p in parts if len(p) >= 2)
+
+
+def _unrooted(m: int, kind: str) -> tuple:
+    """Every shape with m edges whose root is not a `kind` node."""
+    return ("E",) if m == 1 else _rooted(m, "P" if kind == "S" else "S")
+
+
+@cache
+def _runs(m: int) -> list[tuple]:
+    """The ordered sequences of non-S shapes with m edges in all."""
+    runs = [(x,) for x in _unrooted(m, "S")]
+    for k in range(1, m):
+        runs += [(x,) + rest for x in _unrooted(k, "S") for rest in _runs(m - k)]
+    return runs
+
+
+@cache
+def _pool(m: int) -> tuple:
+    """The non-P shapes of fewer than m edges as (edges, shape), by size:
+    the bare edge first."""
+    return tuple((k, x) for k in range(1, m) for x in _unrooted(k, "P"))
+
+
+def _bags(m: int, start: int, pool: tuple) -> list[tuple]:
+    """The multisets of `pool[start:]` with m edges in all, each in pool
+    order; the bare edge, pool[0], at most once."""
+    if m == 0:
+        return [()]
+    bags = []
+    for i in range(start, len(pool)):
+        k, x = pool[i]
+        if k <= m:
+            bags += [(x,) + rest for rest in _bags(m - k, max(i, 1), pool)]
+    return bags
+
+
+def sp_shapes(m: int) -> list[str]:
+    """An SP expression of every simple oriented SP shape with m edges, once
+    each, between s and t with inner vertices v1, v2, ..."""
+    shapes = ("E",) if m == 1 else _rooted(m, "S") + _rooted(m, "P")
+    return list(map(_shape_text, shapes))
+
+
+def _shape_text(shape) -> str:
+    labels = (f"v{i}" for i in itertools.count(1))
+
+    def text(shape, u: str, v: str) -> str:
+        if shape == "E":
+            return f"e({u},{v})"
+        kind, parts = shape
+        if kind == "P":
+            ends = [(u, v)] * len(parts)
+        else:
+            cuts = [u] + [next(labels) for _ in parts[1:]] + [v]
+            ends = list(zip(cuts, cuts[1:]))
+        return f"{kind}(" + ",".join(text(p, a, b) for p, (a, b) in zip(parts, ends)) + ")"
+
+    return text(shape, "s", "t")
+
+
+def shape_sweep(max_edges: int) -> tuple[int, list[str]]:
+    """`verify_instance` on every shape with at most `max_edges` edges: the
+    number of shapes, and each failing shape with its summary."""
+    texts = [text for m in range(1, max_edges + 1) for text in sp_shapes(m)]
+    failures = []
+    for text in texts:
+        ok, summary = verify_instance(parse_sp(text))
+        if not ok:
+            failures.append(f"{text}: {summary}")
+    return len(texts), failures
 
 
 # ---------------------------------------------------------------------------
@@ -799,6 +885,21 @@ def reference_burnside_count(trees: list[EdgeSet], autos, g) -> int:
     if total % len(autos) != 0:
         raise NonIntegralResult(f"{total} fixed points over group order {len(autos)}")
     return total // len(autos)
+
+
+def reference_least_images(g, masks: list[int], autos, fixing: str | None = None):
+    """`oracle._least_images` with every element's images taken bit by bit
+    (`mask_image`), the identity's as well: each mask's least image under
+    `autos` and under those fixing `fixing`, both starting at the mask
+    itself, and the (mask, element) pairs where the element fixes the mask."""
+    least, fixed_least, fixed = list(masks), list(masks), 0
+    for sigma, edge_map in zip(autos, _reference_edge_maps(g, autos)):
+        images = [mask_image(mask, edge_map) for mask in masks]
+        least = list(map(min, least, images))
+        if fixing is not None and sigma[fixing] == fixing:
+            fixed_least = list(map(min, fixed_least, images))
+        fixed += sum(image == mask for image, mask in zip(images, masks))
+    return least, fixed_least, fixed
 
 
 # ---------------------------------------------------------------------------

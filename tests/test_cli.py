@@ -12,7 +12,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sptrees import (
-    EdgeSet,
     FixSet,
     ImageNotFound,
     OrientedSP,
@@ -24,8 +23,8 @@ from sptrees import (
     parse_sp,
     underlying_graph,
 )
-from sptrees import cli, expr
-from sptrees.core import Leaf, Series
+from sptrees import cli, expr, generate, oracle
+from sptrees.core import EdgeSet, Leaf, Series
 from sptrees.cli import _build_parser, _lines, run
 from sptrees.oracle import DEFAULT_LIMIT
 
@@ -34,6 +33,7 @@ from conftest import (
     THETA_TEXT,
     deep_nest_codes,
     deep_nest_text,
+    mirror_symmetric,
     reference_lines,
     twin_nest_text,
 )
@@ -341,24 +341,24 @@ def test_verify_above_default_limit_on_exchangeable_terminals(tmp_path, capsys):
     )
 
 
-def _one_too_few(trees, group, g):
-    return trees[:-1]
+def _one_too_few(masks, group, g):
+    return masks[:-1]
 
 
-def _not_a_tree(trees, group, g):
-    return [EdgeSet((1 << g.m) - 1)] + trees[1:]
+def _not_a_tree(masks, group, g):
+    return [(1 << g.m) - 1] + masks[1:]
 
 
-def _two_of_one_orbit(trees, group, g):
-    """`trees` with one member replaced by the image of another under the group."""
+def _two_of_one_orbit(masks, group, g):
+    """`masks` with one member replaced by the image of another under the group."""
     images = (
-        (i, EdgeSet.of(g.index_of(*map(sigma.get, g.edges[k])) for k in tree.indices()))
-        for i, tree in enumerate(trees)
+        (i, sum(1 << g.index_of(*map(sigma.get, g.edges[k])) for k in range(g.m) if mask >> k & 1))
+        for i, mask in enumerate(masks)
         for sigma in group
     )
-    i, image = next((i, image) for i, image in images if image != trees[i])
+    i, image = next((i, image) for i, image in images if image != masks[i])
     j = 1 if i == 0 else 0
-    return [image if k == j else tree for k, tree in enumerate(trees)]
+    return [image if k == j else mask for k, mask in enumerate(masks)]
 
 
 _DIAMOND_SUMMARY = {"oriented": 5, "near": 3, "semi": 3}
@@ -384,24 +384,21 @@ _DIAMOND_SUMMARY = {"oriented": 5, "near": 3, "semi": 3}
 def test_verify_reports_a_faulty_fast_list(
     diamond_file, monkeypatch, capsys, fault, failure, label, key
 ):
+    """Each fault goes into one of the three fast mask lists, which
+    `verify_instance` reads from `cli._fast_masks`."""
     tree = parse_sp(DIAMOND_TEXT)
     g = underlying_graph(tree)
     aut_semi = automorphisms(g, FixSet(tree.source, tree.target))
     aut_or = [sigma for sigma in aut_semi if sigma[tree.source] == tree.source]
-    real_both, real_semi = cli.oriented_both, cli.semioriented_spanning
-    if key == "semi":
-        monkeypatch.setattr(
-            cli, "semioriented_spanning", lambda sp: fault(real_semi(sp), aut_semi, g)
-        )
-    else:
-        which = 0 if key == "oriented" else 1
+    which = ("oriented", "near", "semi").index(key)
+    real_fast_masks = cli._fast_masks
 
-        def both(sp):
-            lists = list(real_both(sp))
-            lists[which] = fault(lists[which], aut_or, g)
-            return tuple(lists)
+    def fast_masks(sp):
+        lists = list(real_fast_masks(sp))
+        lists[which] = fault(lists[which], aut_semi if key == "semi" else aut_or, g)
+        return tuple(lists)
 
-        monkeypatch.setattr(cli, "oriented_both", both)
+    monkeypatch.setattr(cli, "_fast_masks", fast_masks)
     sizes = dict(_DIAMOND_SUMMARY)
     if fault is _one_too_few:
         sizes[key] -= 1
@@ -478,6 +475,51 @@ def test_count_of_twin_deep_nests(tmp_path, capsys):
         counts[mode] = int(capsys.readouterr().out)
     assert counts["semioriented"] == counts["oriented"]
     assert counts["total"] == 2 * counts["oriented"]
+
+
+def _patch_bindings(monkeypatch, obj, replacement) -> None:
+    """Put `replacement` over every sptrees module's binding of `obj`."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "sptrees":
+            for attr, value in list(vars(module).items()):
+                if value is obj:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+@pytest.mark.parametrize(
+    "text, group_orders",
+    [
+        (DIAMOND_TEXT, (4, 2)),
+        (expr.serialize_sp(mirror_symmetric(2)), (8, 4)),
+        (expr.serialize_sp(mirror_symmetric(5)), (2, 1)),
+    ],
+    ids=["diamond", "mirror2", "mirror5"],
+)
+def test_verify_builds_each_list_once_and_maps_nothing_through_the_identity(
+    text, group_orders, monkeypatch
+):
+    """`verify_instance` maps the spanning masks under each element of
+    Aut_semi but the identity and the near masks under each of Aut_or but the
+    identity, builds the fast lists in one `_streams` call, and wraps no mask
+    in an `EdgeSet`."""
+    tree = parse_sp(text)
+    calls = {"images": 0, "streams": 0, "edge sets": 0}
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    _patch_bindings(monkeypatch, oracle._images, counted("images", oracle._images))
+    _patch_bindings(monkeypatch, generate._streams, counted("streams", generate._streams))
+    monkeypatch.setattr(EdgeSet, "__init__", counted("edge sets", EdgeSet.__init__))
+    ok, summary = cli.verify_instance(tree)
+    aut_semi, aut_or = group_orders
+    assert ok
+    assert summary.endswith(f"aut_or={aut_or} aut_semi={aut_semi}")
+    assert calls == {"images": aut_semi - 1 + aut_or - 1, "streams": 1, "edge sets": 0}
 
 
 def test_verify_limit_defaults_to_the_oracle_limit():

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sptrees import (
@@ -160,6 +160,26 @@ def test_semantic_errors_carry_paths_into_the_raw_input(text, message):
 @pytest.mark.parametrize("text", [text for text, _ in SEMANTIC_ERRORS])
 def test_acceptor_rejects_what_the_builder_rejects(text):
     assert not assert_acceptor_agrees(lambda build: expr._feed(text, build))
+
+
+# Every character a valid expression may hold, Unicode whitespace among them.
+_CLEAN = st.text(st.sampled_from("eSPab_09(), \t\n\u2003\x1c\x85\u3000"), max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_CLEAN, stray=st.sampled_from("#$é٣\x00"), rest=st.text(max_size=10))
+@example(text="P(e(s,t),\u2003S(e(s,a),\x1ce(a,t)))", stray="#", rest="e(x,y)")
+@example(text="label", stray="é", rest="more)")
+def test_tokens_are_the_regex_tokens(text, stray, rest):
+    """On stray-free text `_tokens` gives `_TOKEN.findall`'s tokens; before a
+    stray character, the tokens `_feed` reads are the regex's tokens of the
+    whole text up to that character."""
+    assert expr._tokens(text) == expr._TOKEN.findall(text)
+    dirty = text + stray + rest
+    cut = expr._STRAY.search(dirty).start()
+    assert cut == len(text)
+    before = len(expr._TOKEN.findall(dirty, 0, cut))
+    assert expr._tokens(dirty[:cut]) == expr._TOKEN.findall(dirty)[:before]
 
 
 def test_only_rejected_input_is_read_into_a_tree_checker(monkeypatch):

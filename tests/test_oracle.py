@@ -28,6 +28,7 @@ from sptrees.core import LabeledGraph, mask_image
 from sptrees.oracle import (
     _forests,
     _images,
+    _least_images,
     _mask_bytes,
     all_acyclic_near_sets,
     apply_permutation,
@@ -39,6 +40,7 @@ from conftest import (
     reference_automorphisms,
     reference_burnside_count,
     reference_forests,
+    reference_least_images,
     reference_orbit_partition,
     small_corpus,
 )
@@ -393,6 +395,33 @@ def test_byte_table_images_match_mask_image(m, seed, masks):
     masks = [0, full] + [x & full for x in masks]
     expected = [mask_image(x, dict(enumerate(perm))) for x in masks]
     assert _images(perm, _mask_bytes(masks, m)) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    order=st.randoms(use_true_random=False),
+    policy=st.sampled_from(["none", "both", "set"]),
+    with_identity=st.booleans(),
+)
+def test_least_images_skip_the_identity_exactly(seed, order, policy, with_identity):
+    """The identity shortcut of `_least_images` gives what mapping every mask
+    under every element gives, wherever the identity stands in `autos` and
+    whether or not it is there."""
+    tree = random_sp(RandomSpParams(seed=seed))
+    g = underlying_graph(tree)
+    assume(g.n <= 9)
+    s, t = tree.source, tree.target
+    fix = {"none": FixNone(), "both": FixBoth(s, t), "set": FixSet(s, t)}[policy]
+    autos = automorphisms(g, fix)
+    if not with_identity:
+        autos = [sigma for sigma in autos if any(u != v for u, v in sigma.items())]
+    order.shuffle(autos)
+    for trees in (all_spanning_trees(g), all_near_trees(g, s, t)):
+        masks = [es.mask for es in trees]
+        for fixing in (s, None):
+            expected = reference_least_images(g, masks, autos, fixing)
+            assert _least_images(g, masks, autos, fixing) == expected
 
 
 def test_component_labels_have_no_vertex_cap():

@@ -1,0 +1,42 @@
+"""Every simple oriented SP shape with up to 9 edges, listed once and verified."""
+
+from sptrees import RandomSpParams, canonical_code, parse_sp, random_sp, underlying_graph
+
+from conftest import mirror_symmetric, shape_sweep, small_corpus, sp_shapes
+
+TIER1_EDGES = 9
+
+
+def _codes(m: int) -> list[str]:
+    return [canonical_code(parse_sp(text)) for text in sp_shapes(m)]
+
+
+def test_shape_counts():
+    counts = [len(sp_shapes(m)) for m in range(1, TIER1_EDGES + 1)]
+    assert counts == [1, 1, 2, 5, 13, 36, 103, 306, 930]
+
+
+def test_shapes_have_their_edge_count_and_pairwise_distinct_codes():
+    codes = []
+    for m in range(1, TIER1_EDGES + 1):
+        assert {underlying_graph(parse_sp(text)).m for text in sp_shapes(m)} == {m}
+        codes += _codes(m)
+    assert len(set(codes)) == len(codes) == 1397
+
+
+def test_shapes_hold_every_small_drawn_shape():
+    """Every shape of at most 9 edges that the corpora draw is among the
+    listed shapes (53 corpus, 21 mirror-symmetric and 227 random draws)."""
+    listed = {code for m in range(1, TIER1_EDGES + 1) for code in _codes(m)}
+    drawn = (
+        small_corpus(60)
+        + [mirror_symmetric(seed) for seed in range(40)]
+        + [random_sp(RandomSpParams(seed=seed)) for seed in range(300)]
+    )
+    small = [tree for tree in drawn if underlying_graph(tree).m <= TIER1_EDGES]
+    assert len(small) == 53 + 21 + 227
+    assert {canonical_code(tree) for tree in small} <= listed
+
+
+def test_every_shape_passes_verify():
+    assert shape_sweep(TIER1_EDGES) == (1397, [])
