@@ -269,7 +269,10 @@ def verify_instance(tree: Node, limit: int = DEFAULT_LIMIT) -> tuple[bool, str]:
     when the instance is too large for the oracle.  Every list is a list
     of int masks, each built once: the oracle's spanning and near trees
     straight from its forest walk (`oracle._forests`), the fast ones from
-    `_fast_masks`.
+    `_fast_masks`.  One image pass over Aut_semi (`oracle._least_images`)
+    keys both oracle lists: each element but the identity builds its tables
+    once and maps the spanning trees, and the near trees too if it is in
+    Aut_or.
     """
     graph = underlying_graph(tree)
     s, t = tree.source, tree.target
@@ -289,12 +292,11 @@ def verify_instance(tree: Node, limit: int = DEFAULT_LIMIT) -> tuple[bool, str]:
     aut_semi = automorphisms(graph, FixSet(s, t), limit=limit)
     aut_or = [sigma for sigma in aut_semi if sigma[s] == s]
 
-    # One image pass per group element: the spanning trees under Aut_semi
-    # (with Aut_or as its members fixing s), then the near trees under Aut_or.
-    # The near trees are the spanning trees of G with s and t merged.
-    keys_semi, keys_or, fixed = _least_images(graph, masks, aut_semi, s)
+    # One image pass over Aut_semi: each element maps the spanning trees and,
+    # if it fixes s (so is in Aut_or), the near trees, which are the spanning
+    # trees of G with s and t merged.
     near_masks = [mask for mask, _ in _forests(graph, graph.n - 2, (s, t))]
-    near_keys = _least_images(graph, near_masks, aut_or)[0]
+    keys_semi, keys_or, fixed, near_keys = _least_images(graph, masks, aut_semi, s, near_masks)
 
     counts = count_oriented(tree)
     fast_sp, fast_nt, fast_semi = _fast_masks(tree)

@@ -498,12 +498,12 @@ def _patch_bindings(monkeypatch, obj, replacement) -> None:
 def test_verify_builds_each_list_once_and_maps_nothing_through_the_identity(
     text, group_orders, monkeypatch
 ):
-    """`verify_instance` maps the spanning masks under each element of
-    Aut_semi but the identity and the near masks under each of Aut_or but the
-    identity, builds the fast lists in one `_streams` call, and wraps no mask
-    in an `EdgeSet`."""
+    """`verify_instance` builds the tables of each element of Aut_semi but
+    the identity once, maps the spanning masks through them and, for the
+    members of Aut_or, the near masks too, builds the fast lists in one
+    `_streams` call, and wraps no mask in an `EdgeSet`."""
     tree = parse_sp(text)
-    calls = {"images": 0, "streams": 0, "edge sets": 0}
+    calls = {"tables": 0, "images": 0, "streams": 0, "edge sets": 0}
 
     def counted(name, function):
         def wrapper(*args, **kwargs):
@@ -512,6 +512,7 @@ def test_verify_builds_each_list_once_and_maps_nothing_through_the_identity(
 
         return wrapper
 
+    _patch_bindings(monkeypatch, oracle._tables, counted("tables", oracle._tables))
     _patch_bindings(monkeypatch, oracle._images, counted("images", oracle._images))
     _patch_bindings(monkeypatch, generate._streams, counted("streams", generate._streams))
     monkeypatch.setattr(EdgeSet, "__init__", counted("edge sets", EdgeSet.__init__))
@@ -519,7 +520,12 @@ def test_verify_builds_each_list_once_and_maps_nothing_through_the_identity(
     aut_semi, aut_or = group_orders
     assert ok
     assert summary.endswith(f"aut_or={aut_or} aut_semi={aut_semi}")
-    assert calls == {"images": aut_semi - 1 + aut_or - 1, "streams": 1, "edge sets": 0}
+    assert calls == {
+        "tables": aut_semi - 1,
+        "images": aut_semi - 1 + aut_or - 1,
+        "streams": 1,
+        "edge sets": 0,
+    }
 
 
 def test_verify_limit_defaults_to_the_oracle_limit():
