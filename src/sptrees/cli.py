@@ -292,9 +292,7 @@ def verify_instance(tree: Node, limit: int = DEFAULT_LIMIT) -> tuple[bool, str]:
     aut_semi = automorphisms(graph, FixSet(s, t), limit=limit)
     aut_or = [sigma for sigma in aut_semi if sigma[s] == s]
 
-    # One image pass over Aut_semi: each element maps the spanning trees and,
-    # if it fixes s (so is in Aut_or), the near trees, which are the spanning
-    # trees of G with s and t merged.
+    # The near trees are the spanning trees of G with s and t merged.
     near_masks = [mask for mask, _ in _forests(graph, graph.n - 2, (s, t))]
     keys_semi, keys_or, fixed, near_keys = _least_images(graph, masks, aut_semi, s, near_masks)
 

@@ -246,9 +246,9 @@ def apply_permutation(g: LabeledGraph, sigma: VertexPermutation, es: EdgeSet) ->
 # table of 2**WIDTH entries per column, and maps a mask by one lookup per
 # column, so a wider column costs more per element and less per mask.  The
 # image pass of `verify` over the 66 verify-oracle inputs of seeds 1-3 (n of
-# 8 to 11, |Aut_semi| up to 8) took 7.7 ms at 6 bits, 8.3 ms at 4 and 11.0 ms
-# at 8 (medians of 12 alternating runs on one core of a 2-vCPU x86-64 VM,
-# Python 3.11.7).
+# 8 to 11, |Aut_semi| up to 8) took 7.4 ms at 6 bits, 8.6 ms at 5 and 7.7 ms
+# at 7, and 8.7 ms at both 4 and 8 (medians of 12 alternating runs on one
+# core of a 2-vCPU x86-64 VM, Python 3.11.7).
 WIDTH = 6
 
 
@@ -305,8 +305,8 @@ def _least_images(
     g: LabeledGraph,
     masks: list[int],
     autos: list[VertexPermutation],
-    fixing: str | None = None,
-    near: list[int] = (),
+    fixing: str,
+    near: list[int],
 ) -> tuple[list[int], list[int], int, list[int]]:
     """From one image pass over `autos` (`_element_tables`): each mask's
     least image under all of them, its least image under those that fix the
@@ -329,10 +329,9 @@ def _least_images(
         images = list(_images(tables, columns))
         fixed += sum(map(eq, images, masks))
         least = _lesser(least, images)
-        if fixing is not None and sigma[fixing] == fixing:
+        if sigma[fixing] == fixing:
             fixed_least = _lesser(fixed_least, images)
-            if near:
-                near_least = _lesser(near_least, _images(tables, near_columns))
+            near_least = _lesser(near_least, _images(tables, near_columns))
     return least, fixed_least, fixed, near_least
 
 

@@ -888,10 +888,11 @@ def reference_burnside_count(trees: list[EdgeSet], autos, g) -> int:
 
 
 def reference_least_images(g, masks: list[int], autos, fixing: str | None = None):
-    """`oracle._least_images` with every element's images taken bit by bit
-    (`mask_image`), the identity's as well: each mask's least image under
-    `autos` and under those fixing `fixing`, both starting at the mask
-    itself, and the (mask, element) pairs where the element fixes the mask."""
+    """The first three results of `oracle._least_images`, with every
+    element's images taken bit by bit (`mask_image`), the identity's as
+    well: each mask's least image under `autos` and under those fixing
+    `fixing`, both starting at the mask itself, and the (mask, element)
+    pairs where the element fixes the mask."""
     least, fixed_least, fixed = list(masks), list(masks), 0
     for sigma, edge_map in zip(autos, _reference_edge_maps(g, autos)):
         images = [mask_image(mask, edge_map) for mask in masks]
