@@ -239,21 +239,24 @@ def decompose_edge_list(edges, s: str, t: str) -> Node:
         if len(adj[x]) != 2:
             continue
         (a, one), (b, two) = adj.pop(x).items()
-        del adj[a][x], adj[b][x]
+        # Each endpoint's neighbour map, read once.
+        at_a, at_b = adj[a], adj[b]
+        del at_a[x], at_b[x]
         merged = _chain(a, one, x, two, b)
         fragments -= 1
-        old = adj[a].get(b)
+        old = at_a.get(b)
         if old is None:
-            adj[a][b] = adj[b][a] = merged
+            at_a[b] = at_b[a] = merged
             continue
         if old[2] is Parallel:
             old[3].append(merged)
         else:
-            adj[a][b] = adj[b][a] = (old[0], old[1], Parallel, [old, merged])
+            at_a[b] = at_b[a] = (old[0], old[1], Parallel, [old, merged])
         fragments -= 1
-        for y in (a, b):
-            if len(adj[y]) == 2 and y not in (s, t):
-                heapq.heappush(ready, y)
+        if len(at_a) == 2 and a != s and a != t:
+            heapq.heappush(ready, a)
+        if len(at_b) == 2 and b != s and b != t:
+            heapq.heappush(ready, b)
     return _orient(adj[s][t], s)
 
 
@@ -273,8 +276,11 @@ def _chain(a: str, one, x: str, two, b: str) -> list:
     """The series run from a to b of `one` (from a to x) and `two` (from x to
     b): the longer, if it is a run, with the other's parts added at x in
     place, or a new run of the two."""
-    sizes = [sum(map(len, f[3])) if f[2] is Series else 1 for f in (one, two)]
-    if sizes[0] < sizes[1]:
+    if one[2] is Series:
+        left, right = one[3]
+        if two[2] is Series and len(left) + len(right) < len(two[3][0]) + len(two[3][1]):
+            a, one, two, b = b, two, one, a
+    elif two[2] is Series:
         a, one, two, b = b, two, one, a
     if one[2] is not Series:
         return [a, b, Series, ([], [one, two])]

@@ -89,7 +89,8 @@ mask is r - 1 lookups in differences of the members' prefix sums, summed
 stream the root's trees from its part lists (`_blocks`), so large
 outputs are never held in memory at once.  The index operations rank a
 tree in one loop over the same nodes, children first, each reading its
-plan by id and each leaf its own bit in the input numbering.
+plan by id and each leaf its own bit in the input numbering; a wide
+class's multiset is ranked from its count vector (`_digit`).
 """
 
 from __future__ import annotations
@@ -504,10 +505,14 @@ def _members(
 
 def _wide(r: int, c: int) -> bool:
     """Whether size-c multisets over r items are read as count vectors
-    (`_cumulative`): r - 1 terms an entry in place of c, which pays, as
-    measured, only where c is well above r.  At r = 2 the prefix lists'
-    fixed cost outweighs the one lookup an entry up to c = 8 (`_assignments`
-    and `semi._images` summed, measured in process)."""
+    (`_cumulative`, `_digit`): r - 1 terms an entry in place of c, which
+    pays, as measured, only where c is well above r.  At r = 2 the prefix
+    lists' fixed cost outweighs the one lookup an entry up to c = 8
+    (`_assignments` and `semi._images` summed, measured in process); at r =
+    3 `semi._images` is still slower at c = 6, and from r = 4 on all three
+    are faster from c = 2r on."""
+    if r >= 4:
+        return c >= 2 * r
     return c > (8 if r == 2 else 2 * r)
 
 
@@ -645,58 +650,114 @@ def count_total(g: OrientedSP) -> CountPair:
 def _index(tree: Node, plans: _Plans, mask: int, near: bool) -> int:
     """Enumeration position of the orbit of a near (or spanning) tree `mask`
     on `tree`, whose plan pass gave `plans`, in one loop over its inner
-    nodes, children first.
+    nodes, children first, with no helper call per node or per part.
 
     A node's kind comes from the bits of `mask` on its leaves: n - 1 for a
-    spanning tree, n - 2 for a near one, and no other count is a tree.  Its
-    parts' digits run in part order, the last fastest, each counted by the
-    part's kind, from the start of their block (`_block_of`, `_starts`,
-    built once per shape and kind).
+    spanning tree, n - 2 for a near one, and no other count is a tree.  A
+    series node's parts are its children, zipped with its plan's parts; a P
+    node's one class holds all of its children, and several classes take
+    theirs by the shape's table of classes, as in `_members`.  The parts'
+    digits run in part order, the last fastest, each counted by the part's
+    kind.  The node's kind is its base kind (spanning for a series node, near
+    for a P node) unless exactly one part gives the other, flip kind (a
+    child's break, a class's spanning member), which then names the block
+    whose start the digits count from (`_starts`, built once per shape and
+    kind); a part of a class of several members ranks its spanning member's
+    tree, if any, then the multiset of the others' near trees (`_digit`).
     """
     # id(node): (bits, near, rank), until its parent reads it.  A lone edge
     # has one tree of each kind, the spanning one holding its bit.
-    done, starts, at = {id(tree): (mask, not mask, 0)}, {}, plans.at
+    done, starts = {id(tree): (mask, not mask, 0)}, {}
+    at, leaf, classes, pop = plans.at, plans.by_code["E"], plans.classes, done.pop
     for node in inner_postorder(tree):
         p = at[id(node)]
-        bits, rank, kinds = 0, 0, []
-        for members, part, rep in _members(plans, node, p):
-            if rep.kind == "leaf":
-                # An edge (no class holds two): one tree of each kind, digit 0.
-                b = mask >> members[0].index & 1
+        parts, bits, rank, odd = p.parts, 0, 0, 0
+        if p.kind == "series":
+            for j, (child, part) in enumerate(zip(node.children, parts)):
+                if part is leaf:
+                    # One tree of each kind, digit 0; near without its bit.
+                    if mask >> child.index & 1:
+                        bits += 1
+                    else:
+                        odd = j
+                    continue
+                b, kind, digit = pop(id(child))
                 bits += b
-                kinds.append(not b)
-                continue
-            if len(members) == 1:
-                b, part_kind, digit = done.pop(id(members[0]))
+                if kind:
+                    rank, odd = rank * part.nt + digit, j
+                else:
+                    rank = rank * part.st + digit
+        else:
+            if len(parts) == 1:
+                groups = (node.children,)
             else:
-                b, part_kind, digit = _digit([done.pop(id(x)) for x in members], rep)
-            bits += b
-            kinds.append(part_kind)
-            rank = rank * _count(part, part_kind) + digit
+                groups, slot = [[] for _ in parts], classes[id(p)]
+                for child in node.children:
+                    groups[slot[id(at.get(id(child), leaf))]].append(child)
+            for j, (members, part) in enumerate(zip(groups, parts)):
+                if len(members) > 1:
+                    b, nears, span = 0, [], None
+                    for x in members:
+                        bx, kind, digit = pop(id(x))
+                        b += bx
+                        if kind:
+                            nears.append(digit)
+                        else:
+                            span = digit
+                    r = part.rep_plan.nt
+                    digit = _digit(nears, r)
+                    kind = span is None
+                    if not kind:
+                        digit += span * multiset_coefficient(r, len(nears))
+                elif part.rep_plan is leaf:
+                    # An edge (no class holds two): spanning with its bit.
+                    if mask >> members[0].index & 1:
+                        bits, odd = bits + 1, j
+                    continue
+                else:
+                    b, kind, digit = pop(id(members[0]))
+                bits += b
+                if kind:
+                    rank = rank * part.nt + digit
+                else:
+                    rank, odd = rank * part.st + digit, j
         if bits != p.n - 1 and bits != p.n - 2:
             raise ImageNotFound("a branch's edge count fits neither kind")
         kind = bits == p.n - 2
-        block = _block_of(kinds, kind)
-        if block:
+        # The edge count admits a part of the flip kind only as the node's
+        # one such part, in a node of that kind: the part names the block.
+        if odd:
             if (id(p), kind) not in starts:
-                starts[id(p), kind] = _starts(p.parts, kind)
-            rank += starts[id(p), kind][block]
+                starts[id(p), kind] = _starts(parts, kind)
+            rank += starts[id(p), kind][odd]
         done[id(node)] = bits, kind, rank
     if done[id(tree)][1] != near:
         raise ImageNotFound("a spanning tree where a near tree is asked for, or the reverse")
     return done[id(tree)][2]
 
 
-def _digit(ranked: list, rep: _Plan) -> tuple[int, bool, int]:
-    """A class's bits, kind (True for near) and digit from its members'
-    (bits, near, rank): the rank of its spanning member's tree, if any,
-    then of the multiset of its members' near trees."""
-    spans = [rank for _, near, rank in ranked if not near]
-    nears = tuple(sorted(rank for _, near, rank in ranked if near))
-    digit = multiset_rank(nears, rep.nt)
-    if spans:
-        digit += spans[0] * multiset_coefficient(rep.nt, len(nears))
-    return sum(bits for bits, _, _ in ranked), not spans, digit
+def _digit(nears: list[int], r: int) -> int:
+    """The rank of the multiset of near tree ranks `nears`, over range(r), in
+    `multiset_enumerate` order.  Where the multiset is wide (`_wide`), it
+    is read as its count vector, with no sort and O(r) binomials: each
+    multiset before it first differs from it at the place S_w of its first
+    member above some value w (S_w its members <= w), where it holds w, so
+    the rank sums, over the w < r - 1 with S_w < k, the C(r - w + k - S_w -
+    2, k - S_w - 1) nondecreasing completions from w on (as in
+    `semi._images`).  Elsewhere it is `multiset_rank` of the sorted ranks."""
+    k = len(nears)
+    if not _wide(r, k):
+        return multiset_rank(tuple(sorted(nears)), r)
+    counts = [0] * r
+    for v in nears:
+        counts[v] += 1
+    rank = below = 0
+    for w in range(r - 1):
+        below += counts[w]
+        if below == k:
+            break
+        rank += multiset_coefficient(r - w, k - below - 1)
+    return rank
 
 
 def _located(g, es: EdgeSet, near: bool) -> int:

@@ -105,7 +105,8 @@ def _parts(actions: dict, xp, yp) -> tuple[list[int], list]:
     perms = []
     for part in xp.parts:
         size, rep = (part.size, part.rep_plan) if xp.kind == "parallel" else (1, part)
-        perms.append(_assignment_perm(size, *actions[rep.code]))
+        acts = actions[rep.code]
+        perms.append([_assignment_perm(size, *acts, near) for near in (True, False)])
     return _partners(xp, yp), perms
 
 
@@ -130,8 +131,9 @@ def _moved(perms, dest, yp, near: bool) -> tuple[int, ...]:
     return tuple(_sums(blocks))
 
 
-def _assignment_perm(size: int, near_perm: tuple[int, ...], span_perm: tuple[int, ...]):
-    """A class's near and spanning assignment indices, mapped into its
+def _assignment_perm(size: int, near_perm: tuple[int, ...], span_perm: tuple[int, ...],
+                     near: bool) -> tuple[int, ...]:
+    """A class's near (or spanning) assignment indices, mapped into its
     partner class's, from its representative's near and spanning actions.
 
     Paired classes have identical shapes.  A near multiset goes to the
@@ -140,9 +142,11 @@ def _assignment_perm(size: int, near_perm: tuple[int, ...], span_perm: tuple[int
     A one-member class's assignments are its representative's trees.
     """
     if size == 1:
-        return near_perm, span_perm
+        return near_perm if near else span_perm
+    if near:
+        return _images(near_perm, size)
     rest = _images(near_perm, size - 1)
-    return _images(near_perm, size), tuple([s * len(rest) + i for s in span_perm for i in rest])
+    return tuple([s * len(rest) + i for s in span_perm for i in rest])
 
 
 def _images(perm: tuple[int, ...], k: int) -> tuple[int, ...]:
@@ -216,15 +220,18 @@ def _selectors(tree):
     # read theirs, and nothing reads the root's own.
     plans = _plans(tree).by_code
     actions = _reversal_perms(islice(plans.values(), len(plans) - 1), plans)
-    dest, perms = _parts(actions, plan, plan)
+    dest, parallel = _partners(plan, plan), plan.kind == "parallel"
 
     def digits(i: int, near: bool):
         """Part i's index range and the action on it, its spanning trees (or
-        assignments) numbered after its near ones."""
-        p, (near_perm, span_perm) = plan.parts[i], perms[i]
+        assignments) numbered after its near ones, built only for the kinds
+        the blocks read: a P root of one class reads no near assignment."""
+        p = plan.parts[i]
+        size, rep = (p.size, p.rep_plan) if parallel else (1, p)
+        perm = _assignment_perm(size, *actions[rep.code], near)
         if near:
-            return range(p.nt), near_perm
-        return range(p.nt, p.nt + p.st), tuple(map(p.nt.__add__, span_perm))
+            return range(p.nt), perm
+        return range(p.nt, p.nt + p.st), tuple(map(p.nt.__add__, perm))
 
     blocks = _layout(plan, False, digits)
     keys = chain.from_iterable(product(*[r for r, _ in b]) for b in blocks)

@@ -435,6 +435,57 @@ def _kruskal(g) -> EdgeSet:
     return EdgeSet.of(chosen)
 
 
+def _member_text(shape: int, u: str, v: str, tag: str) -> str:
+    """A member from u to v: a chain of `shape` edges (r = shape near trees),
+    or for shape 5 an edge in series with a triangle (r = 5)."""
+    if shape == 5:
+        return f"S(e({u},x{tag}),P(e(x{tag},{v}),S(e(x{tag},y{tag}),e(y{tag},{v}))))"
+    ends = [u] + [f"a{tag}_{j}" for j in range(1, shape)] + [v]
+    return "S(" + ",".join(f"e({a},{b})" for a, b in zip(ends, ends[1:])) + ")"
+
+
+def _drawn_tree(draw, node, near: bool) -> int:
+    """The mask of a near (or spanning) tree of `node`, drawn part by part: a
+    series node's near tree breaks in one child, a P node's spanning tree
+    spans through one child, and every other child takes the other kind."""
+    if isinstance(node, Leaf):
+        return 0 if near else 1 << node.index
+    series, kids = isinstance(node, Series), node.children
+    odd = draw(st.integers(0, len(kids) - 1)) if near == series else None
+    return sum(_drawn_tree(draw, kid, (i == odd) == series) for i, kid in enumerate(kids))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_index_of_wide_classes_equals_the_recursive_reference(data):
+    """Trees through a wide class (`_wide`: c > 8 members at r = 2, c > 6 at
+    r = 3, c >= 2r from r = 4 on), whose digit is ranked from its count
+    vector, get the recursive reference's rank from `spanning_tree_index`
+    and `near_tree_index`, and each kind is rejected where the reference
+    rejects it.  The class sits alone or beside an edge and another class,
+    at the root or inside a series, so that its spanning member is
+    sometimes in the class and sometimes not; the m <= 9 shape sweep
+    reaches no wide class."""
+    shape = data.draw(st.sampled_from([2, 3, 4, 5]), label="r")
+    c = next(c for c in itertools.count(1) if _wide(shape, c)) + data.draw(st.integers(0, 2))
+    members = [_member_text(shape, "s", "t", str(i)) for i in range(c)]
+    if data.draw(st.booleans(), label="edge beside"):
+        members.append("e(s,t)")
+    others = data.draw(st.integers(0, 2), label="other members")
+    members += [_member_text(7 - shape, "s", "t", f"o{i}") for i in range(others)]
+    text = "P(" + ",".join(data.draw(st.permutations(members))) + ")"
+    if data.draw(st.booleans(), label="in a series"):
+        text = f"S(e(p,s),{text},e(t,q))"
+    tree = parse_sp(text)
+    plan, o = build_plan(tree), OrientedSP(tree)
+    for near in (False, True):
+        mask = _drawn_tree(data.draw, tree, near)
+        for kind, index in ((False, spanning_tree_index), (True, near_tree_index)):
+            expected = _rank_or_none(reference_index, tree, plan, mask, kind)
+            assert (expected is None) == (kind != near)
+            assert _rank_or_none(index, o, EdgeSet(mask)) == expected
+
+
 @pytest.mark.parametrize("depth", [2000, 10_000])
 def test_index_of_a_deep_nest_returns(depth):
     """`spanning_tree_index` ranks a tree of the alternating nest at depths
@@ -522,3 +573,26 @@ def test_wide_classes_sum_r_minus_1_terms_per_multiset(c, monkeypatch):
     assert (near, spanning) == tuple(
         reference_assignments(members, rep, kind, lists) for kind in (True, False)
     )
+
+
+def test_rank_of_a_wide_class_evaluates_r_binomials(monkeypatch):
+    """One `spanning_tree_index` on a P of 600 two-edge chains (r = 2) ranks
+    its class from the count vector: at most r binomials (r - 1 terms and
+    the spanning member's place), not the 2c of ranking the sorted multiset;
+    a near tree's rank needs at most r - 1."""
+    c, r = 600, 2
+    o = OrientedSP(parse_sp("P(" + ",".join(f"S(e(s,m{i}),e(m{i},t))" for i in range(c)) + ")"))
+    counts = count_oriented(o)  # builds the plans, whose class counts are binomials too
+    # Chain i holds edges 2i and 2i + 1; each near member keeps one of them.
+    near = EdgeSet.of([2 * i + i % 3 % 2 for i in range(c)])
+    spanning = EdgeSet(near.mask | 0b11)
+    calls, binomial = [], generate.multiset_coefficient
+
+    def counted(m, k):
+        calls.append((m, k))
+        return binomial(m, k)
+
+    monkeypatch.setattr(generate, "multiset_coefficient", counted)
+    assert 0 <= spanning_tree_index(o, spanning) < counts.spanning and len(calls) <= r
+    calls.clear()
+    assert 0 <= near_tree_index(o, near) < counts.near and len(calls) <= r - 1

@@ -179,7 +179,7 @@ def test_one_member_classes_keep_the_representative_actions(seed):
         near = list(reversal_index_perm(child, mirror, "near"))
         span = list(reversal_index_perm(child, mirror, "spanning"))
         for size in (1, 2, 3) if len(near) <= 12 else (1,):
-            got = tuple(map(list, _assignment_perm(size, near, span)))
+            got = tuple(list(_assignment_perm(size, near, span, kind)) for kind in (True, False))
             assert got == reference_assignment_perm(size, near, span)
         assert reference_assignment_perm(1, near, span) == (near, span)
 
@@ -194,7 +194,9 @@ def test_assignment_actions_equal_the_sorted_rank_rule(r, size, data):
         size = 2
     near = data.draw(st.permutations(range(r)))
     span = data.draw(st.permutations(range(data.draw(st.integers(1, 4)))))
-    got = tuple(map(list, _assignment_perm(size, tuple(near), tuple(span))))
+    got = tuple(
+        list(_assignment_perm(size, tuple(near), tuple(span), kind)) for kind in (True, False)
+    )
     assert got == reference_assignment_perm(size, near, span)
 
 
