@@ -253,10 +253,9 @@ def decompose_edge_list(edges, s: str, t: str) -> Node:
         else:
             at_a[b] = at_b[a] = (old[0], old[1], Parallel, [old, merged])
         fragments -= 1
-        if len(at_a) == 2 and a != s and a != t:
-            heapq.heappush(ready, a)
-        if len(at_b) == 2 and b != s and b != t:
-            heapq.heappush(ready, b)
+        for y in (a, b):
+            if len(adj[y]) == 2 and y not in (s, t):
+                heapq.heappush(ready, y)
     return _orient(adj[s][t], s)
 
 
@@ -276,11 +275,7 @@ def _chain(a: str, one, x: str, two, b: str) -> list:
     """The series run from a to b of `one` (from a to x) and `two` (from x to
     b): the longer, if it is a run, with the other's parts added at x in
     place, or a new run of the two."""
-    if one[2] is Series:
-        left, right = one[3]
-        if two[2] is Series and len(left) + len(right) < len(two[3][0]) + len(two[3][1]):
-            a, one, two, b = b, two, one, a
-    elif two[2] is Series:
+    if two[2] is Series and (one[2] is not Series or sum(map(len, one[3])) < sum(map(len, two[3]))):
         a, one, two, b = b, two, one, a
     if one[2] is not Series:
         return [a, b, Series, ([], [one, two])]

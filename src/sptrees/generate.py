@@ -98,6 +98,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import Counter
 from functools import partial
 from typing import NamedTuple
 
@@ -650,7 +651,8 @@ def count_total(g: OrientedSP) -> CountPair:
 def _index(tree: Node, plans: _Plans, mask: int, near: bool) -> int:
     """Enumeration position of the orbit of a near (or spanning) tree `mask`
     on `tree`, whose plan pass gave `plans`, in one loop over its inner
-    nodes, children first, with no helper call per node or per part.
+    nodes, children first, with no helper call per node or per part but
+    one `_digit` per class of several members.
 
     A node's kind comes from the bits of `mask` on its leaves: n - 1 for a
     spanning tree, n - 2 for a near one, and no other count is a tree.  A
@@ -662,8 +664,7 @@ def _index(tree: Node, plans: _Plans, mask: int, near: bool) -> int:
     for a P node) unless exactly one part gives the other, flip kind (a
     child's break, a class's spanning member), which then names the block
     whose start the digits count from (`_starts`, built once per shape and
-    kind); a part of a class of several members ranks its spanning member's
-    tree, if any, then the multiset of the others' near trees (`_digit`).
+    kind).
     """
     # id(node): (bits, near, rank), until its parent reads it.  A lone edge
     # has one tree of each kind, the spanning one holding its bit.
@@ -674,8 +675,7 @@ def _index(tree: Node, plans: _Plans, mask: int, near: bool) -> int:
         parts, bits, rank, odd = p.parts, 0, 0, 0
         if p.kind == "series":
             for j, (child, part) in enumerate(zip(node.children, parts)):
-                if part is leaf:
-                    # One tree of each kind, digit 0; near without its bit.
+                if part is leaf:  # one tree of each kind, the near one without its bit
                     if mask >> child.index & 1:
                         bits += 1
                     else:
@@ -696,21 +696,8 @@ def _index(tree: Node, plans: _Plans, mask: int, near: bool) -> int:
                     groups[slot[id(at.get(id(child), leaf))]].append(child)
             for j, (members, part) in enumerate(zip(groups, parts)):
                 if len(members) > 1:
-                    b, nears, span = 0, [], None
-                    for x in members:
-                        bx, kind, digit = pop(id(x))
-                        b += bx
-                        if kind:
-                            nears.append(digit)
-                        else:
-                            span = digit
-                    r = part.rep_plan.nt
-                    digit = _digit(nears, r)
-                    kind = span is None
-                    if not kind:
-                        digit += span * multiset_coefficient(r, len(nears))
-                elif part.rep_plan is leaf:
-                    # An edge (no class holds two): spanning with its bit.
+                    b, kind, digit = _digit([pop(id(x)) for x in members], part.rep_plan.nt)
+                elif part.rep_plan is leaf:  # an edge (no class holds two)
                     if mask >> members[0].index & 1:
                         bits, odd = bits + 1, j
                     continue
@@ -736,28 +723,29 @@ def _index(tree: Node, plans: _Plans, mask: int, near: bool) -> int:
     return done[id(tree)][2]
 
 
-def _digit(nears: list[int], r: int) -> int:
-    """The rank of the multiset of near tree ranks `nears`, over range(r), in
-    `multiset_enumerate` order.  Where the multiset is wide (`_wide`), it
-    is read as its count vector, with no sort and O(r) binomials: each
+def _digit(ranked: list, r: int) -> tuple[int, bool, int]:
+    """A class's bits, kind (True for near) and digit from its members'
+    (bits, near, rank): the rank of its spanning member's tree, if any,
+    then of the multiset of its members' near trees, over range(r), in
+    `multiset_enumerate` order.  Where the multiset is wide (`_wide`), it is
+    read as its count vector, with no sort and O(r) binomials: each
     multiset before it first differs from it at the place S_w of its first
     member above some value w (S_w its members <= w), where it holds w, so
-    the rank sums, over the w < r - 1 with S_w < k, the C(r - w + k - S_w -
-    2, k - S_w - 1) nondecreasing completions from w on (as in
+    the rank sums, over the w < r - 1, the C(r - w + k - S_w - 2, k - S_w -
+    1) nondecreasing completions from w on, none where S_w = k (as in
     `semi._images`).  Elsewhere it is `multiset_rank` of the sorted ranks."""
+    spans = [rank for _, near, rank in ranked if not near]
+    nears = [rank for _, near, rank in ranked if near]
     k = len(nears)
+    digit = spans[0] * multiset_coefficient(r, k) if spans else 0
     if not _wide(r, k):
-        return multiset_rank(tuple(sorted(nears)), r)
-    counts = [0] * r
-    for v in nears:
-        counts[v] += 1
-    rank = below = 0
-    for w in range(r - 1):
-        below += counts[w]
-        if below == k:
-            break
-        rank += multiset_coefficient(r - w, k - below - 1)
-    return rank
+        digit += multiset_rank(tuple(sorted(nears)), r)
+    else:
+        counts, below = Counter(nears), 0
+        for w in range(r - 1):
+            below += counts[w]
+            digit += multiset_coefficient(r - w, k - below - 1)
+    return sum([bits for bits, _, _ in ranked]), not spans, digit
 
 
 def _located(g, es: EdgeSet, near: bool) -> int:
