@@ -239,7 +239,6 @@ def decompose_edge_list(edges, s: str, t: str) -> Node:
         if len(adj[x]) != 2:
             continue
         (a, one), (b, two) = adj.pop(x).items()
-        # Each endpoint's neighbour map, read once.
         at_a, at_b = adj[a], adj[b]
         del at_a[x], at_b[x]
         merged = _chain(a, one, x, two, b)

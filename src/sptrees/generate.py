@@ -259,7 +259,8 @@ class _Plans(NamedTuple):
     """What the plan pass keeps on a tree's root: the plan of every shape in
     the tree by code, each after its parts' plans, the root's last, the
     plan of every inner node by id(node), and per P shape of two or more
-    classes, by id(plan), the class of each member plan, by id (`_members`)."""
+    classes, by id(plan), the class of each member plan, by id (`_members`,
+    `_index`)."""
 
     by_code: dict[str, _Plan]
     at: dict[int, _Plan]

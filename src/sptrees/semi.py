@@ -105,8 +105,7 @@ def _parts(actions: dict, xp, yp) -> tuple[list[int], list]:
     perms = []
     for part in xp.parts:
         size, rep = (part.size, part.rep_plan) if xp.kind == "parallel" else (1, part)
-        acts = actions[rep.code]
-        perms.append([_assignment_perm(size, *acts, near) for near in (True, False)])
+        perms.append([_assignment_perm(size, *actions[rep.code], near) for near in (True, False)])
     return _partners(xp, yp), perms
 
 
