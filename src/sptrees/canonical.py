@@ -15,18 +15,20 @@ On top of the plans this module extracts explicit leaf bijections
 classes (`partition_classes`), and detects the terminal-exchanging
 symmetry that distinguishes the semioriented automorphism group from
 the oriented one (`mirror_pairing`).  All three read the plan pass's
-result on their input (`generate._plans`): the plan of each node, by id,
-and the classes of each P shape, by descending code, and they walk the
-tree by explicit stacks.  The pairing reads the plans alone:
-`generate._partners` is the one place that says which part (series
-child or class) holds a part's reversals, for the pairing, the
-semioriented counts and the reversal filter alike.
+result on their input (`generate._plans`).  A leaf map is an aligned walk
+of two programs, the plan pass's one entry per inner node, whose refs
+list a series node's children in order and a P node's by class, in the
+plan's class order and storage order within each class, by an explicit
+stack.  The pairing reads the plans alone: `generate._partners` is the
+one place that says which part (series child or class) holds a part's
+reversals, for the pairing, the semioriented counts and the reversal
+filter alike.
 """
 
 from __future__ import annotations
 
 from .core import Leaf, Node, Parallel, _Mutable, _tree_of, iter_leaves
-from .generate import _members, _partners, _Plans, _plans, build_plan
+from .generate import _partners, _plans, _root, build_plan
 
 
 def canonical_code(g) -> str:
@@ -50,25 +52,23 @@ def iso_map(a, b) -> dict[int, int] | None:
     terminals.
     """
     ta, tb = _tree_of(a), _tree_of(b)
-    pa, pb = _plans(ta), _plans(tb)
-    if pa.of(ta).code != pb.of(tb).code:
+    if build_plan(ta).code != build_plan(tb).code:
         return None
-    return _match(pa, ta, pb, tb)
+    return _match(ta, _plans(ta).program, _root(ta), tb, _plans(tb).program, _root(tb))
 
 
-def _match(pa: _Plans, a: Node, pb: _Plans, b: Node) -> dict[int, int]:
-    """The verified leaf map of `a` onto `b`, two nodes of one code, where
-    `pa` and `pb` are the plan pass's results on trees holding them.
-    Member pairs come off an explicit stack: series children in order, and
-    the members of each P class (`generate._members`) in storage order."""
-    mapping, stack = {}, [(a, b)]
+def _match(a: Node, xs: list, x: int, b: Node, ys: list, y: int) -> dict[int, int]:
+    """The verified leaf map of `a`, the node `x` of the program `xs`, onto
+    `b`, the node `y` of `ys`, two nodes of one code.  Ref pairs come off an
+    explicit stack: the two nodes' refs, aligned, are series children in
+    order and each P class's members in storage order (`generate._Plans`)."""
+    mapping, stack = {}, [(x, y)]
     while stack:
         x, y = stack.pop()
-        if isinstance(x, Leaf):
-            mapping[x.index] = y.index
-            continue
-        for (xs, _, _), (ys, _, _) in zip(_members(pa, x, pa.of(x)), _members(pb, y, pb.of(y))):
-            stack.extend(zip(xs, ys))
+        if x < 0:
+            mapping[~x] = ~y
+        else:
+            stack.extend(zip(xs[x][1], ys[y][1]))
     _verify_leaf_bijection(a, b, mapping)
     return mapping
 
@@ -126,18 +126,23 @@ def partition_classes(p: Parallel) -> IsoClassPartition:
     member gets an explicit verified bijection onto the class
     representative (the identity for the representative itself).
     `generate` needs none of these maps: it builds each member's lists
-    from the member's own nodes.
+    from the member's own part of the program.
     """
     if not isinstance(p, Parallel):
         raise TypeError("partition_classes expects a Parallel node")
-    plans, classes = _plans(p), []
-    position = {id(child): pos for pos, child in enumerate(p.children)}
-    for members, _, rep_plan in _members(plans, p, plans.of(p)):
+    program = _plans(p).program
+    plan, refs = program[-1]
+    # A leaf's ref is its index, and inner children's slots rise in storage order.
+    inner = iter(sorted(ref for ref in refs if ref >= 0))
+    at = {~kid.index if isinstance(kid, Leaf) else next(inner): (pos, kid)
+          for pos, kid in enumerate(p.children)}
+    classes, start = [], 0
+    for cp in plan.parts:
+        members, start = refs[start : start + cp.size], start + cp.size
         rep = members[0]
-        to_rep = {position[id(rep)]: {lf.index: lf.index for lf in iter_leaves(rep)}}
-        for member in members[1:]:
-            to_rep[position[id(member)]] = _match(plans, member, plans, rep)
-        classes.append(IsoClass(rep_plan.code, tuple(to_rep), to_rep))
+        to_rep = {at[ref][0]: _match(at[ref][1], program, ref, at[rep][1], program, rep)
+                  for ref in members}
+        classes.append(IsoClass(cp.rep_plan.code, tuple(to_rep), to_rep))
     return IsoClassPartition(tuple(classes))
 
 

@@ -265,10 +265,10 @@ def _unpickle(rows: list[tuple]) -> Node:
 
 
 def inner_postorder(node: Node) -> list[Node]:
-    """The S and P nodes under `node`, each after all of its children,
-    found by an explicit stack: the order in which the plan pass
-    (`generate._build`) and the index (`generate._index`) read a node after
-    its parts, with no recursion at any depth."""
+    """The S and P nodes under `node`, each after all of its children, and
+    siblings' subtrees in storage order, found by an explicit stack: the
+    order in which the plan pass (`generate._build`) reads a node after its
+    parts and lays out its program, with no recursion at any depth."""
     inner, stack = [], [node]
     while stack:
         node = stack.pop()

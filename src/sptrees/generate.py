@@ -65,18 +65,21 @@ and `near_tree_index` invert the order: they take any spanning or near
 tree edge set and return the position of its orbit's representative.
 
 The pass runs once per tree object and keeps on the root node, never on
-the other nodes, its plans by code, each after its parts, the plan of
-every inner node by id(node), and per P shape of two or more classes a
-table from member plan to class, which places a P node's children in
-their classes (`_plans`, `_members`).  Every enumeration list (a
-node's spanning and near trees, a class's near and spanning assignments)
-is a tuple of plain int leaf masks, so that `itertools.product` takes it
-without a copy, built bottom-up on first use into a memo that belongs to
-one enumeration and is freed with it.  The lists belong to the tree's
-own nodes (`_placed`): a leaf's list holds its bit in a numbering the
-caller chooses (the input leaf numbering for the public enumerations,
-the print order for the CLI), and a P node's class members are its
-actual children.  Each member's list is built from its own structure,
+the other nodes, its plans by code, each after its parts, and the
+program (`_Plans`): one entry per inner node, children first, of its plan
+and its children's refs, a ref being an inner child's slot in the
+program or a leaf's ~index, a P node's refs grouped by class in class
+order.  The lists, the index and the leaf maps of `canonical` walk the
+program, never the nodes.
+Every enumeration list (a node's spanning and near trees, a class's near
+and spanning assignments) is a tuple of plain int leaf masks, so that
+`itertools.product` takes it without a copy, built bottom-up on first
+use into a memo that belongs to one enumeration and is freed with it.
+The lists belong to the tree's own nodes, by ref (`_placed`): a leaf's
+list holds its bit in a numbering the caller chooses (the input leaf
+numbering for the public enumerations, the print order for the CLI),
+and a P node's class members are its actual children, the class's run
+of its refs.  Each member's list is built from its own structure,
 which is the representative's up to the class's isomorphism, so entry i
 of every member's list is the same tree up to that map.  List entries
 combine masks on disjoint leaf sets, so every entry is a sum of masks,
@@ -88,9 +91,9 @@ mask is r - 1 lookups in differences of the members' prefix sums, summed
 (`_assignments`), so an entry costs O(r) and not O(c).  The enumerations
 stream the root's trees from its part lists (`_blocks`), so large
 outputs are never held in memory at once.  The index operations rank a
-tree in one loop over the same nodes, children first, each reading its
-plan by id and each leaf its own bit in the input numbering; a wide
-class's multiset is ranked from its count vector (`_digit`).
+tree in one loop over the program, each leaf reading its own bit in the
+input numbering; a wide class's multiset is ranked from its count
+vector (`_digit`).
 """
 
 from __future__ import annotations
@@ -102,7 +105,7 @@ from collections import Counter
 from functools import partial
 from typing import NamedTuple
 
-from .core import EdgeSet, Node, OrientedSP, Series, _Mutable, _Record, _tree_of, inner_postorder
+from .core import EdgeSet, Leaf, Node, OrientedSP, Series, _Mutable, _Record, _tree_of, inner_postorder
 
 _TOKEN_KEY = str.maketrans("SPE()", "ABCDE")
 
@@ -257,32 +260,37 @@ class _Plan:
 
 class _Plans(NamedTuple):
     """What the plan pass keeps on a tree's root: the plan of every shape in
-    the tree by code, each after its parts' plans, the root's last, the
-    plan of every inner node by id(node), and per P shape of two or more
-    classes, by id(plan), the class of each member plan, by id (`_members`,
-    `_index`)."""
+    the tree by code, each after its parts' plans, the root's last, and the
+    program, one (plan, refs) entry per inner node, children first, the
+    root's last.  A ref names a child: an inner child's slot in the program,
+    or ~index for a leaf.  A series node's refs are its children's, in
+    order; a P node's are grouped by class, in its plan's class order, each
+    class's members in storage order, so that part j's members are the
+    next `size` refs."""
 
     by_code: dict[str, _Plan]
-    at: dict[int, _Plan]
-    classes: dict[int, dict[int, int]]
-
-    def of(self, node: Node) -> _Plan:
-        """The plan of a node of the tree, a leaf's the shared "E" plan."""
-        return self.at.get(id(node), self.by_code["E"])
+    program: list[tuple[_Plan, tuple[int, ...]]]
 
 
 def build_plan(g) -> _Plan:
-    """Codes, classes and counts of a normalized tree: its root's plan (`_plans`)."""
-    tree = _tree_of(g)
-    return _plans(tree).of(tree)
+    """Codes, classes and counts of a normalized tree: its root's plan, the
+    last one that the plan pass made (`_plans`)."""
+    return next(reversed(_plans(_tree_of(g)).by_code.values()))
+
+
+def _root(tree: Node) -> int:
+    """The ref of `tree`'s root in its program: the last slot, or a lone
+    edge's ~index."""
+    program = _plans(tree).program
+    return len(program) - 1 if program else ~tree.index
 
 
 def _plans(tree: Node) -> _Plans:
     """The plan pass's result on `tree`, built once per tree object and kept
     on its root node alone, in the `_plans` slot that every node has and
     that nothing else writes.  The plans hold counts, codes and parts only,
-    never a node or a tree list.  Within one build, isomorphic subtrees
-    share one plan wherever they sit.
+    and the program plans and ints only, never a node or a tree list.
+    Within one build, isomorphic subtrees share one plan wherever they sit.
     """
     plans = getattr(tree, "_plans", None)
     if plans is None:  # the one write to a built node's slot
@@ -316,25 +324,41 @@ def _invariant_multisets(fixed: int, swapped_pairs: int, size: int) -> int:
 
 
 def _build(tree: Node) -> _Plans:
-    """The bottom-up pass: one plan per shape of `tree`, in one loop over its
-    inner nodes, children first, so that nothing recurses.  A node's shape
-    is its kind and its children's plans, in order for a series node and
-    as a multiset for a P node; only a new shape is composed."""
+    """The bottom-up pass: one plan per shape of `tree`, and the program, in
+    one loop over its inner nodes, children first, so that nothing recurses.
+    A node's shape is its kind and its children's plans, in order for a
+    series node and as a multiset for a P node; only a new shape is
+    composed.  A P node of several classes orders its refs by class, stably,
+    by a permutation made once per sequence of children's plans."""
     leaf = _Plan("leaf", "E", "E", 1, n=2, st=1, nt=1, tau=1, nu=1, ss=1, sn=1)
-    by_code, at, shapes, classes = {"E": leaf}, {}, {}, {}
+    by_code, shapes, orders, program, waiting = {"E": leaf}, {}, {}, [], []
+    pop = waiting.pop
     for node in inner_postorder(tree):
-        kids = [at.get(id(child), leaf) for child in node.children]
-        series = isinstance(node, Series)
+        # The slots of inner nodes whose parent is still to come wait on a
+        # stack, this node's last inner child's on top.
+        refs, kids = [], []
+        for child in reversed(node.children):
+            ref = ~child.index if child.__class__ is Leaf else pop()
+            refs.append(ref)
+            kids.append(program[ref][0] if ref >= 0 else leaf)
+        refs.reverse()
+        kids.reverse()
+        series = node.__class__ is Series
         ids = tuple(map(id, kids))
         key = (series, ids if series else tuple(sorted(ids)))
         plan = shapes.get(key)
         if plan is None:
             plan = shapes[key] = _compose(series, kids)
             by_code[plan.code] = plan
-            if len(plan.parts) > 1 and not series:
-                classes[id(plan)] = {id(cp.rep_plan): i for i, cp in enumerate(plan.parts)}
-        at[id(node)] = plan
-    return _Plans(by_code, at, classes)
+        if not series and len(plan.parts) > 1:
+            order = orders.get(ids)
+            if order is None:
+                place = {id(cp.rep_plan): j for j, cp in enumerate(plan.parts)}
+                order = orders[ids] = sorted(range(len(ids)), key=[place[i] for i in ids].__getitem__)
+            refs = [refs[i] for i in order]
+        waiting.append(len(program))
+        program.append((plan, tuple(refs)))
+    return _Plans(by_code, program)
 
 
 def _fold(terms) -> list[tuple[int, int]]:
@@ -485,26 +509,6 @@ def _sums(blocks):
     return itertools.chain.from_iterable(map(sum, itertools.product(*b)) for b in blocks)
 
 
-def _members(
-    plans: _Plans, node: Node, plan: _Plan
-) -> list[tuple[tuple[Node, ...], object, _Plan]]:
-    """A node's parts as (member nodes, part plan, member plan), with `plans`
-    the plan pass's result on a tree that holds the node: a series child is
-    a part of one member, planned by its own plan; a P class's members, in
-    storage order, are the children that `plans` gives its representative's
-    plan, placed by the shape's table of classes; a P shape's one class
-    holds all of its children."""
-    if plan.kind == "series":
-        return list(zip(zip(node.children), plan.parts, plan.parts))
-    if len(plan.parts) == 1:
-        return [(node.children, plan.parts[0], plan.parts[0].rep_plan)]
-    members = [[] for _ in plan.parts]
-    at, leaf, slot = plans.at, plans.by_code["E"], plans.classes[id(plan)]
-    for child in node.children:
-        members[slot[id(at.get(id(child), leaf))]].append(child)
-    return [(tuple(ms), cp, cp.rep_plan) for ms, cp in zip(members, plan.parts)]
-
-
 def _wide(r: int, c: int) -> bool:
     """Whether size-c multisets over r items are read as count vectors
     (`_cumulative`, `_digit`): r - 1 terms an entry in place of c, which
@@ -527,10 +531,10 @@ def _cumulative(r: int, c: int):
     return itertools.combinations_with_replacement(range(c + 1), r - 1)
 
 
-def _assignments(members: tuple[Node, ...], rep: _Plan, near: bool, lists) -> tuple[int, ...]:
+def _assignments(members, rep: _Plan, near: bool, lists) -> tuple[int, ...]:
     """Masks of a part's near assignments, in multiset order, or of its
     spanning assignments, ordered by (tree, multiset), with each member's
-    trees from `lists(member, rep, near)`.
+    trees from `lists(member, rep, near)`, a member named by its ref.
 
     A multiset x_0 <= x_1 <= ... puts near tree x_p on member p.  A spanning
     assignment puts the tree on the first member and a near multiset on the
@@ -562,15 +566,21 @@ def _assignments(members: tuple[Node, ...], rep: _Plan, near: bool, lists) -> tu
 
 
 def _blocks(
-    plans: _Plans, node: Node, plan: _Plan, near: bool, lists
+    program: list, ref: int, plan: _Plan, near: bool, lists
 ) -> list[list[tuple[int, ...]]]:
-    """The part lists of `node`, one per part in each block of `_layout`,
-    whose `_sums` are its trees.  A part's trees come from `lists`, as in
-    `_assignments`; a leaf's one part is its own list."""
+    """The part lists of the node `ref` of `program`, one per part in each
+    block of `_layout`, whose `_sums` are its trees.  A part's trees come
+    from `lists`, as in `_assignments`: a series child's are its own, and a
+    class's members are its run of the node's refs; a leaf's one part is
+    its own list."""
     if plan.kind == "leaf":
-        return [[lists(node, plan, near)]]
-    parts = _members(plans, node, plan)
-    return _layout(plan, near, lambda i, kind: _assignments(parts[i][0], parts[i][2], kind, lists))
+        return [[lists(ref, plan, near)]]
+    refs, parts = program[ref][1], plan.parts
+    if plan.kind == "series":
+        return _layout(plan, near, lambda i, kind: lists(refs[i], parts[i], kind))
+    ends = list(itertools.accumulate([cp.size for cp in parts], initial=0))
+    return _layout(plan, near, lambda i, kind: _assignments(
+        refs[ends[i] : ends[i + 1]], parts[i].rep_plan, kind, lists))
 
 
 # ---------------------------------------------------------------------------
@@ -579,31 +589,31 @@ def _blocks(
 
 
 def _placed(
-    memo: dict, numbering, plans: _Plans, node: Node, plan: _Plan, near: bool
+    memo: dict, numbering, program: list, ref: int, plan: _Plan, near: bool
 ) -> tuple[int, ...]:
-    """The near (or spanning) trees of `node`, whose plan is `plan`, with input
-    leaf i at bit `numbering[i]` (at bit i by default), built once per `memo`;
-    `plans` is the plan pass's result on a tree that holds the node.
+    """The near (or spanning) trees of the node `ref` of `program` (the plan
+    pass's on a tree that holds it), whose plan is `plan`, with input leaf i
+    at bit `numbering[i]` (at bit i by default), built once per `memo`.
 
-    Bind the memo, numbering and plans with `partial` for one enumeration:
+    Bind the memo, numbering and program with `partial` for one enumeration:
     no closure refers to itself, so no reference cycle keeps the memo."""
-    key = (id(node), near)
+    key = (ref, near)
     if key not in memo:
-        if plan.kind == "leaf":
-            bit = node.index if numbering is None else numbering[node.index]
+        if ref < 0:
+            bit = ~ref if numbering is None else numbering[~ref]
             memo[key] = (0 if near else 1 << bit,)
         else:
-            lists = partial(_placed, memo, numbering, plans)
-            memo[key] = tuple(_sums(_blocks(plans, node, plan, near, lists)))
+            lists = partial(_placed, memo, numbering, program)
+            memo[key] = tuple(_sums(_blocks(program, ref, plan, near, lists)))
     return memo[key]
 
 
 def _streams(tree: Node, *nears: bool, numbering=None) -> list:
     """Per flag in `nears`, the masks of the tree's near (or spanning) trees
     in `numbering` (as in `_placed`), from its root's part lists."""
-    plans = _plans(tree)
-    plan, placed = plans.of(tree), partial(_placed, {}, numbering, plans)
-    blocks = [_blocks(plans, tree, plan, near, placed) for near in nears]
+    program, ref, plan = _plans(tree).program, _root(tree), build_plan(tree)
+    placed = partial(_placed, {}, numbering, program)
+    blocks = [_blocks(program, ref, plan, near, placed) for near in nears]
     return [_sums(bs) for bs in blocks]
 
 
@@ -649,61 +659,53 @@ def count_total(g: OrientedSP) -> CountPair:
 # ---------------------------------------------------------------------------
 
 
-def _index(tree: Node, plans: _Plans, mask: int, near: bool) -> int:
+def _index(program: list, mask: int, near: bool) -> int:
     """Enumeration position of the orbit of a near (or spanning) tree `mask`
-    on `tree`, whose plan pass gave `plans`, in one loop over its inner
-    nodes, children first, with no helper call per node or per part but
-    one `_digit` per class of several members.
+    on the tree whose plan pass gave `program`, in one loop over the
+    program, with no helper call per node or per part but one `_digit` per
+    class of several members.
 
     A node's kind comes from the bits of `mask` on its leaves: n - 1 for a
     spanning tree, n - 2 for a near one, and no other count is a tree.  A
-    series node's parts are its children, zipped with its plan's parts; a P
-    node's one class holds all of its children, and several classes take
-    theirs by the shape's table of classes, as in `_members`.  The parts'
-    digits run in part order, the last fastest, each counted by the part's
-    kind.  The node's kind is its base kind (spanning for a series node, near
-    for a P node) unless exactly one part gives the other, flip kind (a
-    child's break, a class's spanning member), which then names the block
-    whose start the digits count from (`_starts`, built once per shape and
-    kind).
+    node's refs are zipped with its plan's parts: a series node's one each,
+    a P class's the next `size` refs.  The parts' digits run in part order,
+    the last fastest, each counted by the part's kind.  The node's kind is
+    its base kind (spanning for a series node, near for a P node) unless
+    exactly one part gives the other, flip kind (a child's break, a class's
+    spanning member), which then names the block whose start the digits
+    count from (`_starts`, built once per shape and kind).
     """
-    # id(node): (bits, near, rank), until its parent reads it.  A lone edge
-    # has one tree of each kind, the spanning one holding its bit.
-    done, starts = {id(tree): (mask, not mask, 0)}, {}
-    at, leaf, classes, pop = plans.at, plans.by_code["E"], plans.classes, done.pop
-    for node in inner_postorder(tree):
-        p = at[id(node)]
+    # Per slot, (bits, near, rank) of its node.  A lone edge, with no
+    # program, has one tree of each kind, the spanning one holding its bit.
+    done, starts, kind, rank = [], {}, not mask, 0
+    for p, refs in program:
         parts, bits, rank, odd = p.parts, 0, 0, 0
         if p.kind == "series":
-            for j, (child, part) in enumerate(zip(node.children, parts)):
-                if part is leaf:  # one tree of each kind, the near one without its bit
-                    if mask >> child.index & 1:
+            for j, (ref, part) in enumerate(zip(refs, parts)):
+                if ref < 0:  # one tree of each kind, the near one without its bit
+                    if mask >> ~ref & 1:
                         bits += 1
                     else:
                         odd = j
                     continue
-                b, kind, digit = pop(id(child))
+                b, kind, digit = done[ref]
                 bits += b
                 if kind:
                     rank, odd = rank * part.nt + digit, j
                 else:
                     rank = rank * part.st + digit
         else:
-            if len(parts) == 1:
-                groups = (node.children,)
-            else:
-                groups, slot = [[] for _ in parts], classes[id(p)]
-                for child in node.children:
-                    groups[slot[id(at.get(id(child), leaf))]].append(child)
-            for j, (members, part) in enumerate(zip(groups, parts)):
-                if len(members) > 1:
-                    b, kind, digit = _digit([pop(id(x)) for x in members], part.rep_plan.nt)
-                elif part.rep_plan is leaf:  # an edge (no class holds two)
-                    if mask >> members[0].index & 1:
+            end = 0
+            for j, part in enumerate(parts):
+                start, end = end, end + part.size
+                if part.size > 1:
+                    b, kind, digit = _digit([done[x] for x in refs[start:end]], part.rep_plan.nt)
+                elif refs[start] < 0:  # an edge (no class holds two)
+                    if mask >> ~refs[start] & 1:
                         bits, odd = bits + 1, j
                     continue
                 else:
-                    b, kind, digit = pop(id(members[0]))
+                    b, kind, digit = done[refs[start]]
                 bits += b
                 if kind:
                     rank = rank * part.nt + digit
@@ -715,13 +717,13 @@ def _index(tree: Node, plans: _Plans, mask: int, near: bool) -> int:
         # The edge count admits a part of the flip kind only as the node's
         # one such part, in a node of that kind: the part names the block.
         if odd:
-            if (id(p), kind) not in starts:
-                starts[id(p), kind] = _starts(parts, kind)
-            rank += starts[id(p), kind][odd]
-        done[id(node)] = bits, kind, rank
-    if done[id(tree)][1] != near:
+            if (p.code, kind) not in starts:
+                starts[p.code, kind] = _starts(parts, kind)
+            rank += starts[p.code, kind][odd]
+        done.append((bits, kind, rank))
+    if kind != near:
         raise ImageNotFound("a spanning tree where a near tree is asked for, or the reverse")
-    return done[id(tree)][2]
+    return rank
 
 
 def _digit(ranked: list, r: int) -> tuple[int, bool, int]:
@@ -754,7 +756,7 @@ def _located(g, es: EdgeSet, near: bool) -> int:
     tree = _tree_of(g)
     if es.mask >> build_plan(tree).m:
         raise ImageNotFound("an edge outside the graph")
-    return _index(tree, _plans(tree), es.mask, near)
+    return _index(_plans(tree).program, es.mask, near)
 
 
 def spanning_tree_index(g: OrientedSP, es: EdgeSet) -> int:

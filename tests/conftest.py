@@ -38,10 +38,11 @@ from sptrees.core import (
 from sptrees.generate import (
     ImageNotFound,
     _ClassPlan,
+    _index,
     _Plan,
-    _members,
     _placed,
     _plans,
+    _root,
     _streams,
     build_plan,
     multiset_coefficient,
@@ -49,7 +50,7 @@ from sptrees.generate import (
     multiset_rank,
 )
 from sptrees.oracle import FixBoth, FixSet, NonIntegralResult, OrbitReport
-from sptrees.semi import _parts, _reversal_perms
+from sptrees.semi import _masks, _parts, _reversal_perms
 
 DIAMOND_TEXT = "P(e(2,3),S(e(2,1),e(1,3)),S(e(2,4),e(4,3)))"
 THETA_TEXT = "P(e(s,t),S(e(s,a),e(a,b),e(b,t)),S(e(s,c),e(c,d),e(d,t)))"
@@ -452,6 +453,27 @@ def shape_sweep(max_edges: int) -> tuple[int, list[str]]:
     return len(texts), failures
 
 
+def shape_index_sweep(max_edges: int) -> tuple[int, int]:
+    """On every shape with at most `max_edges` edges: the oriented spanning,
+    oriented near and semioriented streams hold the plan's st, nt and ss
+    masks, neither oriented stream repeats a mask, and `_index` gives each
+    streamed tree its position.  Returns the number of shapes and of
+    indexed trees."""
+    shapes = indexed = 0
+    for m in range(1, max_edges + 1):
+        for text in sp_shapes(m):
+            tree = parse_sp(text)
+            plan, program = build_plan(tree), _plans(tree).program
+            spanning, near = map(list, _streams(tree, False, True))
+            assert sum(1 for _ in _masks(tree)) == plan.ss
+            for masks, count, is_near in ((spanning, plan.st, False), (near, plan.nt, True)):
+                assert len(set(masks)) == len(masks) == count
+                assert [_index(program, mask, is_near) for mask in masks] == list(range(count))
+                indexed += count
+            shapes += 1
+    return shapes, indexed
+
+
 # ---------------------------------------------------------------------------
 # Mirror-symmetric instance generation
 # ---------------------------------------------------------------------------
@@ -646,7 +668,7 @@ def reference_index_perm(child: Node, mirror: Node, kind: str = "spanning") -> t
     near = kind == "near"
     r = reversal_map(child, mirror)
     lo = min(r.values())  # `mirror`'s leaves are the input positions lo, lo + 1, ...
-    trees = _placed({}, None, _plans(child), child, build_plan(child), near)
+    trees = _placed({}, None, _plans(child).program, _root(child), build_plan(child), near)
     plan = build_plan(mirror)
     codes = reference_codes(mirror)
     return tuple(reference_index(mirror, plan, mask_image(x, r), near, lo, codes) for x in trees)
@@ -756,9 +778,10 @@ def reference_semioriented_masks(tree: Node, numbering=None) -> list[int]:
         return list(_streams(tree, False, numbering=numbering)[0])
     plans = _plans(tree)
     target, perms = _parts(_reversal_perms(plans.by_code.values(), plans.by_code), plan, plan)
-    placed = partial(_placed, {}, numbering, plans)
+    placed = partial(_placed, {}, numbering, plans.program)
+    refs = plans.program[-1][1]
     if plan.kind == "series":
-        items = [placed(x, part, False) for x, part in zip(tree.children, plan.parts)]
+        items = [placed(ref, part, False) for ref, part in zip(refs, plan.parts)]
         perms = [span for _, span in perms]
         blocks = [[range(len(lst)) for lst in items]]
     else:
@@ -767,10 +790,12 @@ def reference_semioriented_masks(tree: Node, numbering=None) -> list[int]:
             tuple(near) + tuple(cp.nt + s for s in span)
             for cp, (near, span) in zip(classes, perms)
         ]
+        # Class j's members are the next cp.size refs of the root's.
+        ends = list(itertools.accumulate([cp.size for cp in classes], initial=0))
         items = [
-            reference_assignments(members, rep, True, placed)
-            + reference_assignments(members, rep, False, placed)
-            for members, _, rep in _members(plans, tree, plan)
+            reference_assignments(refs[a:b], cp.rep_plan, True, placed)
+            + reference_assignments(refs[a:b], cp.rep_plan, False, placed)
+            for a, b, cp in zip(ends, ends[1:], classes)
         ]
         blocks = [
             [range(cp.nt, cp.nt + cp.st) if j == a else range(cp.nt) for j, cp in enumerate(classes)]

@@ -20,13 +20,13 @@ from sptrees import (
     reversal_code,
     underlying_graph,
 )
+from sptrees.core import Leaf, inner_postorder, iter_leaves
 from sptrees.generate import _plans, code_sort_key
 
 from conftest import (
     deep_nest_codes,
     deep_nest_text,
     mirror_symmetric,
-    preorder,
     reference_codes,
     relabeled_shuffled_copy,
     reversal_map,
@@ -80,11 +80,28 @@ def copies_text(k: int) -> str:
 
 def _assert_plan_codes_are_the_reference(tree):
     """Every node's plan carries the codes that the string rule gives it,
-    and the plans by code are one per shape."""
+    the plans by code are one per shape, and the program has one entry per
+    inner node, children first, whose refs name its children: in order for
+    a series node, and grouped by class, in class order, for a P node."""
     plans, codes = _plans(tree), reference_codes(tree)
-    for node in preorder(tree):
-        plan = plans.of(node)
+    inner = inner_postorder(tree)
+    slot = {id(node): i for i, node in enumerate(inner)}
+    assert len(plans.program) == len(inner)
+    for node, (plan, refs) in zip(inner, plans.program):
         assert (plan.code, plan.rev) == codes[id(node)]
+        kids = [~kid.index if isinstance(kid, Leaf) else slot[id(kid)] for kid in node.children]
+        if plan.kind == "series":
+            assert list(refs) == kids
+        else:
+            assert sorted(refs) == sorted(kids)
+            # Grouped by class: each ref's code, and storage order within a class.
+            ref_codes = [plans.program[r][0].code if r >= 0 else "E" for r in refs]
+            assert ref_codes == [cp.rep_plan.code for cp in plan.parts for _ in range(cp.size)]
+            assert all(kids.index(a) < kids.index(b)
+                       for a, b, x, y in zip(refs, refs[1:], ref_codes, ref_codes[1:]) if x == y)
+    for leaf in iter_leaves(tree):
+        plan = plans.by_code["E"]
+        assert (plan.code, plan.rev) == codes[id(leaf)]
     assert set(plans.by_code) == {code for code, _ in codes.values()}
 
 

@@ -45,7 +45,6 @@ from sptrees import generate, semi
 from sptrees.generate import (
     _assignments,
     _index,
-    _members,
     _placed,
     _plans,
     _streams,
@@ -414,7 +413,7 @@ def test_index_equals_the_recursive_reference(tree):
     for mask in masks:
         for near in (False, True):
             expected = _rank_or_none(reference_index, tree, plan, mask, near)
-            assert _rank_or_none(_index, tree, _plans(tree), mask, near) == expected
+            assert _rank_or_none(_index, _plans(tree).program, mask, near) == expected
 
 
 def _kruskal(g) -> EdgeSet:
@@ -550,9 +549,8 @@ def test_wide_classes_sum_r_minus_1_terms_per_multiset(c, monkeypatch):
     c - 1 members beside a spanning tree (each then adds 2 terms)."""
     text = "P(" + ",".join(f"S(e(s,a{i}),e(a{i},b{i}),e(b{i},t))" for i in range(c)) + ")"
     tree = parse_sp(text)
-    plans = _plans(tree)
-    [(members, part, rep)] = _members(plans, tree, plans.of(tree))
-    lists = partial(_placed, {}, None, plans)
+    [part], (_, members) = build_plan(tree).parts, _plans(tree).program[-1]
+    rep, lists = part.rep_plan, partial(_placed, {}, None, _plans(tree).program)
     for x in members:  # the members' own lists first: their sums are not counted
         lists(x, rep, True), lists(x, rep, False)
     terms, builtin_sum = [], sum
@@ -596,3 +594,24 @@ def test_rank_of_a_wide_class_evaluates_r_binomials(monkeypatch):
     assert 0 <= spanning_tree_index(o, spanning) < counts.spanning and len(calls) <= r
     calls.clear()
     assert 0 <= near_tree_index(o, near) < counts.near and len(calls) <= r - 1
+
+
+def test_the_index_walks_no_node_once_the_plans_are_built(monkeypatch):
+    """With the plans built, `spanning_tree_index` and `near_tree_index` rank
+    a tree from the plan pass's program alone: neither walks the tree's
+    nodes again (`inner_postorder`, counted over the module binding).  The
+    tree has series nodes, leaf children and a class of several members."""
+    o = OrientedSP(parse_sp(
+        "S(P(e(s,x),S(e(s,a),e(a,x)),S(e(s,b),e(b,x))),P(e(x,t),S(e(x,c),e(c,d),e(d,t))))"
+    ))
+    spanning, near = list(iter_oriented_spanning(o)), list(iter_oriented_near(o))
+    calls, walk = [], generate.inner_postorder
+
+    def counted(node):
+        calls.append(node)
+        return walk(node)
+
+    monkeypatch.setattr(generate, "inner_postorder", counted)
+    assert [spanning_tree_index(o, es) for es in spanning] == list(range(len(spanning)))
+    assert [near_tree_index(o, es) for es in near] == list(range(len(near)))
+    assert calls == []

@@ -138,7 +138,7 @@ def test_every_entry_point_builds_the_root_once(text, monkeypatch):
     assert ok
     assert roots == [0]
     assert build_plan(tree) is build_plan(OrientedSP(tree)) is build_plan(SemiorientedSP(tree))
-    assert build_plan(tree) == _build(tree).of(tree)
+    assert build_plan(tree) == list(_build(tree).by_code.values())[-1]
     assert _results(tree) == results
     assert roots == [0]
 
@@ -149,7 +149,7 @@ def test_equal_distinct_trees_get_their_own_plans(text):
     assert copy == tree and copy is not tree
     results = _results(tree)
     assert build_plan(copy) is not build_plan(tree)
-    assert build_plan(copy) == build_plan(tree) == _build(tree).of(tree)
+    assert build_plan(copy) == build_plan(tree) == list(_build(tree).by_code.values())[-1]
     assert _results(copy) == results
 
 
@@ -192,7 +192,7 @@ def test_subtrees_planned_first_do_not_leak_into_the_parent(seed):
     expected = _results(fresh)  # the parent planned before its children
     assert _reversal_perms(fresh) == perms
     assert _results(tree) == expected
-    assert build_plan(tree) == build_plan(fresh) == _build(tree).of(tree)
+    assert build_plan(tree) == build_plan(fresh) == list(_build(tree).by_code.values())[-1]
 
 
 @pytest.mark.parametrize("text", TEXTS)

@@ -1,10 +1,8 @@
 """Every simple oriented SP shape with up to 9 edges, listed once and verified."""
 
 from sptrees import RandomSpParams, canonical_code, parse_sp, random_sp, underlying_graph
-from sptrees.generate import _index, _plans, _streams
-from sptrees.semi import _masks
 
-from conftest import mirror_symmetric, shape_sweep, small_corpus, sp_shapes
+from conftest import mirror_symmetric, shape_index_sweep, shape_sweep, small_corpus, sp_shapes
 
 TIER1_EDGES = 9
 
@@ -45,20 +43,7 @@ def test_every_shape_passes_verify():
 
 
 def test_every_shape_streams_its_counts_and_indexes_each_tree():
-    """On every shape: the oriented spanning, oriented near and semioriented
-    streams hold the plan's st, nt and ss masks, neither oriented stream
-    repeats a mask, and `_index` gives each streamed tree its position."""
-    shapes = indexed = 0
-    for m in range(1, TIER1_EDGES + 1):
-        for text in sp_shapes(m):
-            tree = parse_sp(text)
-            plans = _plans(tree)
-            plan = plans.of(tree)
-            spanning, near = map(list, _streams(tree, False, True))
-            assert sum(1 for _ in _masks(tree)) == plan.ss
-            for masks, count, is_near in ((spanning, plan.st, False), (near, plan.nt, True)):
-                assert len(set(masks)) == len(masks) == count
-                assert [_index(tree, plans, mask, is_near) for mask in masks] == list(range(count))
-                indexed += count
-            shapes += 1
-    assert (shapes, indexed) == (1397, 64035)
+    """On every shape, the streams hold the plan's counts and `_index` gives
+    each streamed tree its position (`shape_index_sweep`); CI runs the same
+    sweep up to 11 edges."""
+    assert shape_index_sweep(TIER1_EDGES) == (1397, 64035)
