@@ -83,14 +83,18 @@ of its refs.  Each member's list is built from its own structure,
 which is the representative's up to the class's isomorphism, so entry i
 of every member's list is the same tree up to that map.  List entries
 combine masks on disjoint leaf sets, so every entry is a sum of masks,
-and no mask is moved bit by bit: `_sums` sums each product of part
-lists, and a class's multiset sums its members' masks, except where the
-class is wide, its c members many against its representative's r near
-trees (`_wide`).  There each multiset is read as its count vector, whose
-mask is r - 1 lookups in differences of the members' prefix sums, summed
-(`_assignments`), so an entry costs O(r) and not O(c).  The enumerations
-stream the root's trees from its part lists (`_blocks`), so large
-outputs are never held in memory at once.  The index operations rank a
+and no mask is moved bit by bit.  `_sums` sums each product of part
+lists.  A block picks its fold by its lists' sizes (`_split`): a large one
+sums its trailing lists once, into a tail, and adds each prefix of the
+lists ahead to every tail entry, so a tree costs one add (an `or`, the
+masks being disjoint); a small one sums each entry's parts.  A class's
+multiset sums its members' masks, except where the class is wide, its c
+members many against its representative's r near trees (`_wide`).  There
+each multiset is read as its count vector, whose mask is r - 1 lookups
+in differences of the members' prefix sums, summed (`_assignments`), so
+an entry costs O(r) and not O(c).  The enumerations stream the root's
+trees from its part lists (`_blocks`), so large outputs are never held
+in memory at once.  The index operations rank a
 tree in one loop over the program, each leaf reading its own bit in the
 input numbering; a wide class's multiset is ranked from its count
 vector (`_digit`).
@@ -266,10 +270,12 @@ class _Plans(NamedTuple):
     or ~index for a leaf.  A series node's refs are its children's, in
     order; a P node's are grouped by class, in its plan's class order, each
     class's members in storage order, so that part j's members are the
-    next `size` refs."""
+    next `size` refs.  `starts` caches, by (code, near), a shape's block
+    starts (`_starts`) for the index, ints only, filled as ranks read them."""
 
     by_code: dict[str, _Plan]
     program: list[tuple[_Plan, tuple[int, ...]]]
+    starts: dict[tuple[str, bool], list[int]]
 
 
 def build_plan(g) -> _Plan:
@@ -358,7 +364,7 @@ def _build(tree: Node) -> _Plans:
             refs = [refs[i] for i in order]
         waiting.append(len(program))
         program.append((plan, tuple(refs)))
-    return _Plans(by_code, program)
+    return _Plans(by_code, program, {})
 
 
 def _fold(terms) -> list[tuple[int, int]]:
@@ -498,15 +504,95 @@ def _starts(parts, near: bool) -> list[int]:
     return starts
 
 
-def _sums(blocks):
+# A folding block's tail holds at least _TAIL entries, and a list of under
+# _FOLD entries folds no block (`_split`).  Streaming the 18 enumerate-stream
+# lists of seeds 1-3 (medians of 15 alternating runs, summed, on one core of
+# a 2-vCPU x86-64 VM, Python 3.11.7) took 37.4, 37.6 and 37.2 ms at _TAIL =
+# 16, 32 and 64 on seed 1, 31.9, 31.7 and 34.0 ms on seed 2 and 30.9, 30.0
+# and 30.5 ms on seed 3; with no fold, seed 1 took 48.1 ms, and at _FOLD =
+# 4096, 1024, 256 and 128, 36.6, 35.4, 31.9 and 34.5 ms.  The lists of
+# verify's 66 verify-oracle inputs of seeds 1-3 all hold under 256 entries,
+# so they keep the per-entry sums and ask nothing per block.
+_TAIL = 32
+_FOLD = 256
+
+
+def _sums(blocks, size: int, plus=operator.or_):
     """Masks of the product of each block's lists, block by block, each
-    product in product order.
+    product in product order, `size` of them in all.
 
     Every product combines masks on disjoint leaf sets (series
     children, parallel members), so the union of a combination is its
-    sum.
+    sum.  Under _FOLD entries in all, each entry sums its block's lists,
+    and nothing is asked per block.  In a larger list, a one-list block is
+    its own list, and a block that folds (`_split`) sums its trailing lists
+    once, into a tail, and joins each prefix, the sum of one entry of each
+    list ahead of the tail, to every tail entry by `plus`: one operation a
+    tree, by C-level maps, the last list fastest.  For masks that is
+    `operator.or_`, which allocates each int at its size, where an add of
+    ints of an even number of 30-bit digits allocates a spare digit (a
+    third more memory on lists of 41-bit masks); `semi` passes
+    `operator.add` for its index sums.
     """
-    return itertools.chain.from_iterable(map(sum, itertools.product(*b)) for b in blocks)
+    if size < _FOLD:
+        return map(sum, itertools.chain.from_iterable(itertools.starmap(itertools.product, blocks)))
+    return itertools.chain.from_iterable(map(_block_sums, blocks, itertools.repeat(plus)))
+
+
+def _block_sums(lists, plus):
+    """`_sums` of one block.  A tail of several lists is folded lazily, by
+    `plus` as well, and cycled, so that its first pass streams with the
+    first prefix and the first entry waits for no tail; the last list alone
+    is read in place, never copied."""
+    if len(lists) == 1:
+        return lists[0]
+    sizes = list(map(len, lists))
+    j = _split(sizes)
+    if not j:
+        return map(sum, itertools.product(*lists))
+    prefixes = lists[0] if j == 1 else map(sum, itertools.product(*lists[:j]))
+    tail = lists[j]
+    for xs in lists[j + 1 :]:
+        tail = _spread(tail, len(xs), _again(xs), plus)
+    entries = _again(tail) if j == len(lists) - 1 else itertools.cycle(tail)
+    return _spread(prefixes, math.prod(sizes[j:]), entries, plus)
+
+
+def _split(sizes: list[int]) -> int:
+    """Where a block whose lists have these sizes starts its tail: at the
+    shortest run of trailing lists, never the first list, whose product
+    reaches _TAIL.  0, for no fold, where the block's product is under
+    _FOLD, where no such run exists, or where a run of several lists, a
+    copy, would hold over _TAIL ** 2 entries or be read by fewer than 8
+    prefixes.  So no fold copies a long list, and a copy is repaid: read
+    by 4 prefixes it cost 1.03-1.15 times the per-entry sums, and by 8,
+    0.57-0.76 times, in process on lists of 500 by 1, 70 by 3, 30 by 30 by
+    1 and 10 by 10 by 10 entries."""
+    total = math.prod(sizes)
+    if total < _FOLD:
+        return 0
+    j = len(sizes) - 1
+    size = sizes[j]
+    while size < _TAIL:
+        j -= 1
+        if not j:
+            return 0
+        size *= sizes[j]
+    if j == len(sizes) - 1 or (size <= _TAIL * _TAIL and 8 * size <= total):
+        return j
+    return 0
+
+
+def _spread(prefixes, size: int, entries, plus):
+    """Each prefix `plus` each of the next `size` entries, prefix by prefix:
+    one operation an entry, each prefix repeated `size` times."""
+    repeated = itertools.chain.from_iterable(map(itertools.repeat, prefixes, itertools.repeat(size)))
+    return map(plus, repeated, entries)
+
+
+def _again(xs):
+    """The entries of `xs` over and over, with no copy of them."""
+    return itertools.chain.from_iterable(itertools.repeat(xs))
 
 
 def _wide(r: int, c: int) -> bool:
@@ -562,7 +648,10 @@ def _assignments(members, rep: _Plan, near: bool, lists) -> tuple[int, ...]:
     else:
         multisets = itertools.combinations_with_replacement(range(r), c)
         sets = tuple([sum(map(operator.getitem, tables, mu)) for mu in multisets])
-    return sets if near else tuple(_sums([[lists(members[0], rep, False), sets]]))
+    if near:
+        return sets
+    spanning = lists(members[0], rep, False)
+    return tuple(_sums([[spanning, sets]], len(spanning) * len(sets)))
 
 
 def _blocks(
@@ -604,7 +693,8 @@ def _placed(
             memo[key] = (0 if near else 1 << bit,)
         else:
             lists = partial(_placed, memo, numbering, program)
-            memo[key] = tuple(_sums(_blocks(program, ref, plan, near, lists)))
+            size = plan.nt if near else plan.st
+            memo[key] = tuple(_sums(_blocks(program, ref, plan, near, lists), size))
     return memo[key]
 
 
@@ -614,7 +704,7 @@ def _streams(tree: Node, *nears: bool, numbering=None) -> list:
     program, ref, plan = _plans(tree).program, _root(tree), build_plan(tree)
     placed = partial(_placed, {}, numbering, program)
     blocks = [_blocks(program, ref, plan, near, placed) for near in nears]
-    return [_sums(bs) for bs in blocks]
+    return [_sums(bs, plan.nt if near else plan.st) for bs, near in zip(blocks, nears)]
 
 
 def oriented_spanning(g: OrientedSP) -> list[EdgeSet]:
@@ -659,11 +749,11 @@ def count_total(g: OrientedSP) -> CountPair:
 # ---------------------------------------------------------------------------
 
 
-def _index(program: list, mask: int, near: bool) -> int:
+def _index(plans: _Plans, mask: int, near: bool) -> int:
     """Enumeration position of the orbit of a near (or spanning) tree `mask`
-    on the tree whose plan pass gave `program`, in one loop over the
-    program, with no helper call per node or per part but one `_digit` per
-    class of several members.
+    on the tree whose plan pass gave `plans`, in one loop over its program,
+    with no helper call per node or per part but one `_digit` per class of
+    several members.
 
     A node's kind comes from the bits of `mask` on its leaves: n - 1 for a
     spanning tree, n - 2 for a near one, and no other count is a tree.  A
@@ -673,12 +763,13 @@ def _index(program: list, mask: int, near: bool) -> int:
     its base kind (spanning for a series node, near for a P node) unless
     exactly one part gives the other, flip kind (a child's break, a class's
     spanning member), which then names the block whose start the digits
-    count from (`_starts`, built once per shape and kind).
+    count from (`_starts`, built once per shape and kind and kept in
+    `plans.starts` for every later rank).
     """
     # Per slot, (bits, near, rank) of its node.  A lone edge, with no
     # program, has one tree of each kind, the spanning one holding its bit.
-    done, starts, kind, rank = [], {}, not mask, 0
-    for p, refs in program:
+    done, starts, kind, rank = [], plans.starts, not mask, 0
+    for p, refs in plans.program:
         parts, bits, rank, odd = p.parts, 0, 0, 0
         if p.kind == "series":
             for j, (ref, part) in enumerate(zip(refs, parts)):
@@ -756,7 +847,7 @@ def _located(g, es: EdgeSet, near: bool) -> int:
     tree = _tree_of(g)
     if es.mask >> build_plan(tree).m:
         raise ImageNotFound("an edge outside the graph")
-    return _index(_plans(tree).program, es.mask, near)
+    return _index(_plans(tree), es.mask, near)
 
 
 def spanning_tree_index(g: OrientedSP, es: EdgeSet) -> int:

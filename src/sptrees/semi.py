@@ -127,7 +127,7 @@ def _moved(perms, dest, yp, near: bool) -> tuple[int, ...]:
         # perms[i] holds part i's (near, spanning) actions.
         moved = [[v * place[b] for v in perms[i][not kinds[i]]] for i, b in enumerate(dest)]
         blocks.append([[starts[_block_of(image, near)]]] + moved)
-    return tuple(_sums(blocks))
+    return tuple(_sums(blocks, yp.nt if near else yp.st, operator.add))
 
 
 def _assignment_perm(size: int, near_perm: tuple[int, ...], span_perm: tuple[int, ...],

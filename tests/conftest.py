@@ -463,12 +463,12 @@ def shape_index_sweep(max_edges: int) -> tuple[int, int]:
     for m in range(1, max_edges + 1):
         for text in sp_shapes(m):
             tree = parse_sp(text)
-            plan, program = build_plan(tree), _plans(tree).program
+            plan, plans = build_plan(tree), _plans(tree)
             spanning, near = map(list, _streams(tree, False, True))
             assert sum(1 for _ in _masks(tree)) == plan.ss
             for masks, count, is_near in ((spanning, plan.st, False), (near, plan.nt, True)):
                 assert len(set(masks)) == len(masks) == count
-                assert [_index(program, mask, is_near) for mask in masks] == list(range(count))
+                assert [_index(plans, mask, is_near) for mask in masks] == list(range(count))
                 indexed += count
             shapes += 1
     return shapes, indexed
@@ -931,6 +931,12 @@ def reference_least_images(g, masks: list[int], autos, fixing: str | None = None
 # ---------------------------------------------------------------------------
 # Per-position reference for the plan
 # ---------------------------------------------------------------------------
+
+
+def reference_sums(blocks):
+    """`generate._sums` as one sum per entry: the masks of the product of
+    each block's lists, block by block, each product in product order."""
+    return itertools.chain.from_iterable(map(sum, itertools.product(*b)) for b in blocks)
 
 
 def reference_assignments(members, rep, near: bool, lists) -> tuple[int, ...]:

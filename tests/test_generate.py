@@ -1,13 +1,17 @@
 """Oriented enumeration, counting recurrences, streams, and orbit indexing."""
 
 import itertools
+import math
+import operator
 import random
+import tracemalloc
 from collections import Counter
 from functools import partial
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sptrees import (
@@ -63,6 +67,7 @@ from conftest import (
     orbit_exactly_once,
     reference_assignments,
     reference_index,
+    reference_sums,
     small_corpus,
 )
 
@@ -413,7 +418,7 @@ def test_index_equals_the_recursive_reference(tree):
     for mask in masks:
         for near in (False, True):
             expected = _rank_or_none(reference_index, tree, plan, mask, near)
-            assert _rank_or_none(_index, _plans(tree).program, mask, near) == expected
+            assert _rank_or_none(_index, _plans(tree), mask, near) == expected
 
 
 def _kruskal(g) -> EdgeSet:
@@ -546,13 +551,17 @@ def test_wide_classes_sum_r_minus_1_terms_per_multiset(c, monkeypatch):
     """A P of c three-edge chains (r = 3 near trees each) builds its
     assignments from count vectors: every multiset's mask is one `sum` of
     r - 1 = 2 terms, never one of c, for the near assignments and for the
-    c - 1 members beside a spanning tree (each then adds 2 terms)."""
+    c - 1 members beside a spanning tree.  Where the spanning product folds
+    (`generate._split`, as it does at the default constants) each spanning
+    assignment is then one add, with no `sum`; with the fold cut out of
+    reach it is a `sum` of 2 terms, the spanning tree and the multiset."""
     text = "P(" + ",".join(f"S(e(s,a{i}),e(a{i},b{i}),e(b{i},t))" for i in range(c)) + ")"
     tree = parse_sp(text)
     [part], (_, members) = build_plan(tree).parts, _plans(tree).program[-1]
     rep, lists = part.rep_plan, partial(_placed, {}, None, _plans(tree).program)
     for x in members:  # the members' own lists first: their sums are not counted
         lists(x, rep, True), lists(x, rep, False)
+    rest = multiset_coefficient(rep.nt, c - 1)
     terms, builtin_sum = [], sum
 
     def counted(items, start=0):
@@ -560,17 +569,123 @@ def test_wide_classes_sum_r_minus_1_terms_per_multiset(c, monkeypatch):
         terms.append(len(items))
         return builtin_sum(items, start)
 
+    for folds in (True, False):
+        if not folds:
+            monkeypatch.setattr(generate, "_FOLD", 10**9)
+        assert bool(generate._split([rep.st, rest])) == folds
+        monkeypatch.setattr(generate, "sum", counted, raising=False)
+        terms.clear()
+        near = _assignments(members, rep, True, lists)
+        assert Counter(terms) == {rep.nt - 1: part.nt} and len(near) == part.nt
+        terms.clear()
+        spanning = _assignments(members, rep, False, lists)
+        spans = 0 if folds else rep.st * rest
+        assert Counter(terms) == {rep.nt - 1: rest + spans} and len(spanning) == part.st
+        monkeypatch.undo()
+        assert (near, spanning) == tuple(
+            reference_assignments(members, rep, kind, lists) for kind in (True, False)
+        )
+
+
+# List lengths for the fold: empty and one-entry lists, lengths on either
+# side of the default _TAIL, and a long list.
+_LENGTHS = (0, 1, 1, 2, 3, 4, 7, 8, 31, 32, 33, 300)
+_CONSTANTS = ((generate._TAIL, generate._FOLD), (1, 0), (2, 0), (3, 2), (4, 0), (8, 30))
+
+
+def _lists(seed: int, *lengths: int) -> list[tuple[int, ...]]:
+    """Lists of the given lengths, of seeded masks on disjoint 16-bit fields."""
+    rng = random.Random(seed)
+    return [tuple(rng.getrandbits(16) << 16 * i for _ in range(n)) for i, n in enumerate(lengths)]
+
+
+@st.composite
+def _fold_blocks(draw):
+    """One to four blocks of one to six lists, each block's product at most
+    10 000 entries."""
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        lengths, product = [], 1
+        for _ in range(draw(st.integers(1, 6))):
+            n = draw(st.sampled_from([n for n in _LENGTHS if product * n <= 10_000]))
+            lengths.append(n)
+            product *= n
+        blocks.append(_lists(draw(st.integers(0, 2**32)), *lengths))
+    return blocks
+
+
+@given(blocks=_fold_blocks(), constants=st.sampled_from(_CONSTANTS))
+@example(blocks=[_lists(1, 300, 1)], constants=_CONSTANTS[0])
+@example(blocks=[_lists(2, 8, 300, 1)], constants=_CONSTANTS[0])
+@example(blocks=[_lists(3, 33, 3, 31), _lists(4, 12, 3, 11), _lists(5, 9, 32)], constants=_CONSTANTS[0])
+@example(blocks=[_lists(6, 300, 0, 33), _lists(7, 1), _lists(8, 0)], constants=_CONSTANTS[1])
+@settings(max_examples=300, deadline=None)
+def test_sums_equal_the_reference(blocks, constants):
+    """`_sums`, folded or not, streams the masks `reference_sums` sums one
+    entry at a time, in the same order, at the default constants and
+    patched small, so that short tails, copied tails and every block of
+    two or more lists fold.  Masks on disjoint bit fields join by `or`;
+    with `operator.add`, as `semi` passes for its index sums, so do ints
+    whose bits overlap."""
+    size = sum(math.prod(map(len, b)) for b in blocks)
+    overlapping = [[tuple(x % 1009 for x in xs) for xs in b] for b in blocks]
+    with mock.patch.multiple(generate, _TAIL=constants[0], _FOLD=constants[1]):
+        assert list(generate._sums(blocks, size)) == list(reference_sums(blocks))
+        assert list(generate._sums(overlapping, size, operator.add)) == list(reference_sums(overlapping))
+
+
+def test_no_fold_copies_a_long_list():
+    """A tail is the shortest run of trailing lists whose product reaches
+    _TAIL.  The last list alone is read in place; a tail of several lists
+    is a copy, so a long list beside one-entry lists never joins one."""
+    tail = generate._TAIL
+    long = tail * tail + 1
+    assert generate._split([1, long]) == 1
+    assert generate._split([long, 1]) == 0
+    assert generate._split([64, long, 1]) == 0
+    assert generate._split([1, 1, long, 1]) == 0
+    j = generate._split([3] * 8)
+    assert 3 ** (7 - j) < tail <= 3 ** (8 - j)
+
+
+def test_folded_masks_take_no_more_memory_than_summed_ones():
+    """The 100 000 masks of a folded block of 48-bit masks (two 30-bit
+    digits each) hold no more memory, traced, than the same masks summed
+    one entry at a time: the fold joins by `or`, which allocates each
+    int at its size, where an add would allocate a spare digit each."""
+    blocks = [_lists(9, 40, 50, 50)]
+    assert generate._split([40, 50, 50])
+
+    def traced(masks) -> int:
+        tracemalloc.start()
+        try:
+            masks = tuple(masks)  # held while the traced memory is read
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    assert traced(generate._sums(blocks, 100_000)) <= traced(reference_sums(blocks)) + 50_000
+
+
+def test_a_folded_stream_sums_once_per_prefix_not_once_per_tree(monkeypatch):
+    """ROADMAP item 10's stream guard.  Once its part lists are built,
+    streaming the 3^8 = 6561 spanning trees of a series of eight triangles
+    calls the module's `sum` once per prefix of its folded root block, at
+    most trees / _TAIL times, and not once a tree: each tree is one join
+    of a prefix and a tail entry."""
+    text = "S(" + ",".join(f"P(e(v{i},v{i + 1}),S(e(v{i},a{i}),e(a{i},v{i + 1})))" for i in range(8)) + ")"
+    [stream] = _streams(parse_sp(text), False)  # builds the triangles' lists
+    calls, builtin_sum = [], sum
+
+    def counted(items, start=0):
+        calls.append(1)
+        return builtin_sum(items, start)
+
     monkeypatch.setattr(generate, "sum", counted, raising=False)
-    near = _assignments(members, rep, True, lists)
-    assert Counter(terms) == {rep.nt - 1: part.nt} and len(near) == part.nt
-    terms.clear()
-    spanning = _assignments(members, rep, False, lists)
-    rest = multiset_coefficient(rep.nt, c - 1)
-    assert Counter(terms) == {rep.nt - 1: rest + rep.st * rest} and len(spanning) == part.st
+    trees = len(list(stream))
     monkeypatch.undo()
-    assert (near, spanning) == tuple(
-        reference_assignments(members, rep, kind, lists) for kind in (True, False)
-    )
+    assert trees == 3**8
+    assert 0 < len(calls) <= trees // generate._TAIL
 
 
 def test_rank_of_a_wide_class_evaluates_r_binomials(monkeypatch):
@@ -615,3 +730,24 @@ def test_the_index_walks_no_node_once_the_plans_are_built(monkeypatch):
     assert [spanning_tree_index(o, es) for es in spanning] == list(range(len(spanning)))
     assert [near_tree_index(o, es) for es in near] == list(range(len(near)))
     assert calls == []
+
+
+def test_block_starts_are_built_once_per_shape_and_kind(monkeypatch):
+    """Ranking every oriented spanning tree of a P of 30 four-edge chains
+    (4960 trees, 4959 of them with a chain broken past its first edge)
+    builds each shape's block starts (`_starts`, counted over the module
+    binding) at most once per (shape, kind): they are kept with the plans,
+    not rebuilt in each call."""
+    o = OrientedSP(parse_sp(
+        "P(" + ",".join(f"S(e(s,a{i}),e(a{i},b{i}),e(b{i},c{i}),e(c{i},t))" for i in range(30)) + ")"
+    ))
+    spanning = list(iter_oriented_spanning(o))
+    calls, starts = [], generate._starts
+
+    def counted(parts, near):
+        calls.append((tuple(map(id, parts)), near))
+        return starts(parts, near)
+
+    monkeypatch.setattr(generate, "_starts", counted)
+    assert [spanning_tree_index(o, es) for es in spanning] == list(range(4960))
+    assert calls and max(Counter(calls).values()) == 1

@@ -22,6 +22,13 @@ node, so the digest also pins the order in which the edge-list reducer
 contracts and merges.  Ladders above 7 rungs (10 864 trees and more) are
 parsed, coded and counted but not enumerated.
 
+The fold digests cover CLI `enumerate` in the oriented, near,
+semioriented and records modes on two inputs whose root blocks all fold
+into a tail of several lists (`generate._sums`): a palindromic series of
+five self-mirror blocks, and a P of chains of 1 to 4 edges stored against
+the class order.  They are asserted at the default fold constants and with
+the constants patched so that every block of two or more lists folds.
+
 The oracle digest covers the brute-force oracle on `random_sp` seeds 0-59
 with at most 10 vertices plus the diamond and the theta: the masks, in
 order, of the spanning trees, the separating near trees and the acyclic
@@ -36,6 +43,9 @@ import hashlib
 import json
 import random
 import sys
+from functools import partial
+
+import pytest
 
 from sptrees import (
     FixBoth,
@@ -52,6 +62,7 @@ from sptrees import (
     serialize_sp,
     underlying_graph,
 )
+from sptrees import generate
 from sptrees.cli import _CHUNK, run
 from sptrees.oracle import all_acyclic_near_sets
 
@@ -61,6 +72,23 @@ GOLDEN_SHA256 = "836ca2d5c23f3abab744a929cb35eb910187fa77de09d64140fe8ccdcf8e318
 EDGE_LIST_SHA256 = "563e60c2bb68c89ad4336d5c108083404f248bcb0beeb043cb03098224c8192f"
 RECORDS_SHA256 = "8a4ad7c916af3cac079263f581e4b514777ab7d011a9da9611b4a12d83bfe2ac"
 ORACLE_SHA256 = "4bc7206365c23dbc82bf4fa967cccb05fb39e051a461fb065fefc8db63cfb434"
+
+FOLD_SHA256 = {
+    ("palindrome", "oriented"): "167b8591871a543fb6bd2994c0d1267d33bf8cd8810ddc7e42dfa628b5302201",
+    ("palindrome", "near"): "ccfbd0c7ebaeddd47b43bcc56ad9da20673abd9d330133647b41fdd80109110b",
+    ("palindrome", "semioriented"): "e4a8c31186016132a98d84cb2b1e2cab3aa1ad1cc273857666adc7ad002da3dc",
+    ("palindrome", "records"): "bc88fb891e6b93bd2b30cb10fa1cca5f96a08af888407ac49216c71c99dc62fc",
+    ("bundle", "oriented"): "304b0b8562ead3a8714725ab7f6a9e04df2df316c42353da6d82b0d7d50bbdeb",
+    ("bundle", "near"): "e26a2d6971fe80820594c14e9da2800f426b325a72692e01bb45171c11e8d509",
+    ("bundle", "semioriented"): "c607dcb287e571dbdc75dd4b989b2b12c4d5431e1147a7548e8b49d506178658",
+    ("bundle", "records"): "23a9b5e7d8ceb40f58d2652c9be51cc4034a131bf9ce8490429b186b704b19ec",
+}
+FOLD_MODES = {
+    "oriented": ["--mode", "oriented"],
+    "near": ["--mode", "oriented", "--near"],
+    "semioriented": ["--mode", "semioriented"],
+    "records": ["--mode", "oriented", "--format", "records"],
+}
 
 COUNTS = (
     ["code"],
@@ -146,6 +174,69 @@ def test_records_lines_are_canonical_json(tmp_path, capsys):
     assert '{"edges": [], "index": 0, "kind": "near", "mode": "oriented"}' in lines
     for line in lines:
         assert line == json.dumps(json.loads(line), sort_keys=True)
+
+
+def _chain_text(ends) -> str:
+    return "S(" + ",".join(f"e({u},{v})" for u, v in zip(ends, ends[1:])) + ")"
+
+
+def _palindrome_text() -> str:
+    """A series of five self-mirror blocks with 3, 4, 5, 4 and 3 spanning
+    trees: an edge beside a 2-edge chain, beside a 3-edge chain, and beside
+    two 2-edge chains; 720 spanning and 2472 near trees."""
+    spine, fresh, blocks = [f"v{i}" for i in range(6)], iter("abcdefghij"), []
+    for kind, a, b in zip((3, 4, 5, 4, 3), spine, spine[1:]):
+        if kind == 3:
+            kids = [_chain_text([a, next(fresh), b]), f"e({a},{b})"]
+        elif kind == 4:
+            kids = [f"e({a},{b})", _chain_text([a, next(fresh), next(fresh), b])]
+        else:
+            kids = [_chain_text([a, next(fresh), b]), f"e({a},{b})", _chain_text([a, next(fresh), b])]
+        blocks.append("P(" + ",".join(kids) + ")")
+    return "S(" + ",".join(blocks) + ")"
+
+
+def _bundle_text() -> str:
+    """A P of an edge and eight 2-edge, three 3-edge and two 4-edge chains,
+    stored against the class order: 2600 spanning and 900 near trees."""
+    kids = []
+    for i, k in enumerate([4, 2, 3, 2, 2, 1, 3, 2, 4, 2, 2, 3, 2, 2]):
+        inner = [f"c{i}x{j}" for j in range(k - 1)]
+        kids.append(_chain_text(["s", *inner, "t"]) if inner else "e(s,t)")
+    return "P(" + ",".join(kids) + ")"
+
+
+FOLD_INPUTS = {"palindrome": _palindrome_text(), "bundle": _bundle_text()}
+
+
+def test_the_fold_inputs_fold_every_root_block_into_a_copied_tail():
+    """At the default constants every root block of both inputs, spanning
+    and near, folds its last two lists or more into one tail."""
+    for text in FOLD_INPUTS.values():
+        tree = parse_sp(text)
+        plan, program = generate.build_plan(tree), generate._plans(tree).program
+        placed = partial(generate._placed, {}, None, program)
+        for near in (False, True):
+            for block in generate._blocks(program, generate._root(tree), plan, near, placed):
+                sizes = list(map(len, block))
+                assert 0 < generate._split(sizes) < len(sizes) - 1, sizes
+
+
+@pytest.mark.parametrize("every_block_folds", [False, True])
+@pytest.mark.parametrize("name", sorted(FOLD_INPUTS))
+def test_fold_output_digests(name, every_block_folds, tmp_path, capsys, monkeypatch):
+    """The enumerate output of each mode, pinned at the parent of the fold,
+    at the default constants and with every block of two or more lists
+    folded (a tail of one entry or more, no size cut)."""
+    if every_block_folds:
+        monkeypatch.setattr(generate, "_TAIL", 1)
+        monkeypatch.setattr(generate, "_FOLD", 0)
+    path = tmp_path / f"{name}.sp"
+    path.write_text(FOLD_INPUTS[name] + "\n", encoding="utf-8")
+    for mode, argv in FOLD_MODES.items():
+        assert run(["enumerate", str(path), *argv]) == 0
+        output = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(output).hexdigest() == FOLD_SHA256[name, mode], mode
 
 
 def _edge_list_text(rng, edges, s, t):

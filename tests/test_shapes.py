@@ -1,6 +1,8 @@
 """Every simple oriented SP shape with up to 9 edges, listed once and verified."""
 
-from sptrees import RandomSpParams, canonical_code, parse_sp, random_sp, underlying_graph
+import pytest
+
+from sptrees import RandomSpParams, canonical_code, generate, parse_sp, random_sp, underlying_graph
 
 from conftest import mirror_symmetric, shape_index_sweep, shape_sweep, small_corpus, sp_shapes
 
@@ -46,4 +48,15 @@ def test_every_shape_streams_its_counts_and_indexes_each_tree():
     """On every shape, the streams hold the plan's counts and `_index` gives
     each streamed tree its position (`shape_index_sweep`); CI runs the same
     sweep up to 11 edges."""
+    assert shape_index_sweep(TIER1_EDGES) == (1397, 64035)
+
+
+@pytest.mark.parametrize("tail", [1, 2])
+def test_every_shape_streams_and_indexes_each_tree_with_every_block_folded(tail, monkeypatch):
+    """The same sweep with no fold cut (`generate._sums`): at a tail of one
+    entry every block of two or more lists folds its last list, and at two
+    runs of one-entry lists fold too, a few into copied tails.  CI runs the
+    first up to 11 edges."""
+    monkeypatch.setattr(generate, "_TAIL", tail)
+    monkeypatch.setattr(generate, "_FOLD", 0)
     assert shape_index_sweep(TIER1_EDGES) == (1397, 64035)
