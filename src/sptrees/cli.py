@@ -280,7 +280,7 @@ def verify_instance(tree: Node, limit: int = DEFAULT_LIMIT) -> tuple[bool, str]:
 
     tau = count_total(tree).spanning
     _check_limit(graph, limit)
-    masks = [mask for mask, _ in _forests(graph, graph.n - 1)]
+    masks = list(_forests(graph))
     kirchhoff = kirchhoff_count(graph)
     if not tau == kirchhoff == len(masks):
         failures.append(
@@ -293,7 +293,7 @@ def verify_instance(tree: Node, limit: int = DEFAULT_LIMIT) -> tuple[bool, str]:
     aut_or = [sigma for sigma in aut_semi if sigma[s] == s]
 
     # The near trees are the spanning trees of G with s and t merged.
-    near_masks = [mask for mask, _ in _forests(graph, graph.n - 2, (s, t))]
+    near_masks = list(_forests(graph, (s, t)))
     keys_semi, keys_or, fixed, near_keys = _least_images(graph, masks, aut_semi, s, near_masks)
 
     counts = count_oriented(tree)

@@ -4,10 +4,15 @@ Everything here works on labeled graphs only, never on decomposition
 trees, so agreement checks exercise the whole pipeline.  Each step does
 its inner work in C-level operations on ints and strings:
 
-- one backtracking forest generator yields the spanning trees and the
-  near sets, with component labels held one character per vertex in a
-  `str` and merged by `str.replace`; the near trees are walked on G with
-  s and t sharing one label, so only the sets separating them are met;
+- one backtracking walk yields the spanning trees and the near sets,
+  with component labels held one character per vertex in a `str` and
+  merged by `str.replace`; the near trees are walked on G with s and t
+  sharing one label, so only the sets separating them are met.  The walk
+  never pushes a branch that strands a component, one that no later edge
+  touches: a component is labelled by its vertex whose last edge comes
+  latest, so that test is one character compare against a cut built once
+  per walk.  That is sound only because the walk lists spanning trees
+  alone, of G or of G with s and t merged, which join every component;
 - the automorphism search extends vertices in breadth-first order from
   s, holds adjacency as vertex bitmasks and accepts a candidate image
   with one AND and compare;
@@ -93,49 +98,77 @@ def _check_limit(g: LabeledGraph, limit: int) -> None:
         raise LimitExceeded(f"{g.n} vertices exceeds the limit {limit}")
 
 
-def _forests(g: LabeledGraph, k: int, merged: tuple[str, ...] = ()):
-    """Each acyclic k-edge subset as (mask, comp), in combination order.
+def _forests(g: LabeledGraph, merged: tuple[str, ...] = ()):
+    """The mask of each spanning tree of G, or of G with the vertices in
+    `merged` identified, in combination order.
 
     Backtracking over the edges on an explicit stack: edge i is tried in
-    before out, and a branch is pushed only if it can still reach k
-    edges, and only while its edges close no cycle, so the subsets come
-    in `itertools.combinations` order.  comp is a `str` with one
-    character per vertex naming its component; an edge that joins two
-    components relabels one with `str.replace` (quick-find in one
-    C-level pass).  A `str` holds a label for every vertex at any n.
+    before out, and a branch is pushed only while its edges close no
+    cycle and it strands no component, so the masks come in
+    `itertools.combinations` order of their edge indexes.  comp is a
+    `str` with one character per vertex naming its component; an edge
+    that joins two components relabels one with `str.replace`
+    (quick-find in one C-level pass).  A `str` holds a label for every
+    vertex at any n.
+
+    A component is stranded when no edge after the current one touches
+    it, so nothing can join it to the rest.  A vertex whose last edge is
+    edge pos is labelled n + 2·pos, or n + 2·pos + 1 as that edge's
+    second endpoint (a vertex with no edge keeps its index), and a
+    component by its highest label, so a merge keeps the larger.  Then a
+    component has an edge after pos exactly when its label is at least
+    `cut[pos]`: one character compare.  Skipping edge pos needs that of
+    both its endpoints' components, taking it that of the joined one,
+    unless the tree is then complete.
+
+    The rule is sound only because the walk lists sets of k edges with k
+    the rank, n − 1 on G: an acyclic set of k edges is then one component,
+    so a branch with a stranded component never completes.  Below the rank a
+    forest may leave a component apart, and the rule would drop it, so
+    the walk takes no k.
 
     The vertices in `merged` start in one component, so the walk runs on
-    G with them identified: a set is acyclic there exactly when it is
-    acyclic in G and joins no two of them, and an edge between two of
-    them is a self-loop that is never taken.
+    G with them identified, where the rank is n − |merged|: a set is a
+    spanning tree there exactly when it is acyclic in G, joins no two of
+    them and has that many edges, and an edge between two of them is a
+    self-loop that is never taken.
     """
     vidx = g.vertex_index
     endpoints = [(vidx[u], vidx[v]) for u, v in g.edges]
-    m = len(endpoints)
-    comp = "".join(map(chr, range(g.n)))
-    for v in merged[1:]:
-        comp = comp.replace(comp[vidx[v]], comp[vidx[merged[0]]])
+    n, m = g.n, len(endpoints)
+    k = n - max(len(merged), 1)
+    label = list(range(n))
+    for pos, (u, v) in enumerate(endpoints):
+        label[u], label[v] = n + 2 * pos, n + 2 * pos + 1
+    cut = "".join(map(chr, range(n + 2, n + 2 * m + 2, 2)))
+    comp = "".join(map(chr, label))
+    if merged:
+        top = max(comp[vidx[v]] for v in merged)
+        for v in merged:
+            comp = comp.replace(comp[vidx[v]], top)
     if k == 0:
-        yield 0, comp
+        yield 0
         return
     stack = [(0, 0, 0, comp)] if m >= k else []
     while stack:
         pos, mask, size, comp = stack.pop()
-        if m - pos > k - size:
-            stack.append((pos + 1, mask, size, comp))
         u, v = endpoints[pos]
-        a, b = comp[u], comp[v]
-        if a != b:
+        lo, hi, later = comp[u], comp[v], cut[pos]
+        if lo > hi:
+            lo, hi = hi, lo
+        if lo >= later:
+            stack.append((pos + 1, mask, size, comp))
+        if lo != hi:
             if size + 1 == k:
-                yield mask | 1 << pos, comp.replace(b, a)
-            else:
-                stack.append((pos + 1, mask | 1 << pos, size + 1, comp.replace(b, a)))
+                yield mask | 1 << pos
+            elif hi >= later:
+                stack.append((pos + 1, mask | 1 << pos, size + 1, comp.replace(lo, hi)))
 
 
 def all_spanning_trees(g: LabeledGraph, limit: int = DEFAULT_LIMIT) -> list[EdgeSet]:
-    """Every spanning tree exactly once: the acyclic (n-1)-edge sets."""
+    """Every spanning tree exactly once, in combination order."""
     _check_limit(g, limit)
-    return [EdgeSet(mask) for mask, _ in _forests(g, g.n - 1)]
+    return [EdgeSet(mask) for mask in _forests(g)]
 
 
 def all_near_trees(
@@ -151,13 +184,7 @@ def all_near_trees(
     one component lists them, in combination order.
     """
     _check_limit(g, limit)
-    return [EdgeSet(mask) for mask, _ in _forests(g, g.n - 2, (s, t))]
-
-
-def all_acyclic_near_sets(g: LabeledGraph, limit: int = DEFAULT_LIMIT) -> list[EdgeSet]:
-    """All (n-2)-edge acyclic sets, terminal-free (spanning tree minus an edge)."""
-    _check_limit(g, limit)
-    return [EdgeSet(mask) for mask, _ in _forests(g, g.n - 2)]
+    return [EdgeSet(mask) for mask in _forests(g, (s, t))]
 
 
 def automorphisms(
@@ -317,10 +344,12 @@ def _least_images(
     Each list is read as `_columns`, built once.  Each list keeps a running
     least image per mask, so memory stays at its columns and keys plus one
     element's tables and spanning images; the near images are folded as they
-    stream.  Every least image starts at the mask itself, its image under
-    the identity."""
+    stream.  The spanning images of an element are folded once: into the
+    least under those that fix `fixing`, or else into the least under those
+    that move it, and the two meet once, at the end.  Every least image
+    starts at the mask itself, its image under the identity."""
     columns, near_columns = _columns(masks, g.m), _columns(near, g.m)
-    least = fixed_least = masks
+    fixed_least = moved_least = masks
     near_least, fixed = near, 0
     for sigma, tables in _element_tables(g, autos):
         if tables is None:
@@ -328,11 +357,12 @@ def _least_images(
             continue
         images = list(_images(tables, columns))
         fixed += sum(map(eq, images, masks))
-        least = _lesser(least, images)
         if sigma[fixing] == fixing:
             fixed_least = _lesser(fixed_least, images)
             near_least = _lesser(near_least, _images(tables, near_columns))
-    return least, fixed_least, fixed, near_least
+        else:
+            moved_least = _lesser(moved_least, images)
+    return _lesser(fixed_least, moved_least), fixed_least, fixed, near_least
 
 
 def orbit_partition(

@@ -817,11 +817,11 @@ def reference_semioriented_masks(tree: Node, numbering=None) -> list[int]:
 
 
 def reference_forests(g, k: int):
-    """`oracle._forests` with components as a list of ints: comp[v] is
-    the index of the vertex that names v's component, and each accepted
-    edge relabels one component by a list comprehension.  The walk must
-    yield the same masks in the same order, with comp equal to the
-    code points of the walk's `str` labels."""
+    """Each acyclic k-edge set as (mask, comp), in combination order, by a
+    walk that prunes only by edge count: comp[v] is the index of the vertex
+    that names v's component, and each accepted edge relabels one component
+    by a list comprehension.  At k = n − 1 `oracle._forests` must yield the
+    same masks in the same order."""
     vidx = g.vertex_index
     endpoints = [(vidx[u], vidx[v]) for u, v in g.edges]
     m = len(endpoints)
@@ -837,6 +837,13 @@ def reference_forests(g, k: int):
             if a != b:
                 merged = [a if c == b else c for c in comp]
                 stack.append((pos + 1, mask | 1 << pos, size + 1, merged))
+
+
+def all_acyclic_near_sets(g) -> list[EdgeSet]:
+    """All (n-2)-edge acyclic sets, terminal-free (spanning tree minus an
+    edge), in combination order: k is below the rank, which
+    `oracle._forests` does not walk."""
+    return [EdgeSet(mask) for mask, _ in reference_forests(g, g.n - 2)]
 
 
 def reference_automorphisms(g, policy) -> list[dict]:

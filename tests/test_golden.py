@@ -64,9 +64,8 @@ from sptrees import (
 )
 from sptrees import generate
 from sptrees.cli import _CHUNK, run
-from sptrees.oracle import all_acyclic_near_sets
 
-from conftest import DIAMOND_TEXT, THETA_TEXT
+from conftest import DIAMOND_TEXT, THETA_TEXT, all_acyclic_near_sets
 
 GOLDEN_SHA256 = "836ca2d5c23f3abab744a929cb35eb910187fa77de09d64140fe8ccdcf8e318e"
 EDGE_LIST_SHA256 = "563e60c2bb68c89ad4336d5c108083404f248bcb0beeb043cb03098224c8192f"

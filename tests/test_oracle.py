@@ -1,6 +1,8 @@
 """Brute-force oracle: spanning trees, automorphism groups, orbits, counts."""
 
+import inspect
 import random
+import sys
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -31,12 +33,12 @@ from sptrees.oracle import (
     _images,
     _least_images,
     _tables,
-    all_acyclic_near_sets,
     apply_permutation,
 )
 
 from conftest import (
     THETA_TEXT,
+    all_acyclic_near_sets,
     mirror_symmetric,
     reference_automorphisms,
     reference_burnside_count,
@@ -44,6 +46,7 @@ from conftest import (
     reference_least_images,
     reference_orbit_partition,
     small_corpus,
+    sp_shapes,
 )
 
 # Spanning trees of the diamond as edge index sets over
@@ -290,12 +293,9 @@ kernel_cases = pytest.mark.parametrize(
 )
 
 
-@kernel_cases
-def test_forests_match_the_list_walk(tree):
-    g = underlying_graph(tree)
-    for k in (g.n - 1, g.n - 2):
-        walk = [(mask, list(map(ord, comp))) for mask, comp in _forests(g, k)]
-        assert walk == list(reference_forests(g, k))
+def _spanning_forests(g) -> list[int]:
+    """The spanning trees by the walk that prunes only by edge count."""
+    return [mask for mask, _ in reference_forests(g, g.n - 1)]
 
 
 def _separating_forests(g, s: str, t: str) -> list[EdgeSet]:
@@ -303,6 +303,66 @@ def _separating_forests(g, s: str, t: str) -> list[EdgeSet]:
     kept when s and t end in different components."""
     si, ti = g.vertex_index[s], g.vertex_index[t]
     return [EdgeSet(mask) for mask, comp in reference_forests(g, g.n - 2) if comp[si] != comp[ti]]
+
+
+@kernel_cases
+def test_forests_match_the_list_walk(tree):
+    g = underlying_graph(tree)
+    assert list(_forests(g)) == _spanning_forests(g)
+
+
+def test_walks_match_the_references_on_every_shape():
+    # Both walks, on every simple oriented SP shape with at most 9 edges.
+    for m in range(1, 10):
+        for text in sp_shapes(m):
+            tree = parse_sp(text)
+            g = underlying_graph(tree)
+            assert list(_forests(g)) == _spanning_forests(g), text
+            near = [EdgeSet(mask) for mask in _forests(g, (tree.source, tree.target))]
+            assert near == _separating_forests(g, tree.source, tree.target), text
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_spanning_walk_matches_the_list_walk_on_random_draws(seed):
+    g = underlying_graph(random_sp(RandomSpParams(seed=seed)))
+    assume(g.n <= 12)
+    assert list(_forests(g)) == _spanning_forests(g)
+
+
+# Three copies of P(e, two 2-edge chains, one 3-edge chain) in series.
+PAL16_TEXT = (
+    "S(P(e(s,x),S(e(s,Ap),e(Ap,x)),S(e(s,Aq),e(Aq,x)),S(e(s,Ar),e(Ar,Au),e(Au,x))),"
+    "P(e(x,y),S(e(x,Bp),e(Bp,y)),S(e(x,Bq),e(Bq,y)),S(e(x,Br),e(Br,Bu),e(Bu,y))),"
+    "P(e(y,t),S(e(y,Cp),e(Cp,t)),S(e(y,Cq),e(Cq,t)),S(e(y,Cr),e(Cr,Cu),e(Cu,t))))"
+)
+
+
+def test_walk_pops_at_most_three_entries_per_forest():
+    """A branch is pushed only while every component can still be joined,
+    so nearly every pushed branch yields.  The walk's loop iterations are
+    counted as line events on its `pop` line; a walk that prunes only by
+    edge count pops 15.5 entries per forest on pal16's two walks."""
+    code = _forests.__code__
+    lines, first = inspect.getsourcelines(_forests)
+    pop_line = first + next(i for i, line in enumerate(lines) if "stack.pop()" in line)
+    pops = 0
+
+    def on_line(frame, event, arg):
+        nonlocal pops
+        pops += event == "line" and frame.f_lineno == pop_line
+        return on_line
+
+    tree = parse_sp(PAL16_TEXT)
+    g = underlying_graph(tree)
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: on_line if frame.f_code is code else None)
+    try:
+        forests = len(list(_forests(g))) + len(list(_forests(g, (tree.source, tree.target))))
+    finally:
+        sys.settrace(previous)
+    assert forests == 21952 + 28224
+    assert pops <= 3 * forests
 
 
 @kernel_cases
