@@ -16,7 +16,6 @@ from .canonical import (
     reversal_code,
 )
 from .core import (
-    Classification,
     EdgeSet,
     InvalidTreeError,
     LabeledGraph,
@@ -27,7 +26,6 @@ from .core import (
     SemiorientedSP,
     Series,
     Violation,
-    classify_edge_set,
     edge,
     normalize,
     parallel,

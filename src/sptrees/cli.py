@@ -35,6 +35,7 @@ from .oracle import (
     _check_limit,
     _forests,
     _least_images,
+    _lesser,
     automorphisms,
     kirchhoff_count,
 )
@@ -269,10 +270,13 @@ def verify_instance(tree: Node, limit: int = DEFAULT_LIMIT) -> tuple[bool, str]:
     when the instance is too large for the oracle.  Every list is a list
     of int masks, each built once: the oracle's spanning and near trees
     straight from its forest walk (`oracle._forests`), the fast ones from
-    `_fast_masks`.  One image pass over Aut_semi (`oracle._least_images`)
-    keys both oracle lists: each element but the identity builds its tables
-    once and maps the spanning trees, and the near trees too if it is in
-    Aut_or.
+    `_fast_masks`.  Aut_semi is split once, into Aut_or, its members that
+    fix s, and the rest, and the image fold (`oracle._least_images`) runs
+    over each part: over Aut_or it keys the spanning and the near trees,
+    over the rest the spanning trees alone, and the two spanning keys meet
+    in the keys under Aut_semi.  So each element but the identity builds
+    its tables once and maps the spanning trees, and the near trees too if
+    it is in Aut_or.
     """
     graph = underlying_graph(tree)
     s, t = tree.source, tree.target
@@ -288,13 +292,16 @@ def verify_instance(tree: Node, limit: int = DEFAULT_LIMIT) -> tuple[bool, str]:
             f"brute={len(masks)}"
         )
 
-    # A symmetry that keeps {s, t} and fixes s also fixes t.
+    # A symmetry that keeps {s, t} and fixes s also fixes t; the rest swap them.
     aut_semi = automorphisms(graph, FixSet(s, t), limit=limit)
     aut_or = [sigma for sigma in aut_semi if sigma[s] == s]
+    swaps = [sigma for sigma in aut_semi if sigma[s] != s]
 
     # The near trees are the spanning trees of G with s and t merged.
     near_masks = list(_forests(graph, (s, t)))
-    keys_semi, keys_or, fixed, near_keys = _least_images(graph, masks, aut_semi, s, near_masks)
+    keys_or, fixed_or, near_keys = _least_images(graph, aut_or, masks, near_masks)
+    keys_swap, fixed_swap = _least_images(graph, swaps, masks)
+    keys_semi, fixed = _lesser(keys_or, keys_swap), fixed_or + fixed_swap
 
     counts = count_oriented(tree)
     fast_sp, fast_nt, fast_semi = _fast_masks(tree)

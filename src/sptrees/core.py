@@ -43,7 +43,6 @@ immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 import re
-from enum import Enum
 from functools import cached_property
 from operator import attrgetter
 from typing import Iterator, NoReturn, Union
@@ -440,12 +439,6 @@ def mask_image(mask: int, leaf_map: dict[int, int]) -> int:
     return out
 
 
-class Classification(Enum):
-    SPANNING_TREE = "spanning_tree"
-    NEAR_TREE = "near_tree"
-    OTHER = "other"
-
-
 class Violation(_Record):
     """One broken invariant, with a path to the offending node."""
 
@@ -749,45 +742,3 @@ def underlying_graph(node: Node) -> LabeledGraph:
         vertices.add(v)
         edges.append((u, v) if u <= v else (v, u))
     return LabeledGraph(tuple(sorted(vertices)), tuple(edges))
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> bool:
-        """Merge the classes of x and y; False if already together."""
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        self.parent[rx] = ry
-        return True
-
-
-def classify_edge_set(graph: LabeledGraph, es: EdgeSet) -> Classification:
-    """Classify an edge subset of `graph`.
-
-    A spanning tree has n - 1 acyclic edges covering every vertex; a
-    near tree has n - 2 acyclic edges.  Anything else is OTHER.
-    """
-    if not es.within(graph.m):
-        return Classification.OTHER
-    card = es.cardinality
-    if card not in (graph.n - 1, graph.n - 2):
-        return Classification.OTHER
-    uf = _UnionFind(graph.n)
-    vidx = graph.vertex_index
-    for i in es.indices():
-        u, v = graph.edges[i]
-        if not uf.union(vidx[u], vidx[v]):
-            return Classification.OTHER
-    if card == graph.n - 1:
-        return Classification.SPANNING_TREE
-    return Classification.NEAR_TREE

@@ -17,15 +17,14 @@ its inner work in C-level operations on ints and strings:
   s, holds adjacency as vertex bitmasks and accepts a candidate image
   with one AND and compare;
 - orbits are keyed by each set's least image under the group, and
-  Burnside counts the sets each element fixes.  One image pass
-  (`_element_tables`) maps all sets under one group element at a time:
-  each element but the identity builds the column tables of its edge
-  map once, and each list of sets, read as columns of `WIDTH` bits built
-  once, is mapped through them, the spanning sets under every element
-  and the near sets under those that fix s.  `_least_images` folds the
-  pass into the keys and the fixed points for `verify`;
-  `orbit_partition` folds only the keys and `burnside_count` only the
-  fixed points.
+  Burnside counts the sets each element fixes.  One image fold
+  (`_least_images`) maps lists of sets under one group element at a
+  time: each element but the identity builds the column tables of its
+  edge map once, and each list, read as columns of `WIDTH` bits built
+  once, is mapped through them and folded into its least images, the
+  first list's fixed points counted too.  `orbit_partition`,
+  `burnside_count` and `verify` each fold through it; `verify` splits the
+  group itself, so nothing here asks which vertex an element fixes.
 
 The default vertex limit keeps worst-case backtracking around a second;
 raise it explicitly for stress runs.
@@ -312,57 +311,40 @@ def _images(tables: list[list[int]], columns: list[bytes]):
     return images
 
 
-def _element_tables(g: LabeledGraph, autos: list[VertexPermutation]):
-    """The one per-element image pass over `autos`: each element, in order,
-    with the `_tables` of its edge map, built once for every list it maps.
-    An element whose edge map is the identity, wherever it stands in
-    `autos`, gets None: it maps every mask to itself, so nothing is mapped."""
-    identity = list(range(g.m))
-    for sigma in autos:
-        edge_map = _edge_map(g, sigma)
-        yield sigma, None if edge_map == identity else _tables(edge_map)
-
-
 def _lesser(least: list[int], images) -> list[int]:
     """The pointwise least of a list of masks and their images."""
     return [image if image < key else key for key, image in zip(least, images)]
 
 
 def _least_images(
-    g: LabeledGraph,
-    masks: list[int],
-    autos: list[VertexPermutation],
-    fixing: str,
-    near: list[int],
-) -> tuple[list[int], list[int], int, list[int]]:
-    """From one image pass over `autos` (`_element_tables`): each mask's
-    least image under all of them, its least image under those that fix the
-    vertex `fixing`, the number of (mask, element) pairs where the element
-    fixes the mask, and the least image of each of `near` under those that
-    fix `fixing`.
+    g: LabeledGraph, autos: list[VertexPermutation], masks: list[int], *more: list[int]
+) -> tuple:
+    """The one image fold over `autos`: each of `masks`' least image, the
+    number of (mask, element) pairs where the element fixes the mask, and
+    then each list of `more` as its masks' least images.
 
-    Each list is read as `_columns`, built once.  Each list keeps a running
-    least image per mask, so memory stays at its columns and keys plus one
-    element's tables and spanning images; the near images are folded as they
-    stream.  The spanning images of an element are folded once: into the
-    least under those that fix `fixing`, or else into the least under those
-    that move it, and the two meet once, at the end.  Every least image
-    starts at the mask itself, its image under the identity."""
-    columns, near_columns = _columns(masks, g.m), _columns(near, g.m)
-    fixed_least = moved_least = masks
-    near_least, fixed = near, 0
-    for sigma, tables in _element_tables(g, autos):
-        if tables is None:
+    Each element whose edge map is not the identity builds its `_tables`
+    once, maps `masks` through them and streams each list of `more` through
+    them too.  The identity, wherever it stands in `autos`, fixes every mask
+    and lowers no least image, so it maps nothing; the lists are read as
+    `_columns` built once, when the first other element arrives.  Every
+    least image starts at the mask itself, and memory stays at the columns
+    and least images plus one element's tables and images of `masks`."""
+    identity = list(range(g.m))
+    least, fixed, rest, columns = masks, 0, list(more), None
+    for sigma in autos:
+        edge_map = _edge_map(g, sigma)
+        if edge_map == identity:
             fixed += len(masks)
             continue
-        images = list(_images(tables, columns))
+        if columns is None:
+            columns = [_columns(x, g.m) for x in (masks, *more)]
+        tables = _tables(edge_map)
+        images = list(_images(tables, columns[0]))
         fixed += sum(map(eq, images, masks))
-        if sigma[fixing] == fixing:
-            fixed_least = _lesser(fixed_least, images)
-            near_least = _lesser(near_least, _images(tables, near_columns))
-        else:
-            moved_least = _lesser(moved_least, images)
-    return _lesser(fixed_least, moved_least), fixed_least, fixed, near_least
+        least = _lesser(least, images)
+        rest = [_lesser(keys, _images(tables, c)) for keys, c in zip(rest, columns[1:])]
+    return (least, fixed, *rest)
 
 
 def orbit_partition(
@@ -373,15 +355,11 @@ def orbit_partition(
     `autos` must be a group that contains the identity, as
     `automorphisms` returns.  Two sets then share an orbit exactly when
     their least images under the group agree, so each set is keyed once,
-    by folding the image pass (`_element_tables`).  Orbits, and the
-    members of each, keep first-seen order, and each orbit's
-    representative is its first member.
+    by the image fold (`_least_images`).  Orbits, and the members of each,
+    keep first-seen order, and each orbit's representative is its first
+    member.
     """
-    keys = [tree.mask for tree in trees]
-    columns = _columns(keys, g.m)
-    for _, tables in _element_tables(g, autos):
-        if tables is not None:
-            keys = _lesser(keys, _images(tables, columns))
+    keys, _ = _least_images(g, autos, [tree.mask for tree in trees])
     orbits: dict[int, list[EdgeSet]] = {}
     for key, tree in zip(keys, trees):
         orbits.setdefault(key, []).append(tree)
@@ -394,13 +372,9 @@ def burnside_count(
     trees: list[EdgeSet], autos: list[VertexPermutation], g: LabeledGraph
 ) -> int:
     """Orbit count as (sum of fixed trees per group element) / group order,
-    over the distinct masks, with the fixed points counted in the image
-    pass (`_element_tables`)."""
-    masks = list({es.mask for es in trees})
-    columns = _columns(masks, g.m)
-    total = 0
-    for _, tables in _element_tables(g, autos):
-        total += len(masks) if tables is None else sum(map(eq, _images(tables, columns), masks))
+    over the distinct masks, with the fixed points counted by the image
+    fold (`_least_images`)."""
+    _, total = _least_images(g, autos, list({es.mask for es in trees}))
     if total % len(autos) != 0:
         raise NonIntegralResult(
             f"{total} fixed points not divisible by group order {len(autos)}"

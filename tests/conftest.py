@@ -7,6 +7,7 @@ import itertools
 import math
 import operator
 import random
+from enum import Enum
 from functools import cache, partial
 from itertools import compress, product, repeat
 
@@ -17,7 +18,14 @@ from sptrees import (
     OrientedSP,
     RandomSpParams,
     SemiorientedSP,
+    all_near_trees,
+    all_spanning_trees,
+    automorphisms,
+    burnside_count,
+    count_oriented,
+    count_semioriented,
     iso_map,
+    orbit_partition,
     parse_sp,
     random_sp,
     underlying_graph,
@@ -453,6 +461,32 @@ def shape_sweep(max_edges: int) -> tuple[int, list[str]]:
     return len(texts), failures
 
 
+def orbit_sweep(max_edges: int) -> tuple[int, list[str]]:
+    """The public orbit folds on every shape with at most `max_edges`
+    edges: under Aut_or, `orbit_partition` and `burnside_count` of the
+    spanning and of the near trees give `count_oriented`'s pair, and under
+    Aut_semi those of the spanning trees give `count_semioriented`.  Returns
+    the number of shapes, and each failing shape with its (partition,
+    Burnside) counts and the fast counts."""
+    texts = [text for m in range(1, max_edges + 1) for text in sp_shapes(m)]
+    failures = []
+    for text in texts:
+        tree = parse_sp(text)
+        g = underlying_graph(tree)
+        s, t = tree.source, tree.target
+        spanning, near = all_spanning_trees(g), all_near_trees(g, s, t)
+        aut_or, aut_semi = automorphisms(g, FixBoth(s, t)), automorphisms(g, FixSet(s, t))
+        counts = count_oriented(tree)
+        want = [counts.spanning, counts.near, count_semioriented(tree)]
+        got = [
+            (orbit_partition(trees, autos, g).orbit_count, burnside_count(trees, autos, g))
+            for trees, autos in ((spanning, aut_or), (near, aut_or), (spanning, aut_semi))
+        ]
+        if got != [(w, w) for w in want]:
+            failures.append(f"{text}: {got} against {want}")
+    return len(texts), failures
+
+
 def shape_index_sweep(max_edges: int) -> tuple[int, int]:
     """On every shape with at most `max_edges` edges: the oriented spanning,
     oriented near and semioriented streams hold the plan's st, nt and ss
@@ -532,8 +566,6 @@ def mirror_symmetric(seed: int, max_trees: int = 4000) -> Node:
     Retries derived seeds until the oriented spanning count is small
     enough for enumeration-based checks to stay fast.
     """
-    from sptrees import OrientedSP, count_oriented
-
     for attempt in range(64):
         tree = _mirror_symmetric_raw(seed * 64 + attempt)
         if count_oriented(OrientedSP(tree)).spanning <= max_trees:
@@ -846,6 +878,55 @@ def all_acyclic_near_sets(g) -> list[EdgeSet]:
     return [EdgeSet(mask) for mask, _ in reference_forests(g, g.n - 2)]
 
 
+class Classification(Enum):
+    SPANNING_TREE = "spanning_tree"
+    NEAR_TREE = "near_tree"
+    OTHER = "other"
+
+
+class _UnionFind:
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, x: int, y: int) -> bool:
+        """Merge the classes of x and y; False if already together."""
+        rx, ry = self.find(x), self.find(y)
+        if rx == ry:
+            return False
+        self.parent[rx] = ry
+        return True
+
+
+def classify_edge_set(graph, es: EdgeSet) -> Classification:
+    """Classify an edge subset of `graph`, by a union-find over its edges.
+
+    A spanning tree has n - 1 acyclic edges covering every vertex; a
+    near tree has n - 2 acyclic edges, with or without the terminals
+    apart.  Anything else is OTHER.
+    """
+    if not es.within(graph.m):
+        return Classification.OTHER
+    card = es.cardinality
+    if card not in (graph.n - 1, graph.n - 2):
+        return Classification.OTHER
+    uf = _UnionFind(graph.n)
+    vidx = graph.vertex_index
+    for i in es.indices():
+        u, v = graph.edges[i]
+        if not uf.union(vidx[u], vidx[v]):
+            return Classification.OTHER
+    if card == graph.n - 1:
+        return Classification.SPANNING_TREE
+    return Classification.NEAR_TREE
+
+
 def reference_automorphisms(g, policy) -> list[dict]:
     """`oracle.automorphisms` by testing each candidate against the
     partial map one assigned vertex at a time, with adjacency as label
@@ -920,11 +1001,12 @@ def reference_burnside_count(trees: list[EdgeSet], autos, g) -> int:
 
 
 def reference_least_images(g, masks: list[int], autos, fixing: str | None = None):
-    """The first three results of `oracle._least_images`, with every
-    element's images taken bit by bit (`mask_image`), the identity's as
-    well: each mask's least image under `autos` and under those fixing
-    `fixing`, both starting at the mask itself, and the (mask, element)
-    pairs where the element fixes the mask."""
+    """The spanning keys and fixed points that `verify_instance` folds
+    through `oracle._least_images`, with every element's images taken bit
+    by bit (`mask_image`), the identity's as well: each mask's least image
+    under `autos` and under those fixing `fixing`, both starting at the
+    mask itself, and the (mask, element) pairs where the element fixes the
+    mask."""
     least, fixed_least, fixed = list(masks), list(masks), 0
     for sigma, edge_map in zip(autos, _reference_edge_maps(g, autos)):
         images = [mask_image(mask, edge_map) for mask in masks]

@@ -11,11 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sptrees import (
-    Classification,
     EdgeSet,
     InvalidTreeError,
     RandomSpParams,
-    classify_edge_set,
     normalize,
     parse_sp,
     random_sp,
@@ -25,7 +23,14 @@ from sptrees import (
 from sptrees import core
 from sptrees.core import Leaf, Parallel, Series, edge, iter_leaves, parallel, series
 
-from conftest import assert_acceptor_agrees, deep_nest_text, feed_raw, raw_tree
+from conftest import (
+    Classification,
+    assert_acceptor_agrees,
+    classify_edge_set,
+    deep_nest_text,
+    feed_raw,
+    raw_tree,
+)
 
 
 def test_leaf_self_loop_is_flagged():

@@ -15,7 +15,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sptrees import (
-    Classification,
     EdgeSet,
     FixBoth,
     ImageNotFound,
@@ -24,7 +23,6 @@ from sptrees import (
     all_near_trees,
     all_spanning_trees,
     automorphisms,
-    classify_edge_set,
     count_oriented,
     count_total,
     iter_oriented_near,
@@ -61,7 +59,9 @@ from sptrees.semi import _masks
 
 from conftest import (
     DIAMOND_TEXT,
+    Classification,
     chain,
+    classify_edge_set,
     deep_nest_text,
     mirror_symmetric,
     orbit_exactly_once,

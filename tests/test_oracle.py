@@ -26,6 +26,7 @@ from sptrees import (
     random_sp,
     underlying_graph,
 )
+from sptrees import oracle
 from sptrees.core import LabeledGraph, mask_image
 from sptrees.oracle import (
     _columns,
@@ -481,11 +482,11 @@ def test_column_table_images_match_mask_image(m, seed, masks):
 )
 @example(tree=parse_sp("e(s,t)"), order=random.Random(2), policy="set", with_identity=True)
 def test_least_images_skip_the_identity_exactly(tree, order, policy, with_identity):
-    """The one image pass of `_least_images` gives what mapping every mask
-    under every element bit by bit gives: the spanning keys under `autos`
-    and under its members fixing s, the fixed points, and the near keys
-    under its members fixing s, wherever the identity stands in `autos` and
-    whether or not it is there."""
+    """The image fold `_least_images` gives what mapping every mask under
+    every element bit by bit gives: the spanning keys under `autos` and, as
+    `verify_instance` folds them, under its members fixing s, the fixed
+    points, and the near keys under its members fixing s, wherever the
+    identity stands in `autos` and whether or not it is there."""
     g = underlying_graph(tree)
     assume(g.n <= 9)
     s, t = tree.source, tree.target
@@ -496,10 +497,36 @@ def test_least_images_skip_the_identity_exactly(tree, order, policy, with_identi
     order.shuffle(autos)
     spanning = [es.mask for es in all_spanning_trees(g)]
     near = [es.mask for es in all_near_trees(g, s, t)]
-    *keys, near_keys = _least_images(g, spanning, autos, s, near)
-    assert tuple(keys) == reference_least_images(g, spanning, autos, s)
     fixing_s = [sigma for sigma in autos if sigma[s] == s]
+    keys, fixed = _least_images(g, autos, spanning)
+    fixed_keys, _, near_keys = _least_images(g, fixing_s, spanning, near)
+    assert (keys, fixed_keys, fixed) == reference_least_images(g, spanning, autos, s)
     assert near_keys == reference_least_images(g, near, fixing_s)[0]
+
+
+@pytest.mark.parametrize("fold", [orbit_partition, burnside_count])
+def test_public_folds_map_each_element_but_the_identity_once(fold, monkeypatch):
+    """`orbit_partition` and `burnside_count` are each one image fold: on a
+    `P` of 4 two-edge chains, whose Aut_semi has 48 elements, each builds
+    the tables of the 47 elements other than the identity once and maps
+    the trees through them once."""
+    tree = parse_sp("P(" + ",".join(f"S(e(s,m{i}),e(m{i},t))" for i in range(4)) + ")")
+    g = underlying_graph(tree)
+    autos = automorphisms(g, FixSet(tree.source, tree.target))
+    assert len(autos) == 48
+    calls = {"tables": 0, "images": 0}
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(oracle, "_tables", counted("tables", _tables))
+    monkeypatch.setattr(oracle, "_images", counted("images", _images))
+    fold(all_spanning_trees(g), autos, g)
+    assert calls == {"tables": 47, "images": 47}
 
 
 def test_component_labels_have_no_vertex_cap():

@@ -4,7 +4,14 @@ import pytest
 
 from sptrees import RandomSpParams, canonical_code, generate, parse_sp, random_sp, underlying_graph
 
-from conftest import mirror_symmetric, shape_index_sweep, shape_sweep, small_corpus, sp_shapes
+from conftest import (
+    mirror_symmetric,
+    orbit_sweep,
+    shape_index_sweep,
+    shape_sweep,
+    small_corpus,
+    sp_shapes,
+)
 
 TIER1_EDGES = 9
 
@@ -42,6 +49,12 @@ def test_shapes_hold_every_small_drawn_shape():
 
 def test_every_shape_passes_verify():
     assert shape_sweep(TIER1_EDGES) == (1397, [])
+
+
+def test_every_shape_has_the_fast_counts_as_its_orbit_counts():
+    """On every shape, `orbit_partition` and `burnside_count` meet the fast
+    counts (`orbit_sweep`); CI runs the same sweep up to 11 edges."""
+    assert orbit_sweep(TIER1_EDGES) == (1397, [])
 
 
 def test_every_shape_streams_its_counts_and_indexes_each_tree():
