@@ -57,6 +57,7 @@ from .generate import (
     oriented_both,
     oriented_spanning,
     spanning_tree_index,
+    unrank,
 )
 from .oracle import (
     FixBoth,

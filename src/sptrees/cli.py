@@ -11,8 +11,11 @@ running out of memory, reported in one line with no traceback.  A reader
 that closes the output early, as `| head` does, ends the run quietly
 with exit 0.  The commands pass each parsed tree to the library as it
 is; each library function reads it as the kind of graph it names.
-Input, counts, codes, orbit indexing and the reversal actions accept any
-depth or width; only enumeration lists still recurse.
+Input, counts, codes, orbit indexing, unranking and the reversal actions
+accept any depth or width; only enumeration lists still recurse.
+`enumerate` writes each instance's first line from one `unrank`, before
+any list is built, so the first line of an instance too deep for the
+lists is written before the run fails.
 """
 
 from __future__ import annotations
@@ -22,12 +25,12 @@ import json
 import os
 import sys
 from functools import cache
-from itertools import chain, compress, count, cycle, islice, repeat
+from itertools import chain, compress, count, cycle, islice, repeat, starmap
 
 from .canonical import canonical_code, mirror_pairing, reversal_code
 from .core import Node, underlying_graph
 from .expr import RandomSpParams, random_sp, read_instances, serialize_sp
-from .generate import ImageNotFound, _streams, count_oriented, count_total
+from .generate import ImageNotFound, _plans, _streams, _unrank, count_oriented, count_total
 from .oracle import (
     DEFAULT_LIMIT,
     FixSet,
@@ -39,7 +42,7 @@ from .oracle import (
     automorphisms,
     kirchhoff_count,
 )
-from .semi import _masks, _selectors, count_semioriented
+from .semi import _selectors, count_semioriented
 
 # Most lines `enumerate` joins into one write.
 _CHUNK = 64
@@ -197,8 +200,11 @@ def _cmd_enumerate(args) -> int:
     The masks number the edges by descending token, so that `_lines` meets
     the printed tokens already sorted as it reads each mask byte by byte
     through per-position byte tables, each built as its bytes occur and
-    never above 256 entries.  Lines go out in chunks of 1, 2, 4, ... up to
-    `_CHUNK` lines, so the first line is not held back."""
+    never above 256 entries.  Line 0 is one `generate._unrank` over the
+    plan program, so it is written before any enumeration list exists;
+    the other lines follow through the same `_lines` pipeline, from the
+    lists `_rest` builds on its first pull.  Lines go out in chunks of 1,
+    2, 4, ... up to `_CHUNK` lines, so the first line is not held back."""
     write = sys.stdout.write
     for tree in _load(args.file):
         tokens = [f"{u}-{v}" for u, v in underlying_graph(tree).edges]
@@ -207,10 +213,13 @@ def _cmd_enumerate(args) -> int:
         by_bit = sorted(range(len(tokens)), key=tokens.__getitem__, reverse=True)
         numbering = sorted(range(len(tokens)), key=by_bit.__getitem__)
         tokens.sort()
-        if args.mode == "semioriented":
-            masks = _masks(tree, numbering)
-        else:
-            masks = _streams(tree, args.near, numbering=numbering)[0]
+        # The first index the reversal filter keeps, its selectors read up
+        # to it; the lists are built when line 1 is pulled (`_rest`).
+        keep = _selectors(tree) if args.mode == "semioriented" else None
+        first = 0 if keep is None else next(compress(count(), keep))
+        line0 = _unrank(_plans(tree), first, args.near, numbering)
+        rest = starmap(_rest, [(tree, args.near, numbering, first, keep)])
+        masks = chain.from_iterable(chain([(line0,)], rest))
         if args.format == "text":
             lines = _lines(tokens, masks, ",")
         else:
@@ -225,6 +234,16 @@ def _cmd_enumerate(args) -> int:
             write("\n".join(chunk))
             size = min(2 * size, _CHUNK)
     return 0
+
+
+def _rest(tree: Node, near: bool, numbering, first: int, keep):
+    """The masks after index `first` of the tree's near (or spanning)
+    stream, through the filter's selectors `keep` (already read past
+    `first`), if any.  The stream itself is read past `first` here, so
+    that no iterator is layered over it."""
+    stream = _streams(tree, near, numbering=numbering)[0]
+    next(islice(stream, first, None))
+    return stream if keep is None else compress(stream, keep)
 
 
 def _lines(tokens: list[str], masks, sep: str):

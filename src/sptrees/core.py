@@ -418,9 +418,6 @@ class EdgeSet(_Record):
     def contains(self, index: int) -> bool:
         return bool(self.mask >> index & 1)
 
-    def within(self, m: int) -> bool:
-        return self.mask >> m == 0
-
     def mapped(self, leaf_map: dict[int, int]) -> EdgeSet:
         """Image under a leaf-index bijection."""
         return EdgeSet(mask_image(self.mask, leaf_map))

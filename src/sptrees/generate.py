@@ -97,7 +97,11 @@ trees from its part lists (`_blocks`), so large outputs are never held
 in memory at once.  The index operations rank a
 tree in one loop over the program, each leaf reading its own bit in the
 input numbering; a wide class's multiset is ranked from its count
-vector (`_digit`).
+vector (`_digit`).  `unrank` is their inverse, the same loop run from the
+root down (`_unrank`): each slot splits its position into a block and
+one digit per part, and a class's digit becomes a multiset by the
+combinatorial number system (`multiset_unrank`), with no list, so the
+CLI writes each instance's first tree before any list is built.
 """
 
 from __future__ import annotations
@@ -105,6 +109,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from bisect import bisect_right
 from collections import Counter
 from functools import partial
 from typing import NamedTuple
@@ -169,6 +174,34 @@ def multiset_rank(seq: tuple[int, ...], m: int) -> int:
         rank += multiset_coefficient(m - prev, k - i) - multiset_coefficient(m - v, k - i)
         prev = v
     return rank
+
+
+def multiset_unrank(rank: int, m: int, k: int) -> tuple[int, ...]:
+    """Entry `rank` of `multiset_enumerate(m, k)`, the inverse of
+    `multiset_rank` (the combinatorial number system, TAOCP 7.2.1.3).
+
+    Place i holds the largest v >= prev, the value at place i - 1 (0 at
+    place 0), whose multisets ahead, M(m - prev, k - i) - M(m - v, k - i),
+    do not exceed what is left of the rank, found by bisection over v, so
+    a multiset costs O(k log m) binomials and never O(m).  Once nothing is
+    left, every later place repeats prev."""
+    out, prev = [], 0
+    for i in range(k):
+        if not rank:
+            out.extend([prev] * (k - i))
+            break
+        total = multiset_coefficient(m - prev, k - i)
+        lo, hi = prev, m - 1
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if total - multiset_coefficient(m - mid, k - i) <= rank:
+                lo = mid
+            else:
+                hi = mid - 1
+        rank -= total - multiset_coefficient(m - lo, k - i)
+        out.append(lo)
+        prev = lo
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -858,3 +891,71 @@ def spanning_tree_index(g: OrientedSP, es: EdgeSet) -> int:
 def near_tree_index(g: OrientedSP, es: EdgeSet) -> int:
     """Enumeration position of the orbit containing a near tree `es`."""
     return _located(g, es, True)
+
+
+def _unrank(plans: _Plans, i: int, near: bool, numbering=None) -> int:
+    """The mask of the near (or spanning) tree at position i on the tree
+    whose plan pass gave `plans`, with input leaf j at bit `numbering[j]`
+    (at bit j by default): the inverse of `_index`, in one loop over the
+    program from the root down, with no list and no recursion.
+
+    Each slot receives (kind, index) from its parent.  An index of the
+    node's flip kind first finds its block by the cached starts
+    (`plans.starts`, as `_index` fills them) and drops the block's start.
+    The rest splits into mixed-radix digits over the parts' counts in the
+    block, the last part fastest.  A series child, and a one-member class's
+    member, takes its part's kind and digit.  A wider class's digit is a
+    multiset of its representative's near trees (`multiset_unrank`) or, for
+    a spanning assignment, the first member's spanning tree (the digit over
+    M(r, c - 1)) beside a multiset on the rest, handed to the members in
+    storage order, as `_assignments` lays them out.  A leaf, one tree of
+    each kind, adds its bit where it takes its spanning tree."""
+    program, starts = plans.program, plans.starts
+    size = _count(program[-1][0], near) if program else 1
+    if not 0 <= i < size:
+        raise IndexError(f"tree index {i} out of range for {size} trees")
+    if not program:  # a lone edge: its spanning tree holds its one bit
+        return 0 if near else 1 << (0 if numbering is None else numbering[0])
+    given, mask = [None] * len(program), 0
+    given[-1] = (near, i)
+    for slot in range(len(program) - 1, -1, -1):
+        p, refs = program[slot]
+        near, rank = given[slot]
+        parts, end, odd = p.parts, len(refs), -1
+        series = p.kind == "series"
+        if near == series:  # the flip kind: part `odd` alone gives it
+            if (p.code, near) not in starts:
+                starts[p.code, near] = _starts(parts, near)
+            at = starts[p.code, near]
+            odd = bisect_right(at, rank) - 1
+            rank -= at[odd]
+        # The parts from the last, each taking the refs that end the run
+        # left: one, or a class's `size` members (no class holds two edges).
+        for j in range(len(parts) - 1, -1, -1):
+            part = parts[j]
+            kind = near if j == odd else not series
+            rank, digit = divmod(rank, part.nt if kind else part.st)
+            c = 1 if series else part.size
+            end -= c
+            if c == 1:
+                ref = refs[end]
+                if ref >= 0:
+                    given[ref] = (kind, digit)
+                elif not kind:
+                    mask |= 1 << (~ref if numbering is None else numbering[~ref])
+                continue
+            r, members = part.rep_plan.nt, refs[end : end + c]
+            if not kind:
+                tree, digit = divmod(digit, multiset_coefficient(r, c - 1))
+                given[members[0]] = (False, tree)
+                members = members[1:]
+            for ref, x in zip(members, multiset_unrank(digit, r, len(members))):
+                given[ref] = (True, x)
+    return mask
+
+
+def unrank(g: OrientedSP, i: int, near: bool = False) -> EdgeSet:
+    """The spanning (or near) tree at position i of the enumeration order,
+    the inverse of `spanning_tree_index` (`near_tree_index`), built with no
+    enumeration list.  Raises IndexError unless 0 <= i < the count."""
+    return EdgeSet(_unrank(_plans(_tree_of(g)), i, near))

@@ -52,6 +52,7 @@ from sptrees.generate import (
     _plans,
     _root,
     _streams,
+    _unrank,
     build_plan,
     multiset_coefficient,
     multiset_enumerate,
@@ -490,9 +491,9 @@ def orbit_sweep(max_edges: int) -> tuple[int, list[str]]:
 def shape_index_sweep(max_edges: int) -> tuple[int, int]:
     """On every shape with at most `max_edges` edges: the oriented spanning,
     oriented near and semioriented streams hold the plan's st, nt and ss
-    masks, neither oriented stream repeats a mask, and `_index` gives each
-    streamed tree its position.  Returns the number of shapes and of
-    indexed trees."""
+    masks, neither oriented stream repeats a mask, `_index` gives each
+    streamed tree its position and `_unrank` gives each position its
+    streamed tree.  Returns the number of shapes and of indexed trees."""
     shapes = indexed = 0
     for m in range(1, max_edges + 1):
         for text in sp_shapes(m):
@@ -503,6 +504,7 @@ def shape_index_sweep(max_edges: int) -> tuple[int, int]:
             for masks, count, is_near in ((spanning, plan.st, False), (near, plan.nt, True)):
                 assert len(set(masks)) == len(masks) == count
                 assert [_index(plans, mask, is_near) for mask in masks] == list(range(count))
+                assert [_unrank(plans, i, is_near) for i in range(count)] == masks
                 indexed += count
             shapes += 1
     return shapes, indexed
@@ -904,6 +906,11 @@ class _UnionFind:
         return True
 
 
+def within(es: EdgeSet, m: int) -> bool:
+    """Whether every index of `es` lies below m."""
+    return es.mask >> m == 0
+
+
 def classify_edge_set(graph, es: EdgeSet) -> Classification:
     """Classify an edge subset of `graph`, by a union-find over its edges.
 
@@ -911,7 +918,7 @@ def classify_edge_set(graph, es: EdgeSet) -> Classification:
     near tree has n - 2 acyclic edges, with or without the terminals
     apart.  Anything else is OTHER.
     """
-    if not es.within(graph.m):
+    if not within(es, graph.m):
         return Classification.OTHER
     card = es.cardinality
     if card not in (graph.n - 1, graph.n - 2):

@@ -30,6 +30,7 @@ from conftest import (
     deep_nest_text,
     feed_raw,
     raw_tree,
+    within,
 )
 
 
@@ -155,7 +156,7 @@ def test_edge_set_basics():
     assert es.cardinality == 3
     assert es.indices() == (0, 3, 5)
     assert es.contains(3) and not es.contains(1)
-    assert es.within(6) and not es.within(5)
+    assert within(es, 6) and not within(es, 5)
     assert es.union(EdgeSet.of([1])).indices() == (0, 1, 3, 5)
     assert es.mapped({0: 2, 3: 0, 5: 7}).indices() == (0, 2, 7)
 

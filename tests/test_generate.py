@@ -40,6 +40,7 @@ from sptrees import (
     serialize_sp,
     spanning_tree_index,
     underlying_graph,
+    unrank,
 )
 from sptrees.cli import verify_instance
 from sptrees.core import Leaf, Parallel, Series, mask_image
@@ -54,6 +55,7 @@ from sptrees.generate import (
     build_plan,
     multiset_coefficient,
     multiset_rank,
+    multiset_unrank,
 )
 from sptrees.semi import _masks
 
@@ -69,6 +71,7 @@ from conftest import (
     reference_index,
     reference_sums,
     small_corpus,
+    twin_nest_text,
 )
 
 
@@ -751,3 +754,88 @@ def test_block_starts_are_built_once_per_shape_and_kind(monkeypatch):
     monkeypatch.setattr(generate, "_starts", counted)
     assert [spanning_tree_index(o, es) for es in spanning] == list(range(4960))
     assert calls and max(Counter(calls).values()) == 1
+
+
+def test_multiset_unrank_inverts_multiset_rank(monkeypatch):
+    """`multiset_unrank` gives every multiset over m items of size k <= 6
+    back from its rank, and seeded random multisets over m = 10**30 items
+    too, each with at most k (log2 m + 2) binomials: bisection per place,
+    never a pass over the m items."""
+    for m in range(7):
+        for k in range(7):
+            for rank, seq in enumerate(multiset_enumerate(m, k)):
+                assert multiset_unrank(rank, m, k) == seq
+    m, rng = 10**30, random.Random(11)
+    calls, binomial = [], generate.multiset_coefficient
+
+    def counted(m, k):
+        calls.append((m, k))
+        return binomial(m, k)
+
+    monkeypatch.setattr(generate, "multiset_coefficient", counted)
+    for _ in range(40):
+        k = rng.randint(1, 6)
+        seq = tuple(sorted(rng.randrange(m) for _ in range(k)))
+        rank = multiset_rank(seq, m)
+        calls.clear()
+        assert multiset_unrank(rank, m, k) == seq
+        assert len(calls) <= k * (m.bit_length() + 2)
+        rank = rng.randrange(binomial(m, k))
+        assert multiset_rank(multiset_unrank(rank, m, k), m) == rank
+
+
+_WIDE_TEXT = "P(" + ",".join(f"S(e(s,a{i}),e(a{i},b{i}),e(b{i},c{i}),e(c{i},t))" for i in range(30)) + ")"
+_TRIANGLES_TEXT = "S(" + ",".join(
+    f"P(e(v{i},v{i + 1}),S(e(v{i},a{i}),e(a{i},v{i + 1})))" for i in range(40)
+) + ")"
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(_TRIANGLES_TEXT, id="triangles40"),
+    pytest.param(_WIDE_TEXT, id="wide"),
+    pytest.param(deep_nest_text(36), id="nest36"),
+    pytest.param(twin_nest_text(2000), id="twins2000"),
+])
+def test_the_index_inverts_unrank_at_random_positions(text):
+    """At seeded random positions of both kinds, the index of the tree that
+    `unrank` gives is the position: on a chain of 40 triangles (3**40
+    trees), a P of 30 four-edge chains (wide classes), the depth-36 nest,
+    whose lists do not fit in memory, and twin nests of depth 2000, past
+    the recursion limit."""
+    o, rng = OrientedSP(parse_sp(text)), random.Random(5)
+    counts = count_oriented(o)
+    for near, index, count in ((False, spanning_tree_index, counts.spanning),
+                               (True, near_tree_index, counts.near)):
+        for i in [0, count - 1] + [rng.randrange(count) for _ in range(10)]:
+            assert index(o, unrank(o, i, near)) == i
+
+
+def test_unrank_rejects_positions_out_of_range():
+    """`unrank` raises IndexError at -1 and at the count, and gives the last
+    streamed tree just below the count, on a lone edge and on the diamond."""
+    for text in ("e(s,t)", DIAMOND_TEXT):
+        o = OrientedSP(parse_sp(text))
+        counts = count_oriented(o)
+        for near, stream, count in ((False, iter_oriented_spanning, counts.spanning),
+                                    (True, iter_oriented_near, counts.near)):
+            for i in (-1, count):
+                with pytest.raises(IndexError):
+                    unrank(o, i, near)
+            assert unrank(o, count - 1, near) == list(stream(o))[-1]
+
+
+@pytest.mark.parametrize("text", [pytest.param(_WIDE_TEXT, id="wide"), pytest.param(deep_nest_text(36), id="nest36")])
+def test_unrank_builds_no_enumeration_list(text, monkeypatch):
+    """`unrank` reads the plan program alone: with `_placed` and `_streams`
+    patched to raise, it still gives a tree at both ends of each kind."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an enumeration list was built")
+
+    o = OrientedSP(parse_sp(text))
+    counts = count_oriented(o)
+    monkeypatch.setattr(generate, "_placed", refuse)
+    monkeypatch.setattr(generate, "_streams", refuse)
+    for near, count in ((False, counts.spanning), (True, counts.near)):
+        for i in (0, count // 2, count - 1):
+            assert unrank(o, i, near).cardinality == build_plan(o).n - 1 - near

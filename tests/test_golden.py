@@ -12,7 +12,9 @@ modes.  The records lines are built without `json.dumps`, so each must
 also equal its own `json.dumps(..., sort_keys=True)` re-encoding.
 A recording stdout checks that each `enumerate` run writes its first
 line on its own and at most `_CHUNK` lines at a time, and that the
-writes join to the bytes the expression and records digests pin.
+writes join to the bytes the expression and records digests pin, and
+that each instance's first line is written before any enumeration list
+is built.
 
 The edge-list digest covers the same outputs plus `parse` for edge-list
 files: the underlying graphs of `random_sp` seeds 0-39 with seeded line
@@ -39,6 +41,7 @@ groups that keep {s, t}, so they are partitioned under `FixBoth` and
 `FixSet` only.
 """
 
+import contextlib
 import hashlib
 import json
 import random
@@ -165,6 +168,31 @@ def test_enumerate_writes_its_first_line_alone_then_capped_chunks(tmp_path, monk
     assert hashlib.sha256(pinned).hexdigest() == GOLDEN_SHA256
     pinned = b"".join(output[tuple(c)] for c in RECORDS)
     assert hashlib.sha256(pinned).hexdigest() == RECORDS_SHA256
+
+
+def test_enumerate_writes_its_first_line_before_any_list(tmp_path, monkeypatch):
+    """In the four `enumerate` modes, on each instance of the expression
+    corpus, the first write to stdout comes before the first call of
+    `generate._placed` (wrapped over the module binding): line 0 is one
+    `generate._unrank`, and the lists are built when line 1 is pulled."""
+    placed, recorder, calls = generate._placed, _Recorder(), []
+
+    def checked(*args):
+        assert recorder.writes, "an enumeration list was built before the first line"
+        calls.append(args[3:])
+        return placed(*args)
+
+    monkeypatch.setattr(generate, "_placed", checked)
+    lines = _corpus_file(tmp_path).read_text(encoding="utf-8").splitlines()
+    for i, line in enumerate(lines):
+        path = tmp_path / f"instance{i}.sp"
+        path.write_text(line + "\n", encoding="utf-8")
+        for argv in FOLD_MODES.values():
+            recorder.writes.clear()
+            with contextlib.redirect_stdout(recorder):
+                assert run(["enumerate", str(path), *argv]) == 0
+            assert recorder.writes
+    assert calls
 
 
 def test_records_lines_are_canonical_json(tmp_path, capsys):

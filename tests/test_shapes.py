@@ -58,9 +58,9 @@ def test_every_shape_has_the_fast_counts_as_its_orbit_counts():
 
 
 def test_every_shape_streams_its_counts_and_indexes_each_tree():
-    """On every shape, the streams hold the plan's counts and `_index` gives
-    each streamed tree its position (`shape_index_sweep`); CI runs the same
-    sweep up to 11 edges."""
+    """On every shape, the streams hold the plan's counts, `_index` gives
+    each streamed tree its position and `_unrank` each position its tree
+    (`shape_index_sweep`); CI runs the same sweep up to 11 edges."""
     assert shape_index_sweep(TIER1_EDGES) == (1397, 64035)
 
 
