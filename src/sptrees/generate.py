@@ -3,8 +3,11 @@
 Everything here works up to the terminal-fixing automorphisms of the
 graph.  Series and parallel composition are dual, so one rule composes
 both.  A node's parts are its series children, or its parallel classes
-(children in one oriented isomorphism class).  Every part gives the
-node's base kind of tree, or exactly one part gives the other, flip kind:
+(children in one oriented isomorphism class).  A series child reads as a
+class of one member, itself (a plan's `size` is 1 and its `rep_plan` the
+plan), so the index, `unrank` and the reversal filter walk the parts of
+both kinds alike.  Every part gives the node's base kind of tree, or
+exactly one part gives the other, flip kind:
 
   * series node: a spanning tree is a spanning tree on every child (base);
     a near tree breaks in one child, with a near tree there (flip);
@@ -241,12 +244,20 @@ class _Plan:
     reference cycle.  `code` and `rev` are the shape's canonical and
     reversal codes.  Its parts are the series children's plans, in order,
     or the parallel classes (`_ClassPlan`), by descending code (sorted
-    once per shape, in `_compose`); m counts its leaves and n its vertices.
+    once per shape, in `_compose`), a series child reading as a class of
+    one member, itself (`size` 1, `rep_plan` the plan); m counts its
+    leaves and n its vertices.
     st, nt are the oriented spanning and near counts, tau, nu the counts
     with no automorphism reduction, ss, sn the semioriented ones.
     """
 
     __slots__ = ("kind", "code", "rev", "m", "n", "st", "nt", "tau", "nu", "ss", "sn", "parts")
+
+    size = 1
+
+    @property
+    def rep_plan(self) -> _Plan:
+        return self
 
     def __init__(self, kind: str, code: str, rev: str, m: int, n: int, st: int, nt: int,
                  tau: int, nu: int, ss: int, sn: int, parts: tuple = ()) -> None:
@@ -507,8 +518,8 @@ def _layout(plan: _Plan, near: bool, item) -> list[list]:
     kind)` per part i, kind True for near.  Every part gives the node's base
     kind of tree (a series child a spanning tree, a class a near
     assignment); those trees are one block.  The other kind is one block per
-    part j, in which part j alone gives it (`_block_of`).  Each item is made
-    once, and a lone part's base item only if a block uses it."""
+    part j, in which part j alone gives it.  Each item is made once, and a
+    lone part's base item only if a block uses it."""
     base, k = plan.kind == "parallel", len(plan.parts)
     if near == base:
         return [[item(i, base) for i in range(k)]]
@@ -516,19 +527,13 @@ def _layout(plan: _Plan, near: bool, item) -> list[list]:
     return [rest[:j] + [item(j, near)] + rest[j + 1 :] for j in range(k)]
 
 
-def _block_of(kinds, near: bool) -> int:
-    """The block of a near (or spanning) list whose parts give `kinds`, as
-    `_starts` indexes it: the part that alone gives the list's kind, or 0
-    for the one block in which every part does."""
-    return kinds.index(near) if kinds.count(near) == 1 else 0
-
-
 def _starts(parts, near: bool) -> list[int]:
-    """Where each block of a node's near (or spanning) list starts, by
-    `_block_of`: the sizes of the blocks before it, each the product of its
-    parts' counts.  The one block of the base kind starts at entry 0, 0.
-    Block a of the other kind starts at the fold's flip term over the parts
-    before a (`_fold`) times the product of the base counts from a on."""
+    """Where each block of a node's near (or spanning) list starts, in
+    `_layout`'s order: the sizes of the blocks before it, each the product
+    of its parts' counts.  The one block of the base kind starts at entry 0,
+    so callers ask for the other kind: its block a starts at the fold's flip
+    term over the parts before a (`_fold`) times the product of the base
+    counts from a on."""
     terms = [(_count(p, not near), _count(p, near), 1) for p in parts]
     starts, after = [flip for _, flip in _fold(terms)], 1
     for a in range(len(terms) - 1, -1, -1):
@@ -565,7 +570,7 @@ def _sums(blocks, size: int, plus=operator.or_):
     `operator.or_`, which allocates each int at its size, where an add of
     ints of an even number of 30-bit digits allocates a spare digit (a
     third more memory on lists of 41-bit masks); `semi` passes
-    `operator.add` for its index sums.
+    `operator.add` for its sums of list indices and of key - partner terms.
     """
     if size < _FOLD:
         return map(sum, itertools.chain.from_iterable(itertools.starmap(itertools.product, blocks)))
@@ -790,51 +795,40 @@ def _index(plans: _Plans, mask: int, near: bool) -> int:
 
     A node's kind comes from the bits of `mask` on its leaves: n - 1 for a
     spanning tree, n - 2 for a near one, and no other count is a tree.  A
-    node's refs are zipped with its plan's parts: a series node's one each,
-    a P class's the next `size` refs.  The parts' digits run in part order,
-    the last fastest, each counted by the part's kind.  The node's kind is
-    its base kind (spanning for a series node, near for a P node) unless
-    exactly one part gives the other, flip kind (a child's break, a class's
-    spanning member), which then names the block whose start the digits
-    count from (`_starts`, built once per shape and kind and kept in
-    `plans.starts` for every later rank).
+    node's refs are zipped with its plan's parts, each part taking the next
+    `size` refs (a series child, read as a class of one member, one).  The
+    parts' digits run in part order, the last fastest, each counted by the
+    part's kind.  The node's kind is its base kind (spanning for a series
+    node, near for a P node) unless exactly one part gives the other, flip
+    kind (a child's break, a class's spanning member), which then names the
+    block whose start the digits count from (`_starts`, built once per
+    shape and kind and kept in `plans.starts` for every later rank).
     """
     # Per slot, (bits, near, rank) of its node.  A lone edge, with no
     # program, has one tree of each kind, the spanning one holding its bit.
     done, starts, kind, rank = [], plans.starts, not mask, 0
     for p, refs in plans.program:
-        parts, bits, rank, odd = p.parts, 0, 0, 0
-        if p.kind == "series":
-            for j, (ref, part) in enumerate(zip(refs, parts)):
-                if ref < 0:  # one tree of each kind, the near one without its bit
-                    if mask >> ~ref & 1:
-                        bits += 1
-                    else:
+        parts, bits, rank, odd, end = p.parts, 0, 0, 0, 0
+        flip = p.kind == "series"  # near for a series node, spanning for a P node
+        for j, part in enumerate(parts):
+            c = part.size
+            if c > 1:
+                b, kind, digit = _digit([done[x] for x in refs[end : end + c]], part.rep_plan.nt)
+                end += c
+            else:
+                ref = refs[end]
+                end += 1
+                if ref < 0:  # an edge (no class holds two): one tree of each kind
+                    kind = not mask >> ~ref & 1
+                    bits += not kind
+                    if kind == flip:
                         odd = j
                     continue
                 b, kind, digit = done[ref]
-                bits += b
-                if kind:
-                    rank, odd = rank * part.nt + digit, j
-                else:
-                    rank = rank * part.st + digit
-        else:
-            end = 0
-            for j, part in enumerate(parts):
-                start, end = end, end + part.size
-                if part.size > 1:
-                    b, kind, digit = _digit([done[x] for x in refs[start:end]], part.rep_plan.nt)
-                elif refs[start] < 0:  # an edge (no class holds two)
-                    if mask >> ~refs[start] & 1:
-                        bits, odd = bits + 1, j
-                    continue
-                else:
-                    b, kind, digit = done[refs[start]]
-                bits += b
-                if kind:
-                    rank = rank * part.nt + digit
-                else:
-                    rank, odd = rank * part.st + digit, j
+            bits += b
+            if kind == flip:
+                odd = j
+            rank = rank * (part.nt if kind else part.st) + digit
         if bits != p.n - 1 and bits != p.n - 2:
             raise ImageNotFound("a branch's edge count fits neither kind")
         kind = bits == p.n - 2
@@ -903,8 +897,8 @@ def _unrank(plans: _Plans, i: int, near: bool, numbering=None) -> int:
     node's flip kind first finds its block by the cached starts
     (`plans.starts`, as `_index` fills them) and drops the block's start.
     The rest splits into mixed-radix digits over the parts' counts in the
-    block, the last part fastest.  A series child, and a one-member class's
-    member, takes its part's kind and digit.  A wider class's digit is a
+    block, the last part fastest.  A one-member part (a series child reads
+    as one) hands its kind and digit to its member.  A wider class's digit is a
     multiset of its representative's near trees (`multiset_unrank`) or, for
     a spanning assignment, the first member's spanning tree (the digit over
     M(r, c - 1)) beside a multiset on the rest, handed to the members in
@@ -913,7 +907,9 @@ def _unrank(plans: _Plans, i: int, near: bool, numbering=None) -> int:
     program, starts = plans.program, plans.starts
     size = _count(program[-1][0], near) if program else 1
     if not 0 <= i < size:
-        raise IndexError(f"tree index {i} out of range for {size} trees")
+        # No number in the message: a large one would exceed the interpreter's
+        # limit on int-to-str conversion and raise ValueError instead.
+        raise IndexError("tree index out of range")
     if not program:  # a lone edge: its spanning tree holds its one bit
         return 0 if near else 1 << (0 if numbering is None else numbering[0])
     given, mask = [None] * len(program), 0
@@ -935,7 +931,7 @@ def _unrank(plans: _Plans, i: int, near: bool, numbering=None) -> int:
             part = parts[j]
             kind = near if j == odd else not series
             rank, digit = divmod(rank, part.nt if kind else part.st)
-            c = 1 if series else part.size
+            c = part.size
             end -= c
             if c == 1:
                 ref = refs[end]

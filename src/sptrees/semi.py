@@ -4,7 +4,8 @@ When no automorphism can exchange the terminals, the semioriented
 output is bit-identical to the oriented one.  Otherwise the oriented
 enumeration produces the surviving trees in pairs related by the
 reversal symmetry, and the filter keeps one of each pair: `_selectors`
-gives one keep flag per oriented root tree, which `_masks` applies to
+gives one keep flag per oriented root tree (None where it keeps them all,
+on an asymmetric root or a lone edge), which `_masks` applies to
 the oriented root stream, and `cli.verify_instance` to the oriented
 spanning list it has already built, each by `itertools.compress`, so
 verify builds no oriented list twice.  A root tree's key is
@@ -12,9 +13,13 @@ its tuple of indices into the root's part lists (`generate._blocks`, a
 part's spanning trees or assignments numbered after its near ones).  The
 reversal carries part i onto part dest[i] and its index through the
 part's index action, which gives the partner's key; a tree is kept iff
-its key compares >= its partner's.  Keys and partners are
-`itertools.product`s over each block's index ranges and actions, so no
-Python code runs per tree.  The comparison uses the full tuple, including
+its key compares >= its partner's.  A key compares as its digits read as
+one mixed-radix number do (TAOCP 7.2.1.1), and key - partner is then a
+sum of one term per part, so the flags are the sums that `generate._sums`,
+the helper that streams the trees, streams from per-part term lists,
+compared with 0: no Python code runs and no tuple is built per tree.  A
+series child is read as a class of one member, so one rule serves both
+root kinds.  The comparison uses the full key, including
 the middle child of an odd series chain and self-paired parallel classes,
 so a tree whose outer positions are palindromic is still paired off
 through its middle entry.  All lists below the top level stay oriented.
@@ -38,11 +43,10 @@ fixed-candidate arithmetic lives there too).
 from __future__ import annotations
 
 import operator
-from itertools import accumulate, chain, compress, islice, product, repeat, tee
+from itertools import accumulate, compress, islice, repeat, tee
 
 from .core import EdgeSet, SemiorientedSP, _tree_of
 from .generate import (
-    _block_of,
     _count,
     _cumulative,
     _layout,
@@ -102,10 +106,8 @@ def _parts(actions: dict, xp, yp) -> tuple[list[int], list]:
     """Per part of xp (series child, parallel class): the part of yp that the
     reversal carries it onto (`_partners`), and the part's (near, spanning)
     digit actions, from its member plan's `actions` (`_assignment_perm`)."""
-    perms = []
-    for part in xp.parts:
-        size, rep = (part.size, part.rep_plan) if xp.kind == "parallel" else (1, part)
-        perms.append([_assignment_perm(size, *actions[rep.code], near) for near in (True, False)])
+    perms = [[_assignment_perm(p.size, *actions[p.rep_plan.code], near) for near in (True, False)]
+             for p in xp.parts]
     return _partners(xp, yp), perms
 
 
@@ -113,11 +115,14 @@ def _moved(perms, dest, yp, near: bool) -> tuple[int, ...]:
     """The reversal's action on x's near (or spanning) list, onto y's.
 
     Per block of x's list (`_layout`, which x and y share), part i of x
-    lands on part dest[i] of y with its kind, which picks y's block; y's
-    digits run in its part order, the last fastest, from that block's start.
+    lands on part dest[i] of y with its kind.  The base kind's one block
+    lands on y's, at 0; in a list of the flip kind, block j, part j alone
+    flipped, lands on y's block dest[j].  y's digits run in its part order,
+    the last fastest, from that block's start.
     """
-    parts, k, starts, blocks = yp.parts, len(dest), _starts(yp.parts, near), []
-    for kinds in _layout(yp, near, lambda i, kind: kind):  # each part's kind, per block
+    parts, k, blocks = yp.parts, len(dest), []
+    starts = _starts(parts, near) if near != (yp.kind == "parallel") else [0] * k
+    for j, kinds in enumerate(_layout(yp, near, lambda i, kind: kind)):  # each part's kind
         image = [False] * k
         for i, b in enumerate(dest):
             image[b] = kinds[i]
@@ -126,7 +131,7 @@ def _moved(perms, dest, yp, near: bool) -> tuple[int, ...]:
             place[b - 1] = place[b] * _count(parts[b], image[b])
         # perms[i] holds part i's (near, spanning) actions.
         moved = [[v * place[b] for v in perms[i][not kinds[i]]] for i, b in enumerate(dest)]
-        blocks.append([[starts[_block_of(image, near)]]] + moved)
+        blocks.append([[starts[dest[j]]]] + moved)
     return tuple(_sums(blocks, yp.nt if near else yp.st, operator.add))
 
 
@@ -207,39 +212,40 @@ def _masks(tree, numbering=None):
 
 def _selectors(tree):
     """Per oriented spanning tree of `tree`, in stream order, whether the
-    filter keeps it: its key compares >= its partner's.  None when the root
-    is not reversal-symmetric, where every tree is kept.  The actions are
-    built here, the selectors themselves lazily, so they read a list or a
-    stream alike.  A lone edge (code = reversal code = E) has no parts, so
-    its one tree has the empty key and the empty partner, and is kept."""
+    filter keeps it: its key compares >= its partner's.  None when every
+    tree is kept: where the root is not reversal-symmetric, and on a lone
+    edge (code = reversal code = E), whose one tree has no parts to compare.
+    The actions are built here, the selectors themselves lazily, so they
+    read a list or a stream alike.
+
+    A key, its digits read as one number in the radices nt + st of the
+    root's parts (place[i] the product of those after part i), compares as
+    that number does, and so does its partner.  So a tree is kept iff key -
+    partner >= 0, and key - partner sums one term per part: part i's digit
+    x, a near tree (or assignment) or a spanning one numbered after the
+    near ones, gives x * place[i] less its image's digit times place[dest[i]],
+    and `_sums` streams those sums as it streams the trees' masks."""
     plan = build_plan(tree)
-    if plan.code != plan.rev:
+    if plan.code != plan.rev or not plan.parts:
         return None
     # Every plan but the last, the root's, gets its action: the root's parts
     # read theirs, and nothing reads the root's own.
     plans = _plans(tree).by_code
     actions = _reversal_perms(islice(plans.values(), len(plans) - 1), plans)
-    dest, parallel = _partners(plan, plan), plan.kind == "parallel"
+    parts, dest = plan.parts, _partners(plan, plan)
+    place = [1] * len(parts)
+    for i in range(len(parts) - 1, 0, -1):
+        place[i - 1] = place[i] * (parts[i].nt + parts[i].st)
 
-    def digits(i: int, near: bool):
-        """Part i's index range and the action on it, its spanning trees (or
-        assignments) numbered after its near ones, built only for the kinds
-        the blocks read: a P root of one class reads no near assignment."""
-        p = plan.parts[i]
-        size, rep = (p.size, p.rep_plan) if parallel else (1, p)
-        perm = _assignment_perm(size, *actions[rep.code], near)
-        if near:
-            return range(p.nt), perm
-        return range(p.nt, p.nt + p.st), tuple(map(p.nt.__add__, perm))
+    def terms(i: int, near: bool) -> list[int]:
+        """Part i's terms, built only for the kinds the blocks read: a P root
+        of one class reads no near assignment."""
+        p = parts[i]
+        perm = _assignment_perm(p.size, *actions[p.rep_plan.code], near)
+        off, a, b = 0 if near else p.nt, place[i], place[dest[i]]
+        return [(off + x) * a - (off + y) * b for x, y in enumerate(perm)]
 
-    blocks = _layout(plan, False, digits)
-    keys = chain.from_iterable(product(*[r for r, _ in b]) for b in blocks)
-    partners = chain.from_iterable(product(*[p for _, p in b]) for b in blocks)
-    # Part a's image goes to part dest[a]; dest is an involution, so partner
-    # entry b is image dest[b].  One index would give a bare int, not a tuple.
-    if len(dest) > 1:
-        partners = map(operator.itemgetter(*dest), partners)
-    return map(operator.ge, keys, partners)
+    return map((0).__le__, _sums(_layout(plan, False, terms), plan.st, operator.add))
 
 
 # ---------------------------------------------------------------------------

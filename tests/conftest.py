@@ -510,6 +510,20 @@ def shape_index_sweep(max_edges: int) -> tuple[int, int]:
     return shapes, indexed
 
 
+def filter_sweep(max_edges: int) -> int:
+    """`assert_filter_matches_the_reference` on every reversal-symmetric
+    shape with at most `max_edges` edges; returns the number of them."""
+    shapes = 0
+    for m in range(1, max_edges + 1):
+        for text in sp_shapes(m):
+            tree = parse_sp(text)
+            plan = build_plan(tree)
+            if plan.code == plan.rev:
+                assert_filter_matches_the_reference(tree)
+                shapes += 1
+    return shapes
+
+
 # ---------------------------------------------------------------------------
 # Mirror-symmetric instance generation
 # ---------------------------------------------------------------------------
@@ -843,6 +857,20 @@ def reference_semioriented_masks(tree: Node, numbering=None) -> list[int]:
             if tup >= tuple(partner):
                 out.append(sum(map(operator.getitem, items, tup)))
     return out
+
+
+def assert_filter_matches_the_reference(tree):
+    """`_masks` in the input numbering and in a permuted one: the per-candidate
+    reference's masks, a subsequence of the oriented stream, as many as the
+    semioriented count."""
+    shuffled = list(range(build_plan(tree).m))
+    random.Random(len(shuffled)).shuffle(shuffled)
+    for numbering in (None, shuffled):
+        kept = list(_masks(tree, numbering))
+        assert kept == reference_semioriented_masks(tree, numbering)
+        oriented_stream = _streams(tree, False, numbering=numbering)[0]
+        assert all(mask in oriented_stream for mask in kept)  # in order: one pass
+        assert len(kept) == count_semioriented(SemiorientedSP(tree))
 
 
 # ---------------------------------------------------------------------------

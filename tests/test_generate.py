@@ -4,6 +4,7 @@ import itertools
 import math
 import operator
 import random
+import sys
 import tracemalloc
 from collections import Counter
 from functools import partial
@@ -812,7 +813,10 @@ def test_the_index_inverts_unrank_at_random_positions(text):
 
 def test_unrank_rejects_positions_out_of_range():
     """`unrank` raises IndexError at -1 and at the count, and gives the last
-    streamed tree just below the count, on a lone edge and on the diamond."""
+    streamed tree just below the count, on a lone edge and on the diamond.
+    On a chain of 1400 triangles (3**1400, about 10**668 trees) it raises
+    IndexError, not the interpreter's ValueError for an int too long to
+    print, at -1, at the count and at 10**700, under a 640-digit limit."""
     for text in ("e(s,t)", DIAMOND_TEXT):
         o = OrientedSP(parse_sp(text))
         counts = count_oriented(o)
@@ -822,6 +826,20 @@ def test_unrank_rejects_positions_out_of_range():
                 with pytest.raises(IndexError):
                     unrank(o, i, near)
             assert unrank(o, count - 1, near) == list(stream(o))[-1]
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python 3.10 has no limit
+        return
+    o = OrientedSP(parse_sp("S(" + ",".join(
+        f"P(e(v{i},v{i + 1}),S(e(v{i},a{i}),e(a{i},v{i + 1})))" for i in range(1400)) + ")"))
+    count = count_oriented(o).spanning
+    assert count == 3**1400
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for i in (-1, count, 10**700):
+            with pytest.raises(IndexError):
+                unrank(o, i)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize("text", [pytest.param(_WIDE_TEXT, id="wide"), pytest.param(deep_nest_text(36), id="nest36")])

@@ -1,6 +1,5 @@
 """Semioriented enumeration, reversal index permutations, and counting."""
 
-import random
 import sys
 
 import pytest
@@ -31,12 +30,14 @@ from sptrees import (
 from sptrees import canonical, core, generate
 from sptrees.cli import run
 from sptrees.core import Parallel
-from sptrees.generate import _partners, _streams, build_plan, multiset_coefficient
+from sptrees.generate import _partners, build_plan, multiset_coefficient
 from sptrees.oracle import apply_permutation
 from sptrees.semi import _assignment_perm, _masks
 
 from conftest import (
+    assert_filter_matches_the_reference,
     deep_nest_text,
+    filter_sweep,
     mirror_pairs,
     mirror_symmetric,
     orbit_exactly_once,
@@ -45,7 +46,6 @@ from conftest import (
     reference_code,
     reference_codes,
     reference_index_perm,
-    reference_semioriented_masks,
     relabeled_shuffled_copy,
     reversal_map,
     small_corpus,
@@ -300,25 +300,11 @@ def test_semi_output_is_subsequence_of_oriented(seed):
     assert len(set(mapped)) == len(mapped)
 
 
-def _assert_filter_matches_the_reference(tree):
-    """`_masks` in the input numbering and in a permuted one: the per-candidate
-    reference's masks, a subsequence of the oriented stream, as many as the
-    semioriented count."""
-    shuffled = list(range(build_plan(tree).m))
-    random.Random(len(shuffled)).shuffle(shuffled)
-    for numbering in (None, shuffled):
-        kept = list(_masks(tree, numbering))
-        assert kept == reference_semioriented_masks(tree, numbering)
-        oriented_stream = _streams(tree, False, numbering=numbering)[0]
-        assert all(mask in oriented_stream for mask in kept)  # in order: one pass
-        assert len(kept) == count_semioriented(SemiorientedSP(tree))
-
-
 @pytest.mark.parametrize("seed", range(60))
 def test_filter_matches_the_per_candidate_reference(seed):
     tree = mirror_symmetric(seed)
-    _assert_filter_matches_the_reference(tree)
-    _assert_filter_matches_the_reference(relabeled_shuffled_copy(tree, seed))
+    assert_filter_matches_the_reference(tree)
+    assert_filter_matches_the_reference(relabeled_shuffled_copy(tree, seed))
 
 
 @pytest.mark.parametrize(
@@ -338,7 +324,14 @@ def test_filter_matches_the_per_candidate_reference(seed):
 def test_filter_matches_the_reference_on_named_roots(text):
     tree = parse_sp(text)
     assert mirror_pairing(tree) is not None
-    _assert_filter_matches_the_reference(tree)
+    assert_filter_matches_the_reference(tree)
+
+
+def test_filter_matches_the_reference_on_every_symmetric_shape():
+    """The kept set itself, not just its size: on each of the 135
+    reversal-symmetric shapes with at most 9 edges, in the input numbering
+    and in a permuted one."""
+    assert filter_sweep(9) == 135
 
 
 def _parent_class_pairs(node):
