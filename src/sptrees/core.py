@@ -9,16 +9,18 @@ preorder, so edge subsets can be stored as bitmasks over leaf indices.
 each field once (an inner node's terminals from its children), no field
 can be assigned afterwards, and no node has a `__dict__`.  Their `==`,
 `hash` and `repr` are those of frozen dataclasses over the same fields.
-The value types of the package (`EdgeSet`, `LabeledGraph`, the rooted
-graphs, `Violation` here, and the counts, plans, oracle policies and
-reports, random parameters and class records of the other modules) are
-slotted classes in the same way, over one base, `_Record`: each keeps
-the constructor, `==`, `hash`, `repr` and immutability of the dataclass
-it was, and the hot ones set each slot once through its descriptor.  A
-`LabeledGraph` keeps a `__dict__` for its lazy indexes.  No dataclass
-is built, and `dataclasses`, whose import and decorators took three
-quarters of the package's import time, is imported only by `_frozen`,
-to raise its `FrozenInstanceError`.
+The value types of the package (`LabeledGraph`, the rooted graphs,
+`Violation` here, and the counts, plans, oracle policies and reports,
+random parameters and class records of the other modules) are slotted
+classes in the same way, over one base, `_Record`: each keeps the
+constructor, `==`, `hash`, `repr` and immutability of the dataclass it
+was, and the hot ones set each slot once through its descriptor.  A
+`LabeledGraph` keeps a `__dict__` for its lazy indexes.  `EdgeSet`, one
+per emitted tree, is no `_Record` but its mask, an `int` subclass with
+no slot and no `__init__`, frozen by `_frozen` as the records are.  No
+dataclass is built, and `dataclasses`, whose import and decorators took
+three quarters of the package's import time, is imported only by
+`_frozen`, to raise its `FrozenInstanceError`.
 
 Nodes carry no shape facts: the canonical and reversal codes, the
 classes of a P node and the counts are built once per distinct shape by
@@ -384,13 +386,20 @@ class LabeledGraph(_Record):
         return self.edge_index[(u, v) if u <= v else (v, u)]
 
 
-class EdgeSet(_Record):
-    """Subset of global leaf indices stored as a bitmask."""
+class EdgeSet(int):
+    """Subset of global leaf indices stored as a bitmask: the mask itself,
+    an `int` that prints as `EdgeSet(mask=...)`.
 
-    __slots__ = ("mask",)
+    It equals, hashes, orders and pickles as its int, and int operations
+    on it (`a | b`, `es >> i & 1`, `es.bit_count()`) give plain ints.  It
+    has no `__init__` of its own, so `map(EdgeSet, masks)` runs in C, and,
+    as a value type, no attribute can be assigned or deleted.
+    """
 
-    def __init__(self, mask: int = 0) -> None:
-        _set_mask(self, mask)
+    __slots__ = ()
+    __setattr__ = __delattr__ = _frozen
+    __match_args__ = ("mask",)
+    mask = property(int.__int__, doc="The mask as a plain int.")
 
     @classmethod
     def of(cls, indices) -> EdgeSet:
@@ -399,31 +408,21 @@ class EdgeSet(_Record):
             mask |= 1 << i
         return cls(mask)
 
-    @property
-    def cardinality(self) -> int:
-        return self.mask.bit_count()
-
     def indices(self) -> tuple[int, ...]:
         out = []
-        mask = self.mask
+        mask = self
         while mask:
             low = mask & -mask
             out.append(low.bit_length() - 1)
             mask ^= low
         return tuple(out)
 
-    def union(self, other: EdgeSet) -> EdgeSet:
-        return EdgeSet(self.mask | other.mask)
-
-    def contains(self, index: int) -> bool:
-        return bool(self.mask >> index & 1)
-
     def mapped(self, leaf_map: dict[int, int]) -> EdgeSet:
         """Image under a leaf-index bijection."""
-        return EdgeSet(mask_image(self.mask, leaf_map))
+        return EdgeSet(mask_image(self, leaf_map))
 
-
-_set_mask = EdgeSet.mask.__set__
+    def __repr__(self) -> str:
+        return f"EdgeSet(mask={int(self)})"
 
 
 def mask_image(mask: int, leaf_map: dict[int, int]) -> int:

@@ -385,12 +385,22 @@ def _build(tree: Node) -> _Plans:
     pop = waiting.pop
     for node in inner_postorder(tree):
         # The slots of inner nodes whose parent is still to come wait on a
-        # stack, this node's last inner child's on top.
-        refs, kids = [], []
+        # stack, each beside its first leaf index, this node's last inner
+        # child's on top.  A child's leaves must end where the next one's
+        # begin: preorder, up to the subtree's offset.
+        refs, kids, end = [], [], None
         for child in reversed(node.children):
-            ref = ~child.index if child.__class__ is Leaf else pop()
+            if child.__class__ is Leaf:
+                first = child.index
+                ref, kid = ~first, leaf
+            else:
+                ref, first = pop()
+                kid = program[ref][0]
+            if first + kid.m != end and end is not None:
+                raise ValueError("leaf indices out of preorder; pass the tree through normalize")
+            end = first
             refs.append(ref)
-            kids.append(program[ref][0] if ref >= 0 else leaf)
+            kids.append(kid)
         refs.reverse()
         kids.reverse()
         series = node.__class__ is Series
@@ -406,7 +416,7 @@ def _build(tree: Node) -> _Plans:
                 place = {id(cp.rep_plan): j for j, cp in enumerate(plan.parts)}
                 order = orders[ids] = sorted(range(len(ids)), key=[place[i] for i in ids].__getitem__)
             refs = [refs[i] for i in order]
-        waiting.append(len(program))
+        waiting.append((len(program), end))
         program.append((plan, tuple(refs)))
     return _Plans(by_code, program, {})
 
@@ -436,7 +446,14 @@ def _compose(series: bool, kids: list[_Plan]) -> _Plan:
     groups of equal children for the counts with no automorphism reduction
     (g members of x base and y flip trees have x^g base trees and g y
     x^(g-1) flip trees), and over the self-paired parts for the
-    reversal-fixed terms."""
+    reversal-fixed terms.  Raises ValueError on a node that a normalized
+    tree has not: one of under two children, a child of its own kind, or
+    a P node's second edge."""
+    kind = "series" if series else "parallel"
+    if len(kids) < 2 or any([p.kind == kind for p in kids]) or (
+            not series and [p.kind for p in kids].count("leaf") > 1):
+        raise ValueError(f"not a normalized {kind} node: under two children, a child of its "
+                         "own kind or a P node's second edge; pass the tree through normalize")
     # The members grouped by plan, [plan, g] for g equal members of one plan.
     groups = {}
     for p in kids:
@@ -447,14 +464,14 @@ def _compose(series: bool, kids: list[_Plan]) -> _Plan:
             groups[id(p)] = [p, 1]
     groups = list(groups.values())
     if series:
-        kind, parts, shared = "series", kids, 1
+        parts, shared = kids, 1
         code = "S(" + "".join([p.code for p in kids]) + ")"
         rev = "S(" + "".join([p.rev for p in reversed(kids)]) + ")"
         st, nt = _fold([(p.st, p.nt, g) for p, g in groups])[-1]
         tau, nu = _fold([(p.tau, p.nu, g) for p, g in groups])[-1]
     else:
         groups = _classes(groups)
-        kind, parts, shared = "parallel", [_class(rep, g) for rep, g in groups], 2
+        parts, shared = [_class(rep, g) for rep, g in groups], 2
         code = "P(" + "".join([rep.code * g for rep, g in reversed(groups)]) + ")"
         revs = sorted(groups, key=lambda group: code_sort_key(group[0].rev))
         rev = "P(" + "".join([rep.rev * g for rep, g in revs]) + ")"
@@ -872,9 +889,9 @@ def _digit(ranked: list, r: int) -> tuple[int, bool, int]:
 def _located(g, es: EdgeSet, near: bool) -> int:
     """`_index` on the root of `g`, whose leaves are the input positions."""
     tree = _tree_of(g)
-    if es.mask >> build_plan(tree).m:
+    if es >> build_plan(tree).m:
         raise ImageNotFound("an edge outside the graph")
-    return _index(_plans(tree), es.mask, near)
+    return _index(_plans(tree), es, near)
 
 
 def spanning_tree_index(g: OrientedSP, es: EdgeSet) -> int:
@@ -953,5 +970,6 @@ def _unrank(plans: _Plans, i: int, near: bool, numbering=None) -> int:
 def unrank(g: OrientedSP, i: int, near: bool = False) -> EdgeSet:
     """The spanning (or near) tree at position i of the enumeration order,
     the inverse of `spanning_tree_index` (`near_tree_index`), built with no
-    enumeration list.  Raises IndexError unless 0 <= i < the count."""
-    return EdgeSet(_unrank(_plans(_tree_of(g)), i, near))
+    enumeration list.  Raises IndexError unless 0 <= i < the count, and,
+    as sequence indexing does, TypeError where i is no integer."""
+    return EdgeSet(_unrank(_plans(_tree_of(g)), operator.index(i), near))

@@ -167,7 +167,7 @@ def _forests(g: LabeledGraph, merged: tuple[str, ...] = ()):
 def all_spanning_trees(g: LabeledGraph, limit: int = DEFAULT_LIMIT) -> list[EdgeSet]:
     """Every spanning tree exactly once, in combination order."""
     _check_limit(g, limit)
-    return [EdgeSet(mask) for mask in _forests(g)]
+    return list(map(EdgeSet, _forests(g)))
 
 
 def all_near_trees(
@@ -183,7 +183,7 @@ def all_near_trees(
     one component lists them, in combination order.
     """
     _check_limit(g, limit)
-    return [EdgeSet(mask) for mask in _forests(g, (s, t))]
+    return list(map(EdgeSet, _forests(g, (s, t))))
 
 
 def automorphisms(
@@ -265,7 +265,7 @@ def _edge_map(g: LabeledGraph, sigma: VertexPermutation) -> list[int]:
 
 
 def apply_permutation(g: LabeledGraph, sigma: VertexPermutation, es: EdgeSet) -> EdgeSet:
-    return EdgeSet(mask_image(es.mask, _edge_map(g, sigma)))
+    return EdgeSet(mask_image(es, _edge_map(g, sigma)))
 
 
 # Bits of a mask per column of the image pass: each group element builds one
@@ -359,7 +359,7 @@ def orbit_partition(
     keep first-seen order, and each orbit's representative is its first
     member.
     """
-    keys, _ = _least_images(g, autos, [tree.mask for tree in trees])
+    keys, _ = _least_images(g, autos, trees)
     orbits: dict[int, list[EdgeSet]] = {}
     for key, tree in zip(keys, trees):
         orbits.setdefault(key, []).append(tree)
@@ -374,7 +374,7 @@ def burnside_count(
     """Orbit count as (sum of fixed trees per group element) / group order,
     over the distinct masks, with the fixed points counted by the image
     fold (`_least_images`)."""
-    _, total = _least_images(g, autos, list({es.mask for es in trees}))
+    _, total = _least_images(g, autos, list(set(trees)))
     if total % len(autos) != 0:
         raise NonIntegralResult(
             f"{total} fixed points not divisible by group order {len(autos)}"

@@ -200,13 +200,13 @@ def iter_semioriented_spanning(g: SemiorientedSP):
     return map(EdgeSet, _masks(_tree_of(g)))
 
 
-def _masks(tree, numbering=None):
-    """Masks of the semioriented spanning trees in `numbering`, as in `generate._placed`:
-    the oriented stream through the reversal filter's `_selectors`."""
+def _masks(tree):
+    """Masks of the semioriented spanning trees: the oriented stream through
+    the reversal filter's `_selectors`."""
     # The actions before the lists: built while the lists are alive, they
     # raise the peak.
     keep = _selectors(tree)
-    stream = _streams(tree, False, numbering=numbering)[0]
+    stream = _streams(tree, False)[0]
     return stream if keep is None else compress(stream, keep)
 
 

@@ -59,7 +59,7 @@ from sptrees.generate import (
     multiset_rank,
 )
 from sptrees.oracle import FixBoth, FixSet, NonIntegralResult, OrbitReport
-from sptrees.semi import _masks, _parts, _reversal_perms
+from sptrees.semi import _masks, _parts, _reversal_perms, _selectors
 
 DIAMOND_TEXT = "P(e(2,3),S(e(2,1),e(1,3)),S(e(2,4),e(4,3)))"
 THETA_TEXT = "P(e(s,t),S(e(s,a),e(a,b),e(b,t)),S(e(s,c),e(c,d),e(d,t)))"
@@ -859,14 +859,25 @@ def reference_semioriented_masks(tree: Node, numbering=None) -> list[int]:
     return out
 
 
+def semioriented_masks(tree: Node, numbering=None) -> list[int]:
+    """The semioriented stream in `numbering`, as in `generate._placed`: the
+    oriented stream in that numbering through the reversal filter's
+    `_selectors`, as the CLI reads it; `_masks` in the input numbering."""
+    keep = _selectors(tree)
+    stream = _streams(tree, False, numbering=numbering)[0]
+    return list(stream if keep is None else compress(stream, keep))
+
+
 def assert_filter_matches_the_reference(tree):
-    """`_masks` in the input numbering and in a permuted one: the per-candidate
-    reference's masks, a subsequence of the oriented stream, as many as the
-    semioriented count."""
+    """The semioriented stream in the input numbering and in a permuted one:
+    the per-candidate reference's masks, a subsequence of the oriented
+    stream, as many as the semioriented count, and in the input numbering
+    `_masks`."""
+    assert list(_masks(tree)) == semioriented_masks(tree)
     shuffled = list(range(build_plan(tree).m))
     random.Random(len(shuffled)).shuffle(shuffled)
     for numbering in (None, shuffled):
-        kept = list(_masks(tree, numbering))
+        kept = semioriented_masks(tree, numbering)
         assert kept == reference_semioriented_masks(tree, numbering)
         oriented_stream = _streams(tree, False, numbering=numbering)[0]
         assert all(mask in oriented_stream for mask in kept)  # in order: one pass
@@ -948,7 +959,7 @@ def classify_edge_set(graph, es: EdgeSet) -> Classification:
     """
     if not within(es, graph.m):
         return Classification.OTHER
-    card = es.cardinality
+    card = es.bit_count()
     if card not in (graph.n - 1, graph.n - 2):
         return Classification.OTHER
     uf = _UnionFind(graph.n)

@@ -515,7 +515,7 @@ def test_verify_builds_each_list_once_and_maps_nothing_through_the_identity(
     _patch_bindings(monkeypatch, oracle._tables, counted("tables", oracle._tables))
     _patch_bindings(monkeypatch, oracle._images, counted("images", oracle._images))
     _patch_bindings(monkeypatch, generate._streams, counted("streams", generate._streams))
-    monkeypatch.setattr(EdgeSet, "__init__", counted("edge sets", EdgeSet.__init__))
+    monkeypatch.setattr(EdgeSet, "__new__", counted("edge sets", EdgeSet.__new__))
     ok, summary = cli.verify_instance(tree)
     aut_semi, aut_or = group_orders
     assert ok

@@ -28,6 +28,7 @@ from sptrees import (
     count_total,
     iter_oriented_near,
     iter_oriented_spanning,
+    iter_semioriented_spanning,
     kirchhoff_count,
     multiset_enumerate,
     near_tree_index,
@@ -71,6 +72,7 @@ from conftest import (
     reference_assignments,
     reference_index,
     reference_sums,
+    semioriented_masks,
     small_corpus,
     twin_nest_text,
 )
@@ -375,7 +377,7 @@ def test_streams_in_a_numbering_are_the_input_streams_permuted(seed):
             placed = _streams(tree, near, numbering=numbering)[0]
             assert list(placed) == expected
         expected = [mask_image(x, leaf_map) for x in _masks(tree)]
-        assert list(_masks(tree, numbering)) == expected
+        assert semioriented_masks(tree, numbering) == expected
     if seed in MOVED_ROOTS:
         o = OrientedSP(tree)
         for stream, index in zip(oriented_both(o), (spanning_tree_index, near_tree_index)):
@@ -692,6 +694,37 @@ def test_a_folded_stream_sums_once_per_prefix_not_once_per_tree(monkeypatch):
     assert 0 < len(calls) <= trees // generate._TAIL
 
 
+@pytest.mark.parametrize(
+    "stream, kind, count",
+    [(iter_oriented_spanning, OrientedSP, 3**8), (iter_oriented_near, OrientedSP, 8 * 2 * 3**7),
+     (iter_semioriented_spanning, SemiorientedSP, (3**8 + 3**4) // 2)],
+    ids=["spanning", "near", "semioriented"],
+)
+def test_public_streams_make_no_python_call_per_tree(stream, kind, count):
+    """ROADMAP item 10's public-stream guard.  Draining a public stream of
+    a series of eight triangles (6561 spanning, 34 992 near and 3321
+    semioriented trees) with `list` makes fewer than trees / 100 Python
+    calls, counted as `sys.setprofile` 'call' events: an `EdgeSet` is built
+    in C, and the trees cost a few calls per block of the root, not one a
+    tree."""
+    text = "S(" + ",".join(f"P(e(v{i},v{i + 1}),S(e(v{i},a{i}),e(a{i},v{i + 1})))" for i in range(8)) + ")"
+    trees = stream(kind(parse_sp(text)))
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        trees = list(trees)
+    finally:
+        sys.setprofile(None)
+    assert len(trees) == count
+    assert all(type(es) is EdgeSet for es in trees)
+    assert len(calls) < len(trees) / 100, Counter(calls).most_common(3)
+
+
 def test_rank_of_a_wide_class_evaluates_r_binomials(monkeypatch):
     """One `spanning_tree_index` on a P of 600 two-edge chains (r = 2) ranks
     its class from the count vector: at most r binomials (r - 1 terms and
@@ -812,8 +845,10 @@ def test_the_index_inverts_unrank_at_random_positions(text):
 
 
 def test_unrank_rejects_positions_out_of_range():
-    """`unrank` raises IndexError at -1 and at the count, and gives the last
-    streamed tree just below the count, on a lone edge and on the diamond.
+    """`unrank` raises IndexError at -1 and at the count, TypeError at a
+    position that is no integer (1.5, 2.0, "1"), as sequence indexing does,
+    and gives the last streamed tree just below the count, on a lone edge
+    and on the diamond.
     On a chain of 1400 triangles (3**1400, about 10**668 trees) it raises
     IndexError, not the interpreter's ValueError for an int too long to
     print, at -1, at the count and at 10**700, under a 640-digit limit."""
@@ -824,6 +859,9 @@ def test_unrank_rejects_positions_out_of_range():
                                     (True, iter_oriented_near, counts.near)):
             for i in (-1, count):
                 with pytest.raises(IndexError):
+                    unrank(o, i, near)
+            for i in (1.5, 2.0, "1"):
+                with pytest.raises(TypeError):
                     unrank(o, i, near)
             assert unrank(o, count - 1, near) == list(stream(o))[-1]
     if not hasattr(sys, "set_int_max_str_digits"):  # Python 3.10 has no limit
@@ -856,4 +894,4 @@ def test_unrank_builds_no_enumeration_list(text, monkeypatch):
     monkeypatch.setattr(generate, "_streams", refuse)
     for near, count in ((False, counts.spanning), (True, counts.near)):
         for i in (0, count // 2, count - 1):
-            assert unrank(o, i, near).cardinality == build_plan(o).n - 1 - near
+            assert unrank(o, i, near).bit_count() == build_plan(o).n - 1 - near

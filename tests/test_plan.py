@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sptrees import (
+    CountPair,
     EdgeSet,
     OrientedSP,
     RandomSpParams,
@@ -39,6 +40,7 @@ from sptrees import (
 )
 from sptrees import generate
 from sptrees.cli import run, verify_instance
+from sptrees.core import edge, iter_leaves, normalize, parallel, series
 from sptrees.expr import read_edge_list
 from sptrees.generate import (
     _build,
@@ -482,3 +484,43 @@ def test_plans_compare_and_print_without_recursion():
     for a in plans:
         for b in plans:
             assert (a == b) == (_astuple(a) == _astuple(b))
+
+
+@pytest.mark.parametrize(
+    "tree, match",
+    [
+        (parallel(series(series(edge("s", "a", 0), edge("a", "b", 1)), edge("b", "t", 2)),
+                  series(edge("s", "c", 3), edge("c", "d", 4), edge("d", "t", 5))),
+         "series node"),
+        (parallel(edge("s", "t"), series(edge("s", "a"), edge("a", "t"))), "preorder"),
+        (parallel(series(edge("s", "a", 1), edge("a", "t", 2)), edge("s", "t", 0)), "preorder"),
+        (series(edge("s", "t", 0)), "series node"),
+        (parallel(edge("s", "t", 0), edge("s", "t", 1)), "parallel node"),
+    ],
+    ids=["series-under-series", "indices-all-zero", "indices-out-of-order", "one-child",
+         "two-edges"],
+)
+def test_the_plan_pass_refuses_a_tree_that_is_not_normalized(tree, match):
+    """A tree built in code that no normalized tree matches (a node of one
+    child or under its own kind, a P node's second edge, or leaf indices out
+    of preorder) is refused, with a pointer to `normalize`."""
+    with pytest.raises(ValueError, match=match) as refused:
+        count_oriented(OrientedSP(tree))
+    assert str(refused.value).endswith("pass the tree through normalize")
+
+
+def test_a_normalized_tree_and_a_subtree_at_its_offset_are_planned():
+    """Through `normalize`, an S under an S counts (3, 6), not the (6, 9)
+    its unflattened tree would give, and a triangle whose `edge` calls left
+    every leaf at index 0 lists its three trees, not one tree three times.
+    A subtree keeps its offset: the plan pass reads a subtree's leaf
+    indices from its first one."""
+    nested = parallel(series(series(edge("s", "a", 0), edge("a", "b", 1)), edge("b", "t", 2)),
+                      series(edge("s", "c", 3), edge("c", "d", 4), edge("d", "t", 5)))
+    assert count_oriented(OrientedSP(normalize(nested))) == CountPair(3, 6)
+    zeros = OrientedSP(normalize(parallel(edge("s", "t"), series(edge("s", "a"), edge("a", "t")))))
+    assert sorted(oriented_spanning(zeros)) == [0b011, 0b101, 0b110]
+    chain = parse_sp(THETA_TEXT).children[2]  # leaves 4, 5 and 6
+    assert [lf.index for lf in iter_leaves(chain)] == [4, 5, 6]
+    assert count_oriented(OrientedSP(chain)) == CountPair(1, 3)
+    assert oriented_spanning(OrientedSP(chain)) == [EdgeSet(0b1110000)]
