@@ -14,10 +14,11 @@ The value types of the package (`LabeledGraph`, the rooted graphs,
 random parameters and class records of the other modules) are slotted
 classes in the same way, over one base, `_Record`: each keeps the
 constructor, `==`, `hash`, `repr` and immutability of the dataclass it
-was, and the hot ones set each slot once through its descriptor.  A
-`LabeledGraph` keeps a `__dict__` for its lazy indexes.  `EdgeSet`, one
-per emitted tree, is no `_Record` but its mask, an `int` subclass with
-no slot and no `__init__`, frozen by `_frozen` as the records are.  No
+was.  A `LabeledGraph` keeps a `__dict__` for its lazy indexes.
+`EdgeSet`, one per emitted tree, is no `_Record` but its mask, an `int`
+subclass with no slot and no `__init__`, frozen by `_frozen` as the
+records are; its helpers and `mask_image` read a mask's set bits by one
+walk, `_bits`, which refuses a negative mask.  No
 dataclass is built, and `dataclasses`, whose import and decorators took
 three quarters of the package's import time, is imported only by
 `_frozen`, to raise its `FrozenInstanceError`.
@@ -38,7 +39,9 @@ terminals and each k-child S node's joints.  It builds no vertex set and
 no message.  Only when it rejects are the same events fed again, into a
 `TreeChecker`, which builds no node: it keeps terminals and a vertex set
 per finished subtree and lists every violation with its position.
-`validate` drives the checker alone.  The tree and graph types are
+`validate` drives the checker alone.  `_replay` is the one walk from a
+tree to those events, which feed the acceptor, the checker and the
+writer (`expr.serialize_sp`).  The tree and graph types are
 immutable after construction and safe to share between threads.
 """
 
@@ -409,13 +412,7 @@ class EdgeSet(int):
         return cls(mask)
 
     def indices(self) -> tuple[int, ...]:
-        out = []
-        mask = self
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return tuple(out)
+        return tuple(_bits(self))
 
     def mapped(self, leaf_map: dict[int, int]) -> EdgeSet:
         """Image under a leaf-index bijection."""
@@ -425,13 +422,23 @@ class EdgeSet(int):
         return f"EdgeSet(mask={int(self)})"
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of a mask, lowest first.  Raises ValueError on a
+    negative mask, whose bits never end."""
+    if mask < 0:
+        # No number in the message: a large one would exceed the interpreter's
+        # limit on int-to-str conversion and raise ValueError instead.
+        raise ValueError("negative edge mask")
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+
+
 def mask_image(mask: int, leaf_map: dict[int, int]) -> int:
     """Image of a leaf bitmask under a leaf-index map, bit by bit."""
     out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << leaf_map[low.bit_length() - 1]
-        mask ^= low
+    for i in _bits(mask):
+        out |= 1 << leaf_map[i]
     return out
 
 

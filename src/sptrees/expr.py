@@ -13,8 +13,9 @@ the one tree builder, as they read, so both return a normalized,
 validated tree with no raw tree built first; `parse_sp` reads rejected
 text again into a `core.TreeChecker`, which builds no node, to name
 every violation.  `parse_sp` tokenizes by splitting at whitespace once
-the punctuation is spaced out, and locates a syntax error by one regex;
-`serialize_sp` is its inverse on normalized trees.
+the punctuation is spaced out, and locates a syntax error by one regex.
+`serialize_sp`, its inverse on normalized trees, writes the events that
+`core._replay` reads off a tree, the acceptor's and checker's input.
 `decompose_edge_list` recognizes a two-terminal series-parallel graph
 from a raw edge list by repeated series and parallel reductions, which
 grow n-ary series runs and P bundles in place, so a path of m edges is
@@ -39,6 +40,7 @@ from .core import (
     TreeChecker,
     _Record,
     _reject,
+    _replay,
     is_valid_label,
     normalize,
 )
@@ -157,24 +159,26 @@ def _syntax_error(text: str, k: int, expected: str) -> SpSyntaxError:
 
 
 def serialize_sp(node: Node) -> str:
-    """Canonical text for a valid normalized tree, no whitespace."""
-    out = []
-    stack: list = [node]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-        elif isinstance(item, Leaf):
-            out.append(f"e({item.source},{item.target})")
-        else:
-            out.append("S(" if isinstance(item, Series) else "P(")
-            stack.append(")")
-            kids = item.children
-            for i in range(len(kids) - 1, 0, -1):
-                stack.append(kids[i])
-                stack.append(",")
-            stack.append(kids[0])
+    """Canonical text for a valid normalized tree, no whitespace, written
+    from the events `core._replay` reads off it."""
+    out = _replay(node, _Writer())
+    out.pop()
     return "".join(out)
+
+
+class _Writer(list):
+    """The text pieces of `core._replay`'s events: every finished node is
+    followed by a ",", which its parent's `close` turns into ")"."""
+
+    def leaf(self, u: str, v: str) -> None:
+        self += f"e({u},{v})", ","
+
+    def open(self, kind: type) -> None:
+        self.append("S(" if kind is Series else "P(")
+
+    def close(self) -> None:
+        self[-1] = ")"
+        self.append(",")
 
 
 # ---------------------------------------------------------------------------

@@ -140,11 +140,7 @@ class CountPair(_Record):
     __slots__ = ("spanning", "near")
 
     def __init__(self, spanning: int, near: int) -> None:
-        _set_spanning(self, spanning)
-        _set_near(self, near)
-
-
-_set_spanning, _set_near = CountPair.spanning.__set__, CountPair.near.__set__
+        _Record.__init__(self, spanning, near)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,16 @@ import copy
 import itertools
 import pickle
 import random
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sptrees
 from sptrees import (
     EdgeSet,
     InvalidTreeError,
@@ -24,6 +28,7 @@ from sptrees import core
 from sptrees.core import Leaf, Parallel, Series, edge, iter_leaves, parallel, series
 
 from conftest import (
+    DIAMOND_TEXT,
     Classification,
     assert_acceptor_agrees,
     classify_edge_set,
@@ -159,6 +164,40 @@ def test_edge_set_basics():
     assert within(es, 6) and not within(es, 5)
     assert EdgeSet(es | EdgeSet.of([1])).indices() == (0, 1, 3, 5)
     assert es.mapped({0: 2, 3: 0, 5: 7}).indices() == (0, 2, 7)
+
+
+NEGATIVE_MASK_CALLS = [
+    "EdgeSet(-1).indices()",
+    "EdgeSet(-3).mapped({0: 0})",
+    "core.mask_image(-2, {0: 0})",
+    "oracle.apply_permutation(g, {v: v for v in g.vertices}, EdgeSet(-1))",
+    # A mask of 6021 digits, past the interpreter's int-to-str limit.
+    "sys.set_int_max_str_digits(640); EdgeSet(-(1 << 20000)).indices()",
+]
+
+
+@pytest.mark.parametrize("call", NEGATIVE_MASK_CALLS)
+def test_a_negative_mask_is_refused_at_once(call):
+    """A negative mask has no finite set of bits: each edge-set helper
+    raises the bit walk's own ValueError, with no number in the message,
+    instead of walking forever or reading a leaf map past its end.  Each
+    call runs in a child under a timeout, so a walk that never ends fails
+    the test and does not hang the suite."""
+    if "set_int_max_str_digits" in call and not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no int-to-str limit before Python 3.11")
+    src = Path(sptrees.__file__).resolve().parent.parent
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "from sptrees import EdgeSet, core, oracle, parse_sp, underlying_graph\n"
+        f"g = underlying_graph(parse_sp({DIAMOND_TEXT!r}))\n"
+        f"try:\n    {call}\n"
+        "except Exception as exc:\n    print(type(exc).__name__, exc)\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, str(src)],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert child.stdout.strip() == "ValueError negative edge mask"
 
 
 @settings(max_examples=60, deadline=None)
